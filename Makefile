@@ -8,8 +8,11 @@ PKGS      := ./...
 RACE_PKGS := ./internal/obs ./internal/server ./internal/core ./internal/decomp ./internal/store ./internal/solvecache ./internal/partition
 BENCH     ?= .
 BENCH_FLAGS := -benchmem -benchtime=1x
+# bench-e2e: which BENCHMARK.json workload (empty = all four) and seed.
+WORKLOAD  ?=
+SEED      ?= 1
 
-.PHONY: build test test-service smoke-probes load-smoke race race-all vet bench bench-json bench-compare bench-server cover clean run-server help
+.PHONY: build test test-service smoke-probes load-smoke race race-all vet bench bench-json bench-compare bench-server bench-e2e cover clean run-server help
 
 ## build: compile every package and the command-line tools
 build:
@@ -59,6 +62,10 @@ bench-compare:
 ## bench-server: end-to-end load snapshot (self-hosted server, closed loop) -> BENCH_server.json
 bench-server:
 	$(GO) run ./cmd/geacc-load -pin BENCH_server.json
+
+## bench-e2e: the end-to-end service benchmark (benchmark/, BENCHMARK.json); WORKLOAD=<name> SEED=<n>
+bench-e2e:
+	bash benchmark/run.sh $(if $(WORKLOAD),--workload $(WORKLOAD)) --seed $(SEED)
 
 ## cover: full suite with a coverage summary
 cover:

@@ -9,7 +9,9 @@ import (
 	"testing"
 
 	"github.com/ebsnlab/geacc/internal/core"
+	"github.com/ebsnlab/geacc/internal/dataset"
 	"github.com/ebsnlab/geacc/internal/encoding"
+	"github.com/ebsnlab/geacc/internal/obs"
 )
 
 func TestSolveDiagOut(t *testing.T) {
@@ -81,6 +83,55 @@ func TestSolveDiagPortfolioAndGreedyIndex(t *testing.T) {
 		if d.Gap < 0 || d.RelaxedUpperBound <= 0 {
 			t.Errorf("%v: gap = %v, ub = %v", args, d.Gap, d.RelaxedUpperBound)
 		}
+	}
+}
+
+// TestSolveDiagDecomposedBound: -decompose -diag sums per-component bounds
+// instead of relaxing the whole instance; the runs counter moves once per
+// component and the bound matches the monolithic one to 1e-9 relative.
+func TestSolveDiagDecomposedBound(t *testing.T) {
+	cfg := dataset.ClusteredConfig{
+		NumEvents: 12, NumUsers: 48, Communities: 4, BlockDim: 2,
+		EventCapMax: 5, UserCapMax: 2, CFRatio: 0.25, Seed: 5,
+	}
+	in, err := cfg.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "clustered.json")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := encoding.EncodeInstance(f, in, encoding.SimCosine, cfg.Dim(), 1); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	diagPath := filepath.Join(t.TempDir(), "diag.json")
+	runs := obs.Default().Counter("geacc_mcflow_runs_total")
+	before := runs.Value()
+	var out bytes.Buffer
+	if err := run([]string{"-in", path, "-algo", "mincostflow", "-decompose", "-diag-out", diagPath, "-quiet"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	moved := runs.Value() - before
+	raw, err := os.ReadFile(diagPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var d core.Diagnostics
+	if err := json.Unmarshal(raw, &d); err != nil {
+		t.Fatal(err)
+	}
+	if d.Decomposition == nil || d.Decomposition.Components < 2 {
+		t.Fatalf("decomposition block = %+v", d.Decomposition)
+	}
+	if moved != int64(d.Decomposition.Components) {
+		t.Errorf("%d flow runs for %d components, want one each", moved, d.Decomposition.Components)
+	}
+	if want := core.RelaxedUpperBound(in); math.Abs(d.RelaxedUpperBound-want) > 1e-9*want {
+		t.Errorf("bound %v, monolithic %v", d.RelaxedUpperBound, want)
 	}
 }
 

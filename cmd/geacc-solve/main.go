@@ -132,9 +132,13 @@ func run(args []string, stdout io.Writer) error {
 		countersBefore = obs.Default().Counters()
 	}
 
+	// solved collects what the diagnostics need: a plain mincostflow solve
+	// hands back the relaxation bound it computed, a decomposed solve its
+	// decomposition (whose component solves left theirs behind).
 	var m *core.Matching
 	var decompStats *core.DecompositionStats
 	var partStats *core.PartitionStats
+	solved := decomp.Solved{Algo: *algo, In: in, Workers: *decompWorkers}
 	start := time.Now()
 	if *decompose {
 		dopt := decomp.Options{Workers: *decompWorkers, Seed: *seed}
@@ -157,6 +161,7 @@ func run(args []string, stdout io.Writer) error {
 		if m, err = d.SolveContext(ctx, *algo, dopt); err != nil {
 			return err
 		}
+		solved.D = d
 		decompStats = d.Stats(dopt.Workers)
 		partStats = d.PartitionStats()
 	} else if *algo == "portfolio" {
@@ -177,7 +182,8 @@ func run(args []string, stdout io.Writer) error {
 			return err
 		}
 	} else {
-		if m, err = core.SolveContext(ctx, *algo, in, rand.New(rand.NewSource(*seed))); err != nil {
+		m, solved.Bound, solved.HasBound, err = core.SolveContextBound(ctx, *algo, in, rand.New(rand.NewSource(*seed)))
+		if err != nil {
 			return err
 		}
 	}
@@ -188,14 +194,10 @@ func run(args []string, stdout io.Writer) error {
 
 	var diagDoc *core.Diagnostics
 	if *diag {
-		diagDoc = core.BuildDiagnostics(*algo, in, m, elapsed, rec.Spans(),
-			obs.DiffCounters(countersBefore, obs.Default().Counters()))
-		diagDoc.Decomposition = decompStats
-		if partStats != nil {
-			// BoundLoss is the measured loss vs the unsharded Corollary 1
-			// relaxation bound — exactly the diagnostics gap of this run.
-			partStats.BoundLoss = diagDoc.Gap
-			diagDoc.Partition = partStats
+		solved.M, solved.Elapsed, solved.Spans = m, elapsed, rec.Spans()
+		solved.Deltas = obs.DiffCounters(countersBefore, obs.Default().Counters())
+		if diagDoc, err = decomp.Diagnose(ctx, solved); err != nil {
+			return err
 		}
 	}
 	if *sessionPath != "" {

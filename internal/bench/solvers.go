@@ -262,11 +262,11 @@ func runWarmDeltaBench(opt Options) ([]SolverBenchPoint, error) {
 			}
 			start := time.Now()
 			for s := 1; s <= warmDeltaSteps; s++ {
-				m, err := core.MinCostFlowWarmCtx(ctx, chain[s], events, ids[s], wc)
+				fr, err := core.MinCostFlowWarmCtx(ctx, chain[s], events, ids[s], wc)
 				if err != nil {
 					return nil, fmt.Errorf("bench: mcflow_warm_delta/%s: %w", name, err)
 				}
-				warmSums[s-1] = m.MaxSum()
+				warmSums[s-1] = fr.Matching.MaxSum()
 			}
 			if sec := time.Since(start).Seconds() / warmDeltaSteps; sec < warmBest {
 				warmBest = sec

@@ -136,8 +136,9 @@ type PhaseTiming struct {
 // also published to the obs registry (geacc_solve_gap{algo=…} histogram,
 // geacc_solve_last_gap{algo=…} gauge).
 //
-// Computing RelaxedUpperBound costs one extra min-cost-flow solve of the
-// relaxation; callers on a latency budget should stick to SolveContext.
+// The Corollary 1 bound is free for mincostflow, whose solve computes it
+// as its first step (SolveContextBound); every other solver pays one
+// min-cost-flow solve of the relaxation on top of the solve.
 func SolveDiagnostics(ctx context.Context, name string, in *Instance, rng *rand.Rand) (*Matching, *Diagnostics, error) {
 	rec := obs.RecorderFrom(ctx)
 	if rec == nil {
@@ -147,22 +148,33 @@ func SolveDiagnostics(ctx context.Context, name string, in *Instance, rng *rand.
 	spansBefore := len(rec.Spans())
 	before := obs.Default().Counters()
 	start := time.Now()
-	m, err := SolveContext(ctx, name, in, rng)
+	m, bound, ok, err := SolveContextBound(ctx, name, in, rng)
 	elapsed := time.Since(start)
 	if err != nil {
 		return nil, nil, err
 	}
 	deltas := obs.DiffCounters(before, obs.Default().Counters())
 	spans := rec.Spans()[spansBefore:]
-	return m, BuildDiagnostics(name, in, m, elapsed, spans, deltas), nil
+	if !ok {
+		bound = RelaxedUpperBound(in)
+	}
+	return m, BuildDiagnosticsBound(name, in, m, elapsed, spans, deltas, bound), nil
 }
 
-// BuildDiagnostics assembles the artifact from an already-completed solve:
-// the server uses it directly for the portfolio path, SolveDiagnostics for
-// everything else. It computes the Corollary 1 bound (one relaxation
-// solve) and publishes the gap metrics as a side effect.
+// BuildDiagnostics assembles the artifact from an already-completed solve,
+// computing the Corollary 1 bound with one relaxation solve
+// (RelaxedUpperBound). It publishes the gap metrics as a side effect.
 func BuildDiagnostics(algo string, in *Instance, m *Matching, elapsed time.Duration,
 	spans []obs.SpanData, deltas map[string]int64) *Diagnostics {
+	return BuildDiagnosticsBound(algo, in, m, elapsed, spans, deltas, RelaxedUpperBound(in))
+}
+
+// BuildDiagnosticsBound is BuildDiagnostics with the Corollary 1 bound
+// supplied by the caller — a value the solve already computed (see
+// SolveContextBound, decomp's Decomposition.RelaxedBound) — so observing
+// the solve costs no second relaxation.
+func BuildDiagnosticsBound(algo string, in *Instance, m *Matching, elapsed time.Duration,
+	spans []obs.SpanData, deltas map[string]int64, bound float64) *Diagnostics {
 	d := &Diagnostics{
 		Algo:         algo,
 		Events:       in.NumEvents(),
@@ -184,7 +196,7 @@ func BuildDiagnostics(algo string, in *Instance, m *Matching, elapsed time.Durat
 	for _, sp := range spans {
 		d.Phases = append(d.Phases, PhaseTiming{Name: sp.Name, Seconds: sp.Duration.Seconds()})
 	}
-	d.RelaxedUpperBound = RelaxedUpperBound(in)
+	d.RelaxedUpperBound = bound
 	if d.RelaxedUpperBound > 0 {
 		d.Gap = (d.RelaxedUpperBound - d.MaxSum) / d.RelaxedUpperBound
 		// MaxSum can exceed the bound only by float rounding; a negative

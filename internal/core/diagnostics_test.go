@@ -55,6 +55,57 @@ func TestSolveDiagnosticsGapDefinition(t *testing.T) {
 	}
 }
 
+// TestSolveDiagnosticsBoundReuse is the reuse property: on random
+// instances, every solver's diagnosed bound is bit-identical (==) to
+// RelaxedUpperBound, and a diagnosed mincostflow solve runs the min-cost
+// flow exactly once — its own relaxation doubles as the bound.
+func TestSolveDiagnosticsBoundReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 12; trial++ {
+		var in *Instance
+		if trial%2 == 0 {
+			in = randMatrixInstance(rng, 2+rng.Intn(5), 3+rng.Intn(8), 3, 2, 0.3)
+		} else {
+			in = randVectorInstance(rng, 2+rng.Intn(5), 3+rng.Intn(8), 3, 3, 2, 0.3)
+		}
+		ub := RelaxedUpperBound(in)
+		for _, algo := range []string{"greedy", "mincostflow", "exact", "random-v"} {
+			runs := mcflowRuns.Value()
+			_, d, err := SolveDiagnostics(context.Background(), algo, in, rand.New(rand.NewSource(int64(trial))))
+			if err != nil {
+				t.Fatalf("trial %d %s: %v", trial, algo, err)
+			}
+			if d.RelaxedUpperBound != ub {
+				t.Errorf("trial %d %s: bound %v != RelaxedUpperBound %v", trial, algo, d.RelaxedUpperBound, ub)
+			}
+			if algo == "mincostflow" {
+				if got := mcflowRuns.Value() - runs; got != 1 {
+					t.Errorf("trial %d: diagnosed mincostflow ran the flow %d times, want 1", trial, got)
+				}
+			}
+		}
+	}
+}
+
+// TestSolveContextBoundReportsOnlyComputedBounds: only mincostflow hands a
+// bound back; the others leave it for the caller to compute.
+func TestSolveContextBoundReportsOnlyComputedBounds(t *testing.T) {
+	in := table1Instance(t)
+	for _, algo := range SolverNames() {
+		m, bound, ok, err := SolveContextBound(context.Background(), algo, in, rand.New(rand.NewSource(1)))
+		if err != nil {
+			t.Fatalf("%s: %v", algo, err)
+		}
+		mustValidate(t, in, m, algo)
+		if ok != (algo == "mincostflow") {
+			t.Errorf("%s: ok = %v", algo, ok)
+		}
+		if ok && bound != RelaxedUpperBound(in) {
+			t.Errorf("%s: bound %v != RelaxedUpperBound %v", algo, bound, RelaxedUpperBound(in))
+		}
+	}
+}
+
 func TestSolveDiagnosticsOptimalSolveHasZeroGap(t *testing.T) {
 	// Without conflicts MinCostFlow solves the instance exactly, so the
 	// achieved MaxSum meets the Corollary 1 bound and the gap must be 0.

@@ -95,6 +95,16 @@ func RelaxedUpperBound(in *Instance) float64 {
 	return res.RelaxedMaxSum
 }
 
+// RelaxedUpperBoundCtx is RelaxedUpperBound under a context, polled between
+// augmenting paths like MinCostFlowCtx; a canceled run returns ctx's error.
+func RelaxedUpperBoundCtx(ctx context.Context, in *Instance) (float64, error) {
+	res, err := relaxedOptimumCtx(ctx, in)
+	if err != nil {
+		return 0, err
+	}
+	return res.RelaxedMaxSum, nil
+}
+
 // relaxedOptimumCtx solves the GEACC instance with CF = ∅ exactly
 // (Lemma 1) via the minimum-cost-flow reduction of Section III.A, polling
 // ctx between augmentations.

@@ -114,9 +114,9 @@ func (wc *WarmCache) Len() int {
 // MinCostFlowWarmCtx runs MinCostFlow-GEACC on a component sub-instance,
 // consulting and refreshing wc. events and users are the component's parent
 // ids in sub-instance order (decomp.Component's Events/Users). A nil cache
-// or an id-length mismatch degrades to the cold path. Results are bit-exact
-// vs MinCostFlowCtx.
-func MinCostFlowWarmCtx(ctx context.Context, in *Instance, events, users []int, wc *WarmCache) (*Matching, error) {
+// or an id-length mismatch degrades to the cold path. Results — the final
+// matching and RelaxedMaxSum alike — are bit-exact vs MinCostFlowCtx.
+func MinCostFlowWarmCtx(ctx context.Context, in *Instance, events, users []int, wc *WarmCache) (*FlowResult, error) {
 	start := time.Now()
 	sp := obs.RecorderFrom(ctx).Start("solve/mincostflow-warm")
 	sp.Annotate("events", int64(in.NumEvents()))
@@ -127,7 +127,7 @@ func MinCostFlowWarmCtx(ctx context.Context, in *Instance, events, users []int, 
 	if err != nil {
 		return nil, err
 	}
-	return res.Matching, nil
+	return res, nil
 }
 
 func minCostFlowWarmCtx(ctx context.Context, in *Instance, events, users []int, wc *WarmCache) (*FlowResult, error) {

@@ -69,21 +69,30 @@ func LookupSolver(name string) (Solver, error) {
 // only once, before starting (they are linear-time shuffles). A canceled
 // run returns ctx's error and a nil matching.
 func SolveContext(ctx context.Context, name string, in *Instance, rng *rand.Rand) (*Matching, error) {
+	m, _, _, err := SolveContextBound(ctx, name, in, rng)
+	return m, err
+}
+
+// SolveContextBound is SolveContext that also hands back the Corollary 1
+// bound MaxSum(M∅) when the solver computed it on the way (ok true). Only
+// mincostflow does: the relaxation is its first step, and the value it
+// returns is bit-identical to RelaxedUpperBound(in), so a diagnosed solve
+// can report it without solving the relaxation a second time.
+func SolveContextBound(ctx context.Context, name string, in *Instance, rng *rand.Rand) (m *Matching, bound float64, ok bool, err error) {
 	solve, err := LookupSolver(name)
 	if err != nil {
-		return nil, err
+		return nil, 0, false, err
 	}
 	if err := ctx.Err(); err != nil {
 		// Canceled before starting still counts as an errored solve, so
 		// dashboards see load shed under cancellation storms.
 		observeSolve(name, 0, err)
-		return nil, err
+		return nil, 0, false, err
 	}
 	sp := obs.RecorderFrom(ctx).Start("solve/"+name).
 		Annotate("events", in.NumEvents()).
 		Annotate("users", in.NumUsers())
 	start := time.Now()
-	var m *Matching
 	switch name {
 	case "greedy":
 		m, err = GreedyCtx(ctx, in, GreedyOptions{})
@@ -91,7 +100,7 @@ func SolveContext(ctx context.Context, name string, in *Instance, rng *rand.Rand
 		var fr *FlowResult
 		fr, err = MinCostFlowCtx(ctx, in, FlowOptions{})
 		if err == nil {
-			m = fr.Matching
+			m, bound, ok = fr.Matching, fr.RelaxedMaxSum, true
 		}
 	case "exact":
 		m, _, err = ExactOpts(in, ExactOptions{Ctx: ctx})
@@ -101,8 +110,8 @@ func SolveContext(ctx context.Context, name string, in *Instance, rng *rand.Rand
 	observeSolve(name, time.Since(start), err)
 	if err != nil {
 		sp.Annotate("error", err.Error()).End()
-		return nil, err
+		return nil, 0, false, err
 	}
 	sp.Annotate("pairs", m.Size()).Annotate("max_sum", m.MaxSum()).End()
-	return m, nil
+	return m, bound, ok, nil
 }

@@ -63,18 +63,22 @@ type Decomposition struct {
 	// union-find, and sub-instance materialization.
 	BuildSeconds float64
 
-	// partMu guards partStats, accumulated by the solve pool when
-	// Options.Shard routes oversized components through internal/partition.
-	partMu    sync.Mutex
+	// mu guards the aggregates of the most recent solve run: partStats,
+	// accumulated by the solve pool when Options.Shard routes oversized
+	// components through internal/partition, and bounds, the Corollary 1
+	// relaxation values the run's component solves computed, by component
+	// id (see RelaxedBound).
+	mu        sync.Mutex
 	partStats *core.PartitionStats
+	bounds    map[int]float64
 }
 
 // PartitionStats reports the approximate-sharding aggregate of the most
 // recent SolveContext/SolveSubset run, or nil when no component sharded.
 // Call it after the solve returns; each solve resets the aggregate.
 func (d *Decomposition) PartitionStats() *core.PartitionStats {
-	d.partMu.Lock()
-	defer d.partMu.Unlock()
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	return d.partStats
 }
 

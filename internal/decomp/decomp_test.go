@@ -251,7 +251,7 @@ func TestSolveContextCancelMidShard(t *testing.T) {
 	defer cancel()
 	var calls atomic.Int32
 	orig := solveComponentFn
-	solveComponentFn = func(ctx context.Context, algo string, c Component, compIdx int, opt Options) (*core.Matching, error) {
+	solveComponentFn = func(ctx context.Context, algo string, c Component, compIdx int, opt Options) (*core.Matching, float64, bool, error) {
 		if calls.Add(1) == 1 {
 			cancel() // the client goes away while shard 0 is in flight
 		}

@@ -78,10 +78,12 @@ var deterministicAlgos = map[string]bool{"greedy": true, "mincostflow": true, "e
 // solveComponent runs one registry solver on one shard, consulting the
 // optional per-instance solve cache and warm-flow cache from opt.
 // Everything except cache hits, the warm mincostflow path, and the
-// node-limited exact path goes through core.SolveContext, so the usual
-// per-algorithm solve metrics and solve/<algo> spans fire once per
-// component.
-func solveComponent(ctx context.Context, algo string, c Component, compIdx int, opt Options) (*core.Matching, error) {
+// node-limited exact path goes through core.SolveContextBound, so the
+// usual per-algorithm solve metrics and solve/<algo> spans fire once per
+// component. A solve that computed the component's Corollary 1 relaxation
+// on the way (cold or warm mincostflow) returns it as bound with ok set; a
+// cache hit does not, because the cache stores only the matching.
+func solveComponent(ctx context.Context, algo string, c Component, compIdx int, opt Options) (m *core.Matching, bound float64, ok bool, err error) {
 	var key solvecache.Key
 	cacheable := false
 	if opt.SolveCache != nil {
@@ -96,25 +98,26 @@ func solveComponent(ctx context.Context, algo string, c Component, compIdx int, 
 			NodeLimit: opt.ExactNodeLimit,
 		})
 		if cacheable {
-			if v, ok := opt.SolveCache.Get(key); ok {
-				return v.(*core.Matching).Clone(), nil
+			if v, hit := opt.SolveCache.Get(key); hit {
+				return v.(*core.Matching).Clone(), 0, false, nil
 			}
 		}
 	}
-	var m *core.Matching
-	var err error
 	switch {
 	case algo == "exact" && opt.ExactNodeLimit > 0:
 		m, _, err = core.ExactOpts(c.Sub, core.ExactOptions{Ctx: ctx, NodeLimit: opt.ExactNodeLimit})
 	case algo == "mincostflow" && opt.WarmCache != nil:
-		m, err = core.MinCostFlowWarmCtx(ctx, c.Sub, c.Events, c.Users, opt.WarmCache)
+		var fr *core.FlowResult
+		if fr, err = core.MinCostFlowWarmCtx(ctx, c.Sub, c.Events, c.Users, opt.WarmCache); err == nil {
+			m, bound, ok = fr.Matching, fr.RelaxedMaxSum, true
+		}
 	default:
-		m, err = core.SolveContext(ctx, algo, c.Sub, componentRNG(opt.Seed, compIdx))
+		m, bound, ok, err = core.SolveContextBound(ctx, algo, c.Sub, componentRNG(opt.Seed, compIdx))
 	}
 	if err == nil && cacheable && m != nil {
 		opt.SolveCache.Put(key, m.Clone())
 	}
-	return m, err
+	return m, bound, ok, err
 }
 
 // shardSolve routes one oversized component through internal/partition.
@@ -123,7 +126,11 @@ func solveComponent(ctx context.Context, algo string, c Component, compIdx int, 
 // warm-started min-cost flow (keyed by the shard's smallest parent event
 // id), and the node-limited exact path all compose inside shards. The
 // monolithic fallback is the exact call the unsharded path would have made.
-func (d *Decomposition) shardSolve(ctx context.Context, algo string, c Component, compIdx int, opt Options) (*core.Matching, error) {
+//
+// Shard bounds are dropped: they relax the shards, not the component, and
+// sum below its bound by the cut pairs. Only a monolithic fallback reports
+// the component's own bound.
+func (d *Decomposition) shardSolve(ctx context.Context, algo string, c Component, compIdx int, opt Options) (*core.Matching, float64, bool, error) {
 	popt := opt.Shard.Normalized()
 	if popt.Workers == 0 {
 		popt.Workers = opt.Workers
@@ -138,16 +145,20 @@ func (d *Decomposition) shardSolve(ctx context.Context, algo string, c Component
 		// distinct deterministic seed stream for the random baselines
 		// (deterministic solvers ignore it, and cache keys hash the shard
 		// content, so rare index collisions across components are benign).
-		return solveComponentFn(ctx, algo, sc, compIdx*4096+shard+1, opt)
+		m, _, _, err := solveComponentFn(ctx, algo, sc, compIdx*4096+shard+1, opt)
+		return m, err
 	}
-	mono := func(ctx context.Context) (*core.Matching, error) {
-		return solveComponentFn(ctx, algo, c, compIdx, opt)
+	var bound float64
+	var ok bool
+	mono := func(ctx context.Context) (m *core.Matching, err error) {
+		m, bound, ok, err = solveComponentFn(ctx, algo, c, compIdx, opt)
+		return m, err
 	}
 	m, pst, err := partition.SolveComponent(ctx, c.Sub, popt, solve, mono)
 	if pst != nil && pst.Shards > 1 {
 		d.recordPartition(pst, popt)
 	}
-	return m, err
+	return m, bound, ok, err
 }
 
 // mapParent lifts component-local shard indices to parent indices.
@@ -160,8 +171,8 @@ func mapParent(parent, local []int) []int {
 }
 
 func (d *Decomposition) recordPartition(st *partition.Stats, popt partition.Options) {
-	d.partMu.Lock()
-	defer d.partMu.Unlock()
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	if d.partStats == nil {
 		d.partStats = &core.PartitionStats{
 			DriftBudget: popt.DriftBudget,
@@ -297,9 +308,10 @@ func (d *Decomposition) solveSet(ctx context.Context, algo string, ids []int, op
 		return nil, nil, err
 	}
 	decompRuns.Inc()
-	d.partMu.Lock()
-	d.partStats = nil // fresh aggregate per solve run
-	d.partMu.Unlock()
+	d.mu.Lock()
+	d.partStats = nil // fresh aggregates per solve run
+	d.bounds = nil
+	d.mu.Unlock()
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
@@ -315,57 +327,33 @@ func (d *Decomposition) solveSet(ctx context.Context, algo string, ids []int, op
 		Annotate("workers", workers)
 
 	results := make([]*core.Matching, n)
-	errs := make([]error, n)
-	var failed atomic.Bool
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				// After a fatal error (or cancellation) the remaining
-				// components drain without solving; their errs stay nil and
-				// the first fatal error, by dispatch order, is reported.
-				if failed.Load() {
-					continue
-				}
-				if err := ctx.Err(); err != nil {
-					errs[j] = err
-					failed.Store(true)
-					continue
-				}
-				i := ids[j]
-				c := d.Components[i]
-				csp := rec.Start("decomp/component").
-					Annotate("component", i).
-					Annotate("events", len(c.Events)).
-					Annotate("users", len(c.Users))
-				var m *core.Matching
-				var err error
-				if sh := opt.Shard; sh != nil &&
-					int64(len(c.Events))*int64(len(c.Users)) > sh.Normalized().MaxArea {
-					m, err = d.shardSolve(ctx, algo, c, i, opt)
-				} else {
-					m, err = solveComponentFn(ctx, algo, c, i, opt)
-				}
-				decompComponents.Inc()
-				decompComponentSize.Observe(float64(len(c.Events) + len(c.Users)))
-				results[j], errs[j] = m, err
-				if err != nil && !errors.Is(err, core.ErrNodeLimit) {
-					failed.Store(true)
-					csp.Annotate("error", err.Error()).End()
-					continue
-				}
-				csp.Annotate("pairs", m.Size()).End()
-			}
-		}()
-	}
-	for j := 0; j < n; j++ {
-		jobs <- j
-	}
-	close(jobs)
-	wg.Wait()
+	bounds := make([]float64, n)
+	hasBound := make([]bool, n)
+	errs := runPool(ctx, n, workers, func(j int) error {
+		i := ids[j]
+		c := d.Components[i]
+		csp := rec.Start("decomp/component").
+			Annotate("component", i).
+			Annotate("events", len(c.Events)).
+			Annotate("users", len(c.Users))
+		var m *core.Matching
+		var err error
+		if sh := opt.Shard; sh != nil &&
+			int64(len(c.Events))*int64(len(c.Users)) > sh.Normalized().MaxArea {
+			m, bounds[j], hasBound[j], err = d.shardSolve(ctx, algo, c, i, opt)
+		} else {
+			m, bounds[j], hasBound[j], err = solveComponentFn(ctx, algo, c, i, opt)
+		}
+		decompComponents.Inc()
+		decompComponentSize.Observe(float64(len(c.Events) + len(c.Users)))
+		results[j] = m
+		if err != nil && !errors.Is(err, core.ErrNodeLimit) {
+			csp.Annotate("error", err.Error()).End()
+			return err
+		}
+		csp.Annotate("pairs", m.Size()).End()
+		return err
+	})
 
 	var budgetErr error
 	for j, err := range errs {
@@ -379,13 +367,101 @@ func (d *Decomposition) solveSet(ctx context.Context, algo string, ids []int, op
 		}
 	}
 	byID := make(map[int]*core.Matching, n)
+	byIDBound := make(map[int]float64, n)
 	var pairs int
 	for j, id := range ids {
 		if results[j] != nil {
 			byID[id] = results[j]
 			pairs += results[j].Size()
 		}
+		if hasBound[j] {
+			byIDBound[id] = bounds[j]
+		}
 	}
+	d.mu.Lock()
+	d.bounds = byIDBound
+	d.mu.Unlock()
 	sp.Annotate("pairs", pairs).End()
 	return byID, budgetErr, nil
+}
+
+// runPool runs job(0), …, job(n-1) on a pool of workers goroutines and
+// returns each job's error. ctx is polled before every job; after the first
+// cancellation or fatal error (anything but core.ErrNodeLimit) the
+// remaining jobs drain without running, their errors left nil, so the first
+// fatal error by dispatch order is the one to report.
+func runPool(ctx context.Context, n, workers int, job func(j int) error) []error {
+	errs := make([]error, n)
+	var failed atomic.Bool
+	jobs := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < min(workers, n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := range jobs {
+				if failed.Load() {
+					continue
+				}
+				if err := ctx.Err(); err != nil {
+					errs[j] = err
+					failed.Store(true)
+					continue
+				}
+				errs[j] = job(j)
+				if errs[j] != nil && !errors.Is(errs[j], core.ErrNodeLimit) {
+					failed.Store(true)
+				}
+			}
+		}()
+	}
+	for j := 0; j < n; j++ {
+		jobs <- j
+	}
+	close(jobs)
+	wg.Wait()
+	return errs
+}
+
+// RelaxedBound returns the Corollary 1 bound of the parent instance,
+// MaxSum(M∅), as the sum of its components' relaxation optima — exact
+// because the relaxation is additive over components (DESIGN.md, "The
+// relaxation bound is additive over components"); it differs from
+// core.RelaxedUpperBound(d.Parent) only by float summation order.
+//
+// Components whose most recent SolveContext/SolveSubset solve computed
+// their relaxation (mincostflow, unsharded, not a cache hit) reuse that
+// value. The rest — cache hits, other solvers, sharded components, and
+// components the last run did not solve — are relaxed here, on the worker
+// pool the solves use. A sharded component gets its unsharded bound, so
+// PartitionStats.BoundLoss still measures the loss against the unsharded
+// relaxation. Sums run in component order, so the result does not depend
+// on the worker count.
+func (d *Decomposition) RelaxedBound(ctx context.Context) (float64, error) {
+	bounds := make([]float64, len(d.Components))
+	var gaps []int
+	d.mu.Lock()
+	for i := range d.Components {
+		if b, ok := d.bounds[i]; ok {
+			bounds[i] = b
+		} else {
+			gaps = append(gaps, i)
+		}
+	}
+	d.mu.Unlock()
+	errs := runPool(ctx, len(gaps), normalizeWorkers(0, len(gaps)), func(j int) (err error) {
+		i := gaps[j]
+		bounds[i], err = core.RelaxedUpperBoundCtx(ctx, d.Components[i].Sub)
+		return err
+	})
+	for _, err := range errs {
+		if err != nil {
+			return 0, err
+		}
+	}
+	var sum float64
+	for _, b := range bounds {
+		sum += b
+	}
+	return sum, nil
 }

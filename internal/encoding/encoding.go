@@ -72,8 +72,13 @@ func EncodeInstance(w io.Writer, in *core.Instance, kind SimKind, dim int, maxT 
 		if in.Matrix != nil {
 			return fmt.Errorf("encoding: matrix instance must use the matrix kind")
 		}
-		if dim <= 0 || maxT <= 0 {
-			return fmt.Errorf("encoding: function similarity needs dim > 0 and maxT > 0")
+		if dim <= 0 {
+			return fmt.Errorf("encoding: function similarity needs dim > 0")
+		}
+		// Only the distance-normalized kinds use T; cosine is scale-free, so
+		// an instance created without max_t must still serialize.
+		if (kind == SimEuclidean || kind == SimManhattan) && maxT <= 0 {
+			return fmt.Errorf("encoding: %s similarity needs maxT > 0", kind)
 		}
 		doc.Dim = dim
 		doc.MaxT = maxT
@@ -182,15 +187,24 @@ type PairJSON struct {
 	Sim float64 `json:"sim"`
 }
 
-// EncodeMatching serializes a matching to JSON (pairs sorted by (v, u)).
-func EncodeMatching(w io.Writer, m *core.Matching) error {
-	doc := MatchingJSON{MaxSum: m.MaxSum(), Pairs: []PairJSON{}}
-	for _, p := range m.SortedPairs() {
+// MatchingDoc is the serialized form of m: pairs sorted by (v, u), an empty
+// (never nil) pair list for an empty matching. Embedding it in a larger
+// response yields the same bytes as an EncodeMatching → json.Unmarshal
+// round trip, since float64 values survive encoding/json exactly.
+func MatchingDoc(m *core.Matching) MatchingJSON {
+	sorted := m.SortedPairs()
+	doc := MatchingJSON{MaxSum: m.MaxSum(), Pairs: make([]PairJSON, 0, len(sorted))}
+	for _, p := range sorted {
 		doc.Pairs = append(doc.Pairs, PairJSON{V: p.V, U: p.U, Sim: p.Sim})
 	}
+	return doc
+}
+
+// EncodeMatching serializes a matching to JSON (pairs sorted by (v, u)).
+func EncodeMatching(w io.Writer, m *core.Matching) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
+	return enc.Encode(MatchingDoc(m))
 }
 
 // DecodeMatching parses a matching from JSON.

@@ -2,6 +2,7 @@ package encoding
 
 import (
 	"bytes"
+	"encoding/json"
 	"math/rand"
 	"strings"
 	"testing"
@@ -123,6 +124,84 @@ func TestEncodeInstanceErrors(t *testing.T) {
 	}
 	if err := EncodeInstance(&buf, vectorInstance(t), SimEuclidean, 0, 10); err == nil {
 		t.Error("missing dim accepted")
+	}
+	for _, kind := range []SimKind{SimEuclidean, SimManhattan} {
+		if err := EncodeInstance(&buf, vectorInstance(t), kind, 2, 0); err == nil {
+			t.Errorf("%s without maxT accepted", kind)
+		}
+	}
+}
+
+// TestEncodeCosineWithoutMaxT: cosine ignores T, so an instance created
+// without max_t (as the service allows) must serialize and round-trip.
+func TestEncodeCosineWithoutMaxT(t *testing.T) {
+	in, err := core.NewInstance(
+		[]core.Event{{Attrs: sim.Vector{1, 0}, Cap: 1}},
+		[]core.User{{Attrs: sim.Vector{1, 1}, Cap: 1}},
+		nil, sim.Cosine(),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := EncodeInstance(&buf, in, SimCosine, 2, 0); err != nil {
+		t.Fatalf("cosine without maxT rejected: %v", err)
+	}
+	if strings.Contains(buf.String(), "max_t") {
+		t.Errorf("zero max_t serialized: %s", buf.String())
+	}
+	got, info, err := DecodeInstanceMeta(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Kind != SimCosine || info.Dim != 2 || info.MaxT != 0 {
+		t.Errorf("sim info = %+v", info)
+	}
+	if got.Similarity(0, 0) != in.Similarity(0, 0) {
+		t.Error("similarity changed through the round trip")
+	}
+}
+
+// TestMatchingDocMatchesRoundTrip: MatchingDoc must produce exactly what
+// decoding EncodeMatching's output used to — same pairs, same order, same
+// float bits, [] (not null) when empty — so responses built from it stay
+// byte-identical.
+func TestMatchingDocMatchesRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 50; trial++ {
+		m := core.NewMatching()
+		n := rng.Intn(40)
+		if trial == 0 {
+			n = 0
+		}
+		for i := 0; i < n; i++ {
+			v, u := rng.Intn(10), rng.Intn(30)
+			if !m.Contains(v, u) {
+				m.Add(v, u, rng.Float64())
+			}
+		}
+		var buf bytes.Buffer
+		if err := EncodeMatching(&buf, m); err != nil {
+			t.Fatal(err)
+		}
+		var old MatchingJSON
+		if err := json.Unmarshal(buf.Bytes(), &old); err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(old)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := json.Marshal(MatchingDoc(m))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("trial %d: MatchingDoc\n%s\nround trip\n%s", trial, got, want)
+		}
+		if n == 0 && !bytes.Contains(got, []byte(`"pairs":[]`)) {
+			t.Fatalf("empty matching serialized as %s", got)
+		}
 	}
 }
 

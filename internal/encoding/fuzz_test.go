@@ -25,8 +25,8 @@ func FuzzDecodeInstance(f *testing.F) {
 		}
 		var buf bytes.Buffer
 		dim, maxT := info.Dim, info.MaxT
-		if info.Kind == SimCosine {
-			dim, maxT = 1, 1 // cosine carries no dim/maxT; encode needs placeholders
+		if info.Kind == SimCosine && dim <= 0 {
+			dim = 1 // the decoder lets cosine omit dim; encode needs a placeholder
 		}
 		if err := EncodeInstance(&buf, in, info.Kind, dim, maxT); err != nil {
 			t.Fatalf("accepted instance failed to re-encode: %v", err)

@@ -197,6 +197,39 @@ func TestAdmissionGatesRebalance(t *testing.T) {
 	}
 }
 
+// TestAdmissionGatesInstanceStats: GET /instances/{id}/stats solves a
+// relaxation under the instance lock, so it is admitted like a solve — with
+// the slot held and no queue it sheds as 429 + Retry-After, before the id
+// is even looked up.
+func TestAdmissionGatesInstanceStats(t *testing.T) {
+	hold := make(chan struct{})
+	srv := newAdmissionServer(t, Config{
+		MaxInflight: 1, QueueDepth: -1,
+		admitHold: hold,
+	})
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer close(hold)
+	fillSlot(t, srv, &wg)
+
+	shedBefore := admissionShed("queue_full").Value()
+	resp, err := http.Get(srv.URL + "/instances/nope/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _ = io.Copy(io.Discard, resp.Body)
+	_ = resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("status %d, want 429", resp.StatusCode)
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Fatal("429 without Retry-After")
+	}
+	if got := admissionShed("queue_full").Value(); got != shedBefore+1 {
+		t.Fatalf("geacc_admission_shed_total{reason=queue_full} = %d, want %d", got, shedBefore+1)
+	}
+}
+
 // TestReadyzReflectsAdmission: /readyz's load check reads the admission
 // controller itself — saturated admission fails the probe, a freed slot
 // passes it again.

@@ -291,6 +291,46 @@ func TestPersistenceAcrossRestart(t *testing.T) {
 	}
 }
 
+// TestCosineWithoutMaxTSnapshots: cosine ignores max_t, so an instance
+// created without it must still snapshot (it used to fail every snapshot
+// and live on the log alone) and come back byte-identical after a restart.
+func TestCosineWithoutMaxTSnapshots(t *testing.T) {
+	dir := t.TempDir()
+	srv := newInstanceServer(t, dir, 4)
+	if resp, body := postStr(t, srv.URL+"/instances", `{"id":"cos","sim":"cosine","dim":2}`); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create: %d %s", resp.StatusCode, body)
+	}
+	for i := 0; i < 10; i++ {
+		postStr(t, srv.URL+"/instances/cos/events", fmt.Sprintf(`{"attrs":[%d,1],"cap":2}`, 1+i%3))
+		postStr(t, srv.URL+"/instances/cos/users", fmt.Sprintf(`{"attrs":[1,%d],"cap":1}`, 1+i%4))
+	}
+	if resp, body := postStr(t, srv.URL+"/instances/cos/rebalance?scope=full&algo=mincostflow", ""); resp.StatusCode != http.StatusOK {
+		t.Fatalf("rebalance: %d %s", resp.StatusCode, body)
+	}
+	code, body := getBody(t, srv.URL+"/instances/cos/stats")
+	if code != http.StatusOK {
+		t.Fatalf("stats: %d %s", code, body)
+	}
+	var st InstanceStats
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.SnapshotSeq == 0 {
+		t.Fatalf("no snapshot taken after %d ops with snapshot-every=4", st.Seq)
+	}
+	_, before := getBody(t, srv.URL+"/instances/cos")
+	srv.Close()
+
+	srv2 := newInstanceServer(t, dir, 4)
+	code, after := getBody(t, srv2.URL+"/instances/cos")
+	if code != http.StatusOK {
+		t.Fatalf("get after restart: %d", code)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatalf("instance diverged after restart:\nbefore: %s\nafter:  %s", before, after)
+	}
+}
+
 // TestDirtyMarksSurviveSnapshotAndRestart: with snapshot-every=2, the
 // second delta triggers a snapshot that folds both ops away — including the
 // triggering op itself. Its dirty mark must be recorded before the snapshot

@@ -447,88 +447,68 @@ func (s *service) handleSolve(w http.ResponseWriter, r *http.Request) {
 	defer func() {
 		s.solveWindow(algo).Observe(time.Since(start).Seconds(), !solveOK)
 	}()
-	var m *core.Matching
-	var d *core.Diagnostics
-	if algo == "portfolio" {
-		m, _, err = core.PortfolioCtx(ctx, in,
+	// solved collects what the diagnostics need: a monolithic mincostflow
+	// solve hands back the relaxation bound it computed, a decomposed solve
+	// its decomposition (whose component solves left theirs behind).
+	solved := decomp.Solved{Algo: algo, In: in, Workers: workers}
+	var gate *core.ExactGateStats
+	switch {
+	case algo == "portfolio":
+		solved.M, _, err = core.PortfolioCtx(ctx, in,
 			[]string{"greedy", "mincostflow", "random-v", "random-u"}, seed)
-		if err != nil {
+	case decompose:
+		dd, derr := decomp.DecomposeContext(ctx, in)
+		if derr != nil {
+			writeError(w, r, solveErrorStatus(derr, http.StatusInternalServerError), derr)
+			return
+		}
+		// The exact budget applies per component: decomposition is exactly
+		// what makes larger instances exact-solvable over HTTP. The gating
+		// decision — measured area against the limit — is surfaced in the
+		// 422 message and, for admitted diagnosed requests, in
+		// Diagnostics.ExactGate.
+		if algo == "exact" {
+			area := dd.MaxComponentArea()
+			gate = &core.ExactGateStats{ComponentArea: area, Limit: exactHTTPAreaLimit}
+			if area > exactHTTPAreaLimit {
+				gate.Gated = true
+				writeError(w, r, http.StatusUnprocessableEntity,
+					fmt.Errorf("server: exact search is limited to component |V|·|U| <= %d over HTTP (largest component area %d); use the CLI",
+						exactHTTPAreaLimit, area))
+				return
+			}
+		}
+		solved.D = dd
+		solved.M, err = dd.SolveContext(ctx, algo, decomp.Options{Workers: workers, Seed: seed, Shard: shard})
+	default:
+		if algo == "exact" {
+			area := int64(in.NumEvents()) * int64(in.NumUsers())
+			gate = &core.ExactGateStats{ComponentArea: area, Limit: exactHTTPAreaLimit}
+			if area > exactHTTPAreaLimit {
+				gate.Gated = true
+				writeError(w, r, http.StatusUnprocessableEntity,
+					fmt.Errorf("server: exact search is limited to |V|·|U| <= %d over HTTP (instance area %d); use decompose or the CLI",
+						exactHTTPAreaLimit, area))
+				return
+			}
+		}
+		solved.M, solved.Bound, solved.HasBound, err = core.SolveContextBound(ctx, algo, in, rand.New(rand.NewSource(seed)))
+	}
+	if err != nil {
+		writeError(w, r, solveErrorStatus(err, http.StatusInternalServerError), err)
+		return
+	}
+	m := solved.M
+	var d *core.Diagnostics
+	if diag {
+		solved.Elapsed = time.Since(start)
+		solved.Spans = rec.Spans()
+		solved.Deltas = obs.DiffCounters(countersBefore, obs.Default().Counters())
+		if d, err = decomp.Diagnose(ctx, solved); err != nil {
 			writeError(w, r, solveErrorStatus(err, http.StatusInternalServerError), err)
 			return
 		}
-		if diag {
-			d = core.BuildDiagnostics(algo, in, m, time.Since(start), rec.Spans(),
-				obs.DiffCounters(countersBefore, obs.Default().Counters()))
-		}
-	} else {
-		if decompose {
-			dd, derr := decomp.DecomposeContext(ctx, in)
-			if derr != nil {
-				writeError(w, r, solveErrorStatus(derr, http.StatusInternalServerError), derr)
-				return
-			}
-			// The exact budget applies per component: decomposition is exactly
-			// what makes larger instances exact-solvable over HTTP. The gating
-			// decision — measured area against the limit — is surfaced in the
-			// 422 message and, for admitted diagnosed requests, in
-			// Diagnostics.ExactGate.
-			var gate *core.ExactGateStats
-			if algo == "exact" {
-				area := dd.MaxComponentArea()
-				gate = &core.ExactGateStats{ComponentArea: area, Limit: exactHTTPAreaLimit}
-				if area > exactHTTPAreaLimit {
-					gate.Gated = true
-					writeError(w, r, http.StatusUnprocessableEntity,
-						fmt.Errorf("server: exact search is limited to component |V|·|U| <= %d over HTTP (largest component area %d); use the CLI",
-							exactHTTPAreaLimit, area))
-					return
-				}
-			}
-			dopt := decomp.Options{Workers: workers, Seed: seed, Shard: shard}
-			m, err = dd.SolveContext(ctx, algo, dopt)
-			if err != nil {
-				writeError(w, r, solveErrorStatus(err, http.StatusInternalServerError), err)
-				return
-			}
-			if diag {
-				d = core.BuildDiagnostics(algo, in, m, time.Since(start), rec.Spans(),
-					obs.DiffCounters(countersBefore, obs.Default().Counters()))
-				d.Decomposition = dd.Stats(workers)
-				d.ExactGate = gate
-				if pst := dd.PartitionStats(); pst != nil {
-					// BoundLoss: measured loss vs the unsharded Corollary 1
-					// relaxation bound, i.e. this run's diagnostics gap.
-					pst.BoundLoss = d.Gap
-					d.Partition = pst
-				}
-			}
-		} else {
-			area := int64(in.NumEvents()) * int64(in.NumUsers())
-			var gate *core.ExactGateStats
-			if algo == "exact" {
-				gate = &core.ExactGateStats{ComponentArea: area, Limit: exactHTTPAreaLimit}
-				if area > exactHTTPAreaLimit {
-					gate.Gated = true
-					writeError(w, r, http.StatusUnprocessableEntity,
-						fmt.Errorf("server: exact search is limited to |V|·|U| <= %d over HTTP (instance area %d); use decompose or the CLI",
-							exactHTTPAreaLimit, area))
-					return
-				}
-			}
-			rng := rand.New(rand.NewSource(seed))
-			if diag {
-				m, d, err = core.SolveDiagnostics(ctx, algo, in, rng)
-			} else {
-				m, err = core.SolveContext(ctx, algo, in, rng)
-			}
-			if err != nil {
-				writeError(w, r, solveErrorStatus(err, http.StatusInternalServerError), err)
-				return
-			}
-			if d != nil {
-				d.ExactGate = gate
-			}
-		}
+		d.ExactGate = gate
 	}
 	elapsed := time.Since(start).Seconds()
 	if err := core.Validate(in, m); err != nil {
@@ -546,18 +526,8 @@ func (s *service) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	requestLogger(r).Info("solve", logAttrs...)
 
-	var buf bytes.Buffer
-	if err := encoding.EncodeMatching(&buf, m); err != nil {
-		writeError(w, r, http.StatusInternalServerError, err)
-		return
-	}
-	var mj encoding.MatchingJSON
-	if err := json.Unmarshal(buf.Bytes(), &mj); err != nil {
-		writeError(w, r, http.StatusInternalServerError, err)
-		return
-	}
 	resp := SolveResponse{
-		Matching:    mj,
+		Matching:    encoding.MatchingDoc(m),
 		Algo:        algo,
 		Seconds:     elapsed,
 		Events:      in.NumEvents(),
@@ -622,20 +592,10 @@ func (s *service) handleTrace(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusInternalServerError, err)
 		return
 	}
-	var buf bytes.Buffer
-	if err := encoding.EncodeMatching(&buf, m); err != nil {
-		writeError(w, r, http.StatusInternalServerError, err)
-		return
-	}
-	var mj encoding.MatchingJSON
-	if err := json.Unmarshal(buf.Bytes(), &mj); err != nil {
-		writeError(w, r, http.StatusInternalServerError, err)
-		return
-	}
 	if steps == nil {
 		steps = []TraceStepJSON{}
 	}
-	writeJSON(w, TraceResponse{Matching: mj, Steps: steps})
+	writeJSON(w, TraceResponse{Matching: encoding.MatchingDoc(m), Steps: steps})
 }
 
 // handleChromeTrace runs the requested solver (default greedy) with a span

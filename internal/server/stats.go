@@ -42,8 +42,9 @@ type InstanceStats struct {
 	Pairs  int     `json:"pairs"`
 	MaxSum float64 `json:"max_sum"`
 	// RelaxedUpperBound is the Corollary 1 conflict-relaxed optimum; Gap is
-	// (bound - max_sum) / bound, 0 when the bound is 0. Computing the bound
-	// costs one min-cost-flow solve on the relaxed instance per request.
+	// (bound - max_sum) / bound, 0 when the bound is 0. Each request still
+	// solves the relaxation once, monolithically (the arranger caches no
+	// bound), which is why the endpoint sits behind admission control.
 	RelaxedUpperBound float64 `json:"relaxed_upper_bound"`
 	Gap               float64 `json:"gap"`
 
@@ -78,12 +79,18 @@ type InstanceStats struct {
 }
 
 // handleInstanceStats answers GET /instances/{id}/stats. It holds the
-// instance lock for a relaxation solve plus a decomposition — heavier than
-// a status read, far lighter than a rebalance.
+// instance lock for a relaxation solve plus a decomposition — solver-sized
+// work, so it is admitted like /solve and rebalance (before the id lookup,
+// so overload sheds cheaply) and sheds with 429 + Retry-After.
 func (s *service) handleInstanceStats(w http.ResponseWriter, r *http.Request) {
 	if !s.gateReady(w, r) {
 		return
 	}
+	release, admitted := s.admit(w, r)
+	if !admitted {
+		return
+	}
+	defer release()
 	inst, ok := s.get(w, r, r.PathValue("id"))
 	if !ok {
 		return
