@@ -12,7 +12,7 @@ BENCH_FLAGS := -benchmem -benchtime=1x
 WORKLOAD  ?=
 SEED      ?= 1
 
-.PHONY: build test test-service smoke-probes load-smoke race race-all vet bench bench-json bench-compare bench-server bench-e2e cover clean run-server help
+.PHONY: build test test-service smoke-probes load-smoke race race-all vet loc bench bench-json bench-compare bench-server bench-e2e cover clean run-server help
 
 ## build: compile every package and the command-line tools
 build:
@@ -45,6 +45,11 @@ race-all:
 ## vet: static analysis; must stay clean
 vet:
 	$(GO) vet $(PKGS)
+
+## loc: non-blank, non-test production Go lines outside benchmark/ (and dot-directories)
+loc:
+	@find . -path './.*' -prune -o -path ./benchmark -prune -o -name '*.go' ! -name '*_test.go' -print | \
+		xargs cat | grep -cv '^[[:space:]]*$$'
 
 ## bench: run benchmarks once through (BENCH=<regexp> to filter)
 bench:

@@ -22,8 +22,8 @@ import (
 	"strings"
 
 	"github.com/ebsnlab/geacc/internal/bench"
+	"github.com/ebsnlab/geacc/internal/decomp"
 	"github.com/ebsnlab/geacc/internal/obs"
-	"github.com/ebsnlab/geacc/internal/partition"
 )
 
 func main() {
@@ -42,16 +42,8 @@ func run(args []string, stdout io.Writer) error {
 	seed := fs.Int64("seed", 1, "root random seed")
 	csvPath := fs.String("csv", "", "also write raw points to this CSV file")
 	jsonPath := fs.String("json", "", "also write raw points to this JSON file")
-	decompose := fs.Bool("decompose", false,
-		"route every experiment solve through the decomposition layer (internal/decomp)")
-	approxShard := fs.Bool("approx-shard", false,
-		"split oversized components via internal/partition's bounded-drift sharding (implies -decompose)")
-	shardMaxArea := fs.Int64("shard-max-area", partition.DefaultMaxArea,
-		"with -approx-shard, shard components whose |V|·|U| exceeds this area")
-	shardStrategy := fs.String("shard-strategy", "",
-		"with -approx-shard, split heuristic: modularity (default) or bfs")
-	shardDriftBudget := fs.Float64("shard-drift-budget", partition.DefaultDriftBudget,
-		"with -approx-shard, max tolerated drift estimate before monolithic fallback")
+	specFlags := decomp.BindFlags(fs,
+		"decompose", "approx-shard", "shard-max-area", "shard-strategy", "shard-drift-budget")
 	solversJSON := fs.String("solvers-json", "",
 		"run the pinned solver benchmark set and write the BENCH_solvers.json snapshot here (ignores -run)")
 	comparePath := fs.String("compare", "",
@@ -64,6 +56,10 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 	logger, err := obs.NewLogger(os.Stderr, *logLevel, *logFormat)
+	if err != nil {
+		return err
+	}
+	spec, err := specFlags()
 	if err != nil {
 		return err
 	}
@@ -134,20 +130,8 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 
-	opt := bench.Options{Scale: *scale, Reps: *reps, Seed: *seed, Decompose: *decompose}
-	if *approxShard {
-		strat, err := partition.ParseStrategy(*shardStrategy)
-		if err != nil {
-			return err
-		}
-		sh := partition.Options{
-			MaxArea:     *shardMaxArea,
-			Strategy:    strat,
-			DriftBudget: *shardDriftBudget,
-		}.Normalized()
-		opt.Decompose = true
-		opt.Shard = &sh
-	}
+	opt := bench.Options{Scale: *scale, Reps: *reps, Seed: *seed,
+		Decompose: spec.Decomposed(), Shard: spec.Options().Shard}
 	var allPoints []bench.Point
 	for _, e := range experiments {
 		logger.Info("running experiment", "id", e.ID, "scale", *scale, "reps", *reps)

@@ -37,6 +37,7 @@ import (
 	"os"
 	"time"
 
+	"github.com/ebsnlab/geacc/internal/decomp"
 	"github.com/ebsnlab/geacc/internal/load"
 	"github.com/ebsnlab/geacc/internal/server"
 )
@@ -51,12 +52,7 @@ func main() {
 	warmup := flag.Duration("warmup", 2*time.Second, "unrecorded warmup phase")
 	measure := flag.Duration("measure", 10*time.Second, "recorded measure phase")
 	seed := flag.Int64("seed", 1, "workload seed: same scenario+seed+concurrency issues the same requests")
-	approxShard := flag.Bool("approx-shard", false,
-		"append ?approx_shard=1 to every solve of a solve-kind scenario (bounded-drift sharding of giant components)")
-	shardMaxArea := flag.Int64("shard-max-area", 0,
-		"with -approx-shard, append shard_max_area=N to every solve (0 keeps the server default)")
-	shardStrategy := flag.String("shard-strategy", "",
-		"with -approx-shard, append shard_strategy= to every solve: modularity or bfs (empty keeps the server default)")
+	shardFlags := decomp.BindFlags(flag.CommandLine, "approx-shard", "shard-max-area", "shard-strategy")
 	out := flag.String("out", "", "write the JSON report here; empty prints only the summary")
 	pin := flag.String("pin", "", "run the standard suite and write its snapshot to this path (BENCH_server.json)")
 	compare := flag.String("compare", "", "run the standard suite and compare against this snapshot; exit 1 on regression")
@@ -103,10 +99,16 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *approxShard {
+	// Unset shard tuning stays zero, which the query omits: the server's
+	// own default then applies.
+	spec, err := shardFlags()
+	if err != nil {
+		fatal(err)
+	}
+	if sh := spec.Shard; sh != nil {
 		sc.ApproxShard = true
-		sc.ShardMaxArea = *shardMaxArea
-		sc.ShardStrategy = *shardStrategy
+		sc.ShardMaxArea = sh.MaxArea
+		sc.ShardStrategy = string(sh.Strategy)
 	}
 	opt.Scenario = sc
 	rep, err := load.Run(context.Background(), opt)

@@ -50,8 +50,8 @@ import (
 	"time"
 
 	"github.com/ebsnlab/geacc/internal/buildinfo"
+	"github.com/ebsnlab/geacc/internal/decomp"
 	"github.com/ebsnlab/geacc/internal/obs"
-	"github.com/ebsnlab/geacc/internal/partition"
 	"github.com/ebsnlab/geacc/internal/server"
 )
 
@@ -73,14 +73,8 @@ func main() {
 		"longest a queued solver request waits before it is shed with 429")
 	solveCacheEntries := flag.Int("solve-cache-entries", server.DefaultSolveCacheEntries,
 		"entries in the content-addressed /solve memo cache (negative disables caching; per-request opt-out via ?cache=0)")
-	approxShard := flag.Bool("approx-shard", false,
-		"approximate-shard giant components by default on /solve and rebalances (per-request opt-out via ?approx_shard=0)")
-	shardMaxArea := flag.Int64("shard-max-area", partition.DefaultMaxArea,
-		"with -approx-shard, shard components whose |V|·|U| exceeds this area")
-	shardStrategy := flag.String("shard-strategy", "",
-		"with -approx-shard, split heuristic: modularity (default) or bfs")
-	shardDriftBudget := flag.Float64("shard-drift-budget", partition.DefaultDriftBudget,
-		"with -approx-shard, max tolerated drift estimate before monolithic fallback")
+	shardFlags := decomp.BindFlags(flag.CommandLine,
+		"approx-shard", "shard-max-area", "shard-strategy", "shard-drift-budget")
 	showVersion := flag.Bool("version", false, "print the build identity and exit")
 	flag.Parse()
 
@@ -95,19 +89,10 @@ func main() {
 		os.Exit(2)
 	}
 
-	var shard *partition.Options
-	if *approxShard {
-		strat, err := partition.ParseStrategy(*shardStrategy)
-		if err != nil {
-			logger.Error("bad shard flags", "error", err)
-			os.Exit(2)
-		}
-		sh := partition.Options{
-			MaxArea:     *shardMaxArea,
-			Strategy:    strat,
-			DriftBudget: *shardDriftBudget,
-		}.Normalized()
-		shard = &sh
+	spec, err := shardFlags()
+	if err != nil {
+		logger.Error("bad shard flags", "error", err)
+		os.Exit(2)
 	}
 
 	// Replay runs lazily: the listener comes up immediately and /readyz
@@ -124,7 +109,7 @@ func main() {
 		QueueTimeout:  *queueTimeout,
 
 		SolveCacheEntries: *solveCacheEntries,
-		Shard:             shard,
+		Shard:             spec.Shard,
 	})
 	if err != nil {
 		logger.Error("startup failed", "error", err)

@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"math/rand"
 	"os"
 	"time"
 
@@ -35,7 +34,6 @@ import (
 	"github.com/ebsnlab/geacc/internal/decomp"
 	"github.com/ebsnlab/geacc/internal/encoding"
 	"github.com/ebsnlab/geacc/internal/obs"
-	"github.com/ebsnlab/geacc/internal/partition"
 	"github.com/ebsnlab/geacc/internal/report"
 	"github.com/ebsnlab/geacc/internal/store"
 )
@@ -52,26 +50,15 @@ func run(args []string, stdout io.Writer) error {
 	inPath := fs.String("in", "", "instance JSON file (required unless -replay)")
 	replayDir := fs.String("replay", "",
 		"replay a geacc-server instance directory (meta.json + ops.jsonl + snapshot.json) offline and print its arrangement")
-	algo := fs.String("algo", "greedy", fmt.Sprintf("algorithm: %v or portfolio", core.SolverNames()))
 	format := fs.String("format", "json", "output format: json or csv")
 	outPath := fs.String("out", "", "write the matching here instead of stdout")
 	sessionPath := fs.String("session", "", "also archive instance+matching+metadata (JSON) here")
-	seed := fs.Int64("seed", 1, "seed for the random baselines")
 	index := fs.String("index", "", "greedy NN index: chunked (default), sorted, kdtree, idistance, vafile, parallel, lsh")
-	decompose := fs.Bool("decompose", false, "shard along conflict/similarity components and solve them in parallel")
-	decompWorkers := fs.Int("decompose-workers", 0, "with -decompose, component worker pool size (0 = GOMAXPROCS)")
-	approxShard := fs.Bool("approx-shard", false,
-		"split oversized components into balanced sub-shards with a bounded-drift merge (implies -decompose)")
-	shardMaxArea := fs.Int64("shard-max-area", partition.DefaultMaxArea,
-		"with -approx-shard, shard components whose |V|·|U| exceeds this area")
-	shardStrategy := fs.String("shard-strategy", "",
-		"with -approx-shard, split heuristic: modularity (default) or bfs")
-	shardDriftBudget := fs.Float64("shard-drift-budget", partition.DefaultDriftBudget,
-		"with -approx-shard, max tolerated MaxSum drift estimate before falling back to the monolithic solve")
+	specFlags := decomp.BindFlags(fs, "algo", "seed", "decompose", "decompose-workers",
+		"approx-shard", "shard-max-area", "shard-strategy", "shard-drift-budget", "diag")
 	quiet := fs.Bool("quiet", false, "suppress the summary log line")
 	showReport := fs.Bool("report", false, "print an arrangement quality report to stderr")
 	skipBound := fs.Bool("no-bound", false, "with -report, skip the relaxation upper bound (faster)")
-	diag := fs.Bool("diag", false, "print per-solve diagnostics (shape, phases, optimality gap) as JSON to stderr")
 	diagOut := fs.String("diag-out", "", "with -diag, write the diagnostics JSON here instead of stderr")
 	traceOut := fs.String("trace-out", "", "write solver spans as Chrome trace-event JSON (Perfetto-loadable) to this file")
 	logLevel := fs.String("log-level", "info", "log level: debug, info, warn, error")
@@ -98,16 +85,12 @@ func run(args []string, stdout io.Writer) error {
 	if *replayDir != "" {
 		return runReplay(*replayDir, *format, *outPath, *quiet, stdout, logger)
 	}
-	if *diagOut != "" {
-		*diag = true
+	spec, err := specFlags()
+	if err != nil {
+		return err
 	}
-	if *approxShard {
-		*decompose = true // sharding rides on the decomposition worker pool
-	}
-	if *decompose && *algo == "portfolio" {
-		return fmt.Errorf("-decompose does not compose with -algo portfolio (the portfolio already parallelizes)")
-	}
-	if *decompose && *index != "" {
+	spec.Diag = spec.Diag || *diagOut != ""
+	if spec.Decomposed() && *index != "" {
 		return fmt.Errorf("-decompose does not compose with -index (components use the default greedy index)")
 	}
 
@@ -121,94 +104,39 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	// Diagnosed or traced runs carry a span recorder on the context so the
-	// solvers' phase spans are captured; plain runs skip the bookkeeping.
+	// Traced runs carry a span recorder on the context so the solvers'
+	// phase spans are captured (Run adds one of its own for -diag).
 	ctx := context.Background()
 	var rec *obs.Recorder
-	var countersBefore map[string]int64
-	if *diag || *traceOut != "" {
+	if *traceOut != "" {
 		rec = obs.NewRecorder()
 		ctx = obs.ContextWithRecorder(ctx, rec)
-		countersBefore = obs.Default().Counters()
 	}
-
-	// solved collects what the diagnostics need: a plain mincostflow solve
-	// hands back the relaxation bound it computed, a decomposed solve its
-	// decomposition (whose component solves left theirs behind).
-	var m *core.Matching
-	var decompStats *core.DecompositionStats
-	var partStats *core.PartitionStats
-	solved := decomp.Solved{Algo: *algo, In: in, Workers: *decompWorkers}
-	start := time.Now()
-	if *decompose {
-		dopt := decomp.Options{Workers: *decompWorkers, Seed: *seed}
-		if *approxShard {
-			strat, err := partition.ParseStrategy(*shardStrategy)
-			if err != nil {
-				return err
-			}
-			sh := partition.Options{
-				MaxArea:     *shardMaxArea,
-				Strategy:    strat,
-				DriftBudget: *shardDriftBudget,
-			}.Normalized()
-			dopt.Shard = &sh
-		}
-		d, derr := decomp.DecomposeContext(ctx, in)
-		if derr != nil {
-			return derr
-		}
-		if m, err = d.SolveContext(ctx, *algo, dopt); err != nil {
-			return err
-		}
-		solved.D = d
-		decompStats = d.Stats(dopt.Workers)
-		partStats = d.PartitionStats()
-	} else if *algo == "portfolio" {
-		// Race the practical solvers concurrently and keep the best.
-		best, _, err := core.PortfolioCtx(ctx, in,
-			[]string{"greedy", "mincostflow", "random-v", "random-u"}, *seed)
-		if err != nil {
-			return err
-		}
-		m = best
-	} else if *algo == "greedy" && *index != "" {
+	var env decomp.Env
+	if spec.Algo == "greedy" && *index != "" {
 		kind, err := indexKindByName(*index)
 		if err != nil {
 			return err
 		}
-		m, err = core.GreedyCtx(ctx, in, core.GreedyOptions{Index: kind})
-		if err != nil {
-			return err
-		}
-	} else {
-		m, solved.Bound, solved.HasBound, err = core.SolveContextBound(ctx, *algo, in, rand.New(rand.NewSource(*seed)))
-		if err != nil {
-			return err
+		env.Solve = func(ctx context.Context, in *core.Instance) (*core.Matching, error) {
+			return core.GreedyCtx(ctx, in, core.GreedyOptions{Index: kind})
 		}
 	}
-	elapsed := time.Since(start)
-	if err := core.Validate(in, m); err != nil {
-		return fmt.Errorf("internal error: infeasible matching: %w", err)
+	res, err := decomp.Run(ctx, in, spec, env)
+	if err != nil {
+		return err
 	}
+	m := res.M
 
-	var diagDoc *core.Diagnostics
-	if *diag {
-		solved.M, solved.Elapsed, solved.Spans = m, elapsed, rec.Spans()
-		solved.Deltas = obs.DiffCounters(countersBefore, obs.Default().Counters())
-		if diagDoc, err = decomp.Diagnose(ctx, solved); err != nil {
-			return err
-		}
-	}
 	if *sessionPath != "" {
 		sf, err := os.Create(*sessionPath)
 		if err != nil {
 			return err
 		}
 		meta := encoding.SessionMeta{
-			Algorithm: *algo,
-			Seed:      *seed,
-			Seconds:   elapsed.Seconds(),
+			Algorithm: spec.Algo,
+			Seed:      spec.Seed,
+			Seconds:   res.Elapsed.Seconds(),
 			CreatedAt: time.Now().UTC(),
 		}
 		err = encoding.EncodeSession(sf, in, m, meta, simInfo.Kind, simInfo.Dim, simInfo.MaxT)
@@ -242,26 +170,25 @@ func run(args []string, stdout io.Writer) error {
 	}
 	if !*quiet {
 		attrs := []any{
-			"algo", *algo, "events", in.NumEvents(), "users", in.NumUsers(),
+			"algo", spec.Algo, "events", in.NumEvents(), "users", in.NumUsers(),
 			"conflicts", conflictCount(in), "pairs", m.Size(),
-			"max_sum", m.MaxSum(), "seconds", elapsed.Seconds(),
+			"max_sum", m.MaxSum(), "seconds", res.Elapsed.Seconds(),
 		}
-		if decompStats != nil {
-			attrs = append(attrs, "components", decompStats.Components)
+		if res.Decomposition != nil {
+			attrs = append(attrs, "components", res.Decomposition.Components)
 		}
-		if partStats != nil {
+		if partStats := res.Partition; partStats != nil {
 			attrs = append(attrs, "shards", partStats.Shards,
 				"shard_fallbacks", partStats.Fallbacks,
 				"max_drift_estimate", partStats.MaxDriftEstimate)
 		}
-		if diagDoc != nil {
-			attrs = append(attrs, "gap", diagDoc.Gap,
-				"relaxed_upper_bound", diagDoc.RelaxedUpperBound)
+		if d := res.Diag; d != nil {
+			attrs = append(attrs, "gap", d.Gap, "relaxed_upper_bound", d.RelaxedUpperBound)
 		}
 		logger.Info("solve", attrs...)
 	}
-	if diagDoc != nil {
-		if err := writeDiagnostics(diagDoc, *diagOut, logger); err != nil {
+	if res.Diag != nil {
+		if err := writeDiagnostics(res.Diag, *diagOut, logger); err != nil {
 			return err
 		}
 	}

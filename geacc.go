@@ -37,7 +37,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 
 	"github.com/ebsnlab/geacc/internal/conflict"
 	"github.com/ebsnlab/geacc/internal/core"
@@ -311,88 +310,26 @@ func (p *Problem) Solve(algo Algorithm) (*Matching, error) {
 
 // SolveOpts runs the chosen algorithm.
 func (p *Problem) SolveOpts(algo Algorithm, opt SolveOptions) (*Matching, error) {
-	var key solvecache.Key
-	cacheable := false
-	if !opt.DisableCache {
-		spec := solvecache.KeySpec{
-			Algo:      algo.String(),
-			Seed:      opt.Seed,
-			SimID:     p.simID,
-			Decompose: opt.Decompose,
-			Workers:   opt.DecomposeWorkers,
-			NodeLimit: opt.ExactNodeLimit,
-		}
-		if as := opt.ApproxShard; as != nil {
-			// Sharded merges differ from plain decomposed solves, and every
-			// knob changes the split — all of it keys.
-			sh := shardOptions(*as)
-			spec.Decompose = true
-			spec.ApproxShard = true
-			spec.ShardMaxArea = sh.MaxArea
-			spec.ShardStrategy = string(sh.Strategy)
-			spec.ShardDriftBudget = sh.DriftBudget
-		}
-		key, cacheable = solvecache.InstanceKey(p.in, spec)
-		if cacheable {
-			if v, ok := facadeCache.Get(key); ok {
-				return v.(*Matching).Clone(), nil
-			}
+	spec := decomp.Spec{
+		Algo:      algo.String(),
+		Seed:      opt.Seed,
+		Decompose: opt.Decompose,
+		Workers:   opt.DecomposeWorkers,
+		NodeLimit: opt.ExactNodeLimit,
+		NoCache:   opt.DisableCache,
+	}
+	if as := opt.ApproxShard; as != nil {
+		spec.Shard = &partition.Options{
+			MaxArea:     as.MaxArea,
+			Strategy:    partition.Strategy(as.Strategy),
+			DriftBudget: as.DriftBudget,
 		}
 	}
-	m, err := p.solveOpts(algo, opt)
-	if err == nil && cacheable && m != nil {
-		facadeCache.Put(key, m.Clone())
+	res, err := decomp.Run(context.Background(), p.in, spec, decomp.Env{Cache: facadeCache, SimID: p.simID})
+	if res == nil {
+		return nil, err
 	}
-	return m, err
-}
-
-// shardOptions maps the facade's ApproxShardOptions onto the partition
-// layer's option struct, normalizing defaults.
-func shardOptions(as ApproxShardOptions) partition.Options {
-	return partition.Options{
-		MaxArea:     as.MaxArea,
-		Strategy:    partition.Strategy(as.Strategy),
-		DriftBudget: as.DriftBudget,
-	}.Normalized()
-}
-
-// solveOpts is SolveOpts without the memo cache.
-func (p *Problem) solveOpts(algo Algorithm, opt SolveOptions) (*Matching, error) {
-	if opt.Decompose || opt.ApproxShard != nil {
-		name := algo.String()
-		if _, err := core.LookupSolver(name); err != nil {
-			return nil, fmt.Errorf("geacc: unknown algorithm %d", int(algo))
-		}
-		dopt := decomp.Options{
-			Workers:        opt.DecomposeWorkers,
-			Seed:           opt.Seed,
-			ExactNodeLimit: opt.ExactNodeLimit,
-		}
-		if as := opt.ApproxShard; as != nil {
-			sh := shardOptions(*as)
-			if _, err := partition.ParseStrategy(as.Strategy); err != nil {
-				return nil, err
-			}
-			dopt.Shard = &sh
-		}
-		m, _, err := decomp.SolveContext(context.Background(), name, p.in, dopt)
-		return m, err
-	}
-	switch algo {
-	case Greedy:
-		return core.Greedy(p.in), nil
-	case MinCostFlow:
-		return core.MinCostFlow(p.in).Matching, nil
-	case Exact:
-		m, _, err := core.ExactOpts(p.in, core.ExactOptions{NodeLimit: opt.ExactNodeLimit})
-		return m, err
-	case RandomV:
-		return core.RandomV(p.in, rand.New(rand.NewSource(opt.Seed))), nil
-	case RandomU:
-		return core.RandomU(p.in, rand.New(rand.NewSource(opt.Seed))), nil
-	default:
-		return nil, fmt.Errorf("geacc: unknown algorithm %d", int(algo))
-	}
+	return res.M, err
 }
 
 // UpperBound returns MaxSum(M∅), the optimum of the conflict-free

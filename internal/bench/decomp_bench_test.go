@@ -43,7 +43,7 @@ func BenchmarkGreedyDecomposedClusteredV40U400C8(b *testing.B) {
 	in := clusteredInstance(b, 40, 400, 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := decomp.SolveContext(context.Background(), "greedy", in, decomp.Options{}); err != nil {
+		if _, err := decomp.Run(context.Background(), in, decomp.Spec{Algo: "greedy", Decompose: true}, decomp.Env{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -52,9 +52,6 @@ type Options struct {
 	// The pinned RunSolverBench set ignores this — it pins monolithic and
 	// decomposed variants explicitly so the snapshot always compares both.
 	Decompose bool
-	// DecompWorkers bounds the component pool under Decompose; <= 0 means
-	// GOMAXPROCS.
-	DecompWorkers int
 	// Shard, when non-nil, additionally routes oversized components through
 	// internal/partition's approximate sharding (geacc-bench -approx-shard);
 	// implies the decomposed path.
@@ -100,9 +97,11 @@ func Measure(in *core.Instance, solve core.Solver, seed int64) (*core.Matching, 
 func MeasureAlgo(opt Options, in *core.Instance, algo string, seed int64) (*core.Matching, float64, float64, error) {
 	if opt.Decompose || opt.Shard != nil {
 		return measureErr(in, func(in *core.Instance, rng *rand.Rand) (*core.Matching, error) {
-			m, _, err := decomp.SolveContext(context.Background(), algo, in,
-				decomp.Options{Workers: opt.DecompWorkers, Seed: rng.Int63(), Shard: opt.Shard})
-			return m, err
+			d, err := decomp.DecomposeContext(context.Background(), in)
+			if err != nil {
+				return nil, err
+			}
+			return d.SolveContext(context.Background(), algo, decomp.Options{Seed: rng.Int63(), Shard: opt.Shard})
 		}, seed)
 	}
 	solve, err := core.LookupSolver(algo)

@@ -35,11 +35,7 @@ func BenchmarkPartitionShardedClusteredV40U400C8(b *testing.B) {
 	sh := partition.Options{MaxArea: 2000, DriftBudget: 0.9}.Normalized()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m, _, err := decomp.SolveContext(context.Background(), "mincostflow", in, decomp.Options{Shard: &sh})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := core.Validate(in, m); err != nil {
+		if _, err := decomp.Run(context.Background(), in, decomp.Spec{Algo: "mincostflow", Shard: &sh}, decomp.Env{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -49,7 +45,7 @@ func BenchmarkPartitionMonolithicClusteredV40U400C8(b *testing.B) {
 	in := bridgedInstance(b, 40, 400, 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := decomp.SolveContext(context.Background(), "mincostflow", in, decomp.Options{}); err != nil {
+		if _, err := decomp.Run(context.Background(), in, decomp.Spec{Algo: "mincostflow", Decompose: true}, decomp.Env{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -32,6 +32,16 @@ func matrixInstance(t *testing.T, pairs [][2]int) *core.Instance {
 	return in
 }
 
+// runDecomposed solves in with algo through Run's decomposed path.
+func runDecomposed(ctx context.Context, algo string, in *core.Instance, s Spec) (*core.Matching, *core.DecompositionStats, error) {
+	s.Algo, s.Decompose = algo, true
+	res, err := Run(ctx, in, s, Env{})
+	if res == nil {
+		return nil, nil, err
+	}
+	return res.M, res.Decomposition, err
+}
+
 func TestDecomposeMatrixComponents(t *testing.T) {
 	in := matrixInstance(t, nil)
 	d, err := Decompose(in)
@@ -127,7 +137,7 @@ func TestDecomposedExactMatchesWholeExact(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: whole exact: %v", name, err)
 		}
-		merged, _, err := SolveContext(context.Background(), "exact", in, Options{})
+		merged, _, err := runDecomposed(context.Background(), "exact", in, Spec{})
 		if err != nil {
 			t.Fatalf("%s: decomposed exact: %v", name, err)
 		}
@@ -180,7 +190,7 @@ func TestDecomposedExactMatchesWholeExact(t *testing.T) {
 func TestDecomposedSolversFeasible(t *testing.T) {
 	in := clustered(t, 16, 48, 4, 11, 3, 2)
 	for _, algo := range core.SolverNames() {
-		m, st, err := SolveContext(context.Background(), algo, in, Options{Seed: 3})
+		m, st, err := runDecomposed(context.Background(), algo, in, Spec{Seed: 3})
 		if err != nil {
 			t.Fatalf("%s: %v", algo, err)
 		}
@@ -200,7 +210,7 @@ func TestDecomposedSolversFeasible(t *testing.T) {
 func TestDecomposedGreedyMatchesMonolithicGreedy(t *testing.T) {
 	in := clustered(t, 20, 100, 5, 13, 5, 2)
 	mono := core.Greedy(in)
-	merged, _, err := SolveContext(context.Background(), "greedy", in, Options{})
+	merged, _, err := runDecomposed(context.Background(), "greedy", in, Spec{})
 	if err != nil {
 		t.Fatalf("decomposed greedy: %v", err)
 	}
@@ -217,7 +227,7 @@ func TestSolveDeterministicAcrossWorkerCounts(t *testing.T) {
 	for _, algo := range []string{"greedy", "mincostflow", "random-v"} {
 		var want *core.Matching
 		for _, workers := range []int{1, 3, 8} {
-			m, _, err := SolveContext(context.Background(), algo, in, Options{Workers: workers, Seed: 5})
+			m, _, err := runDecomposed(context.Background(), algo, in, Spec{Workers: workers, Seed: 5})
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", algo, workers, err)
 			}
@@ -277,7 +287,7 @@ func TestSolvePreCanceledContext(t *testing.T) {
 	in := clustered(t, 8, 16, 2, 23, 3, 2)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := SolveContext(ctx, "greedy", in, Options{}); !errors.Is(err, context.Canceled) {
+	if _, _, err := runDecomposed(ctx, "greedy", in, Spec{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
@@ -287,7 +297,7 @@ func TestSolvePreCanceledContext(t *testing.T) {
 // core.ErrNodeLimit.
 func TestExactNodeLimitPerComponent(t *testing.T) {
 	in := clustered(t, 12, 24, 3, 29, 3, 2)
-	m, _, err := SolveContext(context.Background(), "exact", in, Options{ExactNodeLimit: 1})
+	m, _, err := runDecomposed(context.Background(), "exact", in, Spec{NodeLimit: 1})
 	if !errors.Is(err, core.ErrNodeLimit) {
 		t.Fatalf("err = %v, want core.ErrNodeLimit", err)
 	}
@@ -301,7 +311,7 @@ func TestExactNodeLimitPerComponent(t *testing.T) {
 
 func TestSolveUnknownAlgorithm(t *testing.T) {
 	in := clustered(t, 4, 8, 2, 31, 2, 2)
-	if _, _, err := SolveContext(context.Background(), "no-such-solver", in, Options{}); err == nil {
+	if _, _, err := runDecomposed(context.Background(), "no-such-solver", in, Spec{}); err == nil {
 		t.Fatal("unknown solver accepted")
 	}
 }
@@ -311,7 +321,7 @@ func TestEmptyInstance(t *testing.T) {
 	if err != nil {
 		t.Fatalf("empty instance: %v", err)
 	}
-	m, st, err := SolveContext(context.Background(), "greedy", in, Options{})
+	m, st, err := runDecomposed(context.Background(), "greedy", in, Spec{})
 	if err != nil {
 		t.Fatalf("empty solve: %v", err)
 	}

@@ -78,9 +78,9 @@ var deterministicAlgos = map[string]bool{"greedy": true, "mincostflow": true, "e
 // solveComponent runs one registry solver on one shard, consulting the
 // optional per-instance solve cache and warm-flow cache from opt.
 // Everything except cache hits, the warm mincostflow path, and the
-// node-limited exact path goes through core.SolveContextBound, so the
-// usual per-algorithm solve metrics and solve/<algo> spans fire once per
-// component. A solve that computed the component's Corollary 1 relaxation
+// node-limited exact path goes through core.SolveContextBound (solveOne),
+// so the usual per-algorithm solve metrics and solve/<algo> spans fire once
+// per component. A solve that computed the component's Corollary 1 relaxation
 // on the way (cold or warm mincostflow) returns it as bound with ok set; a
 // cache hit does not, because the cache stores only the matching.
 func solveComponent(ctx context.Context, algo string, c Component, compIdx int, opt Options) (m *core.Matching, bound float64, ok bool, err error) {
@@ -103,16 +103,13 @@ func solveComponent(ctx context.Context, algo string, c Component, compIdx int, 
 			}
 		}
 	}
-	switch {
-	case algo == "exact" && opt.ExactNodeLimit > 0:
-		m, _, err = core.ExactOpts(c.Sub, core.ExactOptions{Ctx: ctx, NodeLimit: opt.ExactNodeLimit})
-	case algo == "mincostflow" && opt.WarmCache != nil:
+	if algo == "mincostflow" && opt.WarmCache != nil {
 		var fr *core.FlowResult
 		if fr, err = core.MinCostFlowWarmCtx(ctx, c.Sub, c.Events, c.Users, opt.WarmCache); err == nil {
 			m, bound, ok = fr.Matching, fr.RelaxedMaxSum, true
 		}
-	default:
-		m, bound, ok, err = core.SolveContextBound(ctx, algo, c.Sub, componentRNG(opt.Seed, compIdx))
+	} else {
+		m, bound, ok, err = solveOne(ctx, algo, c.Sub, componentRNG(opt.Seed, compIdx), opt.ExactNodeLimit)
 	}
 	if err == nil && cacheable && m != nil {
 		opt.SolveCache.Put(key, m.Clone())
@@ -217,21 +214,6 @@ func normalizeWorkers(workers, components int) int {
 		workers = 1
 	}
 	return workers
-}
-
-// SolveContext decomposes in and solves it with the named registry solver:
-// the one-call form of DecomposeContext + Decomposition.SolveContext,
-// returning the component stats alongside the merged matching.
-func SolveContext(ctx context.Context, algo string, in *core.Instance, opt Options) (*core.Matching, *core.DecompositionStats, error) {
-	d, err := DecomposeContext(ctx, in)
-	if err != nil {
-		return nil, nil, err
-	}
-	m, err := d.SolveContext(ctx, algo, opt)
-	if err != nil && !errors.Is(err, core.ErrNodeLimit) {
-		return nil, nil, err
-	}
-	return m, d.Stats(opt.Workers), err
 }
 
 // SolveContext runs the named registry solver over every component in a

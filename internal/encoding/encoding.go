@@ -96,6 +96,16 @@ type SimInfo struct {
 	MaxT float64
 }
 
+// ID is the canonical similarity identity solve caches key on, e.g.
+// "euclidean/4/100" (see solvecache.KeySpec.SimID). Matrix instances return
+// "": their values are hashed from the content, so they need no identity.
+func (info SimInfo) ID() string {
+	if info.Kind == SimMatrix {
+		return ""
+	}
+	return fmt.Sprintf("%s/%d/%v", info.Kind, info.Dim, info.MaxT)
+}
+
 // Func rebuilds the similarity function the info names. SimMatrix has no
 // function form (matrix instances carry their values explicitly) and is an
 // error, as is an unknown kind. The distance-normalized kinds need dim and

@@ -8,7 +8,9 @@ import (
 	"net/url"
 
 	"github.com/ebsnlab/geacc/internal/dataset"
+	"github.com/ebsnlab/geacc/internal/decomp"
 	"github.com/ebsnlab/geacc/internal/encoding"
+	"github.com/ebsnlab/geacc/internal/partition"
 	"github.com/ebsnlab/geacc/internal/randx"
 )
 
@@ -55,19 +57,11 @@ func newLaneStream(sc Scenario, seed int64, lane int) (*laneStream, error) {
 // starts at its own offset so concurrent workers don't hit the server with
 // identical bodies in lockstep.
 func newSolveStream(sc Scenario, seed int64, lane int) (*laneStream, error) {
-	path := "/solve?algo=" + url.QueryEscape(sc.Algo) + "&seed=1"
-	if sc.NoCache {
-		path += "&cache=0"
-	}
+	spec := decomp.Spec{Algo: sc.Algo, Seed: 1, NoCache: sc.NoCache}
 	if sc.ApproxShard {
-		path += "&approx_shard=1"
-		if sc.ShardMaxArea > 0 {
-			path += fmt.Sprintf("&shard_max_area=%d", sc.ShardMaxArea)
-		}
-		if sc.ShardStrategy != "" {
-			path += "&shard_strategy=" + url.QueryEscape(sc.ShardStrategy)
-		}
+		spec.Shard = &partition.Options{MaxArea: sc.ShardMaxArea, Strategy: partition.Strategy(sc.ShardStrategy)}
 	}
+	path := "/solve?" + spec.Query()
 	bodies := make([][]byte, sc.Variants)
 	for v := range bodies {
 		cfg := dataset.DefaultSynthetic()

@@ -8,7 +8,6 @@ import (
 	"log/slog"
 	"net/http"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,7 +16,6 @@ import (
 	"github.com/ebsnlab/geacc/internal/decomp"
 	"github.com/ebsnlab/geacc/internal/encoding"
 	"github.com/ebsnlab/geacc/internal/obs"
-	"github.com/ebsnlab/geacc/internal/partition"
 	"github.com/ebsnlab/geacc/internal/solvecache"
 	"github.com/ebsnlab/geacc/internal/store"
 )
@@ -69,10 +67,10 @@ type service struct {
 	solveCache   *solvecache.Cache
 	cacheEnabled bool
 
-	// shardDefault, when non-nil, applies approximate sharding to every
-	// /solve and rebalance unless the request opts out (?approx_shard=0);
-	// see Config.Shard.
-	shardDefault *partition.Options
+	// defaults is the spec an empty /solve or rebalance query describes:
+	// greedy, seed 1, and Config.Shard as the approximate-sharding default
+	// a request can opt out of (?approx_shard=0).
+	defaults decomp.Spec
 
 	// ready flips true once startup replay has finished; the instance
 	// endpoints and /readyz gate on it. replayErr holds the failure message
@@ -118,13 +116,6 @@ type instance struct {
 	warm   *core.WarmCache
 }
 
-// simID is the canonical similarity identity used for solve-cache keying
-// ("kind/dim/maxT"); instances always have a function similarity, so it is
-// always defined.
-func (inst *instance) simID() string {
-	return fmt.Sprintf("%s/%d/%v", inst.meta.Sim, inst.meta.Dim, inst.meta.MaxT)
-}
-
 // recordRebalance appends one outcome to the bounded ring; callers hold
 // inst.mu.
 func (inst *instance) recordRebalance(o RebalanceOutcome) {
@@ -156,11 +147,12 @@ func newService(log *slog.Logger, cfg Config) (*service, error) {
 		admitHold:     cfg.admitHold,
 		solveCache:    solvecache.New(cacheEntries), // nil when negative
 		cacheEnabled:  cacheEntries > 0,
-		shardDefault:  cfg.Shard,
+		defaults:      decomp.DefaultSpec(),
 		instances:     make(map[string]*instance),
 		httpWindows:   make(map[string]*obs.Window),
 		solveWindows:  make(map[string]*obs.Window),
 	}
+	s.defaults.Shard = cfg.Shard
 	if cfg.DataDir == "" {
 		s.ready.Store(true)
 		return s, nil
@@ -513,10 +505,10 @@ type CancelRequest struct {
 // an arrival (absent for cancellations); Matched lists the counterparties
 // the greedy placement picked up immediately.
 type DeltaResponse struct {
-	Op      string `json:"op"`
-	ID      *int   `json:"id,omitempty"`
-	Matched []int  `json:"matched,omitempty"`
-	Seq     int64  `json:"seq"`
+	Op      string  `json:"op"`
+	ID      *int    `json:"id,omitempty"`
+	Matched []int   `json:"matched,omitempty"`
+	Seq     int64   `json:"seq"`
 	MaxSum  float64 `json:"max_sum"`
 }
 
@@ -758,46 +750,27 @@ func (s *service) handleRebalance(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusBadRequest, fmt.Errorf("server: unknown scope %q (dirty or full)", scope))
 		return
 	}
-	algo := q.Get("algo")
-	if algo == "" {
-		algo = "greedy"
+	// Rebalances always run over the decomposition, so the portfolio is
+	// refused here as it is for ?decompose=1 on /solve.
+	spec, err := decomp.ParseQuery(q, s.defaults)
+	if err == nil {
+		spec.Decompose = true
+		err = spec.Validate()
 	}
-	if _, err := core.LookupSolver(algo); err != nil {
-		writeError(w, r, http.StatusBadRequest, err)
-		return
-	}
-	opt := decomp.Options{Seed: 1}
-	shard, err := s.shardOptionsFromQuery(r)
 	if err != nil {
 		writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
+	algo := spec.Algo
 	// With sharding on, a dirty giant component splits before solving; the
 	// per-shard solves still go through the instance's reuse caches (content
-	// hashing and warm flow compose inside shards).
-	opt.Shard = shard
-	if v := q.Get("workers"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			writeError(w, r, http.StatusBadRequest, fmt.Errorf("server: bad workers: %w", err))
-			return
-		}
-		opt.Workers = n
-	}
-	if v := q.Get("seed"); v != "" {
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			writeError(w, r, http.StatusBadRequest, fmt.Errorf("server: bad seed: %w", err))
-			return
-		}
-		opt.Seed = n
-	}
-	// The reuse caches ride along unless the request opts out; both are
-	// pure accelerators (bit-exact vs a cold solve), so ?cache=0 exists for
+	// hashing and warm flow compose inside shards). Both caches are pure
+	// accelerators (bit-exact vs a cold solve), so ?cache=0 exists for
 	// benchmarking, not correctness.
-	if inst.scache != nil && !cacheBypassed(r) {
+	opt := spec.Options()
+	if inst.scache != nil && !spec.NoCache {
 		opt.SolveCache = inst.scache
-		opt.SimID = inst.simID()
+		opt.SimID = inst.meta.SimInfo().ID()
 		opt.WarmCache = inst.warm
 	}
 

@@ -10,7 +10,6 @@ import (
 	"log/slog"
 	"math/rand"
 	"net/http"
-	"strconv"
 	"sync"
 	"time"
 
@@ -21,7 +20,6 @@ import (
 	"github.com/ebsnlab/geacc/internal/obs"
 	"github.com/ebsnlab/geacc/internal/partition"
 	"github.com/ebsnlab/geacc/internal/report"
-	"github.com/ebsnlab/geacc/internal/solvecache"
 )
 
 // MaxRequestBytes bounds request bodies; larger instances should use the
@@ -83,8 +81,9 @@ type Config struct {
 	// Shard, when non-nil, makes approximate sharding of giant components
 	// (internal/partition) the service default for /solve and rebalances
 	// (geacc-server -approx-shard). Requests can still opt out with
-	// ?approx_shard=0 or override the tuning with the shard_* params. Nil
-	// means sharding only runs when a request asks with ?approx_shard=1.
+	// ?approx_shard=0 or override the tuning with the shard_* params; zero
+	// fields take the partition defaults. Nil means sharding only runs when
+	// a request asks with ?approx_shard=1.
 	Shard *partition.Options
 
 	// replayHold, when non-nil with LazyReplay, blocks the background
@@ -249,93 +248,6 @@ type SolveResponse struct {
 	Diagnostics *core.Diagnostics     `json:"diagnostics,omitempty"`
 }
 
-// wantDiag reports whether the request opted into the per-solve
-// diagnostics artifact (instance shape, optimality gap, phase timings).
-func wantDiag(r *http.Request) bool {
-	return boolParam(r, "diag")
-}
-
-// wantDecompose reports whether the request asked for the decomposed solve
-// path (?decompose=1): shard along conflict/similarity components, solve in
-// parallel (pool size via ?workers=n), merge.
-func wantDecompose(r *http.Request) bool {
-	return boolParam(r, "decompose")
-}
-
-func boolParam(r *http.Request, name string) bool {
-	switch r.URL.Query().Get(name) {
-	case "1", "true", "yes":
-		return true
-	}
-	return false
-}
-
-// shardOptionsFromQuery resolves the approximate-sharding parameters:
-// ?approx_shard=1 turns the feature on (and implies the decomposed path),
-// ?approx_shard=0 opts out of a service-wide default, and ?shard_max_area=,
-// ?shard_strategy= (modularity or bfs) plus ?shard_drift_budget= tune it.
-// Returns nil when sharding is off for this request.
-func (s *service) shardOptionsFromQuery(r *http.Request) (*partition.Options, error) {
-	on := s.shardDefault != nil
-	switch r.URL.Query().Get("approx_shard") {
-	case "1", "true", "yes":
-		on = true
-	case "":
-		// keep the service default
-	default:
-		return nil, nil
-	}
-	if !on {
-		return nil, nil
-	}
-	opt := partition.Options{}
-	if s.shardDefault != nil {
-		opt = *s.shardDefault
-	}
-	if qs := r.URL.Query().Get("shard_max_area"); qs != "" {
-		v, err := strconv.ParseInt(qs, 10, 64)
-		if err != nil || v <= 0 {
-			return nil, fmt.Errorf("server: bad shard_max_area %q (want a positive integer)", qs)
-		}
-		opt.MaxArea = v
-	}
-	strat, err := partition.ParseStrategy(r.URL.Query().Get("shard_strategy"))
-	if err != nil {
-		return nil, fmt.Errorf("server: %w", err)
-	}
-	opt.Strategy = strat
-	if qs := r.URL.Query().Get("shard_drift_budget"); qs != "" {
-		v, err := strconv.ParseFloat(qs, 64)
-		if err != nil || v <= 0 {
-			return nil, fmt.Errorf("server: bad shard_drift_budget %q (want a positive float)", qs)
-		}
-		opt.DriftBudget = v
-	}
-	o := opt.Normalized()
-	return &o, nil
-}
-
-// cacheBypassed reports whether the request opted out of the solve cache
-// with ?cache=0 (also "false"/"no"). The cache is opt-out rather than
-// opt-in because hits are bit-for-bit identical to fresh solves.
-func cacheBypassed(r *http.Request) bool {
-	switch r.URL.Query().Get("cache") {
-	case "0", "false", "no":
-		return true
-	}
-	return false
-}
-
-// solveSimID canonicalizes a decoded instance's similarity identity for
-// cache keying. Matrix instances return "" — their values are hashed
-// directly from the content, so the key needs no identity.
-func solveSimID(info encoding.SimInfo) string {
-	if info.Kind == encoding.SimMatrix {
-		return ""
-	}
-	return fmt.Sprintf("%s/%d/%v", info.Kind, info.Dim, info.MaxT)
-}
-
 func (s *service) handleSolve(w http.ResponseWriter, r *http.Request) {
 	release, ok := s.admit(w, r)
 	if !ok {
@@ -347,197 +259,63 @@ func (s *service) handleSolve(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
-	algo := r.URL.Query().Get("algo")
-	if algo == "" {
-		algo = "greedy"
-	}
-	var seed int64 = 1
-	if qs := r.URL.Query().Get("seed"); qs != "" {
-		seed, err = strconv.ParseInt(qs, 10, 64)
-		if err != nil {
-			writeError(w, r, http.StatusBadRequest, fmt.Errorf("server: bad seed: %w", err))
-			return
-		}
-	}
-	diag := wantDiag(r)
-	decompose := wantDecompose(r)
-	shard, err := s.shardOptionsFromQuery(r)
+	// ParseQuery validates the algorithm before the first window
+	// observation: only registry names may mint an algo-labeled series.
+	spec, err := decomp.ParseQuery(r.URL.Query(), s.defaults)
 	if err != nil {
 		writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
-	if shard != nil {
-		decompose = true // sharding rides on the decomposition worker pool
-	}
-	workers := 0
-	if qs := r.URL.Query().Get("workers"); qs != "" {
-		workers, err = strconv.Atoi(qs)
-		if err != nil {
-			writeError(w, r, http.StatusBadRequest, fmt.Errorf("server: bad workers: %w", err))
-			return
-		}
-	}
-	if decompose && algo == "portfolio" {
-		writeError(w, r, http.StatusBadRequest,
-			errors.New("server: decompose does not compose with the portfolio (it already parallelizes)"))
-		return
-	}
-	// Validate the algorithm before the first window observation: window
-	// series are labeled by algo, and only registry names may mint one (an
-	// attacker probing ?algo=... must not grow the label space).
-	if algo != "portfolio" {
-		if _, lerr := core.LookupSolver(algo); lerr != nil {
-			writeError(w, r, http.StatusBadRequest, lerr)
-			return
-		}
-	}
 
-	// Content-addressed memoization: a hit serves the stored response —
-	// matching, diagnostics, even the original solve's timing — verbatim,
-	// which is by construction bit-for-bit what a fresh solve of the same
-	// content would produce. Hits happen before the solve window mints an
-	// observation (nothing was solved). The portfolio is excluded: its
-	// winner depends on a wall-clock race, not only on content.
-	var cacheKey solvecache.Key
-	cacheUsable := false
-	if s.solveCache != nil && algo != "portfolio" && !cacheBypassed(r) {
-		spec := solvecache.KeySpec{
-			Algo:      algo,
-			Seed:      seed,
-			SimID:     solveSimID(simInfo),
-			Decompose: decompose,
-			Workers:   workers,
-			Diag:      diag,
-		}
-		if shard != nil {
-			spec.ApproxShard = true
-			spec.ShardMaxArea = shard.MaxArea
-			spec.ShardStrategy = string(shard.Strategy)
-			spec.ShardDriftBudget = shard.DriftBudget
-		}
-		cacheKey, cacheUsable = solvecache.InstanceKey(in, spec)
-		if cacheUsable {
-			if v, ok := s.solveCache.Get(cacheKey); ok {
-				requestLogger(r).Info("solve cache hit",
-					"algo", algo, "events", in.NumEvents(), "users", in.NumUsers())
-				writeJSON(w, v.(SolveResponse))
-				return
-			}
-		}
-	}
-
-	// The request context travels into the solver: a client disconnect
-	// cancels long MinCostFlow sweeps and exact searches instead of
-	// burning the worker on an answer nobody will read. Diagnosed
-	// requests additionally carry a span recorder so phase timings land
-	// in the artifact.
-	ctx := r.Context()
-	var rec *obs.Recorder
-	var countersBefore map[string]int64
-	if diag {
-		rec = obs.NewRecorder()
-		ctx = obs.ContextWithRecorder(ctx, rec)
-		countersBefore = obs.Default().Counters()
-	}
+	// The request context travels into the solver, so a client disconnect
+	// cancels the solve. A cache hit serves the stored result — matching,
+	// diagnostics, even the original timing — verbatim: by construction
+	// bit-for-bit what a fresh solve would produce.
 	start := time.Now()
-	// The solver window tracks wall-clock and failures per algorithm; a
-	// request that dies after this point (solver error, infeasible result)
-	// counts toward the algo's error rate.
-	solveOK := false
-	defer func() {
-		s.solveWindow(algo).Observe(time.Since(start).Seconds(), !solveOK)
-	}()
-	// solved collects what the diagnostics need: a monolithic mincostflow
-	// solve hands back the relaxation bound it computed, a decomposed solve
-	// its decomposition (whose component solves left theirs behind).
-	solved := decomp.Solved{Algo: algo, In: in, Workers: workers}
-	var gate *core.ExactGateStats
-	switch {
-	case algo == "portfolio":
-		solved.M, _, err = core.PortfolioCtx(ctx, in,
-			[]string{"greedy", "mincostflow", "random-v", "random-u"}, seed)
-	case decompose:
-		dd, derr := decomp.DecomposeContext(ctx, in)
-		if derr != nil {
-			writeError(w, r, solveErrorStatus(derr, http.StatusInternalServerError), derr)
-			return
-		}
-		// The exact budget applies per component: decomposition is exactly
-		// what makes larger instances exact-solvable over HTTP. The gating
-		// decision — measured area against the limit — is surfaced in the
-		// 422 message and, for admitted diagnosed requests, in
-		// Diagnostics.ExactGate.
-		if algo == "exact" {
-			area := dd.MaxComponentArea()
-			gate = &core.ExactGateStats{ComponentArea: area, Limit: exactHTTPAreaLimit}
-			if area > exactHTTPAreaLimit {
-				gate.Gated = true
-				writeError(w, r, http.StatusUnprocessableEntity,
-					fmt.Errorf("server: exact search is limited to component |V|·|U| <= %d over HTTP (largest component area %d); use the CLI",
-						exactHTTPAreaLimit, area))
-				return
-			}
-		}
-		solved.D = dd
-		solved.M, err = dd.SolveContext(ctx, algo, decomp.Options{Workers: workers, Seed: seed, Shard: shard})
-	default:
-		if algo == "exact" {
-			area := int64(in.NumEvents()) * int64(in.NumUsers())
-			gate = &core.ExactGateStats{ComponentArea: area, Limit: exactHTTPAreaLimit}
-			if area > exactHTTPAreaLimit {
-				gate.Gated = true
-				writeError(w, r, http.StatusUnprocessableEntity,
-					fmt.Errorf("server: exact search is limited to |V|·|U| <= %d over HTTP (instance area %d); use decompose or the CLI",
-						exactHTTPAreaLimit, area))
-				return
-			}
-		}
-		solved.M, solved.Bound, solved.HasBound, err = core.SolveContextBound(ctx, algo, in, rand.New(rand.NewSource(seed)))
+	res, err := decomp.Run(r.Context(), in, spec, decomp.Env{
+		Cache:          s.solveCache,
+		SimID:          simInfo.ID(),
+		ExactAreaLimit: exactHTTPAreaLimit,
+	})
+	if err == nil && res.Cached { // nothing solved: no window observation
+		requestLogger(r).Info("solve cache hit",
+			"algo", spec.Algo, "events", in.NumEvents(), "users", in.NumUsers())
+		writeJSON(w, solveResponse(in, spec.Algo, res))
+		return
 	}
+	// The solver window tracks wall-clock and failures (gate, solver
+	// error, infeasible result) per algorithm.
+	s.solveWindow(spec.Algo).Observe(time.Since(start).Seconds(), err != nil)
 	if err != nil {
-		writeError(w, r, solveErrorStatus(err, http.StatusInternalServerError), err)
-		return
-	}
-	m := solved.M
-	var d *core.Diagnostics
-	if diag {
-		solved.Elapsed = time.Since(start)
-		solved.Spans = rec.Spans()
-		solved.Deltas = obs.DiffCounters(countersBefore, obs.Default().Counters())
-		if d, err = decomp.Diagnose(ctx, solved); err != nil {
-			writeError(w, r, solveErrorStatus(err, http.StatusInternalServerError), err)
-			return
+		status := solveErrorStatus(err, http.StatusInternalServerError)
+		if gerr := (*decomp.ExactGateError)(nil); errors.As(err, &gerr) {
+			status = http.StatusUnprocessableEntity
 		}
-		d.ExactGate = gate
-	}
-	elapsed := time.Since(start).Seconds()
-	if err := core.Validate(in, m); err != nil {
-		writeError(w, r, http.StatusInternalServerError, err)
+		writeError(w, r, status, err)
 		return
 	}
-	solveOK = true
 
+	m := res.M
 	logAttrs := []any{
-		"algo", algo, "events", in.NumEvents(), "users", in.NumUsers(),
-		"pairs", m.Size(), "max_sum", m.MaxSum(), "seconds", elapsed,
+		"algo", spec.Algo, "events", in.NumEvents(), "users", in.NumUsers(),
+		"pairs", m.Size(), "max_sum", m.MaxSum(), "seconds", res.Elapsed.Seconds(),
 	}
-	if d != nil {
+	if d := res.Diag; d != nil {
 		logAttrs = append(logAttrs, "gap", d.Gap, "relaxed_upper_bound", d.RelaxedUpperBound)
 	}
 	requestLogger(r).Info("solve", logAttrs...)
+	writeJSON(w, solveResponse(in, spec.Algo, res))
+}
 
-	resp := SolveResponse{
-		Matching:    encoding.MatchingDoc(m),
+func solveResponse(in *core.Instance, algo string, res *decomp.Result) SolveResponse {
+	return SolveResponse{
+		Matching:    encoding.MatchingDoc(res.M),
 		Algo:        algo,
-		Seconds:     elapsed,
+		Seconds:     res.Elapsed.Seconds(),
 		Events:      in.NumEvents(),
 		Users:       in.NumUsers(),
-		Diagnostics: d,
+		Diagnostics: res.Diag,
 	}
-	if cacheUsable {
-		s.solveCache.Put(cacheKey, resp)
-	}
-	writeJSON(w, resp)
 }
 
 // TraceResponse is the /trace payload: the greedy arrangement plus every
