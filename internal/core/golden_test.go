@@ -1,0 +1,163 @@
+package core_test
+
+import (
+	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"hash"
+	"math"
+	"math/rand"
+	"sort"
+	"testing"
+
+	"github.com/ebsnlab/geacc/internal/conflict"
+	"github.com/ebsnlab/geacc/internal/core"
+	"github.com/ebsnlab/geacc/internal/dataset"
+)
+
+// mcflowGoldenDigest is the SHA-256 over every MinCostFlow-GEACC output
+// TestMinCostFlowGolden produces: relaxed pair lists (with similarity
+// bits), Δ, and the float bits of RelaxedMaxSum and of the final MaxSum.
+// Any change to the flow solver that moves a single augmenting path, a
+// tie-break or a floating-point rounding shows up here. Regenerate it only
+// for a change that is meant to alter results, and say so.
+const mcflowGoldenDigest = "0cf19a36c3ce467a3ea82ea22ab49908de68c5fce33ed6afb6e1cd32ef64e6a6"
+
+// TestMinCostFlowGolden pins MinCostFlow-GEACC bit for bit on 20×200
+// synthetic (TABLE III distributions) and 24×480 clustered-bridged cosine
+// instances, plus one warm-started delta stream through a WarmCache.
+func TestMinCostFlowGolden(t *testing.T) {
+	h := sha256.New()
+	for seed := int64(1); seed <= 28; seed++ {
+		cfg := dataset.DefaultSynthetic()
+		cfg.NumEvents, cfg.NumUsers, cfg.Seed = 20, 200, seed
+		in, err := cfg.Generate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		writeFlowResult(h, core.MinCostFlow(in))
+	}
+	for seed := int64(1); seed <= 12; seed++ {
+		writeFlowResult(h, core.MinCostFlow(bridgedInstance(t, seed)))
+	}
+	writeWarmStream(t, h)
+	if got := hex.EncodeToString(h.Sum(nil)); got != mcflowGoldenDigest {
+		t.Fatalf("MinCostFlow-GEACC golden digest changed:\n got %s\nwant %s", got, mcflowGoldenDigest)
+	}
+}
+
+// bridgedInstance is the clustered cosine instance whose bridge users
+// chain the communities into one giant component.
+func bridgedInstance(t *testing.T, seed int64) *core.Instance {
+	t.Helper()
+	cfg := dataset.DefaultClustered()
+	cfg.NumEvents, cfg.NumUsers, cfg.BridgeFrac, cfg.Seed = 24, 480, 0.05, seed
+	in, err := cfg.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return in
+}
+
+// writeWarmStream drives one component through a stream of membership and
+// capacity deltas over a bridged universe, solving each step warm.
+func writeWarmStream(t *testing.T, h hash.Hash) {
+	uni := bridgedInstance(t, 99)
+	rng := rand.New(rand.NewSource(5))
+	eventCaps := make([]int, uni.NumEvents())
+	for v, e := range uni.Events {
+		eventCaps[v] = e.Cap
+	}
+	userCaps := make([]int, uni.NumUsers())
+	for u, usr := range uni.Users {
+		userCaps[u] = usr.Cap
+	}
+	// Event 0 stays a member throughout, so the component keeps its
+	// WarmCache anchor and every step after the first starts warm.
+	events := rng.Perm(uni.NumEvents())[:12]
+	users := rng.Perm(uni.NumUsers())[:240]
+	events = append(events, 0)
+	wc := core.NewWarmCache(4)
+	for step := 0; step < 24; step++ {
+		events, users = dedupe(events), dedupe(users)
+		evs := make([]core.Event, len(events))
+		for i, e := range events {
+			evs[i] = core.Event{Attrs: uni.Events[e].Attrs, Cap: eventCaps[e]}
+		}
+		usrs := make([]core.User, len(users))
+		for i, u := range users {
+			usrs[i] = core.User{Attrs: uni.Users[u].Attrs, Cap: userCaps[u]}
+		}
+		var pairs [][2]int
+		for i, a := range events {
+			for j := i + 1; j < len(events); j++ {
+				if uni.Conflicts.Conflicting(a, events[j]) {
+					pairs = append(pairs, [2]int{i, j})
+				}
+			}
+		}
+		in, err := core.NewInstance(evs, usrs, conflict.FromPairs(len(evs), pairs), uni.SimFunc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := core.MinCostFlowWarmCtx(context.Background(), in, events, users, wc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		writeFlowResult(h, res)
+
+		switch rng.Intn(5) {
+		case 0: // event joins
+			events = append(events, rng.Intn(uni.NumEvents()))
+		case 1: // event leaves (never the anchor)
+			if i := rng.Intn(len(events)); events[i] != 0 {
+				events = append(events[:i:i], events[i+1:]...)
+			}
+		case 2: // users join
+			for k := 0; k < 8; k++ {
+				users = append(users, rng.Intn(uni.NumUsers()))
+			}
+		case 3: // users leave
+			for k := 0; k < 8 && len(users) > 1; k++ {
+				i := rng.Intn(len(users))
+				users = append(users[:i:i], users[i+1:]...)
+			}
+		case 4: // capacity changes
+			eventCaps[events[rng.Intn(len(events))]] = rng.Intn(6)
+			userCaps[users[rng.Intn(len(users))]] = 1 + rng.Intn(3)
+		}
+	}
+}
+
+// dedupe sorts ids ascending and drops repeats.
+func dedupe(ids []int) []int {
+	seen := make(map[int]bool, len(ids))
+	out := ids[:0]
+	for _, id := range ids {
+		if !seen[id] {
+			seen[id] = true
+			out = append(out, id)
+		}
+	}
+	sort.Ints(out)
+	return out
+}
+
+func writeFlowResult(h hash.Hash, res *core.FlowResult) {
+	var buf [8]byte
+	put := func(x uint64) {
+		binary.LittleEndian.PutUint64(buf[:], x)
+		h.Write(buf[:])
+	}
+	pairs := res.Relaxed.SortedPairs()
+	put(uint64(len(pairs)))
+	for _, p := range pairs {
+		put(uint64(p.V))
+		put(uint64(p.U))
+		put(math.Float64bits(p.Sim))
+	}
+	put(uint64(res.Delta))
+	put(math.Float64bits(res.RelaxedMaxSum))
+	put(math.Float64bits(res.Matching.MaxSum()))
+}

@@ -60,8 +60,9 @@ func MinCostFlowOpts(in *Instance, opt FlowOptions) *FlowResult {
 // MinCostFlowCtx runs MinCostFlow-GEACC under a context. Cancellation is
 // polled between successive augmenting paths — the unit of work of the
 // Δ-sweep, and the only place the algorithm spends superlinear time — so a
-// disconnected client stops a long run within one Dijkstra pass. A
-// canceled run returns ctx's error and a nil result.
+// disconnected client stops a long run within one Dijkstra pass, a search
+// that ends as soon as it settles the sink. A canceled run returns ctx's
+// error and a nil result.
 func MinCostFlowCtx(ctx context.Context, in *Instance, opt FlowOptions) (*FlowResult, error) {
 	res, err := minCostFlowCtx(ctx, in, opt)
 	if err != nil {
@@ -152,12 +153,12 @@ func relaxedOptimumCtx(ctx context.Context, in *Instance) (*FlowResult, error) {
 	defer mincostflow.ReleaseSolver(sv)
 	// Augment while a unit of flow still increases MaxSum = Δ − cost, i.e.
 	// while the next path's per-unit cost is below 1. Each iteration is one
-	// Dijkstra pass, so polling ctx here bounds the cancellation latency by
-	// a single shortest-path computation.
+	// Dijkstra pass that stops at the sink, so polling ctx here bounds the
+	// cancellation latency by a single shortest-path computation.
 	var augmentations int64
 	for {
 		if err := ctx.Err(); err != nil {
-			mcflowAugmentations.Add(augmentations)
+			observeFlowWork(sv, augmentations)
 			return nil, err
 		}
 		if _, _, ok := sv.AugmentBelow(math.MaxInt64, 1); !ok {
@@ -165,7 +166,7 @@ func relaxedOptimumCtx(ctx context.Context, in *Instance) (*FlowResult, error) {
 		}
 		augmentations++
 	}
-	mcflowAugmentations.Add(augmentations)
+	observeFlowWork(sv, augmentations)
 	res.Delta = sv.TotalFlow()
 	mcflowDeltaUnits.Add(res.Delta)
 

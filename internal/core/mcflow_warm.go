@@ -300,6 +300,7 @@ func relaxedOptimumWarm(ctx context.Context, in *Instance, events, users []int, 
 			// units the cold sweep would never have pushed.
 			for {
 				if err := ctx.Err(); err != nil {
+					observeFlowWork(sv, 0)
 					return nil, nil, err
 				}
 				if _, ok := sv.RetreatAbove(1); !ok {
@@ -312,7 +313,7 @@ func relaxedOptimumWarm(ctx context.Context, in *Instance, events, users []int, 
 	var augmentations int64
 	for {
 		if err := ctx.Err(); err != nil {
-			mcflowAugmentations.Add(augmentations)
+			observeFlowWork(sv, augmentations)
 			return nil, nil, err
 		}
 		if _, _, ok := sv.AugmentBelow(math.MaxInt64, 1); !ok {
@@ -320,7 +321,7 @@ func relaxedOptimumWarm(ctx context.Context, in *Instance, events, users []int, 
 		}
 		augmentations++
 	}
-	mcflowAugmentations.Add(augmentations)
+	observeFlowWork(sv, augmentations)
 	res.Delta = sv.TotalFlow()
 	mcflowDeltaUnits.Add(res.Delta)
 

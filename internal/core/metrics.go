@@ -3,6 +3,7 @@ package core
 import (
 	"time"
 
+	"github.com/ebsnlab/geacc/internal/mincostflow"
 	"github.com/ebsnlab/geacc/internal/obs"
 )
 
@@ -20,6 +21,8 @@ var (
 	mcflowRuns          = obs.Default().Counter("geacc_mcflow_runs_total")
 	mcflowAugmentations = obs.Default().Counter("geacc_mcflow_augmentations_total")
 	mcflowDeltaUnits    = obs.Default().Counter("geacc_mcflow_delta_units_total")
+	mcflowDijkstraPops  = obs.Default().Counter("geacc_mcflow_dijkstra_pops_total")
+	mcflowArcScans      = obs.Default().Counter("geacc_mcflow_arc_scans_total")
 
 	mcflowWarmAttempts      = obs.Default().Counter("geacc_mcflow_warm_attempts_total")
 	mcflowWarmHits          = obs.Default().Counter("geacc_mcflow_warm_hits_total")
@@ -58,6 +61,15 @@ func observeGap(algo string, gap float64) {
 	reg := obs.Default()
 	reg.Histogram(obs.Label("geacc_solve_gap", "algo", algo), gapBuckets).Observe(gap)
 	reg.FloatGauge(obs.Label("geacc_solve_last_gap", "algo", algo)).Set(gap)
+}
+
+// observeFlowWork flushes one relaxation's SSPA work: its augmentations and
+// the shortest-path pops and arc scans the solver tallied along the way.
+func observeFlowWork(sv *mincostflow.Solver, augmentations int64) {
+	mcflowAugmentations.Add(augmentations)
+	pops, arcScans := sv.SearchStats()
+	mcflowDijkstraPops.Add(pops)
+	mcflowArcScans.Add(arcScans)
 }
 
 // observeSolve records one SolveContext outcome under the per-algorithm

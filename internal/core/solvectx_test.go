@@ -155,6 +155,25 @@ func TestSolveContextRecordsMetrics(t *testing.T) {
 	}
 }
 
+func TestMinCostFlowRecordsSearchWork(t *testing.T) {
+	reg := obs.Default()
+	aug := reg.Counter("geacc_mcflow_augmentations_total")
+	pops := reg.Counter("geacc_mcflow_dijkstra_pops_total")
+	scans := reg.Counter("geacc_mcflow_arc_scans_total")
+	a0, p0, s0 := aug.Value(), pops.Value(), scans.Value()
+	res := MinCostFlow(ctxTestInstance(t))
+	da, dp, ds := aug.Value()-a0, pops.Value()-p0, scans.Value()-s0
+	// Unit pair arcs: one augmentation per unit of Δ. Each of those
+	// searches pops at least source, event, user and sink, and one more
+	// search finds no path below cost 1.
+	if da != res.Delta || da == 0 {
+		t.Fatalf("augmentations moved by %d, Delta is %d", da, res.Delta)
+	}
+	if dp < 4*da+1 || ds < dp {
+		t.Fatalf("pops moved by %d and arc scans by %d over %d augmentations", dp, ds, da)
+	}
+}
+
 func TestSolveContextRecordsErrorMetric(t *testing.T) {
 	reg := obs.Default()
 	errs := reg.Counter(obs.Label("geacc_solve_errors_total", "algo", "mincostflow"))

@@ -2,6 +2,7 @@ package mincostflow
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -57,5 +58,36 @@ func TestAugmentBelowStopsAtBound(t *testing.T) {
 	}
 	if _, _, ok := sv.AugmentBelow(0, 1.0); ok {
 		t.Fatal("zero maxUnits augmented")
+	}
+}
+
+func TestSearchStopsAtTarget(t *testing.T) {
+	// 0 -> 1 -> 2 is the unit path to the sink; 0 -> 3 -> 4 is a dead
+	// branch the first search never needs to settle.
+	g := NewGraph(5)
+	g.AddArc(0, 1, 1, 1)
+	g.AddArc(1, 2, 1, 1)
+	g.AddArc(0, 3, 1, 5)
+	g.AddArc(3, 4, 1, 0)
+	sv := NewSolver(g, 0, 2)
+	if units, cost, ok := sv.Augment(1); !ok || units != 1 || cost != 2 {
+		t.Fatalf("Augment = (%d, %v, %v), want (1, 2, true)", units, cost, ok)
+	}
+	// Pops 0, 1 and the sink; scans 0's two arcs and 1's two.
+	if pops, scans := sv.SearchStats(); pops != 3 || scans != 4 {
+		t.Fatalf("first search: pops=%d scans=%d, want 3 and 4", pops, scans)
+	}
+	// Settled nodes advance by their distance; node 3 (tentative 5) and
+	// node 4 (never reached) by the sink's distance 2.
+	want := []float64{0, 1, 2, 2, 2}
+	if got := sv.Potentials(nil); !slices.Equal(got, want) {
+		t.Fatalf("potentials = %v, want %v", got, want)
+	}
+	// The sink is cut off: the second search exhausts the dead branch.
+	if _, _, ok := sv.Augment(1); ok {
+		t.Fatal("augmented a saturated network")
+	}
+	if pops, scans := sv.SearchStats(); pops != 6 || scans != 9 {
+		t.Fatalf("after both searches: pops=%d scans=%d, want 6 and 9", pops, scans)
 	}
 }

@@ -33,10 +33,18 @@
 //     the natural place callers poll for cancellation (internal/core does,
 //     between calls).
 //
+// Each shortest-path search stops as soon as it pops its target (the sink
+// for Augment and AugmentBelow, the source for RetreatAbove's reverse
+// search), since only that one path is used. Potentials then advance by
+// min(dist[v], dist[target]). Nodes the search settled move by their exact
+// distance and every other node by the target's, which keeps every
+// residual reduced cost non-negative (DESIGN.md, "Truncated Dijkstra",
+// has the proof). Solver.SearchStats reports the pops and arc scans.
+//
 // Costs may be negative as long as the graph admits no negative cycle:
-// NewSolver runs one Bellman–Ford pass to compute valid initial potentials
-// when a negative-cost arc is present (the GEACC reduction's costs lie in
-// [0, 1], so it skips this).
+// NewSolver runs one Bellman–Ford relaxation to compute valid initial
+// potentials when a negative-cost arc is present (the GEACC reduction's
+// costs lie in [0, 1], so it skips this).
 //
 // The package also ships a cycle-canceling solver (cyclecancel.go) used as
 // a cross-checking ablation in tests and benchmarks; SSPA is the

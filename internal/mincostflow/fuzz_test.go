@@ -1,0 +1,76 @@
+package mincostflow
+
+import (
+	"math"
+	"testing"
+)
+
+// FuzzSSPA decodes bytes into a small network and checks every SSPA step
+// against CycleCanceling and the potential invariant: the cold sweep to
+// max flow one augmentation at a time, then a RetreatAbove phase. The seed
+// corpus in testdata/fuzz/FuzzSSPA replays under plain `go test`.
+func FuzzSSPA(f *testing.F) {
+	f.Add([]byte{4, 0, 0, 0, 0, 0, 1, 0x10, 1, 3, 0x12, 0, 2, 0x31, 2, 3, 0x05, 8})
+	f.Add([]byte{0x86, 3, 1, 7, 0, 2, 5, 0, 1, 0x2f, 1, 7, 0x03, 0, 2, 0x44, 2, 7, 0x18, 1, 2, 0x00, 3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ns, bound, ok := decodeNet(data)
+		if !ok {
+			return
+		}
+		sv := NewSolver(ns.build(), ns.s, ns.t)
+		checkStep(t, ns, sv, "bootstrap")
+		for {
+			if _, _, ok := sv.Augment(math.MaxInt64); !ok {
+				break
+			}
+			checkStep(t, ns, sv, "augment")
+		}
+		if maxFlow, _ := ns.oracle(t, math.MaxInt64); sv.TotalFlow() != maxFlow {
+			t.Fatalf("stopped at flow %d, max flow is %d", sv.TotalFlow(), maxFlow)
+		}
+		for {
+			if _, ok := sv.RetreatAbove(bound); !ok {
+				break
+			}
+			checkStep(t, ns, sv, "retreat")
+		}
+	})
+}
+
+// decodeNet reads a network of at most 8 nodes and 24 arcs:
+//
+//	byte 0       node count 2 + b%7; high bit set: negative costs allowed
+//	bytes 1..n   per-node cost offsets phi (used when negative costs are on)
+//	then triples from, to, c: an arc with capacity 1 + c>>4 % 4 and cost
+//	             (c%16 + phi[from] - phi[to]) / 4, so no cycle is negative
+//	last byte    the RetreatAbove cost bound, b%16 / 4
+//
+// Self-loops are dropped. ok is false when data is too short.
+func decodeNet(data []byte) (ns *netSpec, bound float64, ok bool) {
+	if len(data) < 2 {
+		return nil, 0, false
+	}
+	n := 2 + int(data[0]%7)
+	negative := data[0]&0x80 != 0
+	if len(data) < 1+n+1 {
+		return nil, 0, false
+	}
+	phi := make([]float64, n)
+	if negative {
+		for i := range phi {
+			phi[i] = float64(data[1+i] % 8)
+		}
+	}
+	bound = float64(data[len(data)-1]%16) / 4
+	ns = &netSpec{n: n, s: 0, t: n - 1, phi: phi}
+	body := data[1+n : len(data)-1]
+	for i := 0; i+2 < len(body) && len(ns.arcs) < 24; i += 3 {
+		from, to, c := int(body[i])%n, int(body[i+1])%n, body[i+2]
+		if from == to {
+			continue
+		}
+		cost := (float64(c%16) + phi[from] - phi[to]) / 4
+		ns.arcs = append(ns.arcs, arcSpec{from, to, 1 + int64(c>>4%4), cost})
+	}
+	return ns, bound, true
+}

@@ -91,12 +91,15 @@ type Solver struct {
 
 	totalFlow int64
 	totalCost float64
+
+	// Search work since the last Reset/WarmStart; see SearchStats.
+	pops, arcScans int64
 }
 
 // NewSolver prepares an SSPA run from source s to sink t. If the graph
 // contains negative-cost arcs, initial potentials are computed with one
-// Bellman–Ford pass; otherwise zero potentials are already valid (the GEACC
-// reduction has only costs in [0, 1]).
+// Bellman–Ford relaxation; otherwise zero potentials are already valid (the
+// GEACC reduction has only costs in [0, 1]).
 func NewSolver(g *Graph, s, t int) *Solver {
 	if s < 0 || s >= g.numNodes || t < 0 || t >= g.numNodes || s == t {
 		panic(fmt.Sprintf("mincostflow: invalid terminals s=%d t=%d (n=%d)", s, t, g.numNodes))
@@ -106,42 +109,31 @@ func NewSolver(g *Graph, s, t int) *Solver {
 	return sv
 }
 
-// bellmanFordPotentials sets pot to shortest-path distances from s over
-// positive-capacity arcs, making all reduced costs non-negative.
-func (sv *Solver) bellmanFordPotentials() {
+// relaxPotentials lowers pot until pot[w] <= pot[v] + cost(v,w) holds on
+// every positive-residual arc: Bellman–Ford from a virtual source joined to
+// each node v at distance pot[v]. It reports whether it converged within
+// n+1 passes, which it always does absent a negative-cost cycle; seeded
+// with nearly valid potentials it takes a pass or two.
+func (sv *Solver) relaxPotentials() bool {
 	g := sv.g
-	const inf = math.MaxFloat64
-	for i := range sv.pot {
-		sv.pot[i] = inf
-	}
-	sv.pot[sv.s] = 0
-	for iter := 0; iter < g.numNodes; iter++ {
+	for iter := 0; iter <= g.numNodes; iter++ {
 		changed := false
-		for from := 0; from < g.numNodes; from++ {
-			if sv.pot[from] == inf {
-				continue
-			}
-			for a := g.head[from]; a >= 0; a = g.next[a] {
+		for v := 0; v < g.numNodes; v++ {
+			for a := g.head[v]; a >= 0; a = g.next[a] {
 				if g.cap[a] <= 0 {
 					continue
 				}
-				if nd := sv.pot[from] + g.cost[a]; nd < sv.pot[g.to[a]] {
+				if nd := sv.pot[v] + g.cost[a]; nd < sv.pot[g.to[a]] {
 					sv.pot[g.to[a]] = nd
 					changed = true
 				}
 			}
 		}
 		if !changed {
-			break
+			return true
 		}
 	}
-	// Nodes unreachable from s can keep any finite potential; zero is fine
-	// because they will never lie on an augmenting path.
-	for i := range sv.pot {
-		if sv.pot[i] == inf {
-			sv.pot[i] = 0
-		}
-	}
+	return false
 }
 
 // TotalFlow returns the amount of flow pushed so far.
@@ -171,18 +163,11 @@ func (sv *Solver) Augment(maxUnits int64) (units int64, unitCost float64, ok boo
 	return units, unitCost, true
 }
 
-// pushAlongPath updates potentials from the last Dijkstra run and pushes up
-// to maxUnits along the recorded shortest path, returning the units pushed.
+// pushAlongPath updates potentials from the last search and pushes up to
+// maxUnits along the recorded shortest path, returning the units pushed.
 func (sv *Solver) pushAlongPath(maxUnits int64, unitCost float64) int64 {
 	g := sv.g
-	// Update potentials so future reduced costs stay non-negative.
-	for v := 0; v < g.numNodes; v++ {
-		if sv.dist[v] == math.MaxFloat64 {
-			sv.pot[v] += sv.dist[sv.t]
-		} else {
-			sv.pot[v] += sv.dist[v]
-		}
-	}
+	sv.advancePotentials(sv.t)
 	// Bottleneck along the recorded path.
 	bottleneck := maxUnits
 	for v := sv.t; v != sv.s; {
@@ -204,13 +189,16 @@ func (sv *Solver) pushAlongPath(maxUnits int64, unitCost float64) int64 {
 	return bottleneck
 }
 
-// dijkstra computes reduced-cost shortest paths from s, filling dist and
-// prev. It reports whether t is reachable.
+// dijkstra computes reduced-cost shortest paths from s until t is settled.
+// It reports whether t is reachable.
 func (sv *Solver) dijkstra() bool { return sv.dijkstraFrom(sv.s, sv.t) }
 
 // dijkstraFrom computes reduced-cost shortest paths from src, filling dist
-// and prev. It reports whether dst is reachable. The warm-start retreat
-// phase roots it at the sink; everything else roots it at the source.
+// and prev, and stops as soon as it pops dst: dist is final for every node
+// popped so far (all at distance <= dist[dst]) and a tentative upper bound,
+// at least dist[dst], for the rest. It reports whether dst is reachable.
+// The warm-start retreat phase roots it at the sink; everything else roots
+// it at the source.
 func (sv *Solver) dijkstraFrom(src, dst int) bool {
 	g := sv.g
 	for i := range sv.dist {
@@ -220,12 +208,17 @@ func (sv *Solver) dijkstraFrom(src, dst int) bool {
 	sv.heap.Reset()
 	sv.dist[src] = 0
 	sv.heap.Push(src, 0)
+	var pops, arcScans int64
 	for sv.heap.Len() > 0 {
+		// The heap is indexed (Push relaxes an existing key), so every pop
+		// carries its node's current distance.
 		v, d := sv.heap.Pop()
-		if d > sv.dist[v] {
-			continue
+		pops++
+		if v == dst {
+			break
 		}
 		for a := g.head[v]; a >= 0; a = g.next[a] {
+			arcScans++
 			if g.cap[a] <= 0 {
 				continue
 			}
@@ -243,8 +236,26 @@ func (sv *Solver) dijkstraFrom(src, dst int) bool {
 			}
 		}
 	}
+	sv.pops += pops
+	sv.arcScans += arcScans
 	return sv.dist[dst] != math.MaxFloat64
 }
+
+// advancePotentials applies the truncated potential update after a search
+// that stopped at target: pot[v] += min(dist[v], dist[target]). Nodes the
+// search settled advance by their exact distance, every other node by the
+// target's, which keeps every residual reduced cost non-negative (DESIGN.md
+// gives the proof) including on the arcs the next push reverses.
+func (sv *Solver) advancePotentials(target int) {
+	dt := sv.dist[target]
+	for v, d := range sv.dist {
+		sv.pot[v] += min(d, dt)
+	}
+}
+
+// SearchStats returns the shortest-path work done since the last Reset or
+// WarmStart: heap pops and adjacency-arc scans summed over every search.
+func (sv *Solver) SearchStats() (pops, arcScans int64) { return sv.pops, sv.arcScans }
 
 // AugmentBelow is like Augment but pushes only when the shortest augmenting
 // path's per-unit cost is strictly below costBound; otherwise it pushes

@@ -93,6 +93,7 @@ func (sv *Solver) Reset(g *Graph, s, t int) {
 	sv.g, sv.s, sv.t = g, s, t
 	sv.totalFlow = 0
 	sv.totalCost = 0
+	sv.pops, sv.arcScans = 0, 0
 	sv.pot = resizeFloats(sv.pot, n)
 	for i := range sv.pot {
 		sv.pot[i] = 0
@@ -112,7 +113,7 @@ func (sv *Solver) Reset(g *Graph, s, t int) {
 		}
 	}
 	if hasNegative {
-		sv.bellmanFordPotentials()
+		sv.relaxPotentials()
 	}
 }
 

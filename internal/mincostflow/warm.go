@@ -99,6 +99,7 @@ func (sv *Solver) WarmStart(g *Graph, s, t int, prevPot []float64) WarmStats {
 		sv.heap.Resize(n)
 	}
 
+	sv.pops, sv.arcScans = 0, 0
 	st := WarmStats{}
 	// Repair optimality: the restored flow plus delta arcs may admit
 	// negative-cost residual cycles; cancel until none remain. The bound is
@@ -158,26 +159,7 @@ func (sv *Solver) WarmStart(g *Graph, s, t int, prevPot []float64) WarmStats {
 			sv.pot[i] = 0
 		}
 	}
-	converged := false
-	for iter := 0; iter < n+1; iter++ {
-		changed := false
-		for v := 0; v < n; v++ {
-			for a := g.head[v]; a >= 0; a = g.next[a] {
-				if g.cap[a] <= 0 {
-					continue
-				}
-				if nd := sv.pot[v] + g.cost[a]; nd < sv.pot[g.to[a]] {
-					sv.pot[g.to[a]] = nd
-					changed = true
-				}
-			}
-		}
-		if !changed {
-			converged = true
-			break
-		}
-	}
-	st.OK = converged
+	st.OK = sv.relaxPotentials()
 	return st
 }
 
@@ -205,13 +187,7 @@ func (sv *Solver) RetreatAbove(costBound float64) (unitCost float64, ok bool) {
 		return reverseCost, false
 	}
 	g := sv.g
-	for v := 0; v < g.numNodes; v++ {
-		if sv.dist[v] == math.MaxFloat64 {
-			sv.pot[v] += sv.dist[sv.s]
-		} else {
-			sv.pot[v] += sv.dist[v]
-		}
-	}
+	sv.advancePotentials(sv.s)
 	for v := sv.s; v != sv.t; {
 		a := sv.prev[v]
 		g.cap[a] -= 1
