@@ -122,8 +122,10 @@ func TestMinCostFlowDeltaWithinBounds(t *testing.T) {
 		if res.Delta < 0 || res.Delta > deltaMax {
 			t.Fatalf("Delta = %d outside [0, %d]", res.Delta, deltaMax)
 		}
-		if int64(res.Relaxed.Size()) > res.Delta {
-			t.Fatalf("relaxed matching larger than flow amount")
+		// The network has arcs for sim > 0 pairs only, so every unit of Δ
+		// lands on a pair the relaxed matching keeps.
+		if int64(res.Relaxed.Size()) != res.Delta {
+			t.Fatalf("relaxed matching has %d pairs, flow amount %d", res.Relaxed.Size(), res.Delta)
 		}
 	}
 }
@@ -131,7 +133,8 @@ func TestMinCostFlowDeltaWithinBounds(t *testing.T) {
 func TestMinCostFlowRelaxedMatchesFullSweep(t *testing.T) {
 	// The incremental early-stop must find the same MaxSum(M∅) as the
 	// paper's literal sweep over all Δ (reconstructed here by solving a
-	// fresh min-cost flow of every amount).
+	// fresh min-cost flow of every amount on the dense network, zero-sim
+	// arcs included).
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 15; trial++ {
 		in := randMatrixInstance(rng, 1+rng.Intn(3), 1+rng.Intn(4), 2, 2, 0)
@@ -139,6 +142,16 @@ func TestMinCostFlowRelaxedMatchesFullSweep(t *testing.T) {
 		want := sweepRelaxedMaxSum(in)
 		if abs(got-want) > 1e-9 {
 			t.Fatalf("trial %d: incremental %v != full sweep %v", trial, got, want)
+		}
+	}
+	// Mostly-zero instances: the solver builds arcs for the few positive
+	// pairs only, the oracle the paper's |V|·|U| arcs.
+	for trial := 0; trial < 15; trial++ {
+		in := sparseMatrixInstance(rng, 2+rng.Intn(3), 3+rng.Intn(5), 3, 3, 0.65)
+		got := RelaxedUpperBound(in)
+		want := sweepRelaxedMaxSum(in)
+		if abs(got-want) > 1e-9 {
+			t.Fatalf("sparse trial %d: incremental %v != full sweep %v", trial, got, want)
 		}
 	}
 }

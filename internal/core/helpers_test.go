@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -50,6 +51,40 @@ func randMatrixInstance(rng *rand.Rand, nv, nu int, maxCapV, maxCapU int, cfRati
 	}
 	cf := conflict.Random(rng, nv, cfRatio)
 	in, err := NewMatrixInstance(events, users, cf, matrix)
+	if err != nil {
+		panic(err)
+	}
+	return in
+}
+
+// sparseMatrixInstance is a conflict-free matrix instance in which exactly
+// ceil(zeroFrac·nv·nu) pairs, chosen at random, have similarity 0 and the
+// rest are positive; a quarter of those are tiny (1e-7 to 1e-4), so a
+// solver that drops near-zero pairs along with the zeros is caught.
+func sparseMatrixInstance(rng *rand.Rand, nv, nu int, maxCapV, maxCapU int, zeroFrac float64) *Instance {
+	events := make([]Event, nv)
+	for i := range events {
+		events[i] = Event{Cap: 1 + rng.Intn(maxCapV)}
+	}
+	users := make([]User, nu)
+	for i := range users {
+		users[i] = User{Cap: 1 + rng.Intn(maxCapU)}
+	}
+	matrix := make([][]float64, nv)
+	for v := range matrix {
+		matrix[v] = make([]float64, nu)
+	}
+	zeros := int(math.Ceil(zeroFrac * float64(nv*nu)))
+	for k, i := range rng.Perm(nv * nu) {
+		if k >= zeros {
+			sim := float64(1+rng.Intn(1000)) / 1000
+			if rng.Intn(4) == 0 {
+				sim *= 1e-4
+			}
+			matrix[i/nu][i%nu] = sim
+		}
+	}
+	in, err := NewMatrixInstance(events, users, nil, matrix)
 	if err != nil {
 		panic(err)
 	}

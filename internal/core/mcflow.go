@@ -73,7 +73,7 @@ func MinCostFlowCtx(ctx context.Context, in *Instance, opt FlowOptions) (*FlowRe
 
 func minCostFlowCtx(ctx context.Context, in *Instance, opt FlowOptions) (*FlowResult, error) {
 	sp := obs.RecorderFrom(ctx).Start("mincostflow/relax")
-	res, err := relaxedOptimumCtx(ctx, in)
+	res, _, err := relaxedOptimum(ctx, in, nil, nil, nil, false)
 	sp.End()
 	if err != nil {
 		return nil, err
@@ -92,65 +92,93 @@ func minCostFlowCtx(ctx context.Context, in *Instance, opt FlowOptions) (*FlowRe
 // relaxation, which upper-bounds the conflict-constrained optimum
 // (Corollary 1). Tests use it to sandwich algorithm results.
 func RelaxedUpperBound(in *Instance) float64 {
-	res, _ := relaxedOptimumCtx(context.Background(), in)
+	res, _, _ := relaxedOptimum(context.Background(), in, nil, nil, nil, false)
 	return res.RelaxedMaxSum
 }
 
 // RelaxedUpperBoundCtx is RelaxedUpperBound under a context, polled between
 // augmenting paths like MinCostFlowCtx; a canceled run returns ctx's error.
 func RelaxedUpperBoundCtx(ctx context.Context, in *Instance) (float64, error) {
-	res, err := relaxedOptimumCtx(ctx, in)
+	res, _, err := relaxedOptimum(ctx, in, nil, nil, nil, false)
 	if err != nil {
 		return 0, err
 	}
 	return res.RelaxedMaxSum, nil
 }
 
-// relaxedOptimumCtx solves the GEACC instance with CF = ∅ exactly
-// (Lemma 1) via the minimum-cost-flow reduction of Section III.A, polling
-// ctx between augmentations.
-func relaxedOptimumCtx(ctx context.Context, in *Instance) (*FlowResult, error) {
+// relaxedOptimum solves the GEACC instance with CF = ∅ exactly (Lemma 1)
+// via the minimum-cost-flow reduction of Section III.A, polling ctx between
+// augmentations. It is the one relaxation behind every flow solve. The cold
+// path passes no ids, no previous state, and capture = false. The warm path
+// (MinCostFlowWarmCtx) passes the component's parent ids, the FlowState of
+// its last solve (nil on a cache miss), and capture = true to get the
+// state for the next solve.
+func relaxedOptimum(ctx context.Context, in *Instance, events, users []int, prev *FlowState, capture bool) (*FlowResult, *FlowState, error) {
 	mcflowRuns.Inc()
 	nv, nu := in.NumEvents(), in.NumUsers()
 	res := &FlowResult{Relaxed: NewMatching()}
 	if nv == 0 || nu == 0 {
-		return res, nil
+		return res, nil, nil
 	}
 
-	// Node layout: source, events, users, sink.
-	s := 0
-	eventNode := func(v int) int { return 1 + v }
-	userNode := func(u int) int { return 1 + nv + u }
-	t := 1 + nv + nu
-
-	// The network, solver, and index scratch are pooled: every byte read by
-	// this solve is rewritten below, and nothing pooled escapes into the
-	// returned FlowResult.
-	g := mincostflow.AcquireGraph(nv + nu + 2)
-	defer mincostflow.ReleaseGraph(g)
-	g.Grow(nv + nu + nv*nu)
-	for v, e := range in.Events {
-		g.AddArc(s, eventNode(v), int64(e.Cap), 0)
-	}
-	for u, usr := range in.Users {
-		g.AddArc(userNode(u), t, int64(usr.Cap), 0)
-	}
-	// Pair arcs — including zero-similarity pairs, exactly as the paper's
-	// construction demands (they make every Δ up to Δmax feasible; Lemma 1
-	// relies on that). Arc ids are recorded to read flows back. Costs come
-	// from one batched similarity row per event.
+	// rows[v*nu+u] = sim(v, u), computed (or, warm, gathered) once: the
+	// build pass prices the arcs from it and the readback reads it again.
+	// The network, solver, pair-arc index and — unless a FlowState will own
+	// them — the rows are pooled; every byte read by this solve is
+	// rewritten below, and nothing pooled escapes into the returned result.
 	scratch := acquireMcflowScratch(nv, nu)
 	defer releaseMcflowScratch(scratch)
-	pairArc, simRow := scratch.pairArc, scratch.simRow
+	rows, pairArc := scratch.rows, scratch.pairArc
+	if capture {
+		rows = make([]float64, nv*nu)
+	}
+	var warm *warmIndex
+	if prev != nil {
+		warm = newWarmIndex(prev)
+	}
 	for v := 0; v < nv; v++ {
-		in.similarityRow(v, simRow)
-		for u := 0; u < nu; u++ {
-			pairArc[v*nu+u] = g.AddArc(eventNode(v), userNode(u), 1, 1-simRow[u])
+		row := rows[v*nu : (v+1)*nu]
+		if warm == nil || !warm.gatherRow(in, v, events[v], users, row) {
+			in.similarityRow(v, row)
+		}
+	}
+	positive := 0
+	for _, sim := range rows {
+		if sim > 0 {
+			positive++
+		}
+	}
+
+	// Node layout: source, events, users, sink. Event v's source arc has id
+	// 2v and user u's sink arc 2(nv+u); the warm restore relies on that.
+	s, t := 0, 1+nv+nu
+	g := mincostflow.AcquireGraph(nv + nu + 2)
+	defer mincostflow.ReleaseGraph(g)
+	g.Grow(nv + nu + positive)
+	for v, e := range in.Events {
+		g.AddArc(s, 1+v, int64(e.Cap), 0)
+	}
+	for u, usr := range in.Users {
+		g.AddArc(1+nv+u, t, int64(usr.Cap), 0)
+	}
+	// Pair arcs exist for sim > 0 pairs only; pairArc marks the rest -1. A
+	// unit on a zero-sim pair would add nothing to MaxSum = Δ − cost, so
+	// the relaxed optimum is the same without those arcs (DESIGN.md), and
+	// every unit of Δ lands on a positive pair.
+	for i, sim := range rows {
+		pairArc[i] = -1
+		if sim > 0 {
+			pairArc[i] = g.AddArc(1+i/nu, 1+nv+i%nu, 1, 1-sim)
 		}
 	}
 
 	sv := mincostflow.AcquireSolver(g, s, t)
 	defer mincostflow.ReleaseSolver(sv)
+	if warm != nil {
+		if err := warm.restore(ctx, g, sv, pairArc, events, users); err != nil {
+			return nil, nil, err
+		}
+	}
 	// Augment while a unit of flow still increases MaxSum = Δ − cost, i.e.
 	// while the next path's per-unit cost is below 1. Each iteration is one
 	// Dijkstra pass that stops at the sink, so polling ctx here bounds the
@@ -159,7 +187,7 @@ func relaxedOptimumCtx(ctx context.Context, in *Instance) (*FlowResult, error) {
 	for {
 		if err := ctx.Err(); err != nil {
 			observeFlowWork(sv, augmentations)
-			return nil, err
+			return nil, nil, err
 		}
 		if _, _, ok := sv.AugmentBelow(math.MaxInt64, 1); !ok {
 			break
@@ -170,19 +198,27 @@ func relaxedOptimumCtx(ctx context.Context, in *Instance) (*FlowResult, error) {
 	res.Delta = sv.TotalFlow()
 	mcflowDeltaUnits.Add(res.Delta)
 
-	for v := 0; v < nv; v++ {
-		in.similarityRow(v, simRow)
-		for u := 0; u < nu; u++ {
-			if g.Flow(pairArc[v*nu+u]) != 1 {
-				continue
-			}
-			if s := simRow[u]; s > 0 {
-				res.Relaxed.Add(v, u, s)
-			}
+	var st *FlowState
+	if capture {
+		st = &FlowState{
+			events: append([]int(nil), events...),
+			users:  append([]int(nil), users...),
+			rows:   rows,
+			pot:    sv.Potentials(nil),
+		}
+	}
+	for i, a := range pairArc {
+		if a < 0 || g.Flow(a) != 1 {
+			continue
+		}
+		v, u := i/nu, i%nu
+		res.Relaxed.Add(v, u, rows[i])
+		if st != nil {
+			st.pairs = append(st.pairs, [2]int{events[v], users[u]})
 		}
 	}
 	res.RelaxedMaxSum = res.Relaxed.MaxSum()
-	return res, nil
+	return res, st, nil
 }
 
 // resolveConflictsExact replaces the greedy selection with an exact

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"math"
 	"sync"
 	"time"
 
@@ -12,10 +11,11 @@ import (
 
 // Warm-started MinCostFlow-GEACC. A dirty-component rebalance re-solves a
 // sub-instance that differs from the last solve of the same component by a
-// handful of entities. The cold path rebuilds every arc from fresh
-// similarity rows and re-pushes the whole flow from zero; the warm path
-// keeps a FlowState per component — similarity rows, node potentials, and
-// the flow support, all in parent-id space — and on the next solve
+// handful of entities. Both paths run the one relaxation, relaxedOptimum
+// (mcflow.go). Cold, it computes every similarity row and pushes the whole
+// flow from zero; warm, it keeps a FlowState per component — similarity
+// rows, node potentials, and the flow support, all in parent-id space — and
+// on the next solve
 //
 //   - reuses rows for surviving events (only arcs whose endpoints the delta
 //     touched are re-derived; attrs are immutable and the kernels are
@@ -30,19 +30,20 @@ import (
 // (ClearFlow + Reset) on the same network. Row reuse additionally relies on
 // one system invariant: an entity id is never rebound to different attrs
 // (the arranger tombstones on remove/cancel and appends on add), so a
-// stored (event id, user id) similarity is a permanent fact. The stopping rule is the cold
-// one — keep a unit iff its marginal cost is < 1 — so Delta, the relaxed
-// matching, MaxSum, and the final matching are bit-exact vs the cold path.
+// stored (event id, user id) similarity is a permanent fact. The network
+// and the stopping rule are the cold ones — sim > 0 pair arcs only, keep a
+// unit iff its marginal cost is < 1 — so Delta, the relaxed matching,
+// MaxSum, and the final matching are bit-exact vs the cold path.
 
 // FlowState is the reusable snapshot of one component's relaxed-optimum
 // solve, keyed entirely by parent-instance entity ids so it survives
 // component renumbering across decompositions.
 type FlowState struct {
-	events []int       // parent event ids, in sub-instance order
-	users  []int       // parent user ids, in sub-instance order
-	rows   [][]float64 // rows[i][j] = sim(events[i], users[j])
-	pot    []float64   // node potentials in the solve's node layout
-	pairs  [][2]int    // (event, user) parent-id pairs carrying flow, sim-0 included
+	events []int     // parent event ids, in sub-instance order
+	users  []int     // parent user ids, in sub-instance order
+	rows   []float64 // rows[i*len(users)+j] = sim(events[i], users[j])
+	pot    []float64 // node potentials in the solve's node layout
+	pairs  [][2]int  // (event, user) parent-id pairs carrying flow, all sim > 0
 }
 
 // WarmCache holds FlowStates for a long-lived instance's components, keyed
@@ -138,7 +139,7 @@ func minCostFlowWarmCtx(ctx context.Context, in *Instance, events, users []int, 
 		prev = wc.get(componentAnchor(events))
 	}
 	sp := obs.RecorderFrom(ctx).Start("mincostflow/relax")
-	res, st, err := relaxedOptimumWarm(ctx, in, events, users, prev, warmable)
+	res, st, err := relaxedOptimum(ctx, in, events, users, prev, warmable)
 	sp.End()
 	if err != nil {
 		return nil, err
@@ -163,193 +164,122 @@ func componentAnchor(events []int) int {
 	return anchor
 }
 
-// relaxedOptimumWarm is relaxedOptimumCtx with state capture and optional
-// warm start from a previous FlowState. It mirrors the cold function's
-// network layout, augmentation rule, and readback order exactly.
-func relaxedOptimumWarm(ctx context.Context, in *Instance, events, users []int, prev *FlowState, capture bool) (*FlowResult, *FlowState, error) {
-	mcflowRuns.Inc()
-	nv, nu := in.NumEvents(), in.NumUsers()
-	res := &FlowResult{Relaxed: NewMatching()}
-	if nv == 0 || nu == 0 {
-		return res, nil, nil
-	}
+// warmIndex locates a previous FlowState's rows, columns and potentials
+// by parent id for one warm solve.
+type warmIndex struct {
+	prev     *FlowState
+	eventRow map[int]int // parent event id -> row in prev.rows
+	userCol  map[int]int // parent user id -> column in prev.rows
+}
 
-	s := 0
-	eventNode := func(v int) int { return 1 + v }
-	userNode := func(u int) int { return 1 + nv + u }
-	t := 1 + nv + nu
+func newWarmIndex(prev *FlowState) *warmIndex {
+	w := &warmIndex{
+		prev:     prev,
+		eventRow: make(map[int]int, len(prev.events)),
+		userCol:  make(map[int]int, len(prev.users)),
+	}
+	for i, e := range prev.events {
+		w.eventRow[e] = i
+	}
+	for j, u := range prev.users {
+		w.userCol[u] = j
+	}
+	return w
+}
 
-	g := mincostflow.AcquireGraph(nv + nu + 2)
-	defer mincostflow.ReleaseGraph(g)
-	g.Grow(nv + nu + nv*nu)
-	for v, e := range in.Events {
-		g.AddArc(s, eventNode(v), int64(e.Cap), 0)
+// gatherRow fills row with sub-instance event v's similarities when the
+// event (parent id event) survived from the previous solve: surviving
+// users' entries are copied (bit-identical: attrs are immutable, kernels
+// deterministic) and only new users are computed. It reports false, leaving
+// row untouched, when the event is new.
+func (w *warmIndex) gatherRow(in *Instance, v, event int, users []int, row []float64) bool {
+	ov, ok := w.eventRow[event]
+	if !ok {
+		return false
 	}
-	for u, usr := range in.Users {
-		g.AddArc(userNode(u), t, int64(usr.Cap), 0)
-	}
-
-	// Similarity rows, gathered from the previous state where the event
-	// survived (bit-identical: attrs are immutable, kernels deterministic)
-	// and batch-computed otherwise. Rows are owned by the new FlowState, so
-	// they are allocated fresh, not pooled.
-	var oldEventRow, oldUserCol map[int]int
-	if prev != nil {
-		oldEventRow = make(map[int]int, len(prev.events))
-		for i, e := range prev.events {
-			oldEventRow[e] = i
-		}
-		oldUserCol = make(map[int]int, len(prev.users))
-		for j, u := range prev.users {
-			oldUserCol[u] = j
-		}
-	}
-	rows := make([][]float64, nv)
-	for v := 0; v < nv; v++ {
-		row := make([]float64, nu)
-		reused := false
-		if prev != nil && capture {
-			if ov, ok := oldEventRow[events[v]]; ok {
-				oldRow := prev.rows[ov]
-				for u := 0; u < nu; u++ {
-					if oc, ok := oldUserCol[users[u]]; ok {
-						row[u] = oldRow[oc]
-					} else {
-						row[u] = in.Similarity(v, u)
-					}
-				}
-				reused = true
-			}
-		}
-		if !reused {
-			in.similarityRow(v, row)
-		}
-		rows[v] = row
-	}
-	scratch := acquireMcflowScratch(nv, nu)
-	defer releaseMcflowScratch(scratch)
-	pairArc := scratch.pairArc
-	for v := 0; v < nv; v++ {
-		for u := 0; u < nu; u++ {
-			pairArc[v*nu+u] = g.AddArc(eventNode(v), userNode(u), 1, 1-rows[v][u])
-		}
-	}
-
-	// Restore the previous flow support where both endpoints survived and
-	// residual capacity allows (a delta may have shrunk caps).
-	warm := false
-	var potInit []float64
-	if prev != nil && capture {
-		newEventIdx := make(map[int]int, nv)
-		for v, e := range events {
-			newEventIdx[e] = v
-		}
-		newUserIdx := make(map[int]int, nu)
-		for u, id := range users {
-			newUserIdx[id] = u
-		}
-		var restored int64
-		for _, p := range prev.pairs {
-			v, okv := newEventIdx[p[0]]
-			u, oku := newUserIdx[p[1]]
-			if !okv || !oku {
-				continue
-			}
-			srcA := mincostflow.ArcID(2 * v)
-			sinkA := mincostflow.ArcID(2 * (nv + u))
-			pa := pairArc[v*nu+u]
-			if g.Residual(srcA) > 0 && g.Residual(pa) > 0 && g.Residual(sinkA) > 0 {
-				g.PushFlow(srcA, 1)
-				g.PushFlow(pa, 1)
-				g.PushFlow(sinkA, 1)
-				restored++
-			}
-		}
-		if restored > 0 {
-			warm = true
-			potInit = make([]float64, nv+nu+2)
-			onv, onu := len(prev.events), len(prev.users)
-			potInit[s] = prev.pot[0]
-			potInit[t] = prev.pot[onv+onu+1]
-			for v, e := range events {
-				if ov, ok := oldEventRow[e]; ok {
-					potInit[eventNode(v)] = prev.pot[1+ov]
-				}
-			}
-			for u, id := range users {
-				if oc, ok := oldUserCol[id]; ok {
-					potInit[userNode(u)] = prev.pot[1+onv+oc]
-				}
-			}
-		}
-	}
-
-	sv := mincostflow.AcquireSolver(g, s, t)
-	defer mincostflow.ReleaseSolver(sv)
-	if warm {
-		ws := sv.WarmStart(g, s, t, potInit)
-		if !ws.OK {
-			mcflowWarmColdFallbacks.Inc()
-			g.ClearFlow()
-			sv.Reset(g, s, t)
-			warm = false
+	onu := len(w.prev.users)
+	oldRow := w.prev.rows[ov*onu : (ov+1)*onu]
+	for u, id := range users {
+		if oc, ok := w.userCol[id]; ok {
+			row[u] = oldRow[oc]
 		} else {
-			mcflowWarmHits.Inc()
-			mcflowWarmRestoredUnits.Add(ws.RestoredFlow)
-			// Retreat: drop restored units whose marginal cost reached 1 —
-			// units the cold sweep would never have pushed.
-			for {
-				if err := ctx.Err(); err != nil {
-					observeFlowWork(sv, 0)
-					return nil, nil, err
-				}
-				if _, ok := sv.RetreatAbove(1); !ok {
-					break
-				}
-			}
+			row[u] = in.Similarity(v, u)
 		}
 	}
+	return true
+}
 
-	var augmentations int64
+// restore force-pushes the previous flow support onto the freshly built
+// network g wherever both endpoints survived, the pair still has an arc,
+// and residual capacity allows (a delta may have shrunk caps). It then
+// repairs optimality with WarmStart, seeded from the previous potentials,
+// and retreats the restored units whose marginal cost reached 1 — units
+// the cold sweep would never have pushed. A repair that does not converge
+// falls back cold (ClearFlow + Reset) on the same network. sv must already
+// be acquired on g, so its Reset saw a flow-free network.
+func (w *warmIndex) restore(ctx context.Context, g *mincostflow.Graph, sv *mincostflow.Solver, pairArc []mincostflow.ArcID, events, users []int) error {
+	nv, nu := len(events), len(users)
+	s, t := 0, 1+nv+nu
+	newEventIdx := make(map[int]int, nv)
+	for v, e := range events {
+		newEventIdx[e] = v
+	}
+	newUserIdx := make(map[int]int, nu)
+	for u, id := range users {
+		newUserIdx[id] = u
+	}
+	var restored int64
+	for _, p := range w.prev.pairs {
+		v, okv := newEventIdx[p[0]]
+		u, oku := newUserIdx[p[1]]
+		if !okv || !oku {
+			continue
+		}
+		pa := pairArc[v*nu+u]
+		srcA := mincostflow.ArcID(2 * v)
+		sinkA := mincostflow.ArcID(2 * (nv + u))
+		if pa >= 0 && g.Residual(srcA) > 0 && g.Residual(pa) > 0 && g.Residual(sinkA) > 0 {
+			g.PushFlow(srcA, 1)
+			g.PushFlow(pa, 1)
+			g.PushFlow(sinkA, 1)
+			restored++
+		}
+	}
+	if restored == 0 {
+		return nil
+	}
+
+	prev := w.prev
+	pot := make([]float64, nv+nu+2)
+	onv, onu := len(prev.events), len(prev.users)
+	pot[s] = prev.pot[0]
+	pot[t] = prev.pot[onv+onu+1]
+	for v, e := range events {
+		if ov, ok := w.eventRow[e]; ok {
+			pot[1+v] = prev.pot[1+ov]
+		}
+	}
+	for u, id := range users {
+		if oc, ok := w.userCol[id]; ok {
+			pot[1+nv+u] = prev.pot[1+onv+oc]
+		}
+	}
+	ws := sv.WarmStart(g, s, t, pot)
+	if !ws.OK {
+		mcflowWarmColdFallbacks.Inc()
+		g.ClearFlow()
+		sv.Reset(g, s, t)
+		return nil
+	}
+	mcflowWarmHits.Inc()
+	mcflowWarmRestoredUnits.Add(ws.RestoredFlow)
 	for {
 		if err := ctx.Err(); err != nil {
-			observeFlowWork(sv, augmentations)
-			return nil, nil, err
+			observeFlowWork(sv, 0)
+			return err
 		}
-		if _, _, ok := sv.AugmentBelow(math.MaxInt64, 1); !ok {
-			break
-		}
-		augmentations++
-	}
-	observeFlowWork(sv, augmentations)
-	res.Delta = sv.TotalFlow()
-	mcflowDeltaUnits.Add(res.Delta)
-
-	var st *FlowState
-	if capture {
-		st = &FlowState{
-			events: append([]int(nil), events...),
-			users:  append([]int(nil), users...),
-			rows:   rows,
-			pot:    sv.Potentials(nil),
+		if _, ok := sv.RetreatAbove(1); !ok {
+			return nil
 		}
 	}
-	for v := 0; v < nv; v++ {
-		row := rows[v]
-		for u := 0; u < nu; u++ {
-			if g.Flow(pairArc[v*nu+u]) != 1 {
-				continue
-			}
-			if sim := row[u]; sim > 0 {
-				res.Relaxed.Add(v, u, sim)
-			}
-			if st != nil {
-				// The state keeps sim-0 flow pairs too: they carry real
-				// flow units the restore phase must reproduce.
-				st.pairs = append(st.pairs, [2]int{events[v], users[u]})
-			}
-		}
-	}
-	res.RelaxedMaxSum = res.Relaxed.MaxSum()
-	return res, st, nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -63,78 +64,133 @@ func (uni *deltaUniverse) sub(events, users []int) *Instance {
 	return in
 }
 
+// newBridgedUniverse is a community-structured cosine pool, the shape of
+// the clustered-bridged workloads: entity i belongs to community i mod k and
+// draws positive attrs only in that community's block, so cross-community
+// similarity is exactly 0; every fifth user of a community also draws small
+// values in the next community's block, bridging the two.
+func newBridgedUniverse(rng *rand.Rand, ne, nuPool, k, block int) *deltaUniverse {
+	u := &deltaUniverse{d: k * block, simFunc: sim.Cosine()}
+	attrs := func(c int, w float64, v sim.Vector) sim.Vector {
+		if v == nil {
+			v = make(sim.Vector, k*block)
+		}
+		for i := c * block; i < (c+1)*block; i++ {
+			v[i] = w * (0.1 + 0.9*rng.Float64())
+		}
+		return v
+	}
+	for i := 0; i < ne; i++ {
+		u.eventAttrs = append(u.eventAttrs, attrs(i%k, 1, nil))
+		u.eventCaps = append(u.eventCaps, 1+rng.Intn(3))
+	}
+	for i := 0; i < nuPool; i++ {
+		a := attrs(i%k, 1, nil)
+		if (i/k)%5 == 0 {
+			attrs((i%k+1)%k, 0.02, a)
+		}
+		u.userAttrs = append(u.userAttrs, a)
+		u.userCaps = append(u.userCaps, 1+rng.Intn(3))
+	}
+	u.cf = conflict.Random(rng, ne, 0.2)
+	return u
+}
+
 // TestWarmFlowMatchesColdAcrossDeltaStreams is the tentpole property: a
 // warm-started dirty-component solve must be bit-exact vs the cold path —
 // same Delta, same RelaxedMaxSum, same final matching — across long random
-// delta streams (entity joins, leaves, and capacity changes).
+// delta streams (entity joins, leaves, and capacity changes), over dense
+// Euclidean universes and over bridged cosine ones where most pairs have
+// similarity 0 and so no arc.
 func TestWarmFlowMatchesColdAcrossDeltaStreams(t *testing.T) {
-	const streams, steps = 10, 25 // 250 delta solves total
+	const streams, steps = 10, 25 // 250 delta solves per universe kind
 	for s := 0; s < streams; s++ {
 		s := s
 		t.Run(fmt.Sprintf("stream%d", s), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(1000 + s)))
-			uni := newDeltaUniverse(rng, 16, 40, 4)
-			wc := NewWarmCache(8)
-			events := []int{0, 1, 2, 3}
-			users := []int{0, 1, 2, 3, 4, 5, 6, 7}
-			for step := 0; step < steps; step++ {
-				in := uni.sub(events, users)
-				cold, err := minCostFlowCtx(context.Background(), in, FlowOptions{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				warm, err := minCostFlowWarmCtx(context.Background(), in, events, users, wc)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if warm.Delta != cold.Delta {
-					t.Fatalf("step %d: warm Delta %d != cold %d", step, warm.Delta, cold.Delta)
-				}
-				if warm.RelaxedMaxSum != cold.RelaxedMaxSum {
-					t.Fatalf("step %d: warm RelaxedMaxSum %v != cold %v", step, warm.RelaxedMaxSum, cold.RelaxedMaxSum)
-				}
-				if warm.Matching.MaxSum() != cold.Matching.MaxSum() {
-					t.Fatalf("step %d: warm MaxSum %v != cold %v", step, warm.Matching.MaxSum(), cold.Matching.MaxSum())
-				}
-				wp, cp := warm.Matching.SortedPairs(), cold.Matching.SortedPairs()
-				if len(wp) != len(cp) {
-					t.Fatalf("step %d: warm %d pairs != cold %d", step, len(wp), len(cp))
-				}
-				for i := range wp {
-					if wp[i] != cp[i] {
-						t.Fatalf("step %d: pair %d differs: warm %+v cold %+v", step, i, wp[i], cp[i])
-					}
-				}
-				mustValidate(t, in, warm.Matching, "mincostflow-warm")
-
-				// Mutate the component for the next step.
-				switch rng.Intn(5) {
-				case 0: // event joins
-					if next := pick(rng, len(uni.eventAttrs), events); next >= 0 {
-						events = insertSorted(events, next)
-					}
-				case 1: // event leaves (tombstone-style: also exercised by cap 0 below)
-					if len(events) > 2 {
-						events = removeAt(events, rng.Intn(len(events)))
-					}
-				case 2: // user joins
-					if next := pick(rng, len(uni.userAttrs), users); next >= 0 {
-						users = insertSorted(users, next)
-					}
-				case 3: // user leaves
-					if len(users) > 2 {
-						users = removeAt(users, rng.Intn(len(users)))
-					}
-				case 4: // capacity change (0 simulates a canceled event kept as a tombstone)
-					if rng.Intn(2) == 0 {
-						uni.eventCaps[events[rng.Intn(len(events))]] = rng.Intn(4)
-					} else {
-						uni.userCaps[users[rng.Intn(len(users))]] = 1 + rng.Intn(3)
-					}
-				}
-			}
+			runWarmColdStream(t, rng, newDeltaUniverse(rng, 16, 40, 4), steps)
+		})
+		t.Run(fmt.Sprintf("bridged%d", s), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(2000 + s)))
+			runWarmColdStream(t, rng, newBridgedUniverse(rng, 16, 40, 4, 3), steps)
 		})
 	}
+}
+
+// runWarmColdStream drives one component of uni through steps random
+// deltas, solving each step cold and warm and requiring identical results.
+func runWarmColdStream(t *testing.T, rng *rand.Rand, uni *deltaUniverse, steps int) {
+	t.Helper()
+	wc := NewWarmCache(8)
+	events := []int{0, 1, 2, 3}
+	users := []int{0, 1, 2, 3, 4, 5, 6, 7}
+	for step := 0; step < steps; step++ {
+		in := uni.sub(events, users)
+		cold, err := minCostFlowCtx(context.Background(), in, FlowOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		warm, err := minCostFlowWarmCtx(context.Background(), in, events, users, wc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sameFlowResult(warm, cold); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		mustValidate(t, in, warm.Matching, "mincostflow-warm")
+
+		// Mutate the component for the next step.
+		switch rng.Intn(5) {
+		case 0: // event joins
+			if next := pick(rng, len(uni.eventAttrs), events); next >= 0 {
+				events = insertSorted(events, next)
+			}
+		case 1: // event leaves (tombstone-style: also exercised by cap 0 below)
+			if len(events) > 2 {
+				events = removeAt(events, rng.Intn(len(events)))
+			}
+		case 2: // user joins
+			if next := pick(rng, len(uni.userAttrs), users); next >= 0 {
+				users = insertSorted(users, next)
+			}
+		case 3: // user leaves
+			if len(users) > 2 {
+				users = removeAt(users, rng.Intn(len(users)))
+			}
+		case 4: // capacity change (0 simulates a canceled event kept as a tombstone)
+			if rng.Intn(2) == 0 {
+				uni.eventCaps[events[rng.Intn(len(events))]] = rng.Intn(4)
+			} else {
+				uni.userCaps[users[rng.Intn(len(users))]] = 1 + rng.Intn(3)
+			}
+		}
+	}
+}
+
+// sameFlowResult reports how a warm result differs from the cold one, bit
+// for bit: Δ, RelaxedMaxSum, the relaxed pairs, and the final matching.
+func sameFlowResult(warm, cold *FlowResult) error {
+	if warm.Delta != cold.Delta {
+		return fmt.Errorf("warm Delta %d != cold %d", warm.Delta, cold.Delta)
+	}
+	if math.Float64bits(warm.RelaxedMaxSum) != math.Float64bits(cold.RelaxedMaxSum) {
+		return fmt.Errorf("warm RelaxedMaxSum %v != cold %v", warm.RelaxedMaxSum, cold.RelaxedMaxSum)
+	}
+	if math.Float64bits(warm.Matching.MaxSum()) != math.Float64bits(cold.Matching.MaxSum()) {
+		return fmt.Errorf("warm MaxSum %v != cold %v", warm.Matching.MaxSum(), cold.Matching.MaxSum())
+	}
+	for _, m := range [][2]*Matching{{warm.Relaxed, cold.Relaxed}, {warm.Matching, cold.Matching}} {
+		wp, cp := m[0].SortedPairs(), m[1].SortedPairs()
+		if len(wp) != len(cp) {
+			return fmt.Errorf("warm %d pairs != cold %d", len(wp), len(cp))
+		}
+		for i := range wp {
+			if wp[i] != cp[i] {
+				return fmt.Errorf("pair %d differs: warm %+v cold %+v", i, wp[i], cp[i])
+			}
+		}
+	}
+	return nil
 }
 
 // pick returns a pool id not already in members, or -1.
@@ -184,12 +240,9 @@ func TestWarmFlowSurvivesGarbageState(t *testing.T) {
 	// the state's event/user id lists point at unrelated pool ids here):
 	// pairs referencing arbitrary live and dead entities, potentials far
 	// from valid.
-	rows := make([][]float64, 3)
+	rows := make([]float64, 3*4)
 	for i := range rows {
-		rows[i] = make([]float64, 4)
-		for j := range rows[i] {
-			rows[i][j] = rng.Float64()
-		}
+		rows[i] = rng.Float64()
 	}
 	garbage := &FlowState{
 		events: []int{99, 100, 101}, // none present in the component: no row reuse

@@ -10,7 +10,7 @@ import (
 
 // Per-solve scratch pooling. A server solving per request allocates the
 // same transient buffers on every call: Greedy's capacity arrays, stream
-// tables and candidate heap; MinCostFlow's similarity row and pair-arc
+// tables and candidate heap; MinCostFlow's similarity rows and pair-arc
 // index; the exact search's similarity matrix. All of them are dead when
 // the solve returns and none leak into the returned Matching, so each gets
 // a sync.Pool with a reset that rewrites every byte the next solve reads.
@@ -54,10 +54,11 @@ func releaseGreedyScratch(g *greedyScratch) {
 	greedyScratchPool.Put(g)
 }
 
-// mcflowScratch is the per-run working set of relaxedOptimumCtx: one
-// similarity row and the pair-arc index mapping (v, u) to its arc.
+// mcflowScratch is the per-run working set of relaxedOptimum: the flat
+// similarity rows (when no FlowState takes ownership of them) and the
+// pair-arc index mapping (v, u) to its arc.
 type mcflowScratch struct {
-	simRow  []float64
+	rows    []float64
 	pairArc []mincostflow.ArcID
 }
 
@@ -65,10 +66,10 @@ var mcflowScratchPool = sync.Pool{New: func() any { return new(mcflowScratch) }}
 
 func acquireMcflowScratch(nv, nu int) *mcflowScratch {
 	m := mcflowScratchPool.Get().(*mcflowScratch)
-	if cap(m.simRow) < nu {
-		m.simRow = make([]float64, nu)
+	if cap(m.rows) < nv*nu {
+		m.rows = make([]float64, nv*nu)
 	} else {
-		m.simRow = m.simRow[:nu]
+		m.rows = m.rows[:nv*nu]
 	}
 	if cap(m.pairArc) < nv*nu {
 		m.pairArc = make([]mincostflow.ArcID, nv*nu)

@@ -3,6 +3,7 @@ package mincostflow
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/ebsnlab/geacc/internal/pqueue"
 )
@@ -39,12 +40,13 @@ func (g *Graph) NumNodes() int { return g.numNodes }
 // NumArcs returns the number of forward arcs added so far.
 func (g *Graph) NumArcs() int { return len(g.to) / 2 }
 
-// Grow pre-allocates storage for n additional forward arcs.
+// Grow guarantees storage for n additional forward arcs, reallocating only
+// when the current (possibly pooled) capacity falls short.
 func (g *Graph) Grow(n int) {
-	g.to = append(make([]int32, 0, len(g.to)+2*n), g.to...)
-	g.next = append(make([]int32, 0, len(g.next)+2*n), g.next...)
-	g.cap = append(make([]int64, 0, len(g.cap)+2*n), g.cap...)
-	g.cost = append(make([]float64, 0, len(g.cost)+2*n), g.cost...)
+	g.to = slices.Grow(g.to, 2*n)
+	g.next = slices.Grow(g.next, 2*n)
+	g.cap = slices.Grow(g.cap, 2*n)
+	g.cost = slices.Grow(g.cost, 2*n)
 }
 
 // AddArc adds a directed arc from -> to with the given capacity and per-unit
