@@ -12,7 +12,7 @@ BENCH_FLAGS := -benchmem -benchtime=1x
 WORKLOAD  ?=
 SEED      ?= 1
 
-.PHONY: build test test-service smoke-probes load-smoke race race-all vet loc bench bench-json bench-compare bench-server bench-e2e cover clean run-server help
+.PHONY: build test test-service smoke-probes load-smoke race race-all vet loc bench bench-json bench-compare bench-e2e cover clean run-server help
 
 ## build: compile every package and the command-line tools
 build:
@@ -30,9 +30,9 @@ test-service:
 smoke-probes:
 	./scripts/smoke_probes.sh
 
-## load-smoke: ~30s of closed-loop load (solves + delta streams) against a real geacc-server; fails on any 5xx
+## load-smoke: the end-to-end benchmark for 2s per workload against a real geacc-server; fails on any wrong answer or 5xx
 load-smoke:
-	./scripts/load_smoke.sh
+	d="$$(mktemp -d)"; trap 'rm -rf "$$d"' EXIT; CARGO_TARGET_DIR="$$d" bash benchmark/run.sh --seconds 2
 
 ## race: race-detector pass over the concurrency-heavy packages
 race:
@@ -59,14 +59,9 @@ bench:
 bench-json:
 	$(GO) run ./cmd/geacc-bench -reps 3 -solvers-json BENCH_solvers.json
 
-## bench-compare: rerun both pinned sets (solver ns/op + end-to-end server p99/throughput) and diff against the committed snapshots (fails on >20% regressions)
+## bench-compare: rerun the pinned solver set and diff against BENCH_solvers.json (fails on >20% regressions)
 bench-compare:
 	$(GO) run ./cmd/geacc-bench -reps 3 -compare BENCH_solvers.json
-	$(GO) run ./cmd/geacc-load -compare BENCH_server.json
-
-## bench-server: end-to-end load snapshot (self-hosted server, closed loop) -> BENCH_server.json
-bench-server:
-	$(GO) run ./cmd/geacc-load -pin BENCH_server.json
 
 ## bench-e2e: the end-to-end service benchmark (benchmark/, BENCHMARK.json); WORKLOAD=<name> SEED=<n>
 bench-e2e:

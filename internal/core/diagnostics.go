@@ -1,8 +1,6 @@
 package core
 
 import (
-	"context"
-	"math/rand"
 	"time"
 
 	"github.com/ebsnlab/geacc/internal/obs"
@@ -127,38 +125,6 @@ type DecompositionStats struct {
 type PhaseTiming struct {
 	Name    string  `json:"name"`
 	Seconds float64 `json:"seconds"`
-}
-
-// SolveDiagnostics runs the named registry solver like SolveContext and
-// additionally assembles the Diagnostics artifact. A recorder already on
-// ctx is reused (the solve's spans land in it as usual); otherwise a
-// private one is attached so phase timings are always captured. The gap is
-// also published to the obs registry (geacc_solve_gap{algo=…} histogram,
-// geacc_solve_last_gap{algo=…} gauge).
-//
-// The Corollary 1 bound is free for mincostflow, whose solve computes it
-// as its first step (SolveContextBound); every other solver pays one
-// min-cost-flow solve of the relaxation on top of the solve.
-func SolveDiagnostics(ctx context.Context, name string, in *Instance, rng *rand.Rand) (*Matching, *Diagnostics, error) {
-	rec := obs.RecorderFrom(ctx)
-	if rec == nil {
-		rec = obs.NewRecorder()
-		ctx = obs.ContextWithRecorder(ctx, rec)
-	}
-	spansBefore := len(rec.Spans())
-	before := obs.Default().Counters()
-	start := time.Now()
-	m, bound, ok, err := SolveContextBound(ctx, name, in, rng)
-	elapsed := time.Since(start)
-	if err != nil {
-		return nil, nil, err
-	}
-	deltas := obs.DiffCounters(before, obs.Default().Counters())
-	spans := rec.Spans()[spansBefore:]
-	if !ok {
-		bound = RelaxedUpperBound(in)
-	}
-	return m, BuildDiagnosticsBound(name, in, m, elapsed, spans, deltas, bound), nil
 }
 
 // BuildDiagnostics assembles the artifact from an already-completed solve,

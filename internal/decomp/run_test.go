@@ -3,10 +3,15 @@ package decomp
 import (
 	"context"
 	"errors"
+	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
+	"github.com/ebsnlab/geacc/internal/conflict"
 	"github.com/ebsnlab/geacc/internal/core"
+	"github.com/ebsnlab/geacc/internal/dataset"
+	"github.com/ebsnlab/geacc/internal/obs"
 	"github.com/ebsnlab/geacc/internal/solvecache"
 )
 
@@ -94,5 +99,172 @@ func TestRunNodeLimitAndHookAreNotCached(t *testing.T) {
 	}
 	if calls != 2 || env.Cache.Len() != 0 {
 		t.Fatalf("hook ran %d times, %d cached entries; want 2 and 0", calls, env.Cache.Len())
+	}
+}
+
+// table1Instance is the paper's TABLE I: three events (capacities 5, 3,
+// 2), five users (capacities 3, 1, 1, 2, 3), explicit interestingness
+// values, and the conflicting pair {v1, v3}.
+func table1Instance(t *testing.T) *core.Instance {
+	t.Helper()
+	in, err := core.NewMatrixInstance(
+		[]core.Event{{Cap: 5}, {Cap: 3}, {Cap: 2}},
+		[]core.User{{Cap: 3}, {Cap: 1}, {Cap: 1}, {Cap: 2}, {Cap: 3}},
+		conflict.FromPairs(3, [][2]int{{0, 2}}),
+		[][]float64{
+			{0.93, 0.43, 0.84, 0.64, 0.65},
+			{0, 0.35, 0.19, 0.21, 0.4},
+			{0.86, 0.57, 0.78, 0.79, 0.68},
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return in
+}
+
+func TestRunDiagGapDefinition(t *testing.T) {
+	in := table1Instance(t)
+	ub := core.RelaxedUpperBound(in)
+	for _, algo := range []string{"greedy", "mincostflow", "exact"} {
+		res, err := Run(context.Background(), in, Spec{Algo: algo, Seed: 1, Diag: true}, Env{})
+		if err != nil {
+			t.Fatalf("%s: %v", algo, err)
+		}
+		m, d := res.M, res.Diag
+		if d.Algo != algo {
+			t.Errorf("%s: Algo = %q", algo, d.Algo)
+		}
+		if d.Events != in.NumEvents() || d.Users != in.NumUsers() {
+			t.Errorf("%s: shape %d×%d, want %d×%d", algo, d.Events, d.Users, in.NumEvents(), in.NumUsers())
+		}
+		if d.Conflicts != in.Conflicts.Edges() {
+			t.Errorf("%s: Conflicts = %d, want %d", algo, d.Conflicts, in.Conflicts.Edges())
+		}
+		if d.MaxSum != m.MaxSum() || d.Pairs != m.Size() {
+			t.Errorf("%s: outcome %v/%d vs matching %v/%d", algo, d.MaxSum, d.Pairs, m.MaxSum(), m.Size())
+		}
+		if math.Abs(d.RelaxedUpperBound-ub) > 1e-9 {
+			t.Errorf("%s: RelaxedUpperBound = %v, want %v", algo, d.RelaxedUpperBound, ub)
+		}
+		want := math.Max(0, (ub-m.MaxSum())/ub)
+		if math.Abs(d.Gap-want) > 1e-12 {
+			t.Errorf("%s: Gap = %v, want (ub-maxsum)/ub = %v", algo, d.Gap, want)
+		}
+		if d.Gap < 0 || d.Gap > 1 {
+			t.Errorf("%s: gap %v outside [0, 1]", algo, d.Gap)
+		}
+		if d.Seconds <= 0 {
+			t.Errorf("%s: Seconds = %v", algo, d.Seconds)
+		}
+		if len(d.Phases) == 0 {
+			t.Errorf("%s: no phases recorded", algo)
+		}
+		if len(d.MetricDeltas) == 0 {
+			t.Errorf("%s: no metric deltas recorded", algo)
+		}
+	}
+}
+
+// TestRunDiagBoundReuse is the reuse property: on small random instances
+// (clustered ones, mostly zero pairs, alternating with dense Euclidean
+// ones), every solver's diagnosed bound is bit-identical (==) to
+// RelaxedUpperBound, and a diagnosed mincostflow solve runs the min-cost
+// flow exactly once — its own relaxation doubles as the bound.
+func TestRunDiagBoundReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 12; trial++ {
+		nv, nu := 2+rng.Intn(5), 3+rng.Intn(8)
+		in := clustered(t, nv, nu, 2, int64(trial), 3, 2)
+		if trial%2 == 1 {
+			cfg := dataset.DefaultSynthetic()
+			cfg.NumEvents, cfg.NumUsers, cfg.Dim, cfg.EventCapMax, cfg.UserCapMax, cfg.CFRatio, cfg.Seed = nv, nu, 3, 3, 2, 0.3, int64(trial)
+			var err error
+			if in, err = cfg.Generate(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ub := core.RelaxedUpperBound(in)
+		for _, algo := range []string{"greedy", "mincostflow", "exact", "random-v"} {
+			runs := mcflowRunsTotal.Value()
+			res, err := Run(context.Background(), in, Spec{Algo: algo, Seed: int64(trial), Diag: true}, Env{})
+			if err != nil {
+				t.Fatalf("trial %d %s: %v", trial, algo, err)
+			}
+			if res.Diag.RelaxedUpperBound != ub {
+				t.Errorf("trial %d %s: bound %v != RelaxedUpperBound %v", trial, algo, res.Diag.RelaxedUpperBound, ub)
+			}
+			if algo == "mincostflow" {
+				if got := mcflowRunsTotal.Value() - runs; got != 1 {
+					t.Errorf("trial %d: diagnosed mincostflow ran the flow %d times, want 1", trial, got)
+				}
+			}
+		}
+	}
+}
+
+func TestRunDiagOptimalSolveHasZeroGap(t *testing.T) {
+	// Without conflicts MinCostFlow solves the instance exactly, so the
+	// achieved MaxSum meets the Corollary 1 bound and the gap must be 0.
+	in, err := core.NewMatrixInstance(
+		[]core.Event{{Cap: 2}, {Cap: 1}},
+		[]core.User{{Cap: 1}, {Cap: 1}, {Cap: 2}},
+		nil,
+		[][]float64{{0.9, 0.1, 0.5}, {0.2, 0.8, 0.3}},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(context.Background(), in, Spec{Algo: "mincostflow", Diag: true}, Env{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := res.Diag; d.Gap != 0 {
+		t.Errorf("gap = %v on a conflict-free mincostflow solve, want 0", d.Gap)
+	}
+	if d := res.Diag; d.EventCapacity != 3 || d.UserCapacity != 4 {
+		t.Errorf("capacities %d/%d, want 3/4", d.EventCapacity, d.UserCapacity)
+	}
+}
+
+func TestRunDiagReusesContextRecorder(t *testing.T) {
+	in := table1Instance(t)
+	rec := obs.NewRecorder()
+	ctx := obs.ContextWithRecorder(context.Background(), rec)
+	res, err := Run(ctx, in, Spec{Algo: "mincostflow", Diag: true}, Env{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The caller's recorder sees the same spans the artifact lists.
+	spans := rec.Spans()
+	if len(spans) != len(res.Diag.Phases) {
+		t.Fatalf("recorder has %d spans, diagnostics %d phases", len(spans), len(res.Diag.Phases))
+	}
+	names := map[string]bool{}
+	for _, sp := range spans {
+		names[sp.Name] = true
+	}
+	for _, want := range []string{"solve/mincostflow", "mincostflow/relax", "mincostflow/resolve"} {
+		if !names[want] {
+			t.Errorf("span %q missing (have %v)", want, names)
+		}
+	}
+}
+
+func TestRunDiagPublishesGapMetrics(t *testing.T) {
+	in := table1Instance(t)
+	name := obs.Label("geacc_solve_gap", "algo", "greedy")
+	gapCount := func() int64 {
+		return obs.Default().Snapshot()["histograms"].(map[string]obs.HistogramSnapshot)[name].Count
+	}
+	before := gapCount()
+	res, err := Run(context.Background(), in, Spec{Algo: "greedy", Diag: true}, Env{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after := gapCount(); after != before+1 {
+		t.Errorf("gap histogram count %d -> %d, want +1", before, after)
+	}
+	if got := obs.Default().FloatGauge(obs.Label("geacc_solve_last_gap", "algo", "greedy")).Value(); got != res.Diag.Gap {
+		t.Errorf("last-gap gauge = %v, want %v", got, res.Diag.Gap)
 	}
 }

@@ -174,38 +174,6 @@ func ParseQuery(q url.Values, def Spec) (Spec, error) {
 	return s, s.Validate()
 }
 
-// Query encodes s as a query string ParseQuery(·, DefaultSpec()) reads
-// back as s. Zero shard tuning fields are omitted, leaving the server's
-// default in force.
-func (s Spec) Query() string {
-	q := url.Values{"algo": {s.Algo}, "seed": {strconv.FormatInt(s.Seed, 10)}}
-	if s.Decompose {
-		q.Set("decompose", "1")
-	}
-	if s.Workers != 0 {
-		q.Set("workers", strconv.Itoa(s.Workers))
-	}
-	if s.Diag {
-		q.Set("diag", "1")
-	}
-	if s.NoCache {
-		q.Set("cache", "0")
-	}
-	if sh := s.Shard; sh != nil {
-		q.Set("approx_shard", "1")
-		if sh.MaxArea > 0 {
-			q.Set("shard_max_area", strconv.FormatInt(sh.MaxArea, 10))
-		}
-		if sh.Strategy != "" {
-			q.Set("shard_strategy", string(sh.Strategy))
-		}
-		if sh.DriftBudget > 0 {
-			q.Set("shard_drift_budget", strconv.FormatFloat(sh.DriftBudget, 'g', -1, 64))
-		}
-	}
-	return q.Encode()
-}
-
 // queryBool is the codec's one boolean parser: 1/true/yes and 0/false/no,
 // anything else an error; absent keeps def.
 func queryBool(q url.Values, name string, def bool) (bool, error) {
@@ -237,8 +205,8 @@ func queryInt(q url.Values, name string, def int64) (int64, error) {
 // decompose, decompose-workers, diag, approx-shard, shard-max-area,
 // shard-strategy, shard-drift-budget — defaulting to DefaultSpec, and
 // returns the function that, once fs has parsed, resolves them into a
-// validated Spec. Unset shard tuning stays zero: the partition defaults
-// for a solving tool, the server's defaults for a load generator's query.
+// validated Spec. Unset shard tuning stays zero, so the partition
+// defaults apply.
 func BindFlags(fs *flag.FlagSet, names ...string) func() (Spec, error) {
 	s := DefaultSpec()
 	var shard bool

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -148,8 +149,8 @@ func TestBindFlags(t *testing.T) {
 		t.Fatalf("flags resolved to %+v, want %+v", got, want)
 	}
 
-	// Unset shard tuning stays zero, so a load generator's query leaves the
-	// server's defaults in force.
+	// Unset shard tuning stays zero, and Query omits it, so an encoded
+	// request leaves the server's defaults in force.
 	fs = flag.NewFlagSet("t", flag.ContinueOnError)
 	resolve = BindFlags(fs, "approx-shard", "shard-max-area", "shard-strategy")
 	if err := fs.Parse([]string{"-approx-shard"}); err != nil {
@@ -213,6 +214,39 @@ func TestServiceDocParamTable(t *testing.T) {
 	if names := queryNames(t); !reflect.DeepEqual(rows, names) {
 		t.Fatalf("parameter table rows %v, codec parses %v", rows, names)
 	}
+}
+
+// Query encodes s as a query string ParseQuery(·, DefaultSpec()) reads
+// back as s: the encoder the round-trip tests and FuzzSpecQuery check the
+// codec against. Zero shard tuning fields are omitted, leaving the server's
+// default in force.
+func (s Spec) Query() string {
+	q := url.Values{"algo": {s.Algo}, "seed": {strconv.FormatInt(s.Seed, 10)}}
+	if s.Decompose {
+		q.Set("decompose", "1")
+	}
+	if s.Workers != 0 {
+		q.Set("workers", strconv.Itoa(s.Workers))
+	}
+	if s.Diag {
+		q.Set("diag", "1")
+	}
+	if s.NoCache {
+		q.Set("cache", "0")
+	}
+	if sh := s.Shard; sh != nil {
+		q.Set("approx_shard", "1")
+		if sh.MaxArea > 0 {
+			q.Set("shard_max_area", strconv.FormatInt(sh.MaxArea, 10))
+		}
+		if sh.Strategy != "" {
+			q.Set("shard_strategy", string(sh.Strategy))
+		}
+		if sh.DriftBudget > 0 {
+			q.Set("shard_drift_budget", strconv.FormatFloat(sh.DriftBudget, 'g', -1, 64))
+		}
+	}
+	return q.Encode()
 }
 
 // FuzzSpecQuery: parsing any query string never panics, and every spec it

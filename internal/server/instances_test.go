@@ -6,12 +6,16 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"sync"
 	"testing"
 
+	"github.com/ebsnlab/geacc/internal/conflict"
+	"github.com/ebsnlab/geacc/internal/core"
 	"github.com/ebsnlab/geacc/internal/obs"
+	"github.com/ebsnlab/geacc/internal/sim"
 )
 
 // newInstanceServer builds a test server with the given data directory
@@ -188,57 +192,165 @@ func TestCosineInstanceRejectsMismatchedVectors(t *testing.T) {
 	}
 }
 
-// TestConcurrentDeltas hammers one instance from many goroutines; every
-// delta must be applied exactly once, with a distinct log seq.
+// TestConcurrentDeltas hammers the instance API from many goroutines:
+// first many of them adding users to one instance, then one lane per
+// instance sending mixed deltas and dirty rebalances. Every op must be
+// applied exactly once, with a log seq distinct within its instance, and
+// each final arrangement must be feasible for the deltas sent.
 func TestConcurrentDeltas(t *testing.T) {
-	srv := newInstanceServer(t, t.TempDir(), 16)
-	if resp, body := postStr(t, srv.URL+"/instances", `{"id":"c","sim":"euclidean","dim":2,"max_t":10}`); resp.StatusCode != http.StatusCreated {
-		t.Fatalf("create: %d %s", resp.StatusCode, body)
-	}
-	if resp, body := postStr(t, srv.URL+"/instances/c/events", `{"attrs":[0,0],"cap":64}`); resp.StatusCode != http.StatusOK {
-		t.Fatalf("add event: %d %s", resp.StatusCode, body)
-	}
-
-	const n = 40
-	seqs := make([]int64, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			body := fmt.Sprintf(`{"attrs":[%d,1],"cap":1}`, i%7)
-			resp, b := postStr(t, srv.URL+"/instances/c/users", body)
-			if resp.StatusCode != http.StatusOK {
-				t.Errorf("add user %d: %d %s", i, resp.StatusCode, b)
-				return
-			}
-			var d DeltaResponse
-			if err := json.Unmarshal(b, &d); err != nil {
-				t.Error(err)
-				return
-			}
-			seqs[i] = d.Seq
-		}(i)
-	}
-	wg.Wait()
-	if t.Failed() {
-		return
-	}
-	seen := make(map[int64]bool, n)
-	for _, s := range seqs {
-		if s == 0 || seen[s] {
-			t.Fatalf("duplicate or missing seq %d in %v", s, seqs)
+	t.Run("one-instance", func(t *testing.T) {
+		srv := newInstanceServer(t, t.TempDir(), 16)
+		if resp, body := postStr(t, srv.URL+"/instances", `{"id":"c","sim":"euclidean","dim":2,"max_t":10}`); resp.StatusCode != http.StatusCreated {
+			t.Fatalf("create: %d %s", resp.StatusCode, body)
 		}
-		seen[s] = true
+		if resp, body := postStr(t, srv.URL+"/instances/c/events", `{"attrs":[0,0],"cap":64}`); resp.StatusCode != http.StatusOK {
+			t.Fatalf("add event: %d %s", resp.StatusCode, body)
+		}
+
+		const n = 40
+		seqs := make([]int64, n)
+		var wg sync.WaitGroup
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				body := fmt.Sprintf(`{"attrs":[%d,1],"cap":1}`, i%7)
+				resp, b := postStr(t, srv.URL+"/instances/c/users", body)
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("add user %d: %d %s", i, resp.StatusCode, b)
+					return
+				}
+				var d DeltaResponse
+				if err := json.Unmarshal(b, &d); err != nil {
+					t.Error(err)
+					return
+				}
+				seqs[i] = d.Seq
+			}(i)
+		}
+		wg.Wait()
+		if t.Failed() {
+			return
+		}
+		seen := make(map[int64]bool, n)
+		for _, s := range seqs {
+			if s == 0 || seen[s] {
+				t.Fatalf("duplicate or missing seq %d in %v", s, seqs)
+			}
+			seen[s] = true
+		}
+		_, body := getBody(t, srv.URL+"/instances/c")
+		var status InstanceStatus
+		if err := json.Unmarshal(body, &status); err != nil {
+			t.Fatal(err)
+		}
+		if status.Users != n || status.Events != 1 {
+			t.Fatalf("after concurrent deltas: %+v", status.InstanceSummary)
+		}
+	})
+	t.Run("lane-per-instance", func(t *testing.T) {
+		srv := newInstanceServer(t, t.TempDir(), 16)
+		const lanes, ops = 8, 30
+		finals := make([]*core.Instance, lanes)
+		var wg sync.WaitGroup
+		for l := range finals {
+			wg.Add(1)
+			go func(l int) {
+				defer wg.Done()
+				finals[l] = deltaLane(t, srv.URL, fmt.Sprintf("lane%d", l), rand.New(rand.NewSource(int64(l))), ops)
+			}(l)
+		}
+		wg.Wait()
+		if t.Failed() {
+			return
+		}
+		for l, in := range finals {
+			code, body := getBody(t, fmt.Sprintf("%s/instances/lane%d", srv.URL, l))
+			var status InstanceStatus
+			if err := json.Unmarshal(body, &status); code != http.StatusOK || err != nil {
+				t.Fatalf("get lane%d: %d %v", l, code, err)
+			}
+			if status.Events != in.NumEvents() || status.Users != in.NumUsers() {
+				t.Fatalf("lane%d: %d events, %d users; sent %d, %d", l, status.Events, status.Users, in.NumEvents(), in.NumUsers())
+			}
+			m := core.NewMatching()
+			for _, p := range status.Matching.Pairs {
+				m.Add(p.V, p.U, p.Sim)
+			}
+			if err := core.Validate(in, m); err != nil {
+				t.Fatalf("lane%d: %v", l, err)
+			}
+		}
+	})
+}
+
+// deltaLane creates the Euclidean instance id and sends it n mixed ops one
+// after another: event arrivals (half of them conflicting with an earlier
+// event), user arrivals, user cancellations and dirty min-cost-flow
+// rebalances. Every op must get a log seq no other op of the instance got.
+// It returns the instance the stream built, cancelled users at capacity 0,
+// or nil after reporting a failure.
+func deltaLane(t *testing.T, base, id string, rng *rand.Rand, n int) *core.Instance {
+	if resp, body := postStr(t, base+"/instances", fmt.Sprintf(`{"id":%q,"sim":"euclidean","dim":2,"max_t":10}`, id)); resp.StatusCode != http.StatusCreated {
+		t.Errorf("create %s: %d %s", id, resp.StatusCode, body)
+		return nil
 	}
-	_, body := getBody(t, srv.URL+"/instances/c")
-	var status InstanceStatus
-	if err := json.Unmarshal(body, &status); err != nil {
-		t.Fatal(err)
+	var (
+		events    []core.Event
+		users     []core.User
+		conflicts [][2]int
+		live      []int
+		seqs      = map[int64]bool{}
+	)
+	attrs := func() sim.Vector { return sim.Vector{float64(rng.Intn(10)), float64(rng.Intn(10))} }
+	for i := 0; i < n; i++ {
+		var path string
+		var req any
+		switch op := rng.Intn(4); {
+		case op == 0 || len(events) == 0:
+			e := AddEventRequest{Attrs: attrs(), Cap: 1 + rng.Intn(4)}
+			if len(events) > 0 && rng.Intn(2) == 0 {
+				v := rng.Intn(len(events))
+				e.Conflicts = []int{v}
+				conflicts = append(conflicts, [2]int{v, len(events)})
+			}
+			events = append(events, core.Event{Attrs: e.Attrs, Cap: e.Cap})
+			path, req = "/events", e
+		case op == 1 || len(live) == 0:
+			u := AddUserRequest{Attrs: attrs(), Cap: 1 + rng.Intn(3)}
+			live = append(live, len(users))
+			users = append(users, core.User{Attrs: u.Attrs, Cap: u.Cap})
+			path, req = "/users", u
+		case op == 2:
+			k := rng.Intn(len(live))
+			u := live[k]
+			live = append(live[:k], live[k+1:]...)
+			users[u].Cap = 0
+			path, req = "/cancel", CancelRequest{User: &u}
+		default:
+			path = "/rebalance?scope=dirty&algo=mincostflow"
+		}
+		body, _ := json.Marshal(req) // "null" for a rebalance, which reads no body
+		resp, b := postJSON(t, base+"/instances/"+id+path, body)
+		var ack struct {
+			Seq int64 `json:"seq"`
+		}
+		if err := json.Unmarshal(b, &ack); resp.StatusCode != http.StatusOK || err != nil {
+			t.Errorf("%s op %d %s: %d %s", id, i, path, resp.StatusCode, b)
+			return nil
+		}
+		if ack.Seq == 0 || seqs[ack.Seq] {
+			t.Errorf("%s op %d %s: seq %d missing or already taken", id, i, path, ack.Seq)
+			return nil
+		}
+		seqs[ack.Seq] = true
 	}
-	if status.Users != n || status.Events != 1 {
-		t.Fatalf("after concurrent deltas: %+v", status.InstanceSummary)
+	in, err := core.NewInstance(events, users, conflict.FromPairs(len(events), conflicts), sim.Euclidean(2, 10))
+	if err != nil {
+		t.Errorf("%s: %v", id, err)
+		return nil
 	}
+	return in
 }
 
 // TestPersistenceAcrossRestart streams deltas (crossing several snapshot
