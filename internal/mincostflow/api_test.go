@@ -73,7 +73,8 @@ func TestSearchStopsAtTarget(t *testing.T) {
 	if units, cost, ok := sv.Augment(1); !ok || units != 1 || cost != 2 {
 		t.Fatalf("Augment = (%d, %v, %v), want (1, 2, true)", units, cost, ok)
 	}
-	// Pops 0, 1 and the sink; scans 0's two arcs and 1's two.
+	// Pops 0, 1 and the sink. Scans 0's arcs by cost: 0 -> 1 sets the
+	// sink bound 2, and 0 -> 3 (cost 5) ends the scan; then 1's two.
 	if pops, scans := sv.SearchStats(); pops != 3 || scans != 4 {
 		t.Fatalf("first search: pops=%d scans=%d, want 3 and 4", pops, scans)
 	}
@@ -89,5 +90,54 @@ func TestSearchStopsAtTarget(t *testing.T) {
 	}
 	if pops, scans := sv.SearchStats(); pops != 6 || scans != 9 {
 		t.Fatalf("after both searches: pops=%d scans=%d, want 6 and 9", pops, scans)
+	}
+}
+
+func TestSearchSkipsArcsPastSinkBound(t *testing.T) {
+	// Node 1 reaches the sink 5 through 2, 3 or 4 at rising costs 1, 2, 3.
+	// Its arcs are scanned cheapest first, and once the bound on the
+	// sink's distance is known the costlier ones cannot beat it.
+	g := NewGraph(6)
+	src := g.AddArc(0, 1, 3, 0)
+	mid := []ArcID{g.AddArc(1, 2, 1, 1), g.AddArc(1, 3, 1, 2), g.AddArc(1, 4, 1, 3)}
+	for w := 2; w <= 4; w++ {
+		g.AddArc(w, 5, 1, 0)
+	}
+	sv := NewSolver(g, 0, 5)
+	steps := []struct {
+		cost        float64
+		pops, scans int64
+		flows       []int64 // on 1 -> 2, 1 -> 3, 1 -> 4
+		pot         []float64
+	}{
+		// Pops 0, 1, 2 and the sink. 1 -> 2 sets the bound 1 through 2's
+		// sink arc, and 1 -> 3 ends the scan (0 + 2 - potMax 0 >= 1): node
+		// 1 scans its source twin, 1 -> 2 and 1 -> 3, and 1 -> 4 is never
+		// read. Scans: 1 at 0, 3 at 1, 2 at 2. Nodes 3 and 4 are never
+		// labeled and advance by the sink's distance.
+		{1, 4, 6, []int64{1, 0, 0}, []float64{0, 0, 1, 1, 1, 1}},
+		// With 1 -> 2 saturated, 1 -> 3 sets the bound 1 and 1 -> 4 ends
+		// the scan (0 + 3 - potMax 1 >= 1). Scans: 1 at 0, 4 at 1, 2 at 3.
+		{2, 8, 13, []int64{1, 1, 0}, []float64{0, 0, 2, 2, 2, 2}},
+	}
+	for i, want := range steps {
+		units, cost, ok := sv.Augment(1)
+		if !ok || units != 1 || cost != want.cost {
+			t.Fatalf("step %d: Augment = (%d, %v, %v), want (1, %v, true)", i, units, cost, ok, want.cost)
+		}
+		if pops, scans := sv.SearchStats(); pops != want.pops || scans != want.scans {
+			t.Fatalf("step %d: pops=%d scans=%d, want %d and %d", i, pops, scans, want.pops, want.scans)
+		}
+		for j, a := range mid {
+			if f := g.Flow(a); f != want.flows[j] {
+				t.Fatalf("step %d: flow on 1 -> %d is %d, want %d", i, j+2, f, want.flows[j])
+			}
+		}
+		if f := g.Flow(src); f != int64(i+1) {
+			t.Fatalf("step %d: source arc carries %d", i, f)
+		}
+		if got := sv.Potentials(nil); !slices.Equal(got, want.pot) {
+			t.Fatalf("step %d: potentials = %v, want %v", i, got, want.pot)
+		}
 	}
 }

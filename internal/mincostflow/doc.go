@@ -18,7 +18,8 @@
 // read back with Graph.Flow). Grow pre-allocates arc storage when the arc
 // count is known. A Solver is bound to one source/sink pair by NewSolver
 // and mutates the graph's residual capacities; build a fresh Graph (or
-// Solver) per solve.
+// Solver) per solve. Binding indexes the arcs into one forward-star (CSR)
+// adjacency whose non-terminal arcs a search sorts by cost.
 //
 // Three driving styles, all built on the same augmentation step:
 //
@@ -39,14 +40,18 @@
 // min(dist[v], dist[target]). Nodes the search settled move by their exact
 // distance and every other node by the target's, which keeps every
 // residual reduced cost non-negative (DESIGN.md, "Truncated Dijkstra",
-// has the proof). Solver.SearchStats reports the pops and arc scans.
+// has the proof). The search also skips every relaxation that cannot beat
+// the target: it keeps an upper bound on the target's distance, and a
+// popped node stops scanning its cost-sorted arcs at the first one whose
+// label could not fall below that bound (DESIGN.md, "Bounded scan").
+// Solver.SearchStats reports the pops and the arcs scanned.
 //
 // Costs may be negative as long as the graph admits no negative cycle:
 // NewSolver runs one Bellman–Ford relaxation to compute valid initial
 // potentials when a negative-cost arc is present (the GEACC reduction's
 // costs lie in [0, 1], so it skips this).
 //
-// The package also ships a cycle-canceling solver (cyclecancel.go) used as
-// a cross-checking ablation in tests and benchmarks; SSPA is the
-// production path.
+// The package's tests carry a cycle-canceling solver (cyclecancel_test.go)
+// as the oracle every SSPA step is checked against and as the §III.A
+// ablation in BenchmarkFlowSolvers.
 package mincostflow

@@ -7,7 +7,8 @@ import (
 
 // FuzzSSPA decodes bytes into a small network and checks every SSPA step
 // against CycleCanceling and the potential invariant: the cold sweep to
-// max flow one augmentation at a time, then a RetreatAbove phase. The seed
+// max flow one augmentation at a time, then a RetreatAbove phase, which
+// must stop at the first unit costing less than its bound. The seed
 // corpus in testdata/fuzz/FuzzSSPA replays under plain `go test`.
 func FuzzSSPA(f *testing.F) {
 	f.Add([]byte{4, 0, 0, 0, 0, 0, 1, 0x10, 1, 3, 0x12, 0, 2, 0x31, 2, 3, 0x05, 8})
@@ -34,6 +35,7 @@ func FuzzSSPA(f *testing.F) {
 			}
 			checkStep(t, ns, sv, "retreat")
 		}
+		checkRetreatDone(t, ns, sv, bound)
 	})
 }
 

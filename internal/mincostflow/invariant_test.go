@@ -63,15 +63,29 @@ func checkStep(t testing.TB, ns *netSpec, sv *Solver, step string) {
 func checkPotentials(t testing.TB, sv *Solver, step string) {
 	t.Helper()
 	g := sv.g
-	for v := 0; v < g.numNodes; v++ {
-		for a := g.head[v]; a >= 0; a = g.next[a] {
-			if g.cap[a] <= 0 {
-				continue
-			}
-			if rc := g.cost[a] + sv.pot[v] - sv.pot[g.to[a]]; rc < -1e-9 {
-				t.Fatalf("%s: arc %d->%d has reduced cost %v", step, v, g.to[a], rc)
-			}
+	for a := range g.to {
+		if g.cap[a] <= 0 {
+			continue
 		}
+		v := g.to[a^1]
+		if rc := g.cost[a] + sv.pot[v] - sv.pot[g.to[a]]; rc < -1e-9 {
+			t.Fatalf("%s: arc %d->%d has reduced cost %v", step, v, g.to[a], rc)
+		}
+	}
+}
+
+// checkRetreatDone asserts that a RetreatAbove phase stopped where it
+// should: the last unit still in the flow costs less than bound, so
+// retreating it would refund less than bound.
+func checkRetreatDone(t testing.TB, ns *netSpec, sv *Solver, bound float64) {
+	t.Helper()
+	k := sv.TotalFlow()
+	if k == 0 {
+		return
+	}
+	_, prev := ns.oracle(t, k-1)
+	if last := sv.TotalCost() - prev; last >= bound+1e-9 {
+		t.Fatalf("retreat stopped at flow %d, whose last unit costs %v >= bound %v", k, last, bound)
 	}
 }
 
@@ -224,11 +238,51 @@ func TestPotentialInvariantWarm(t *testing.T) {
 			}
 			checkStep(t, ns2, sv, "retreat")
 		}
+		checkRetreatDone(t, ns2, sv, bound)
 		for {
 			if _, _, ok := sv.AugmentBelow(1, bound); !ok {
 				break
 			}
 			checkStep(t, ns2, sv, "augment below")
+		}
+	}
+}
+
+// TestPotentialInvariantQuantizedGEACC runs the cold sweep on s -> V -> U
+// -> t networks of the GEACC reduction's shape (8 events, 40 users,
+// capacities 1-4, zero-cost source and sink arcs, unit pair arcs added in
+// core's order) whose pair costs are multiples of 1/4. An event's sorted
+// pair arcs then come in runs of dozens of equal costs, so the bounded
+// scan stops inside a run, where the order of scans decides between
+// equally short paths. Every augmentation is checked against
+// CycleCanceling and the potential invariant.
+func TestPotentialInvariantQuantizedGEACC(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	const nv, nu = 8, 40
+	for trial := 0; trial < 12; trial++ {
+		ns := &netSpec{n: nv + nu + 2, s: 0, t: nv + nu + 1}
+		for v := 0; v < nv; v++ {
+			ns.arcs = append(ns.arcs, arcSpec{ns.s, 1 + v, 1 + int64(rng.Intn(4)), 0})
+		}
+		for u := 0; u < nu; u++ {
+			ns.arcs = append(ns.arcs, arcSpec{1 + nv + u, ns.t, 1 + int64(rng.Intn(4)), 0})
+		}
+		for v := 0; v < nv; v++ {
+			for u := 0; u < nu; u++ {
+				if rng.Intn(5) > 0 {
+					ns.arcs = append(ns.arcs, arcSpec{1 + v, 1 + nv + u, 1, float64(rng.Intn(4)) / 4})
+				}
+			}
+		}
+		sv := NewSolver(ns.build(), ns.s, ns.t)
+		for {
+			if _, _, ok := sv.Augment(1); !ok {
+				break
+			}
+			checkStep(t, ns, sv, "quantized augment")
+		}
+		if maxFlow, _ := ns.oracle(t, math.MaxInt64); sv.TotalFlow() != maxFlow {
+			t.Fatalf("trial %d: stopped at flow %d, max flow is %d", trial, sv.TotalFlow(), maxFlow)
 		}
 	}
 }

@@ -10,13 +10,20 @@ import (
 
 // Graph is a flow network under construction. Arcs are stored as
 // forward/residual twins: arc i's twin is i^1.
+// Binding a Solver indexes the arcs into one forward-star adjacency: v's
+// arcs are adj[start[v]:start[v+1]], those into the solver's terminals
+// first (up to rest[v]), then the rest, sorted by cost on v's first scan.
 type Graph struct {
 	numNodes int
 	to       []int32
-	next     []int32
-	head     []int32
 	cap      []int64
 	cost     []float64
+
+	start, rest []int32
+	adj         []int32
+	sorted      []bool
+	indexed     bool // adj covers every arc, laid out for terminals adjS, adjT
+	adjS, adjT  int
 }
 
 // ArcID identifies an arc returned by AddArc.
@@ -27,11 +34,7 @@ func NewGraph(n int) *Graph {
 	if n <= 0 {
 		panic(fmt.Sprintf("mincostflow: non-positive node count %d", n))
 	}
-	head := make([]int32, n)
-	for i := range head {
-		head[i] = -1
-	}
-	return &Graph{numNodes: n, head: head}
+	return &Graph{numNodes: n}
 }
 
 // NumNodes returns the number of nodes in the network.
@@ -44,7 +47,6 @@ func (g *Graph) NumArcs() int { return len(g.to) / 2 }
 // when the current (possibly pooled) capacity falls short.
 func (g *Graph) Grow(n int) {
 	g.to = slices.Grow(g.to, 2*n)
-	g.next = slices.Grow(g.next, 2*n)
 	g.cap = slices.Grow(g.cap, 2*n)
 	g.cost = slices.Grow(g.cost, 2*n)
 }
@@ -62,17 +64,75 @@ func (g *Graph) AddArc(from, to int, capacity int64, cost float64) ArcID {
 		panic(fmt.Sprintf("mincostflow: non-finite cost %v", cost))
 	}
 	id := ArcID(len(g.to))
-	g.pushArc(from, int32(to), capacity, cost)
-	g.pushArc(to, int32(from), 0, -cost)
+	g.to = append(g.to, int32(to), int32(from))
+	g.cap = append(g.cap, capacity, 0)
+	g.cost = append(g.cost, cost, -cost)
+	g.indexed = false
 	return id
 }
 
-func (g *Graph) pushArc(from int, to int32, capacity int64, cost float64) {
-	g.to = append(g.to, to)
-	g.next = append(g.next, g.head[from])
-	g.head[from] = int32(len(g.to) - 1)
-	g.cap = append(g.cap, capacity)
-	g.cost = append(g.cost, cost)
+// index builds the forward-star adjacency for searches between s and t,
+// unless it is already built for them. Within each of a node's two groups
+// the arcs start out newest first; the search sorts the second group.
+func (g *Graph) index(s, t int) {
+	if g.indexed && g.adjS == s && g.adjT == t {
+		return
+	}
+	n, m := g.numNodes, len(g.to)
+	g.start = resize(g.start, n+1)
+	g.rest = resize(g.rest, n)
+	g.adj = resize(g.adj, m)
+	start, rest, adj, to := g.start, g.rest, g.adj, g.to[:m]
+	clear(start)
+	clear(rest)
+	// Count v's arcs into start[v+1] and its terminal arcs into rest[v],
+	// then turn both into cursors: start[v] for the terminal group, rest[v]
+	// for the other. Arc a runs from to[a^1] to to[a].
+	for a := range m {
+		v := to[a^1]
+		start[v+1]++
+		if w := to[a]; w == int32(s) || w == int32(t) {
+			rest[v]++
+		}
+	}
+	for v := range n {
+		start[v+1] += start[v]
+		rest[v] += start[v]
+	}
+	for a := m - 1; a >= 0; a-- {
+		v, w := to[a^1], to[a]
+		if w == int32(s) || w == int32(t) {
+			adj[start[v]] = int32(a)
+			start[v]++
+		} else {
+			adj[rest[v]] = int32(a)
+			rest[v]++
+		}
+	}
+	// Each cursor now sits at the end of its group: start[v] at v's
+	// boundary, rest[v] at v's end. Shift them into place.
+	for v := n - 1; v >= 0; v-- {
+		start[v+1], rest[v] = rest[v], start[v]
+	}
+	start[0] = 0
+	g.sorted = resize(g.sorted, n)
+	clear(g.sorted)
+	g.indexed, g.adjS, g.adjT = true, s, t
+}
+
+// sortArcs sorts v's non-terminal arcs by cost, once per index. Equal
+// costs keep their newest-first order: the arc ids break the tie.
+func (g *Graph) sortArcs(v int) {
+	slices.SortFunc(g.adj[g.rest[v]:g.start[v+1]], func(a, b int32) int {
+		switch ca, cb := g.cost[a], g.cost[b]; {
+		case ca < cb:
+			return -1
+		case ca > cb:
+			return 1
+		}
+		return int(b - a)
+	})
+	g.sorted[v] = true
 }
 
 // Flow returns the amount of flow currently on the arc. Valid after solving.
@@ -103,9 +163,6 @@ type Solver struct {
 // Bellman–Ford relaxation; otherwise zero potentials are already valid (the
 // GEACC reduction has only costs in [0, 1]).
 func NewSolver(g *Graph, s, t int) *Solver {
-	if s < 0 || s >= g.numNodes || t < 0 || t >= g.numNodes || s == t {
-		panic(fmt.Sprintf("mincostflow: invalid terminals s=%d t=%d (n=%d)", s, t, g.numNodes))
-	}
 	sv := &Solver{}
 	sv.Reset(g, s, t)
 	return sv
@@ -121,7 +178,7 @@ func (sv *Solver) relaxPotentials() bool {
 	for iter := 0; iter <= g.numNodes; iter++ {
 		changed := false
 		for v := 0; v < g.numNodes; v++ {
-			for a := g.head[v]; a >= 0; a = g.next[a] {
+			for _, a := range g.adj[g.start[v]:g.start[v+1]] {
 				if g.cap[a] <= 0 {
 					continue
 				}
@@ -201,15 +258,28 @@ func (sv *Solver) dijkstra() bool { return sv.dijkstraFrom(sv.s, sv.t) }
 // at least dist[dst], for the rest. It reports whether dst is reachable.
 // The warm-start retreat phase roots it at the sink; everything else roots
 // it at the source.
+//
+// The search skips every relaxation that cannot beat the target. bound is
+// the length of some path to dst found so far (so bound >= dist[dst]), and
+// no node but dst is labeled at or above it. A node's non-terminal arcs
+// are sorted by cost and none of their heads has a potential above potMax,
+// so once d + ((cost + pot[v]) - potMax) reaches bound, every later arc
+// would give a label >= bound too: the scan stops. DESIGN.md, "Bounded
+// scan", shows that labels, path and potentials are the full scan's.
 func (sv *Solver) dijkstraFrom(src, dst int) bool {
 	g := sv.g
+	potMax := math.Inf(-1)
 	for i := range sv.dist {
 		sv.dist[i] = math.MaxFloat64
 		sv.prev[i] = -1
+		if i != sv.s && i != sv.t {
+			potMax = max(potMax, sv.pot[i])
+		}
 	}
 	sv.heap.Reset()
 	sv.dist[src] = 0
 	sv.heap.Push(src, 0)
+	bound := math.MaxFloat64
 	var pops, arcScans int64
 	for sv.heap.Len() > 0 {
 		// The heap is indexed (Push relaxes an existing key), so every pop
@@ -219,28 +289,58 @@ func (sv *Solver) dijkstraFrom(src, dst int) bool {
 		if v == dst {
 			break
 		}
-		for a := g.head[v]; a >= 0; a = g.next[a] {
+		if !g.sorted[v] {
+			g.sortArcs(v)
+		}
+		rest, hi := int(g.rest[v]), int(g.start[v+1])
+		pv := sv.pot[v]
+		for i := int(g.start[v]); i < hi; i++ {
+			a := g.adj[i]
 			arcScans++
+			cpv := g.cost[a] + pv
+			if i >= rest && d+(cpv-potMax) >= bound {
+				break
+			}
 			if g.cap[a] <= 0 {
 				continue
 			}
 			w := int(g.to[a])
-			rc := g.cost[a] + sv.pot[v] - sv.pot[w]
+			rc := cpv - sv.pot[w]
 			if rc < 0 {
 				// Floating-point drift can push a reduced cost epsilon
 				// below zero; clamp so Dijkstra's invariant holds.
 				rc = 0
 			}
-			if nd := d + rc; nd < sv.dist[w] {
+			if nd := d + rc; nd < sv.dist[w] && (nd < bound || w == dst) {
 				sv.dist[w] = nd
 				sv.prev[w] = a
 				sv.heap.Push(w, nd)
+				bound = min(bound, sv.pathBound(w, nd, dst))
 			}
 		}
 	}
 	sv.pops += pops
 	sv.arcScans += arcScans
 	return sv.dist[dst] != math.MaxFloat64
+}
+
+// pathBound returns the length of the cheapest path to dst that ends with
+// w (just labeled nd) and at most one residual arc into dst, or MaxFloat64
+// when w has no such arc. Arcs into dst lead w's adjacency.
+func (sv *Solver) pathBound(w int, nd float64, dst int) float64 {
+	if w == dst {
+		return nd
+	}
+	g := sv.g
+	best := math.MaxFloat64
+	for _, a := range g.adj[g.start[w]:g.rest[w]] {
+		if int(g.to[a]) != dst || g.cap[a] <= 0 {
+			continue
+		}
+		rc := g.cost[a] + sv.pot[w] - sv.pot[dst]
+		best = min(best, nd+max(rc, 0))
+	}
+	return best
 }
 
 // advancePotentials applies the truncated potential update after a search

@@ -1,6 +1,7 @@
 package mincostflow
 
 import (
+	"fmt"
 	"sync"
 
 	"github.com/ebsnlab/geacc/internal/pqueue"
@@ -8,8 +9,9 @@ import (
 
 // Per-solve allocation pooling. The GEACC reduction builds one flow network
 // and one SSPA solver per solve — at v100_u2000 that is ~200k pair arcs
-// (five parallel slices) plus the solver's potential/distance/parent arrays
-// and Dijkstra heap, all dead the moment the matching is read back. Under a
+// (three per-arc slices and the forward-star index) plus the solver's
+// potential/distance/parent arrays and Dijkstra heap, all dead the moment
+// the matching is read back. Under a
 // sustained request stream those allocations dominate the solve path's GC
 // pressure, so both objects are poolable: Reset re-targets the storage at a
 // new shape without releasing it, and Acquire/Release wrap that in a
@@ -17,9 +19,9 @@ import (
 //
 // Race safety: a pooled Graph or Solver is owned by exactly one goroutine
 // between Acquire and Release, and every field the next solve reads is
-// rewritten by Reset (head refilled with -1, arc slices truncated, solver
-// counters zeroed), so no state from a previous owner can leak into a
-// result. core's TestPooledSolveRace hammers this path under -race.
+// rewritten by Reset (arc slices truncated, the adjacency marked stale,
+// solver counters zeroed), so no state from a previous owner can leak into
+// a result. core's TestPooledSolveRace hammers this path under -race.
 
 var graphPool = sync.Pool{New: func() any { return new(Graph) }}
 
@@ -46,18 +48,10 @@ func (g *Graph) Reset(n int) {
 		panic("mincostflow: non-positive node count in Reset")
 	}
 	g.numNodes = n
-	if cap(g.head) < n {
-		g.head = make([]int32, n)
-	} else {
-		g.head = g.head[:n]
-	}
-	for i := range g.head {
-		g.head[i] = -1
-	}
 	g.to = g.to[:0]
-	g.next = g.next[:0]
 	g.cap = g.cap[:0]
 	g.cost = g.cost[:0]
+	g.indexed = false
 }
 
 var solverPool = sync.Pool{New: func() any { return new(Solver) }}
@@ -86,47 +80,44 @@ func ReleaseSolver(sv *Solver) {
 // Reset prepares the Solver for a fresh SSPA run from s to t on g, keeping
 // allocated storage. Equivalent to NewSolver with recycled memory.
 func (sv *Solver) Reset(g *Graph, s, t int) {
-	if s < 0 || s >= g.numNodes || t < 0 || t >= g.numNodes || s == t {
-		panic("mincostflow: invalid terminals in Reset")
-	}
-	n := g.numNodes
-	sv.g, sv.s, sv.t = g, s, t
+	sv.bind(g, s, t, "Reset")
 	sv.totalFlow = 0
 	sv.totalCost = 0
-	sv.pops, sv.arcScans = 0, 0
-	sv.pot = resizeFloats(sv.pot, n)
-	for i := range sv.pot {
-		sv.pot[i] = 0
+	sv.pot = resize(sv.pot, g.numNodes)
+	clear(sv.pot)
+	for i := 0; i < len(g.cost); i += 2 {
+		if g.cap[i] > 0 && g.cost[i] < 0 {
+			sv.relaxPotentials()
+			break
+		}
 	}
-	sv.dist = resizeFloats(sv.dist, n)
-	sv.prev = resizeInt32s(sv.prev, n)
+}
+
+// bind points the Solver at g with terminals s and t: it checks them,
+// indexes g's arcs for them, zeroes the search counters and sizes the
+// per-node search state. op names the caller in the panic.
+func (sv *Solver) bind(g *Graph, s, t int, op string) {
+	if s < 0 || s >= g.numNodes || t < 0 || t >= g.numNodes || s == t {
+		panic(fmt.Sprintf("mincostflow: invalid terminals s=%d t=%d (n=%d) in %s", s, t, g.numNodes, op))
+	}
+	n := g.numNodes
+	g.index(s, t)
+	sv.g, sv.s, sv.t = g, s, t
+	sv.pops, sv.arcScans = 0, 0
+	sv.dist = resize(sv.dist, n)
+	sv.prev = resize(sv.prev, n)
 	if sv.heap == nil {
 		sv.heap = pqueue.NewIndexedMinHeap(n)
 	} else {
 		sv.heap.Resize(n)
 	}
-	hasNegative := false
-	for i := 0; i < len(g.cost); i += 2 {
-		if g.cap[i] > 0 && g.cost[i] < 0 {
-			hasNegative = true
-			break
-		}
-	}
-	if hasNegative {
-		sv.relaxPotentials()
-	}
 }
 
-func resizeFloats(s []float64, n int) []float64 {
+// resize returns s with length n, reallocating only when its capacity
+// falls short; the contents are the caller's to rewrite.
+func resize[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-func resizeInt32s(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }

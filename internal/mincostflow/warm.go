@@ -1,10 +1,6 @@
 package mincostflow
 
-import (
-	"math"
-
-	"github.com/ebsnlab/geacc/internal/pqueue"
-)
+import "math"
 
 // Warm-started SSPA. A dirty-component rebalance re-solves a network that
 // differs from the previous solve by a handful of arcs. Instead of starting
@@ -55,7 +51,7 @@ func (g *Graph) ClearFlow() {
 // potentials into out (grown as needed), returning the slice. Valid after a
 // solve; feed it to a later WarmStart on a related network.
 func (sv *Solver) Potentials(out []float64) []float64 {
-	out = resizeFloats(out, len(sv.pot))
+	out = resize(out, len(sv.pot))
 	copy(out, sv.pot)
 	return out
 }
@@ -86,28 +82,21 @@ type WarmStats struct {
 // not converge (pathological float noise); the caller should ClearFlow,
 // Reset, and solve cold.
 func (sv *Solver) WarmStart(g *Graph, s, t int, prevPot []float64) WarmStats {
-	if s < 0 || s >= g.numNodes || t < 0 || t >= g.numNodes || s == t {
-		panic("mincostflow: invalid terminals in WarmStart")
-	}
+	sv.bind(g, s, t, "WarmStart")
 	n := g.numNodes
-	sv.g, sv.s, sv.t = g, s, t
-	sv.dist = resizeFloats(sv.dist, n)
-	sv.prev = resizeInt32s(sv.prev, n)
-	if sv.heap == nil {
-		sv.heap = pqueue.NewIndexedMinHeap(n)
-	} else {
-		sv.heap.Resize(n)
-	}
-
-	sv.pops, sv.arcScans = 0, 0
 	st := WarmStats{}
+	sv.pot = resize(sv.pot, n)
+	clear(sv.pot)
+	copy(sv.pot, prevPot)
 	// Repair optimality: the restored flow plus delta arcs may admit
-	// negative-cost residual cycles; cancel until none remain. The bound is
-	// generous — a small delta creates at most a few — and overrunning it
-	// signals a pathological instance better served cold.
+	// negative-cost residual cycles; cancel until none remain. The search
+	// starts from the previous potentials, so it proves there are none in
+	// a pass or two. The bound is generous — a small delta creates at most
+	// a few — and overrunning it signals a pathological instance better
+	// served cold.
 	maxCancel := n + 64
 	for st.CyclesCanceled < maxCancel {
-		cycle := findNegativeCycle(g)
+		cycle := findNegativeCycle(g, sv.pot)
 		if cycle == nil {
 			break
 		}
@@ -132,7 +121,7 @@ func (sv *Solver) WarmStart(g *Graph, s, t int, prevPot []float64) WarmStats {
 	// their forward arc carries flow in.
 	sv.totalFlow = 0
 	sv.totalCost = 0
-	for a := g.head[s]; a >= 0; a = g.next[a] {
+	for _, a := range g.adj[g.start[s]:g.start[s+1]] {
 		if a%2 == 0 {
 			sv.totalFlow += g.Flow(ArcID(a))
 		} else {
@@ -151,14 +140,6 @@ func (sv *Solver) WarmStart(g *Graph, s, t int, prevPot []float64) WarmStats {
 	// solve's potentials. Absent negative cycles (just canceled) this is a
 	// difference-constraint system; relaxation converges in at most n
 	// passes, and with a good seed typically one or two.
-	sv.pot = resizeFloats(sv.pot, n)
-	for i := range sv.pot {
-		if i < len(prevPot) {
-			sv.pot[i] = prevPot[i]
-		} else {
-			sv.pot[i] = 0
-		}
-	}
 	st.OK = sv.relaxPotentials()
 	return st
 }
@@ -168,7 +149,8 @@ func (sv *Solver) WarmStart(g *Graph, s, t int, prevPot []float64) WarmStats {
 // costBound — i.e. the marginal unit currently in the flow costs >= the
 // caller's stopping bound and would never have been pushed by
 // AugmentBelow(..., costBound) on a cold run. ok=false means no unit
-// qualifies (or no flow remains) and the retreat phase is done.
+// qualifies (or no flow remains) and the retreat phase is done; unitCost
+// is then at most the cheapest retreat's cost (0 when there is none).
 //
 // Requires valid potentials (after WarmStart or previous solver calls);
 // like Augment it updates potentials so future reduced costs stay
@@ -176,6 +158,12 @@ func (sv *Solver) WarmStart(g *Graph, s, t int, prevPot []float64) WarmStats {
 func (sv *Solver) RetreatAbove(costBound float64) (unitCost float64, ok bool) {
 	if sv.totalFlow <= 0 {
 		return 0, false
+	}
+	// Reduced distances are non-negative, so no t->s path costs less than
+	// pot[s] - pot[t] (rounding is monotone). When even that refunds too
+	// little, the search cannot find a unit.
+	if lb := sv.pot[sv.s] - sv.pot[sv.t]; lb > -costBound {
+		return lb, false
 	}
 	if !sv.dijkstraFrom(sv.t, sv.s) {
 		return 0, false
@@ -197,4 +185,57 @@ func (sv *Solver) RetreatAbove(costBound float64) (unitCost float64, ok bool) {
 	sv.totalFlow--
 	sv.totalCost += reverseCost
 	return reverseCost, true
+}
+
+// findNegativeCycle runs Bellman-Ford over the residual graph from a
+// virtual source joined to each node v at distance seed[v] (0 for a nil
+// seed), returning the arcs of one negative-cost cycle, or nil if none
+// exists; a seed near valid potentials proves there is none in a pass or
+// two. A tiny epsilon guards against floating-point noise canceling
+// "cycles" of cost ~0 forever.
+func findNegativeCycle(g *Graph, seed []float64) []int32 {
+	const eps = 1e-12
+	n := g.numNodes
+	dist := make([]float64, n)
+	copy(dist, seed)
+	prevArc := make([]int32, n)
+	for i := range prevArc {
+		prevArc[i] = -1
+	}
+	var cycleNode = -1
+	for iter := 0; iter < n; iter++ {
+		cycleNode = -1
+		for v := 0; v < n; v++ {
+			for _, a := range g.adj[g.start[v]:g.start[v+1]] {
+				if g.cap[a] <= 0 {
+					continue
+				}
+				w := int(g.to[a])
+				if nd := dist[v] + g.cost[a]; nd < dist[w]-eps {
+					dist[w] = nd
+					prevArc[w] = a
+					cycleNode = w
+				}
+			}
+		}
+		if cycleNode == -1 {
+			return nil
+		}
+	}
+	// A relaxation happened on the n-th pass: walk predecessors n times to
+	// land inside the cycle, then collect it.
+	v := cycleNode
+	for i := 0; i < n; i++ {
+		v = int(g.to[int32(prevArc[v])^1])
+	}
+	var cycle []int32
+	for w := v; ; {
+		a := prevArc[w]
+		cycle = append(cycle, a)
+		w = int(g.to[int32(a)^1])
+		if w == v {
+			break
+		}
+	}
+	return cycle
 }
