@@ -6,6 +6,7 @@ import (
 
 	"github.com/ebsnlab/geacc/internal/core"
 	"github.com/ebsnlab/geacc/internal/dataset"
+	"github.com/ebsnlab/geacc/internal/obs"
 )
 
 // pinnedInstance builds the same instance RunSolverBench uses for a shape.
@@ -63,12 +64,23 @@ func TestSolverBenchLargeShapesGated(t *testing.T) {
 // through SimBatch blocks, and a flow solve whose cost matrix is built from
 // batched similarity rows.
 
+// BenchmarkGreedyKernelV50U500 also reports the search work per solve:
+// kernelpairs/op counts (query, row) similarity evaluations (refills over
+// live candidates only), pops/op counts Greedy's heap pops.
 func BenchmarkGreedyKernelV50U500(b *testing.B) {
 	in := pinnedInstance(b, 50, 500)
+	reg := obs.Default()
+	pairs := reg.Counter("geacc_sim_kernel_pairs_total")
+	pops := reg.Counter("geacc_greedy_pops_total")
+	k0, p0 := pairs.Value(), pops.Value()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		core.Greedy(in)
 	}
+	b.StopTimer()
+	n := float64(b.N)
+	b.ReportMetric(float64(pairs.Value()-k0)/n, "kernelpairs/op")
+	b.ReportMetric(float64(pops.Value()-p0)/n, "pops/op")
 }
 
 func BenchmarkMinCostFlowKernelV20U100(b *testing.B) {

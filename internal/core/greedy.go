@@ -80,11 +80,10 @@ func GreedyOpts(in *Instance, opt GreedyOptions) *Matching {
 	// nil path costs one pointer check.
 	rec := obs.RecorderFrom(opt.Ctx)
 	sp := rec.Start("greedy/init")
-	src := newNeighborSource(in, opt.Index, opt.ChunkSize)
 
-	// The capacity arrays, lazy stream tables, and candidate heap are
-	// pooled per solve; every entry is rewritten (or nil, for the lazily
-	// created streams) before use.
+	// The capacity arrays, live sets, lazy stream tables, and candidate
+	// heap are pooled per solve; every entry is rewritten (or nil, for the
+	// lazily created streams) before use.
 	scratch := acquireGreedyScratch(nv, nu)
 	defer releaseGreedyScratch(scratch)
 	capV, capU := scratch.capV, scratch.capU
@@ -94,6 +93,11 @@ func GreedyOpts(in *Instance, opt GreedyOptions) *Matching {
 	for u, usr := range in.Users {
 		capU[u] = usr.Cap
 	}
+	// Capacities only fall, so a full node stays full: the index drops it
+	// from refills, omitting only candidates the advance loops would skip.
+	scratch.liveV.Reset(nv, func(v int) bool { return capV[v] > 0 })
+	scratch.liveU.Reset(nu, func(u int) bool { return capU[u] > 0 })
+	src := newNeighborSource(in, opt.Index, opt.ChunkSize, &scratch.liveV, &scratch.liveU)
 
 	// Per-node neighbor streams, created lazily: a node whose pairs are all
 	// pushed from the other side never materializes its own stream.

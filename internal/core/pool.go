@@ -20,10 +20,11 @@ import (
 
 // greedyScratch is the per-run working set of GreedyOpts.
 type greedyScratch struct {
-	capV, capU []int
-	vStreams   []knn.Stream
-	uStreams   []knn.Stream
-	heap       *pqueue.PairHeap
+	capV, capU   []int
+	liveV, liveU knn.Live // ids with capacity left; reset by GreedyOpts
+	vStreams     []knn.Stream
+	uStreams     []knn.Stream
+	heap         *pqueue.PairHeap
 }
 
 var greedyScratchPool = sync.Pool{New: func() any { return new(greedyScratch) }}

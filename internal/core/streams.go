@@ -28,9 +28,9 @@ const (
 	// IndexVAFile uses the vector-approximation file (Euclidean-style
 	// similarities only).
 	IndexVAFile
-	// IndexParallel is the Chunked strategy with parallel refills:
-	// bit-identical matchings, faster on multi-core machines at the
-	// scalability regime of Fig. 5a/5b.
+	// IndexParallel is the Chunked strategy with parallel refills over
+	// every row: bit-identical matchings. On 100×1000 TABLE III and a
+	// 2-vCPU container it measured 55–64 ms per solve, Chunked 21–29 ms.
 	IndexParallel
 	// IndexLSH is APPROXIMATE (p-stable locality-sensitive hashing): the
 	// NN streams may miss true neighbors, so the greedy matching can be
@@ -73,15 +73,15 @@ type neighborSource interface {
 
 // newNeighborSource picks the stream implementation for the instance:
 // explicit-matrix instances sort matrix rows/columns; vector instances build
-// the requested knn index over each side.
-func newNeighborSource(in *Instance, kind IndexKind, chunkSize int) neighborSource {
+// the requested knn index over each side; only Chunked uses the live sets.
+func newNeighborSource(in *Instance, kind IndexKind, chunkSize int, liveEvents, liveUsers *knn.Live) neighborSource {
 	if in.Matrix != nil {
 		return &matrixSource{in: in}
 	}
 	// Reuse the instance's flat kernels when they are fresh; stale or absent
 	// kernels (Instance literals, truncated bench copies) get a fresh kernel
 	// built from the current attribute slices.
-	build := func(k *sim.Kernel, data func() []sim.Vector) knn.Index {
+	build := func(k *sim.Kernel, data func() []sim.Vector, live *knn.Live) knn.Index {
 		if k == nil {
 			k = sim.NewKernel(data(), in.SimFunc)
 		}
@@ -103,13 +103,13 @@ func newNeighborSource(in *Instance, kind IndexKind, chunkSize int) neighborSour
 		case IndexLSH:
 			return knn.NewLSHKernel(k, 8, 4, 1)
 		default:
-			return knn.NewChunkedKernel(k, chunkSize)
+			return knn.NewChunkedKernel(k, chunkSize, live)
 		}
 	}
 	return &vectorSource{
 		in:     in,
-		users:  build(in.kernelOverUsers(), in.UserAttrs),
-		events: build(in.kernelOverEvents(), in.EventAttrs),
+		users:  build(in.kernelOverUsers(), in.UserAttrs, liveUsers),
+		events: build(in.kernelOverEvents(), in.EventAttrs, liveEvents),
 	}
 }
 

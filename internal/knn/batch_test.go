@@ -82,7 +82,7 @@ func TestKernelConstructorsShareStore(t *testing.T) {
 	want := drain(NewSorted(data, f).Stream(q), 120)
 	for name, ix := range map[string]Index{
 		"sorted":   NewSortedKernel(k),
-		"chunked":  NewChunkedKernel(k, 0),
+		"chunked":  NewChunkedKernel(k, 0, nil),
 		"parallel": NewParallelKernel(k, 0, 0),
 	} {
 		if ix.Len() != len(data) {

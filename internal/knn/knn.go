@@ -10,7 +10,8 @@
 //   - Sorted: sorts all candidates up front; the exactness oracle.
 //   - Chunked: lazy top-k selection with geometric refill; near-linear total
 //     work when only a few neighbors are consumed (the common case), and the
-//     default for Greedy-GEACC.
+//     default for Greedy-GEACC. Each refill scans only the ids of its Live
+//     set still alive (for Greedy, nodes with capacity left).
 //   - KDTree: best-first traversal of a kd-tree; exact, fast in low
 //     dimensions.
 //   - IDistance: an iDistance-style one-dimensional mapping (reference
