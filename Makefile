@@ -42,9 +42,10 @@ race:
 race-all:
 	$(GO) test -race $(PKGS)
 
-## vet: static analysis; must stay clean
+## vet: static analysis plus gofmt (fails on any unformatted file); must stay clean
 vet:
 	$(GO) vet $(PKGS)
+	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
 ## loc: non-blank, non-test production Go lines outside benchmark/ (and dot-directories)
 loc:

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/ebsnlab/geacc/internal/encoding"
+	"github.com/ebsnlab/geacc/internal/obs"
 )
 
 func TestGenSynthetic(t *testing.T) {
@@ -98,5 +99,32 @@ func TestGenDeterministic(t *testing.T) {
 	}
 	if a.String() != b.String() {
 		t.Error("same seed, different instance")
+	}
+}
+
+// TestGenOutputDecodesOnFastPath pins that every kind's output, indented as
+// written, takes the instance decoder's single-pass parser and never its
+// encoding/json fallback.
+func TestGenOutputDecodesOnFastPath(t *testing.T) {
+	fallbacks := obs.Default().Counter("geacc_instance_decode_fallback_total")
+	for _, args := range [][]string{
+		{"-kind", "synthetic", "-events", "8", "-users", "30"},
+		{"-kind", "synthetic", "-events", "8", "-users", "30", "-attrs", "normal", "-caps", "normal"},
+		{"-kind", "synthetic", "-events", "8", "-users", "30", "-attrs", "zipf"},
+		{"-kind", "meetup", "-city", "auckland"},
+		{"-kind", "scheduled", "-events", "10", "-users", "40"},
+		{"-kind", "clustered", "-events", "16", "-users", "80", "-bridge-frac", "0.1"},
+	} {
+		var out bytes.Buffer
+		if err := run(args, &out); err != nil {
+			t.Fatal(err)
+		}
+		before := fallbacks.Value()
+		if _, err := encoding.DecodeInstance(&out); err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		if n := fallbacks.Value() - before; n != 0 {
+			t.Errorf("%v: decoded through the fallback (%d)", args, n)
+		}
 	}
 }

@@ -223,10 +223,16 @@ var warmDeltaShapes = [][2]int{{20, 200}, {30, 400}}
 // the cached state of the preceding step, never an identical repeat.
 const warmDeltaSteps = 8
 
+// warmDeltaReps is the least number of repetitions the warm-delta gate
+// takes its best step times over, whatever Options.Reps says: the count
+// `make bench-json` pins.
+const warmDeltaReps = 3
+
 // runWarmDeltaBench pins `mcflow_warm_delta/<shape>` against its cold
 // baseline `mcflow_cold_delta/<shape>`: the same pinned arrival chain
 // solved through core.MinCostFlowWarmCtx with a warm cache (filled once,
-// untimed, per repetition) and through the cold core.MinCostFlowCtx. It
+// untimed, per repetition) and through the cold core.MinCostFlowCtx;
+// ns_per_op is the mean over steps of each step's best time. It
 // fails outright if any step's warm MaxSum drifts from the cold one or if
 // the warm path loses its required speedup, so `make bench-compare` gates
 // the optimization structurally, not just against last run's numbers.
@@ -252,37 +258,42 @@ func runWarmDeltaBench(opt Options) ([]SolverBenchPoint, error) {
 		}
 		events := idRange(nv)
 
-		warmBest, coldBest := math.Inf(1), math.Inf(1)
+		// Warm and cold alternate step by step, so host drift hits both
+		// sides alike, and each side keeps its best time per step over
+		// warmDeltaReps: one scheduler hiccup cannot decide the gate.
+		warmStep, coldStep := make([]float64, warmDeltaSteps), make([]float64, warmDeltaSteps)
+		for s := range warmStep {
+			warmStep[s], coldStep[s] = math.Inf(1), math.Inf(1)
+		}
 		warmSums := make([]float64, warmDeltaSteps)
 		coldSums := make([]float64, warmDeltaSteps)
-		for rep := 0; rep < opt.Reps; rep++ {
+		for rep := 0; rep < max(opt.Reps, warmDeltaReps); rep++ {
 			wc := core.NewWarmCache(4)
 			if _, err := core.MinCostFlowWarmCtx(ctx, chain[0], events, ids[0], wc); err != nil {
 				return nil, fmt.Errorf("bench: mcflow_warm_delta/%s warm fill: %w", name, err)
 			}
-			start := time.Now()
 			for s := 1; s <= warmDeltaSteps; s++ {
+				start := time.Now()
 				fr, err := core.MinCostFlowWarmCtx(ctx, chain[s], events, ids[s], wc)
 				if err != nil {
 					return nil, fmt.Errorf("bench: mcflow_warm_delta/%s: %w", name, err)
 				}
+				warmStep[s-1] = min(warmStep[s-1], time.Since(start).Seconds())
 				warmSums[s-1] = fr.Matching.MaxSum()
-			}
-			if sec := time.Since(start).Seconds() / warmDeltaSteps; sec < warmBest {
-				warmBest = sec
-			}
 
-			start = time.Now()
-			for s := 1; s <= warmDeltaSteps; s++ {
+				start = time.Now()
 				res, err := core.MinCostFlowCtx(ctx, chain[s], core.FlowOptions{})
 				if err != nil {
 					return nil, fmt.Errorf("bench: mcflow_cold_delta/%s: %w", name, err)
 				}
+				coldStep[s-1] = min(coldStep[s-1], time.Since(start).Seconds())
 				coldSums[s-1] = res.Matching.MaxSum()
 			}
-			if sec := time.Since(start).Seconds() / warmDeltaSteps; sec < coldBest {
-				coldBest = sec
-			}
+		}
+		var warmBest, coldBest float64
+		for s := range warmStep {
+			warmBest += warmStep[s] / warmDeltaSteps
+			coldBest += coldStep[s] / warmDeltaSteps
 		}
 		for s := range warmSums {
 			if warmSums[s] != coldSums[s] {

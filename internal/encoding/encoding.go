@@ -5,6 +5,13 @@
 // similarity function over the attribute space or an explicit matrix.
 // Matchings round-trip as JSON or as a compact CSV (v,u,sim rows) for the
 // command-line tools.
+//
+// Instances decode in one pass: a body in the canonical form that
+// EncodeInstance writes (compacted or indented) is parsed without
+// reflection, numbers into shared fixed-size chunks. Any other body, and any
+// body whose read fails, is decoded by encoding/json over the same bytes,
+// so what is accepted, and every error message, is encoding/json's. The
+// geacc_instance_decode_fallback_total counter counts those bodies.
 package encoding
 
 import (
@@ -140,16 +147,15 @@ func DecodeInstance(r io.Reader) (*core.Instance, error) {
 }
 
 // DecodeInstanceMeta is DecodeInstance plus the similarity metadata needed
-// to re-serialize the instance without guessing.
+// to re-serialize the instance without guessing. It reads r to EOF, but
+// only the first top-level JSON value is decoded; unknown fields are an
+// error.
 func DecodeInstanceMeta(r io.Reader) (*core.Instance, SimInfo, error) {
-	var doc InstanceJSON
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	info := SimInfo{}
-	if err := dec.Decode(&doc); err != nil {
-		return nil, info, fmt.Errorf("encoding: %w", err)
+	doc, err := decodeDoc(r)
+	if err != nil {
+		return nil, SimInfo{}, err
 	}
-	info = SimInfo{Kind: doc.Sim, Dim: doc.Dim, MaxT: doc.MaxT}
+	info := SimInfo{Kind: doc.Sim, Dim: doc.Dim, MaxT: doc.MaxT}
 	events := make([]core.Event, len(doc.Events))
 	for i, e := range doc.Events {
 		events[i] = core.Event{Attrs: e.Attrs, Cap: e.Cap}
@@ -168,7 +174,6 @@ func DecodeInstanceMeta(r io.Reader) (*core.Instance, SimInfo, error) {
 		cf = conflict.FromPairs(len(events), doc.Conflicts)
 	}
 	var in *core.Instance
-	var err error
 	switch doc.Sim {
 	case SimMatrix:
 		in, err = core.NewMatrixInstance(events, users, cf, doc.Matrix)

@@ -14,9 +14,11 @@
 //     ("bfs"). Users are then assigned, each to exactly ONE shard — the
 //     one holding most of their similarity mass — under a per-shard budget
 //     that keeps every shard's |V|·|U| near Options.MaxArea.
+//
 //  2. Solve. Each shard is an ordinary GEACC sub-instance, solved through
 //     the caller-supplied per-component machinery (solve cache, warm-started
 //     min-cost flow, node-limited exact — whatever internal/decomp wires in).
+//
 //  3. Bounded-drift merge. Because every user lives in exactly one shard, a
 //     user can only be matched to events of its own shard, so cross-shard
 //     conflict edges can never bind: the merged matching is ALWAYS
@@ -28,7 +30,7 @@
 //     cut similarities is a sound upper bound on the MaxSum any unsharded
 //     matching could additionally extract from cut pairs, so
 //
-//         OPT(component) ≤ OPT(sharded) + LostCutBound ≤ merged + LostCutBound.
+//     OPT(component) ≤ OPT(sharded) + LostCutBound ≤ merged + LostCutBound.
 //
 //     DriftEstimate = LostCutBound / merged MaxSum therefore bounds the
 //     relative loss vs the unsharded optimum. If it exceeds
