@@ -11,7 +11,6 @@
 package geacc
 
 import (
-	"fmt"
 	"testing"
 
 	"github.com/ebsnlab/geacc/internal/bench"
@@ -218,29 +217,12 @@ func BenchmarkPruneBounds(b *testing.B) {
 	}
 }
 
-// BenchmarkGreedyChunkSizes sweeps the Chunked index's first refill size.
-func BenchmarkGreedyChunkSizes(b *testing.B) {
-	in := defaultInstance(b, 1)
-	for _, chunk := range []int{2, 8, 32, 128} {
-		chunk := chunk
-		b.Run(fmt.Sprintf("chunk-%d", chunk), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				m := core.GreedyOpts(in, core.GreedyOptions{ChunkSize: chunk})
-				if m.Size() == 0 {
-					b.Fatal("empty matching")
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkGreedyIndexes is the index ablation DESIGN.md calls out: the
 // same greedy arrangement computed through each NN index implementation.
 func BenchmarkGreedyIndexes(b *testing.B) {
 	in := defaultInstance(b, 1)
 	for _, kind := range []core.IndexKind{
-		core.IndexChunked, core.IndexSorted, core.IndexKDTree,
-		core.IndexIDistance, core.IndexVAFile, core.IndexParallel,
+		core.IndexChunked, core.IndexSorted, core.IndexIDistance, core.IndexVAFile,
 	} {
 		kind := kind
 		b.Run(kind.String(), func(b *testing.B) {

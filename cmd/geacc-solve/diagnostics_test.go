@@ -3,9 +3,11 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/ebsnlab/geacc/internal/core"
@@ -62,7 +64,7 @@ func TestSolveDiagPortfolioAndGreedyIndex(t *testing.T) {
 	path := writeInstance(t)
 	for _, args := range [][]string{
 		{"-in", path, "-algo", "portfolio"},
-		{"-in", path, "-algo", "greedy", "-index", "kdtree"},
+		{"-in", path, "-algo", "greedy", "-index", "idistance"},
 	} {
 		diagPath := filepath.Join(t.TempDir(), "diag.json")
 		var out bytes.Buffer
@@ -83,6 +85,11 @@ func TestSolveDiagPortfolioAndGreedyIndex(t *testing.T) {
 		if d.Gap < 0 || d.RelaxedUpperBound <= 0 {
 			t.Errorf("%v: gap = %v, ub = %v", args, d.Gap, d.RelaxedUpperBound)
 		}
+	}
+	// An unknown index fails and names every valid kind.
+	err := run([]string{"-in", path, "-algo", "greedy", "-index", "lsh", "-quiet"}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), `"lsh" (chunked, sorted, idistance, vafile)`) {
+		t.Errorf("-index lsh: err = %v", err)
 	}
 }
 

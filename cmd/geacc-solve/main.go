@@ -27,6 +27,7 @@ import (
 	"io"
 	"log/slog"
 	"os"
+	"strings"
 	"time"
 
 	"github.com/ebsnlab/geacc/internal/buildinfo"
@@ -53,7 +54,7 @@ func run(args []string, stdout io.Writer) error {
 	format := fs.String("format", "json", "output format: json or csv")
 	outPath := fs.String("out", "", "write the matching here instead of stdout")
 	sessionPath := fs.String("session", "", "also archive instance+matching+metadata (JSON) here")
-	index := fs.String("index", "", "greedy NN index: chunked (default), sorted, kdtree, idistance, vafile, parallel, lsh")
+	index := fs.String("index", "", "greedy NN index: "+indexNames()+" (default "+core.IndexChunked.String()+")")
 	specFlags := decomp.BindFlags(fs, "algo", "seed", "decompose", "decompose-workers",
 		"approx-shard", "shard-max-area", "shard-strategy", "shard-drift-budget", "diag")
 	quiet := fs.Bool("quiet", false, "suppress the summary log line")
@@ -299,18 +300,28 @@ func writeTrace(rec *obs.Recorder, path string, logger *slog.Logger) error {
 	return nil
 }
 
+// indexKinds lists the values of the -index flag.
+var indexKinds = []core.IndexKind{
+	core.IndexChunked, core.IndexSorted, core.IndexIDistance, core.IndexVAFile,
+}
+
+// indexNames returns the -index names joined by ", ".
+func indexNames() string {
+	names := make([]string, len(indexKinds))
+	for i, k := range indexKinds {
+		names[i] = k.String()
+	}
+	return strings.Join(names, ", ")
+}
+
 // indexKindByName resolves the -index flag.
 func indexKindByName(name string) (core.IndexKind, error) {
-	kinds := []core.IndexKind{
-		core.IndexChunked, core.IndexSorted, core.IndexKDTree,
-		core.IndexIDistance, core.IndexVAFile, core.IndexParallel, core.IndexLSH,
-	}
-	for _, k := range kinds {
+	for _, k := range indexKinds {
 		if k.String() == name {
 			return k, nil
 		}
 	}
-	return 0, fmt.Errorf("unknown index %q (chunked, sorted, kdtree, idistance, vafile, parallel, lsh)", name)
+	return 0, fmt.Errorf("unknown index %q (%s)", name, indexNames())
 }
 
 func conflictCount(in *core.Instance) int {

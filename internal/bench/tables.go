@@ -98,13 +98,10 @@ func runAblationIndex(opt Options) ([]Point, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Only the exact indexes run here (they must produce identical
-	// matchings). IndexLSH is excluded: on TABLE III's 20-dimensional
-	// uniform attributes, hash collisions are too rare for useful recall —
-	// approximate NN is a low-dimensional tool (see TestGreedyWithLSH*).
+	// Every index is exact, so all produce the same matching; only the
+	// time and memory differ.
 	kinds := []core.IndexKind{
-		core.IndexChunked, core.IndexSorted, core.IndexKDTree,
-		core.IndexIDistance, core.IndexVAFile, core.IndexParallel,
+		core.IndexChunked, core.IndexSorted, core.IndexIDistance, core.IndexVAFile,
 	}
 	var points []Point
 	for _, kind := range kinds {

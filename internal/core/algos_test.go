@@ -284,11 +284,8 @@ func TestIndexKindString(t *testing.T) {
 	cases := map[IndexKind]string{
 		IndexChunked:   "chunked",
 		IndexSorted:    "sorted",
-		IndexKDTree:    "kdtree",
 		IndexIDistance: "idistance",
 		IndexVAFile:    "vafile",
-		IndexParallel:  "parallel",
-		IndexLSH:       "lsh",
 		IndexKind(99):  "unknown",
 	}
 	for k, want := range cases {

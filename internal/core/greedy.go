@@ -8,14 +8,11 @@ import (
 )
 
 // GreedyOptions tunes Greedy-GEACC. The zero value selects the defaults
-// (Chunked index with its default chunk size).
+// (the Chunked index).
 type GreedyOptions struct {
 	// Index selects the nearest-neighbor index serving the "next feasible
 	// unvisited NN" queries.
 	Index IndexKind
-	// ChunkSize sets the first refill size of the Chunked index; <= 0 means
-	// knn.DefaultChunkSize. Ignored by the other indexes.
-	ChunkSize int
 	// Trace, when non-nil, receives every heap pop in order — the decision
 	// log of the run, exactly the narrative of the paper's Example 3.
 	Trace func(TraceStep)
@@ -97,7 +94,7 @@ func GreedyOpts(in *Instance, opt GreedyOptions) *Matching {
 	// from refills, omitting only candidates the advance loops would skip.
 	scratch.liveV.Reset(nv, func(v int) bool { return capV[v] > 0 })
 	scratch.liveU.Reset(nu, func(u int) bool { return capU[u] > 0 })
-	src := newNeighborSource(in, opt.Index, opt.ChunkSize, &scratch.liveV, &scratch.liveU)
+	src := newNeighborSource(in, opt.Index, &scratch.liveV, &scratch.liveU)
 
 	// Per-node neighbor streams, created lazily: a node whose pairs are all
 	// pushed from the other side never materializes its own stream.

@@ -94,7 +94,7 @@ func TestGreedyEqualsReferenceOnVectors(t *testing.T) {
 		in := randVectorInstance(rng, 1+rng.Intn(6), 1+rng.Intn(12), 1+rng.Intn(4), 4, 3, rng.Float64())
 		want := referenceGreedy(in)
 		for _, kind := range []IndexKind{
-			IndexChunked, IndexSorted, IndexKDTree, IndexIDistance, IndexVAFile, IndexParallel,
+			IndexChunked, IndexSorted, IndexIDistance, IndexVAFile,
 		} {
 			got := GreedyOpts(in, GreedyOptions{Index: kind})
 			if !matchingsEqual(got, want) {

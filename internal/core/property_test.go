@@ -116,7 +116,7 @@ func TestGreedyIndexAblation(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		in := randVectorInstance(rng, 2+rng.Intn(6), 2+rng.Intn(10), 1+rng.Intn(3), 4, 3, rng.Float64())
 		base := GreedyOpts(in, GreedyOptions{Index: IndexSorted}).MaxSum()
-		for _, kind := range []IndexKind{IndexChunked, IndexKDTree, IndexIDistance, IndexVAFile, IndexParallel} {
+		for _, kind := range []IndexKind{IndexChunked, IndexIDistance, IndexVAFile} {
 			got := GreedyOpts(in, GreedyOptions{Index: kind}).MaxSum()
 			if abs(got-base) > 1e-9 {
 				t.Logf("index %v: MaxSum %v, sorted %v", kind, got, base)

@@ -1,45 +1,31 @@
 package core
 
 import (
-	"sort"
-
 	"github.com/ebsnlab/geacc/internal/knn"
 	"github.com/ebsnlab/geacc/internal/sim"
 )
 
 // IndexKind selects the nearest-neighbor index Greedy-GEACC uses for its
-// "next feasible unvisited NN" queries. The paper leaves the index open
-// (σ(S) in its complexity analysis, citing iDistance and the VA-File);
-// these options enable the corresponding ablation benchmarks.
+// "next feasible unvisited NN" queries on vector instances. The paper leaves
+// the index open (σ(S) in its complexity analysis, citing iDistance and the
+// VA-File). Production solves use IndexChunked; IndexSorted is the test
+// oracle; IndexIDistance and IndexVAFile serve the index ablation. Every
+// kind yields the same matching.
 type IndexKind int
 
 const (
 	// IndexChunked is the default: lazy top-k linear selection with
-	// geometric refill. Robust in any dimension and for any similarity.
+	// geometric refill over the nodes that still have capacity. Robust in
+	// any dimension and for any similarity.
 	IndexChunked IndexKind = iota
 	// IndexSorted fully sorts each node's candidate list on first use.
 	IndexSorted
-	// IndexKDTree uses best-first kd-tree traversal (Euclidean-style
-	// similarities only).
-	IndexKDTree
 	// IndexIDistance uses the iDistance-style one-dimensional mapping
 	// (Euclidean-style similarities only).
 	IndexIDistance
 	// IndexVAFile uses the vector-approximation file (Euclidean-style
 	// similarities only).
 	IndexVAFile
-	// IndexParallel is the Chunked strategy with parallel refills over
-	// every row: bit-identical matchings. On 100×1000 TABLE III and a
-	// 2-vCPU container it measured 55–64 ms per solve, Chunked 21–29 ms.
-	IndexParallel
-	// IndexLSH is APPROXIMATE (p-stable locality-sensitive hashing): the
-	// NN streams may miss true neighbors, so the greedy matching can be
-	// worse than with the exact indexes — the one index kind that trades
-	// arrangement quality for query speed. Effective in low-dimensional
-	// attribute spaces; on high-dimensional near-uniform data (e.g.
-	// TABLE III's d = 20) recall degenerates and the exact indexes should
-	// be preferred. Euclidean-style similarities only.
-	IndexLSH
 )
 
 // String returns the benchmark-friendly name of the index kind.
@@ -49,16 +35,10 @@ func (k IndexKind) String() string {
 		return "chunked"
 	case IndexSorted:
 		return "sorted"
-	case IndexKDTree:
-		return "kdtree"
 	case IndexIDistance:
 		return "idistance"
 	case IndexVAFile:
 		return "vafile"
-	case IndexParallel:
-		return "parallel"
-	case IndexLSH:
-		return "lsh"
 	default:
 		return "unknown"
 	}
@@ -74,7 +54,7 @@ type neighborSource interface {
 // newNeighborSource picks the stream implementation for the instance:
 // explicit-matrix instances sort matrix rows/columns; vector instances build
 // the requested knn index over each side; only Chunked uses the live sets.
-func newNeighborSource(in *Instance, kind IndexKind, chunkSize int, liveEvents, liveUsers *knn.Live) neighborSource {
+func newNeighborSource(in *Instance, kind IndexKind, liveEvents, liveUsers *knn.Live) neighborSource {
 	if in.Matrix != nil {
 		return &matrixSource{in: in}
 	}
@@ -88,8 +68,6 @@ func newNeighborSource(in *Instance, kind IndexKind, chunkSize int, liveEvents, 
 		switch kind {
 		case IndexSorted:
 			return knn.NewSortedKernel(k)
-		case IndexKDTree:
-			return knn.NewKDTree(k.Vectors(), in.SimFunc)
 		case IndexIDistance:
 			m := k.Len() / 64
 			if m < 4 {
@@ -98,12 +76,8 @@ func newNeighborSource(in *Instance, kind IndexKind, chunkSize int, liveEvents, 
 			return knn.NewIDistance(k.Vectors(), in.SimFunc, m)
 		case IndexVAFile:
 			return knn.NewVAFileKernel(k, 6)
-		case IndexParallel:
-			return knn.NewParallelKernel(k, chunkSize, 0)
-		case IndexLSH:
-			return knn.NewLSHKernel(k, 8, 4, 1)
 		default:
-			return knn.NewChunkedKernel(k, chunkSize, live)
+			return knn.NewChunkedKernel(k, 0, live)
 		}
 	}
 	return &vectorSource{
@@ -139,7 +113,7 @@ func (s *matrixSource) eventStream(v int) knn.Stream {
 			pairs = append(pairs, knn.Pair{ID: u, S: sv})
 		}
 	}
-	return sortedPairStream(pairs)
+	return knn.SortedStream(pairs)
 }
 
 func (s *matrixSource) userStream(u int) knn.Stream {
@@ -149,29 +123,5 @@ func (s *matrixSource) userStream(u int) knn.Stream {
 			pairs = append(pairs, knn.Pair{ID: v, S: sv})
 		}
 	}
-	return sortedPairStream(pairs)
-}
-
-func sortedPairStream(pairs []knn.Pair) knn.Stream {
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].S != pairs[j].S {
-			return pairs[i].S > pairs[j].S
-		}
-		return pairs[i].ID < pairs[j].ID
-	})
-	return &pairSliceStream{pairs: pairs}
-}
-
-type pairSliceStream struct {
-	pairs []knn.Pair
-	pos   int
-}
-
-func (s *pairSliceStream) Next() (int, float64, bool) {
-	if s.pos >= len(s.pairs) {
-		return 0, 0, false
-	}
-	p := s.pairs[s.pos]
-	s.pos++
-	return p.ID, p.S, true
+	return knn.SortedStream(pairs)
 }

@@ -83,8 +83,8 @@ func (ix *Chunked) Stream(query sim.Vector) Stream {
 	first := ix.firstSize
 	if ix.auto {
 		// n/16 makes the common stream (a node consuming a few dozen
-		// neighbors) complete in one scan on large data; the chunk-size
-		// sweep in the solver benches bottoms out around this ratio.
+		// neighbors) complete in one scan on large data; a chunk-size
+		// sweep over TABLE III solves bottomed out around this ratio.
 		if byN := ix.kernel.Len() / 16; byN > first {
 			first = byN
 		}

@@ -4,24 +4,25 @@
 // Greedy-GEACC (Algorithm 2 of the paper) repeatedly asks each event/user
 // node for its "next feasible unvisited nearest neighbor". The paper notes
 // that any k-NN index can serve these queries and cites iDistance and the
-// VA-File. This package offers several interchangeable implementations
-// behind one interface:
+// VA-File. This package offers four interchangeable implementations behind
+// one interface:
 //
 //   - Sorted: sorts all candidates up front; the exactness oracle.
 //   - Chunked: lazy top-k selection with geometric refill; near-linear total
 //     work when only a few neighbors are consumed (the common case), and the
 //     default for Greedy-GEACC. Each refill scans only the ids of its Live
 //     set still alive (for Greedy, nodes with capacity left).
-//   - KDTree: best-first traversal of a kd-tree; exact, fast in low
-//     dimensions.
 //   - IDistance: an iDistance-style one-dimensional mapping (reference
 //     points + sorted projection; the paper's B+-tree is substituted by a
 //     binary-searched sorted array) with incremental radius expansion.
+//   - VAFile: a vector-approximation file that scans quantized vectors and
+//     verifies candidates in lower-bound order.
 //
-// All streams yield items in non-increasing similarity order and stop before
-// items whose similarity is zero, because GEACC never assigns
+// IDistance and VAFile serve only the index ablation; production solves use
+// Chunked. All streams yield items in non-increasing similarity order and
+// stop before items whose similarity is zero, because GEACC never assigns
 // zero-similarity pairs. Sorted and Chunked break similarity ties by
-// ascending id. KDTree and IDistance traverse in exact distance order, which
+// ascending id. IDistance and VAFile traverse in exact distance order, which
 // agrees with similarity order except when two distinct distances round to
 // the same similarity value; within such floating-point collisions their
 // yield order follows distance, not id.
@@ -56,8 +57,8 @@ func after(cs float64, cid int, ps float64, pid int) bool {
 	return cid > pid
 }
 
-// simBatchBlock is the scan granularity of the kernel-backed indexes: sims
-// are computed simBatchBlock rows at a time into a reusable buffer, keeping
+// simBatchBlock is the scan granularity of Chunked refills: sims are
+// gathered simBatchBlock ids at a time into a reusable buffer, keeping
 // the buffer hot in L1 while amortizing the batch call.
 const simBatchBlock = 512
 
@@ -135,27 +136,26 @@ func (ix *Sorted) Stream(query sim.Vector) Stream {
 			cands = append(cands, Pair{ID: id, S: sv})
 		}
 	}
-	sortBestFirst(cands)
-	ids := make([]int, len(cands))
-	ss := make([]float64, len(cands))
-	for i, c := range cands {
-		ids[i] = c.ID
-		ss[i] = c.S
-	}
-	return &sliceStream{ids: ids, sims: ss}
+	return SortedStream(cands)
 }
 
-type sliceStream struct {
-	ids  []int
-	sims []float64
-	pos  int
+// SortedStream sorts ps into (sim desc, id asc) order in place and returns a
+// cursor over it. ps must hold distinct ids and only positive similarities.
+func SortedStream(ps []Pair) Stream {
+	sortBestFirst(ps)
+	return &pairStream{pairs: ps}
 }
 
-func (s *sliceStream) Next() (int, float64, bool) {
-	if s.pos >= len(s.ids) {
+type pairStream struct {
+	pairs []Pair
+	pos   int
+}
+
+func (s *pairStream) Next() (int, float64, bool) {
+	if s.pos >= len(s.pairs) {
 		return 0, 0, false
 	}
-	id, sv := s.ids[s.pos], s.sims[s.pos]
+	p := s.pairs[s.pos]
 	s.pos++
-	return id, sv, true
+	return p.ID, p.S, true
 }

@@ -53,7 +53,7 @@ func drain(s Stream, max int) []Pair {
 }
 
 // normalizeTies re-sorts runs of equal similarity by ascending id. The
-// distance-ordered indexes (kdtree, idistance) may legally permute items
+// distance-ordered indexes (idistance, vafile) may legally permute items
 // whose distinct distances collide to one similarity value in floating
 // point; normalizing both sides makes the comparison exact again.
 func normalizeTies(ps []Pair) []Pair {
@@ -71,8 +71,8 @@ func buildAll(data []sim.Vector, f sim.Func) map[string]Index {
 	return map[string]Index{
 		"sorted":    NewSorted(data, f),
 		"chunked":   NewChunked(data, f, 4),
-		"kdtree":    NewKDTree(data, f),
 		"idistance": NewIDistance(data, f, 4),
+		"vafile":    NewVAFile(data, f, 4),
 	}
 }
 
@@ -158,8 +158,8 @@ func TestZeroSimilarityOmitted(t *testing.T) {
 	for name, ix := range map[string]Index{
 		"sorted":    NewSorted(data, f),
 		"chunked":   NewChunked(data, f, 2),
-		"kdtree":    NewKDTree(data, f),
 		"idistance": NewIDistance(data, f, 2),
+		"vafile":    NewVAFile(data, f, 2),
 	} {
 		got := drain(ix.Stream(sim.Vector{0}), 10)
 		if len(got) != 2 {
@@ -177,8 +177,8 @@ func TestEmptyIndex(t *testing.T) {
 	for name, ix := range map[string]Index{
 		"sorted":    NewSorted(data, f),
 		"chunked":   NewChunked(data, f, 0),
-		"kdtree":    NewKDTree(data, f),
 		"idistance": NewIDistance(data, f, 3),
+		"vafile":    NewVAFile(data, f, 3),
 	} {
 		if ix.Len() != 0 {
 			t.Errorf("%s: Len = %d", name, ix.Len())
@@ -245,8 +245,8 @@ func TestLargeRandomEquivalenceProperty(t *testing.T) {
 		oracle := normalizeTies(drain(NewSorted(data, f).Stream(query), len(data)))
 		for _, ix := range []Index{
 			NewChunked(data, f, 1+rng.Intn(8)),
-			NewKDTree(data, f),
 			NewIDistance(data, f, 1+rng.Intn(6)),
+			NewVAFile(data, f, uint(1+rng.Intn(8))),
 		} {
 			got := normalizeTies(drain(ix.Stream(query), len(data)))
 			if len(got) != len(oracle) {
@@ -265,24 +265,6 @@ func TestLargeRandomEquivalenceProperty(t *testing.T) {
 	}
 }
 
-func TestKDTreeLenAndDeepBuild(t *testing.T) {
-	f := sim.Euclidean(testDim, testMaxT)
-	rng := rand.New(rand.NewSource(7))
-	data := testData(rng, 1000)
-	ix := NewKDTree(data, f)
-	if ix.Len() != 1000 {
-		t.Fatalf("Len = %d", ix.Len())
-	}
-	query := testData(rng, 1)[0]
-	oracle := normalizeTies(drain(NewSorted(data, f).Stream(query), len(data)))[:20]
-	got := normalizeTies(drain(ix.Stream(query), len(data)))[:20]
-	for i := range oracle {
-		if got[i] != oracle[i] {
-			t.Fatalf("deep tree neighbor %d = %+v, oracle %+v", i, got[i], oracle[i])
-		}
-	}
-}
-
 func TestIDistanceManyRefsFewPoints(t *testing.T) {
 	f := sim.Euclidean(testDim, testMaxT)
 	data := []sim.Vector{{1, 1, 1}, {2, 2, 2}}
@@ -298,21 +280,6 @@ func BenchmarkChunkedFirstNeighbor(b *testing.B) {
 	rng := rand.New(rand.NewSource(9))
 	data := testData(rng, 10000)
 	ix := NewChunked(data, f, DefaultChunkSize)
-	query := testData(rng, 1)[0]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := ix.Stream(query)
-		if _, _, ok := s.Next(); !ok {
-			b.Fatal("no neighbor")
-		}
-	}
-}
-
-func BenchmarkKDTreeFirstNeighbor(b *testing.B) {
-	f := sim.Euclidean(testDim, testMaxT)
-	rng := rand.New(rand.NewSource(10))
-	data := testData(rng, 10000)
-	ix := NewKDTree(data, f)
 	query := testData(rng, 1)[0]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -155,8 +155,8 @@ func (k *Kernel) Sim(query Vector, i int) float64 {
 	}
 }
 
-// SimGather fills out[j] = sim(query, row ids[j]) for sparse id sets (LSH
-// bucket unions, VA-file survivors).
+// SimGather fills out[j] = sim(query, row ids[j]) for sparse id sets (the
+// live candidates of a Chunked refill).
 func (k *Kernel) SimGather(query Vector, ids []int, out []float64) {
 	if len(ids) == 0 {
 		return
