@@ -22,7 +22,7 @@
 //	curl localhost:8080/statusz                # build, uptime, SLO windows
 //	curl localhost:8080/version                # build identity
 //	curl localhost:8080/metrics                # Prometheus text exposition
-//	curl localhost:8080/debug/vars             # metrics (expvar, always on)
+//	curl localhost:8080/debug/vars             # Go runtime vars (expvar: memstats, cmdline)
 //	curl localhost:6060/debug/pprof/           # profiles (only with -debug-addr)
 //
 // With -data-dir, every instance delta is write-ahead logged (and
@@ -32,7 +32,8 @@
 // the full API and file-format contract.
 //
 // The main listener always serves the solver endpoints plus the metric
-// surfaces: Prometheus text at /metrics and expvar JSON at /debug/vars.
+// surfaces: Prometheus text at /metrics and Go's runtime vars (expvar
+// JSON) at /debug/vars.
 // Requests are logged through log/slog (-log-level, -log-format; json
 // emits one object per line for log pipelines). Passing -debug-addr
 // starts a second, diagnostics-only listener with expvar and

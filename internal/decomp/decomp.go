@@ -226,12 +226,20 @@ func materialize(in *core.Instance, events, users []int, evSub, usSub []int) (Co
 	return Component{Events: events, Users: users, Sub: sub}, nil
 }
 
-// MaxComponentArea returns the largest |V|·|U| over the components — the
-// budget driver for exact solves (the server uses it to gate decomposed
-// exact requests the way it gates monolithic ones).
-func (d *Decomposition) MaxComponentArea() int64 {
+// MaxComponentArea returns the largest |V|·|U| over the components named
+// by ids, or over every component when ids is nil — the budget driver for
+// exact solves (the server uses it to gate decomposed exact requests and
+// rebalances the way it gates monolithic ones).
+func (d *Decomposition) MaxComponentArea(ids []int) int64 {
+	if ids == nil {
+		ids = make([]int, len(d.Components))
+		for i := range ids {
+			ids[i] = i
+		}
+	}
 	var max int64
-	for _, c := range d.Components {
+	for _, id := range ids {
+		c := d.Components[id]
 		if a := int64(len(c.Events)) * int64(len(c.Users)); a > max {
 			max = a
 		}

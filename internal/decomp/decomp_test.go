@@ -65,7 +65,7 @@ func TestDecomposeMatrixComponents(t *testing.T) {
 	if got := c0.Sub.Similarity(0, 1); got != in.Similarity(0, 1) {
 		t.Fatalf("sub similarity %v != parent %v", got, in.Similarity(0, 1))
 	}
-	if area := d.MaxComponentArea(); area != 2 {
+	if area := d.MaxComponentArea(nil); area != 2 {
 		t.Fatalf("MaxComponentArea = %d, want 2", area)
 	}
 	st := d.Stats(0)

@@ -125,6 +125,10 @@ func RebalanceScoped(ctx context.Context, arr *core.Arranger, algo string,
 	if len(ids) == 0 {
 		return res, nil
 	}
+	if _, err := exactGate(algo, d.MaxComponentArea(ids), MaxExactArea, true); err != nil {
+		err.(*ExactGateError).Rebalance = true // exactGate's only error type
+		return res, err
+	}
 
 	fresh, err := d.SolveSubset(ctx, algo, ids, opt)
 	if err != nil {

@@ -48,15 +48,24 @@ type Result struct {
 	Partition     *core.PartitionStats
 }
 
-// ExactGateError is Run's refusal of an exact solve over Env.ExactAreaLimit.
+// MaxExactArea is the exact-search budget of the HTTP service: POST /solve
+// passes it as Env.ExactAreaLimit, and RebalanceScoped always applies it to
+// the largest component an exact rebalance would re-solve.
+const MaxExactArea = 200
+
+// ExactGateError refuses an exact search over its area limit: Run's over
+// Env.ExactAreaLimit, or RebalanceScoped's over MaxExactArea (Rebalance).
 type ExactGateError struct {
-	Area, Limit int64
-	Decomposed  bool
+	Area, Limit           int64
+	Decomposed, Rebalance bool
 }
 
 func (e *ExactGateError) Error() string {
 	what, area, hint := "|V|·|U|", "instance area", "decompose or the CLI"
-	if e.Decomposed {
+	switch {
+	case e.Rebalance:
+		what, area, hint = "component |V|·|U|", "largest re-solved component area", "a non-exact algo"
+	case e.Decomposed:
 		what, area, hint = "component |V|·|U|", "largest component area", "the CLI"
 	}
 	return fmt.Sprintf("decomp: exact search is limited to %s <= %d here (%s %d); use %s", what, e.Limit, area, e.Area, hint)
@@ -121,14 +130,14 @@ func Run(ctx context.Context, in *core.Instance, spec Spec, env Env) (*Result, e
 		if d, err = DecomposeContext(ctx, in); err != nil {
 			return nil, err
 		}
-		if gate, err = env.exactGate(spec.Algo, d.MaxComponentArea(), true); err != nil {
+		if gate, err = exactGate(spec.Algo, d.MaxComponentArea(nil), env.ExactAreaLimit, true); err != nil {
 			return nil, err
 		}
 		res.M, err = d.SolveContext(ctx, spec.Algo, spec.Options())
 		res.Decomposition = d.Stats(spec.Workers)
 		res.Partition = d.PartitionStats()
 	default:
-		if gate, err = env.exactGate(spec.Algo, int64(in.NumEvents())*int64(in.NumUsers()), false); err != nil {
+		if gate, err = exactGate(spec.Algo, int64(in.NumEvents())*int64(in.NumUsers()), env.ExactAreaLimit, false); err != nil {
 			return nil, err
 		}
 		res.M, bound, hasBound, err = solveOne(ctx, spec.Algo, in, rand.New(rand.NewSource(spec.Seed)), spec.NodeLimit)
@@ -180,16 +189,16 @@ type memo struct {
 	pairs []core.Assignment
 }
 
-// exactGate applies ExactAreaLimit to an exact solve of the given area:
-// nil stats when no gate applies, an *ExactGateError when it refuses.
-func (env Env) exactGate(algo string, area int64, decomposed bool) (*core.ExactGateStats, error) {
-	if algo != "exact" || env.ExactAreaLimit <= 0 {
+// exactGate applies a positive area limit to an exact solve of the given
+// area: nil stats when no gate applies, an *ExactGateError when it refuses.
+func exactGate(algo string, area, limit int64, decomposed bool) (*core.ExactGateStats, error) {
+	if algo != "exact" || limit <= 0 {
 		return nil, nil
 	}
-	if area > env.ExactAreaLimit {
-		return nil, &ExactGateError{Area: area, Limit: env.ExactAreaLimit, Decomposed: decomposed}
+	if area > limit {
+		return nil, &ExactGateError{Area: area, Limit: limit, Decomposed: decomposed}
 	}
-	return &core.ExactGateStats{ComponentArea: area, Limit: env.ExactAreaLimit}, nil
+	return &core.ExactGateStats{ComponentArea: area, Limit: limit}, nil
 }
 
 // solveOne runs one registry solver on one (sub-)instance: node-limited

@@ -6,6 +6,8 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"github.com/ebsnlab/geacc/internal/conflict"
@@ -252,9 +254,21 @@ func TestRunDiagReusesContextRecorder(t *testing.T) {
 
 func TestRunDiagPublishesGapMetrics(t *testing.T) {
 	in := table1Instance(t)
-	name := obs.Label("geacc_solve_gap", "algo", "greedy")
 	gapCount := func() int64 {
-		return obs.Default().Snapshot()["histograms"].(map[string]obs.HistogramSnapshot)[name].Count
+		var b strings.Builder
+		if err := obs.Default().WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(b.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, `geacc_solve_gap_count{algo="greedy"} `); ok {
+				n, err := strconv.ParseInt(v, 10, 64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return n
+			}
+		}
+		return 0
 	}
 	before := gapCount()
 	res, err := Run(context.Background(), in, Spec{Algo: "greedy", Diag: true}, Env{})

@@ -202,6 +202,19 @@ type PairJSON struct {
 	Sim float64 `json:"sim"`
 }
 
+// NewMatching builds a matching from serialized pairs, in their order. A
+// pair listed twice is an error: core.Matching.Add would panic on it.
+func NewMatching(pairs []PairJSON) (*core.Matching, error) {
+	m := core.NewMatching()
+	for _, p := range pairs {
+		if m.Contains(p.V, p.U) {
+			return nil, fmt.Errorf("encoding: duplicate pair (%d, %d)", p.V, p.U)
+		}
+		m.Add(p.V, p.U, p.Sim)
+	}
+	return m, nil
+}
+
 // MatchingDoc is the serialized form of m: pairs sorted by (v, u), an empty
 // (never nil) pair list for an empty matching. Embedding it in a larger
 // response yields the same bytes as an EncodeMatching → json.Unmarshal
@@ -230,14 +243,7 @@ func DecodeMatching(r io.Reader) (*core.Matching, error) {
 	if err := dec.Decode(&doc); err != nil {
 		return nil, fmt.Errorf("encoding: %w", err)
 	}
-	m := core.NewMatching()
-	for _, p := range doc.Pairs {
-		if m.Contains(p.V, p.U) {
-			return nil, fmt.Errorf("encoding: duplicate pair (%d, %d)", p.V, p.U)
-		}
-		m.Add(p.V, p.U, p.Sim)
-	}
-	return m, nil
+	return NewMatching(doc.Pairs)
 }
 
 // WriteMatchingCSV writes "v,u,sim" rows (with header) sorted by (v, u).
@@ -267,7 +273,7 @@ func ReadMatchingCSV(r io.Reader) (*core.Matching, error) {
 	if err != nil {
 		return nil, fmt.Errorf("encoding: %w", err)
 	}
-	m := core.NewMatching()
+	var pairs []PairJSON
 	for i, rec := range records {
 		if i == 0 {
 			continue // header
@@ -287,10 +293,7 @@ func ReadMatchingCSV(r io.Reader) (*core.Matching, error) {
 		if err != nil {
 			return nil, fmt.Errorf("encoding: row %d: %w", i, err)
 		}
-		if m.Contains(v, u) {
-			return nil, fmt.Errorf("encoding: duplicate pair (%d, %d)", v, u)
-		}
-		m.Add(v, u, s)
+		pairs = append(pairs, PairJSON{V: v, U: u, Sim: s})
 	}
-	return m, nil
+	return NewMatching(pairs)
 }

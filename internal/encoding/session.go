@@ -99,12 +99,9 @@ func DecodeSession(r io.Reader) (*core.Instance, *core.Matching, SessionMeta, er
 	if err != nil {
 		return nil, nil, SessionMeta{}, err
 	}
-	m := core.NewMatching()
-	for _, p := range doc.Matching.Pairs {
-		if m.Contains(p.V, p.U) {
-			return nil, nil, SessionMeta{}, fmt.Errorf("encoding: duplicate pair (%d, %d)", p.V, p.U)
-		}
-		m.Add(p.V, p.U, p.Sim)
+	m, err := NewMatching(doc.Matching.Pairs)
+	if err != nil {
+		return nil, nil, SessionMeta{}, err
 	}
 	if err := core.Validate(in, m); err != nil {
 		return nil, nil, SessionMeta{}, fmt.Errorf("encoding: archived session is infeasible: %w", err)

@@ -1,6 +1,6 @@
 // Package obs is the repo's zero-dependency observability layer: a
-// process-global metrics registry published through the standard library's
-// expvar, plus a lightweight Span/Recorder tracing API the solvers emit
+// process-global metrics registry rendered as Prometheus text, plus a
+// lightweight Span/Recorder tracing API the solvers emit
 // into. Everything here is built on the standard library only — no
 // Prometheus client, no OpenTelemetry — so the solver packages stay
 // dependency-free while still exposing a production telemetry surface.
@@ -25,10 +25,8 @@
 //	obs.Default().Counter(obs.Label("geacc_solve_total", "algo", "greedy"))
 //	// -> geacc_solve_total{algo=greedy}
 //
-// The process-global registry (Default) is published once, at package
-// init, as the expvar variable "geacc"; any server that installs
-// expvar.Handler — geacc-server does, at GET /debug/vars — therefore
-// serves every metric in this catalog as JSON with no further wiring.
+// The process-global registry (Default) renders itself as Prometheus text
+// (Registry.WritePrometheus); geacc-server serves it at GET /metrics.
 // docs/OBSERVABILITY.md is the operator-facing catalog of every metric
 // the repo exports.
 //

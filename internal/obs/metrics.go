@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"expvar"
 	"fmt"
 	"math"
 	"sort"
@@ -252,39 +251,6 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	return h
 }
 
-// Snapshot renders every instrument into plain JSON-marshalable maps, keyed
-// by kind then name. This is what expvar serves for the "geacc" variable.
-func (r *Registry) Snapshot() map[string]any {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	counters := make(map[string]int64, len(r.counters))
-	for name, c := range r.counters {
-		counters[name] = c.Value()
-	}
-	gauges := make(map[string]int64, len(r.gauges))
-	for name, g := range r.gauges {
-		gauges[name] = g.Value()
-	}
-	floatGauges := make(map[string]float64, len(r.floatGauges))
-	for name, g := range r.floatGauges {
-		// NaN/Inf are not valid JSON; a float gauge holding one is omitted
-		// here and by the Prometheus renderer alike.
-		if v := g.Value(); !math.IsNaN(v) && !math.IsInf(v, 0) {
-			floatGauges[name] = v
-		}
-	}
-	histograms := make(map[string]HistogramSnapshot, len(r.histograms))
-	for name, h := range r.histograms {
-		histograms[name] = h.Snapshot()
-	}
-	return map[string]any{
-		"counters":     counters,
-		"gauges":       gauges,
-		"float_gauges": floatGauges,
-		"histograms":   histograms,
-	}
-}
-
 // Counters returns a point-in-time copy of every counter value, keyed by
 // the encoded series name. Diagnostics uses before/after copies to report
 // how much solver work a single run performed.
@@ -340,14 +306,9 @@ func Label(metric string, kv ...string) string {
 	return b.String()
 }
 
-// std is the process-global registry, published as the expvar "geacc".
+// std is the process-global registry.
 var std = NewRegistry()
 
 // Default returns the process-global registry every geacc package records
-// into. It is published under the expvar name "geacc" at package init, so
-// any handler serving expvar (geacc-server's GET /debug/vars) exposes it.
+// into; geacc-server serves it as Prometheus text at GET /metrics.
 func Default() *Registry { return std }
-
-func init() {
-	expvar.Publish("geacc", expvar.Func(func() any { return std.Snapshot() }))
-}

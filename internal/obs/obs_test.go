@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"math"
 	"sync"
 	"testing"
@@ -140,34 +139,6 @@ func TestRegistryConcurrentGetOrCreate(t *testing.T) {
 	}
 	if got := reg.Histogram("lat", DefaultLatencyBuckets).Count(); got != 16000 {
 		t.Fatalf("histogram count = %d, want 16000", got)
-	}
-}
-
-func TestSnapshotMarshalsToJSON(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter(Label("solve_total", "algo", "greedy")).Add(3)
-	reg.Gauge("inflight").Set(2)
-	reg.Histogram("lat", []float64{0.1, 1}).Observe(0.05)
-	raw, err := json.Marshal(reg.Snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Counters   map[string]int64             `json:"counters"`
-		Gauges     map[string]int64             `json:"gauges"`
-		Histograms map[string]HistogramSnapshot `json:"histograms"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatalf("snapshot is not round-trippable JSON: %v", err)
-	}
-	if doc.Counters["solve_total{algo=greedy}"] != 3 {
-		t.Fatalf("counters = %v", doc.Counters)
-	}
-	if doc.Gauges["inflight"] != 2 {
-		t.Fatalf("gauges = %v", doc.Gauges)
-	}
-	if h := doc.Histograms["lat"]; h.Count != 1 || len(h.Buckets) != 2 {
-		t.Fatalf("histograms = %v", doc.Histograms)
 	}
 }
 

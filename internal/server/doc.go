@@ -8,7 +8,8 @@
 //	POST /trace              instance JSON -> greedy matching + decision log
 //	POST /report             {"instance":..., "matching":...} -> quality report
 //	POST /validate           {"instance":..., "matching":...} -> feasibility verdict
-//	GET  /debug/vars         expvar JSON: the "geacc" metrics registry + runtime vars
+//	GET  /metrics            Prometheus text: the metrics registry + SLO windows
+//	GET  /debug/vars         expvar JSON: Go runtime vars (memstats, cmdline)
 //
 // Handlers are plain http.Handlers built on the standard library, with
 // bounded request bodies and JSON error envelopes.
@@ -18,7 +19,7 @@
 // New wraps the mux in a telemetry middleware that records, per endpoint,
 // request counts labeled by status code, latency histograms, and an
 // in-flight gauge — all into the process-global internal/obs registry,
-// which GET /debug/vars serves as the expvar variable "geacc".
+// which GET /metrics serves as Prometheus text.
 // DebugHandler additionally serves net/http/pprof under /debug/pprof/;
 // geacc-server binds it to a separate, opt-in listener (-debug-addr) so
 // profiling never shares a port with traffic. docs/OBSERVABILITY.md

@@ -89,24 +89,16 @@ type service struct {
 	solveWindows map[string]*obs.Window
 }
 
-// instance is one named arranger plus its persistence handle and the dirty
-// marks the next scope=dirty rebalance will consume. All access is
+// instance is one named arrangement (store.Instance: arranger, log, dirty
+// marks, op counts) plus the HTTP side's state around it. All access is
 // serialized under mu, so deltas to one instance are atomic while other
 // instances keep solving in parallel.
 type instance struct {
-	mu   sync.Mutex
-	meta store.Meta
-	arr  *core.Arranger
-	wal  *store.Log // nil when the service has no data directory
+	mu sync.Mutex
+	*store.Instance
 
-	dirtyE map[int]bool
-	dirtyU map[int]bool
-
-	// opCounts tallies applied ops by kind over the instance's lifetime
-	// (seeded from the full log scan on replay, so it survives restarts);
 	// rebalances is a bounded ring of recent rebalance outcomes, newest
-	// last. Both serve GET /instances/{id}/stats.
-	opCounts   map[string]int64
+	// last (GET /instances/{id}/stats).
 	rebalances []RebalanceOutcome
 
 	// Rebalance reuse caches, nil when the service disabled caching. scache
@@ -193,30 +185,20 @@ func (s *service) replayAll(ids []string, hold chan struct{}) error {
 	}
 	for _, id := range ids {
 		start := time.Now()
-		state, wal, err := s.st.Load(context.Background(), id)
+		stInst, err := s.st.Load(context.Background(), id)
 		if err != nil {
 			return fmt.Errorf("server: replaying instance %q: %w", id, err)
 		}
-		inst := &instance{
-			meta:     state.Meta,
-			arr:      state.Arranger,
-			wal:      wal,
-			dirtyE:   toSet(state.DirtyEvents),
-			dirtyU:   toSet(state.DirtyUsers),
-			opCounts: state.OpCounts,
-		}
-		if inst.opCounts == nil {
-			inst.opCounts = make(map[string]int64)
-		}
+		inst := &instance{Instance: stInst}
 		s.mintInstanceCaches(inst)
 		s.mu.Lock()
 		s.instances[id] = inst
 		s.mu.Unlock()
 		instancesActive.Add(1)
 		s.log.Info("instance replayed",
-			"id", id, "seq", state.Seq, "snapshot_seq", state.SnapshotSeq,
-			"replayed_ops", state.ReplayedOps,
-			"events", state.Arranger.NumEvents(), "users", state.Arranger.NumUsers(),
+			"id", id, "seq", stInst.Log.Seq(), "snapshot_seq", stInst.Log.SnapshotSeq(),
+			"replayed_ops", stInst.Log.OpsSinceSnapshot(),
+			"events", stInst.Arr.NumEvents(), "users", stInst.Arr.NumUsers(),
 			"seconds", time.Since(start).Seconds())
 	}
 	return nil
@@ -231,23 +213,6 @@ func (s *service) mintInstanceCaches(inst *instance) {
 	}
 	inst.scache = solvecache.New(instanceSolveCacheEntries)
 	inst.warm = core.NewWarmCache(instanceWarmCacheEntries)
-}
-
-func toSet(ids []int) map[int]bool {
-	m := make(map[int]bool, len(ids))
-	for _, id := range ids {
-		m[id] = true
-	}
-	return m
-}
-
-func sortedSet(m map[int]bool) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // get returns the named instance or writes a 404.
@@ -315,21 +280,22 @@ type InstanceStatus struct {
 // summaryLocked builds the instance's summary; callers hold inst.mu.
 func (inst *instance) summaryLocked() InstanceSummary {
 	var seq int64
-	if inst.wal != nil {
-		seq = inst.wal.Seq()
+	if inst.Log != nil {
+		seq = inst.Log.Seq()
 	}
+	dirtyE, dirtyU := inst.Dirty()
 	return InstanceSummary{
-		ID:          inst.meta.ID,
-		Sim:         inst.meta.Sim,
-		Dim:         inst.meta.Dim,
-		MaxT:        inst.meta.MaxT,
-		Events:      inst.arr.NumEvents(),
-		Users:       inst.arr.NumUsers(),
-		Pairs:       inst.arr.Matching().Size(),
-		MaxSum:      inst.arr.MaxSum(),
+		ID:          inst.Meta.ID,
+		Sim:         inst.Meta.Sim,
+		Dim:         inst.Meta.Dim,
+		MaxT:        inst.Meta.MaxT,
+		Events:      inst.Arr.NumEvents(),
+		Users:       inst.Arr.NumUsers(),
+		Pairs:       inst.Arr.Matching().Size(),
+		MaxSum:      inst.Arr.MaxSum(),
 		Seq:         seq,
-		DirtyEvents: sortedSet(inst.dirtyE),
-		DirtyUsers:  sortedSet(inst.dirtyU),
+		DirtyEvents: dirtyE,
+		DirtyUsers:  dirtyU,
 	}
 }
 
@@ -337,7 +303,7 @@ func (inst *instance) summaryLocked() InstanceSummary {
 // listed in the matching's insertion order (not sorted), so the response —
 // float bits of max_sum included — is reproducible across a crash/replay.
 func (inst *instance) statusLocked() InstanceStatus {
-	m := inst.arr.Matching()
+	m := inst.Arr.Matching()
 	mj := encoding.MatchingJSON{MaxSum: m.MaxSum(), Pairs: []encoding.PairJSON{}}
 	for _, p := range m.Pairs() {
 		mj.Pairs = append(mj.Pairs, encoding.PairJSON{V: p.V, U: p.U, Sim: p.Sim})
@@ -395,14 +361,7 @@ func (s *service) handleCreateInstance(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusInternalServerError, err)
 		return
 	}
-	inst := &instance{
-		meta:     meta,
-		arr:      arr,
-		wal:      wal,
-		dirtyE:   make(map[int]bool),
-		dirtyU:   make(map[int]bool),
-		opCounts: make(map[string]int64),
-	}
+	inst := &instance{Instance: store.NewInstance(meta, arr, wal)}
 	s.mintInstanceCaches(inst)
 	s.instances[meta.ID] = inst
 	instancesActive.Add(1)
@@ -468,8 +427,8 @@ func (s *service) handleDeleteInstance(w http.ResponseWriter, r *http.Request) {
 	}
 	inst.mu.Lock()
 	defer inst.mu.Unlock()
-	if inst.wal != nil {
-		_ = inst.wal.Close()
+	if inst.Log != nil {
+		_ = inst.Log.Close()
 	}
 	if s.st != nil {
 		if err := s.st.Delete(id); err != nil {
@@ -512,203 +471,91 @@ type DeltaResponse struct {
 	MaxSum  float64 `json:"max_sum"`
 }
 
-// checkAttrs validates an arrival's attribute vector against the instance's
-// similarity definition before anything hits the log. Meta validation pins
-// Dim > 0 at create time for every similarity kind — cosine included — so a
-// mismatched vector is rejected here and can never reach a similarity
-// kernel (which panics on unequal lengths) or be persisted to the log.
-func (inst *instance) checkAttrs(attrs []float64) error {
-	if len(attrs) != inst.meta.Dim {
-		return fmt.Errorf("server: instance %q wants %d attributes, got %d",
-			inst.meta.ID, inst.meta.Dim, len(attrs))
-	}
-	return nil
-}
-
-// logThenApply runs the write-ahead sequence for one validated delta:
-// append the op, apply it to the arranger, record its dirty mark, then
-// snapshot if the log has drifted far enough. mark must run before the
-// snapshot — a snapshot triggered by this very op folds the op away, so
-// only the mark carries its dirty contribution across a restart. The caller
-// holds inst.mu and has already validated the op, so an apply failure is a
-// log/arranger divergence — it is returned as a 500 and logged loudly,
-// because the log now has one op the memory image does not.
-func (s *service) logThenApply(ctx context.Context, inst *instance, op store.Op, mark func()) (int64, error) {
-	var seq int64
-	if inst.wal != nil {
-		var err error
-		seq, err = inst.wal.Append(op)
-		if err != nil {
-			return 0, err
-		}
-	}
-	if err := store.Apply(inst.arr, op); err != nil {
-		s.log.Error("delta applied to log but rejected by arranger; instance diverged from its log",
-			"id", inst.meta.ID, "op", op.Kind, "seq", seq, "err", err)
-		return 0, err
-	}
-	mark()
-	inst.opCounts[op.Kind]++
-	deltaOps(op.Kind).Inc()
-	s.maybeSnapshot(ctx, inst)
-	return seq, nil
-}
-
 // maybeSnapshot folds the log into a fresh snapshot once enough ops have
 // accumulated. Snapshot failures are logged, not fatal: the log alone still
 // recovers the instance, just more slowly.
 func (s *service) maybeSnapshot(ctx context.Context, inst *instance) {
-	if inst.wal == nil || inst.wal.OpsSinceSnapshot() < s.snapshotEvery {
-		return
-	}
-	// The snapshot must finish even if the delta's client hangs up. It
-	// carries the pending dirty marks so they survive the ops being folded
-	// away.
-	if err := inst.wal.WriteSnapshot(context.WithoutCancel(ctx), inst.arr,
-		sortedSet(inst.dirtyE), sortedSet(inst.dirtyU)); err != nil {
-		s.log.Error("snapshot failed", "id", inst.meta.ID, "err", err)
+	if err := inst.SnapshotIfDue(ctx, s.snapshotEvery); err != nil {
+		s.log.Error("snapshot failed", "id", inst.Meta.ID, "err", err)
 	}
 }
 
-// handleAddEvent appends an event arrival: POST /instances/{id}/events.
-func (s *service) handleAddEvent(w http.ResponseWriter, r *http.Request) {
-	if !s.gateReady(w, r) {
-		return
+// handleDelta serves one delta route: decode turns the request body into
+// the op (writing a 400 when it cannot), which is then checked (400, or 404
+// for an unknown cancel target), committed write-ahead and acknowledged.
+func (s *service) handleDelta(decode func(http.ResponseWriter, *http.Request) (store.Op, bool)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if !s.gateReady(w, r) {
+			return
+		}
+		inst, ok := s.get(w, r, r.PathValue("id"))
+		if !ok {
+			return
+		}
+		op, ok := decode(w, r)
+		if !ok {
+			return
+		}
+		start := time.Now()
+		inst.mu.Lock()
+		defer inst.mu.Unlock()
+		if err := inst.Check(op); err != nil {
+			status := http.StatusBadRequest
+			if errors.Is(err, store.ErrNotFound) {
+				status = http.StatusNotFound
+			}
+			writeError(w, r, status, err)
+			return
+		}
+		sp := obs.StartSpan(r.Context(), "instance/delta").
+			Annotate("id", inst.Meta.ID).Annotate("op", op.Kind)
+		defer sp.End()
+		seq, err := inst.Commit(op)
+		if err != nil {
+			s.log.Error("delta failed", "id", inst.Meta.ID, "op", op.Kind, "err", err)
+			writeError(w, r, http.StatusInternalServerError, err)
+			return
+		}
+		deltaOps(op.Kind).Inc()
+		s.maybeSnapshot(r.Context(), inst)
+		deltaSeconds.Observe(time.Since(start).Seconds())
+		resp := DeltaResponse{Op: op.Kind, Seq: seq, MaxSum: inst.Arr.MaxSum()}
+		switch op.Kind {
+		case store.OpAddEvent:
+			v := inst.Arr.NumEvents() - 1
+			resp.ID, resp.Matched = &v, inst.Arr.EventUsers(v)
+		case store.OpAddUser:
+			u := inst.Arr.NumUsers() - 1
+			resp.ID, resp.Matched = &u, inst.Arr.UserEvents(u)
+		}
+		writeJSON(w, resp)
 	}
-	inst, ok := s.get(w, r, r.PathValue("id"))
-	if !ok {
-		return
-	}
+}
+
+func decodeAddEvent(w http.ResponseWriter, r *http.Request) (store.Op, bool) {
 	var req AddEventRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	start := time.Now()
-	inst.mu.Lock()
-	defer inst.mu.Unlock()
-	if err := inst.checkAttrs(req.Attrs); err != nil {
-		writeError(w, r, http.StatusBadRequest, err)
-		return
-	}
-	if req.Cap < 0 {
-		writeError(w, r, http.StatusBadRequest, fmt.Errorf("server: negative capacity %d", req.Cap))
-		return
-	}
-	nv := inst.arr.NumEvents()
-	for _, c := range req.Conflicts {
-		if c < 0 || c >= nv {
-			writeError(w, r, http.StatusBadRequest, fmt.Errorf("server: conflict id %d out of range [0, %d)", c, nv))
-			return
-		}
-	}
-	sp := obs.StartSpan(r.Context(), "instance/delta").
-		Annotate("id", inst.meta.ID).Annotate("op", store.OpAddEvent)
-	defer sp.End()
-	seq, err := s.logThenApply(r.Context(), inst, store.Op{
-		Kind: store.OpAddEvent, Attrs: req.Attrs, Cap: req.Cap, Conflicts: req.Conflicts,
-	}, func() { inst.dirtyE[nv] = true })
-	if err != nil {
-		writeError(w, r, http.StatusInternalServerError, err)
-		return
-	}
-	deltaSeconds.Observe(time.Since(start).Seconds())
-	writeJSON(w, DeltaResponse{
-		Op: store.OpAddEvent, ID: &nv, Matched: inst.arr.EventUsers(nv),
-		Seq: seq, MaxSum: inst.arr.MaxSum(),
-	})
+	ok := decodeBody(w, r, &req)
+	return store.Op{Kind: store.OpAddEvent, Attrs: req.Attrs, Cap: req.Cap, Conflicts: req.Conflicts}, ok
 }
 
-// handleAddUser appends a user arrival: POST /instances/{id}/users.
-func (s *service) handleAddUser(w http.ResponseWriter, r *http.Request) {
-	if !s.gateReady(w, r) {
-		return
-	}
-	inst, ok := s.get(w, r, r.PathValue("id"))
-	if !ok {
-		return
-	}
+func decodeAddUser(w http.ResponseWriter, r *http.Request) (store.Op, bool) {
 	var req AddUserRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	start := time.Now()
-	inst.mu.Lock()
-	defer inst.mu.Unlock()
-	if err := inst.checkAttrs(req.Attrs); err != nil {
-		writeError(w, r, http.StatusBadRequest, err)
-		return
-	}
-	if req.Cap < 0 {
-		writeError(w, r, http.StatusBadRequest, fmt.Errorf("server: negative capacity %d", req.Cap))
-		return
-	}
-	nu := inst.arr.NumUsers()
-	sp := obs.StartSpan(r.Context(), "instance/delta").
-		Annotate("id", inst.meta.ID).Annotate("op", store.OpAddUser)
-	defer sp.End()
-	seq, err := s.logThenApply(r.Context(), inst, store.Op{
-		Kind: store.OpAddUser, Attrs: req.Attrs, Cap: req.Cap,
-	}, func() { inst.dirtyU[nu] = true })
-	if err != nil {
-		writeError(w, r, http.StatusInternalServerError, err)
-		return
-	}
-	deltaSeconds.Observe(time.Since(start).Seconds())
-	writeJSON(w, DeltaResponse{
-		Op: store.OpAddUser, ID: &nu, Matched: inst.arr.UserEvents(nu),
-		Seq: seq, MaxSum: inst.arr.MaxSum(),
-	})
+	ok := decodeBody(w, r, &req)
+	return store.Op{Kind: store.OpAddUser, Attrs: req.Attrs, Cap: req.Cap}, ok
 }
 
-// handleCancel removes an event or a user: POST /instances/{id}/cancel.
-func (s *service) handleCancel(w http.ResponseWriter, r *http.Request) {
-	if !s.gateReady(w, r) {
-		return
-	}
-	inst, ok := s.get(w, r, r.PathValue("id"))
-	if !ok {
-		return
-	}
+func decodeCancel(w http.ResponseWriter, r *http.Request) (store.Op, bool) {
 	var req CancelRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	if (req.Event == nil) == (req.User == nil) {
+	switch {
+	case !decodeBody(w, r, &req):
+		return store.Op{}, false
+	case (req.Event == nil) == (req.User == nil):
 		writeError(w, r, http.StatusBadRequest, errors.New(`server: cancel wants exactly one of "event" or "user"`))
-		return
+		return store.Op{}, false
+	case req.Event != nil:
+		return store.Op{Kind: store.OpCancelEvent, Event: req.Event}, true
 	}
-	start := time.Now()
-	inst.mu.Lock()
-	defer inst.mu.Unlock()
-	var op store.Op
-	var mark func()
-	kind := store.OpCancelEvent
-	if req.Event != nil {
-		if *req.Event < 0 || *req.Event >= inst.arr.NumEvents() {
-			writeError(w, r, http.StatusNotFound, fmt.Errorf("server: no event %d", *req.Event))
-			return
-		}
-		op = store.Op{Kind: store.OpCancelEvent, Event: req.Event}
-		mark = func() { inst.dirtyE[*req.Event] = true }
-	} else {
-		if *req.User < 0 || *req.User >= inst.arr.NumUsers() {
-			writeError(w, r, http.StatusNotFound, fmt.Errorf("server: no user %d", *req.User))
-			return
-		}
-		kind = store.OpRemoveUser
-		op = store.Op{Kind: store.OpRemoveUser, User: req.User}
-		mark = func() { inst.dirtyU[*req.User] = true }
-	}
-	sp := obs.StartSpan(r.Context(), "instance/delta").
-		Annotate("id", inst.meta.ID).Annotate("op", kind)
-	defer sp.End()
-	seq, err := s.logThenApply(r.Context(), inst, op, mark)
-	if err != nil {
-		writeError(w, r, http.StatusInternalServerError, err)
-		return
-	}
-	deltaSeconds.Observe(time.Since(start).Seconds())
-	writeJSON(w, DeltaResponse{Op: kind, Seq: seq, MaxSum: inst.arr.MaxSum()})
+	return store.Op{Kind: store.OpRemoveUser, User: req.User}, true
 }
 
 // RebalanceResponse is the POST /instances/{id}/rebalance payload.
@@ -770,7 +617,7 @@ func (s *service) handleRebalance(w http.ResponseWriter, r *http.Request) {
 	opt := spec.Options()
 	if inst.scache != nil && !spec.NoCache {
 		opt.SolveCache = inst.scache
-		opt.SimID = inst.meta.SimInfo().ID()
+		opt.SimID = inst.Meta.SimInfo().ID()
 		opt.WarmCache = inst.warm
 	}
 
@@ -778,41 +625,23 @@ func (s *service) handleRebalance(w http.ResponseWriter, r *http.Request) {
 	inst.mu.Lock()
 	defer inst.mu.Unlock()
 	cacheBefore := inst.scache.Stats()
-	prev := inst.arr.Matching()
-	res, err := decomp.RebalanceScoped(r.Context(), inst.arr, algo,
-		sortedSet(inst.dirtyE), sortedSet(inst.dirtyU), scope == "full", opt)
+	prev := inst.Arr.Matching()
+	dirtyE, dirtyU := inst.Dirty()
+	res, err := decomp.RebalanceScoped(r.Context(), inst.Arr, algo, dirtyE, dirtyU, scope == "full", opt)
 	if err != nil {
 		s.solveWindow(algo).Observe(time.Since(start).Seconds(), true)
 		writeError(w, r, solveErrorStatus(err, http.StatusInternalServerError), err)
 		return
 	}
 
-	// The rebalance already mutated the arranger (RebalanceScoped adopts
-	// internally), so the log entry records the outcome — the adopted pairs,
-	// not the solver invocation — and replay never re-runs a solver. If the
-	// append fails, the previous matching is restored so memory and log
-	// still agree.
-	op := store.Op{Kind: store.OpRebalance, Adopted: res.Adopted}
-	if res.Adopted {
-		for _, p := range inst.arr.Matching().Pairs() {
-			op.Pairs = append(op.Pairs, encoding.PairJSON{V: p.V, U: p.U, Sim: p.Sim})
-		}
-	}
-	var seq int64
-	if inst.wal != nil {
-		seq, err = inst.wal.Append(op)
-		if err != nil {
-			if rerr := inst.arr.SetMatching(prev); rerr != nil {
-				s.log.Error("rebalance rollback failed", "id", inst.meta.ID, "err", rerr)
-			}
-			writeError(w, r, http.StatusInternalServerError, err)
-			return
-		}
+	// RebalanceScoped already adopted the outcome; a failed append restores
+	// prev, so the instance and its log stay unchanged.
+	seq, err := inst.CommitRebalance(res.Adopted, prev)
+	if err != nil {
+		writeError(w, r, http.StatusInternalServerError, err)
+		return
 	}
 	deltaOps(store.OpRebalance).Inc()
-	inst.opCounts[store.OpRebalance]++
-	clear(inst.dirtyE)
-	clear(inst.dirtyU)
 	s.maybeSnapshot(r.Context(), inst)
 
 	elapsed := time.Since(start).Seconds()
@@ -832,7 +661,7 @@ func (s *service) handleRebalance(w http.ResponseWriter, r *http.Request) {
 		CacheMisses:      cacheAfter.Misses - cacheBefore.Misses,
 	})
 	requestLogger(r).Info("rebalance",
-		"id", inst.meta.ID, "scope", scope, "algo", algo,
+		"id", inst.Meta.ID, "scope", scope, "algo", algo,
 		"components_solved", res.ComponentsSolved, "components_total", res.ComponentsTotal,
 		"gain", res.Gain, "adopted", res.Adopted, "seconds", elapsed,
 		"cache_hits", cacheAfter.Hits-cacheBefore.Hits,
@@ -842,7 +671,7 @@ func (s *service) handleRebalance(w http.ResponseWriter, r *http.Request) {
 		Scope:           scope,
 		Algo:            algo,
 		Seq:             seq,
-		MaxSum:          inst.arr.MaxSum(),
+		MaxSum:          inst.Arr.MaxSum(),
 		Seconds:         elapsed,
 	})
 }
@@ -853,9 +682,9 @@ func (s *service) register(mux *http.ServeMux) {
 	mux.HandleFunc("GET /instances", s.handleListInstances)
 	mux.HandleFunc("GET /instances/{id}", s.handleGetInstance)
 	mux.HandleFunc("DELETE /instances/{id}", s.handleDeleteInstance)
-	mux.HandleFunc("POST /instances/{id}/events", s.handleAddEvent)
-	mux.HandleFunc("POST /instances/{id}/users", s.handleAddUser)
-	mux.HandleFunc("POST /instances/{id}/cancel", s.handleCancel)
+	mux.HandleFunc("POST /instances/{id}/events", s.handleDelta(decodeAddEvent))
+	mux.HandleFunc("POST /instances/{id}/users", s.handleDelta(decodeAddUser))
+	mux.HandleFunc("POST /instances/{id}/cancel", s.handleDelta(decodeCancel))
 	mux.HandleFunc("POST /instances/{id}/rebalance", s.handleRebalance)
 	mux.HandleFunc("GET /instances/{id}/stats", s.handleInstanceStats)
 }

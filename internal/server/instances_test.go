@@ -9,11 +9,16 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/ebsnlab/geacc/internal/conflict"
 	"github.com/ebsnlab/geacc/internal/core"
+	"github.com/ebsnlab/geacc/internal/decomp"
 	"github.com/ebsnlab/geacc/internal/obs"
 	"github.com/ebsnlab/geacc/internal/sim"
 )
@@ -543,6 +548,94 @@ func TestDirtyScopedRebalanceSolvesOneComponent(t *testing.T) {
 	}
 	if len(status.DirtyEvents)+len(status.DirtyUsers) != 0 {
 		t.Fatalf("dirty marks survived the rebalance: %+v", status.InstanceSummary)
+	}
+}
+
+// TestExactRebalanceGate: an exact rebalance is gated like an exact
+// /solve, on the largest component it would re-solve. At the limit it runs;
+// one user past it, the dirty rebalance answers 422 and leaves the instance
+// and its log unchanged.
+func TestExactRebalanceGate(t *testing.T) {
+	dir := t.TempDir()
+	srv := newInstanceServer(t, dir, 0)
+	if resp, body := postStr(t, srv.URL+"/instances", `{"id":"x","sim":"euclidean","dim":2,"max_t":1000}`); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create: %d %s", resp.StatusCode, body)
+	}
+	postStr(t, srv.URL+"/instances/x/events", `{"attrs":[0,0],"cap":1}`)
+	addUsers := func(n int) {
+		for i := 0; i < n; i++ {
+			if resp, body := postStr(t, srv.URL+"/instances/x/users", fmt.Sprintf(`{"attrs":[%d,1],"cap":1}`, i)); resp.StatusCode != http.StatusOK {
+				t.Fatalf("add user: %d %s", resp.StatusCode, body)
+			}
+		}
+	}
+	addUsers(decomp.MaxExactArea) // one component of area exactly the limit
+	if resp, body := postStr(t, srv.URL+"/instances/x/rebalance?scope=full&algo=exact", ""); resp.StatusCode != http.StatusOK {
+		t.Fatalf("exact rebalance at the limit: %d %s", resp.StatusCode, body)
+	}
+
+	addUsers(1)
+	_, before := getBody(t, srv.URL+"/instances/x")
+	logPath := filepath.Join(dir, "x", "ops.jsonl")
+	logBefore, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, body := postStr(t, srv.URL+"/instances/x/rebalance?algo=exact", "")
+	if resp.StatusCode != http.StatusUnprocessableEntity || !bytes.Contains(body, []byte("largest re-solved component area 201); use a non-exact algo")) {
+		t.Fatalf("exact rebalance over the limit: %d %s", resp.StatusCode, body)
+	}
+	if _, after := getBody(t, srv.URL+"/instances/x"); !bytes.Equal(before, after) {
+		t.Fatalf("refused rebalance changed the instance:\nbefore: %s\nafter:  %s", before, after)
+	}
+	if logAfter, _ := os.ReadFile(logPath); !bytes.Equal(logBefore, logAfter) {
+		t.Fatal("refused rebalance changed the log")
+	}
+}
+
+// TestReplayFailsCleanlyOnRepeatedPair: a data directory whose log holds a
+// rebalance listing a pair twice fails startup replay with an error — from
+// the constructor, or on /readyz with LazyReplay — instead of panicking.
+func TestReplayFailsCleanlyOnRepeatedPair(t *testing.T) {
+	dir := t.TempDir()
+	inst := filepath.Join(dir, "bad")
+	if err := os.MkdirAll(inst, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	files := map[string]string{
+		"meta.json": `{"id":"bad","sim":"euclidean","dim":2,"max_t":10,"created_at":"2026-01-01T00:00:00Z"}`,
+		"ops.jsonl": `{"seq":1,"op":"add_event","attrs":[0,0],"cap":2}
+{"seq":2,"op":"add_user","attrs":[0,1],"cap":2}
+{"seq":3,"op":"rebalance","adopted":true,"pairs":[{"v":0,"u":0,"sim":0.9},{"v":0,"u":0,"sim":0.9}]}
+`,
+	}
+	for name, body := range files {
+		if err := os.WriteFile(filepath.Join(inst, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
+	if _, err := NewWithConfig(Config{Logger: quiet, DataDir: dir}); err == nil || !strings.Contains(err.Error(), "duplicate pair") {
+		t.Fatalf("NewWithConfig: err = %v, want a duplicate-pair replay error", err)
+	}
+
+	h, err := NewWithConfig(Config{Logger: quiet, DataDir: dir, LazyReplay: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		rr := doGet(t, h, "/readyz")
+		if rr.Code != http.StatusServiceUnavailable {
+			t.Fatalf("readyz: %d %s", rr.Code, rr.Body)
+		}
+		if strings.Contains(rr.Body.String(), "duplicate pair") {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("readyz never reported the replay failure: %s", rr.Body)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 

@@ -190,8 +190,8 @@ func withLogging(next http.Handler, log *slog.Logger) http.Handler {
 	})
 }
 
-// DebugHandler serves the full diagnostics surface: expvar (including the
-// "geacc" metrics registry) at /debug/vars and the net/http/pprof profiles
+// DebugHandler serves the full diagnostics surface: expvar (Go's runtime
+// vars) at /debug/vars and the net/http/pprof profiles
 // under /debug/pprof/. geacc-server binds it to a separate listener via
 // the -debug-addr flag, keeping profiling endpoints off the traffic port;
 // the main handler exposes only the read-cheap /debug/vars.

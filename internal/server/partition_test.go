@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"github.com/ebsnlab/geacc/internal/dataset"
+	"github.com/ebsnlab/geacc/internal/decomp"
 	"github.com/ebsnlab/geacc/internal/partition"
 )
 
@@ -134,7 +135,7 @@ func TestSolveExactGateDiagnostics(t *testing.T) {
 	srv := newServer(t)
 	doc := solveDoc(t, srv.URL+"/solve?algo=exact&diag=1", instanceJSON(t))
 	gate := doc.Diagnostics.ExactGate
-	if gate == nil || gate.Gated || gate.ComponentArea != 6 || gate.Limit != exactHTTPAreaLimit {
+	if gate == nil || gate.Gated || gate.ComponentArea != 6 || gate.Limit != decomp.MaxExactArea {
 		t.Fatalf("unexpected exact gate %+v", gate)
 	}
 	// Non-exact solves must not report a gate.

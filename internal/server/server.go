@@ -31,12 +31,6 @@ const MaxRequestBytes = 64 << 20
 // context's cancellation aborted the run.
 const statusClientClosedRequest = 499
 
-// exactHTTPAreaLimit bounds exact (Prune-GEACC) searches over HTTP: the
-// |V|·|U| area of the instance (or, decomposed, of its largest component)
-// may not exceed it. The gating decision is surfaced in the diagnostics
-// artifact as Diagnostics.ExactGate.
-const exactHTTPAreaLimit = 200
-
 // Config tunes the service handler. The zero value is valid: default
 // logger, no persistence, default snapshot cadence.
 type Config struct {
@@ -100,8 +94,8 @@ type Config struct {
 // Request logs go to slog's process default; geacc-server passes its
 // flag-configured logger through NewWithConfig. Besides the stateless
 // solver endpoints and the stateful /instances surface it serves the
-// Prometheus text exposition at GET /metrics and the expvar page (the
-// "geacc" metrics registry plus Go runtime vars) at GET /debug/vars; the
+// Prometheus text exposition at GET /metrics and the expvar page (Go
+// runtime vars) at GET /debug/vars; the
 // heavier pprof surface is only on DebugHandler.
 func New() http.Handler {
 	return NewWithLogger(slog.Default())
@@ -174,8 +168,7 @@ func setBuildInfoMetric() {
 }
 
 // handleMetrics serves the obs registry in the Prometheus text exposition
-// format — the scrape target for Prometheus-compatible collectors; the
-// expvar page at /debug/vars serves the same instruments as JSON. The
+// format — the scrape target for Prometheus-compatible collectors. The
 // registry families are followed by the service's rolling SLO windows
 // (geacc_http_window_seconds, geacc_solve_window_seconds).
 func (s *service) handleMetrics(w http.ResponseWriter, _ *http.Request) {
@@ -204,10 +197,14 @@ func writeError(w http.ResponseWriter, r *http.Request, status int, err error) {
 
 // solveErrorStatus maps a solver error to an HTTP status: context
 // cancellation (the client went away) and deadline expiry report as 499,
-// anything else as fallback.
+// an exact search over decomp.MaxExactArea as 422, anything else as
+// fallback.
 func solveErrorStatus(err error, fallback int) int {
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return statusClientClosedRequest
+	}
+	if gerr := (*decomp.ExactGateError)(nil); errors.As(err, &gerr) {
+		return http.StatusUnprocessableEntity
 	}
 	return fallback
 }
@@ -275,7 +272,7 @@ func (s *service) handleSolve(w http.ResponseWriter, r *http.Request) {
 	res, err := decomp.Run(r.Context(), in, spec, decomp.Env{
 		Cache:          s.solveCache,
 		SimID:          simInfo.ID(),
-		ExactAreaLimit: exactHTTPAreaLimit,
+		ExactAreaLimit: decomp.MaxExactArea,
 	})
 	if err == nil && res.Cached { // nothing solved: no window observation
 		requestLogger(r).Info("solve cache hit",
@@ -287,11 +284,7 @@ func (s *service) handleSolve(w http.ResponseWriter, r *http.Request) {
 	// error, infeasible result) per algorithm.
 	s.solveWindow(spec.Algo).Observe(time.Since(start).Seconds(), err != nil)
 	if err != nil {
-		status := solveErrorStatus(err, http.StatusInternalServerError)
-		if gerr := (*decomp.ExactGateError)(nil); errors.As(err, &gerr) {
-			status = http.StatusUnprocessableEntity
-		}
-		writeError(w, r, status, err)
+		writeError(w, r, solveErrorStatus(err, http.StatusInternalServerError), err)
 		return
 	}
 
@@ -434,13 +427,10 @@ func decodePair(w http.ResponseWriter, r *http.Request) (*core.Instance, *core.M
 		writeError(w, r, http.StatusBadRequest, err)
 		return nil, nil, false
 	}
-	m := core.NewMatching()
-	for _, p := range doc.Matching.Pairs {
-		if m.Contains(p.V, p.U) {
-			writeError(w, r, http.StatusBadRequest, fmt.Errorf("server: duplicate pair (%d, %d)", p.V, p.U))
-			return nil, nil, false
-		}
-		m.Add(p.V, p.U, p.Sim)
+	m, err := encoding.NewMatching(doc.Matching.Pairs)
+	if err != nil {
+		writeError(w, r, http.StatusBadRequest, err)
+		return nil, nil, false
 	}
 	return in, m, true
 }

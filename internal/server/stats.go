@@ -99,18 +99,14 @@ func (s *service) handleInstanceStats(w http.ResponseWriter, r *http.Request) {
 	defer inst.mu.Unlock()
 
 	st := InstanceStats{
-		ID:          inst.meta.ID,
-		Events:      inst.arr.NumEvents(),
-		Users:       inst.arr.NumUsers(),
-		Pairs:       inst.arr.Matching().Size(),
-		MaxSum:      inst.arr.MaxSum(),
-		DirtyEvents: sortedSet(inst.dirtyE),
-		DirtyUsers:  sortedSet(inst.dirtyU),
-		OpCounts:    make(map[string]int64, len(inst.opCounts)),
+		ID:       inst.Meta.ID,
+		Events:   inst.Arr.NumEvents(),
+		Users:    inst.Arr.NumUsers(),
+		Pairs:    inst.Arr.Matching().Size(),
+		MaxSum:   inst.Arr.MaxSum(),
+		OpCounts: inst.OpCounts(),
 	}
-	for k, v := range inst.opCounts {
-		st.OpCounts[k] = v
-	}
+	st.DirtyEvents, st.DirtyUsers = inst.Dirty()
 	st.RecentRebalances = append([]RebalanceOutcome{}, inst.rebalances...)
 	if inst.scache != nil {
 		cs := inst.scache.Stats()
@@ -118,13 +114,13 @@ func (s *service) handleInstanceStats(w http.ResponseWriter, r *http.Request) {
 		st.WarmFlowEntries = inst.warm.Len()
 	}
 
-	if inst.wal != nil {
+	if inst.Log != nil {
 		st.Persistent = true
-		st.Seq = inst.wal.Seq()
-		st.SnapshotSeq = inst.wal.SnapshotSeq()
-		st.OpsSinceSnapshot = inst.wal.OpsSinceSnapshot()
-		st.BytesSinceSnapshot = inst.wal.BytesSinceSnapshot()
-		if at := inst.wal.SnapshotAt(); !at.IsZero() {
+		st.Seq = inst.Log.Seq()
+		st.SnapshotSeq = inst.Log.SnapshotSeq()
+		st.OpsSinceSnapshot = inst.Log.OpsSinceSnapshot()
+		st.BytesSinceSnapshot = inst.Log.BytesSinceSnapshot()
+		if at := inst.Log.SnapshotAt(); !at.IsZero() {
 			st.SnapshotAgeSeconds = time.Since(at).Seconds()
 		}
 	}
@@ -132,7 +128,7 @@ func (s *service) handleInstanceStats(w http.ResponseWriter, r *http.Request) {
 	// Quality and decomposition views need a snapshot of the arranger; an
 	// empty instance has nothing to bound or decompose.
 	if st.Events > 0 || st.Users > 0 {
-		in, _, err := inst.arr.Snapshot()
+		in, _, err := inst.Arr.Snapshot()
 		if err != nil {
 			writeError(w, r, http.StatusInternalServerError, err)
 			return

@@ -125,24 +125,6 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-func TestGeoMean(t *testing.T) {
-	if got := GeoMean([]float64{2, 8}); math.Abs(got-4) > 1e-12 {
-		t.Errorf("GeoMean = %v, want 4", got)
-	}
-	if got := GeoMean([]float64{5}); got != 5 {
-		t.Errorf("GeoMean single = %v", got)
-	}
-	if GeoMean(nil) != 0 {
-		t.Error("empty GeoMean")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("non-positive GeoMean did not panic")
-		}
-	}()
-	GeoMean([]float64{1, 0})
-}
-
 func TestStreamLargeValuesStable(t *testing.T) {
 	// Welford must survive a large offset that would destroy the naive
 	// sum-of-squares formula in float64.

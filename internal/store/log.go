@@ -70,9 +70,9 @@ func Apply(arr *core.Arranger, op Op) error {
 		if !op.Adopted {
 			return nil
 		}
-		m := core.NewMatching()
-		for _, p := range op.Pairs {
-			m.Add(p.V, p.U, p.Sim)
+		m, err := encoding.NewMatching(op.Pairs)
+		if err != nil {
+			return err
 		}
 		return arr.SetMatching(m)
 	}

@@ -10,7 +10,6 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
-	"sort"
 	"time"
 
 	"github.com/ebsnlab/geacc/internal/core"
@@ -57,26 +56,28 @@ type State struct {
 // entry (geacc-solve -replay). A recorder on ctx receives one
 // instance/replay span.
 func LoadDir(ctx context.Context, dir string) (*State, error) {
-	return loadDir(ctx, dir, false)
+	st, _, err := loadDir(ctx, dir, false)
+	return st, err
 }
 
-// Load replays the named instance and opens its log for appending. A torn
-// final log line is truncated away first, so subsequent appends start on a
-// clean line boundary.
-func (s *Store) Load(ctx context.Context, id string) (*State, *Log, error) {
+// Load replays the named instance and opens its log for appending, ready
+// for live deltas. A torn final log line is truncated away first, so
+// subsequent appends start on a clean line boundary. The replay counters
+// are the log's: Seq, SnapshotSeq, and OpsSinceSnapshot (the ops replayed).
+func (s *Store) Load(ctx context.Context, id string) (*Instance, error) {
 	if !ValidID(id) {
-		return nil, nil, fmt.Errorf("store: invalid instance id %q", id)
+		return nil, fmt.Errorf("store: invalid instance id %q", id)
 	}
 	dir := s.InstanceDir(id)
-	st, err := loadDir(ctx, dir, true)
+	st, inst, err := loadDir(ctx, dir, true)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	f, err := os.OpenFile(filepath.Join(dir, opsFile), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return nil, nil, fmt.Errorf("store: %w", err)
+		return nil, fmt.Errorf("store: %w", err)
 	}
-	l := &Log{
+	inst.Log = &Log{
 		dir:        dir,
 		meta:       st.Meta,
 		f:          f,
@@ -86,71 +87,79 @@ func (s *Store) Load(ctx context.Context, id string) (*State, *Log, error) {
 		bytesSince: st.BytesSinceSnapshot,
 		snapAt:     st.SnapshotAt,
 	}
-	return st, l, nil
+	return inst, nil
 }
 
-func loadDir(ctx context.Context, dir string, repair bool) (*State, error) {
+func loadDir(ctx context.Context, dir string, repair bool) (*State, *Instance, error) {
 	start := time.Now()
 	sp := obs.StartSpan(ctx, "instance/replay").Annotate("dir", dir)
 	defer sp.End()
 
 	meta, err := readMeta(dir)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := meta.Validate(); err != nil {
-		return nil, fmt.Errorf("store: %s: %w", dir, err)
+		return nil, nil, fmt.Errorf("store: %s: %w", dir, err)
 	}
 	st := &State{Meta: meta}
 
 	// Start point: the snapshot when one exists, an empty arranger otherwise.
 	// The snapshot's dirty marks seed the replay's: they are the marks of
 	// deltas the snapshot already folded away.
+	inst := NewInstance(meta, nil, nil)
 	if sf, err := os.Open(filepath.Join(dir, snapshotFile)); err == nil {
 		in, m, smeta, derr := encoding.DecodeSession(sf)
 		sf.Close()
 		if derr != nil {
-			return nil, fmt.Errorf("store: snapshot: %w", derr)
+			return nil, nil, fmt.Errorf("store: snapshot: %w", derr)
 		}
-		st.Arranger, derr = core.RestoreArranger(in, m)
+		inst.Arr, derr = core.RestoreArranger(in, m)
 		if derr != nil {
-			return nil, fmt.Errorf("store: snapshot: %w", derr)
+			return nil, nil, fmt.Errorf("store: snapshot: %w", derr)
 		}
 		st.SnapshotSeq = smeta.Seq
 		st.Seq = smeta.Seq
-		st.DirtyEvents = smeta.DirtyEvents
-		st.DirtyUsers = smeta.DirtyUsers
 		st.SnapshotAt = smeta.CreatedAt
+		for _, v := range smeta.DirtyEvents {
+			inst.dirtyE[v] = true
+		}
+		for _, u := range smeta.DirtyUsers {
+			inst.dirtyU[u] = true
+		}
 	} else {
 		f, ferr := meta.SimInfo().Func()
 		if ferr != nil {
-			return nil, fmt.Errorf("store: %w", ferr)
+			return nil, nil, fmt.Errorf("store: %w", ferr)
 		}
-		st.Arranger, ferr = core.NewArranger(f)
+		inst.Arr, ferr = core.NewArranger(f)
 		if ferr != nil {
-			return nil, fmt.Errorf("store: %w", ferr)
+			return nil, nil, fmt.Errorf("store: %w", ferr)
 		}
 	}
 
-	if err := replayOpsFile(ctx, dir, st, repair); err != nil {
-		return nil, err
+	if err := replayOpsFile(ctx, dir, st, inst, repair); err != nil {
+		return nil, nil, err
 	}
+	st.Arranger = inst.Arr
+	st.DirtyEvents, st.DirtyUsers = inst.Dirty()
+	st.OpCounts = inst.opCounts
 
 	replayOps.Add(int64(st.ReplayedOps))
 	replaySeconds.Observe(time.Since(start).Seconds())
 	sp.Annotate("seq", st.Seq).
 		Annotate("snapshot_seq", st.SnapshotSeq).
 		Annotate("replayed_ops", st.ReplayedOps)
-	return st, nil
+	return st, inst, nil
 }
 
-// replayOpsFile scans ops.jsonl, applying every op with seq > the snapshot
-// seq and rebuilding the dirty marks on top of the snapshot-seeded ones in
-// st. A parse failure with nothing but whitespace after it is a torn tail
-// (the hard-kill signature): it is dropped — and, with repair, truncated
-// off the file. A parse failure with valid data after it is corruption and
-// fails the load.
-func replayOpsFile(ctx context.Context, dir string, st *State, repair bool) error {
+// replayOpsFile scans ops.jsonl, counting every op and running each one
+// with seq > the snapshot seq through the same Check and apply step a live
+// delta takes. A parse failure with nothing but whitespace after it is a
+// torn tail (the hard-kill signature): it is dropped — and, with repair,
+// truncated off the file. A parse failure with valid data after it is
+// corruption and fails the load, as does an op that fails Check or apply.
+func replayOpsFile(ctx context.Context, dir string, st *State, inst *Instance, repair bool) error {
 	path := filepath.Join(dir, opsFile)
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
@@ -159,47 +168,33 @@ func replayOpsFile(ctx context.Context, dir string, st *State, repair bool) erro
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	dirtyE := toSet(st.DirtyEvents)
-	dirtyU := toSet(st.DirtyUsers)
-	st.OpCounts = make(map[string]int64)
+	defer f.Close()
 	r := bufio.NewReaderSize(f, 1<<20)
 	var offset, tornAt int64 = 0, -1
 	for {
 		line, rerr := r.ReadBytes('\n')
 		if trimmed := bytes.TrimSpace(line); len(trimmed) > 0 {
 			if tornAt >= 0 {
-				f.Close()
 				return fmt.Errorf("store: %s: corrupt op line at byte %d (valid data follows it)", path, tornAt)
 			}
 			var op Op
 			if uerr := json.Unmarshal(trimmed, &op); uerr != nil {
 				tornAt = offset
+			} else if op.Seq <= st.SnapshotSeq {
+				inst.opCounts[op.Kind]++ // already folded into the snapshot
 			} else {
-				st.OpCounts[op.Kind]++
-				if op.Seq <= st.SnapshotSeq {
-					// Already folded into the snapshot.
-				} else {
-					st.BytesSinceSnapshot += int64(len(line))
-					if op.Seq != st.Seq+1 {
-						f.Close()
-						return fmt.Errorf("store: %s: op seq %d after %d (log gap)", path, op.Seq, st.Seq)
-					}
-					// Arrival vectors were validated against Dim before being
-					// logged; a mismatch here is log corruption and must fail
-					// the load, not panic inside the similarity kernel.
-					if (op.Kind == OpAddEvent || op.Kind == OpAddUser) && len(op.Attrs) != st.Meta.Dim {
-						f.Close()
-						return fmt.Errorf("store: %s: op %d has %d attributes, instance wants %d",
-							path, op.Seq, len(op.Attrs), st.Meta.Dim)
-					}
-					markDirty(st.Arranger, op, dirtyE, dirtyU)
-					if aerr := Apply(st.Arranger, op); aerr != nil {
-						f.Close()
-						return fmt.Errorf("store: replay op %d: %w", op.Seq, aerr)
-					}
-					st.Seq = op.Seq
-					st.ReplayedOps++
+				st.BytesSinceSnapshot += int64(len(line))
+				if op.Seq != st.Seq+1 {
+					return fmt.Errorf("store: %s: op seq %d after %d (log gap)", path, op.Seq, st.Seq)
 				}
+				if err := inst.Check(op); err != nil {
+					return fmt.Errorf("store: %s: op %d: %w", path, op.Seq, err)
+				}
+				if err := inst.apply(op); err != nil {
+					return fmt.Errorf("store: replay op %d: %w", op.Seq, err)
+				}
+				st.Seq = op.Seq
+				st.ReplayedOps++
 			}
 		}
 		offset += int64(len(line))
@@ -207,15 +202,12 @@ func replayOpsFile(ctx context.Context, dir string, st *State, repair bool) erro
 			break
 		}
 		if rerr != nil {
-			f.Close()
 			return fmt.Errorf("store: %w", rerr)
 		}
 		if err := ctx.Err(); err != nil {
-			f.Close()
 			return err
 		}
 	}
-	f.Close()
 	if tornAt >= 0 {
 		slog.Warn("store: dropping torn final op line (hard kill mid-append)",
 			"path", path, "offset", tornAt)
@@ -225,47 +217,5 @@ func replayOpsFile(ctx context.Context, dir string, st *State, repair bool) erro
 			}
 		}
 	}
-	st.DirtyEvents = sortedKeys(dirtyE)
-	st.DirtyUsers = sortedKeys(dirtyU)
 	return nil
-}
-
-// markDirty mirrors the service's delta-time dirty tracking during replay:
-// arrivals mark the id they are about to receive, removals mark their
-// target, and a rebalance clears everything (it consumed the marks).
-func markDirty(arr *core.Arranger, op Op, dirtyE, dirtyU map[int]bool) {
-	switch op.Kind {
-	case OpAddEvent:
-		dirtyE[arr.NumEvents()] = true
-	case OpAddUser:
-		dirtyU[arr.NumUsers()] = true
-	case OpCancelEvent:
-		if op.Event != nil {
-			dirtyE[*op.Event] = true
-		}
-	case OpRemoveUser:
-		if op.User != nil {
-			dirtyU[*op.User] = true
-		}
-	case OpRebalance:
-		clear(dirtyE)
-		clear(dirtyU)
-	}
-}
-
-func sortedKeys(m map[int]bool) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
-}
-
-func toSet(ids []int) map[int]bool {
-	m := make(map[int]bool, len(ids))
-	for _, id := range ids {
-		m[id] = true
-	}
-	return m
 }

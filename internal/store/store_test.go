@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/ebsnlab/geacc/internal/core"
@@ -159,13 +160,14 @@ func equalInts(a, b []int) bool {
 	return true
 }
 
-// sameDirty asserts a replayed State recovered exactly the dirty marks the
+// sameDirty asserts a replayed Instance recovered exactly the dirty marks the
 // live instance held.
-func sameDirty(t *testing.T, st *State, dirtyE, dirtyU map[int]bool) {
+func sameDirty(t *testing.T, inst *Instance, dirtyE, dirtyU map[int]bool) {
 	t.Helper()
-	if !equalInts(st.DirtyEvents, sortedKeys(dirtyE)) || !equalInts(st.DirtyUsers, sortedKeys(dirtyU)) {
+	events, users := inst.Dirty()
+	if !equalInts(events, sortedKeys(dirtyE)) || !equalInts(users, sortedKeys(dirtyU)) {
 		t.Fatalf("dirty marks not recovered: got events %v users %v, want events %v users %v",
-			st.DirtyEvents, st.DirtyUsers, sortedKeys(dirtyE), sortedKeys(dirtyU))
+			events, users, sortedKeys(dirtyE), sortedKeys(dirtyU))
 	}
 }
 
@@ -205,30 +207,31 @@ func TestReplayReproducesArrangement(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			state, l2, err := st.Load(context.Background(), "p")
+			inst2, err := st.Load(context.Background(), "p")
 			if err != nil {
 				t.Fatal(err)
 			}
+			l2 := inst2.Log
 			defer l2.Close()
-			sameArrangement(t, arr, state.Arranger)
-			sameDirty(t, state, dirtyE, dirtyU)
-			if state.Seq == 0 {
+			sameArrangement(t, arr, inst2.Arr)
+			sameDirty(t, inst2, dirtyE, dirtyU)
+			if l2.Seq() == 0 {
 				t.Fatal("replayed seq should not be zero after 120 ops")
 			}
 
 			// Keep going on the replayed instance and replay again: the log
 			// must stay appendable after recovery.
-			driveRandomOps(t, state.Arranger, l2, rng, 40, snapEvery, dirtyE, dirtyU)
+			driveRandomOps(t, inst2.Arr, l2, rng, 40, snapEvery, dirtyE, dirtyU)
 			if err := l2.Close(); err != nil {
 				t.Fatal(err)
 			}
-			state2, l3, err := st.Load(context.Background(), "p")
+			inst3, err := st.Load(context.Background(), "p")
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer l3.Close()
-			sameArrangement(t, state.Arranger, state2.Arranger)
-			sameDirty(t, state2, dirtyE, dirtyU)
+			defer inst3.Log.Close()
+			sameArrangement(t, inst2.Arr, inst3.Arr)
+			sameDirty(t, inst3, dirtyE, dirtyU)
 		})
 	}
 }
@@ -266,13 +269,14 @@ func TestReplayTruncatesTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	state, l2, err := st.Load(context.Background(), "torn")
+	inst2, err := st.Load(context.Background(), "torn")
 	if err != nil {
 		t.Fatalf("Load with torn tail: %v", err)
 	}
+	l2 := inst2.Log
 	defer l2.Close()
-	if state.ReplayedOps != 30 {
-		t.Fatalf("replayed %d ops, want 30 (torn line dropped)", state.ReplayedOps)
+	if l2.OpsSinceSnapshot() != 30 {
+		t.Fatalf("replayed %d ops, want 30 (torn line dropped)", l2.OpsSinceSnapshot())
 	}
 	after, err := os.ReadFile(path)
 	if err != nil {
@@ -317,7 +321,7 @@ func TestReplayRejectsMidFileCorruption(t *testing.T) {
 	if err := os.WriteFile(path, mangled, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := st.Load(context.Background(), "corrupt"); err == nil {
+	if _, err := st.Load(context.Background(), "corrupt"); err == nil {
 		t.Fatal("mid-file corruption should fail the load")
 	}
 }
@@ -347,7 +351,7 @@ func TestReplayRejectsSeqGap(t *testing.T) {
 		t.Fatal(err)
 	}
 	af.Close()
-	if _, _, err := st.Load(context.Background(), "gap"); err == nil {
+	if _, err := st.Load(context.Background(), "gap"); err == nil {
 		t.Fatal("seq gap should fail the load")
 	}
 }
@@ -420,17 +424,16 @@ func TestSnapshotPreservesDirtyMarks(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	state, l2, err := st.Load(context.Background(), "dirty")
+	inst2, err := st.Load(context.Background(), "dirty")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l2.Close()
-	if state.ReplayedOps != 0 {
-		t.Fatalf("replayed %d ops, want 0 (the op was folded into the snapshot)", state.ReplayedOps)
+	defer inst2.Log.Close()
+	if n := inst2.Log.OpsSinceSnapshot(); n != 0 {
+		t.Fatalf("replayed %d ops, want 0 (the op was folded into the snapshot)", n)
 	}
-	if !equalInts(state.DirtyEvents, []int{0}) || len(state.DirtyUsers) != 0 {
-		t.Fatalf("dirty marks lost across snapshot: events %v, users %v",
-			state.DirtyEvents, state.DirtyUsers)
+	if events, users := inst2.Dirty(); !equalInts(events, []int{0}) || len(users) != 0 {
+		t.Fatalf("dirty marks lost across snapshot: events %v, users %v", events, users)
 	}
 }
 
@@ -461,8 +464,25 @@ func TestReplayRejectsWrongDimension(t *testing.T) {
 		t.Fatal(err)
 	}
 	af.Close()
-	if _, _, err := st.Load(context.Background(), "wrongdim"); err == nil {
+	if _, err := st.Load(context.Background(), "wrongdim"); err == nil {
 		t.Fatal("mismatched attribute dimension should fail the load")
+	}
+}
+
+// TestReplayRejectsRepeatedRebalancePair: a logged rebalance whose
+// matching lists a pair twice must fail both replay entry points with an
+// error naming the op, not panic inside core.Matching.Add.
+func TestReplayRejectsRepeatedRebalancePair(t *testing.T) {
+	dir := writeInstanceDir(t, []byte(repeatedPairOps))
+	if _, err := LoadDir(context.Background(), dir); err == nil || !strings.Contains(err.Error(), "op 3") {
+		t.Fatalf("LoadDir: err = %v, want an error naming op 3", err)
+	}
+	st, err := Open(filepath.Dir(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Load(context.Background(), filepath.Base(dir)); err == nil || !strings.Contains(err.Error(), "op 3") {
+		t.Fatalf("Load: err = %v, want an error naming op 3", err)
 	}
 }
 
