@@ -53,7 +53,7 @@ func BenchmarkDecomposeBuildClusteredV40U400C8(b *testing.B) {
 	in := clusteredInstance(b, 40, 400, 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := decomp.Decompose(in); err != nil {
+		if _, err := decomp.DecomposeContext(context.Background(), in); err != nil {
 			b.Fatal(err)
 		}
 	}

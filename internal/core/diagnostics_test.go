@@ -13,7 +13,7 @@ import (
 func TestSolveContextBoundReportsOnlyComputedBounds(t *testing.T) {
 	in := table1Instance(t)
 	for _, algo := range SolverNames() {
-		m, bound, ok, err := SolveContextBound(context.Background(), algo, in, rand.New(rand.NewSource(1)))
+		m, bound, ok, err := SolveContextBound(context.Background(), algo, in, rand.New(rand.NewSource(1)), 0)
 		if err != nil {
 			t.Fatalf("%s: %v", algo, err)
 		}

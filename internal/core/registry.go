@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -69,7 +70,7 @@ func LookupSolver(name string) (Solver, error) {
 // only once, before starting (they are linear-time shuffles). A canceled
 // run returns ctx's error and a nil matching.
 func SolveContext(ctx context.Context, name string, in *Instance, rng *rand.Rand) (*Matching, error) {
-	m, _, _, err := SolveContextBound(ctx, name, in, rng)
+	m, _, _, err := SolveContextBound(ctx, name, in, rng, 0)
 	return m, err
 }
 
@@ -78,7 +79,12 @@ func SolveContext(ctx context.Context, name string, in *Instance, rng *rand.Rand
 // mincostflow does: the relaxation is its first step, and the value it
 // returns is bit-identical to RelaxedUpperBound(in), so a diagnosed solve
 // can report it without solving the relaxation a second time.
-func SolveContextBound(ctx context.Context, name string, in *Instance, rng *rand.Rand) (m *Matching, bound float64, ok bool, err error) {
+//
+// nodeLimit bounds exact's search (0 means unlimited). A tripped limit is
+// still a metered solve: it counts as an errored solve, and the feasible
+// best-so-far matching comes back with an error that wraps ErrNodeLimit and
+// names the limit.
+func SolveContextBound(ctx context.Context, name string, in *Instance, rng *rand.Rand, nodeLimit int64) (m *Matching, bound float64, ok bool, err error) {
 	solve, err := LookupSolver(name)
 	if err != nil {
 		return nil, 0, false, err
@@ -103,13 +109,16 @@ func SolveContextBound(ctx context.Context, name string, in *Instance, rng *rand
 			m, bound, ok = fr.Matching, fr.RelaxedMaxSum, true
 		}
 	case "exact":
-		m, _, err = ExactOpts(in, ExactOptions{Ctx: ctx})
+		m, _, err = ExactOpts(in, ExactOptions{Ctx: ctx, NodeLimit: nodeLimit})
 	default:
 		m = solve(in, rng)
 	}
 	observeSolve(name, time.Since(start), err)
 	if err != nil {
 		sp.Annotate("error", err.Error()).End()
+		if errors.Is(err, ErrNodeLimit) {
+			return m, 0, false, fmt.Errorf("%w of %d nodes", err, nodeLimit)
+		}
 		return nil, 0, false, err
 	}
 	sp.Annotate("pairs", m.Size()).Annotate("max_sum", m.MaxSum()).End()

@@ -18,26 +18,28 @@ func closeRel(got, want float64) bool {
 	return math.Abs(got-want) <= 1e-9*math.Max(1, math.Abs(want))
 }
 
-// boundAfter solves d with opt and returns RelaxedBound plus how many
-// min-cost-flow runs the bound itself added.
-func boundAfter(t *testing.T, d *Decomposition, algo string, opt Options) (float64, int64) {
+// boundAfter solves d with opt and returns RelaxedBound over the step's
+// bounds, how many min-cost-flow runs the bound itself added, and the
+// step's partition stats.
+func boundAfter(t *testing.T, d *Decomposition, algo string, opt Options) (float64, int64, *core.PartitionStats) {
 	t.Helper()
-	m, err := d.SolveContext(context.Background(), algo, opt)
+	st, err := d.solveStep(context.Background(), algo, d.allIDs(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
+	m := d.merge(nil, st.ms)
 	if err := core.Validate(d.Parent, m); err != nil {
 		t.Fatalf("merged matching infeasible: %v", err)
 	}
 	runs := mcflowRunsTotal.Value()
-	b, err := d.RelaxedBound(context.Background())
+	b, err := d.RelaxedBound(context.Background(), st.bounds)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.MaxSum() > b*(1+1e-9) {
 		t.Fatalf("MaxSum %v above the bound %v", m.MaxSum(), b)
 	}
-	return b, mcflowRunsTotal.Value() - runs
+	return b, mcflowRunsTotal.Value() - runs, st.partition
 }
 
 // TestRelaxedBoundMatchesMonolithic is the additivity property: on clustered
@@ -59,7 +61,7 @@ func TestRelaxedBoundMatchesMonolithic(t *testing.T) {
 	}
 	for _, c := range cases {
 		want := core.RelaxedUpperBound(c.in)
-		d, err := Decompose(c.in)
+		d, err := DecomposeContext(context.Background(), c.in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,13 +72,13 @@ func TestRelaxedBoundMatchesMonolithic(t *testing.T) {
 			}
 		}
 
-		got, extra := boundAfter(t, d, "mincostflow", Options{})
+		got, extra, _ := boundAfter(t, d, "mincostflow", Options{})
 		check("cold", got)
 		if extra != 0 {
 			t.Errorf("%s cold: RelaxedBound ran %d flows, want 0 (every component bound reused)", c.name, extra)
 		}
 
-		got, extra = boundAfter(t, d, "greedy", Options{})
+		got, extra, _ = boundAfter(t, d, "greedy", Options{})
 		check("greedy", got)
 		if extra != int64(len(d.Components)) {
 			t.Errorf("%s greedy: RelaxedBound ran %d flows, want one per component (%d)", c.name, extra, len(d.Components))
@@ -86,7 +88,7 @@ func TestRelaxedBoundMatchesMonolithic(t *testing.T) {
 		copt := Options{SolveCache: cache, SimID: "cosine/12/1"}
 		boundAfter(t, d, "mincostflow", copt)
 		hits := cache.Stats().Hits
-		got, extra = boundAfter(t, d, "mincostflow", copt)
+		got, extra, _ = boundAfter(t, d, "mincostflow", copt)
 		check("cache hit", got)
 		if cache.Stats().Hits == hits || extra == 0 {
 			t.Errorf("%s cache: hits %d→%d, fill flows %d; want hits and filled gaps", c.name, hits, cache.Stats().Hits, extra)
@@ -94,7 +96,7 @@ func TestRelaxedBoundMatchesMonolithic(t *testing.T) {
 
 		wopt := Options{WarmCache: core.NewWarmCache(0)}
 		boundAfter(t, d, "mincostflow", wopt)
-		got, extra = boundAfter(t, d, "mincostflow", wopt)
+		got, extra, _ = boundAfter(t, d, "mincostflow", wopt)
 		check("warm", got)
 		if extra != 0 {
 			t.Errorf("%s warm: RelaxedBound ran %d flows, want 0", c.name, extra)
@@ -104,10 +106,10 @@ func TestRelaxedBoundMatchesMonolithic(t *testing.T) {
 		// pairs), so every component that sharded without falling back is
 		// relaxed whole: one flow each; the rest reuse their own bound.
 		sh := partition.Options{MaxArea: 500, DriftBudget: 0.9}
-		got, extra = boundAfter(t, d, "mincostflow", Options{Shard: &sh})
+		got, extra, pst := boundAfter(t, d, "mincostflow", Options{Shard: &sh})
 		check("sharded", got)
 		wantExtra := 0
-		if pst := d.PartitionStats(); pst != nil {
+		if pst != nil {
 			wantExtra = pst.Runs - pst.Fallbacks
 		}
 		if c.name == "bridged" && wantExtra == 0 {
@@ -119,19 +121,20 @@ func TestRelaxedBoundMatchesMonolithic(t *testing.T) {
 	}
 }
 
-// TestRelaxedBoundAfterSubset: components a SolveSubset run did not touch
-// are relaxed on demand, the solved ones reused.
+// TestRelaxedBoundAfterSubset: components a solve step over a subset did
+// not touch are relaxed on demand, the solved ones reused.
 func TestRelaxedBoundAfterSubset(t *testing.T) {
 	in := clustered(t, 24, 96, 6, 3, 4, 2)
-	d, err := Decompose(in)
+	d, err := DecomposeContext(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.SolveSubset(context.Background(), "mincostflow", []int{0, 2}, Options{}); err != nil {
+	st, err := d.solveStep(context.Background(), "mincostflow", []int{0, 2}, Options{})
+	if err != nil {
 		t.Fatal(err)
 	}
 	runs := mcflowRunsTotal.Value()
-	got, err := d.RelaxedBound(context.Background())
+	got, err := d.RelaxedBound(context.Background(), st.bounds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,13 +147,13 @@ func TestRelaxedBoundAfterSubset(t *testing.T) {
 }
 
 func TestRelaxedBoundCanceled(t *testing.T) {
-	d, err := Decompose(clustered(t, 16, 48, 4, 11, 3, 2))
+	d, err := DecomposeContext(context.Background(), clustered(t, 16, 48, 4, 11, 3, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := d.RelaxedBound(ctx); err == nil {
+	if _, err := d.RelaxedBound(ctx, nil); err == nil {
 		t.Fatal("canceled RelaxedBound returned no error")
 	}
 }

@@ -14,11 +14,13 @@
 //     ratios: the ratios hold per component and both the achieved MaxSum
 //     and the optimum are sums over components.
 //
-// Decompose builds the components once (one kernel-batched similarity row
-// scan per event plus a union-find); Decomposition.SolveContext then runs
-// any registered solver over the components in a bounded worker pool with
-// context cancellation and merges the per-component matchings
-// deterministically — the result is independent of the worker count.
+// DecomposeContext builds the components once (one kernel-batched
+// similarity row scan per event plus a union-find); Decomposition.SolveContext
+// then runs any registered solver over the components in a bounded worker
+// pool with context cancellation and merges the per-component matchings
+// deterministically — the result is independent of the worker count. A
+// scoped rebalance runs the same solve step over the components its deltas
+// touched and merges the winners into the current matching.
 package decomp
 
 import (
@@ -63,33 +65,16 @@ type Decomposition struct {
 	// union-find, and sub-instance materialization.
 	BuildSeconds float64
 
-	// mu guards the aggregates of the most recent solve run: partStats,
-	// accumulated by the solve pool when Options.Shard routes oversized
-	// components through internal/partition, and bounds, the Corollary 1
-	// relaxation values the run's component solves computed, by component
-	// id (see RelaxedBound).
-	mu        sync.Mutex
-	partStats *core.PartitionStats
-	bounds    map[int]float64
+	// eventComp and userComp hold, for each parent event and user, the id
+	// of its component, or -1 when the node is stranded: the one index from
+	// parent nodes to components (DirtyComponents, rebalance, merge).
+	eventComp, userComp []int
 }
 
-// PartitionStats reports the approximate-sharding aggregate of the most
-// recent SolveContext/SolveSubset run, or nil when no component sharded.
-// Call it after the solve returns; each solve resets the aggregate.
-func (d *Decomposition) PartitionStats() *core.PartitionStats {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.partStats
-}
-
-// Decompose shards in along the connected components of its union graph.
-func Decompose(in *core.Instance) (*Decomposition, error) {
-	return DecomposeContext(context.Background(), in)
-}
-
-// DecomposeContext is Decompose with a context: a recorder traveling on ctx
-// receives one decomp/build span, and ctx is checked between event rows so
-// a canceled caller does not pay for a full |V|·|U| scan.
+// DecomposeContext shards in along the connected components of its union
+// graph. A recorder traveling on ctx receives one decomp/build span, and
+// ctx is checked between event rows so a canceled caller does not pay for
+// a full |V|·|U| scan.
 func DecomposeContext(ctx context.Context, in *core.Instance) (*Decomposition, error) {
 	start := time.Now()
 	sp := obs.RecorderFrom(ctx).Start("decomp/build")
@@ -148,15 +133,25 @@ func DecomposeContext(ctx context.Context, in *core.Instance) (*Decomposition, e
 		}
 	}
 
-	d := &Decomposition{Parent: in}
+	d := &Decomposition{Parent: in, eventComp: make([]int, nv), userComp: make([]int, nu)}
 	// Parent-to-sub index maps, reused across components.
 	evSub := make([]int, nv)
 	usSub := make([]int, nu)
 	for _, g := range groups {
+		id := len(d.Components)
 		if len(g.events) == 0 || len(g.users) == 0 {
 			// No pair can form here: skip materialization, count the nodes.
 			d.StrandedEvents += len(g.events)
 			d.StrandedUsers += len(g.users)
+			id = -1
+		}
+		for _, v := range g.events {
+			d.eventComp[v] = id
+		}
+		for _, u := range g.users {
+			d.userComp[u] = id
+		}
+		if id < 0 {
 			continue
 		}
 		c, err := materialize(in, g.events, g.users, evSub, usSub)
@@ -232,10 +227,7 @@ func materialize(in *core.Instance, events, users []int, evSub, usSub []int) (Co
 // rebalances the way it gates monolithic ones).
 func (d *Decomposition) MaxComponentArea(ids []int) int64 {
 	if ids == nil {
-		ids = make([]int, len(d.Components))
-		for i := range ids {
-			ids[i] = i
-		}
+		ids = d.allIDs()
 	}
 	var max int64
 	for _, id := range ids {

@@ -44,9 +44,9 @@ func runDecomposed(ctx context.Context, algo string, in *core.Instance, s Spec) 
 
 func TestDecomposeMatrixComponents(t *testing.T) {
 	in := matrixInstance(t, nil)
-	d, err := Decompose(in)
+	d, err := DecomposeContext(context.Background(), in)
 	if err != nil {
-		t.Fatalf("Decompose: %v", err)
+		t.Fatalf("DecomposeContext: %v", err)
 	}
 	if len(d.Components) != 2 {
 		t.Fatalf("got %d components, want 2", len(d.Components))
@@ -81,9 +81,9 @@ func TestDecomposeConflictEdgeMergesComponents(t *testing.T) {
 	// A CF edge between e0 and e1 belongs to the union graph, so the two
 	// similarity components collapse into one shard.
 	in := matrixInstance(t, [][2]int{{0, 1}})
-	d, err := Decompose(in)
+	d, err := DecomposeContext(context.Background(), in)
 	if err != nil {
-		t.Fatalf("Decompose: %v", err)
+		t.Fatalf("DecomposeContext: %v", err)
 	}
 	if len(d.Components) != 1 {
 		t.Fatalf("got %d components, want 1", len(d.Components))
@@ -114,9 +114,9 @@ func clustered(t *testing.T, nv, nu, k int, seed int64, evCap, usCap int) *core.
 
 func TestClusteredInstanceDecomposesIntoCommunities(t *testing.T) {
 	in := clustered(t, 20, 60, 4, 7, 5, 2)
-	d, err := Decompose(in)
+	d, err := DecomposeContext(context.Background(), in)
 	if err != nil {
-		t.Fatalf("Decompose: %v", err)
+		t.Fatalf("DecomposeContext: %v", err)
 	}
 	if len(d.Components) != 4 {
 		t.Fatalf("got %d components, want 4 (one per community)", len(d.Components))
@@ -250,9 +250,9 @@ func TestSolveDeterministicAcrossWorkerCounts(t *testing.T) {
 // cancellation surfaced as the run's error.
 func TestSolveContextCancelMidShard(t *testing.T) {
 	in := clustered(t, 16, 32, 4, 19, 3, 2)
-	d, err := Decompose(in)
+	d, err := DecomposeContext(context.Background(), in)
 	if err != nil {
-		t.Fatalf("Decompose: %v", err)
+		t.Fatalf("DecomposeContext: %v", err)
 	}
 	if len(d.Components) != 4 {
 		t.Fatalf("got %d components, want 4", len(d.Components))

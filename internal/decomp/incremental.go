@@ -2,7 +2,6 @@ package decomp
 
 import (
 	"context"
-	"sort"
 
 	"github.com/ebsnlab/geacc/internal/core"
 	"github.com/ebsnlab/geacc/internal/obs"
@@ -23,39 +22,22 @@ var (
 // appear in any feasible matching, so no component needs re-solving on
 // their account.
 func (d *Decomposition) DirtyComponents(events, users []int) []int {
-	nv, nu := d.Parent.NumEvents(), d.Parent.NumUsers()
-	compOfEvent := make(map[int]int)
-	compOfUser := make(map[int]int)
-	for i, c := range d.Components {
-		for _, v := range c.Events {
-			compOfEvent[v] = i
-		}
-		for _, u := range c.Users {
-			compOfUser[u] = i
+	dirty := make([]bool, len(d.Components))
+	mark := func(nodes, comp []int) {
+		for _, x := range nodes {
+			if x >= 0 && x < len(comp) && comp[x] >= 0 {
+				dirty[comp[x]] = true
+			}
 		}
 	}
-	dirty := make(map[int]bool)
-	for _, v := range events {
-		if v < 0 || v >= nv {
-			continue
-		}
-		if i, ok := compOfEvent[v]; ok {
-			dirty[i] = true
-		}
-	}
-	for _, u := range users {
-		if u < 0 || u >= nu {
-			continue
-		}
-		if i, ok := compOfUser[u]; ok {
-			dirty[i] = true
+	mark(events, d.eventComp)
+	mark(users, d.userComp)
+	ids := []int{}
+	for i, ok := range dirty {
+		if ok {
+			ids = append(ids, i)
 		}
 	}
-	ids := make([]int, 0, len(dirty))
-	for i := range dirty {
-		ids = append(ids, i)
-	}
-	sort.Ints(ids)
 	return ids
 }
 
@@ -87,7 +69,7 @@ type RebalanceResult struct {
 // those deltas live in. Clean components keep their current pairs
 // untouched — bit-for-bit, in the current matching's order — so a
 // rebalance whose deltas are local to one community never perturbs the
-// others.
+// others. The winners splice in through the merge SolveContext uses.
 //
 // The decomposition is rebuilt from the arranger's current snapshot (cheap
 // next to solving: one kernel row scan per event plus a union-find), so
@@ -109,13 +91,8 @@ func RebalanceScoped(ctx context.Context, arr *core.Arranger, algo string,
 	}
 	res.ComponentsTotal = len(d.Components)
 
-	var ids []int
-	if full {
-		ids = make([]int, len(d.Components))
-		for i := range ids {
-			ids[i] = i
-		}
-	} else {
+	ids := d.allIDs()
+	if !full {
 		ids = d.DirtyComponents(dirtyEvents, dirtyUsers)
 	}
 	rebalanceDirtyComponents.Observe(float64(len(ids)))
@@ -130,65 +107,40 @@ func RebalanceScoped(ctx context.Context, arr *core.Arranger, algo string,
 		return res, err
 	}
 
-	fresh, err := d.SolveSubset(ctx, algo, ids, opt)
+	// A tripped node budget refuses the rebalance like any solver error:
+	// nothing is adopted from a best-so-far search.
+	st, err := d.solveStep(ctx, algo, ids, opt)
+	if err == nil {
+		err = st.budgetErr
+	}
 	if err != nil {
 		return res, err
 	}
 	res.ComponentsSolved = len(ids)
-	res.Partition = d.PartitionStats()
+	res.Partition = st.partition
 
 	// Current per-component MaxSum: every matched pair has sim > 0, so its
 	// event and user share a component and the pair belongs to exactly one.
-	compOfEvent := make(map[int]int)
-	for i, c := range d.Components {
-		for _, v := range c.Events {
-			compOfEvent[v] = i
-		}
-	}
 	curSum := make([]float64, len(d.Components))
 	for _, p := range cur.Pairs() {
-		curSum[compOfEvent[p.V]] += p.Sim
+		curSum[d.eventComp[p.V]] += p.Sim
 	}
 
-	// Decide per dirty component whether the fresh solve wins.
-	adopt := make(map[int]bool, len(ids))
+	// Adopt each re-solved component whose fresh solve is strictly better;
+	// the others keep their current pairs.
 	for _, id := range ids {
-		m := fresh[id]
-		if m == nil {
-			continue
-		}
-		if g := m.MaxSum() - curSum[id]; g > 0 {
-			adopt[id] = true
+		if g := st.ms[id].MaxSum() - curSum[id]; g > 0 {
 			res.Gain += g
+		} else {
+			st.ms[id] = nil
 		}
 	}
 	rebalanceGain.Set(res.Gain)
 	sp.Annotate("gain", res.Gain)
-	if len(adopt) == 0 {
+	if res.Gain == 0 {
 		return res, nil
 	}
-
-	// Build the candidate deterministically: retained pairs first, in the
-	// current matching's insertion order, then adopted components ascending
-	// with their sub-matchings' own pair order mapped to parent indices.
-	candidate := core.NewMatching()
-	for _, p := range cur.Pairs() {
-		if !adopt[compOfEvent[p.V]] {
-			candidate.Add(p.V, p.U, p.Sim)
-		}
-	}
-	adoptedIDs := make([]int, 0, len(adopt))
-	for id := range adopt {
-		adoptedIDs = append(adoptedIDs, id)
-	}
-	sort.Ints(adoptedIDs)
-	for _, id := range adoptedIDs {
-		c := d.Components[id]
-		for _, p := range fresh[id].Pairs() {
-			candidate.Add(c.Events[p.V], c.Users[p.U], p.Sim)
-		}
-	}
-	if err := arr.SetMatching(candidate); err != nil {
+	if err := arr.SetMatching(d.merge(cur, st.ms)); err != nil {
 		return res, err
 	}
 	res.Adopted = true

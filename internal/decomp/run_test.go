@@ -104,6 +104,49 @@ func TestRunNodeLimitAndHookAreNotCached(t *testing.T) {
 	}
 }
 
+// TestNodeLimitedExactIsMetered: a node-limited exact search goes through
+// the metered solve path, monolithic and per component alike: it counts in
+// geacc_solve_total{algo="exact"}, records a solve/exact span, and names
+// the budget in its error. A node-limited exact rebalance adopts nothing.
+func TestNodeLimitedExactIsMetered(t *testing.T) {
+	in := clustered(t, 8, 40, 2, 3, 2, 2)
+	total := obs.Default().Counter(obs.Label("geacc_solve_total", "algo", "exact"))
+	for _, decompose := range []bool{false, true} {
+		rec := obs.NewRecorder()
+		before := total.Value()
+		_, err := Run(obs.ContextWithRecorder(context.Background(), rec), in,
+			Spec{Algo: "exact", NodeLimit: 1, Decompose: decompose}, Env{})
+		if !errors.Is(err, core.ErrNodeLimit) || !strings.Contains(err.Error(), "of 1 nodes") {
+			t.Fatalf("decompose=%v: err %v, want the node limit naming its budget", decompose, err)
+		}
+		want := int64(1)
+		if decompose {
+			want = 2 // one per component
+		}
+		if got := total.Value() - before; got != want {
+			t.Errorf("decompose=%v: geacc_solve_total{algo=exact} moved by %d, want %d", decompose, got, want)
+		}
+		spans := 0
+		for _, sp := range rec.Spans() {
+			if sp.Name == "solve/exact" {
+				spans++
+			}
+		}
+		if int64(spans) != want {
+			t.Errorf("decompose=%v: %d solve/exact spans, want %d", decompose, spans, want)
+		}
+	}
+
+	arr, err := core.RestoreArranger(in, core.NewMatching())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := RebalanceScoped(context.Background(), arr, "exact", nil, nil, true, Options{ExactNodeLimit: 1})
+	if !errors.Is(err, core.ErrNodeLimit) || res.Adopted || arr.Matching().Size() != 0 {
+		t.Fatalf("node-limited rebalance: res %+v err %v, %d pairs adopted", res, err, arr.Matching().Size())
+	}
+}
+
 // table1Instance is the paper's TABLE I: three events (capacities 5, 3,
 // 2), five users (capacities 3, 1, 1, 2, 3), explicit interestingness
 // values, and the conflicting pair {v1, v3}.

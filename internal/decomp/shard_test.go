@@ -28,18 +28,19 @@ func bridgedClustered(t *testing.T, nv, nu, k int, seed int64) *core.Instance {
 
 func solvePairs(t *testing.T, in *core.Instance, opt Options) ([]core.Assignment, *core.PartitionStats) {
 	t.Helper()
-	d, err := Decompose(in)
+	d, err := DecomposeContext(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := d.SolveContext(context.Background(), "mincostflow", opt)
+	st, err := d.solveStep(context.Background(), "mincostflow", d.allIDs(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
+	m := d.merge(nil, st.ms)
 	if err := core.Validate(in, m); err != nil {
 		t.Fatalf("merged matching infeasible: %v", err)
 	}
-	return m.SortedPairs(), d.PartitionStats()
+	return m.SortedPairs(), st.partition
 }
 
 // TestShardNilAndOversizeThresholdBitIdentical: with Shard nil, or with a
@@ -71,7 +72,7 @@ func TestShardNilAndOversizeThresholdBitIdentical(t *testing.T) {
 // aggregate stats, and a worker-count-invariant result.
 func TestShardGiantComponent(t *testing.T) {
 	in := bridgedClustered(t, 24, 240, 6, 5)
-	d, err := Decompose(in)
+	d, err := DecomposeContext(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,26 +106,36 @@ func TestShardGiantComponent(t *testing.T) {
 	}
 }
 
-// TestShardStatsResetPerRun: partition stats describe the latest solve run
-// only — a following solve that shards nothing reports nil again.
+// TestShardStatsResetPerRun: partition stats describe one solve only —
+// they are the step's return value, so a following solve of the same
+// decomposition that shards nothing reports nil, and the stats of a run
+// with several sharded components are summed in component order, identical
+// for any worker count.
 func TestShardStatsResetPerRun(t *testing.T) {
-	in := bridgedClustered(t, 24, 240, 6, 5)
-	d, err := Decompose(in)
+	in := clustered(t, 48, 1200, 8, 5, 6, 3) // eight components of area 900
+	sh := partition.Options{MaxArea: 500, DriftBudget: 0.9}
+	var want *core.PartitionStats
+	for _, workers := range []int{1, 4, 4, 4, 4, 4, 4, 4, 4} {
+		res, err := Run(context.Background(), in, Spec{Algo: "mincostflow", Shard: &sh, Workers: workers, Diag: true}, Env{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := res.Diag.Partition
+		if got == nil || got.Runs < 3 {
+			t.Fatalf("workers=%d: partition stats %+v, want three or more sharded components", workers, got)
+		}
+		if want == nil {
+			want = got
+		} else if *got != *want {
+			t.Fatalf("workers=%d: partition stats %+v, workers=1 %+v", workers, got, want)
+		}
+	}
+	res, err := Run(context.Background(), in, Spec{Algo: "mincostflow", Decompose: true, Diag: true}, Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh := partition.Options{MaxArea: 500, DriftBudget: 0.9}
-	if _, err := d.SolveContext(context.Background(), "mincostflow", Options{Shard: &sh}); err != nil {
-		t.Fatal(err)
-	}
-	if d.PartitionStats() == nil {
-		t.Fatal("sharded run reported no stats")
-	}
-	if _, err := d.SolveContext(context.Background(), "mincostflow", Options{}); err != nil {
-		t.Fatal(err)
-	}
-	if d.PartitionStats() != nil {
-		t.Fatal("stats from the previous run leaked into an unsharded solve")
+	if res.Partition != nil || res.Diag.Partition != nil {
+		t.Fatal("an unsharded solve reported partition stats")
 	}
 }
 

@@ -3,7 +3,6 @@ package decomp
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -77,10 +76,10 @@ var deterministicAlgos = map[string]bool{"greedy": true, "mincostflow": true, "e
 
 // solveComponent runs one registry solver on one shard, consulting the
 // optional per-instance solve cache and warm-flow cache from opt.
-// Everything except cache hits, the warm mincostflow path, and the
-// node-limited exact path goes through core.SolveContextBound (solveOne),
-// so the usual per-algorithm solve metrics and solve/<algo> spans fire once
-// per component. A solve that computed the component's Corollary 1 relaxation
+// Everything except cache hits and the warm mincostflow path goes through
+// core.SolveContextBound, node-limited exact searches included, so the usual
+// per-algorithm solve metrics and solve/<algo> spans fire once per
+// component. A solve that computed the component's Corollary 1 relaxation
 // on the way (cold or warm mincostflow) returns it as bound with ok set; a
 // cache hit does not, because the cache stores only the matching.
 func solveComponent(ctx context.Context, algo string, c Component, compIdx int, opt Options) (m *core.Matching, bound float64, ok bool, err error) {
@@ -109,7 +108,7 @@ func solveComponent(ctx context.Context, algo string, c Component, compIdx int, 
 			m, bound, ok = fr.Matching, fr.RelaxedMaxSum, true
 		}
 	} else {
-		m, bound, ok, err = solveOne(ctx, algo, c.Sub, componentRNG(opt.Seed, compIdx), opt.ExactNodeLimit)
+		m, bound, ok, err = core.SolveContextBound(ctx, algo, c.Sub, componentRNG(opt.Seed, compIdx), opt.ExactNodeLimit)
 	}
 	if err == nil && cacheable && m != nil {
 		opt.SolveCache.Put(key, m.Clone())
@@ -127,7 +126,7 @@ func solveComponent(ctx context.Context, algo string, c Component, compIdx int, 
 // Shard bounds are dropped: they relax the shards, not the component, and
 // sum below its bound by the cut pairs. Only a monolithic fallback reports
 // the component's own bound.
-func (d *Decomposition) shardSolve(ctx context.Context, algo string, c Component, compIdx int, opt Options) (*core.Matching, float64, bool, error) {
+func shardSolve(ctx context.Context, algo string, c Component, compIdx int, opt Options) (*core.Matching, float64, bool, *partition.Stats, error) {
 	popt := opt.Shard.Normalized()
 	if popt.Workers == 0 {
 		popt.Workers = opt.Workers
@@ -152,10 +151,7 @@ func (d *Decomposition) shardSolve(ctx context.Context, algo string, c Component
 		return m, err
 	}
 	m, pst, err := partition.SolveComponent(ctx, c.Sub, popt, solve, mono)
-	if pst != nil && pst.Shards > 1 {
-		d.recordPartition(pst, popt)
-	}
-	return m, bound, ok, err
+	return m, bound, ok, pst, err
 }
 
 // mapParent lifts component-local shard indices to parent indices.
@@ -167,29 +163,36 @@ func mapParent(parent, local []int) []int {
 	return out
 }
 
-func (d *Decomposition) recordPartition(st *partition.Stats, popt partition.Options) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.partStats == nil {
-		d.partStats = &core.PartitionStats{
-			DriftBudget: popt.DriftBudget,
-			MaxArea:     popt.MaxArea,
-			Strategy:    string(popt.Strategy),
+// sumPartition adds up the stats of the components that split into shards,
+// in component order, so float sums such as RepairGain do not depend on
+// scheduling. It returns nil when no component split.
+func sumPartition(parts []*partition.Stats, popt partition.Options) *core.PartitionStats {
+	var agg *core.PartitionStats
+	for _, st := range parts {
+		if st == nil || st.Shards <= 1 {
+			continue
+		}
+		if agg == nil {
+			agg = &core.PartitionStats{
+				DriftBudget: popt.DriftBudget,
+				MaxArea:     popt.MaxArea,
+				Strategy:    string(popt.Strategy),
+			}
+		}
+		agg.Runs++
+		agg.Shards += st.Shards
+		if st.FellBack {
+			agg.Fallbacks++
+		}
+		agg.CutPairs += st.CutPairs
+		agg.CutConflicts += st.CutConflicts
+		agg.RepairMoves += st.RepairMoves
+		agg.RepairGain += st.RepairGain
+		if !st.FellBack && st.DriftEstimate > agg.MaxDriftEstimate {
+			agg.MaxDriftEstimate = st.DriftEstimate
 		}
 	}
-	agg := d.partStats
-	agg.Runs++
-	agg.Shards += st.Shards
-	if st.FellBack {
-		agg.Fallbacks++
-	}
-	agg.CutPairs += st.CutPairs
-	agg.CutConflicts += st.CutConflicts
-	agg.RepairMoves += st.RepairMoves
-	agg.RepairGain += st.RepairGain
-	if !st.FellBack && st.DriftEstimate > agg.MaxDriftEstimate {
-		agg.MaxDriftEstimate = st.DriftEstimate
-	}
+	return agg
 }
 
 // componentSeed derives the deterministic per-component seed: a fixed odd
@@ -216,155 +219,152 @@ func normalizeWorkers(workers, components int) int {
 	return workers
 }
 
-// SolveContext runs the named registry solver over every component in a
-// bounded worker pool and merges the per-component matchings into one
-// parent-indexed matching.
-//
-// Determinism: components are numbered by first appearance, per-component
-// seeds derive from that number, and results are merged in component order
-// after all workers finish — so the matching (including its pair order and
-// float-summed MaxSum) is identical for any worker count.
-//
-// Cancellation: ctx is polled before each dispatch and inside every solver
-// (each component solve runs under ctx); the first cancellation or solver
-// error aborts the run and returns that error with a nil matching.
-// core.ErrNodeLimit is the one non-fatal error: tripped components keep
-// their best-so-far matching and the error is returned with the merge.
+// SolveContext runs the named registry solver over every component and
+// merges the per-component matchings into one parent-indexed matching: the
+// solve step over all components, merged into an empty base. The matching,
+// pair order and float-summed MaxSum included, is identical for any worker
+// count. A cancellation or solver error returns a nil matching;
+// core.ErrNodeLimit comes back with the feasible merge of best-so-far
+// component matchings.
 func (d *Decomposition) SolveContext(ctx context.Context, algo string, opt Options) (*core.Matching, error) {
-	n := len(d.Components)
-	ids := make([]int, n)
+	st, err := d.solveStep(ctx, algo, d.allIDs(), opt)
+	if err != nil {
+		return nil, err
+	}
+	return d.merge(nil, st.ms), st.budgetErr
+}
+
+// allIDs lists every component id in ascending order.
+func (d *Decomposition) allIDs() []int {
+	ids := make([]int, len(d.Components))
 	for i := range ids {
 		ids[i] = i
 	}
-	results, budgetErr, err := d.solveSet(ctx, algo, ids, opt)
-	if err != nil {
-		return nil, err
-	}
-	// Merge in component order: sub indices map back through the
-	// component's parent-index slices. Similarities are bit-identical to
-	// the parent's, so the merged matching validates against it.
-	merged := core.NewMatching()
-	for i, c := range d.Components {
-		if results[i] == nil {
-			continue
-		}
-		for _, p := range results[i].Pairs() {
-			merged.Add(c.Events[p.V], c.Users[p.U], p.Sim)
-		}
-	}
-	return merged, budgetErr
+	return ids
 }
 
-// SolveSubset runs the named registry solver over just the components named
-// by ids (global component indices, as returned by DirtyComponents) and
-// returns one sub-instance matching per solved component, keyed by
-// component id. Seeds derive from the global component index, so a subset
-// solve of component i is bit-identical to that component's share of a full
-// SolveContext run. This is the incremental path: a delta that touched one
-// component re-solves one component, not the instance.
-func (d *Decomposition) SolveSubset(ctx context.Context, algo string, ids []int, opt Options) (map[int]*core.Matching, error) {
-	for _, id := range ids {
-		if id < 0 || id >= len(d.Components) {
-			return nil, fmt.Errorf("decomp: component id %d out of range [0, %d)", id, len(d.Components))
-		}
-	}
-	results, budgetErr, err := d.solveSet(ctx, algo, ids, opt)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[int]*core.Matching, len(ids))
-	for id, m := range results {
-		if m != nil {
-			out[id] = m
-		}
-	}
-	return out, budgetErr
+// step is what one solve step returns. ms holds each solved component's
+// sub-instance matching by component id (nil for the rest); bounds holds,
+// by component id, the Corollary 1 relaxation values the solves computed
+// on the way (see RelaxedBound); partition sums the approximate-sharding
+// stats (nil unless a component split); budgetErr is core.ErrNodeLimit
+// when an exact search tripped its budget and kept its best-so-far.
+type step struct {
+	ms        []*core.Matching
+	bounds    map[int]float64
+	partition *core.PartitionStats
+	budgetErr error
 }
 
-// solveSet is the shared worker pool under SolveContext and SolveSubset: it
-// dispatches the components named by ids and returns their matchings keyed
-// by component id. Fatal errors return a nil map; core.ErrNodeLimit is
-// non-fatal and returned alongside the results.
-func (d *Decomposition) solveSet(ctx context.Context, algo string, ids []int, opt Options) (map[int]*core.Matching, error, error) {
+// solveStep is the one decomposed solve step under SolveContext, Run and
+// RebalanceScoped: it runs the named registry solver over the components
+// named by ids on one bounded worker pool.
+//
+// Determinism: per-component seeds derive from the component id, results
+// land by component id, and everything that is summed is summed in
+// component order after all workers finish, so a component's result is
+// the same for any worker count and any ids that contain it.
+//
+// Cancellation: ctx is polled before each dispatch and inside every solver
+// (each component solve runs under ctx); the first cancellation or solver
+// error aborts the step and returns that error. core.ErrNodeLimit is the
+// one non-fatal error: tripped components keep their best-so-far matching
+// and the error comes back as budgetErr.
+func (d *Decomposition) solveStep(ctx context.Context, algo string, ids []int, opt Options) (*step, error) {
 	if _, err := core.LookupSolver(algo); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	decompRuns.Inc()
-	d.mu.Lock()
-	d.partStats = nil // fresh aggregates per solve run
-	d.bounds = nil
-	d.mu.Unlock()
 	if err := ctx.Err(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	n := len(ids)
-	if n == 0 {
-		return map[int]*core.Matching{}, nil, nil
+	n := len(d.Components)
+	st := &step{ms: make([]*core.Matching, n), bounds: make(map[int]float64)}
+	if len(ids) == 0 {
+		return st, nil
 	}
-	workers := normalizeWorkers(opt.Workers, n)
+	workers := normalizeWorkers(opt.Workers, len(ids))
 	rec := obs.RecorderFrom(ctx)
 	sp := rec.Start("decomp/solve").
 		Annotate("algo", algo).
-		Annotate("components", n).
+		Annotate("components", len(ids)).
 		Annotate("workers", workers)
 
-	results := make([]*core.Matching, n)
 	bounds := make([]float64, n)
 	hasBound := make([]bool, n)
-	errs := runPool(ctx, n, workers, func(j int) error {
+	parts := make([]*partition.Stats, n)
+	errs := runPool(ctx, len(ids), workers, func(j int) error {
 		i := ids[j]
 		c := d.Components[i]
 		csp := rec.Start("decomp/component").
 			Annotate("component", i).
 			Annotate("events", len(c.Events)).
 			Annotate("users", len(c.Users))
-		var m *core.Matching
 		var err error
 		if sh := opt.Shard; sh != nil &&
 			int64(len(c.Events))*int64(len(c.Users)) > sh.Normalized().MaxArea {
-			m, bounds[j], hasBound[j], err = d.shardSolve(ctx, algo, c, i, opt)
+			st.ms[i], bounds[i], hasBound[i], parts[i], err = shardSolve(ctx, algo, c, i, opt)
 		} else {
-			m, bounds[j], hasBound[j], err = solveComponentFn(ctx, algo, c, i, opt)
+			st.ms[i], bounds[i], hasBound[i], err = solveComponentFn(ctx, algo, c, i, opt)
 		}
 		decompComponents.Inc()
 		decompComponentSize.Observe(float64(len(c.Events) + len(c.Users)))
-		results[j] = m
 		if err != nil && !errors.Is(err, core.ErrNodeLimit) {
 			csp.Annotate("error", err.Error()).End()
 			return err
 		}
-		csp.Annotate("pairs", m.Size()).End()
+		csp.Annotate("pairs", st.ms[i].Size()).End()
 		return err
 	})
 
-	var budgetErr error
-	for j, err := range errs {
+	for _, err := range errs {
 		switch {
 		case err == nil:
 		case errors.Is(err, core.ErrNodeLimit):
-			budgetErr = err
+			st.budgetErr = err
 		default:
 			sp.Annotate("error", err.Error()).End()
-			return nil, nil, errs[j]
+			return nil, err
 		}
 	}
-	byID := make(map[int]*core.Matching, n)
-	byIDBound := make(map[int]float64, n)
 	var pairs int
-	for j, id := range ids {
-		if results[j] != nil {
-			byID[id] = results[j]
-			pairs += results[j].Size()
-		}
-		if hasBound[j] {
-			byIDBound[id] = bounds[j]
+	for _, i := range ids {
+		pairs += st.ms[i].Size()
+		if hasBound[i] {
+			st.bounds[i] = bounds[i]
 		}
 	}
-	d.mu.Lock()
-	d.bounds = byIDBound
-	d.mu.Unlock()
+	if opt.Shard != nil {
+		st.partition = sumPartition(parts, opt.Shard.Normalized())
+	}
 	sp.Annotate("pairs", pairs).End()
-	return byID, budgetErr, nil
+	return st, nil
+}
+
+// merge is the one rule for how component results become a parent
+// matching: base's pairs outside the replaced components (those with a
+// non-nil ms entry), in base's order, then each replaced component's pairs
+// in ascending component order, mapped to parent indices. A nil base is
+// empty. Every matched pair has sim > 0, so its event's component owns it.
+func (d *Decomposition) merge(base *core.Matching, ms []*core.Matching) *core.Matching {
+	out := core.NewMatching()
+	if base != nil {
+		for _, p := range base.Pairs() {
+			if ms[d.eventComp[p.V]] == nil {
+				out.Add(p.V, p.U, p.Sim)
+			}
+		}
+	}
+	for id, m := range ms {
+		if m == nil {
+			continue
+		}
+		c := d.Components[id]
+		for _, p := range m.Pairs() {
+			out.Add(c.Events[p.V], c.Users[p.U], p.Sim)
+		}
+	}
+	return out
 }
 
 // runPool runs job(0), …, job(n-1) on a pool of workers goroutines and
@@ -411,29 +411,26 @@ func runPool(ctx context.Context, n, workers int, job func(j int) error) []error
 // relaxation bound is additive over components"); it differs from
 // core.RelaxedUpperBound(d.Parent) only by float summation order.
 //
-// Components whose most recent SolveContext/SolveSubset solve computed
-// their relaxation (mincostflow, unsharded, not a cache hit) reuse that
-// value. The rest — cache hits, other solvers, sharded components, and
-// components the last run did not solve — are relaxed here, on the worker
-// pool the solves use. A sharded component gets its unsharded bound, so
-// PartitionStats.BoundLoss still measures the loss against the unsharded
-// relaxation. Sums run in component order, so the result does not depend
-// on the worker count.
-func (d *Decomposition) RelaxedBound(ctx context.Context) (float64, error) {
-	bounds := make([]float64, len(d.Components))
+// bounds holds, by component id, the relaxation values a solve step
+// computed (mincostflow, unsharded, not a cache hit); those are reused. The
+// rest — cache hits, other solvers, sharded components, and components the
+// step did not solve — are relaxed here, on the worker pool the solves use.
+// A sharded component gets its unsharded bound, so PartitionStats.BoundLoss
+// still measures the loss against the unsharded relaxation. Sums run in
+// component order, so the result does not depend on the worker count.
+func (d *Decomposition) RelaxedBound(ctx context.Context, bounds map[int]float64) (float64, error) {
+	all := make([]float64, len(d.Components))
 	var gaps []int
-	d.mu.Lock()
 	for i := range d.Components {
-		if b, ok := d.bounds[i]; ok {
-			bounds[i] = b
+		if b, ok := bounds[i]; ok {
+			all[i] = b
 		} else {
 			gaps = append(gaps, i)
 		}
 	}
-	d.mu.Unlock()
 	errs := runPool(ctx, len(gaps), normalizeWorkers(0, len(gaps)), func(j int) (err error) {
 		i := gaps[j]
-		bounds[i], err = core.RelaxedUpperBoundCtx(ctx, d.Components[i].Sub)
+		all[i], err = core.RelaxedUpperBoundCtx(ctx, d.Components[i].Sub)
 		return err
 	})
 	for _, err := range errs {
@@ -442,7 +439,7 @@ func (d *Decomposition) RelaxedBound(ctx context.Context) (float64, error) {
 		}
 	}
 	var sum float64
-	for _, b := range bounds {
+	for _, b := range all {
 		sum += b
 	}
 	return sum, nil

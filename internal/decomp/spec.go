@@ -22,7 +22,7 @@ type Spec struct {
 	// Seed drives the random baselines; deterministic solvers ignore it.
 	Seed int64
 	// Decompose solves the connected components of the conflict/similarity
-	// union graph separately (see Decompose). Shard implies it.
+	// union graph separately (see DecomposeContext). Shard implies it.
 	Decompose bool
 	// Workers bounds the component worker pool; <= 0 means GOMAXPROCS(0).
 	// The matching is invariant to it.

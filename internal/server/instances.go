@@ -68,8 +68,9 @@ type service struct {
 	cacheEnabled bool
 
 	// defaults is the spec an empty /solve or rebalance query describes:
-	// greedy, seed 1, and Config.Shard as the approximate-sharding default
-	// a request can opt out of (?approx_shard=0).
+	// greedy, seed 1, the decomp.MaxExactNodes exact budget, and
+	// Config.Shard as the approximate-sharding default a request can opt
+	// out of (?approx_shard=0).
 	defaults decomp.Spec
 
 	// ready flips true once startup replay has finished; the instance
@@ -145,6 +146,7 @@ func newService(log *slog.Logger, cfg Config) (*service, error) {
 		solveWindows:  make(map[string]*obs.Window),
 	}
 	s.defaults.Shard = cfg.Shard
+	s.defaults.NodeLimit = decomp.MaxExactNodes
 	if cfg.DataDir == "" {
 		s.ready.Store(true)
 		return s, nil

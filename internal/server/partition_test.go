@@ -1,13 +1,18 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/ebsnlab/geacc/internal/dataset"
 	"github.com/ebsnlab/geacc/internal/decomp"
@@ -154,6 +159,92 @@ func TestSolveExactGateDiagnostics(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "largest component area 1024") || !strings.Contains(string(out), "200") {
 		t.Fatalf("422 message missing measured area or limit: %s", out)
+	}
+}
+
+// TestChromeTraceExactGate: the chrome trace solves through decomp.Run, so
+// an exact search is gated as on /solve — admitted at area 6 with its
+// solve/exact span, refused with 422 at area 1024 — and the portfolio
+// stays a 400.
+func TestChromeTraceExactGate(t *testing.T) {
+	srv := newServer(t)
+	resp, out := postJSON(t, srv.URL+"/trace?format=chrome&algo=exact", instanceJSON(t))
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(out), `"solve/exact"`) {
+		t.Fatalf("exact trace under the limit: %d %s", resp.StatusCode, out)
+	}
+	whole := clusteredJSON(t, dataset.ClusteredConfig{
+		NumEvents: 16, NumUsers: 64, Communities: 1, BlockDim: 2,
+		EventCapMax: 3, UserCapMax: 2, CFRatio: 0.25, Seed: 9,
+	})
+	resp, out = postJSON(t, srv.URL+"/trace?format=chrome&algo=exact", whole)
+	if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(out), "instance area 1024") {
+		t.Fatalf("exact trace over the limit: %d %s", resp.StatusCode, out)
+	}
+	if resp, out := postJSON(t, srv.URL+"/trace?format=chrome&algo=portfolio", instanceJSON(t)); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("portfolio trace: %d %s", resp.StatusCode, out)
+	}
+}
+
+// TestExactNodeBudget: an 11×10 instance passes the area gate, but its
+// exact search does not finish; every HTTP exact surface stops it at
+// decomp.MaxExactNodes and answers 422 naming the budget, within 2 s. The
+// same instance built through deltas refuses an exact rebalance the same
+// way and keeps the instance and its log unchanged.
+func TestExactNodeBudget(t *testing.T) {
+	cfg := dataset.ClusteredConfig{
+		NumEvents: 11, NumUsers: 10, Communities: 1, BlockDim: 2,
+		EventCapMax: 3, UserCapMax: 2, CFRatio: 0.4, Seed: -48,
+	}
+	dir := t.TempDir()
+	srv := newInstanceServer(t, dir, 0)
+	budget := fmt.Sprintf("node limit of %d nodes", decomp.MaxExactNodes)
+	post := func(path string, body []byte) {
+		t.Helper()
+		start := time.Now()
+		resp, out := postJSON(t, srv.URL+path, body)
+		if elapsed := time.Since(start); elapsed > 2*time.Second {
+			t.Errorf("%s: answered after %v, want within 2s", path, elapsed)
+		}
+		if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(out), budget) {
+			t.Fatalf("%s: %d %s", path, resp.StatusCode, out)
+		}
+	}
+	hard := clusteredJSON(t, cfg)
+	for _, path := range []string{"/solve?algo=exact", "/solve?algo=exact&decompose=1", "/trace?format=chrome&algo=exact"} {
+		post(path, hard)
+	}
+
+	in, err := cfg.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustPost(t, srv.URL+"/instances", `{"id":"hard","sim":"cosine","dim":2}`)
+	for v, e := range in.Events {
+		req := AddEventRequest{Attrs: e.Attrs, Cap: e.Cap}
+		for _, w := range in.Conflicts.Neighbors(v) {
+			if w < v {
+				req.Conflicts = append(req.Conflicts, w)
+			}
+		}
+		body, _ := json.Marshal(req)
+		mustPost(t, srv.URL+"/instances/hard/events", string(body))
+	}
+	for _, u := range in.Users {
+		body, _ := json.Marshal(AddUserRequest{Attrs: u.Attrs, Cap: u.Cap})
+		mustPost(t, srv.URL+"/instances/hard/users", string(body))
+	}
+	_, before := getBody(t, srv.URL+"/instances/hard")
+	logPath := filepath.Join(dir, "hard", "ops.jsonl")
+	logBefore, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	post("/instances/hard/rebalance?scope=full&algo=exact", nil)
+	if _, after := getBody(t, srv.URL+"/instances/hard"); !bytes.Equal(before, after) {
+		t.Fatalf("refused rebalance changed the instance:\nbefore: %s\nafter:  %s", before, after)
+	}
+	if logAfter, _ := os.ReadFile(logPath); !bytes.Equal(logBefore, logAfter) {
+		t.Fatal("refused rebalance changed the log")
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"expvar"
 	"fmt"
 	"log/slog"
-	"math/rand"
 	"net/http"
 	"sync"
 	"time"
@@ -197,13 +196,13 @@ func writeError(w http.ResponseWriter, r *http.Request, status int, err error) {
 
 // solveErrorStatus maps a solver error to an HTTP status: context
 // cancellation (the client went away) and deadline expiry report as 499,
-// an exact search over decomp.MaxExactArea as 422, anything else as
-// fallback.
+// an exact search over decomp.MaxExactArea or decomp.MaxExactNodes as 422,
+// anything else as fallback.
 func solveErrorStatus(err error, fallback int) int {
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return statusClientClosedRequest
 	}
-	if gerr := (*decomp.ExactGateError)(nil); errors.As(err, &gerr) {
+	if gerr := (*decomp.ExactGateError)(nil); errors.As(err, &gerr) || errors.Is(err, core.ErrNodeLimit) {
 		return http.StatusUnprocessableEntity
 	}
 	return fallback
@@ -369,9 +368,12 @@ func (s *service) handleTrace(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, TraceResponse{Matching: encoding.MatchingDoc(m), Steps: steps})
 }
 
-// handleChromeTrace runs the requested solver (default greedy) with a span
-// recorder attached and answers with the spans in Chrome trace-event JSON —
-// loadable as-is in Perfetto (ui.perfetto.dev) or chrome://tracing.
+// handleChromeTrace runs the requested registry solver (default greedy)
+// through decomp.Run with a span recorder attached — uncached, under the
+// same exact area gate and node budget as /solve — and answers with the
+// spans in Chrome trace-event JSON, loadable as-is in Perfetto
+// (ui.perfetto.dev) or chrome://tracing. The portfolio is refused: its
+// members race, so its trace is not one solve's.
 func handleChromeTrace(w http.ResponseWriter, r *http.Request, in *core.Instance) {
 	algo := r.URL.Query().Get("algo")
 	if algo == "" {
@@ -383,13 +385,9 @@ func handleChromeTrace(w http.ResponseWriter, r *http.Request, in *core.Instance
 	}
 	rec := obs.NewRecorder()
 	ctx := obs.ContextWithRecorder(r.Context(), rec)
-	m, err := core.SolveContext(ctx, algo, in, rand.New(rand.NewSource(1)))
-	if err != nil {
+	spec := decomp.Spec{Algo: algo, Seed: 1, NoCache: true, NodeLimit: decomp.MaxExactNodes}
+	if _, err := decomp.Run(ctx, in, spec, decomp.Env{ExactAreaLimit: decomp.MaxExactArea}); err != nil {
 		writeError(w, r, solveErrorStatus(err, http.StatusInternalServerError), err)
-		return
-	}
-	if err := core.Validate(in, m); err != nil {
-		writeError(w, r, http.StatusInternalServerError, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
