@@ -73,7 +73,7 @@ func main() {
 	queueTimeout := flag.Duration("queue-timeout", server.DefaultQueueTimeout,
 		"longest a queued solver request waits before it is shed with 429")
 	solveCacheEntries := flag.Int("solve-cache-entries", server.DefaultSolveCacheEntries,
-		"entries in the content-addressed /solve memo cache (negative disables caching; per-request opt-out via ?cache=0)")
+		"entries in the content-addressed /solve memo cache, the only solve cache (negative disables it and the per-instance warm-flow caches; per-request opt-out via ?cache=0)")
 	shardFlags := decomp.BindFlags(flag.CommandLine,
 		"approx-shard", "shard-max-area", "shard-strategy", "shard-drift-budget")
 	showVersion := flag.Bool("version", false, "print the build identity and exit")

@@ -43,7 +43,6 @@ import (
 	"github.com/ebsnlab/geacc/internal/decomp"
 	"github.com/ebsnlab/geacc/internal/partition"
 	"github.com/ebsnlab/geacc/internal/sim"
-	"github.com/ebsnlab/geacc/internal/solvecache"
 )
 
 // Event is an event: its attribute vector and attendee capacity.
@@ -100,11 +99,6 @@ func (a Algorithm) String() string {
 // Problem is a GEACC instance ready to solve.
 type Problem struct {
 	in *core.Instance
-	// simID is the canonical similarity identity for solve-cache keying
-	// ("euclidean/4/100", "cosine", ...); empty for custom similarity
-	// functions, whose content the cache cannot hash (such problems always
-	// solve fresh). Matrix problems are self-describing and need no id.
-	simID string
 }
 
 // Option configures NewProblem.
@@ -112,7 +106,6 @@ type Option func(*problemConfig) error
 
 type problemConfig struct {
 	simFunc      sim.Func
-	simID        string
 	matrix       [][]float64
 	pairs        [][2]int
 	hasSchedules bool
@@ -128,7 +121,6 @@ func WithEuclideanSimilarity(d int, maxT float64) Option {
 			return fmt.Errorf("geacc: euclidean similarity needs d > 0 and maxT > 0")
 		}
 		c.simFunc = sim.Euclidean(d, maxT)
-		c.simID = fmt.Sprintf("euclidean/%d/%v", d, maxT)
 		return nil
 	}
 }
@@ -137,7 +129,6 @@ func WithEuclideanSimilarity(d int, maxT float64) Option {
 func WithCosineSimilarity() Option {
 	return func(c *problemConfig) error {
 		c.simFunc = sim.Cosine()
-		c.simID = "cosine"
 		return nil
 	}
 }
@@ -150,7 +141,6 @@ func WithSimilarityFunc(f func(a, b []float64) float64) Option {
 			return errors.New("geacc: nil similarity function")
 		}
 		c.simFunc = func(a, b sim.Vector) float64 { return f(a, b) }
-		c.simID = "" // opaque: uncacheable
 		return nil
 	}
 }
@@ -234,7 +224,7 @@ func NewProblem(events []Event, users []User, opts ...Option) (*Problem, error) 
 	if err != nil {
 		return nil, err
 	}
-	return &Problem{in: in, simID: cfg.simID}, nil
+	return &Problem{in: in}, nil
 }
 
 // NumEvents returns |V|.
@@ -267,11 +257,6 @@ type SolveOptions struct {
 	// DecomposeWorkers bounds the component worker pool; <= 0 means
 	// GOMAXPROCS. The matching is identical for any worker count.
 	DecomposeWorkers int
-	// DisableCache skips the package's content-addressed solve memo cache
-	// for this call. The cache only ever serves results bit-identical to a
-	// fresh solve (see internal/solvecache), so disabling it is for
-	// benchmarking, not correctness.
-	DisableCache bool
 	// ApproxShard, when non-nil, enables approximate sharding of oversized
 	// components (implies Decompose): components whose |V|·|U| exceeds
 	// MaxArea split into balanced sub-shards with a bounded-drift merge
@@ -294,11 +279,6 @@ type ApproxShardOptions struct {
 	DriftBudget float64
 }
 
-// facadeCache memoizes Solve results across Problem values by content
-// hash: rebuilding an identical problem and solving it again is a hit.
-// Custom similarity functions are uncacheable and always solve fresh.
-var facadeCache = solvecache.New(256)
-
 // ErrBudgetExceeded reports that Exact hit its node limit; the returned
 // matching is feasible but possibly sub-optimal.
 var ErrBudgetExceeded = core.ErrNodeLimit
@@ -316,7 +296,6 @@ func (p *Problem) SolveOpts(algo Algorithm, opt SolveOptions) (*Matching, error)
 		Decompose: opt.Decompose,
 		Workers:   opt.DecomposeWorkers,
 		NodeLimit: opt.ExactNodeLimit,
-		NoCache:   opt.DisableCache,
 	}
 	if as := opt.ApproxShard; as != nil {
 		spec.Shard = &partition.Options{
@@ -325,7 +304,13 @@ func (p *Problem) SolveOpts(algo Algorithm, opt SolveOptions) (*Matching, error)
 			DriftBudget: as.DriftBudget,
 		}
 	}
-	res, err := decomp.Run(context.Background(), p.in, spec, decomp.Env{Cache: facadeCache, SimID: p.simID})
+	return p.run(spec)
+}
+
+// run solves p under spec through decomp.Run, the pipeline every surface
+// shares. Every call solves afresh: the package memoizes nothing.
+func (p *Problem) run(spec decomp.Spec) (*Matching, error) {
+	res, err := decomp.Run(context.Background(), p.in, spec, decomp.Env{})
 	if res == nil {
 		return nil, err
 	}

@@ -7,6 +7,7 @@ package geacc
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -37,7 +38,7 @@ func TestEndToEndPipeline(t *testing.T) {
 	in := cities[2].Instance // auckland: the smallest, fastest to solve
 
 	// 2. Solve with the concurrent portfolio and post-optimize.
-	best, results, err := core.Portfolio(in, []string{"greedy", "mincostflow", "random-u"}, 3)
+	best, results, err := core.PortfolioCtx(context.Background(), in, []string{"greedy", "mincostflow", "random-u"}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

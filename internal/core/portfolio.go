@@ -14,23 +14,19 @@ type PortfolioResult struct {
 	Err      error
 }
 
-// Portfolio runs several solvers concurrently on the same instance and
+// PortfolioCtx runs several solvers concurrently on the same instance and
 // returns the best feasible matching plus every individual outcome (sorted
 // by solver name). GEACC's approximations have incomparable strengths —
 // greedy usually wins but MinCostFlow is optimal when conflicts are absent
 // or sparse per user — so racing them and keeping the best is a practical
 // meta-solver. Solvers must not mutate the instance (none in this package
 // do); each receives an independent PRNG derived from seed.
-func Portfolio(in *Instance, names []string, seed int64) (*Matching, []PortfolioResult, error) {
-	return PortfolioCtx(context.Background(), in, names, seed)
-}
-
-// PortfolioCtx is Portfolio under a context: every member runs through
-// SolveContext, so cancellation stops the long solvers (see SolveContext)
-// and each member's run lands in the per-algorithm solve metrics. The
-// portfolio itself records geacc_portfolio_runs_total, the winner under
-// geacc_portfolio_wins_total, and all-members-failed outcomes under
-// geacc_portfolio_failures_total.
+//
+// Every member runs through SolveContext under ctx, so cancellation stops
+// the long solvers (see SolveContext) and each member's run lands in the
+// per-algorithm solve metrics. The portfolio itself records
+// geacc_portfolio_runs_total, the winner under geacc_portfolio_wins_total,
+// and all-members-failed outcomes under geacc_portfolio_failures_total.
 func PortfolioCtx(ctx context.Context, in *Instance, names []string, seed int64) (*Matching, []PortfolioResult, error) {
 	if len(names) == 0 {
 		return nil, nil, fmt.Errorf("core: empty portfolio")

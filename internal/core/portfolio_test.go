@@ -1,13 +1,14 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 )
 
 func TestPortfolioBestOfAll(t *testing.T) {
 	in := table1Instance(t)
-	best, results, err := Portfolio(in, []string{"greedy", "mincostflow", "random-v"}, 1)
+	best, results, err := PortfolioCtx(context.Background(), in, []string{"greedy", "mincostflow", "random-v"}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,10 +31,10 @@ func TestPortfolioBestOfAll(t *testing.T) {
 
 func TestPortfolioErrors(t *testing.T) {
 	in := table1Instance(t)
-	if _, _, err := Portfolio(in, nil, 1); err == nil {
+	if _, _, err := PortfolioCtx(context.Background(), in, nil, 1); err == nil {
 		t.Error("empty portfolio accepted")
 	}
-	if _, _, err := Portfolio(in, []string{"greedy", "nope"}, 1); err == nil {
+	if _, _, err := PortfolioCtx(context.Background(), in, []string{"greedy", "nope"}, 1); err == nil {
 		t.Error("unknown solver accepted")
 	}
 }
@@ -41,11 +42,11 @@ func TestPortfolioErrors(t *testing.T) {
 func TestPortfolioDeterministicPerSeed(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	in := randMatrixInstance(rng, 4, 8, 3, 3, 0.4)
-	a, _, err := Portfolio(in, []string{"random-v", "random-u"}, 5)
+	a, _, err := PortfolioCtx(context.Background(), in, []string{"random-v", "random-u"}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := Portfolio(in, []string{"random-v", "random-u"}, 5)
+	b, _, err := PortfolioCtx(context.Background(), in, []string{"random-v", "random-u"}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func TestPortfolioConcurrentSafety(t *testing.T) {
 	rng := rand.New(rand.NewSource(92))
 	in := randVectorInstance(rng, 6, 20, 3, 4, 3, 0.3)
 	names := []string{"greedy", "mincostflow", "random-v", "random-u", "exact"}
-	best, results, err := Portfolio(in, names, 2)
+	best, results, err := PortfolioCtx(context.Background(), in, names, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

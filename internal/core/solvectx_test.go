@@ -208,7 +208,7 @@ func TestSolveContextEmitsSpans(t *testing.T) {
 func TestPortfolioRecordsWin(t *testing.T) {
 	runs := obs.Default().Counter("geacc_portfolio_runs_total")
 	before := runs.Value()
-	if _, _, err := Portfolio(ctxTestInstance(t), []string{"greedy", "mincostflow"}, 1); err != nil {
+	if _, _, err := PortfolioCtx(context.Background(), ctxTestInstance(t), []string{"greedy", "mincostflow"}, 1); err != nil {
 		t.Fatal(err)
 	}
 	if runs.Value() != before+1 {

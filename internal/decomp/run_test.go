@@ -99,8 +99,8 @@ func TestRunNodeLimitAndHookAreNotCached(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if calls != 2 || env.Cache.Len() != 0 {
-		t.Fatalf("hook ran %d times, %d cached entries; want 2 and 0", calls, env.Cache.Len())
+	if calls != 2 || env.Cache.Stats().Entries != 0 {
+		t.Fatalf("hook ran %d times, %d cached entries; want 2 and 0", calls, env.Cache.Stats().Entries)
 	}
 }
 

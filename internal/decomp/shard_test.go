@@ -148,7 +148,7 @@ func TestShardComposesWithSolveCache(t *testing.T) {
 	sh := partition.Options{MaxArea: 500, DriftBudget: 0.9}
 	opt := Options{Shard: &sh, SolveCache: cache, SimID: "cosine/12/1"}
 	base, _ := solvePairs(t, in, opt)
-	if cache.Len() == 0 {
+	if cache.Stats().Entries == 0 {
 		t.Fatal("sharded solve populated no cache entries")
 	}
 	before := cache.Stats()

@@ -43,7 +43,8 @@ type Options struct {
 	// SolveCache, when non-nil, memoizes per-component matchings keyed by
 	// sub-instance content (see internal/solvecache). A hit skips the
 	// component solve entirely and returns a clone of the cached matching —
-	// bit-identical to a fresh solve by the cache's key contract.
+	// bit-identical to a fresh solve by the cache's key contract. The
+	// server's rebalances do not set it; benchmark/trace.go's replay does.
 	SolveCache *solvecache.Cache
 	// SimID is the canonical similarity identity of the parent instance
 	// (e.g. "euclidean/4/100"), required for SolveCache keying of

@@ -24,13 +24,9 @@ import (
 // Config.SolveCacheEntries is zero.
 const DefaultSolveCacheEntries = 512
 
-// Per-instance reuse caches are smaller than the shared /solve cache: an
-// instance's rebalance working set is its own components, not the whole
-// request mix.
-const (
-	instanceSolveCacheEntries = 128
-	instanceWarmCacheEntries  = 64
-)
+// instanceWarmCacheEntries bounds each instance's warm-flow cache: the
+// min-cost-flow states of its most recently re-solved components.
+const instanceWarmCacheEntries = 64
 
 // DefaultSnapshotEvery is how many logged ops an instance accumulates before
 // the service folds them into a fresh snapshot (geacc-server
@@ -62,10 +58,9 @@ type service struct {
 	admitHold     chan struct{} // test hook; see Config.admitHold
 
 	// solveCache memoizes stateless /solve responses by content hash; nil
-	// when Config.SolveCacheEntries is negative. cacheEnabled additionally
-	// gates the per-instance rebalance caches minted at instance creation.
-	solveCache   *solvecache.Cache
-	cacheEnabled bool
+	// when Config.SolveCacheEntries is negative, which also leaves every
+	// instance without a warm-flow cache.
+	solveCache *solvecache.Cache
 
 	// defaults is the spec an empty /solve or rebalance query describes:
 	// greedy, seed 1, the decomp.MaxExactNodes exact budget, and
@@ -102,11 +97,26 @@ type instance struct {
 	// last (GET /instances/{id}/stats).
 	rebalances []RebalanceOutcome
 
-	// Rebalance reuse caches, nil when the service disabled caching. scache
-	// memoizes per-component matchings by content hash; warm keeps the last
-	// min-cost-flow state per component for warm-started re-solves.
-	scache *solvecache.Cache
-	warm   *core.WarmCache
+	// warm keeps the last min-cost-flow state per component for
+	// warm-started rebalance re-solves; nil when the service disabled
+	// caching.
+	warm *core.WarmCache
+
+	// deleted is set, under mu, by DELETE /instances/{id}. A handler that
+	// looked the instance up before the delete checks it once it holds mu.
+	deleted bool
+}
+
+// lock takes inst.mu, or answers 404 and returns false when a DELETE
+// removed inst after the handler looked it up.
+func (inst *instance) lock(w http.ResponseWriter, r *http.Request) bool {
+	inst.mu.Lock()
+	if inst.deleted {
+		inst.mu.Unlock()
+		writeError(w, r, http.StatusNotFound, fmt.Errorf("server: no instance %q", inst.Meta.ID))
+		return false
+	}
+	return true
 }
 
 // recordRebalance appends one outcome to the bounded ring; callers hold
@@ -139,7 +149,6 @@ func newService(log *slog.Logger, cfg Config) (*service, error) {
 		adm:           newAdmission(cfg.MaxInflight, cfg.QueueDepth, cfg.QueueTimeout),
 		admitHold:     cfg.admitHold,
 		solveCache:    solvecache.New(cacheEntries), // nil when negative
-		cacheEnabled:  cacheEntries > 0,
 		defaults:      decomp.DefaultSpec(),
 		instances:     make(map[string]*instance),
 		httpWindows:   make(map[string]*obs.Window),
@@ -191,8 +200,7 @@ func (s *service) replayAll(ids []string, hold chan struct{}) error {
 		if err != nil {
 			return fmt.Errorf("server: replaying instance %q: %w", id, err)
 		}
-		inst := &instance{Instance: stInst}
-		s.mintInstanceCaches(inst)
+		inst := s.newInstance(stInst)
 		s.mu.Lock()
 		s.instances[id] = inst
 		s.mu.Unlock()
@@ -206,15 +214,15 @@ func (s *service) replayAll(ids []string, hold chan struct{}) error {
 	return nil
 }
 
-// mintInstanceCaches attaches the rebalance reuse caches to a fresh or
-// replayed instance; a replayed instance's caches simply start cold (replay
-// never runs a solver, so there is nothing to invalidate).
-func (s *service) mintInstanceCaches(inst *instance) {
-	if !s.cacheEnabled {
-		return
+// newInstance wraps a fresh or replayed instance with its warm-flow cache;
+// a replayed instance's cache simply starts cold (replay never runs a
+// solver, so there is nothing to invalidate).
+func (s *service) newInstance(st *store.Instance) *instance {
+	inst := &instance{Instance: st}
+	if s.solveCache != nil {
+		inst.warm = core.NewWarmCache(instanceWarmCacheEntries)
 	}
-	inst.scache = solvecache.New(instanceSolveCacheEntries)
-	inst.warm = core.NewWarmCache(instanceWarmCacheEntries)
+	return inst
 }
 
 // get returns the named instance or writes a 404.
@@ -363,8 +371,7 @@ func (s *service) handleCreateInstance(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusInternalServerError, err)
 		return
 	}
-	inst := &instance{Instance: store.NewInstance(meta, arr, wal)}
-	s.mintInstanceCaches(inst)
+	inst := s.newInstance(store.NewInstance(meta, arr, wal))
 	s.instances[meta.ID] = inst
 	instancesActive.Add(1)
 	requestLogger(r).Info("instance created", "id", meta.ID, "sim", meta.Sim)
@@ -401,10 +408,9 @@ func (s *service) handleGetInstance(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	inst, ok := s.get(w, r, r.PathValue("id"))
-	if !ok {
+	if !ok || !inst.lock(w, r) {
 		return
 	}
-	inst.mu.Lock()
 	defer inst.mu.Unlock()
 	writeJSON(w, inst.statusLocked())
 }
@@ -429,6 +435,7 @@ func (s *service) handleDeleteInstance(w http.ResponseWriter, r *http.Request) {
 	}
 	inst.mu.Lock()
 	defer inst.mu.Unlock()
+	inst.deleted = true
 	if inst.Log != nil {
 		_ = inst.Log.Close()
 	}
@@ -499,7 +506,9 @@ func (s *service) handleDelta(decode func(http.ResponseWriter, *http.Request) (s
 			return
 		}
 		start := time.Now()
-		inst.mu.Lock()
+		if !inst.lock(w, r) {
+			return
+		}
 		defer inst.mu.Unlock()
 		if err := inst.Check(op); err != nil {
 			status := http.StatusBadRequest
@@ -612,21 +621,19 @@ func (s *service) handleRebalance(w http.ResponseWriter, r *http.Request) {
 	}
 	algo := spec.Algo
 	// With sharding on, a dirty giant component splits before solving; the
-	// per-shard solves still go through the instance's reuse caches (content
-	// hashing and warm flow compose inside shards). Both caches are pure
-	// accelerators (bit-exact vs a cold solve), so ?cache=0 exists for
-	// benchmarking, not correctness.
+	// per-shard flow solves still warm-start from the instance's warm-flow
+	// cache. It is a pure accelerator (bit-exact vs a cold solve), so
+	// ?cache=0 exists for benchmarking, not correctness.
 	opt := spec.Options()
-	if inst.scache != nil && !spec.NoCache {
-		opt.SolveCache = inst.scache
-		opt.SimID = inst.Meta.SimInfo().ID()
+	if !spec.NoCache {
 		opt.WarmCache = inst.warm
 	}
 
 	start := time.Now()
-	inst.mu.Lock()
+	if !inst.lock(w, r) {
+		return
+	}
 	defer inst.mu.Unlock()
-	cacheBefore := inst.scache.Stats()
 	prev := inst.Arr.Matching()
 	dirtyE, dirtyU := inst.Dirty()
 	res, err := decomp.RebalanceScoped(r.Context(), inst.Arr, algo, dirtyE, dirtyU, scope == "full", opt)
@@ -648,7 +655,6 @@ func (s *service) handleRebalance(w http.ResponseWriter, r *http.Request) {
 
 	elapsed := time.Since(start).Seconds()
 	s.solveWindow(algo).Observe(elapsed, false)
-	cacheAfter := inst.scache.Stats()
 	inst.recordRebalance(RebalanceOutcome{
 		Time:             time.Now().UTC(),
 		RequestID:        obs.RequestIDFrom(r.Context()),
@@ -659,15 +665,11 @@ func (s *service) handleRebalance(w http.ResponseWriter, r *http.Request) {
 		Gain:             res.Gain,
 		Adopted:          res.Adopted,
 		Seconds:          elapsed,
-		CacheHits:        cacheAfter.Hits - cacheBefore.Hits,
-		CacheMisses:      cacheAfter.Misses - cacheBefore.Misses,
 	})
 	requestLogger(r).Info("rebalance",
 		"id", inst.Meta.ID, "scope", scope, "algo", algo,
 		"components_solved", res.ComponentsSolved, "components_total", res.ComponentsTotal,
-		"gain", res.Gain, "adopted", res.Adopted, "seconds", elapsed,
-		"cache_hits", cacheAfter.Hits-cacheBefore.Hits,
-		"cache_misses", cacheAfter.Misses-cacheBefore.Misses)
+		"gain", res.Gain, "adopted", res.Adopted, "seconds", elapsed)
 	writeJSON(w, RebalanceResponse{
 		RebalanceResult: res,
 		Scope:           scope,

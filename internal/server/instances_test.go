@@ -661,3 +661,40 @@ func TestInstanceMetricPathFolding(t *testing.T) {
 		}
 	}
 }
+
+// TestDeltaRacingDeleteAnswers404: a delta that looked its instance up
+// before a DELETE removed it (here: still reading its body) answers 404,
+// not a 500 from appending to the closed log.
+func TestDeltaRacingDeleteAnswers404(t *testing.T) {
+	h, err := NewWithConfig(Config{Logger: quietLogger(), DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	doPost(t, h, "/instances", `{"id":"gone","sim":"euclidean","dim":2,"max_t":10}`, http.StatusCreated)
+	pr, pw := io.Pipe()
+	defer pw.Close()
+	rr := httptest.NewRecorder()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		h.ServeHTTP(rr, httptest.NewRequest("POST", "/instances/gone/events", pr))
+	}()
+	// The write returns once the handler reads the body, i.e. after its
+	// instance lookup.
+	if _, err := pw.Write([]byte("{")); err != nil {
+		t.Fatal(err)
+	}
+	del := httptest.NewRecorder()
+	h.ServeHTTP(del, httptest.NewRequest("DELETE", "/instances/gone", nil))
+	if del.Code != http.StatusOK {
+		t.Fatalf("delete: %d %s", del.Code, del.Body)
+	}
+	if _, err := pw.Write([]byte(`"attrs":[1,1],"cap":1}`)); err != nil {
+		t.Fatal(err)
+	}
+	pw.Close()
+	<-done
+	if rr.Code != http.StatusNotFound {
+		t.Fatalf("delta racing delete: %d %s", rr.Code, rr.Body)
+	}
+}

@@ -67,9 +67,9 @@ type Config struct {
 	// is shed; <= 0 means DefaultQueueTimeout.
 	QueueTimeout time.Duration
 	// SolveCacheEntries bounds the content-addressed /solve memo cache
-	// (see internal/solvecache): 0 means DefaultSolveCacheEntries, negative
-	// disables solve caching service-wide (including the per-instance
-	// rebalance caches). Requests can opt out individually with ?cache=0.
+	// (see internal/solvecache), the service's only solve cache: 0 means
+	// DefaultSolveCacheEntries, negative disables it and the per-instance
+	// warm-flow caches. Requests can opt out individually with ?cache=0.
 	SolveCacheEntries int
 	// Shard, when non-nil, makes approximate sharding of giant components
 	// (internal/partition) the service default for /solve and rebalances

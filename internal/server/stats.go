@@ -6,7 +6,6 @@ import (
 
 	"github.com/ebsnlab/geacc/internal/core"
 	"github.com/ebsnlab/geacc/internal/decomp"
-	"github.com/ebsnlab/geacc/internal/solvecache"
 )
 
 // RebalanceOutcome is one completed rebalance as remembered by the
@@ -23,11 +22,6 @@ type RebalanceOutcome struct {
 	Gain             float64   `json:"gain"`
 	Adopted          bool      `json:"adopted"`
 	Seconds          float64   `json:"seconds"`
-	// CacheHits/CacheMisses count this rebalance's per-component solve-cache
-	// lookups (zero when the request opted out with ?cache=0 or the service
-	// disabled caching).
-	CacheHits   int64 `json:"cache_hits"`
-	CacheMisses int64 `json:"cache_misses"`
 }
 
 // InstanceStats is the GET /instances/{id}/stats payload: the operational
@@ -69,12 +63,9 @@ type InstanceStats struct {
 	OpCounts         map[string]int64   `json:"op_counts"`
 	RecentRebalances []RebalanceOutcome `json:"recent_rebalances"`
 
-	// SolveCache is the instance's rebalance solve-cache counters over its
-	// lifetime (this process; caches start cold after a restart). Nil when
-	// the service disabled caching.
-	SolveCache *solvecache.Stats `json:"solve_cache,omitempty"`
 	// WarmFlowEntries counts the min-cost-flow component states held for
-	// warm-started re-solves.
+	// warm-started re-solves (this process; the cache starts cold after a
+	// restart).
 	WarmFlowEntries int `json:"warm_flow_entries,omitempty"`
 }
 
@@ -92,10 +83,9 @@ func (s *service) handleInstanceStats(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 	inst, ok := s.get(w, r, r.PathValue("id"))
-	if !ok {
+	if !ok || !inst.lock(w, r) {
 		return
 	}
-	inst.mu.Lock()
 	defer inst.mu.Unlock()
 
 	st := InstanceStats{
@@ -108,9 +98,7 @@ func (s *service) handleInstanceStats(w http.ResponseWriter, r *http.Request) {
 	}
 	st.DirtyEvents, st.DirtyUsers = inst.Dirty()
 	st.RecentRebalances = append([]RebalanceOutcome{}, inst.rebalances...)
-	if inst.scache != nil {
-		cs := inst.scache.Stats()
-		st.SolveCache = &cs
+	if inst.warm != nil {
 		st.WarmFlowEntries = inst.warm.Len()
 	}
 
@@ -133,7 +121,10 @@ func (s *service) handleInstanceStats(w http.ResponseWriter, r *http.Request) {
 			writeError(w, r, http.StatusInternalServerError, err)
 			return
 		}
-		st.RelaxedUpperBound = core.RelaxedUpperBound(in)
+		if st.RelaxedUpperBound, err = core.RelaxedUpperBoundCtx(r.Context(), in); err != nil {
+			writeError(w, r, solveErrorStatus(err, http.StatusInternalServerError), err)
+			return
+		}
 		if st.RelaxedUpperBound > 0 {
 			st.Gap = (st.RelaxedUpperBound - st.MaxSum) / st.RelaxedUpperBound
 			if st.Gap < 0 {

@@ -1,12 +1,15 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"github.com/ebsnlab/geacc/internal/obs"
 )
 
 // doPost drives one POST through the full handler stack.
@@ -143,5 +146,24 @@ func TestInstanceStatsPersistence(t *testing.T) {
 	rr := doGet(t, h2, "/instances/nope/stats")
 	if rr.Code != http.StatusNotFound {
 		t.Fatalf("stats for unknown instance: %d %s", rr.Code, rr.Body)
+	}
+}
+
+// TestInstanceStatsCanceledSkipsRelaxation: a stats request whose client is
+// already gone answers 499 without augmenting a single flow path.
+func TestInstanceStatsCanceledSkipsRelaxation(t *testing.T) {
+	h, _, _ := newCorrelationHandler(t, Config{})
+	seedStatsInstance(t, h)
+	augs := obs.Default().Counter("geacc_mcflow_augmentations_total")
+	before := augs.Value()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	rr := httptest.NewRecorder()
+	h.ServeHTTP(rr, httptest.NewRequest("GET", "/instances/st/stats", nil).WithContext(ctx))
+	if rr.Code != statusClientClosedRequest {
+		t.Fatalf("canceled stats: %d %s", rr.Code, rr.Body)
+	}
+	if got := augs.Value(); got != before {
+		t.Fatalf("canceled stats augmented %d flow paths", got-before)
 	}
 }

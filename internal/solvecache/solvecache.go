@@ -226,13 +226,3 @@ func (c *Cache) Stats() Stats {
 		MaxSize:   c.max,
 	}
 }
-
-// Len returns the number of resident entries.
-func (c *Cache) Len() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}

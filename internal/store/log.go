@@ -18,10 +18,10 @@ import (
 // the ops in seq order reproduces the arranger exactly (every kind is
 // deterministic — rebalances record the adopted pairs instead of re-running
 // the solver). That outcome-not-invocation framing is also what makes the
-// solve and warm-flow caches (internal/solvecache, core.WarmCache) safe:
-// however a rebalance's components were produced — cold solve, memo hit, or
-// warm-started flow — only the adopted pairs reach the log, so replay can
-// neither consult a cache nor observe that one was used.
+// warm-flow cache (core.WarmCache) safe: however a rebalance's components
+// were produced — cold solve or warm-started flow — only the adopted pairs
+// reach the log, so replay can neither consult a cache nor observe that
+// one was used.
 const (
 	OpAddEvent    = "add_event"
 	OpAddUser     = "add_user"

@@ -2,6 +2,7 @@ package geacc
 
 import (
 	"github.com/ebsnlab/geacc/internal/core"
+	"github.com/ebsnlab/geacc/internal/decomp"
 )
 
 // SolvePortfolio races Greedy, MinCostFlow and both random baselines
@@ -9,9 +10,7 @@ import (
 // instance's conflict structure makes the winner hard to predict (greedy
 // usually wins, but MinCostFlow is optimal when conflicts are absent).
 func (p *Problem) SolvePortfolio(seed int64) (*Matching, error) {
-	best, _, err := core.Portfolio(p.in,
-		[]string{"greedy", "mincostflow", "random-v", "random-u"}, seed)
-	return best, err
+	return p.run(decomp.Spec{Algo: "portfolio", Seed: seed})
 }
 
 // Improve post-optimizes a feasible matching with 1-exchange local search
