@@ -134,11 +134,11 @@ func relaxedOptimum(ctx context.Context, in *Instance, events, users []int, prev
 	}
 	var warm *warmIndex
 	if prev != nil {
-		warm = newWarmIndex(prev)
+		warm = newWarmIndex(prev, users, scratch.userCol)
 	}
 	for v := 0; v < nv; v++ {
 		row := rows[v*nu : (v+1)*nu]
-		if warm == nil || !warm.gatherRow(in, v, events[v], users, row) {
+		if warm == nil || !warm.gatherRow(in, v, events[v], row) {
 			in.similarityRow(v, row)
 		}
 	}

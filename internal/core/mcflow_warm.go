@@ -165,24 +165,35 @@ func componentAnchor(events []int) int {
 }
 
 // warmIndex locates a previous FlowState's rows, columns and potentials
-// by parent id for one warm solve.
+// for one warm solve: events by parent id, users by their position in the
+// new sub-instance, resolved once for every row.
 type warmIndex struct {
 	prev     *FlowState
 	eventRow map[int]int // parent event id -> row in prev.rows
-	userCol  map[int]int // parent user id -> column in prev.rows
+	newUser  map[int]int // parent user id -> sub-instance user
+	userCol  []int       // sub-instance user -> column in prev.rows, or -1
 }
 
-func newWarmIndex(prev *FlowState) *warmIndex {
+// newWarmIndex indexes prev for a solve over the given parent user ids,
+// keeping the user columns in userCol (len(users) long).
+func newWarmIndex(prev *FlowState, users, userCol []int) *warmIndex {
 	w := &warmIndex{
 		prev:     prev,
 		eventRow: make(map[int]int, len(prev.events)),
-		userCol:  make(map[int]int, len(prev.users)),
+		newUser:  make(map[int]int, len(users)),
+		userCol:  userCol,
 	}
 	for i, e := range prev.events {
 		w.eventRow[e] = i
 	}
-	for j, u := range prev.users {
-		w.userCol[u] = j
+	for u, id := range users {
+		w.newUser[id] = u
+		w.userCol[u] = -1
+	}
+	for j, id := range prev.users {
+		if u, ok := w.newUser[id]; ok {
+			w.userCol[u] = j
+		}
 	}
 	return w
 }
@@ -192,15 +203,15 @@ func newWarmIndex(prev *FlowState) *warmIndex {
 // users' entries are copied (bit-identical: attrs are immutable, kernels
 // deterministic) and only new users are computed. It reports false, leaving
 // row untouched, when the event is new.
-func (w *warmIndex) gatherRow(in *Instance, v, event int, users []int, row []float64) bool {
+func (w *warmIndex) gatherRow(in *Instance, v, event int, row []float64) bool {
 	ov, ok := w.eventRow[event]
 	if !ok {
 		return false
 	}
 	onu := len(w.prev.users)
 	oldRow := w.prev.rows[ov*onu : (ov+1)*onu]
-	for u, id := range users {
-		if oc, ok := w.userCol[id]; ok {
+	for u, oc := range w.userCol {
+		if oc >= 0 {
 			row[u] = oldRow[oc]
 		} else {
 			row[u] = in.Similarity(v, u)
@@ -224,14 +235,10 @@ func (w *warmIndex) restore(ctx context.Context, g *mincostflow.Graph, sv *minco
 	for v, e := range events {
 		newEventIdx[e] = v
 	}
-	newUserIdx := make(map[int]int, nu)
-	for u, id := range users {
-		newUserIdx[id] = u
-	}
 	var restored int64
 	for _, p := range w.prev.pairs {
 		v, okv := newEventIdx[p[0]]
-		u, oku := newUserIdx[p[1]]
+		u, oku := w.newUser[p[1]]
 		if !okv || !oku {
 			continue
 		}
@@ -259,8 +266,8 @@ func (w *warmIndex) restore(ctx context.Context, g *mincostflow.Graph, sv *minco
 			pot[1+v] = prev.pot[1+ov]
 		}
 	}
-	for u, id := range users {
-		if oc, ok := w.userCol[id]; ok {
+	for u, oc := range w.userCol {
+		if oc >= 0 {
 			pot[1+nv+u] = prev.pot[1+onv+oc]
 		}
 	}

@@ -56,11 +56,13 @@ func releaseGreedyScratch(g *greedyScratch) {
 }
 
 // mcflowScratch is the per-run working set of relaxedOptimum: the flat
-// similarity rows (when no FlowState takes ownership of them) and the
-// pair-arc index mapping (v, u) to its arc.
+// similarity rows (when no FlowState takes ownership of them), the
+// pair-arc index mapping (v, u) to its arc, and a warm solve's user
+// columns (warmIndex.userCol).
 type mcflowScratch struct {
 	rows    []float64
 	pairArc []mincostflow.ArcID
+	userCol []int
 }
 
 var mcflowScratchPool = sync.Pool{New: func() any { return new(mcflowScratch) }}
@@ -77,6 +79,7 @@ func acquireMcflowScratch(nv, nu int) *mcflowScratch {
 	} else {
 		m.pairArc = m.pairArc[:nv*nu]
 	}
+	m.userCol = resizeInts(m.userCol, nu)
 	return m
 }
 

@@ -25,8 +25,10 @@ func CycleCanceling(g *Graph, s, t int, target int64) (flow int64, cost float64,
 	}
 	g.index(s, t)
 	flow = establishFlow(g, s, t, target)
+	dist, prev, dirty := make([]float64, g.numNodes), make([]int32, g.numNodes), make([]bool, g.numNodes)
 	for {
-		cycle := findNegativeCycle(g, nil)
+		clear(dist)
+		cycle, _ := findNegativeCycle(g, dist, prev, dirty)
 		if cycle == nil {
 			break
 		}
@@ -64,10 +66,9 @@ func establishFlow(g *Graph, s, t int, target int64) int64 {
 		for len(queue) > 0 && prev[t] == -1 {
 			v := queue[0]
 			queue = queue[1:]
-			for _, a := range g.adj[g.start[v]:g.start[v+1]] {
-				w := int(g.to[a])
-				if g.cap[a] > 0 && prev[w] == -1 {
-					prev[w] = a
+			for _, r := range g.adj[g.start[v]:g.start[v+1]] {
+				if w := int(r.to); g.cap[r.arc] > 0 && prev[w] == -1 {
+					prev[w] = r.arc
 					queue = append(queue, w)
 				}
 			}

@@ -20,10 +20,20 @@ type Graph struct {
 	cost     []float64
 
 	start, rest []int32
-	adj         []int32
+	adj         []arcRec
+	sortBuf     sortScratch
 	sorted      []bool
 	indexed     bool // adj covers every arc, laid out for terminals adjS, adjT
 	adjS, adjT  int
+}
+
+// arcRec is one adjacency slot: an arc's cost and head stored next to its
+// id, so scans and sorts read one contiguous record per arc and go through
+// the id only for the residual capacity, the one field a solve mutates.
+type arcRec struct {
+	cost float64
+	to   int32
+	arc  int32
 }
 
 // ArcID identifies an arc returned by AddArc.
@@ -87,26 +97,41 @@ func (g *Graph) index(s, t int) {
 	clear(rest)
 	// Count v's arcs into start[v+1] and its terminal arcs into rest[v],
 	// then turn both into cursors: start[v] for the terminal group, rest[v]
-	// for the other. Arc a runs from to[a^1] to to[a].
-	for a := range m {
-		v := to[a^1]
-		start[v+1]++
-		if w := to[a]; w == int32(s) || w == int32(t) {
-			rest[v]++
+	// for the other. Arcs come in twin pairs: a runs from u = to[a+1] to
+	// w = to[a], and a+1 from w to u.
+	s32, t32 := int32(s), int32(t)
+	for a := 0; a < m; a += 2 {
+		u, w := to[a+1], to[a]
+		start[u+1]++
+		start[w+1]++
+		if w == s32 || w == t32 {
+			rest[u]++
+		}
+		if u == s32 || u == t32 {
+			rest[w]++
 		}
 	}
 	for v := range n {
 		start[v+1] += start[v]
 		rest[v] += start[v]
 	}
-	for a := m - 1; a >= 0; a-- {
-		v, w := to[a^1], to[a]
-		if w == int32(s) || w == int32(t) {
-			adj[start[v]] = int32(a)
-			start[v]++
+	// Place the arcs newest first: a+1 into w's list, then a into u's.
+	cost := g.cost[:m]
+	for a := m - 2; a >= 0; a -= 2 {
+		u, w := to[a+1], to[a]
+		if r := (arcRec{cost: cost[a+1], to: u, arc: int32(a + 1)}); u == s32 || u == t32 {
+			adj[start[w]] = r
+			start[w]++
 		} else {
-			adj[rest[v]] = int32(a)
-			rest[v]++
+			adj[rest[w]] = r
+			rest[w]++
+		}
+		if r := (arcRec{cost: cost[a], to: w, arc: int32(a)}); w == s32 || w == t32 {
+			adj[start[u]] = r
+			start[u]++
+		} else {
+			adj[rest[u]] = r
+			rest[u]++
 		}
 	}
 	// Each cursor now sits at the end of its group: start[v] at v's
@@ -123,15 +148,7 @@ func (g *Graph) index(s, t int) {
 // sortArcs sorts v's non-terminal arcs by cost, once per index. Equal
 // costs keep their newest-first order: the arc ids break the tie.
 func (g *Graph) sortArcs(v int) {
-	slices.SortFunc(g.adj[g.rest[v]:g.start[v+1]], func(a, b int32) int {
-		switch ca, cb := g.cost[a], g.cost[b]; {
-		case ca < cb:
-			return -1
-		case ca > cb:
-			return 1
-		}
-		return int(b - a)
-	})
+	sortRecs(g.adj[g.rest[v]:g.start[v+1]], &g.sortBuf)
 	g.sorted[v] = true
 }
 
@@ -150,6 +167,14 @@ type Solver struct {
 	dist []float64
 	prev []int32 // arc used to reach each node on the current shortest path
 	heap *pqueue.IndexedMinHeap
+
+	dirty []bool // Bellman–Ford scratch: labels fallen since the node's last scan
+
+	// potMax is the largest potential of a node other than s and t. fresh
+	// reports that advancePotentials has set it and reset dist since the
+	// last search, so the next search can skip that per-node pass.
+	potMax float64
+	fresh  bool
 
 	totalFlow int64
 	totalCost float64
@@ -173,17 +198,37 @@ func NewSolver(g *Graph, s, t int) *Solver {
 // each node v at distance pot[v]. It reports whether it converged within
 // n+1 passes, which it always does absent a negative-cost cycle; seeded
 // with nearly valid potentials it takes a pass or two.
-func (sv *Solver) relaxPotentials() bool {
-	g := sv.g
-	for iter := 0; iter <= g.numNodes; iter++ {
+//
+// A pass skips every node whose potential has not fallen since its last
+// scan: each of its arcs would offer the same label as then, against a
+// head label that can only have fallen, so none could relax. The passes
+// make the same relaxations in the same order as full passes. With known
+// set, sv.dirty already marks every node that has an arc violating pot,
+// and the first pass scans only those; otherwise it scans every node.
+func (sv *Solver) relaxPotentials(known bool) bool {
+	n, pot := sv.g.numNodes, sv.pot
+	start, adj, capa := sv.g.start, sv.g.adj, sv.g.cap
+	sv.dirty = resize(sv.dirty, n)
+	dirty := sv.dirty
+	if !known {
+		for v := range dirty {
+			dirty[v] = true
+		}
+	}
+	for iter := 0; iter <= n; iter++ {
 		changed := false
-		for v := 0; v < g.numNodes; v++ {
-			for _, a := range g.adj[g.start[v]:g.start[v+1]] {
-				if g.cap[a] <= 0 {
+		for v := 0; v < n; v++ {
+			if !dirty[v] {
+				continue
+			}
+			dirty[v] = false
+			for _, r := range adj[start[v]:start[v+1]] {
+				if capa[r.arc] <= 0 {
 					continue
 				}
-				if nd := sv.pot[v] + g.cost[a]; nd < sv.pot[g.to[a]] {
-					sv.pot[g.to[a]] = nd
+				if nd := pot[v] + r.cost; nd < pot[r.to] {
+					pot[r.to] = nd
+					dirty[r.to] = true
 					changed = true
 				}
 			}
@@ -266,25 +311,27 @@ func (sv *Solver) dijkstra() bool { return sv.dijkstraFrom(sv.s, sv.t) }
 // so once d + ((cost + pot[v]) - potMax) reaches bound, every later arc
 // would give a label >= bound too: the scan stops. DESIGN.md, "Bounded
 // scan", shows that labels, path and potentials are the full scan's.
+//
+// dist must read MaxFloat64 everywhere and potMax be current on entry;
+// advancePotentials leaves them so, and otherwise resetSearch does it here.
+// prev is never cleared: it is read only along the path found, and every
+// node on that path was labeled by this search.
 func (sv *Solver) dijkstraFrom(src, dst int) bool {
-	g := sv.g
-	potMax := math.Inf(-1)
-	for i := range sv.dist {
-		sv.dist[i] = math.MaxFloat64
-		sv.prev[i] = -1
-		if i != sv.s && i != sv.t {
-			potMax = max(potMax, sv.pot[i])
-		}
+	if !sv.fresh {
+		sv.resetSearch()
 	}
-	sv.heap.Reset()
-	sv.dist[src] = 0
-	sv.heap.Push(src, 0)
+	sv.fresh = false
+	g, h := sv.g, sv.heap
+	dist, prev, pot, capa, potMax := sv.dist, sv.prev, sv.pot, g.cap, sv.potMax
+	h.Reset()
+	dist[src] = 0
+	h.Push(src, 0)
 	bound := math.MaxFloat64
 	var pops, arcScans int64
-	for sv.heap.Len() > 0 {
+	for h.Len() > 0 {
 		// The heap is indexed (Push relaxes an existing key), so every pop
 		// carries its node's current distance.
-		v, d := sv.heap.Pop()
+		v, d := h.Pop()
 		pops++
 		if v == dst {
 			break
@@ -292,36 +339,49 @@ func (sv *Solver) dijkstraFrom(src, dst int) bool {
 		if !g.sorted[v] {
 			g.sortArcs(v)
 		}
-		rest, hi := int(g.rest[v]), int(g.start[v+1])
-		pv := sv.pot[v]
-		for i := int(g.start[v]); i < hi; i++ {
-			a := g.adj[i]
+		lo := g.start[v]
+		recs, nTerm := g.adj[lo:g.start[v+1]], int(g.rest[v]-lo)
+		pv := pot[v]
+		for i, r := range recs {
 			arcScans++
-			cpv := g.cost[a] + pv
-			if i >= rest && d+(cpv-potMax) >= bound {
+			cpv := r.cost + pv
+			if i >= nTerm && d+(cpv-potMax) >= bound {
 				break
 			}
-			if g.cap[a] <= 0 {
+			if capa[r.arc] <= 0 {
 				continue
 			}
-			w := int(g.to[a])
-			rc := cpv - sv.pot[w]
+			w := int(r.to)
+			rc := cpv - pot[w]
 			if rc < 0 {
 				// Floating-point drift can push a reduced cost epsilon
 				// below zero; clamp so Dijkstra's invariant holds.
 				rc = 0
 			}
-			if nd := d + rc; nd < sv.dist[w] && (nd < bound || w == dst) {
-				sv.dist[w] = nd
-				sv.prev[w] = a
-				sv.heap.Push(w, nd)
+			if nd := d + rc; nd < dist[w] && (nd < bound || w == dst) {
+				dist[w] = nd
+				prev[w] = r.arc
+				h.Push(w, nd)
 				bound = min(bound, sv.pathBound(w, nd, dst))
 			}
 		}
 	}
 	sv.pops += pops
 	sv.arcScans += arcScans
-	return sv.dist[dst] != math.MaxFloat64
+	return dist[dst] != math.MaxFloat64
+}
+
+// resetSearch sets every dist to MaxFloat64 and recomputes potMax, for a
+// search that no potential update has prepared.
+func (sv *Solver) resetSearch() {
+	potMax := math.Inf(-1)
+	for v := range sv.dist {
+		sv.dist[v] = math.MaxFloat64
+		if p := sv.pot[v]; p > potMax && v != sv.s && v != sv.t {
+			potMax = p
+		}
+	}
+	sv.potMax = potMax
 }
 
 // pathBound returns the length of the cheapest path to dst that ends with
@@ -333,11 +393,11 @@ func (sv *Solver) pathBound(w int, nd float64, dst int) float64 {
 	}
 	g := sv.g
 	best := math.MaxFloat64
-	for _, a := range g.adj[g.start[w]:g.rest[w]] {
-		if int(g.to[a]) != dst || g.cap[a] <= 0 {
+	for _, r := range g.adj[g.start[w]:g.rest[w]] {
+		if int(r.to) != dst || g.cap[r.arc] <= 0 {
 			continue
 		}
-		rc := g.cost[a] + sv.pot[w] - sv.pot[dst]
+		rc := r.cost + sv.pot[w] - sv.pot[dst]
 		best = min(best, nd+max(rc, 0))
 	}
 	return best
@@ -347,12 +407,22 @@ func (sv *Solver) pathBound(w int, nd float64, dst int) float64 {
 // that stopped at target: pot[v] += min(dist[v], dist[target]). Nodes the
 // search settled advance by their exact distance, every other node by the
 // target's, which keeps every residual reduced cost non-negative (DESIGN.md
-// gives the proof) including on the arcs the next push reverses.
+// gives the proof) including on the arcs the next push reverses. The same
+// pass prepares the next search: it resets dist and computes potMax from
+// the new potentials.
 func (sv *Solver) advancePotentials(target int) {
 	dt := sv.dist[target]
+	pot := sv.pot[:len(sv.dist)]
+	potMax := math.Inf(-1)
 	for v, d := range sv.dist {
-		sv.pot[v] += min(d, dt)
+		p := pot[v] + min(d, dt)
+		pot[v] = p
+		sv.dist[v] = math.MaxFloat64
+		if p > potMax && v != sv.s && v != sv.t {
+			potMax = p
+		}
 	}
+	sv.potMax, sv.fresh = potMax, true
 }
 
 // SearchStats returns the shortest-path work done since the last Reset or

@@ -9,7 +9,8 @@ import (
 
 // Per-solve allocation pooling. The GEACC reduction builds one flow network
 // and one SSPA solver per solve — at v100_u2000 that is ~200k pair arcs
-// (three per-arc slices and the forward-star index) plus the solver's
+// (three per-arc slices, 20 B per arc, and the forward-star index, one
+// 16 B record per arc, plus the sort's scratch) plus the solver's
 // potential/distance/parent arrays and Dijkstra heap, all dead the moment
 // the matching is read back. Under a
 // sustained request stream those allocations dominate the solve path's GC
@@ -87,7 +88,7 @@ func (sv *Solver) Reset(g *Graph, s, t int) {
 	clear(sv.pot)
 	for i := 0; i < len(g.cost); i += 2 {
 		if g.cap[i] > 0 && g.cost[i] < 0 {
-			sv.relaxPotentials()
+			sv.relaxPotentials(false)
 			break
 		}
 	}
@@ -104,6 +105,7 @@ func (sv *Solver) bind(g *Graph, s, t int, op string) {
 	g.index(s, t)
 	sv.g, sv.s, sv.t = g, s, t
 	sv.pops, sv.arcScans = 0, 0
+	sv.fresh = false
 	sv.dist = resize(sv.dist, n)
 	sv.prev = resize(sv.prev, n)
 	if sv.heap == nil {

@@ -47,9 +47,10 @@ func (g *Graph) ClearFlow() {
 	}
 }
 
-// Potentials appends nothing and copies the solver's current node
-// potentials into out (grown as needed), returning the slice. Valid after a
-// solve; feed it to a later WarmStart on a related network.
+// Potentials copies the solver's current node potentials into out,
+// reallocating it only when its capacity falls short, and returns out
+// resized to the node count. Valid after a solve; feed it to a later
+// WarmStart on a related network.
 func (sv *Solver) Potentials(out []float64) []float64 {
 	out = resize(out, len(sv.pot))
 	copy(out, sv.pot)
@@ -95,8 +96,12 @@ func (sv *Solver) WarmStart(g *Graph, s, t int, prevPot []float64) WarmStats {
 	// a few — and overrunning it signals a pathological instance better
 	// served cold.
 	maxCancel := n + 64
+	sv.dirty = resize(sv.dirty, n)
+	var onePass bool
 	for st.CyclesCanceled < maxCancel {
-		cycle := findNegativeCycle(g, sv.pot)
+		copy(sv.dist, sv.pot)
+		var cycle []int32
+		cycle, onePass = findNegativeCycle(g, sv.dist, sv.prev, sv.dirty)
 		if cycle == nil {
 			break
 		}
@@ -121,11 +126,11 @@ func (sv *Solver) WarmStart(g *Graph, s, t int, prevPot []float64) WarmStats {
 	// their forward arc carries flow in.
 	sv.totalFlow = 0
 	sv.totalCost = 0
-	for _, a := range g.adj[g.start[s]:g.start[s+1]] {
-		if a%2 == 0 {
-			sv.totalFlow += g.Flow(ArcID(a))
+	for _, r := range g.adj[g.start[s]:g.start[s+1]] {
+		if r.arc%2 == 0 {
+			sv.totalFlow += g.Flow(ArcID(r.arc))
 		} else {
-			sv.totalFlow -= g.cap[a]
+			sv.totalFlow -= g.cap[r.arc]
 		}
 	}
 	for a := 0; a+1 < len(g.cost); a += 2 {
@@ -139,8 +144,10 @@ func (sv *Solver) WarmStart(g *Graph, s, t int, prevPot []float64) WarmStats {
 	// every positive-capacity residual arc, seeded from the previous
 	// solve's potentials. Absent negative cycles (just canceled) this is a
 	// difference-constraint system; relaxation converges in at most n
-	// passes, and with a good seed typically one or two.
-	st.OK = sv.relaxPotentials()
+	// passes, and with a good seed typically one or two. When the last
+	// cycle search ended after one pass, its labels were the potentials
+	// and it marked the nodes the first pass must scan.
+	st.OK = sv.relaxPotentials(onePass)
 	return st
 }
 
@@ -188,38 +195,52 @@ func (sv *Solver) RetreatAbove(costBound float64) (unitCost float64, ok bool) {
 }
 
 // findNegativeCycle runs Bellman-Ford over the residual graph from a
-// virtual source joined to each node v at distance seed[v] (0 for a nil
-// seed), returning the arcs of one negative-cost cycle, or nil if none
-// exists; a seed near valid potentials proves there is none in a pass or
-// two. A tiny epsilon guards against floating-point noise canceling
-// "cycles" of cost ~0 forever.
-func findNegativeCycle(g *Graph, seed []float64) []int32 {
+// virtual source joined to each node v at distance dist[v], returning the
+// arcs of one negative-cost cycle, or nil if none exists; a seed near
+// valid potentials proves there is none in a pass or two. A tiny epsilon
+// guards against floating-point noise canceling "cycles" of cost ~0
+// forever. dist, prevArc and dirty (all of length n) are its scratch:
+// WarmStart lends it the solver's, dist seeded from the potentials, so the
+// warm path allocates nothing here. Like relaxPotentials, a pass skips the
+// nodes whose label has not fallen since their last scan.
+//
+// onePass reports a nil return after the first pass, which relaxed
+// nothing: dist is then still the seed, and dirty marks exactly the nodes
+// with a residual arc whose label undercuts its head's by at most eps.
+func findNegativeCycle(g *Graph, dist []float64, prevArc []int32, dirty []bool) (cycle []int32, onePass bool) {
 	const eps = 1e-12
-	n := g.numNodes
-	dist := make([]float64, n)
-	copy(dist, seed)
-	prevArc := make([]int32, n)
+	n, start, adj, capa := g.numNodes, g.start, g.adj, g.cap
 	for i := range prevArc {
 		prevArc[i] = -1
+		dirty[i] = true
 	}
 	var cycleNode = -1
 	for iter := 0; iter < n; iter++ {
 		cycleNode = -1
 		for v := 0; v < n; v++ {
-			for _, a := range g.adj[g.start[v]:g.start[v+1]] {
-				if g.cap[a] <= 0 {
+			if !dirty[v] {
+				continue
+			}
+			dirty[v] = false
+			for _, r := range adj[start[v]:start[v+1]] {
+				if capa[r.arc] <= 0 {
 					continue
 				}
-				w := int(g.to[a])
-				if nd := dist[v] + g.cost[a]; nd < dist[w]-eps {
+				w := int(r.to)
+				if nd := dist[v] + r.cost; nd < dist[w]-eps {
 					dist[w] = nd
-					prevArc[w] = a
+					prevArc[w] = r.arc
+					dirty[w] = true
 					cycleNode = w
+				} else if nd < dist[w] {
+					// Within eps: no relaxation here, but v is marked for
+					// the caller (a rescan of v relaxes nothing).
+					dirty[v] = true
 				}
 			}
 		}
 		if cycleNode == -1 {
-			return nil
+			return nil, iter == 0
 		}
 	}
 	// A relaxation happened on the n-th pass: walk predecessors n times to
@@ -228,7 +249,6 @@ func findNegativeCycle(g *Graph, seed []float64) []int32 {
 	for i := 0; i < n; i++ {
 		v = int(g.to[int32(prevArc[v])^1])
 	}
-	var cycle []int32
 	for w := v; ; {
 		a := prevArc[w]
 		cycle = append(cycle, a)
@@ -237,5 +257,5 @@ func findNegativeCycle(g *Graph, seed []float64) []int32 {
 			break
 		}
 	}
-	return cycle
+	return cycle, false
 }

@@ -6,83 +6,78 @@ package pqueue
 
 // IndexedMinHeap is a binary min-heap over the integer keys [0, n) with
 // float64 priorities and O(log n) DecreaseKey. Keys not currently in the
-// heap occupy no slot. The zero value is not usable; call NewIndexedMinHeap.
+// heap occupy no slot. Each slot carries its key's priority inline, so a
+// comparison reads only the heap array, and the sifts move a hole rather
+// than swapping. The zero value is not usable; call NewIndexedMinHeap.
 type IndexedMinHeap struct {
-	keys []int     // heap order: keys[0] has the smallest priority
-	pos  []int     // pos[key] = index in keys, or -1 if absent
-	prio []float64 // prio[key] = current priority of key
+	entries []heapEntry // heap order: entries[0] has the smallest priority
+	pos     []int32     // pos[key] = index in entries, or -1 if absent
+}
+
+type heapEntry struct {
+	prio float64
+	key  int32
 }
 
 // NewIndexedMinHeap returns an empty heap over the key space [0, n).
 func NewIndexedMinHeap(n int) *IndexedMinHeap {
-	h := &IndexedMinHeap{
-		keys: make([]int, 0, n),
-		pos:  make([]int, n),
-		prio: make([]float64, n),
-	}
-	for i := range h.pos {
-		h.pos[i] = -1
-	}
+	h := &IndexedMinHeap{}
+	h.Resize(n)
 	return h
 }
 
 // Len returns the number of keys currently in the heap.
-func (h *IndexedMinHeap) Len() int { return len(h.keys) }
+func (h *IndexedMinHeap) Len() int { return len(h.entries) }
 
 // Contains reports whether key is currently in the heap.
 func (h *IndexedMinHeap) Contains(key int) bool { return h.pos[key] >= 0 }
 
-// Priority returns the current priority of key. Meaningful only if the key
-// is in the heap or was previously popped.
-func (h *IndexedMinHeap) Priority(key int) float64 { return h.prio[key] }
+// Priority returns the current priority of key, which must be in the heap.
+func (h *IndexedMinHeap) Priority(key int) float64 { return h.entries[h.pos[key]].prio }
 
 // Push inserts key with the given priority. If the key is already present,
 // Push behaves as DecreaseKey when the new priority is smaller and is a
 // no-op otherwise, which is exactly the relaxation step Dijkstra needs.
 func (h *IndexedMinHeap) Push(key int, priority float64) {
-	if h.pos[key] >= 0 {
-		h.DecreaseKey(key, priority)
+	if i := h.pos[key]; i >= 0 {
+		if priority < h.entries[i].prio {
+			h.up(int(i), heapEntry{priority, int32(key)})
+		}
 		return
 	}
-	h.prio[key] = priority
-	h.pos[key] = len(h.keys)
-	h.keys = append(h.keys, key)
-	h.up(len(h.keys) - 1)
+	h.entries = append(h.entries, heapEntry{})
+	h.up(len(h.entries)-1, heapEntry{priority, int32(key)})
 }
 
 // DecreaseKey lowers the priority of an in-heap key. Attempts to raise the
-// priority are ignored.
+// priority, or to change an absent key, are ignored.
 func (h *IndexedMinHeap) DecreaseKey(key int, priority float64) {
-	i := h.pos[key]
-	if i < 0 || priority >= h.prio[key] {
-		return
+	if i := h.pos[key]; i >= 0 && priority < h.entries[i].prio {
+		h.up(int(i), heapEntry{priority, int32(key)})
 	}
-	h.prio[key] = priority
-	h.up(i)
 }
 
 // Pop removes and returns the key with the smallest priority. It panics on
 // an empty heap.
 func (h *IndexedMinHeap) Pop() (key int, priority float64) {
-	key = h.keys[0]
-	priority = h.prio[key]
-	last := len(h.keys) - 1
-	h.swap(0, last)
-	h.keys = h.keys[:last]
-	h.pos[key] = -1
+	top := h.entries[0]
+	last := len(h.entries) - 1
+	x := h.entries[last]
+	h.entries = h.entries[:last]
+	h.pos[top.key] = -1
 	if last > 0 {
-		h.down(0)
+		h.down(x)
 	}
-	return key, priority
+	return int(top.key), top.prio
 }
 
 // Reset empties the heap without releasing its storage, so one allocation
 // serves many Dijkstra runs.
 func (h *IndexedMinHeap) Reset() {
-	for _, k := range h.keys {
-		h.pos[k] = -1
+	for _, e := range h.entries {
+		h.pos[e.key] = -1
 	}
-	h.keys = h.keys[:0]
+	h.entries = h.entries[:0]
 }
 
 // Resize empties the heap and re-targets it at the key space [0, n),
@@ -93,53 +88,58 @@ func (h *IndexedMinHeap) Reset() {
 func (h *IndexedMinHeap) Resize(n int) {
 	h.Reset()
 	if cap(h.pos) < n {
-		h.pos = make([]int, n)
-		h.prio = make([]float64, n)
+		h.pos = make([]int32, n)
 		for i := range h.pos {
 			h.pos[i] = -1
 		}
+		h.entries = make([]heapEntry, 0, n)
 		return
 	}
 	h.pos = h.pos[:n]
-	h.prio = h.prio[:n]
 }
 
-func (h *IndexedMinHeap) less(i, j int) bool {
-	return h.prio[h.keys[i]] < h.prio[h.keys[j]]
-}
-
-func (h *IndexedMinHeap) swap(i, j int) {
-	h.keys[i], h.keys[j] = h.keys[j], h.keys[i]
-	h.pos[h.keys[i]] = i
-	h.pos[h.keys[j]] = j
-}
-
-func (h *IndexedMinHeap) up(i int) {
+// up places x at hole i or above it, moving each parent with a larger
+// priority down into the hole.
+func (h *IndexedMinHeap) up(i int, x heapEntry) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			return
+		p := h.entries[parent]
+		if !(x.prio < p.prio) {
+			break
 		}
-		h.swap(i, parent)
+		h.entries[i] = p
+		h.pos[p.key] = int32(i)
 		i = parent
 	}
+	h.entries[i] = x
+	h.pos[x.key] = int32(i)
 }
 
-func (h *IndexedMinHeap) down(i int) {
-	n := len(h.keys)
+// down places x at the root hole or below it, moving the smaller child up
+// while it beats x; on equal children the left one wins.
+func (h *IndexedMinHeap) down(x heapEntry) {
+	n := len(h.entries)
+	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && h.less(l, smallest) {
-			smallest = l
+		l := 2*i + 1
+		if l >= n {
+			break
 		}
-		if r < n && h.less(r, smallest) {
-			smallest = r
+		c, cp := l, h.entries[l].prio
+		if !(cp < x.prio) {
+			c, cp = i, x.prio
 		}
-		if smallest == i {
-			return
+		if r := l + 1; r < n && h.entries[r].prio < cp {
+			c = r
 		}
-		h.swap(i, smallest)
-		i = smallest
+		if c == i {
+			break
+		}
+		e := h.entries[c]
+		h.entries[i] = e
+		h.pos[e.key] = int32(i)
+		i = c
 	}
+	h.entries[i] = x
+	h.pos[x.key] = int32(i)
 }

@@ -252,3 +252,75 @@ func TestIndexedMinHeapPriority(t *testing.T) {
 		t.Fatalf("Priority after decrease = %v", got)
 	}
 }
+
+// TestIndexedMinHeapMatchesModel interleaves every operation at random
+// against a map from key to priority: Push of new keys and of present ones
+// (lower and higher), DecreaseKey down, up and on absent keys, Pop, Reset
+// and Resize. Every pop must return a minimum priority of the model, and
+// after every step Len, Contains, Priority and pos must agree with it.
+func TestIndexedMinHeapMatchesModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	n := 40
+	h := NewIndexedMinHeap(n)
+	model := map[int]float64{}
+	// Few distinct priorities, so ties are common.
+	prio := func() float64 { return float64(rng.Intn(25)) / 4 }
+	for step := 0; step < 200000; step++ {
+		switch op := rng.Intn(100); {
+		case op < 40:
+			k, p := rng.Intn(n), prio()
+			if old, ok := model[k]; !ok || p < old {
+				model[k] = p
+			}
+			h.Push(k, p)
+		case op < 55:
+			k, p := rng.Intn(n), prio()
+			if old, ok := model[k]; ok && p < old {
+				model[k] = p
+			}
+			h.DecreaseKey(k, p)
+		case op < 90:
+			if len(model) == 0 {
+				continue
+			}
+			k, p := h.Pop()
+			want, ok := model[k]
+			if !ok || p != want {
+				t.Fatalf("step %d: popped (%d, %v), model has %v, %v", step, k, p, want, ok)
+			}
+			for mk, mp := range model {
+				if mp < p {
+					t.Fatalf("step %d: popped priority %v but key %d has %v", step, p, mk, mp)
+				}
+			}
+			delete(model, k)
+		case op < 95:
+			h.Reset()
+			clear(model)
+		default:
+			n = 1 + rng.Intn(80)
+			h.Resize(n)
+			clear(model)
+		}
+		if h.Len() != len(model) {
+			t.Fatalf("step %d: Len %d, model %d", step, h.Len(), len(model))
+		}
+		for k := range n {
+			p, in := model[k]
+			if h.Contains(k) != in {
+				t.Fatalf("step %d: Contains(%d) = %v, model %v", step, k, !in, in)
+			}
+			if in && h.Priority(k) != p {
+				t.Fatalf("step %d: Priority(%d) = %v, model %v", step, k, h.Priority(k), p)
+			}
+		}
+		for i, e := range h.entries {
+			if int(h.pos[e.key]) != i {
+				t.Fatalf("step %d: pos[%d] = %d, entry sits at %d", step, e.key, h.pos[e.key], i)
+			}
+			if parent := (i - 1) / 2; i > 0 && e.prio < h.entries[parent].prio {
+				t.Fatalf("step %d: entry %d beats its parent", step, i)
+			}
+		}
+	}
+}
