@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/ebsnlab/geacc/internal/conflict"
@@ -291,6 +293,62 @@ func TestIndexKindString(t *testing.T) {
 	for k, want := range cases {
 		if k.String() != want {
 			t.Errorf("IndexKind(%d).String() = %q", int(k), k.String())
+		}
+	}
+}
+
+// TestResolveConflictsGreedyOrder checks the per-user greedy selection
+// against a reference that sorts each user's events with slices.SortFunc
+// (similarity descending, event id ascending) and keeps every event that
+// conflicts with none kept before it. Similarities are quarters, so ties
+// are common and the id tie-break decides which of two conflicting events
+// survives; the pairs must match in order, bit for bit.
+func TestResolveConflictsGreedyOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for trial := range 200 {
+		nv, nu := 2+rng.Intn(7), 1+rng.Intn(4)
+		events, users := make([]Event, nv), make([]User, nu)
+		for v := range events {
+			events[v] = Event{Cap: nu}
+		}
+		for u := range users {
+			users[u] = User{Cap: nv}
+		}
+		matrix := make([][]float64, nv)
+		for v := range matrix {
+			matrix[v] = make([]float64, nu)
+			for u := range matrix[v] {
+				matrix[v][u] = float64(1+rng.Intn(4)) / 4
+			}
+		}
+		cf := conflict.Random(rng, nv, 0.4)
+		in, err := NewMatrixInstance(events, users, cf, matrix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		relaxed, want := NewMatching(), NewMatching()
+		for u := range nu {
+			evs := rng.Perm(nv)[:1+rng.Intn(nv)]
+			for _, v := range evs {
+				relaxed.Add(v, u, matrix[v][u])
+			}
+			sorted := slices.Clone(evs)
+			slices.SortFunc(sorted, func(a, b int) int {
+				if c := cmp.Compare(matrix[b][u], matrix[a][u]); c != 0 {
+					return c
+				}
+				return cmp.Compare(a, b)
+			})
+			var kept []int
+			for _, v := range sorted {
+				if !cf.ConflictsWithAny(v, kept) {
+					kept = append(kept, v)
+					want.Add(v, u, matrix[v][u])
+				}
+			}
+		}
+		if got := resolveConflicts(in, relaxed); !slices.Equal(got.Pairs(), want.Pairs()) {
+			t.Fatalf("trial %d: kept %v, reference %v", trial, got.Pairs(), want.Pairs())
 		}
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"math"
-	"sort"
 
 	"github.com/ebsnlab/geacc/internal/mincostflow"
 	"github.com/ebsnlab/geacc/internal/obs"
@@ -227,15 +226,14 @@ func relaxedOptimum(ctx context.Context, in *Instance, events, users []int, prev
 // back to the greedy heuristic for pathological users with > 20 events.
 func resolveConflictsExact(in *Instance, relaxed *Matching) *Matching {
 	m := NewMatching()
+	var b resolveScratch
 	for u := 0; u < in.NumUsers(); u++ {
 		events := relaxed.UserEvents(u)
 		if len(events) == 0 {
 			continue
 		}
 		if len(events) > 20 {
-			for _, v := range greedyIndependent(in, u, events) {
-				m.Add(v, u, in.Similarity(v, u))
-			}
+			b.greedyIndependent(m, in, u, events)
 			continue
 		}
 		bestMask, bestSum := 0, -1.0
@@ -267,25 +265,38 @@ func resolveConflictsExact(in *Instance, relaxed *Matching) *Matching {
 	return m
 }
 
-// greedyIndependent is the paper's per-user greedy selection, returning the
-// kept events.
-func greedyIndependent(in *Instance, u int, events []int) []int {
-	sorted := append([]int(nil), events...)
-	sort.Slice(sorted, func(i, j int) bool {
-		si, sj := in.Similarity(sorted[i], u), in.Similarity(sorted[j], u)
-		if si != sj {
-			return si > sj
+// resolveScratch is greedyIndependent's reusable storage: one conflict
+// resolution lends the same buffers to every user.
+type resolveScratch struct {
+	events, kept []int
+	sims         []float64
+}
+
+// greedyIndependent is the paper's per-user greedy selection: it adds to m
+// each of user u's events, by similarity descending and then event id
+// ascending, that conflicts with none kept before it. That order is a
+// strict total order, so the insertion sort below puts the events where
+// any sort would, reading each similarity once.
+func (b *resolveScratch) greedyIndependent(m *Matching, in *Instance, u int, events []int) {
+	evs, sims := b.events[:0], b.sims[:0]
+	for _, v := range events {
+		s := in.Similarity(v, u)
+		i := len(evs)
+		evs, sims = append(evs, v), append(sims, s)
+		for ; i > 0 && (sims[i-1] < s || sims[i-1] == s && evs[i-1] > v); i-- {
+			evs[i], sims[i] = evs[i-1], sims[i-1]
 		}
-		return sorted[i] < sorted[j]
-	})
-	var kept []int
-	for _, v := range sorted {
+		evs[i], sims[i] = v, s
+	}
+	kept := b.kept[:0]
+	for i, v := range evs {
 		if in.Conflicts != nil && in.Conflicts.ConflictsWithAny(v, kept) {
 			continue
 		}
 		kept = append(kept, v)
+		m.Add(v, u, sims[i])
 	}
-	return kept
+	b.events, b.sims, b.kept = evs, sims, kept
 }
 
 // resolveConflicts implements lines 8-14 of Algorithm 1: for each user,
@@ -293,14 +304,11 @@ func greedyIndependent(in *Instance, u int, events []int) []int {
 // events M∅ assigned to that user.
 func resolveConflicts(in *Instance, relaxed *Matching) *Matching {
 	m := NewMatching()
+	var b resolveScratch
 	// Process users in ascending order for deterministic output.
 	for u := 0; u < in.NumUsers(); u++ {
-		events := relaxed.UserEvents(u)
-		if len(events) == 0 {
-			continue
-		}
-		for _, v := range greedyIndependent(in, u, events) {
-			m.Add(v, u, in.Similarity(v, u))
+		if events := relaxed.UserEvents(u); len(events) > 0 {
+			b.greedyIndependent(m, in, u, events)
 		}
 	}
 	return m

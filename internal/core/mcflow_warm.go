@@ -272,6 +272,8 @@ func (w *warmIndex) restore(ctx context.Context, g *mincostflow.Graph, sv *minco
 		}
 	}
 	ws := sv.WarmStart(g, s, t, pot)
+	mcflowWarmCycles.Add(int64(ws.CyclesCanceled))
+	mcflowWarmBFPasses.Add(int64(ws.Passes))
 	if !ws.OK {
 		mcflowWarmColdFallbacks.Inc()
 		g.ClearFlow()

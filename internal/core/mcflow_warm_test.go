@@ -221,6 +221,47 @@ func insertSorted(s []int, x int) []int {
 
 func removeAt(s []int, i int) []int { return append(s[:i:i], s[i+1:]...) }
 
+// TestWarmRepairCounters re-solves warm after a user joins who is more
+// similar to the only event than the user it holds: the restored flow then
+// closes a negative residual cycle, and WarmStart's cancelation must move
+// geacc_mcflow_warm_cycles_canceled_total and
+// geacc_mcflow_warm_bf_passes_total.
+func TestWarmRepairCounters(t *testing.T) {
+	events := []Event{{Attrs: sim.Vector{0}, Cap: 1}}
+	far := User{Attrs: sim.Vector{5}, Cap: 1}
+	near := User{Attrs: sim.Vector{1}, Cap: 1}
+	inst := func(users ...User) *Instance {
+		in, err := NewInstance(events, users, conflict.FromPairs(1, nil), sim.Euclidean(1, 10))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return in
+	}
+	wc := NewWarmCache(2)
+	if _, err := minCostFlowWarmCtx(context.Background(), inst(far), []int{0}, []int{0}, wc); err != nil {
+		t.Fatal(err)
+	}
+	cycles0, passes0 := mcflowWarmCycles.Value(), mcflowWarmBFPasses.Value()
+	in := inst(far, near)
+	warm, err := minCostFlowWarmCtx(context.Background(), in, []int{0}, []int{0, 1}, wc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dc, dp := mcflowWarmCycles.Value()-cycles0, mcflowWarmBFPasses.Value()-passes0; dc < 1 || dp < 1 {
+		t.Fatalf("warm re-solve moved cycles_canceled by %d and bf_passes by %d, want both >= 1", dc, dp)
+	}
+	if !warm.Matching.Contains(0, 1) {
+		t.Fatalf("warm re-solve kept %v, want the nearer user 1", warm.Matching.SortedPairs())
+	}
+	cold, err := minCostFlowCtx(context.Background(), in, FlowOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sameFlowResult(warm, cold); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestWarmFlowSurvivesGarbageState pins the safety property: a stale or
 // corrupt cached FlowState must never change the result, only (at worst)
 // the speed. We plant states with wrong pairs and wild potentials and check

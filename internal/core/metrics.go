@@ -28,6 +28,8 @@ var (
 	mcflowWarmHits          = obs.Default().Counter("geacc_mcflow_warm_hits_total")
 	mcflowWarmRestoredUnits = obs.Default().Counter("geacc_mcflow_warm_restored_units_total")
 	mcflowWarmColdFallbacks = obs.Default().Counter("geacc_mcflow_warm_cold_fallbacks_total")
+	mcflowWarmCycles        = obs.Default().Counter("geacc_mcflow_warm_cycles_canceled_total")
+	mcflowWarmBFPasses      = obs.Default().Counter("geacc_mcflow_warm_bf_passes_total")
 
 	exactRuns     = obs.Default().Counter("geacc_exact_runs_total")
 	exactNodes    = obs.Default().Counter("geacc_exact_nodes_total")

@@ -62,15 +62,87 @@ func fullNegativeCycle(g *Graph, dist []float64) []int32 {
 	}
 }
 
+// cycleSearchOutcome is what checkCycleSearch saw on one network and seed.
+type cycleSearchOutcome struct {
+	cycle, onePass, marked bool
+}
+
+// checkCycleSearch runs findNegativeCycle from seed and holds it to the
+// full passes. A nil result must match them bit for bit: no cycle, the
+// same labels, and after one pass the marks of exactly the nodes with a
+// violating arc, from which relaxPotentials must again match full passes.
+// A returned cycle must be one the full passes also detect, and a closed
+// walk of positive-residual arcs costing less than -eps.
+func checkCycleSearch(t *testing.T, g *Graph, seed []float64) cycleSearchOutcome {
+	t.Helper()
+	const eps = 1e-12
+	n := g.numNodes
+	dist, wantDist, dirty := slices.Clone(seed), slices.Clone(seed), make([]bool, n)
+	got, passes := findNegativeCycle(g, dist, make([]int32, n), dirty, make([]int32, n))
+	wantCycle := fullNegativeCycle(g, wantDist)
+	if passes < 1 || passes > n {
+		t.Fatalf("findNegativeCycle reports %d passes on %d nodes", passes, n)
+	}
+	if got != nil {
+		if wantCycle == nil {
+			t.Fatalf("cycle %v, full passes find none", got)
+		}
+		cost := 0.0
+		for i, a := range got {
+			// got lists the cycle backwards: arc i's tail is arc i+1's head.
+			next := got[(i+1)%len(got)]
+			if a < 0 || int(a) >= len(g.cap) || g.cap[a] <= 0 || g.to[a^1] != g.to[next] {
+				t.Fatalf("cycle %v is not a closed walk of positive-residual arcs (at arc %d)", got, a)
+			}
+			cost += g.cost[a]
+		}
+		if cost >= -eps {
+			t.Fatalf("cycle %v costs %v, not below -eps", got, cost)
+		}
+		return cycleSearchOutcome{cycle: true}
+	}
+	if wantCycle != nil {
+		t.Fatalf("no cycle, full passes find %v", wantCycle)
+	}
+	for v := range wantDist {
+		if math.Float64bits(dist[v]) != math.Float64bits(wantDist[v]) {
+			t.Fatalf("dist[%d] = %v, full passes %v", v, dist[v], wantDist[v])
+		}
+	}
+	if passes != 1 {
+		return cycleSearchOutcome{}
+	}
+	for v := range n {
+		violates := false
+		for _, r := range g.adj[g.start[v]:g.start[v+1]] {
+			violates = violates || (g.cap[r.arc] > 0 && seed[v]+r.cost < seed[r.to])
+		}
+		if dirty[v] != violates {
+			t.Fatalf("one pass marked node %d %v, its arcs violate: %v", v, dirty[v], violates)
+		}
+	}
+	marked := slices.Contains(dirty, true)
+	want := slices.Clone(seed)
+	wantOK := fullRelax(g, want)
+	sv := &Solver{g: g, pot: slices.Clone(seed), dirty: dirty}
+	if ok := sv.relaxPotentials(true); ok != wantOK {
+		t.Fatalf("relaxPotentials from the marks converged %v, full passes %v", ok, wantOK)
+	}
+	for v := range want {
+		if math.Float64bits(sv.pot[v]) != math.Float64bits(want[v]) {
+			t.Fatalf("pot[%d] = %v from the marks, full passes %v", v, sv.pot[v], want[v])
+		}
+	}
+	return cycleSearchOutcome{onePass: true, marked: marked}
+}
+
 // TestBellmanFordSkipsMatchFullPasses checks, on random networks with
 // negative costs, that relaxPotentials leaves bit-identical potentials and
-// convergence verdicts, and findNegativeCycle the same cycle and labels,
-// as the full passes do. When findNegativeCycle ends after one pass, it
-// must mark exactly the nodes with a violating arc, and relaxPotentials
-// started from those marks must again match the full passes.
+// convergence verdicts as the full passes do, and holds findNegativeCycle
+// to them through checkCycleSearch.
 func TestBellmanFordSkipsMatchFullPasses(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	onePasses, marked := 0, 0
+	onePasses, marked, cycles := 0, 0, 0
 	for trial := range 400 {
 		n := 2 + rng.Intn(12)
 		g := NewGraph(n)
@@ -107,48 +179,60 @@ func TestBellmanFordSkipsMatchFullPasses(t *testing.T) {
 
 		want := slices.Clone(seed)
 		wantOK := fullRelax(g, want)
-		checkRelax := func(sv *Solver, how string) {
-			t.Helper()
-			if ok := sv.relaxPotentials(how == "marked"); ok != wantOK {
-				t.Fatalf("trial %d (%s): relaxPotentials converged %v, full passes %v", trial, how, ok, wantOK)
-			}
-			for v := range want {
-				if math.Float64bits(sv.pot[v]) != math.Float64bits(want[v]) {
-					t.Fatalf("trial %d (%s): pot[%d] = %v, full passes %v", trial, how, v, sv.pot[v], want[v])
-				}
+		sv := &Solver{g: g, pot: slices.Clone(seed)}
+		if ok := sv.relaxPotentials(false); ok != wantOK {
+			t.Fatalf("trial %d: relaxPotentials converged %v, full passes %v", trial, ok, wantOK)
+		}
+		for v := range want {
+			if math.Float64bits(sv.pot[v]) != math.Float64bits(want[v]) {
+				t.Fatalf("trial %d: pot[%d] = %v, full passes %v", trial, v, sv.pot[v], want[v])
 			}
 		}
-		checkRelax(&Solver{g: g, pot: slices.Clone(seed)}, "all")
 
-		dist, wantDist, dirty := slices.Clone(seed), slices.Clone(seed), make([]bool, n)
-		got, onePass := findNegativeCycle(g, dist, make([]int32, n), dirty)
-		if wantCycle := fullNegativeCycle(g, wantDist); !slices.Equal(got, wantCycle) {
-			t.Fatalf("trial %d: cycle %v, full passes %v", trial, got, wantCycle)
+		out := checkCycleSearch(t, g, seed)
+		if out.cycle {
+			cycles++
 		}
-		for v := range wantDist {
-			if math.Float64bits(dist[v]) != math.Float64bits(wantDist[v]) {
-				t.Fatalf("trial %d: dist[%d] = %v, full passes %v", trial, v, dist[v], wantDist[v])
-			}
+		if out.onePass {
+			onePasses++
 		}
-		if !onePass {
-			continue
-		}
-		onePasses++
-		if slices.Contains(dirty, true) {
+		if out.marked {
 			marked++
 		}
-		for v := range n {
-			violates := false
-			for _, r := range g.adj[g.start[v]:g.start[v+1]] {
-				violates = violates || (g.cap[r.arc] > 0 && seed[v]+r.cost < seed[r.to])
-			}
-			if dirty[v] != violates {
-				t.Fatalf("trial %d: one pass marked node %d %v, its arcs violate: %v", trial, v, dirty[v], violates)
-			}
-		}
-		checkRelax(&Solver{g: g, pot: slices.Clone(seed), dirty: dirty}, "marked")
 	}
-	if onePasses < 50 || marked < 20 {
-		t.Fatalf("only %d trials ended after one pass, %d of them with marks", onePasses, marked)
+	if onePasses < 50 || marked < 20 || cycles < 50 {
+		t.Fatalf("only %d trials ended after one pass, %d of them with marks; %d found a cycle", onePasses, marked, cycles)
+	}
+}
+
+// TestNegativeCycleFoundEarly plants one 3-arc negative cycle in a
+// 200-node network whose other arcs cost at least 3, so no other cycle is
+// negative. Plain Bellman–Ford reports it on the 200th pass; the
+// parent-graph check must return exactly its arcs within 4.
+func TestNegativeCycleFoundEarly(t *testing.T) {
+	const n = 200
+	rng := rand.New(rand.NewSource(3))
+	g := NewGraph(n)
+	for range 4 * n {
+		if from, to := rng.Intn(n), rng.Intn(n); from != to {
+			g.AddArc(from, to, 1, 3+float64(rng.Intn(5))/4)
+		}
+	}
+	planted := []int32{
+		int32(g.AddArc(150, 40, 1, 1)),
+		int32(g.AddArc(40, 190, 1, 1)),
+		int32(g.AddArc(190, 150, 1, -3)),
+	}
+	g.index(0, n-1)
+	if ref := fullNegativeCycle(g, make([]float64, n)); ref == nil {
+		t.Fatal("full passes miss the planted cycle")
+	}
+	cycle, passes := findNegativeCycle(g, make([]float64, n), make([]int32, n), make([]bool, n), make([]int32, n))
+	slices.Sort(cycle)
+	if !slices.Equal(cycle, planted) {
+		t.Fatalf("cycle %v, planted %v", cycle, planted)
+	}
+	if passes > 4 {
+		t.Fatalf("found after %d passes, want at most 4", passes)
 	}
 }

@@ -25,10 +25,11 @@ func CycleCanceling(g *Graph, s, t int, target int64) (flow int64, cost float64,
 	}
 	g.index(s, t)
 	flow = establishFlow(g, s, t, target)
-	dist, prev, dirty := make([]float64, g.numNodes), make([]int32, g.numNodes), make([]bool, g.numNodes)
+	n := g.numNodes
+	dist, prev, dirty, stamp := make([]float64, n), make([]int32, n), make([]bool, n), make([]int32, n)
 	for {
 		clear(dist)
-		cycle, _ := findNegativeCycle(g, dist, prev, dirty)
+		cycle, _ := findNegativeCycle(g, dist, prev, dirty, stamp)
 		if cycle == nil {
 			break
 		}

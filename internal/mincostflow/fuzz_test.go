@@ -76,3 +76,60 @@ func decodeNet(data []byte) (ns *netSpec, bound float64, ok bool) {
 	}
 	return ns, bound, true
 }
+
+// FuzzNegativeCycle decodes bytes into a network and a seed and holds
+// findNegativeCycle to the full Bellman–Ford passes through
+// checkCycleSearch:
+//
+//	byte 0       node count 2 + b%14; bit 0x80: seed from the relaxed
+//	             potentials instead of the seed bytes
+//	bytes 1..n   per-node seed b%5 / 8 plus a jitter of (b>>4)%3 * 3e-13,
+//	             below findNegativeCycle's eps
+//	then triples from, to, c: an arc with capacity c>>4 % 3 and cost
+//	             (c%9 - 5) / 4; c's high bit adds the reverse arc at the
+//	             negated cost, a zero-cost cycle
+//
+// Quarter-unit costs make exact ties and zero-cost cycles common.
+// Self-loops are dropped; at most 48 arcs are read.
+func FuzzNegativeCycle(f *testing.F) {
+	f.Add([]byte{5, 0, 1, 2, 3, 4, 0, 1, 0x12, 1, 2, 0x13, 2, 0, 0x11, 3, 4, 0x98})
+	f.Add([]byte{0x86, 0x10, 0x21, 2, 3, 4, 0, 1, 2, 0x94, 2, 3, 0x25, 3, 1, 0x06, 5, 6, 0x18})
+	f.Add([]byte{13, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 0, 14, 0x15, 14, 9, 0x17, 9, 0, 0x10})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 1 {
+			return
+		}
+		n := 2 + int(data[0]%14)
+		if len(data) < 1+n {
+			return
+		}
+		g := NewGraph(n)
+		body := data[1+n:]
+		for i := 0; i+2 < len(body) && g.NumArcs() < 48; i += 3 {
+			from, to, c := int(body[i])%n, int(body[i+1])%n, body[i+2]
+			if from == to {
+				continue
+			}
+			capa, cost := int64(c>>4%3), float64(int(c%9)-5)/4
+			g.AddArc(from, to, capa, cost)
+			if c&0x80 != 0 {
+				g.AddArc(to, from, capa, -cost)
+			}
+		}
+		g.index(0, n-1)
+		for v := range n {
+			g.sortArcs(v)
+		}
+		seed := make([]float64, n)
+		if data[0]&0x80 != 0 {
+			fullRelax(g, seed)
+		}
+		for v, b := range data[1 : 1+n] {
+			if data[0]&0x80 == 0 {
+				seed[v] = float64(b%5) / 8
+			}
+			seed[v] += float64(b>>4%3) * 3e-13
+		}
+		checkCycleSearch(t, g, seed)
+	})
+}

@@ -168,7 +168,8 @@ type Solver struct {
 	prev []int32 // arc used to reach each node on the current shortest path
 	heap *pqueue.IndexedMinHeap
 
-	dirty []bool // Bellman–Ford scratch: labels fallen since the node's last scan
+	dirty []bool  // Bellman–Ford scratch: labels fallen since the node's last scan
+	stamp []int32 // negative-cycle search scratch: parent-walk stamps
 
 	// potMax is the largest potential of a node other than s and t. fresh
 	// reports that advancePotentials has set it and reset dist since the

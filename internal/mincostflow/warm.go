@@ -61,6 +61,7 @@ func (sv *Solver) Potentials(out []float64) []float64 {
 type WarmStats struct {
 	RestoredFlow   int64 // flow units found on the network at start
 	CyclesCanceled int   // negative residual cycles repaired
+	Passes         int   // Bellman–Ford passes of the negative-cycle searches
 	OK             bool  // false: caller must ClearFlow + Reset and go cold
 }
 
@@ -92,16 +93,18 @@ func (sv *Solver) WarmStart(g *Graph, s, t int, prevPot []float64) WarmStats {
 	// Repair optimality: the restored flow plus delta arcs may admit
 	// negative-cost residual cycles; cancel until none remain. The search
 	// starts from the previous potentials, so it proves there are none in
-	// a pass or two. The bound is generous — a small delta creates at most
-	// a few — and overrunning it signals a pathological instance better
-	// served cold.
+	// a pass or two, and finds a cycle a few passes after reaching it. The
+	// bound is generous — a small delta creates at most a few — and
+	// overrunning it signals a pathological instance better served cold.
 	maxCancel := n + 64
 	sv.dirty = resize(sv.dirty, n)
-	var onePass bool
+	sv.stamp = resize(sv.stamp, n)
+	var passes int
 	for st.CyclesCanceled < maxCancel {
 		copy(sv.dist, sv.pot)
 		var cycle []int32
-		cycle, onePass = findNegativeCycle(g, sv.dist, sv.prev, sv.dirty)
+		cycle, passes = findNegativeCycle(g, sv.dist, sv.prev, sv.dirty, sv.stamp)
+		st.Passes += passes
 		if cycle == nil {
 			break
 		}
@@ -147,7 +150,7 @@ func (sv *Solver) WarmStart(g *Graph, s, t int, prevPot []float64) WarmStats {
 	// passes, and with a good seed typically one or two. When the last
 	// cycle search ended after one pass, its labels were the potentials
 	// and it marked the nodes the first pass must scan.
-	st.OK = sv.relaxPotentials(onePass)
+	st.OK = sv.relaxPotentials(passes == 1)
 	return st
 }
 
@@ -196,27 +199,39 @@ func (sv *Solver) RetreatAbove(costBound float64) (unitCost float64, ok bool) {
 
 // findNegativeCycle runs Bellman-Ford over the residual graph from a
 // virtual source joined to each node v at distance dist[v], returning the
-// arcs of one negative-cost cycle, or nil if none exists; a seed near
-// valid potentials proves there is none in a pass or two. A tiny epsilon
-// guards against floating-point noise canceling "cycles" of cost ~0
-// forever. dist, prevArc and dirty (all of length n) are its scratch:
-// WarmStart lends it the solver's, dist seeded from the potentials, so the
-// warm path allocates nothing here. Like relaxPotentials, a pass skips the
-// nodes whose label has not fallen since their last scan.
+// arcs of one negative-cost cycle, or nil if none exists, and the passes it
+// made; a seed near valid potentials proves there is none in a pass or
+// two. A tiny epsilon guards against floating-point noise canceling
+// "cycles" of cost ~0 forever. dist, prevArc, dirty and stamp (all of
+// length n) are its scratch: WarmStart lends it the solver's, dist seeded
+// from the potentials, so the warm path allocates nothing per pass. Like
+// relaxPotentials, a pass skips the nodes whose label has not fallen since
+// their last scan.
 //
-// onePass reports a nil return after the first pass, which relaxed
-// nothing: dist is then still the seed, and dirty marks exactly the nodes
-// with a residual arc whose label undercuts its head's by at most eps.
-func findNegativeCycle(g *Graph, dist []float64, prevArc []int32, dirty []bool) (cycle []int32, onePass bool) {
+// After each pass that relaxed something, one walk over the parent
+// pointers looks for a cycle in the parent graph and returns the first it
+// closes: a parent arc is set only when it lowers its head's label by more
+// than eps, so every such cycle costs less than -eps (up to the rounding
+// of the stored labels). A cycle thus shows up a few passes after the
+// relaxations reach it, not on the n-th pass. A search still relaxing
+// after n passes without closing a parent cycle returns nil; the
+// potential relaxation then fails to converge and WarmStart goes cold. A
+// nil return otherwise comes from a search that never closed a parent
+// cycle, so it made the same passes, in the same order, as one without
+// the walks.
+//
+// A nil return after one pass means the first pass relaxed nothing: dist
+// is then still the seed, and dirty marks exactly the nodes with a
+// residual arc whose label undercuts its head's by at most eps.
+func findNegativeCycle(g *Graph, dist []float64, prevArc []int32, dirty []bool, stamp []int32) (cycle []int32, passes int) {
 	const eps = 1e-12
 	n, start, adj, capa := g.numNodes, g.start, g.adj, g.cap
 	for i := range prevArc {
 		prevArc[i] = -1
 		dirty[i] = true
 	}
-	var cycleNode = -1
-	for iter := 0; iter < n; iter++ {
-		cycleNode = -1
+	for passes = 1; passes <= n; passes++ {
+		relaxed := false
 		for v := 0; v < n; v++ {
 			if !dirty[v] {
 				continue
@@ -231,7 +246,7 @@ func findNegativeCycle(g *Graph, dist []float64, prevArc []int32, dirty []bool) 
 					dist[w] = nd
 					prevArc[w] = r.arc
 					dirty[w] = true
-					cycleNode = w
+					relaxed = true
 				} else if nd < dist[w] {
 					// Within eps: no relaxation here, but v is marked for
 					// the caller (a rescan of v relaxes nothing).
@@ -239,23 +254,44 @@ func findNegativeCycle(g *Graph, dist []float64, prevArc []int32, dirty []bool) 
 				}
 			}
 		}
-		if cycleNode == -1 {
-			return nil, iter == 0
+		if !relaxed {
+			return nil, passes
+		}
+		if w := parentCycle(g, prevArc, stamp); w >= 0 {
+			return collectCycle(g, prevArc, w), passes
 		}
 	}
-	// A relaxation happened on the n-th pass: walk predecessors n times to
-	// land inside the cycle, then collect it.
-	v := cycleNode
-	for i := 0; i < n; i++ {
-		v = int(g.to[int32(prevArc[v])^1])
+	return nil, n
+}
+
+// parentCycle returns a node on a cycle of the parent graph prevArc, or -1
+// when it has none. Each walk climbs the parent pointers from one node,
+// stamping what it passes, until it reaches a root or a stamped node; it
+// has closed a cycle when that stamp is its own. Every node is stamped at
+// most once, so the search costs O(n).
+func parentCycle(g *Graph, prevArc, stamp []int32) int {
+	clear(stamp)
+	for v := range prevArc {
+		id, w := int32(v+1), v
+		for stamp[w] == 0 && prevArc[w] >= 0 {
+			stamp[w] = id
+			w = int(g.to[prevArc[w]^1])
+		}
+		if stamp[w] == id {
+			return w
+		}
 	}
+	return -1
+}
+
+// collectCycle returns the parent arcs of the cycle through v, walked
+// backwards from v.
+func collectCycle(g *Graph, prevArc []int32, v int) (cycle []int32) {
 	for w := v; ; {
 		a := prevArc[w]
 		cycle = append(cycle, a)
-		w = int(g.to[int32(a)^1])
-		if w == v {
-			break
+		if w = int(g.to[a^1]); w == v {
+			return cycle
 		}
 	}
-	return cycle, false
 }
