@@ -60,11 +60,11 @@ func TestSolveDiagOut(t *testing.T) {
 	}
 }
 
-func TestSolveDiagPortfolioAndGreedyIndex(t *testing.T) {
+func TestSolveDiagPortfolioAndGreedy(t *testing.T) {
 	path := writeInstance(t)
 	for _, args := range [][]string{
 		{"-in", path, "-algo", "portfolio"},
-		{"-in", path, "-algo", "greedy", "-index", "idistance"},
+		{"-in", path, "-algo", "greedy"},
 	} {
 		diagPath := filepath.Join(t.TempDir(), "diag.json")
 		var out bytes.Buffer
@@ -86,10 +86,13 @@ func TestSolveDiagPortfolioAndGreedyIndex(t *testing.T) {
 			t.Errorf("%v: gap = %v, ub = %v", args, d.Gap, d.RelaxedUpperBound)
 		}
 	}
-	// An unknown index fails and names every valid kind.
-	err := run([]string{"-in", path, "-algo", "greedy", "-index", "lsh", "-quiet"}, io.Discard)
-	if err == nil || !strings.Contains(err.Error(), `"lsh" (chunked, sorted, idistance, vafile)`) {
-		t.Errorf("-index lsh: err = %v", err)
+	// The index ablation lives in geacc-bench, and the pool size is
+	// GOMAXPROCS: neither is a geacc-solve flag.
+	for _, args := range [][]string{{"-index", "idistance"}, {"-decompose", "-decompose-workers", "2"}} {
+		err := run(append([]string{"-in", path, "-quiet"}, args...), io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("%v: err = %v", args, err)
+		}
 	}
 }
 

@@ -27,7 +27,6 @@ import (
 	"io"
 	"log/slog"
 	"os"
-	"strings"
 	"time"
 
 	"github.com/ebsnlab/geacc/internal/buildinfo"
@@ -54,8 +53,7 @@ func run(args []string, stdout io.Writer) error {
 	format := fs.String("format", "json", "output format: json or csv")
 	outPath := fs.String("out", "", "write the matching here instead of stdout")
 	sessionPath := fs.String("session", "", "also archive instance+matching+metadata (JSON) here")
-	index := fs.String("index", "", "greedy NN index: "+indexNames()+" (default "+core.IndexChunked.String()+")")
-	specFlags := decomp.BindFlags(fs, "algo", "seed", "decompose", "decompose-workers",
+	specFlags := decomp.BindFlags(fs, "algo", "seed", "decompose",
 		"approx-shard", "shard-max-area", "shard-strategy", "shard-drift-budget", "diag")
 	quiet := fs.Bool("quiet", false, "suppress the summary log line")
 	showReport := fs.Bool("report", false, "print an arrangement quality report to stderr")
@@ -91,9 +89,6 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 	spec.Diag = spec.Diag || *diagOut != ""
-	if spec.Decomposed() && *index != "" {
-		return fmt.Errorf("-decompose does not compose with -index (components use the default greedy index)")
-	}
 
 	f, err := os.Open(*inPath)
 	if err != nil {
@@ -113,17 +108,7 @@ func run(args []string, stdout io.Writer) error {
 		rec = obs.NewRecorder()
 		ctx = obs.ContextWithRecorder(ctx, rec)
 	}
-	var env decomp.Env
-	if spec.Algo == "greedy" && *index != "" {
-		kind, err := indexKindByName(*index)
-		if err != nil {
-			return err
-		}
-		env.Solve = func(ctx context.Context, in *core.Instance) (*core.Matching, error) {
-			return core.GreedyCtx(ctx, in, core.GreedyOptions{Index: kind})
-		}
-	}
-	res, err := decomp.Run(ctx, in, spec, env)
+	res, err := decomp.Run(ctx, in, spec, decomp.Env{})
 	if err != nil {
 		return err
 	}
@@ -199,7 +184,7 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 	if *showReport {
-		rep, err := report.Build(in, m, *skipBound)
+		rep, err := report.Build(ctx, in, m, *skipBound)
 		if err != nil {
 			return err
 		}
@@ -298,30 +283,6 @@ func writeTrace(rec *obs.Recorder, path string, logger *slog.Logger) error {
 	}
 	logger.Debug("wrote chrome trace", "path", path, "spans", len(rec.Spans()))
 	return nil
-}
-
-// indexKinds lists the values of the -index flag.
-var indexKinds = []core.IndexKind{
-	core.IndexChunked, core.IndexSorted, core.IndexIDistance, core.IndexVAFile,
-}
-
-// indexNames returns the -index names joined by ", ".
-func indexNames() string {
-	names := make([]string, len(indexKinds))
-	for i, k := range indexKinds {
-		names[i] = k.String()
-	}
-	return strings.Join(names, ", ")
-}
-
-// indexKindByName resolves the -index flag.
-func indexKindByName(name string) (core.IndexKind, error) {
-	for _, k := range indexKinds {
-		if k.String() == name {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown index %q (%s)", name, indexNames())
 }
 
 func conflictCount(in *core.Instance) int {

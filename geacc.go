@@ -254,9 +254,6 @@ type SolveOptions struct {
 	// paper approximation ratios for the other algorithms; on multi-community
 	// instances it is substantially faster than a monolithic solve.
 	Decompose bool
-	// DecomposeWorkers bounds the component worker pool; <= 0 means
-	// GOMAXPROCS. The matching is identical for any worker count.
-	DecomposeWorkers int
 	// ApproxShard, when non-nil, enables approximate sharding of oversized
 	// components (implies Decompose): components whose |V|·|U| exceeds
 	// MaxArea split into balanced sub-shards with a bounded-drift merge
@@ -294,7 +291,6 @@ func (p *Problem) SolveOpts(algo Algorithm, opt SolveOptions) (*Matching, error)
 		Algo:      algo.String(),
 		Seed:      opt.Seed,
 		Decompose: opt.Decompose,
-		Workers:   opt.DecomposeWorkers,
 		NodeLimit: opt.ExactNodeLimit,
 	}
 	if as := opt.ApproxShard; as != nil {

@@ -284,7 +284,7 @@ func TestSolveOptsDecompose(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, algo := range []Algorithm{Greedy, MinCostFlow, Exact, RandomV, RandomU} {
-		m, err := p.SolveOpts(algo, SolveOptions{Decompose: true, Seed: 11, DecomposeWorkers: 2})
+		m, err := p.SolveOpts(algo, SolveOptions{Decompose: true, Seed: 11})
 		if err != nil {
 			t.Fatalf("%v: %v", algo, err)
 		}

@@ -56,7 +56,7 @@ func TestEndToEndPipeline(t *testing.T) {
 
 	// 3. Quality report with the relaxation bound: achieved fraction must
 	// be high for greedy-family results (paper Fig. 5c shape).
-	rep, err := report.Build(in, improved, false)
+	rep, err := report.Build(context.Background(), in, improved, false)
 	if err != nil {
 		t.Fatal(err)
 	}

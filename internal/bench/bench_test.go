@@ -52,7 +52,7 @@ func TestMeasureValidatesAndTimes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, sec, bytes, err := Measure(in, core.Solvers()["greedy"], 3)
+	m, sec, bytes, err := MeasureAlgo(Options{}, in, "greedy", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,11 +70,11 @@ func TestMeasureRejectsCheatingSolver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cheat := core.Solver(func(in *core.Instance, _ *rand.Rand) *core.Matching {
+	cheat := func(in *core.Instance, _ *rand.Rand) *core.Matching {
 		m := core.NewMatching()
 		m.Add(0, 0, 0.9) // inconsistent similarity: Validate must catch it
 		return m
-	})
+	}
 	if _, _, _, err := Measure(in, cheat, 1); err == nil {
 		t.Error("Measure accepted an infeasible matching")
 	}

@@ -31,7 +31,7 @@ func runFig5Scalability(opt Options) ([]Point, error) {
 				if err != nil {
 					return nil, err
 				}
-				m, sec, bytes, err := Measure(in, core.Solvers()["greedy"], cfg.Seed+5)
+				m, sec, bytes, err := MeasureAlgo(Options{}, in, "greedy", cfg.Seed+5)
 				if err != nil {
 					return nil, fmt.Errorf("bench: fig5ab |V|=%d |U|=%d: %w", nv, nu, err)
 				}

@@ -81,34 +81,36 @@ func (o Options) scaleCard(n, min int) int {
 	return s
 }
 
-// Measure runs one solver on one instance, returning the matching together
-// with its wall time and allocated bytes. The matching is validated; an
-// infeasible result is a bug worth failing loudly over.
-func Measure(in *core.Instance, solve core.Solver, seed int64) (*core.Matching, float64, float64, error) {
+// Measure runs one solve function on one instance, returning the matching
+// together with its wall time and allocated bytes; solve gets a PRNG seeded
+// with seed. The matching is validated; an infeasible result is a bug worth
+// failing loudly over. The kNN-index ablation, whose solvers are not
+// registry entries, measures through it.
+func Measure(in *core.Instance, solve func(*core.Instance, *rand.Rand) *core.Matching, seed int64) (*core.Matching, float64, float64, error) {
 	return measureErr(in, func(in *core.Instance, rng *rand.Rand) (*core.Matching, error) {
 		return solve(in, rng), nil
 	}, seed)
 }
 
-// MeasureAlgo resolves a registry solver by name and measures it, routing
-// the solve through the decomposition layer when opt.Decompose is set. The
-// experiments call this so `geacc-bench -decompose` re-runs any sweep in
-// decomposed form.
+// MeasureAlgo measures a registry solver by name through decomp.Run, the
+// service's solve pipeline, decomposed when opt.Decompose or opt.Shard is
+// set. The experiments call this so `geacc-bench -decompose` re-runs any
+// sweep in decomposed form.
 func MeasureAlgo(opt Options, in *core.Instance, algo string, seed int64) (*core.Matching, float64, float64, error) {
-	if opt.Decompose || opt.Shard != nil {
-		return measureErr(in, func(in *core.Instance, rng *rand.Rand) (*core.Matching, error) {
-			d, err := decomp.DecomposeContext(context.Background(), in)
-			if err != nil {
-				return nil, err
-			}
-			return d.SolveContext(context.Background(), algo, decomp.Options{Seed: rng.Int63(), Shard: opt.Shard})
-		}, seed)
+	spec := decomp.Spec{Algo: algo, Seed: seed, Decompose: opt.Decompose, Shard: opt.Shard}
+	if spec.Decomposed() {
+		// Decomposed solves derive their component seeds from the first
+		// draw of seed's stream, so their random baselines keep their
+		// answers.
+		spec.Seed = rand.New(rand.NewSource(seed)).Int63()
 	}
-	solve, err := core.LookupSolver(algo)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	return Measure(in, solve, seed)
+	return measureErr(in, func(in *core.Instance, _ *rand.Rand) (*core.Matching, error) {
+		res, err := decomp.Run(context.Background(), in, spec, decomp.Env{})
+		if err != nil {
+			return nil, err
+		}
+		return res.M, nil
+	}, seed)
 }
 
 func measureErr(in *core.Instance, solve func(*core.Instance, *rand.Rand) (*core.Matching, error), seed int64) (*core.Matching, float64, float64, error) {

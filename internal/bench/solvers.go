@@ -110,6 +110,36 @@ func solverBenchCases() []solverBenchCase {
 	return cases
 }
 
+// instance generates the case's pinned instance. Its seed derives from
+// the shape, never from Options.Seed: every run of `make bench-json`
+// benchmarks the same instances.
+func (c solverBenchCase) instance() (*core.Instance, error) {
+	var in *core.Instance
+	var err error
+	if c.communities > 0 {
+		cfg := dataset.DefaultClustered()
+		cfg.NumEvents = c.nv
+		cfg.NumUsers = c.nu
+		cfg.Communities = c.communities
+		cfg.EventCapMax = c.eventCapMax
+		cfg.UserCapMax = c.userCapMax
+		cfg.Seed = int64(1000*c.nv + c.nu)
+		in, err = cfg.Generate()
+	} else {
+		cfg := dataset.DefaultSynthetic()
+		cfg.NumEvents = c.nv
+		cfg.NumUsers = c.nu
+		cfg.EventCapMax = c.eventCapMax
+		cfg.UserCapMax = c.userCapMax
+		cfg.Seed = int64(1000*c.nv + c.nu)
+		in, err = cfg.Generate()
+	}
+	if err != nil {
+		return nil, fmt.Errorf("bench: generate %s: %w", c.name(), err)
+	}
+	return in, nil
+}
+
 // RunSolverBench measures every pinned case: Reps runs each (default 3
 // here, not Options' usual 1), keeping the fastest wall clock as ns_per_op
 // (minimum is the stablest point estimate under scheduler noise) and the
@@ -129,30 +159,9 @@ func RunSolverBench(opt Options) ([]SolverBenchPoint, error) {
 		if c.large && !opt.LargeShapes {
 			continue
 		}
-		// The instance seed derives from the shape, not from opt.Seed:
-		// every run of `make bench-json` benchmarks the same instances.
-		var in *core.Instance
-		var err error
-		if c.communities > 0 {
-			cfg := dataset.DefaultClustered()
-			cfg.NumEvents = c.nv
-			cfg.NumUsers = c.nu
-			cfg.Communities = c.communities
-			cfg.EventCapMax = c.eventCapMax
-			cfg.UserCapMax = c.userCapMax
-			cfg.Seed = int64(1000*c.nv + c.nu)
-			in, err = cfg.Generate()
-		} else {
-			cfg := dataset.DefaultSynthetic()
-			cfg.NumEvents = c.nv
-			cfg.NumUsers = c.nu
-			cfg.EventCapMax = c.eventCapMax
-			cfg.UserCapMax = c.userCapMax
-			cfg.Seed = int64(1000*c.nv + c.nu)
-			in, err = cfg.Generate()
-		}
+		in, err := c.instance()
 		if err != nil {
-			return nil, fmt.Errorf("bench: generate %s: %w", c.name(), err)
+			return nil, err
 		}
 		var best float64
 		var m *core.Matching

@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"context"
 	"math/rand"
 	"slices"
 	"testing"
@@ -247,16 +248,19 @@ func TestSolverRegistry(t *testing.T) {
 			t.Fatalf("SolverNames = %v, want %v", names, want)
 		}
 	}
-	if _, err := LookupSolver("greedy"); err != nil {
+	if err := LookupSolver("greedy"); err != nil {
 		t.Errorf("LookupSolver(greedy): %v", err)
 	}
-	if _, err := LookupSolver("nope"); err == nil {
+	if err := LookupSolver("nope"); err == nil {
 		t.Error("unknown solver accepted")
 	}
 	rng := rand.New(rand.NewSource(25))
 	in := randMatrixInstance(rng, 2, 3, 2, 2, 0.3)
-	for name, solve := range Solvers() {
-		m := solve(in, rng)
+	for _, name := range names {
+		m, err := SolveContext(context.Background(), name, in, rng)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 		mustValidate(t, in, m, name)
 	}
 }

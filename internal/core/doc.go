@@ -47,8 +47,8 @@
 //
 // # Cancellation and observability
 //
-// SolveContext is the context-aware entry point over the registry: it
-// honors cancellation in the solvers that can run long (mincostflow
+// SolveContext is the one entry point over the solver registry, a single
+// table of context-aware entries (registry.go): it honors cancellation in the solvers that can run long (mincostflow
 // between augmenting paths, exact between node expansions, greedy between
 // heap pops — see also GreedyCtx, MinCostFlowCtx, ExactOptions.Ctx, and
 // PortfolioCtx), records the per-algorithm solve metrics, and emits trace

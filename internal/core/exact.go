@@ -102,11 +102,8 @@ func ExactOpts(in *Instance, opt ExactOptions) (*Matching, SearchStats, error) {
 
 	// Precompute the similarity matrix and, per event, users in
 	// non-increasing similarity order (the event's NN list). The matrix is
-	// carved out of one pooled flat buffer: every cell is written by the
-	// row scans below, and the search never hands simMat rows to the
-	// returned Matching, so the buffer can go back to the pool on return.
-	simFlat := acquireFloats(nv * nu)
-	defer releaseFloats(simFlat)
+	// carved out of one flat buffer.
+	simFlat := make([]float64, nv*nu)
 	st.simMat = make([][]float64, nv)
 	st.nn = make([][]int, nv)
 	for v := 0; v < nv; v++ {

@@ -11,7 +11,7 @@ import (
 // Per-solve scratch pooling. A server solving per request allocates the
 // same transient buffers on every call: Greedy's capacity arrays, stream
 // tables and candidate heap; MinCostFlow's similarity rows and pair-arc
-// index; the exact search's similarity matrix. All of them are dead when
+// index. All of them are dead when
 // the solve returns and none leak into the returned Matching, so each gets
 // a sync.Pool with a reset that rewrites every byte the next solve reads.
 // TestPooledSolveRace exercises concurrent reuse under the race detector;
@@ -84,25 +84,6 @@ func acquireMcflowScratch(nv, nu int) *mcflowScratch {
 }
 
 func releaseMcflowScratch(m *mcflowScratch) { mcflowScratchPool.Put(m) }
-
-// floatsPool recycles flat float64 buffers; the exact search carves its
-// |V|×|U| similarity matrix out of one.
-var floatsPool = sync.Pool{New: func() any { return []float64(nil) }}
-
-// acquireFloats returns an n-element buffer with unspecified contents.
-func acquireFloats(n int) []float64 {
-	s := floatsPool.Get().([]float64)
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-func releaseFloats(s []float64) {
-	if s != nil {
-		floatsPool.Put(s) //nolint:staticcheck // slice header allocation is amortized by the saved buffer
-	}
-}
 
 func resizeInts(s []int, n int) []int {
 	if cap(s) < n {

@@ -32,7 +32,7 @@ func PortfolioCtx(ctx context.Context, in *Instance, names []string, seed int64)
 		return nil, nil, fmt.Errorf("core: empty portfolio")
 	}
 	for _, name := range names {
-		if _, err := LookupSolver(name); err != nil {
+		if err := LookupSolver(name); err != nil {
 			return nil, nil, err
 		}
 	}

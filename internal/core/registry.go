@@ -11,52 +11,58 @@ import (
 	"github.com/ebsnlab/geacc/internal/obs"
 )
 
-// Solver is the uniform signature the experiment harness drives: solve the
-// instance, using rng for any internal randomness (deterministic algorithms
-// ignore it).
-type Solver func(in *Instance, rng *rand.Rand) *Matching
+// solveFunc is one registry entry: solve in under ctx, using rng for any
+// internal randomness (deterministic algorithms ignore it) and nodeLimit to
+// bound exact's search (0 means unlimited). A solver that computed the
+// Corollary 1 bound on the way returns it with ok set.
+type solveFunc func(ctx context.Context, in *Instance, rng *rand.Rand, nodeLimit int64) (m *Matching, bound float64, ok bool, err error)
 
-// Solvers returns the algorithm registry keyed by the names used throughout
-// the paper's plots: greedy, mincostflow, random-v, random-u, and exact
-// (Prune-GEACC).
-func Solvers() map[string]Solver {
-	return map[string]Solver{
-		"greedy": func(in *Instance, _ *rand.Rand) *Matching {
-			return Greedy(in)
-		},
-		"mincostflow": func(in *Instance, _ *rand.Rand) *Matching {
-			return MinCostFlow(in).Matching
-		},
-		"random-v": RandomV,
-		"random-u": RandomU,
-		"exact": func(in *Instance, _ *rand.Rand) *Matching {
-			m, _, err := Exact(in)
-			if err != nil {
-				panic(fmt.Sprintf("core: exact solver failed: %v", err))
-			}
-			return m
-		},
-	}
+// solvers is the algorithm registry, keyed by the names used throughout the
+// paper's plots: greedy, mincostflow, random-v, random-u, and exact
+// (Prune-GEACC). Each algorithm is wired here and nowhere else.
+var solvers = map[string]solveFunc{
+	"greedy": func(ctx context.Context, in *Instance, _ *rand.Rand, _ int64) (*Matching, float64, bool, error) {
+		m, err := GreedyCtx(ctx, in, GreedyOptions{})
+		return m, 0, false, err
+	},
+	// The relaxation is mincostflow's first step; the value it returns is
+	// bit-identical to RelaxedUpperBound(in).
+	"mincostflow": func(ctx context.Context, in *Instance, _ *rand.Rand, _ int64) (*Matching, float64, bool, error) {
+		fr, err := MinCostFlowCtx(ctx, in, FlowOptions{})
+		if err != nil {
+			return nil, 0, false, err
+		}
+		return fr.Matching, fr.RelaxedMaxSum, true, nil
+	},
+	"exact": func(ctx context.Context, in *Instance, _ *rand.Rand, nodeLimit int64) (*Matching, float64, bool, error) {
+		m, _, err := ExactOpts(in, ExactOptions{Ctx: ctx, NodeLimit: nodeLimit})
+		return m, 0, false, err
+	},
+	"random-v": func(_ context.Context, in *Instance, rng *rand.Rand, _ int64) (*Matching, float64, bool, error) {
+		return RandomV(in, rng), 0, false, nil
+	},
+	"random-u": func(_ context.Context, in *Instance, rng *rand.Rand, _ int64) (*Matching, float64, bool, error) {
+		return RandomU(in, rng), 0, false, nil
+	},
 }
 
 // SolverNames returns the registry keys in stable order.
 func SolverNames() []string {
-	names := make([]string, 0)
-	for name := range Solvers() {
+	names := make([]string, 0, len(solvers))
+	for name := range solvers {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	return names
 }
 
-// LookupSolver resolves one registry entry, with a helpful error listing the
-// valid names.
-func LookupSolver(name string) (Solver, error) {
-	s, ok := Solvers()[name]
-	if !ok {
-		return nil, fmt.Errorf("core: unknown solver %q (valid: %v)", name, SolverNames())
+// LookupSolver reports whether name is a registry solver, with a helpful
+// error listing the valid names when it is not.
+func LookupSolver(name string) error {
+	if _, ok := solvers[name]; !ok {
+		return fmt.Errorf("core: unknown solver %q (valid: %v)", name, SolverNames())
 	}
-	return s, nil
+	return nil
 }
 
 // SolveContext runs the named registry solver under ctx, recording the
@@ -76,18 +82,17 @@ func SolveContext(ctx context.Context, name string, in *Instance, rng *rand.Rand
 
 // SolveContextBound is SolveContext that also hands back the Corollary 1
 // bound MaxSum(M∅) when the solver computed it on the way (ok true). Only
-// mincostflow does: the relaxation is its first step, and the value it
-// returns is bit-identical to RelaxedUpperBound(in), so a diagnosed solve
-// can report it without solving the relaxation a second time.
+// mincostflow does, so a diagnosed solve can report it without solving the
+// relaxation a second time.
 //
 // nodeLimit bounds exact's search (0 means unlimited). A tripped limit is
 // still a metered solve: it counts as an errored solve, and the feasible
 // best-so-far matching comes back with an error that wraps ErrNodeLimit and
 // names the limit.
 func SolveContextBound(ctx context.Context, name string, in *Instance, rng *rand.Rand, nodeLimit int64) (m *Matching, bound float64, ok bool, err error) {
-	solve, err := LookupSolver(name)
-	if err != nil {
-		return nil, 0, false, err
+	solve, known := solvers[name]
+	if !known {
+		return nil, 0, false, LookupSolver(name)
 	}
 	if err := ctx.Err(); err != nil {
 		// Canceled before starting still counts as an errored solve, so
@@ -99,20 +104,7 @@ func SolveContextBound(ctx context.Context, name string, in *Instance, rng *rand
 		Annotate("events", in.NumEvents()).
 		Annotate("users", in.NumUsers())
 	start := time.Now()
-	switch name {
-	case "greedy":
-		m, err = GreedyCtx(ctx, in, GreedyOptions{})
-	case "mincostflow":
-		var fr *FlowResult
-		fr, err = MinCostFlowCtx(ctx, in, FlowOptions{})
-		if err == nil {
-			m, bound, ok = fr.Matching, fr.RelaxedMaxSum, true
-		}
-	case "exact":
-		m, _, err = ExactOpts(in, ExactOptions{Ctx: ctx, NodeLimit: nodeLimit})
-	default:
-		m = solve(in, rng)
-	}
+	m, bound, ok, err = solve(ctx, in, rng, nodeLimit)
 	observeSolve(name, time.Since(start), err)
 	if err != nil {
 		sp.Annotate("error", err.Error()).End()

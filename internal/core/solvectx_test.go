@@ -23,14 +23,32 @@ func ctxTestInstance(t *testing.T) *Instance {
 	return in
 }
 
+// TestSolveContextMatchesPlainSolvers: every registry entry answers what
+// its algorithm's plain entry point answers.
 func TestSolveContextMatchesPlainSolvers(t *testing.T) {
 	in := ctxTestInstance(t)
+	plain := map[string]func(*Instance, *rand.Rand) *Matching{
+		"greedy":      func(in *Instance, _ *rand.Rand) *Matching { return Greedy(in) },
+		"mincostflow": func(in *Instance, _ *rand.Rand) *Matching { return MinCostFlow(in).Matching },
+		"exact": func(in *Instance, _ *rand.Rand) *Matching {
+			m, _, err := Exact(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return m
+		},
+		"random-v": RandomV,
+		"random-u": RandomU,
+	}
+	if len(plain) != len(SolverNames()) {
+		t.Fatalf("registry %v, plain solvers %d", SolverNames(), len(plain))
+	}
 	for _, name := range SolverNames() {
-		plain, err := LookupSolver(name)
-		if err != nil {
-			t.Fatal(err)
+		solve, ok := plain[name]
+		if !ok {
+			t.Fatalf("no plain solver for %s", name)
 		}
-		want := plain(in, rand.New(rand.NewSource(1)))
+		want := solve(in, rand.New(rand.NewSource(1)))
 		got, err := SolveContext(context.Background(), name, in, rand.New(rand.NewSource(1)))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

@@ -1,6 +1,8 @@
 package dataset
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -316,22 +318,15 @@ func TestGeneratedInstancesSolvable(t *testing.T) {
 	}
 	instances := map[string]*core.Instance{"synthetic": synth, "meetup": meetup}
 	for name, in := range instances {
-		for algo, solve := range core.Solvers() {
+		for _, algo := range core.SolverNames() {
 			if algo == "exact" && name == "meetup" {
 				continue // too large for exact search
 			}
-			if algo == "exact" {
-				// Bound the exact run; feasibility is what matters here.
-				m, _, err := core.ExactOpts(in, core.ExactOptions{NodeLimit: 200000})
-				if err != nil && err != core.ErrNodeLimit {
-					t.Fatalf("%s/%s: %v", name, algo, err)
-				}
-				if err := core.Validate(in, m); err != nil {
-					t.Fatalf("%s/%s: %v", name, algo, err)
-				}
-				continue
+			// Bound the exact run; feasibility is what matters here.
+			m, _, _, err := core.SolveContextBound(context.Background(), algo, in, rand.New(rand.NewSource(9)), 200000)
+			if err != nil && !errors.Is(err, core.ErrNodeLimit) {
+				t.Fatalf("%s/%s: %v", name, algo, err)
 			}
-			m := solve(in, rand.New(rand.NewSource(9)))
 			if err := core.Validate(in, m); err != nil {
 				t.Fatalf("%s/%s: %v", name, algo, err)
 			}

@@ -26,7 +26,6 @@ package decomp
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"github.com/ebsnlab/geacc/internal/conflict"
@@ -82,8 +81,7 @@ func DecomposeContext(ctx context.Context, in *core.Instance) (*Decomposition, e
 
 	// Union-find over V ∪ U: node v in [0, nv), node nv+u for user u.
 	uf := newUnionFind(nv + nu)
-	row := acquireRow(nu)
-	defer releaseRow(row)
+	row := make([]float64, nu)
 	for v := 0; v < nv; v++ {
 		if v%64 == 0 && ctx.Err() != nil {
 			sp.Annotate("error", ctx.Err().Error()).End()
@@ -239,14 +237,14 @@ func (d *Decomposition) MaxComponentArea(ids []int) int64 {
 	return max
 }
 
-// Stats converts the decomposition into the Diagnostics artifact form.
-// workers is normalized the same way SolveContext normalizes Options.Workers.
-func (d *Decomposition) Stats(workers int) *core.DecompositionStats {
+// Stats converts the decomposition into the Diagnostics artifact form;
+// Workers is the size of the pool a solve over it runs on.
+func (d *Decomposition) Stats() *core.DecompositionStats {
 	st := &core.DecompositionStats{
 		Components:     len(d.Components),
 		StrandedEvents: d.StrandedEvents,
 		StrandedUsers:  d.StrandedUsers,
-		Workers:        normalizeWorkers(workers, len(d.Components)),
+		Workers:        poolSize(len(d.Components)),
 		BuildSeconds:   d.BuildSeconds,
 	}
 	for _, c := range d.Components {
@@ -264,26 +262,6 @@ func (d *Decomposition) Stats(workers int) *core.DecompositionStats {
 type unionFind struct {
 	parent []int
 	size   []int
-}
-
-// rowPool recycles the |U|-wide similarity-row scratch of the union-graph
-// scan — the decomposition layer's per-build hot allocation under a
-// sustained delta/rebalance stream. Rows are fully overwritten by
-// SimilarityRow before every read.
-var rowPool = sync.Pool{New: func() any { return []float64(nil) }}
-
-func acquireRow(n int) []float64 {
-	s := rowPool.Get().([]float64)
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-func releaseRow(s []float64) {
-	if s != nil {
-		rowPool.Put(s) //nolint:staticcheck // slice header allocation is amortized by the saved buffer
-	}
 }
 
 func newUnionFind(n int) *unionFind {

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -42,6 +43,13 @@ func runDecomposed(ctx context.Context, algo string, in *core.Instance, s Spec) 
 	return res.M, res.Decomposition, err
 }
 
+// setProcs sets GOMAXPROCS, which sizes the component pools, to n until
+// the test ends.
+func setProcs(t *testing.T, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
 func TestDecomposeMatrixComponents(t *testing.T) {
 	in := matrixInstance(t, nil)
 	d, err := DecomposeContext(context.Background(), in)
@@ -68,12 +76,12 @@ func TestDecomposeMatrixComponents(t *testing.T) {
 	if area := d.MaxComponentArea(nil); area != 2 {
 		t.Fatalf("MaxComponentArea = %d, want 2", area)
 	}
-	st := d.Stats(0)
+	st := d.Stats()
 	if st.Components != 2 || st.LargestEvents != 1 || st.LargestUsers != 2 {
 		t.Fatalf("unexpected stats %+v", st)
 	}
-	if st.Workers < 1 {
-		t.Fatalf("stats workers %d not normalized", st.Workers)
+	if want := min(runtime.GOMAXPROCS(0), 2); st.Workers != want {
+		t.Fatalf("stats workers %d, want %d", st.Workers, want)
 	}
 }
 
@@ -221,13 +229,15 @@ func TestDecomposedGreedyMatchesMonolithicGreedy(t *testing.T) {
 }
 
 // TestSolveDeterministicAcrossWorkerCounts: the merged matching (pair order
-// and float-summed MaxSum included) must not depend on pool size.
+// and float-summed MaxSum included) must not depend on pool size, which
+// GOMAXPROCS sets.
 func TestSolveDeterministicAcrossWorkerCounts(t *testing.T) {
 	in := clustered(t, 24, 96, 6, 17, 4, 2)
 	for _, algo := range []string{"greedy", "mincostflow", "random-v"} {
 		var want *core.Matching
 		for _, workers := range []int{1, 3, 8} {
-			m, _, err := runDecomposed(context.Background(), algo, in, Spec{Workers: workers, Seed: 5})
+			setProcs(t, workers)
+			m, _, err := runDecomposed(context.Background(), algo, in, Spec{Seed: 5})
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", algo, workers, err)
 			}
@@ -269,7 +279,8 @@ func TestSolveContextCancelMidShard(t *testing.T) {
 	}
 	defer func() { solveComponentFn = orig }()
 
-	m, err := d.SolveContext(ctx, "greedy", Options{Workers: 1})
+	setProcs(t, 1)
+	m, err := d.SolveContext(ctx, "greedy", Options{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

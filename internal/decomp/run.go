@@ -26,9 +26,6 @@ type Env struct {
 	// decomposed, the largest component's — exceeds it (*ExactGateError);
 	// admitted diagnosed exact solves report it as Diagnostics.ExactGate.
 	ExactAreaLimit int64
-	// Solve, when non-nil, replaces the registry solver of a monolithic
-	// run (geacc-solve's greedy -index ablation); never cached.
-	Solve func(ctx context.Context, in *core.Instance) (*core.Matching, error)
 }
 
 // Result is a finished solve. Its matching is the caller's own; Diag and
@@ -97,8 +94,11 @@ func Run(ctx context.Context, in *core.Instance, spec Spec, env Env) (*Result, e
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	key, cacheable := spec.Key(in, env.SimID)
-	cacheable = cacheable && env.Cache != nil && env.Solve == nil
+	var key solvecache.Key
+	cacheable := env.Cache != nil
+	if cacheable {
+		key, cacheable = spec.Key(in, env.SimID)
+	}
 	if cacheable {
 		if v, ok := env.Cache.Get(key); ok {
 			// Rebuilt the way core.Matching.Clone does: the same pairs in
@@ -132,8 +132,6 @@ func Run(ctx context.Context, in *core.Instance, spec Spec, env Env) (*Result, e
 		err      error
 	)
 	switch {
-	case env.Solve != nil:
-		res.M, err = env.Solve(ctx, in)
 	case spec.Algo == "portfolio":
 		res.M, _, err = core.PortfolioCtx(ctx, in, portfolioMembers, spec.Seed)
 	case spec.Decomposed():
@@ -145,7 +143,7 @@ func Run(ctx context.Context, in *core.Instance, spec Spec, env Env) (*Result, e
 		}
 		if st, err = d.solveStep(ctx, spec.Algo, d.allIDs(), spec.Options()); err == nil {
 			res.M, err = d.merge(nil, st.ms), st.budgetErr
-			res.Decomposition, res.Partition = d.Stats(spec.Workers), st.partition
+			res.Decomposition, res.Partition = d.Stats(), st.partition
 		}
 	default:
 		if gate, err = exactGate(spec.Algo, int64(in.NumEvents())*int64(in.NumUsers()), env.ExactAreaLimit, false); err != nil {

@@ -47,9 +47,9 @@ func TestRunCachesWhatTheKeyAllows(t *testing.T) {
 		if hit.M == first.M {
 			t.Fatalf("%+v: hit shares the caller's matching", spec)
 		}
-		fresh, err := Run(context.Background(), in, Spec{Algo: spec.Algo, Seed: spec.Seed, Decompose: spec.Decompose, NoCache: true}, env)
+		fresh, err := Run(context.Background(), in, Spec{Algo: spec.Algo, Seed: spec.Seed, Decompose: spec.Decompose}, Env{})
 		if err != nil || fresh.Cached {
-			t.Fatalf("%+v: NoCache run cached=%v err=%v", spec, fresh != nil && fresh.Cached, err)
+			t.Fatalf("%+v: uncached run cached=%v err=%v", spec, fresh != nil && fresh.Cached, err)
 		}
 		if !reflect.DeepEqual(fresh.M.Pairs(), first.M.Pairs()) {
 			t.Fatalf("%+v: cached matching differs from a fresh solve", spec)
@@ -82,25 +82,19 @@ func TestRunExactGate(t *testing.T) {
 	}
 }
 
-func TestRunNodeLimitAndHookAreNotCached(t *testing.T) {
+// TestRunNodeLimitIsNotCached: a best-so-far answer is not the solve's
+// answer, so a tripped node limit is never memoized.
+func TestRunNodeLimitIsNotCached(t *testing.T) {
 	in := clustered(t, 8, 40, 2, 3, 2, 2)
 	env := Env{Cache: solvecache.New(8), SimID: "clustered"}
-	res, err := Run(context.Background(), in, Spec{Algo: "exact", NodeLimit: 1}, env)
-	if !errors.Is(err, core.ErrNodeLimit) || res == nil || core.Validate(in, res.M) != nil {
-		t.Fatalf("node-limited exact: res %v err %v", res, err)
-	}
-	calls := 0
-	env.Solve = func(ctx context.Context, in *core.Instance) (*core.Matching, error) {
-		calls++
-		return core.GreedyCtx(ctx, in, core.GreedyOptions{})
-	}
 	for i := 0; i < 2; i++ {
-		if _, err := Run(context.Background(), in, Spec{Algo: "greedy"}, env); err != nil {
-			t.Fatal(err)
+		res, err := Run(context.Background(), in, Spec{Algo: "exact", NodeLimit: 1}, env)
+		if !errors.Is(err, core.ErrNodeLimit) || res == nil || res.Cached || core.Validate(in, res.M) != nil {
+			t.Fatalf("node-limited exact: res %v err %v", res, err)
 		}
 	}
-	if calls != 2 || env.Cache.Stats().Entries != 0 {
-		t.Fatalf("hook ran %d times, %d cached entries; want 2 and 0", calls, env.Cache.Stats().Entries)
+	if st := env.Cache.Stats(); st.Entries != 0 || st.Hits != 0 {
+		t.Fatalf("node-limited exact cached: %+v", st)
 	}
 }
 
@@ -323,5 +317,39 @@ func TestRunDiagPublishesGapMetrics(t *testing.T) {
 	}
 	if got := obs.Default().FloatGauge(obs.Label("geacc_solve_last_gap", "algo", "greedy")).Value(); got != res.Diag.Gap {
 		t.Errorf("last-gap gauge = %v, want %v", got, res.Diag.Gap)
+	}
+}
+
+// TestRunSolvesEveryRegistrySolver: every registry solver runs through Run,
+// monolithic and decomposed, to a feasible matching. A monolithic run of a
+// deterministic solver answers what core.SolveContext answers, pair for
+// pair; a decomposed one the same pair set.
+func TestRunSolvesEveryRegistrySolver(t *testing.T) {
+	ctx := context.Background()
+	in := clustered(t, 8, 16, 2, 5, 3, 2)
+	for _, algo := range core.SolverNames() {
+		want, err := core.SolveContext(ctx, algo, in, rand.New(rand.NewSource(1)))
+		if err != nil {
+			t.Fatalf("%s: %v", algo, err)
+		}
+		for _, decompose := range []bool{false, true} {
+			res, err := Run(ctx, in, Spec{Algo: algo, Seed: 1, Decompose: decompose}, Env{})
+			if err != nil {
+				t.Fatalf("%s decompose=%v: %v", algo, decompose, err)
+			}
+			if err := core.Validate(in, res.M); err != nil {
+				t.Fatalf("%s decompose=%v: %v", algo, decompose, err)
+			}
+			if decompose && (res.Decomposition == nil || res.Decomposition.Components < 2) {
+				t.Fatalf("%s decomposed: stats %+v, want two or more components", algo, res.Decomposition)
+			}
+			switch {
+			case !deterministicAlgos[algo]:
+			case !decompose && !reflect.DeepEqual(res.M.Pairs(), want.Pairs()):
+				t.Fatalf("%s: Run pairs %v, SolveContext %v", algo, res.M.Pairs(), want.Pairs())
+			case decompose && !reflect.DeepEqual(res.M.SortedPairs(), want.SortedPairs()):
+				t.Fatalf("%s decomposed: pairs %v, SolveContext %v", algo, res.M.SortedPairs(), want.SortedPairs())
+			}
+		}
 	}
 }

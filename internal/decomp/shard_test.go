@@ -80,7 +80,8 @@ func TestShardGiantComponent(t *testing.T) {
 		t.Fatalf("bridged instance split into %d components, want 1", len(d.Components))
 	}
 	sh := partition.Options{MaxArea: 500, DriftBudget: 0.9}
-	base, pst := solvePairs(t, in, Options{Shard: &sh, Workers: 1})
+	setProcs(t, 1)
+	base, pst := solvePairs(t, in, Options{Shard: &sh})
 	if pst == nil {
 		t.Fatal("giant component produced no partition stats")
 	}
@@ -94,7 +95,8 @@ func TestShardGiantComponent(t *testing.T) {
 		t.Fatalf("options not echoed in stats %+v", pst)
 	}
 	for _, workers := range []int{2, 4} {
-		got, _ := solvePairs(t, in, Options{Shard: &sh, Workers: workers})
+		setProcs(t, workers)
+		got, _ := solvePairs(t, in, Options{Shard: &sh})
 		if len(got) != len(base) {
 			t.Fatalf("workers=%d: pair counts differ", workers)
 		}
@@ -116,7 +118,8 @@ func TestShardStatsResetPerRun(t *testing.T) {
 	sh := partition.Options{MaxArea: 500, DriftBudget: 0.9}
 	var want *core.PartitionStats
 	for _, workers := range []int{1, 4, 4, 4, 4, 4, 4, 4, 4} {
-		res, err := Run(context.Background(), in, Spec{Algo: "mincostflow", Shard: &sh, Workers: workers, Diag: true}, Env{})
+		setProcs(t, workers)
+		res, err := Run(context.Background(), in, Spec{Algo: "mincostflow", Shard: &sh, Diag: true}, Env{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -25,12 +25,9 @@ var (
 	decompBuildSeconds  = obs.Default().Histogram("geacc_decomp_build_seconds", obs.DefaultLatencyBuckets)
 )
 
-// Options tunes a decomposed solve.
+// Options tunes a decomposed solve. Components run on a pool of
+// poolSize workers; the merged matching does not depend on scheduling.
 type Options struct {
-	// Workers bounds the component worker pool; <= 0 means GOMAXPROCS(0).
-	// The pool never exceeds the component count. The merged matching is
-	// invariant to this value.
-	Workers int
 	// Seed drives the random baselines. Each component derives its own
 	// deterministic seed from Seed and its component index, so results do
 	// not depend on scheduling.
@@ -129,9 +126,6 @@ func solveComponent(ctx context.Context, algo string, c Component, compIdx int, 
 // the component's own bound.
 func shardSolve(ctx context.Context, algo string, c Component, compIdx int, opt Options) (*core.Matching, float64, bool, *partition.Stats, error) {
 	popt := opt.Shard.Normalized()
-	if popt.Workers == 0 {
-		popt.Workers = opt.Workers
-	}
 	solve := func(ctx context.Context, sub *core.Instance, events, users []int, shard int) (*core.Matching, error) {
 		sc := Component{
 			Events: mapParent(c.Events, events),
@@ -207,15 +201,12 @@ func componentRNG(seed int64, i int) *rand.Rand {
 	return rand.New(rand.NewSource(componentSeed(seed, i)))
 }
 
-func normalizeWorkers(workers, components int) int {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if components > 0 && workers > components {
-		workers = components
-	}
-	if workers < 1 {
-		workers = 1
+// poolSize is the worker count of a pool over n jobs: GOMAXPROCS(0),
+// capped at n when there are any.
+func poolSize(n int) int {
+	workers := runtime.GOMAXPROCS(0)
+	if n > 0 && workers > n {
+		workers = n
 	}
 	return workers
 }
@@ -223,8 +214,8 @@ func normalizeWorkers(workers, components int) int {
 // SolveContext runs the named registry solver over every component and
 // merges the per-component matchings into one parent-indexed matching: the
 // solve step over all components, merged into an empty base. The matching,
-// pair order and float-summed MaxSum included, is identical for any worker
-// count. A cancellation or solver error returns a nil matching;
+// pair order and float-summed MaxSum included, does not depend on
+// scheduling. A cancellation or solver error returns a nil matching;
 // core.ErrNodeLimit comes back with the feasible merge of best-so-far
 // component matchings.
 func (d *Decomposition) SolveContext(ctx context.Context, algo string, opt Options) (*core.Matching, error) {
@@ -272,7 +263,7 @@ type step struct {
 // one non-fatal error: tripped components keep their best-so-far matching
 // and the error comes back as budgetErr.
 func (d *Decomposition) solveStep(ctx context.Context, algo string, ids []int, opt Options) (*step, error) {
-	if _, err := core.LookupSolver(algo); err != nil {
+	if err := core.LookupSolver(algo); err != nil {
 		return nil, err
 	}
 	decompRuns.Inc()
@@ -284,7 +275,7 @@ func (d *Decomposition) solveStep(ctx context.Context, algo string, ids []int, o
 	if len(ids) == 0 {
 		return st, nil
 	}
-	workers := normalizeWorkers(opt.Workers, len(ids))
+	workers := poolSize(len(ids))
 	rec := obs.RecorderFrom(ctx)
 	sp := rec.Start("decomp/solve").
 		Annotate("algo", algo).
@@ -429,7 +420,7 @@ func (d *Decomposition) RelaxedBound(ctx context.Context, bounds map[int]float64
 			gaps = append(gaps, i)
 		}
 	}
-	errs := runPool(ctx, len(gaps), normalizeWorkers(0, len(gaps)), func(j int) (err error) {
+	errs := runPool(ctx, len(gaps), poolSize(len(gaps)), func(j int) (err error) {
 		i := gaps[j]
 		all[i], err = core.RelaxedUpperBoundCtx(ctx, d.Components[i].Sub)
 		return err

@@ -24,23 +24,18 @@ type Spec struct {
 	// Decompose solves the connected components of the conflict/similarity
 	// union graph separately (see DecomposeContext). Shard implies it.
 	Decompose bool
-	// Workers bounds the component worker pool; <= 0 means GOMAXPROCS(0).
-	// The matching is invariant to it.
-	Workers int
 	// Diag attaches the Diagnostics artifact to the result.
 	Diag bool
 	// NodeLimit bounds exact's search (per component when decomposed); 0
 	// means unlimited.
 	NodeLimit int64
-	// NoCache bypasses the caller's memo cache.
-	NoCache bool
 	// Shard, when non-nil, routes components larger than its MaxArea
 	// through internal/partition. Zero fields take the partition defaults.
 	Shard *partition.Options
 }
 
 // DefaultSpec is the spec an empty query string or an unset flag set
-// describes: greedy, seed 1, monolithic, cached.
+// describes: greedy, seed 1, monolithic.
 func DefaultSpec() Spec { return Spec{Algo: "greedy", Seed: 1} }
 
 // Decomposed reports whether the solve runs over the decomposition.
@@ -53,7 +48,7 @@ func (s Spec) Validate() error {
 		if s.Decomposed() {
 			return errors.New("decomp: decompose does not compose with the portfolio (it already parallelizes)")
 		}
-	} else if _, err := core.LookupSolver(s.Algo); err != nil {
+	} else if err := core.LookupSolver(s.Algo); err != nil {
 		return err
 	}
 	if s.Shard != nil {
@@ -70,19 +65,18 @@ func validShard(o partition.Options) error {
 // Options is the decomposed-solve configuration s selects; the reuse
 // caches (SolveCache, SimID, WarmCache) stay the caller's to set.
 func (s Spec) Options() Options {
-	return Options{Workers: s.Workers, Seed: s.Seed, ExactNodeLimit: s.NodeLimit, Shard: s.Shard}
+	return Options{Seed: s.Seed, ExactNodeLimit: s.NodeLimit, Shard: s.Shard}
 }
 
 // Key is the memo-cache key of solving in under s: the one builder of
 // whole-instance solvecache keys. It hashes only what can change the
 // result — the seed only for the random baselines (deterministicAlgos
-// ignore it), the worker count only when a diagnosed decomposed solve
-// reports it, the shard tuning only when sharding. ok is false when the
-// result must not be cached: NoCache, the portfolio (its winner is a
-// wall-clock race), or an instance the cache cannot hash (callback
-// similarity with no simID).
+// ignore it), the shard tuning only when sharding. ok is false when the
+// result must not be cached: the portfolio (its winner is a wall-clock
+// race), or an instance the cache cannot hash (callback similarity with no
+// simID).
 func (s Spec) Key(in *core.Instance, simID string) (key solvecache.Key, ok bool) {
-	if s.NoCache || s.Algo == "portfolio" {
+	if s.Algo == "portfolio" {
 		return key, false
 	}
 	ks := solvecache.KeySpec{
@@ -94,9 +88,6 @@ func (s Spec) Key(in *core.Instance, simID string) (key solvecache.Key, ok bool)
 	}
 	if !deterministicAlgos[s.Algo] {
 		ks.Seed = s.Seed
-	}
-	if s.Diag && ks.Decompose {
-		ks.Workers = s.Workers
 	}
 	if s.Shard != nil {
 		sh := s.Shard.Normalized()
@@ -125,19 +116,9 @@ func ParseQuery(q url.Values, def Spec) (Spec, error) {
 	if s.Decompose, err = queryBool(q, "decompose", s.Decompose); err != nil {
 		return Spec{}, err
 	}
-	workers, err := queryInt(q, "workers", int64(s.Workers))
-	if err != nil {
-		return Spec{}, err
-	}
-	s.Workers = int(workers)
 	if s.Diag, err = queryBool(q, "diag", s.Diag); err != nil {
 		return Spec{}, err
 	}
-	useCache, err := queryBool(q, "cache", !s.NoCache)
-	if err != nil {
-		return Spec{}, err
-	}
-	s.NoCache = !useCache
 	shard, err := queryBool(q, "approx_shard", s.Shard != nil)
 	if err != nil {
 		return Spec{}, err
@@ -202,7 +183,7 @@ func queryInt(q url.Values, name string, def int64) (int64, error) {
 }
 
 // BindFlags registers the named solve flags on fs — any of algo, seed,
-// decompose, decompose-workers, diag, approx-shard, shard-max-area,
+// decompose, diag, approx-shard, shard-max-area,
 // shard-strategy, shard-drift-budget — defaulting to DefaultSpec, and
 // returns the function that, once fs has parsed, resolves them into a
 // validated Spec. Unset shard tuning stays zero, so the partition
@@ -219,8 +200,6 @@ func BindFlags(fs *flag.FlagSet, names ...string) func() (Spec, error) {
 			fs.Int64Var(&s.Seed, name, s.Seed, "seed for the random baselines")
 		case "decompose":
 			fs.BoolVar(&s.Decompose, name, false, "shard along conflict/similarity components and solve them in parallel")
-		case "decompose-workers":
-			fs.IntVar(&s.Workers, name, 0, "with -decompose, component worker pool size (0 = GOMAXPROCS)")
 		case "diag":
 			fs.BoolVar(&s.Diag, name, false, "report per-solve diagnostics (shape, phases, relaxation bound, gap) as JSON")
 		case "approx-shard":

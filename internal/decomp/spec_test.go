@@ -17,7 +17,7 @@ import (
 // fullSpec sets every knob the query codec carries.
 func fullSpec() Spec {
 	return Spec{
-		Algo: "random-v", Seed: 7, Decompose: true, Workers: 3, Diag: true, NoCache: true,
+		Algo: "random-v", Seed: 7, Decompose: true, Diag: true,
 		Shard: &partition.Options{MaxArea: 500, Strategy: partition.StrategyBFS, DriftBudget: 0.5, RepairRounds: partition.DefaultRepairRounds},
 	}
 }
@@ -36,10 +36,7 @@ func TestParseQueryBools(t *testing.T) {
 		{"diag=on", false, nil},
 		{"decompose=true", true, func(s Spec) bool { return s.Decompose }},
 		{"decompose=maybe", false, nil},
-		{"cache=no", true, func(s Spec) bool { return s.NoCache }},
-		{"cache=1", true, func(s Spec) bool { return !s.NoCache }},
-		{"cache=maybe", false, nil},
-		{"", true, func(s Spec) bool { return s.Shard != nil && s.Shard.MaxArea == 64 && !s.NoCache }},
+		{"", true, func(s Spec) bool { return s.Shard != nil && s.Shard.MaxArea == 64 }},
 		{"approx_shard=0", true, func(s Spec) bool { return s.Shard == nil }},
 		{"approx_shard=on", false, nil},
 		{"approx_shard=1&shard_strategy=bfs", true, func(s Spec) bool {
@@ -49,7 +46,6 @@ func TestParseQueryBools(t *testing.T) {
 		{"shard_max_area=-5", false, nil},
 		{"shard_drift_budget=NaN", false, nil},
 		{"seed=x", false, nil},
-		{"workers=1.5", false, nil},
 		{"algo=portfolio&decompose=1", false, nil},
 		{"algo=portfolio", false, nil}, // the default shard implies decomposition
 		{"algo=portfolio&approx_shard=0", true, func(s Spec) bool { return s.Algo == "portfolio" }},
@@ -67,6 +63,22 @@ func TestParseQueryBools(t *testing.T) {
 		}
 		if tc.ok && !tc.check(s) {
 			t.Errorf("%q: parsed %+v", tc.query, s)
+		}
+	}
+
+	// The removed workers and cache knobs are unknown parameters: ignored,
+	// whatever their value.
+	base, err := ParseQuery(url.Values{}, def)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, raw := range []string{"workers=3&cache=0", "workers=1.5&cache=maybe"} {
+		q, err := url.ParseQuery(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s, err := ParseQuery(q, def); err != nil || !reflect.DeepEqual(s, base) {
+			t.Errorf("%q: parsed %+v, %v; want %+v", raw, s, err, base)
 		}
 	}
 }
@@ -88,8 +100,7 @@ func TestSpecQueryRoundTrip(t *testing.T) {
 }
 
 // TestSpecKeyHashesOnlyWhatChangesTheResult pins the cache-key rule: the
-// seed keys only the random baselines, the worker count only a diagnosed
-// decomposed solve, and shard tuning hashes normalized.
+// seed keys only the random baselines, and shard tuning hashes normalized.
 func TestSpecKeyHashesOnlyWhatChangesTheResult(t *testing.T) {
 	in := matrixInstance(t, nil)
 	key := func(s Spec) string {
@@ -111,11 +122,6 @@ func TestSpecKeyHashesOnlyWhatChangesTheResult(t *testing.T) {
 		same(Spec{Algo: algo, Decompose: true, Seed: 1}, Spec{Algo: algo, Decompose: true, Seed: 2}, true)
 	}
 	same(Spec{Algo: "random-v", Seed: 1}, Spec{Algo: "random-v", Seed: 2}, false)
-	same(Spec{Algo: "greedy", Workers: 1}, Spec{Algo: "greedy", Workers: 4}, true)
-	same(Spec{Algo: "greedy", Decompose: true, Workers: 1}, Spec{Algo: "greedy", Decompose: true, Workers: 4}, true)
-	same(Spec{Algo: "greedy", Diag: true, Workers: 1}, Spec{Algo: "greedy", Diag: true, Workers: 4}, true)
-	same(Spec{Algo: "greedy", Diag: true, Decompose: true, Workers: 1},
-		Spec{Algo: "greedy", Diag: true, Decompose: true, Workers: 4}, false)
 	same(Spec{Algo: "greedy"}, Spec{Algo: "greedy", Diag: true}, false)
 	same(Spec{Algo: "greedy"}, Spec{Algo: "greedy", Decompose: true}, false)
 	norm := partition.Options{}.Normalized()
@@ -123,18 +129,16 @@ func TestSpecKeyHashesOnlyWhatChangesTheResult(t *testing.T) {
 	same(Spec{Algo: "greedy", Shard: &partition.Options{}}, Spec{Algo: "greedy", Decompose: true}, false)
 	same(Spec{Algo: "greedy", Shard: &partition.Options{}}, Spec{Algo: "greedy", Shard: &partition.Options{MaxArea: 9}}, false)
 
-	for _, s := range []Spec{{Algo: "portfolio"}, {Algo: "greedy", NoCache: true}} {
-		if _, ok := s.Key(in, ""); ok {
-			t.Errorf("%+v: cacheable", s)
-		}
+	if _, ok := (Spec{Algo: "portfolio"}).Key(in, ""); ok {
+		t.Error("portfolio: cacheable")
 	}
 }
 
 func TestBindFlags(t *testing.T) {
 	fs := flag.NewFlagSet("t", flag.ContinueOnError)
-	resolve := BindFlags(fs, "algo", "seed", "decompose", "decompose-workers", "diag",
+	resolve := BindFlags(fs, "algo", "seed", "decompose", "diag",
 		"approx-shard", "shard-max-area", "shard-strategy", "shard-drift-budget")
-	if err := fs.Parse([]string{"-algo", "random-v", "-seed", "7", "-decompose", "-decompose-workers", "3",
+	if err := fs.Parse([]string{"-algo", "random-v", "-seed", "7", "-decompose",
 		"-diag", "-approx-shard", "-shard-max-area", "500", "-shard-strategy", "bfs", "-shard-drift-budget", "0.5"}); err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +147,6 @@ func TestBindFlags(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := fullSpec()
-	want.NoCache = false
 	want.Shard.RepairRounds = 0 // flags leave unset tuning zero
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("flags resolved to %+v, want %+v", got, want)
@@ -225,14 +228,8 @@ func (s Spec) Query() string {
 	if s.Decompose {
 		q.Set("decompose", "1")
 	}
-	if s.Workers != 0 {
-		q.Set("workers", strconv.Itoa(s.Workers))
-	}
 	if s.Diag {
 		q.Set("diag", "1")
-	}
-	if s.NoCache {
-		q.Set("cache", "0")
 	}
 	if sh := s.Shard; sh != nil {
 		q.Set("approx_shard", "1")

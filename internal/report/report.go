@@ -5,6 +5,7 @@
 package report
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -47,8 +48,9 @@ type EventFill struct {
 
 // Build validates the matching and computes the report. The relaxation
 // upper bound is computed unless skipBound is set (it costs a min-cost-flow
-// solve, noticeable on large instances).
-func Build(in *core.Instance, m *core.Matching, skipBound bool) (*Report, error) {
+// solve, noticeable on large instances); a canceled ctx stops it and Build
+// returns ctx's error.
+func Build(ctx context.Context, in *core.Instance, m *core.Matching, skipBound bool) (*Report, error) {
 	if err := core.Validate(in, m); err != nil {
 		return nil, fmt.Errorf("report: %w", err)
 	}
@@ -59,7 +61,11 @@ func Build(in *core.Instance, m *core.Matching, skipBound bool) (*Report, error)
 		UsersTotal:  in.NumUsers(),
 	}
 	if !skipBound {
-		r.UpperBound = core.RelaxedUpperBound(in)
+		ub, err := core.RelaxedUpperBoundCtx(ctx, in)
+		if err != nil {
+			return nil, err
+		}
+		r.UpperBound = ub
 	}
 
 	fills := make([]EventFill, in.NumEvents())

@@ -1,6 +1,7 @@
 package report
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -33,7 +34,7 @@ func reportInstance(t *testing.T) (*core.Instance, *core.Matching) {
 
 func TestBuildBasics(t *testing.T) {
 	in, m := reportInstance(t)
-	r, err := Build(in, m, false)
+	r, err := Build(context.Background(), in, m, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +78,7 @@ func TestBuildBasics(t *testing.T) {
 
 func TestBuildSkipBound(t *testing.T) {
 	in, m := reportInstance(t)
-	r, err := Build(in, m, true)
+	r, err := Build(context.Background(), in, m, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,14 +94,14 @@ func TestBuildRejectsInfeasible(t *testing.T) {
 	in, _ := reportInstance(t)
 	bad := core.NewMatching()
 	bad.Add(0, 0, 0.5) // wrong similarity
-	if _, err := Build(in, bad, true); err == nil {
+	if _, err := Build(context.Background(), in, bad, true); err == nil {
 		t.Fatal("infeasible matching accepted")
 	}
 }
 
 func TestBuildEmptyMatching(t *testing.T) {
 	in, _ := reportInstance(t)
-	r, err := Build(in, core.NewMatching(), true)
+	r, err := Build(context.Background(), in, core.NewMatching(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +115,7 @@ func TestBuildEmptyMatching(t *testing.T) {
 
 func TestReportString(t *testing.T) {
 	in, m := reportInstance(t)
-	r, err := Build(in, m, false)
+	r, err := Build(context.Background(), in, m, false)
 	if err != nil {
 		t.Fatal(err)
 	}

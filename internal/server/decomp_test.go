@@ -7,6 +7,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 	"time"
 
@@ -40,7 +41,7 @@ func TestSolveDecomposed(t *testing.T) {
 	srv := newServer(t)
 	body := smallClustered(t)
 	for _, algo := range []string{"greedy", "mincostflow", "random-v"} {
-		resp, out := postJSON(t, srv.URL+"/solve?algo="+algo+"&decompose=1&diag=1&workers=2", body)
+		resp, out := postJSON(t, srv.URL+"/solve?algo="+algo+"&decompose=1&diag=1", body)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s: status %d: %s", algo, resp.StatusCode, out)
 		}
@@ -57,8 +58,8 @@ func TestSolveDecomposed(t *testing.T) {
 		if got := doc.Diagnostics.Decomposition.Components; got != 4 {
 			t.Fatalf("%s: %d components, want 4", algo, got)
 		}
-		if got := doc.Diagnostics.Decomposition.Workers; got != 2 {
-			t.Fatalf("%s: %d workers, want 2", algo, got)
+		if got, want := doc.Diagnostics.Decomposition.Workers, min(runtime.GOMAXPROCS(0), 4); got != want {
+			t.Fatalf("%s: %d workers, want %d", algo, got, want)
 		}
 	}
 }
@@ -101,12 +102,15 @@ func TestSolveDecomposeRejectsPortfolio(t *testing.T) {
 	}
 }
 
+// TestSolveDecomposeBadWorkers: the component pool is always
+// min(GOMAXPROCS, components), so ?workers= is no longer read and even a
+// malformed value is ignored rather than a 400. A decomposed solve with
+// ?workers=abc or ?workers=3 hits its plain twin's cache entry and gets the
+// same bytes, pool size included.
 func TestSolveDecomposeBadWorkers(t *testing.T) {
-	srv := newServer(t)
-	resp, out := postJSON(t, srv.URL+"/solve?algo=greedy&decompose=1&workers=abc", smallClustered(t))
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status %d: %s", resp.StatusCode, out)
-	}
+	srv, svc := newCacheServer(t, Config{})
+	requireKnobsIgnored(t, srv, svc, smallClustered(t), "algo=mincostflow&decompose=1&diag=1",
+		"&workers=abc", "&workers=3", "&workers=abc&cache=maybe")
 }
 
 // TestSolveDecomposedExactGate: the |V|·|U| <= 200 exact budget applies per
@@ -152,7 +156,7 @@ func TestSolveDecomposeCancelMidShard(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	req := httptest.NewRequest(http.MethodPost,
-		"/solve?algo=mincostflow&decompose=1&workers=1", bytes.NewReader(body)).WithContext(ctx)
+		"/solve?algo=mincostflow&decompose=1", bytes.NewReader(body)).WithContext(ctx)
 	rr := httptest.NewRecorder()
 	timer := time.AfterFunc(2*time.Millisecond, cancel)
 	defer timer.Stop()

@@ -50,10 +50,10 @@ func fixedDiagInstanceJSON(t *testing.T) []byte {
 // the min-cost-flow relaxation once — the solve's own — and serves it as the
 // bound, with the same bytes the separate relaxation used to produce.
 func TestDiagnosedMincostflowSolvesOnce(t *testing.T) {
-	srv := newServer(t)
+	srv, _ := newCacheServer(t, Config{SolveCacheEntries: -1})
 	runs := obs.Default().Counter("geacc_mcflow_runs_total")
 	before := runs.Value()
-	resp, body := postJSON(t, srv.URL+"/solve?algo=mincostflow&diag=1&cache=0", fixedDiagInstanceJSON(t))
+	resp, body := postJSON(t, srv.URL+"/solve?algo=mincostflow&diag=1", fixedDiagInstanceJSON(t))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
@@ -83,7 +83,7 @@ func TestDiagnosedMincostflowSolvesOnce(t *testing.T) {
 // relaxation; its bound is the monolithic one to 1e-9 relative. Sharded
 // components are relaxed unsharded, so bound_loss keeps mirroring the gap.
 func TestDiagnosedDecomposedSolveSumsComponentBounds(t *testing.T) {
-	srv := newServer(t)
+	srv, _ := newCacheServer(t, Config{SolveCacheEntries: -1})
 	runs := obs.Default().Counter("geacc_mcflow_runs_total")
 	for _, tc := range []struct {
 		name, query string
@@ -98,7 +98,7 @@ func TestDiagnosedDecomposedSolveSumsComponentBounds(t *testing.T) {
 		}
 		want := core.RelaxedUpperBound(in)
 		before := runs.Value()
-		doc := solveDoc(t, srv.URL+"/solve?algo=mincostflow&diag=1&cache=0&"+tc.query, tc.body)
+		doc := solveDoc(t, srv.URL+"/solve?algo=mincostflow&diag=1&"+tc.query, tc.body)
 		moved := runs.Value() - before
 		d := doc.Diagnostics
 		if d == nil || d.Decomposition == nil {

@@ -27,9 +27,11 @@
 //
 // # Cancellation
 //
-// /solve and /trace propagate the request context into the solver
-// (core.SolveContext, core.PortfolioCtx, core.GreedyCtx): when the client
-// disconnects mid-solve, long MinCostFlow sweeps and exact searches abort
-// at their next cancellation poll instead of burning the worker, and the
-// aborted request is recorded with the non-standard status 499.
+// /solve, /trace, /report, rebalance and GET /instances/{id}/stats
+// propagate the request context into the solver or the relaxation bound
+// (core.SolveContext, core.PortfolioCtx, core.GreedyCtx,
+// core.RelaxedUpperBoundCtx): when the client disconnects mid-solve, long
+// MinCostFlow sweeps and exact searches abort at their next cancellation
+// poll instead of burning the worker, and the aborted request is recorded
+// with the non-standard status 499.
 package server

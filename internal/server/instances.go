@@ -582,8 +582,8 @@ type RebalanceResponse struct {
 // handleRebalance re-solves the instance: POST /instances/{id}/rebalance.
 // ?scope=dirty (default) re-solves only the decomposition components the
 // deltas since the last rebalance touched; ?scope=full re-solves every
-// component. ?algo= picks the registry solver (default greedy), ?workers=
-// bounds the component pool, ?seed= fixes the random baselines. The solve
+// component. ?algo= picks the registry solver (default greedy), ?seed=
+// fixes the random baselines. The solve
 // runs under the request context, so a disconnected client cancels it
 // (status 499) with the instance unchanged.
 func (s *service) handleRebalance(w http.ResponseWriter, r *http.Request) {
@@ -622,12 +622,9 @@ func (s *service) handleRebalance(w http.ResponseWriter, r *http.Request) {
 	algo := spec.Algo
 	// With sharding on, a dirty giant component splits before solving; the
 	// per-shard flow solves still warm-start from the instance's warm-flow
-	// cache. It is a pure accelerator (bit-exact vs a cold solve), so
-	// ?cache=0 exists for benchmarking, not correctness.
+	// cache, a pure accelerator (bit-exact vs a cold solve).
 	opt := spec.Options()
-	if !spec.NoCache {
-		opt.WarmCache = inst.warm
-	}
+	opt.WarmCache = inst.warm
 
 	start := time.Now()
 	if !inst.lock(w, r) {

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"github.com/ebsnlab/geacc/internal/encoding"
 	"github.com/ebsnlab/geacc/internal/obs"
 )
 
@@ -139,6 +140,25 @@ func TestTraceCanceledContextReturns499(t *testing.T) {
 	h.ServeHTTP(rr, req)
 	if rr.Code != statusClientClosedRequest {
 		t.Fatalf("status = %d, want %d", rr.Code, statusClientClosedRequest)
+	}
+}
+
+// TestReportCanceledSkipsRelaxation: a /report whose client is already gone
+// answers 499 without augmenting a single flow path of its bound.
+func TestReportCanceledSkipsRelaxation(t *testing.T) {
+	h := New()
+	augs := obs.Default().Counter("geacc_mcflow_augmentations_total")
+	before := augs.Value()
+	body := pairBody(t, encoding.MatchingJSON{Pairs: []encoding.PairJSON{{V: 0, U: 0, Sim: 0.9}}})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	rr := httptest.NewRecorder()
+	h.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/report", bytes.NewReader(body)).WithContext(ctx))
+	if rr.Code != statusClientClosedRequest {
+		t.Fatalf("canceled report: %d %s", rr.Code, rr.Body)
+	}
+	if got := augs.Value(); got != before {
+		t.Fatalf("canceled report augmented %d flow paths", got-before)
 	}
 }
 

@@ -29,15 +29,14 @@ func TestSolveParamsRejectMalformed(t *testing.T) {
 		{"/solve?approx_shard=on", http.StatusBadRequest},
 		{"/solve?diag=on", http.StatusBadRequest},
 		{"/solve?decompose=maybe", http.StatusBadRequest},
-		{"/solve?cache=maybe", http.StatusBadRequest},
-		{"/solve?workers=two", http.StatusBadRequest},
-		{"/solve?approx_shard=0&diag=yes&cache=no", http.StatusOK},
+		{"/solve?cache=maybe&workers=two", http.StatusOK}, // removed knobs: unknown, ignored
+		{"/solve?approx_shard=0&diag=yes", http.StatusOK},
 		{"/solve?algo=portfolio", http.StatusBadRequest}, // the shard default decomposes
 		{"/solve?algo=portfolio&approx_shard=false", http.StatusOK},
 		{"/instances/p/rebalance?approx_shard=on", http.StatusBadRequest},
-		{"/instances/p/rebalance?cache=maybe", http.StatusBadRequest},
+		{"/instances/p/rebalance?cache=maybe&workers=two", http.StatusOK},
 		{"/instances/p/rebalance?algo=portfolio", http.StatusBadRequest},
-		{"/instances/p/rebalance?approx_shard=no&cache=false", http.StatusOK},
+		{"/instances/p/rebalance?approx_shard=no", http.StatusOK},
 	} {
 		body := doc
 		if strings.HasPrefix(tc.path, "/instances") {
@@ -81,12 +80,13 @@ func TestSolveCacheKeysOnlyWhatChangesTheBody(t *testing.T) {
 // as an uncached solve of the same request.
 func TestSolveCachedMatchesFreshProperty(t *testing.T) {
 	srv, svc := newCacheServer(t, Config{})
+	cold, _ := newCacheServer(t, Config{SolveCacheEntries: -1})
 	rng := rand.New(rand.NewSource(11))
 	algos := []string{"greedy", "mincostflow", "exact", "random-v", "random-u"}
 	for i := 0; i < 30; i++ {
 		doc := euclideanInstanceJSON(t, rng.Int63(), 2+rng.Intn(4), 5+rng.Intn(20))
-		q := fmt.Sprintf("algo=%s&seed=%d&decompose=%d&diag=%d&workers=%d",
-			algos[rng.Intn(len(algos))], rng.Intn(3), rng.Intn(2), rng.Intn(2), rng.Intn(3))
+		q := fmt.Sprintf("algo=%s&seed=%d&decompose=%d&diag=%d",
+			algos[rng.Intn(len(algos))], rng.Intn(3), rng.Intn(2), rng.Intn(2))
 		if rng.Intn(3) == 0 {
 			q += "&approx_shard=1&shard_max_area=4"
 		}
@@ -99,7 +99,7 @@ func TestSolveCachedMatchesFreshProperty(t *testing.T) {
 		if !bytes.Equal(first, cached) {
 			t.Fatalf("%s: cached body differs from the response it memoized", q)
 		}
-		_, fresh := postJSON(t, srv.URL+"/solve?"+q+"&cache=0", doc)
+		_, fresh := postJSON(t, cold.URL+"/solve?"+q, doc)
 		var c, f SolveResponse
 		if err := json.Unmarshal(cached, &c); err != nil {
 			t.Fatal(err)

@@ -237,7 +237,7 @@ func Test499LogLineCarriesRequestID(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	req := httptest.NewRequest(http.MethodPost,
-		"/solve?algo=mincostflow&decompose=1&workers=1", bytes.NewReader(body)).WithContext(ctx)
+		"/solve?algo=mincostflow&decompose=1", bytes.NewReader(body)).WithContext(ctx)
 	req.Header.Set("X-Request-ID", wantID)
 	rr := httptest.NewRecorder()
 	timer := time.AfterFunc(2*time.Millisecond, cancel)

@@ -69,7 +69,7 @@ type Config struct {
 	// SolveCacheEntries bounds the content-addressed /solve memo cache
 	// (see internal/solvecache), the service's only solve cache: 0 means
 	// DefaultSolveCacheEntries, negative disables it and the per-instance
-	// warm-flow caches. Requests can opt out individually with ?cache=0.
+	// warm-flow caches.
 	SolveCacheEntries int
 	// Shard, when non-nil, makes approximate sharding of giant components
 	// (internal/partition) the service default for /solve and rebalances
@@ -379,13 +379,13 @@ func handleChromeTrace(w http.ResponseWriter, r *http.Request, in *core.Instance
 	if algo == "" {
 		algo = "greedy"
 	}
-	if _, err := core.LookupSolver(algo); err != nil {
+	if err := core.LookupSolver(algo); err != nil {
 		writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
 	rec := obs.NewRecorder()
 	ctx := obs.ContextWithRecorder(r.Context(), rec)
-	spec := decomp.Spec{Algo: algo, Seed: 1, NoCache: true, NodeLimit: decomp.MaxExactNodes}
+	spec := decomp.Spec{Algo: algo, Seed: 1, NodeLimit: decomp.MaxExactNodes}
 	if _, err := decomp.Run(ctx, in, spec, decomp.Env{ExactAreaLimit: decomp.MaxExactArea}); err != nil {
 		writeError(w, r, solveErrorStatus(err, http.StatusInternalServerError), err)
 		return
@@ -444,9 +444,9 @@ func (s *service) handleReport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	skipBound := r.URL.Query().Get("bound") == "false"
-	rep, err := report.Build(in, m, skipBound)
+	rep, err := report.Build(r.Context(), in, m, skipBound)
 	if err != nil {
-		writeError(w, r, http.StatusUnprocessableEntity, err)
+		writeError(w, r, solveErrorStatus(err, http.StatusUnprocessableEntity), err)
 		return
 	}
 	writeJSON(w, rep)

@@ -71,16 +71,18 @@ func euclideanInstanceJSON(t *testing.T, seed int64, nv, nu int) []byte {
 // in matching content to an uncached solve of the same instance.
 func TestSolveCacheByteIdenticalResponses(t *testing.T) {
 	srv, svc := newCacheServer(t, Config{})
+	cold, _ := newCacheServer(t, Config{SolveCacheEntries: -1})
 	for _, algo := range core.SolverNames() {
 		for _, decompose := range []bool{false, true} {
 			name := fmt.Sprintf("%s/decompose=%v", algo, decompose)
 			t.Run(name, func(t *testing.T) {
 				// Small enough for the exact solver's HTTP area guard.
 				doc := euclideanInstanceJSON(t, int64(len(algo)), 4, 12)
-				url := srv.URL + "/solve?algo=" + algo + "&seed=7"
+				query := "/solve?algo=" + algo + "&seed=7"
 				if decompose {
-					url += "&decompose=1"
+					query += "&decompose=1"
 				}
+				url := srv.URL + query
 				before := svc.solveCache.Stats()
 				resp1, body1 := postJSON(t, url, doc)
 				if resp1.StatusCode != http.StatusOK {
@@ -99,7 +101,7 @@ func TestSolveCacheByteIdenticalResponses(t *testing.T) {
 				}
 				// The memoized matching must be bit-identical to an uncached
 				// solve (timing fields legitimately differ).
-				resp3, body3 := postJSON(t, url+"&cache=0", doc)
+				resp3, body3 := postJSON(t, cold.URL+query, doc)
 				if resp3.StatusCode != http.StatusOK {
 					t.Fatalf("uncached solve: %d %s", resp3.StatusCode, body3)
 				}
@@ -127,21 +129,39 @@ func TestSolveCacheByteIdenticalResponses(t *testing.T) {
 	}
 }
 
-// TestSolveCacheOptOut: ?cache=0 must neither read nor write the cache.
+// requireKnobsIgnored solves query once plain, then once per knobs suffix,
+// and requires each suffixed request to be a cache hit on the plain request's
+// entry with the same bytes: a parameter the handler no longer reads is
+// ignored like any unknown one, whatever its value.
+func requireKnobsIgnored(t *testing.T, srv *httptest.Server, svc *service, doc []byte, query string, knobs ...string) {
+	t.Helper()
+	resp, plain := postJSON(t, srv.URL+"/solve?"+query, doc)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("%s: %d %s", query, resp.StatusCode, plain)
+	}
+	for _, k := range knobs {
+		before := svc.solveCache.Stats()
+		resp, body := postJSON(t, srv.URL+"/solve?"+query+k, doc)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s%s: %d %s", query, k, resp.StatusCode, body)
+		}
+		if after := svc.solveCache.Stats(); after.Hits != before.Hits+1 || after.Misses != before.Misses {
+			t.Fatalf("%s%s: cache %+v -> %+v, want one hit", query, k, before, after)
+		}
+		if !bytes.Equal(body, plain) {
+			t.Fatalf("%s%s: body differs from the plain request's:\n%s\nvs\n%s", query, k, body, plain)
+		}
+	}
+}
+
+// TestSolveCacheOptOut: there is no per-request opt-out any more; only a
+// negative -solve-cache-entries turns the memo off (TestSolveCacheDisabled).
+// ?cache=0, alone or with ?workers=3, is ignored: the request hits the
+// entry its plain twin stored and gets the same bytes.
 func TestSolveCacheOptOut(t *testing.T) {
 	srv, svc := newCacheServer(t, Config{})
 	doc := euclideanInstanceJSON(t, 42, 3, 8)
-	before := svc.solveCache.Stats()
-	for i := 0; i < 3; i++ {
-		resp, body := postJSON(t, srv.URL+"/solve?algo=greedy&cache=0", doc)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("solve %d: %d %s", i, resp.StatusCode, body)
-		}
-	}
-	after := svc.solveCache.Stats()
-	if after != before {
-		t.Fatalf("cache touched despite ?cache=0: %+v -> %+v", before, after)
-	}
+	requireKnobsIgnored(t, srv, svc, doc, "algo=greedy", "&cache=0", "&workers=3&cache=0", "&cache=maybe")
 }
 
 // TestSolveCacheDisabled: negative SolveCacheEntries turns caching off
@@ -262,13 +282,12 @@ func seedRebalanceInstance(t *testing.T, base, id string, seed int64) {
 }
 
 // TestRebalanceLeavesSolveCacheCounters: only /solve memoizes, so dirty and
-// full rebalances, cached or with ?cache=0, never move the solve-cache
-// counters.
+// full rebalances never move the solve-cache counters.
 func TestRebalanceLeavesSolveCacheCounters(t *testing.T) {
 	srv, _ := newCacheServer(t, Config{})
 	seedRebalanceInstance(t, srv.URL, "c2", 12)
 	names := []string{"geacc_solve_cache_hits_total", "geacc_solve_cache_misses_total", "geacc_solve_cache_evictions_total"}
-	for _, q := range []string{"scope=dirty", "scope=full", "scope=full", "scope=dirty&cache=0", "scope=full&cache=0"} {
+	for _, q := range []string{"scope=dirty", "scope=full", "scope=full", "scope=dirty"} {
 		before := obs.Default().Counters()
 		resp, body := postStr(t, srv.URL+"/instances/c2/rebalance?algo=mincostflow&"+q, "")
 		if resp.StatusCode != http.StatusOK {

@@ -31,7 +31,6 @@ type KeySpec struct {
 	Seed      int64
 	SimID     string // canonical similarity identity, e.g. "euclidean/4/100"; "" means uncacheable unless the instance has a matrix
 	Decompose bool
-	Workers   int
 	Diag      bool
 	NodeLimit int64
 	// Approximate-sharding parameters (internal/partition). They change the
@@ -68,7 +67,6 @@ func InstanceKey(in *core.Instance, spec KeySpec) (Key, bool) {
 	writeStr(spec.SimID)
 	writeInt(spec.Seed)
 	writeInt(spec.NodeLimit)
-	writeInt(int64(spec.Workers))
 	var flags int64
 	if spec.Decompose {
 		flags |= 1

@@ -82,7 +82,6 @@ func TestInstanceKeyContentSensitivity(t *testing.T) {
 	check("seed", a, KeySpec{Algo: "greedy", Seed: 2, SimID: spec.SimID})
 	check("simid", a, KeySpec{Algo: "greedy", Seed: 1, SimID: "cosine/4/0"})
 	check("decompose", a, KeySpec{Algo: "greedy", Seed: 1, SimID: spec.SimID, Decompose: true})
-	check("workers", a, KeySpec{Algo: "greedy", Seed: 1, SimID: spec.SimID, Decompose: true, Workers: 4})
 	check("diag", a, KeySpec{Algo: "greedy", Seed: 1, SimID: spec.SimID, Diag: true})
 	check("nodelimit", a, KeySpec{Algo: "exact", Seed: 1, SimID: spec.SimID, NodeLimit: 100})
 	shard := KeySpec{Algo: "greedy", Seed: 1, SimID: spec.SimID, Decompose: true,

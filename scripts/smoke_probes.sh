@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Probe smoke test: build the real geacc-server, boot it with persistence,
 # wait for readiness, and exercise every operational surface once —
-# /healthz, /readyz, /statusz, /version, /metrics, /instances/{id}/stats,
-# and the X-Request-ID correlation contract. This is the "does the ops
-# surface actually come up on a real binary" check the unit tests (which
-# drive handlers in-process) cannot give.
+# /healthz, /readyz, /statusz, /version, /metrics, /algorithms, /solve,
+# /validate, /report, /instances/{id}/stats, and the X-Request-ID
+# correlation contract. This is the "does the ops surface actually come up
+# on a real binary" check the unit tests (which drive handlers in-process)
+# cannot give.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -76,6 +77,22 @@ ECHO_ID="$(curl -fsS -D - -o /dev/null -H 'X-Request-ID: smoke-probe-1' "$BASE/h
 curl -fsS -o /dev/null -w '' "$BASE/instances" || true
 curl -sS -H 'X-Request-ID: smoke-probe-2' "$BASE/instances/nope" \
     | jq -e '.request_id == "smoke-probe-2"' >/dev/null || fail "error body lacks request_id"
+
+echo "== stateless solver surface"
+INSTANCE='{"events":[{"cap":2},{"cap":1}],"users":[{"cap":1},{"cap":1},{"cap":2}],"sim":"matrix","matrix":[[0.9,0.1,0.5],[0.2,0.8,0.3]]}'
+PAIR="{\"instance\":$INSTANCE,\"matching\":{\"pairs\":[{\"v\":0,\"u\":0,\"sim\":0.9}]}}"
+curl -fsS "$BASE/algorithms" | jq -e '
+    .algorithms | contains(["exact", "greedy", "mincostflow", "random-u", "random-v"])' \
+    >/dev/null || fail "/algorithms lacks a solver"
+curl -fsS -XPOST --data-binary "$INSTANCE" "$BASE/solve?algo=mincostflow&diag=1" | jq -e '
+    .algo == "mincostflow" and .events == 2 and .users == 3
+    and (.matching.pairs | length) > 0 and .matching.max_sum > 0
+    and .diagnostics.gap >= 0 and .diagnostics.relaxed_upper_bound >= .matching.max_sum' \
+    >/dev/null || fail "/solve body"
+curl -fsS -XPOST --data-binary "$PAIR" "$BASE/validate" | jq -e '
+    .feasible == true and .pairs == 1 and .max_sum == 0.9' >/dev/null || fail "/validate body"
+curl -fsS -XPOST --data-binary "$PAIR" "$BASE/report" | jq -e '
+    .Pairs == 1 and .MaxSum == 0.9 and .UpperBound >= .MaxSum' >/dev/null || fail "/report body"
 
 echo "== instance stats"
 curl -fsS -XPOST -d '{"id":"smoke","sim":"euclidean","dim":2,"max_t":10}' \
