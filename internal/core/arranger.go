@@ -29,6 +29,8 @@ type Arranger struct {
 	conflicts map[int]map[int]bool // symmetric adjacency over event ids
 
 	matching *Matching
+
+	union unionGraph // kept by UnionRoots (union.go)
 }
 
 // NewArranger returns an empty dynamic arrangement using similarity f.
@@ -119,6 +121,26 @@ func (a *Arranger) NumEvents() int { return len(a.events) }
 
 // NumUsers returns the number of users added.
 func (a *Arranger) NumUsers() int { return len(a.users) }
+
+// NumPairs returns the number of pairs in the current arrangement.
+func (a *Arranger) NumPairs() int { return a.matching.Size() }
+
+// Pairs returns the current arrangement's pairs in insertion order without
+// copying them. The slice is the matching's own: read it only while no
+// operation runs, and never write it.
+func (a *Arranger) Pairs() []Assignment { return a.matching.Pairs() }
+
+// Events returns the arranger's events, indexed by id (cancelled ones keep
+// capacity zero). The slice is the arranger's own: read it only while no
+// operation runs, and never write it.
+func (a *Arranger) Events() []Event { return a.events }
+
+// Users returns the arranger's users, indexed by id, under the same terms
+// as Events.
+func (a *Arranger) Users() []User { return a.users }
+
+// SimFunc returns the similarity function the arranger was built with.
+func (a *Arranger) SimFunc() sim.Func { return a.simFn }
 
 // MaxSum returns the current arrangement's objective.
 func (a *Arranger) MaxSum() float64 { return a.matching.MaxSum() }
@@ -316,11 +338,13 @@ func (a *Arranger) placeUser(u int) {
 
 // Snapshot freezes the current state into a static Instance (cancelled
 // events keep capacity zero) paired with the current matching, so callers
-// can Validate, serialize, or solve it from scratch.
+// can Validate, serialize, or solve it from scratch. The conflict graph is
+// built from pairs sorted by (i, j), so every event's adjacency is
+// ascending and equal snapshots are equal down to adjacency order.
 func (a *Arranger) Snapshot() (*Instance, *Matching, error) {
 	pairs := make([][2]int, 0)
-	for i, adj := range a.conflicts {
-		for j := range adj {
+	for i := range a.events {
+		for _, j := range a.ConflictNeighbors(i) {
 			if i < j {
 				pairs = append(pairs, [2]int{i, j})
 			}

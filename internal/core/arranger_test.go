@@ -2,6 +2,8 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -292,5 +294,40 @@ func TestArrangerTracksBatchGreedyClosely(t *testing.T) {
 	}
 	if a.MaxSum() < batch-1e-9 {
 		t.Fatalf("rebalance did not reach batch greedy: %v < %v", a.MaxSum(), batch)
+	}
+}
+
+// TestArrangerSnapshotConflictsSorted: a snapshot's conflict adjacency is
+// ascending for every event, however the conflicts arrived, and NumPairs
+// counts the matching.
+func TestArrangerSnapshotConflictsSorted(t *testing.T) {
+	a := newTestArranger(t)
+	rng := rand.New(rand.NewSource(5))
+	for v := 0; v < 30; v++ {
+		var cf []int
+		for _, w := range rng.Perm(v) {
+			if rng.Intn(3) == 0 {
+				cf = append(cf, w)
+			}
+		}
+		if _, err := a.AddEvent(Event{Attrs: sim.Vector{rng.Float64(), rng.Float64()}, Cap: 2}, cf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := a.AddUser(User{Attrs: sim.Vector{rng.Float64(), rng.Float64()}, Cap: 2}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	in, m, err := a.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := range in.Events {
+		adj := in.Conflicts.Neighbors(v)
+		if !sort.IntsAreSorted(adj) || !reflect.DeepEqual(adj, a.ConflictNeighbors(v)) {
+			t.Fatalf("event %d: snapshot adjacency %v, arranger's %v", v, adj, a.ConflictNeighbors(v))
+		}
+	}
+	if in.Conflicts.Edges() == 0 || a.NumPairs() != m.Size() || m.Size() == 0 {
+		t.Fatalf("%d conflicts, NumPairs %d, matching %d", in.Conflicts.Edges(), a.NumPairs(), m.Size())
 	}
 }

@@ -39,6 +39,11 @@ var (
 	localSearchRuns   = obs.Default().Counter("geacc_localsearch_runs_total")
 	localSearchRounds = obs.Default().Counter("geacc_localsearch_rounds_total")
 
+	// unionPairs counts the similarity evaluations Arranger.UnionRoots
+	// spends extending the kept union graph (the decomposition a rebalance
+	// reads); a full DecomposeContext scan counts under the kernel pairs.
+	unionPairs = obs.Default().Counter("geacc_decomp_union_pairs_total")
+
 	portfolioRuns     = obs.Default().Counter("geacc_portfolio_runs_total")
 	portfolioFailures = obs.Default().Counter("geacc_portfolio_failures_total")
 )

@@ -19,8 +19,10 @@
 // then runs any registered solver over the components in a bounded worker
 // pool with context cancellation and merges the per-component matchings
 // deterministically — the result is independent of the worker count. A
-// scoped rebalance runs the same solve step over the components its deltas
-// touched and merges the winners into the current matching.
+// scoped rebalance reads a live arranger's kept union graph instead of
+// scanning (KeptComponents), materializes only the components its deltas
+// touched, runs the same solve step over them and merges the winners into
+// the current matching.
 package decomp
 
 import (
@@ -31,6 +33,7 @@ import (
 	"github.com/ebsnlab/geacc/internal/conflict"
 	"github.com/ebsnlab/geacc/internal/core"
 	"github.com/ebsnlab/geacc/internal/obs"
+	"github.com/ebsnlab/geacc/internal/sim"
 )
 
 // Component is one shard: a sub-instance over a connected component of the
@@ -44,7 +47,8 @@ type Component struct {
 	// Sub is the materialized sub-instance. Its similarity values are
 	// bit-identical to the parent's (the kernels reproduce the similarity
 	// closures exactly, and matrix entries are copied), so merged matchings
-	// validate against the parent.
+	// validate against the parent. It is nil for a component a kept
+	// decomposition did not materialize.
 	Sub *core.Instance
 }
 
@@ -52,6 +56,7 @@ type Component struct {
 // possible pair — an isolated event, or a user with zero similarity to
 // every event — are not materialized; they are counted as stranded.
 type Decomposition struct {
+	// Parent is the decomposed instance (nil for KeptComponents).
 	Parent     *core.Instance
 	Components []Component
 
@@ -60,8 +65,9 @@ type Decomposition struct {
 	StrandedEvents int
 	StrandedUsers  int
 
-	// BuildSeconds is the wall-clock cost of the union-graph scan,
-	// union-find, and sub-instance materialization.
+	// BuildSeconds is the wall-clock cost of finding the components (the
+	// union-graph scan, or the kept graph's extension) and materializing
+	// them.
 	BuildSeconds float64
 
 	// eventComp and userComp hold, for each parent event and user, the id
@@ -80,7 +86,7 @@ func DecomposeContext(ctx context.Context, in *core.Instance) (*Decomposition, e
 	nv, nu := in.NumEvents(), in.NumUsers()
 
 	// Union-find over V ∪ U: node v in [0, nv), node nv+u for user u.
-	uf := newUnionFind(nv + nu)
+	uf := core.NewUnionFind(nv + nu)
 	row := make([]float64, nu)
 	for v := 0; v < nv; v++ {
 		if v%64 == 0 && ctx.Err() != nil {
@@ -90,7 +96,7 @@ func DecomposeContext(ctx context.Context, in *core.Instance) (*Decomposition, e
 		in.SimilarityRow(v, row)
 		for u, s := range row {
 			if s > 0 {
-				uf.union(v, nv+u)
+				uf.Union(v, nv+u)
 			}
 		}
 	}
@@ -102,75 +108,144 @@ func DecomposeContext(ctx context.Context, in *core.Instance) (*Decomposition, e
 		for v := 0; v < nv; v++ {
 			for _, w := range in.Conflicts.Neighbors(v) {
 				if v < w {
-					uf.union(v, w)
+					uf.Union(v, w)
 				}
 			}
 		}
 	}
-
-	// Group nodes by root, numbering components in first-appearance order
-	// over node ids — deterministic, so downstream seeds and merge order
-	// are stable across runs and worker counts.
-	compOf := make(map[int]int)
-	type group struct {
-		events, users []int
+	eventRoot, userRoot := make([]int, nv), make([]int, nu)
+	for v := range eventRoot {
+		eventRoot[v] = uf.Find(v)
 	}
-	var groups []*group
-	for n := 0; n < nv+nu; n++ {
-		root := uf.find(n)
-		id, ok := compOf[root]
-		if !ok {
-			id = len(groups)
-			compOf[root] = id
-			groups = append(groups, &group{})
-		}
-		if n < nv {
-			groups[id].events = append(groups[id].events, n)
-		} else {
-			groups[id].users = append(groups[id].users, n-nv)
-		}
+	for u := range userRoot {
+		userRoot[u] = uf.Find(nv + u)
 	}
 
-	d := &Decomposition{Parent: in, eventComp: make([]int, nv), userComp: make([]int, nu)}
-	// Parent-to-sub index maps, reused across components.
-	evSub := make([]int, nv)
-	usSub := make([]int, nu)
+	d := numbered(eventRoot, userRoot)
+	d.Parent = in
+	if err := d.materialize(instanceParent(in), d.allIDs()); err != nil {
+		sp.Annotate("error", err.Error()).End()
+		return nil, err
+	}
+	d.observeBuild(sp, start)
+	return d, nil
+}
+
+// KeptComponents numbers the components of arr's kept union graph
+// (core.Arranger.UnionRoots) exactly as DecomposeContext numbers those of
+// arr's snapshot — same ids, members and stranded counts — without any
+// similarity work beyond the nodes added since the last call, and without
+// materializing a component: every Sub is nil. The caller holds arr
+// exclusively. The graph only grows, so the kept graph is the snapshot's
+// (DESIGN.md, "Kept components").
+func KeptComponents(ctx context.Context, arr *core.Arranger) (*Decomposition, error) {
+	eventRoot, userRoot, err := arr.UnionRoots(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return numbered(eventRoot, userRoot), nil
+}
+
+// numbered groups nodes by root label (labels in [0, |V|+|U|)), numbering
+// components in first-appearance order over node ids — events, then users
+// — so downstream seeds, warm-cache keys and merge order are stable across
+// runs, worker counts and the two ways of finding the roots. Components
+// with no counterpart side are stranded: id -1, counted, not listed.
+func numbered(eventRoot, userRoot []int) *Decomposition {
+	nv, nu := len(eventRoot), len(userRoot)
+	group := make([]int, nv+nu) // root label -> group index + 1
+	var groups []Component
+	add := func(root int) *Component {
+		if group[root] == 0 {
+			groups = append(groups, Component{})
+			group[root] = len(groups)
+		}
+		return &groups[group[root]-1]
+	}
+	for v, r := range eventRoot {
+		g := add(r)
+		g.Events = append(g.Events, v)
+	}
+	for u, r := range userRoot {
+		g := add(r)
+		g.Users = append(g.Users, u)
+	}
+
+	d := &Decomposition{eventComp: make([]int, nv), userComp: make([]int, nu)}
 	for _, g := range groups {
 		id := len(d.Components)
-		if len(g.events) == 0 || len(g.users) == 0 {
-			// No pair can form here: skip materialization, count the nodes.
-			d.StrandedEvents += len(g.events)
-			d.StrandedUsers += len(g.users)
+		if len(g.Events) == 0 || len(g.Users) == 0 {
+			d.StrandedEvents += len(g.Events)
+			d.StrandedUsers += len(g.Users)
 			id = -1
+		} else {
+			d.Components = append(d.Components, g)
 		}
-		for _, v := range g.events {
+		for _, v := range g.Events {
 			d.eventComp[v] = id
 		}
-		for _, u := range g.users {
+		for _, u := range g.Users {
 			d.userComp[u] = id
 		}
-		if id < 0 {
-			continue
-		}
-		c, err := materialize(in, g.events, g.users, evSub, usSub)
-		if err != nil {
-			sp.Annotate("error", err.Error()).End()
-			return nil, err
-		}
-		d.Components = append(d.Components, c)
 	}
+	return d
+}
+
+// observeBuild closes a decomp/build span and records the build time.
+func (d *Decomposition) observeBuild(sp *obs.Span, start time.Time) {
 	d.BuildSeconds = time.Since(start).Seconds()
 	sp.Annotate("components", len(d.Components)).
 		Annotate("stranded_events", d.StrandedEvents).
 		Annotate("stranded_users", d.StrandedUsers).End()
 	decompBuildSeconds.Observe(d.BuildSeconds)
-	return d, nil
 }
 
-// materialize builds the sub-instance for one component. evSub/usSub are
-// scratch parent→sub index maps (only the component's entries are written,
-// so they can be reused without clearing).
-func materialize(in *core.Instance, events, users []int, evSub, usSub []int) (Component, error) {
+// parent is what materialize reads of the instance being decomposed: a
+// static instance, or an arranger's live state, read without a snapshot
+// and so without whole-instance similarity kernels.
+type parent struct {
+	events    []core.Event
+	users     []core.User
+	neighbors func(v int) []int // event v's conflicts; nil when conflict-free
+	simFn     sim.Func
+	matrix    [][]float64 // explicit similarities (instances only)
+}
+
+func instanceParent(in *core.Instance) parent {
+	p := parent{events: in.Events, users: in.Users, simFn: in.SimFunc, matrix: in.Matrix}
+	if in.Conflicts != nil {
+		p.neighbors = in.Conflicts.Neighbors
+	}
+	return p
+}
+
+// arrangerParent reads arr like its Snapshot: a conflict graph always, its
+// adjacency ascending, so a component materializes bit-identically either
+// way.
+func arrangerParent(arr *core.Arranger) parent {
+	return parent{events: arr.Events(), users: arr.Users(),
+		neighbors: arr.ConflictNeighbors, simFn: arr.SimFunc()}
+}
+
+// materialize builds the sub-instances of the components named by ids.
+func (d *Decomposition) materialize(p parent, ids []int) error {
+	// Parent-to-sub index maps, reused across components: only a
+	// component's own entries are written and read.
+	evSub := make([]int, len(p.events))
+	usSub := make([]int, len(p.users))
+	for _, id := range ids {
+		c := &d.Components[id]
+		sub, err := p.sub(c.Events, c.Users, evSub, usSub)
+		if err != nil {
+			return fmt.Errorf("decomp: materialize component: %w", err)
+		}
+		c.Sub = sub
+	}
+	return nil
+}
+
+// sub builds the sub-instance over one component's events and users.
+func (p parent) sub(events, users []int, evSub, usSub []int) (*core.Instance, error) {
 	for i, v := range events {
 		evSub[v] = i
 	}
@@ -179,44 +254,37 @@ func materialize(in *core.Instance, events, users []int, evSub, usSub []int) (Co
 	}
 	subEvents := make([]core.Event, len(events))
 	for i, v := range events {
-		subEvents[i] = in.Events[v]
+		subEvents[i] = p.events[v]
 	}
 	subUsers := make([]core.User, len(users))
 	for i, u := range users {
-		subUsers[i] = in.Users[u]
+		subUsers[i] = p.users[u]
 	}
 	// Conflict edges always join events of the same component (they are
 	// union-graph edges), so remapping never leaves the sub index space.
 	var cf *conflict.Graph
-	if in.Conflicts != nil {
+	if p.neighbors != nil {
 		cf = conflict.New(len(events))
 		for _, v := range events {
-			for _, w := range in.Conflicts.Neighbors(v) {
+			for _, w := range p.neighbors(v) {
 				if v < w {
 					cf.Add(evSub[v], evSub[w])
 				}
 			}
 		}
 	}
-	var sub *core.Instance
-	var err error
-	if in.Matrix != nil {
-		matrix := make([][]float64, len(events))
-		for i, v := range events {
-			mrow := make([]float64, len(users))
-			for j, u := range users {
-				mrow[j] = in.Matrix[v][u]
-			}
-			matrix[i] = mrow
+	if p.matrix == nil {
+		return core.NewInstance(subEvents, subUsers, cf, p.simFn)
+	}
+	matrix := make([][]float64, len(events))
+	for i, v := range events {
+		mrow := make([]float64, len(users))
+		for j, u := range users {
+			mrow[j] = p.matrix[v][u]
 		}
-		sub, err = core.NewMatrixInstance(subEvents, subUsers, cf, matrix)
-	} else {
-		sub, err = core.NewInstance(subEvents, subUsers, cf, in.SimFunc)
+		matrix[i] = mrow
 	}
-	if err != nil {
-		return Component{}, fmt.Errorf("decomp: materialize component: %w", err)
-	}
-	return Component{Events: events, Users: users, Sub: sub}, nil
+	return core.NewMatrixInstance(subEvents, subUsers, cf, matrix)
 }
 
 // MaxComponentArea returns the largest |V|·|U| over the components named
@@ -254,41 +322,4 @@ func (d *Decomposition) Stats() *core.DecompositionStats {
 		}
 	}
 	return st
-}
-
-// unionFind is a classic disjoint-set forest with union by size and path
-// halving: effectively O(1) amortized per operation over the |V|·|U| unions
-// the graph scan can issue.
-type unionFind struct {
-	parent []int
-	size   []int
-}
-
-func newUnionFind(n int) *unionFind {
-	uf := &unionFind{parent: make([]int, n), size: make([]int, n)}
-	for i := range uf.parent {
-		uf.parent[i] = i
-		uf.size[i] = 1
-	}
-	return uf
-}
-
-func (uf *unionFind) find(x int) int {
-	for uf.parent[x] != x {
-		uf.parent[x] = uf.parent[uf.parent[x]] // path halving
-		x = uf.parent[x]
-	}
-	return x
-}
-
-func (uf *unionFind) union(a, b int) {
-	ra, rb := uf.find(a), uf.find(b)
-	if ra == rb {
-		return
-	}
-	if uf.size[ra] < uf.size[rb] {
-		ra, rb = rb, ra
-	}
-	uf.parent[rb] = ra
-	uf.size[ra] += uf.size[rb]
 }

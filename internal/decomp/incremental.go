@@ -2,6 +2,7 @@ package decomp
 
 import (
 	"context"
+	"time"
 
 	"github.com/ebsnlab/geacc/internal/core"
 	"github.com/ebsnlab/geacc/internal/obs"
@@ -47,7 +48,7 @@ type RebalanceResult struct {
 	// re-solved component was already at least as good incrementally).
 	Gain float64 `json:"gain"`
 	// ComponentsSolved is how many decomposition components were
-	// re-solved; ComponentsTotal is how many the snapshot decomposes into.
+	// re-solved; ComponentsTotal is how many the instance decomposes into.
 	ComponentsSolved int `json:"components_solved"`
 	ComponentsTotal  int `json:"components_total"`
 	// Adopted reports whether the arranger's matching was replaced.
@@ -71,30 +72,36 @@ type RebalanceResult struct {
 // rebalance whose deltas are local to one community never perturbs the
 // others. The winners splice in through the merge SolveContext uses.
 //
-// The decomposition is rebuilt from the arranger's current snapshot (cheap
-// next to solving: one kernel row scan per event plus a union-find), so
+// The components come from the arranger's kept union graph
+// (KeptComponents), extended by the nodes added since the last read, so
 // structural changes — a new user bridging two previously independent
-// components — are always seen.
+// components — are always seen without rescanning every similarity. Only
+// the components to solve are materialized, from the arranger's own
+// events, users and conflicts: no snapshot, no whole-instance kernels.
 func RebalanceScoped(ctx context.Context, arr *core.Arranger, algo string,
 	dirtyEvents, dirtyUsers []int, full bool, opt Options) (RebalanceResult, error) {
 	res := RebalanceResult{}
 	sp := obs.StartSpan(ctx, "instance/rebalance").Annotate("algo", algo)
 	defer sp.End()
 
-	in, cur, err := arr.Snapshot()
+	start := time.Now()
+	bsp := obs.RecorderFrom(ctx).Start("decomp/build")
+	d, err := KeptComponents(ctx, arr)
 	if err != nil {
-		return res, err
-	}
-	d, err := DecomposeContext(ctx, in)
-	if err != nil {
+		bsp.Annotate("error", err.Error()).End()
 		return res, err
 	}
 	res.ComponentsTotal = len(d.Components)
-
 	ids := d.allIDs()
 	if !full {
 		ids = d.DirtyComponents(dirtyEvents, dirtyUsers)
 	}
+	if err := d.materialize(arrangerParent(arr), ids); err != nil {
+		bsp.Annotate("error", err.Error()).End()
+		return res, err
+	}
+	d.observeBuild(bsp, start)
+
 	rebalanceDirtyComponents.Observe(float64(len(ids)))
 	sp.Annotate("components_total", res.ComponentsTotal).
 		Annotate("components_dirty", len(ids)).
@@ -121,8 +128,9 @@ func RebalanceScoped(ctx context.Context, arr *core.Arranger, algo string,
 
 	// Current per-component MaxSum: every matched pair has sim > 0, so its
 	// event and user share a component and the pair belongs to exactly one.
+	cur := arr.Pairs()
 	curSum := make([]float64, len(d.Components))
-	for _, p := range cur.Pairs() {
+	for _, p := range cur {
 		curSum[d.eventComp[p.V]] += p.Sim
 	}
 

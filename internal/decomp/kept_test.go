@@ -1,0 +1,334 @@
+package decomp
+
+import (
+	"context"
+	"math/rand"
+	"reflect"
+	"sort"
+	"testing"
+
+	"github.com/ebsnlab/geacc/internal/core"
+	"github.com/ebsnlab/geacc/internal/sim"
+)
+
+// keptStream drives two arrangers through the same random op stream —
+// arrivals with conflicts, cancels, removals, restore round-trips and
+// adopted rebalances — and checks that their kept components equal a fresh
+// DecomposeContext over the snapshot: the eager one after every op (so
+// each read extends the graph by one node), the lazy one only now and then
+// (so one read extends it by several events and users at once). Every op
+// is deterministic, so the two stay identical.
+type keptStream struct {
+	t              *testing.T
+	rng            *rand.Rand
+	eager, lazy    *core.Arranger
+	euclid         bool
+	dirtyE, dirtyU map[int]bool
+	blocks, blkDim int
+	adopted        int // rebalances that replaced the matching
+}
+
+func newKeptStream(t *testing.T, seed int64, euclid bool) *keptStream {
+	s := &keptStream{t: t, rng: rand.New(rand.NewSource(seed)), euclid: euclid,
+		dirtyE: map[int]bool{}, dirtyU: map[int]bool{}, blocks: 4, blkDim: 2}
+	f := sim.Cosine()
+	if euclid {
+		// Points spread over [0, 10]² with maxT 3: only near neighbours
+		// share positive similarity, so components form and merge.
+		s.blocks = 1
+		f = sim.Euclidean(2, 3)
+	}
+	for _, a := range []**core.Arranger{&s.eager, &s.lazy} {
+		var err error
+		if *a, err = core.NewArranger(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return s
+}
+
+// attrs draws an attribute vector. Cosine vectors fill one community block,
+// now and then two (a bridge) or none (a node with sim 0 to everyone);
+// euclidean ones are points in [0, 10]².
+func (s *keptStream) attrs() sim.Vector {
+	v := make(sim.Vector, s.blocks*s.blkDim)
+	if s.euclid {
+		for i := range v {
+			v[i] = 10 * s.rng.Float64()
+		}
+		return v
+	}
+	fill := func(k int) {
+		for i := k * s.blkDim; i < (k+1)*s.blkDim; i++ {
+			v[i] = 0.1 + 0.9*s.rng.Float64()
+		}
+	}
+	switch r := s.rng.Intn(10); {
+	case r == 0:
+	case r == 1:
+		fill(s.rng.Intn(s.blocks))
+		fill(s.rng.Intn(s.blocks))
+	default:
+		fill(s.rng.Intn(s.blocks))
+	}
+	return v
+}
+
+// each applies op to both arrangers.
+func (s *keptStream) each(op func(a *core.Arranger) error) {
+	for _, a := range []*core.Arranger{s.eager, s.lazy} {
+		if err := op(a); err != nil {
+			s.t.Fatal(err)
+		}
+	}
+}
+
+// apply runs op kind k (taken mod 8) on both arrangers.
+func (s *keptStream) apply(k byte) {
+	nv, nu := s.eager.NumEvents(), s.eager.NumUsers()
+	switch k % 8 {
+	case 0, 1:
+		u := core.User{Attrs: s.attrs(), Cap: 1 + s.rng.Intn(3)}
+		s.each(func(a *core.Arranger) error { _, err := a.AddUser(u); return err })
+		s.dirtyU[nu] = true
+	case 2:
+		var cf []int
+		for w := 0; w < nv; w++ {
+			if s.rng.Float64() < 0.3 {
+				cf = append(cf, w)
+			}
+		}
+		e := core.Event{Attrs: s.attrs(), Cap: 1 + s.rng.Intn(4)}
+		s.each(func(a *core.Arranger) error { _, err := a.AddEvent(e, cf); return err })
+		s.dirtyE[nv] = true
+	case 3:
+		if nv > 0 {
+			v := s.rng.Intn(nv)
+			s.each(func(a *core.Arranger) error { return a.CancelEvent(v) })
+			s.dirtyE[v] = true
+		}
+	case 4:
+		if nu > 0 {
+			u := s.rng.Intn(nu)
+			s.each(func(a *core.Arranger) error { return a.RemoveUser(u) })
+			s.dirtyU[u] = true
+		}
+	case 5:
+		s.rebalance()
+	case 6:
+		s.eager = restored(s.t, s.eager)
+		s.lazy = restored(s.t, s.lazy)
+	case 7:
+		s.each(func(a *core.Arranger) error { _, err := a.Rebalance(); return err })
+	}
+}
+
+// restored round-trips a through Snapshot and RestoreArranger, as a
+// restart does; the restored arranger's first read scans the whole graph.
+func restored(t *testing.T, a *core.Arranger) *core.Arranger {
+	t.Helper()
+	in, m, err := a.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, err = core.RestoreArranger(in, m); err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
+// rebalance runs the same dirty mincostflow RebalanceScoped on both
+// arrangers and on a twin restored from the eager one's snapshot, and
+// requires the same result and the same matching, pair order included.
+func (s *keptStream) rebalance() {
+	t, ctx := s.t, context.Background()
+	twin := restored(t, s.eager)
+	dirtyE, dirtyU := sortedKeys(s.dirtyE), sortedKeys(s.dirtyU)
+	var want RebalanceResult
+	for i, a := range []*core.Arranger{twin, s.eager, s.lazy} {
+		res, err := RebalanceScoped(ctx, a, "mincostflow", dirtyE, dirtyU, false, Options{Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			want = res
+			if res.Adopted {
+				s.adopted++
+			}
+		} else if res != want || !reflect.DeepEqual(a.Matching().Pairs(), twin.Matching().Pairs()) {
+			t.Fatalf("kept rebalance %+v differs from a fresh scan's %+v", res, want)
+		}
+	}
+	clear(s.dirtyE)
+	clear(s.dirtyU)
+}
+
+func sortedKeys(m map[int]bool) []int {
+	out := make([]int, 0, len(m))
+	for x := range m {
+		out = append(out, x)
+	}
+	sort.Ints(out)
+	return out
+}
+
+// check requires a's kept decomposition to equal DecomposeContext over its
+// snapshot: component count and members, eventComp, userComp, stranded
+// counts, and every component's materialized sub-instance.
+func check(t *testing.T, a *core.Arranger, step int) {
+	t.Helper()
+	ctx := context.Background()
+	kept, err := KeptComponents(ctx, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, _, err := a.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := DecomposeContext(ctx, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(kept.Components) != len(ref.Components) ||
+		kept.StrandedEvents != ref.StrandedEvents || kept.StrandedUsers != ref.StrandedUsers ||
+		!reflect.DeepEqual(kept.eventComp, ref.eventComp) || !reflect.DeepEqual(kept.userComp, ref.userComp) {
+		t.Fatalf("step %d: kept %d components (stranded %d/%d, eventComp %v, userComp %v), scan %d (stranded %d/%d, eventComp %v, userComp %v)",
+			step, len(kept.Components), kept.StrandedEvents, kept.StrandedUsers, kept.eventComp, kept.userComp,
+			len(ref.Components), ref.StrandedEvents, ref.StrandedUsers, ref.eventComp, ref.userComp)
+	}
+	if err := kept.materialize(arrangerParent(a), kept.allIDs()); err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range kept.Components {
+		r := ref.Components[i]
+		if !reflect.DeepEqual(c.Events, r.Events) || !reflect.DeepEqual(c.Users, r.Users) {
+			t.Fatalf("step %d: component %d is (%v, %v), scan has (%v, %v)", step, i, c.Events, c.Users, r.Events, r.Users)
+		}
+		requireSameSub(t, c.Sub, r.Sub)
+	}
+}
+
+// requireSameSub requires two sub-instances to agree on nodes, conflict
+// adjacency (order included) and every similarity, bit for bit.
+func requireSameSub(t *testing.T, a, b *core.Instance) {
+	t.Helper()
+	if !reflect.DeepEqual(a.Events, b.Events) || !reflect.DeepEqual(a.Users, b.Users) {
+		t.Fatalf("sub-instance nodes differ")
+	}
+	for v := range a.Events {
+		if !reflect.DeepEqual(a.Conflicts.Neighbors(v), b.Conflicts.Neighbors(v)) {
+			t.Fatalf("event %d conflicts %v, scan's %v", v, a.Conflicts.Neighbors(v), b.Conflicts.Neighbors(v))
+		}
+		for u := range a.Users {
+			if x, y := a.Similarity(v, u), b.Similarity(v, u); x != y {
+				t.Fatalf("sim(%d, %d) = %v, scan's %v", v, u, x, y)
+			}
+		}
+	}
+}
+
+// runKeptStream applies ops one by one. The eager arranger is checked
+// after every op, the lazy one after ops whose bit 3 is set.
+func runKeptStream(t *testing.T, seed int64, euclid bool, ops []byte) *keptStream {
+	s := newKeptStream(t, seed, euclid)
+	check(t, s.eager, -1)
+	for i, k := range ops {
+		s.apply(k)
+		check(t, s.eager, i)
+		if k&8 != 0 {
+			check(t, s.lazy, i)
+		}
+	}
+	check(t, s.lazy, len(ops))
+	return s
+}
+
+func TestKeptComponentsMatchScan(t *testing.T) {
+	adopted := 0
+	for seed := int64(1); seed <= 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		ops := make([]byte, 120)
+		for i := range ops {
+			ops[i] = byte(rng.Intn(256))
+		}
+		s := runKeptStream(t, seed, seed%4 == 0, ops)
+		if s.eager.NumEvents() == 0 || s.eager.NumUsers() == 0 {
+			t.Fatalf("seed %d: stream built no instance", seed)
+		}
+		adopted += s.adopted
+	}
+	if adopted == 0 {
+		t.Fatal("no rebalance adopted a matching")
+	}
+}
+
+// TestKeptComponentsSeeNewUserBridges pins the column pass: a user who
+// arrives after the last read and bridges two communities must merge them.
+func TestKeptComponentsSeeNewUserBridges(t *testing.T) {
+	arr, err := core.NewArranger(sim.Cosine())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, attrs := range []sim.Vector{{1, 0}, {0, 1}} {
+		if _, err := arr.AddEvent(core.Event{Attrs: attrs, Cap: 1}, nil); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := arr.AddUser(core.User{Attrs: attrs, Cap: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx := context.Background()
+	d, err := KeptComponents(ctx, arr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(d.Components) != 2 {
+		t.Fatalf("got %d components before the bridge, want 2", len(d.Components))
+	}
+	if _, err := arr.AddUser(core.User{Attrs: sim.Vector{1, 1}, Cap: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if d, err = KeptComponents(ctx, arr); err != nil {
+		t.Fatal(err)
+	}
+	if len(d.Components) != 1 || !reflect.DeepEqual(d.userComp, []int{0, 0, 0}) {
+		t.Fatalf("after the bridge: %d components, userComp %v; want 1, [0 0 0]", len(d.Components), d.userComp)
+	}
+}
+
+// TestKeptComponentsCanceled requires a canceled read to fail and leave the
+// graph to be extended by the next one.
+func TestKeptComponentsCanceled(t *testing.T) {
+	s := newKeptStream(t, 3, false)
+	for i := 0; i < 40; i++ {
+		s.apply(byte(i % 3))
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := KeptComponents(ctx, s.lazy); err == nil {
+		t.Fatal("canceled read succeeded")
+	}
+	check(t, s.lazy, 0)
+}
+
+// FuzzKeptComponents runs random op streams — add_event with conflicts,
+// add_user, cancel, remove, a RestoreArranger round-trip, adopted
+// rebalances checked against a freshly restored twin — over cosine
+// community blocks (or euclidean points when euclid is set) and requires
+// the kept components to equal DecomposeContext over the snapshot after
+// every op, for an arranger read after every op and for one read after
+// several (see runKeptStream).
+//
+// Run it with: go test -run '^$' -fuzz FuzzKeptComponents -fuzztime 20s ./internal/decomp
+func FuzzKeptComponents(f *testing.F) {
+	f.Add(int64(1), []byte{2, 2, 0, 1, 0, 2, 13, 0, 1, 3, 5, 4, 14, 0, 2, 5, 7, 1, 13}, false)
+	f.Add(int64(7), []byte{0, 0, 0, 2, 2, 2, 1, 1, 5, 6, 0, 5, 2, 0, 3, 4, 5}, false)
+	f.Add(int64(-3), []byte{2, 0, 2, 0, 1, 1, 5, 2, 0, 6, 5, 4, 4, 3, 0, 5}, true)
+	f.Fuzz(func(t *testing.T, seed int64, ops []byte, euclid bool) {
+		if len(ops) > 200 {
+			ops = ops[:200]
+		}
+		runKeptStream(t, seed, euclid, ops)
+	})
+}

@@ -336,15 +336,13 @@ func (d *Decomposition) solveStep(ctx context.Context, algo string, ids []int, o
 // merge is the one rule for how component results become a parent
 // matching: base's pairs outside the replaced components (those with a
 // non-nil ms entry), in base's order, then each replaced component's pairs
-// in ascending component order, mapped to parent indices. A nil base is
-// empty. Every matched pair has sim > 0, so its event's component owns it.
-func (d *Decomposition) merge(base *core.Matching, ms []*core.Matching) *core.Matching {
+// in ascending component order, mapped to parent indices. Every matched
+// pair has sim > 0, so its event's component owns it.
+func (d *Decomposition) merge(base []core.Assignment, ms []*core.Matching) *core.Matching {
 	out := core.NewMatching()
-	if base != nil {
-		for _, p := range base.Pairs() {
-			if ms[d.eventComp[p.V]] == nil {
-				out.Add(p.V, p.U, p.Sim)
-			}
+	for _, p := range base {
+		if ms[d.eventComp[p.V]] == nil {
+			out.Add(p.V, p.U, p.Sim)
 		}
 	}
 	for id, m := range ms {

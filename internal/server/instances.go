@@ -301,7 +301,7 @@ func (inst *instance) summaryLocked() InstanceSummary {
 		MaxT:        inst.Meta.MaxT,
 		Events:      inst.Arr.NumEvents(),
 		Users:       inst.Arr.NumUsers(),
-		Pairs:       inst.Arr.Matching().Size(),
+		Pairs:       inst.Arr.NumPairs(),
 		MaxSum:      inst.Arr.MaxSum(),
 		Seq:         seq,
 		DirtyEvents: dirtyE,

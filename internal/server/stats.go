@@ -70,9 +70,10 @@ type InstanceStats struct {
 }
 
 // handleInstanceStats answers GET /instances/{id}/stats. It holds the
-// instance lock for a relaxation solve plus a decomposition — solver-sized
-// work, so it is admitted like /solve and rebalance (before the id lookup,
-// so overload sheds cheaply) and sheds with 429 + Retry-After.
+// instance lock for a relaxation solve — solver-sized work, so it is
+// admitted like /solve and rebalance (before the id lookup, so overload
+// sheds cheaply) and sheds with 429 + Retry-After. The component counts
+// come from the arranger's kept union graph and materialize nothing.
 func (s *service) handleInstanceStats(w http.ResponseWriter, r *http.Request) {
 	if !s.gateReady(w, r) {
 		return
@@ -92,7 +93,7 @@ func (s *service) handleInstanceStats(w http.ResponseWriter, r *http.Request) {
 		ID:       inst.Meta.ID,
 		Events:   inst.Arr.NumEvents(),
 		Users:    inst.Arr.NumUsers(),
-		Pairs:    inst.Arr.Matching().Size(),
+		Pairs:    inst.Arr.NumPairs(),
 		MaxSum:   inst.Arr.MaxSum(),
 		OpCounts: inst.OpCounts(),
 	}
@@ -113,8 +114,8 @@ func (s *service) handleInstanceStats(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	// Quality and decomposition views need a snapshot of the arranger; an
-	// empty instance has nothing to bound or decompose.
+	// The quality view needs a snapshot of the arranger; an empty instance
+	// has nothing to bound or decompose.
 	if st.Events > 0 || st.Users > 0 {
 		in, _, err := inst.Arr.Snapshot()
 		if err != nil {
@@ -131,7 +132,7 @@ func (s *service) handleInstanceStats(w http.ResponseWriter, r *http.Request) {
 				st.Gap = 0
 			}
 		}
-		d, err := decomp.DecomposeContext(r.Context(), in)
+		d, err := decomp.KeptComponents(r.Context(), inst.Arr)
 		if err != nil {
 			writeError(w, r, solveErrorStatus(err, http.StatusInternalServerError), err)
 			return

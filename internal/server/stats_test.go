@@ -167,3 +167,41 @@ func TestInstanceStatsCanceledSkipsRelaxation(t *testing.T) {
 		t.Fatalf("canceled stats augmented %d flow paths", got-before)
 	}
 }
+
+// TestInstanceStatsKeptComponents: the stats component counts follow the
+// kept union graph — a user near the stranded event makes a second
+// component, a user between the two events merges them — and a read with
+// no arrival since the last evaluates no similarity.
+func TestInstanceStatsKeptComponents(t *testing.T) {
+	h, _, _ := newCorrelationHandler(t, Config{})
+	// max_t 1 on two dimensions: sim > 0 only within distance √2.
+	doPost(t, h, "/instances", `{"id":"st","sim":"euclidean","dim":2,"max_t":1}`, http.StatusCreated)
+	doPost(t, h, "/instances/st/events", `{"attrs":[0,0],"cap":2}`, http.StatusOK)
+	doPost(t, h, "/instances/st/events", `{"attrs":[2,0],"cap":1}`, http.StatusOK)
+	doPost(t, h, "/instances/st/users", `{"attrs":[0,0.5],"cap":1}`, http.StatusOK)
+	pairs := obs.Default().Counter("geacc_decomp_union_pairs_total")
+	getStats(t, h) // the first read scans the instance once
+	before := pairs.Value()
+	steps := []struct {
+		user         string // arrival before the read; "" for none
+		total, dirty int
+		pairs        int64 // union pairs evaluated since the first read
+	}{
+		{"", 1, 1, 0},                          // event 1 is stranded
+		{`{"attrs":[2.5,0],"cap":1}`, 2, 2, 2}, // near event 1 only
+		{`{"attrs":[1,0],"cap":1}`, 1, 1, 4},   // near both: one component
+	}
+	for i, s := range steps {
+		if s.user != "" {
+			doPost(t, h, "/instances/st/users", s.user, http.StatusOK)
+		}
+		st := getStats(t, h)
+		if st.ComponentsTotal != s.total || st.DirtyComponents != s.dirty {
+			t.Fatalf("step %d: components_total %d, dirty_components %d; want %d, %d",
+				i, st.ComponentsTotal, st.DirtyComponents, s.total, s.dirty)
+		}
+		if got := pairs.Value() - before; got != s.pairs {
+			t.Fatalf("step %d: %d union pairs since the first read, want %d", i, got, s.pairs)
+		}
+	}
+}

@@ -136,7 +136,7 @@ func (inst *Instance) markDirty(op Op) {
 func (inst *Instance) CommitRebalance(adopted bool, prev *core.Matching) (int64, error) {
 	op := Op{Kind: OpRebalance, Adopted: adopted}
 	if adopted {
-		for _, p := range inst.Arr.Matching().Pairs() {
+		for _, p := range inst.Arr.Pairs() {
 			op.Pairs = append(op.Pairs, encoding.PairJSON{V: p.V, U: p.U, Sim: p.Sim})
 		}
 	}
