@@ -101,18 +101,20 @@ func (a *Arranger) recomputeRemaining() {
 // for externally computed re-solves (the service's component-scoped
 // rebalance). m is validated against the current snapshot before anything
 // changes; on success the arranger keeps a clone (preserving m's insertion
-// order) and rederives the remaining capacities.
-func (a *Arranger) SetMatching(m *Matching) error {
+// order), rederives the remaining capacities and hands back the matching
+// it replaced, which it no longer references: a ready restore point.
+func (a *Arranger) SetMatching(m *Matching) (*Matching, error) {
 	in, _, err := a.Snapshot()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if err := Validate(in, m); err != nil {
-		return fmt.Errorf("core: refusing infeasible matching: %w", err)
+		return nil, fmt.Errorf("core: refusing infeasible matching: %w", err)
 	}
+	prev := a.matching
 	a.matching = m.Clone()
 	a.recomputeRemaining()
-	return nil
+	return prev, nil
 }
 
 // NumEvents returns the number of events ever added (including cancelled
@@ -225,15 +227,10 @@ func (a *Arranger) RemoveUser(u int) error {
 		return fmt.Errorf("core: unknown user %d", u)
 	}
 	affected := append([]int(nil), a.matching.UserEvents(u)...)
-	rebuilt := NewMatching()
-	for _, p := range a.matching.Pairs() {
-		if p.U == u {
-			a.remCapV[p.V]++
-			continue
-		}
-		rebuilt.Add(p.V, p.U, p.Sim)
+	for _, v := range affected {
+		a.remCapV[v]++
 	}
-	a.matching = rebuilt
+	a.matching.dropUser(u)
 	a.users[u].Cap = 0
 	a.remCapU[u] = 0
 	for _, v := range affected {
@@ -250,16 +247,10 @@ func (a *Arranger) CancelEvent(v int) error {
 		return fmt.Errorf("core: unknown event %d", v)
 	}
 	affected := append([]int(nil), a.matching.EventUsers(v)...)
-	// Rebuild the matching without event v.
-	rebuilt := NewMatching()
-	for _, p := range a.matching.Pairs() {
-		if p.V == v {
-			a.remCapU[p.U]++
-			continue
-		}
-		rebuilt.Add(p.V, p.U, p.Sim)
+	for _, u := range affected {
+		a.remCapU[u]++
 	}
-	a.matching = rebuilt
+	a.matching.dropEvent(v)
 	a.events[v].Cap = 0
 	a.remCapV[v] = 0
 	for _, u := range affected {

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -329,5 +331,91 @@ func TestArrangerSnapshotConflictsSorted(t *testing.T) {
 	}
 	if in.Conflicts.Edges() == 0 || a.NumPairs() != m.Size() || m.Size() == 0 {
 		t.Fatalf("%d conflicts, NumPairs %d, matching %d", in.Conflicts.Edges(), a.NumPairs(), m.Size())
+	}
+}
+
+// rebuildWithout is how RemoveUser and CancelEvent used to drop a node's
+// pairs: a fresh matching built through Add from the pairs that stay, with
+// the released seats handed back through release.
+func rebuildWithout(m *Matching, drop func(Assignment) bool, release func(Assignment)) *Matching {
+	rebuilt := NewMatching()
+	for _, p := range m.Pairs() {
+		if drop(p) {
+			release(p)
+			continue
+		}
+		rebuilt.Add(p.V, p.U, p.Sim)
+	}
+	return rebuilt
+}
+
+// TestArrangerDropMatchesRebuild drives two arrangers through the same
+// random op streams (arrivals with conflicts, removals, cancellations,
+// repeats included). One removes nodes through RemoveUser and CancelEvent,
+// which drop pairs in place; the other through the old rebuild and the same
+// re-placement. After every op both must hold the same pairs in the same
+// order, MaxSum bit for bit, the same per-node views and the same remaining
+// capacities.
+func TestArrangerDropMatchesRebuild(t *testing.T) {
+	for seed := int64(0); seed < 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		a, ref := newTestArranger(t), newTestArranger(t)
+		vec := func() sim.Vector { return sim.Vector{float64(rng.Intn(6)) * 2, rng.Float64() * 10} }
+		for op := 0; op < 80; op++ {
+			switch k := rng.Intn(6); {
+			case k <= 1:
+				u := User{Attrs: vec(), Cap: rng.Intn(4)}
+				a.AddUser(u)
+				ref.AddUser(u)
+			case k == 2:
+				var cf []int
+				for v := 0; v < a.NumEvents(); v++ {
+					if rng.Intn(3) == 0 {
+						cf = append(cf, v)
+					}
+				}
+				e := Event{Attrs: vec(), Cap: rng.Intn(6)}
+				a.AddEvent(e, cf)
+				ref.AddEvent(e, cf)
+			case k == 3 || k == 4:
+				if a.NumUsers() == 0 {
+					continue
+				}
+				u := rng.Intn(a.NumUsers())
+				if err := a.RemoveUser(u); err != nil {
+					t.Fatal(err)
+				}
+				affected := append([]int(nil), ref.matching.UserEvents(u)...)
+				ref.matching = rebuildWithout(ref.matching, func(p Assignment) bool { return p.U == u },
+					func(p Assignment) { ref.remCapV[p.V]++ })
+				ref.users[u].Cap, ref.remCapU[u] = 0, 0
+				for _, v := range affected {
+					ref.recruitForEvent(v)
+				}
+			default:
+				if a.NumEvents() == 0 {
+					continue
+				}
+				v := rng.Intn(a.NumEvents())
+				if err := a.CancelEvent(v); err != nil {
+					t.Fatal(err)
+				}
+				affected := append([]int(nil), ref.matching.EventUsers(v)...)
+				ref.matching = rebuildWithout(ref.matching, func(p Assignment) bool { return p.V == v },
+					func(p Assignment) { ref.remCapU[p.U]++ })
+				ref.events[v].Cap, ref.remCapV[v] = 0, 0
+				for _, u := range affected {
+					ref.placeUser(u)
+				}
+			}
+			if !slices.Equal(a.matching.Pairs(), ref.matching.Pairs()) ||
+				math.Float64bits(a.MaxSum()) != math.Float64bits(ref.MaxSum()) ||
+				!reflect.DeepEqual(a.matching.userEvents, ref.matching.userEvents) ||
+				!reflect.DeepEqual(a.matching.eventUsers, ref.matching.eventUsers) ||
+				!slices.Equal(a.remCapV, ref.remCapV) || !slices.Equal(a.remCapU, ref.remCapU) {
+				t.Fatalf("seed %d op %d: in-place drop diverges from the rebuild:\n got %v (%v)\nwant %v (%v)",
+					seed, op, a.matching.Pairs(), a.MaxSum(), ref.matching.Pairs(), ref.MaxSum())
+			}
+		}
 	}
 }

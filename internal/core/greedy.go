@@ -96,9 +96,21 @@ func GreedyOpts(in *Instance, opt GreedyOptions) *Matching {
 	scratch.liveU.Reset(nu, func(u int) bool { return capU[u] > 0 })
 	src := newNeighborSource(in, opt.Index, &scratch.liveV, &scratch.liveU)
 
-	// Per-node neighbor streams, created lazily: a node whose pairs are all
-	// pushed from the other side never materializes its own stream.
+	// Per-node neighbor streams. The default index primes every live node's
+	// stream here, scoring each live pair once for both sides; the others
+	// create streams lazily, so a node whose pairs are all pushed from the
+	// other side never materializes its own stream.
 	vStreams, uStreams := scratch.vStreams, scratch.uStreams
+	if vs, ok := src.(*vectorSource); ok {
+		ctx := opt.Ctx
+		if ctx == nil {
+			ctx = context.Background()
+		}
+		if err := vs.prime(ctx, vStreams, uStreams); err != nil {
+			sp.End()
+			return m
+		}
+	}
 	h := scratch.heap
 
 	// conflictsWithMatched reports whether assigning v to u would put u in

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -84,6 +85,45 @@ func (m *Matching) UserEvents(u int) []int { return m.userEvents[u] }
 // EventUsers returns the users arranged to event v, in insertion order.
 // The slice is owned by the matching.
 func (m *Matching) EventUsers(v int) []int { return m.eventUsers[v] }
+
+// dropUser removes every pair of user u in place; dropEvent does the same
+// for event v. The other pairs keep their insertion order and each node's
+// view its order, and maxSum is re-summed in pair order, so the result is
+// bit-identical to rebuilding the matching through Add without them.
+func (m *Matching) dropUser(u int) {
+	for _, v := range m.userEvents[u] {
+		dropID(m.eventUsers, v, u)
+	}
+	delete(m.userEvents, u)
+	m.dropPairs(func(p Assignment) bool { return p.U == u })
+}
+
+func (m *Matching) dropEvent(v int) {
+	for _, u := range m.eventUsers[v] {
+		dropID(m.userEvents, u, v)
+	}
+	delete(m.eventUsers, v)
+	m.dropPairs(func(p Assignment) bool { return p.V == v })
+}
+
+// dropID removes id from view[key] in place, deleting the key when the
+// list empties (a rebuild would never have created it).
+func dropID(view map[int][]int, key, id int) {
+	if left := slices.DeleteFunc(view[key], func(x int) bool { return x == id }); len(left) > 0 {
+		view[key] = left
+	} else {
+		delete(view, key)
+	}
+}
+
+// dropPairs removes the pairs matching drop and re-sums maxSum in order.
+func (m *Matching) dropPairs(drop func(Assignment) bool) {
+	m.pairs = slices.DeleteFunc(m.pairs, drop)
+	m.maxSum = 0
+	for _, p := range m.pairs {
+		m.maxSum += p.Sim
+	}
+}
 
 // Clone returns an independent copy of the matching.
 func (m *Matching) Clone() *Matching {

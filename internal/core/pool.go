@@ -40,9 +40,9 @@ func acquireGreedyScratch(nv, nu int) *greedyScratch {
 	g.vStreams = resizeStreams(g.vStreams, nv)
 	g.uStreams = resizeStreams(g.uStreams, nu)
 	if g.heap == nil {
-		g.heap = pqueue.NewPairHeap(nu)
+		g.heap = pqueue.NewPairHeap(nv, nu)
 	} else {
-		g.heap.Reset(nu)
+		g.heap.Reset(nv, nu)
 	}
 	return g
 }
@@ -52,6 +52,8 @@ func acquireGreedyScratch(nv, nu int) *greedyScratch {
 func releaseGreedyScratch(g *greedyScratch) {
 	clear(g.vStreams)
 	clear(g.uStreams)
+	g.liveV.Release()
+	g.liveU.Release()
 	greedyScratchPool.Put(g)
 }
 

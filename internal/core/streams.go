@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+
 	"github.com/ebsnlab/geacc/internal/knn"
 	"github.com/ebsnlab/geacc/internal/sim"
 )
@@ -91,6 +93,19 @@ type vectorSource struct {
 	in     *Instance
 	users  knn.Index // queried with event attributes
 	events knn.Index // queried with user attributes
+}
+
+// prime gives every live node its stream before the first pop when both
+// indexes are the default Chunked kind: one pass scores each live pair once
+// for both sides (knn.PrimeChunked). Other kinds keep creating streams
+// lazily.
+func (s *vectorSource) prime(ctx context.Context, vs, us []knn.Stream) error {
+	users, ok := s.users.(*knn.Chunked)
+	events, ok2 := s.events.(*knn.Chunked)
+	if !ok || !ok2 {
+		return nil
+	}
+	return knn.PrimeChunked(ctx, users, events, vs, us)
 }
 
 func (s *vectorSource) eventStream(v int) knn.Stream {

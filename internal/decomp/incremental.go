@@ -57,6 +57,10 @@ type RebalanceResult struct {
 	// rebalance (nil unless Options.Shard routed a dirty giant component
 	// through internal/partition).
 	Partition *core.PartitionStats `json:"partition,omitempty"`
+	// Replaced is the arrangement an adopted rebalance replaced (nil when
+	// nothing was adopted): the restore point if recording the outcome
+	// fails. The arranger no longer references it.
+	Replaced *core.Matching `json:"-"`
 }
 
 // RebalanceScoped re-solves only the decomposition components touched by
@@ -148,7 +152,7 @@ func RebalanceScoped(ctx context.Context, arr *core.Arranger, algo string,
 	if res.Gain == 0 {
 		return res, nil
 	}
-	if err := arr.SetMatching(d.merge(cur, st.ms)); err != nil {
+	if res.Replaced, err = arr.SetMatching(d.merge(cur, st.ms)); err != nil {
 		return res, err
 	}
 	res.Adopted = true

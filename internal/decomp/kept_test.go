@@ -140,27 +140,43 @@ func restored(t *testing.T, a *core.Arranger) *core.Arranger {
 // rebalance runs the same dirty mincostflow RebalanceScoped on both
 // arrangers and on a twin restored from the eager one's snapshot, and
 // requires the same result and the same matching, pair order included.
+// An adopted rebalance must hand back the matching it replaced.
 func (s *keptStream) rebalance() {
 	t, ctx := s.t, context.Background()
 	twin := restored(t, s.eager)
 	dirtyE, dirtyU := sortedKeys(s.dirtyE), sortedKeys(s.dirtyU)
 	var want RebalanceResult
 	for i, a := range []*core.Arranger{twin, s.eager, s.lazy} {
+		before := a.Matching().Pairs()
 		res, err := RebalanceScoped(ctx, a, "mincostflow", dirtyE, dirtyU, false, Options{Seed: 1})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if res.Adopted != (res.Replaced != nil) || res.Adopted && !reflect.DeepEqual(res.Replaced.Pairs(), before) {
+			t.Fatalf("rebalance adopted=%v handed back %v as the matching it replaced, want %v", res.Adopted, res.Replaced, before)
 		}
 		if i == 0 {
 			want = res
 			if res.Adopted {
 				s.adopted++
 			}
-		} else if res != want || !reflect.DeepEqual(a.Matching().Pairs(), twin.Matching().Pairs()) {
+		} else if !sameRebalance(res, want) || !reflect.DeepEqual(a.Matching().Pairs(), twin.Matching().Pairs()) {
 			t.Fatalf("kept rebalance %+v differs from a fresh scan's %+v", res, want)
 		}
 	}
 	clear(s.dirtyE)
 	clear(s.dirtyU)
+}
+
+// sameRebalance compares two rebalance results field by field, the
+// matchings they replaced by their pairs in insertion order.
+func sameRebalance(a, b RebalanceResult) bool {
+	if (a.Replaced == nil) != (b.Replaced == nil) ||
+		a.Replaced != nil && !reflect.DeepEqual(a.Replaced.Pairs(), b.Replaced.Pairs()) {
+		return false
+	}
+	a.Replaced, b.Replaced = nil, nil
+	return a == b
 }
 
 func sortedKeys(m map[int]bool) []int {

@@ -1,6 +1,8 @@
 package knn
 
 import (
+	"context"
+
 	"github.com/ebsnlab/geacc/internal/sim"
 )
 
@@ -11,8 +13,10 @@ import (
 // capacities saturate — therefore cost one O(n) scan instead of an
 // O(n log n) full sort, which is what keeps Greedy-GEACC near-linear in the
 // scalability experiment (Fig. 5a/5b). A refill scores only the ids of its
-// Live set that are still alive, one gathered block at a time, then a
-// closure-free bounded heap keeps the best k.
+// Live set that are still alive, one gathered block at a time, collects
+// the candidates after the cursor, selects the best k of them in expected
+// linear time and sorts only those k (bestFirst). PrimeChunked gives both
+// sides of one run their first chunks in a single pass.
 type Chunked struct {
 	kernel    *sim.Kernel
 	live      *Live
@@ -23,12 +27,19 @@ type Chunked struct {
 // Live is the shrinking set of ids on one side of a run that can still be
 // chosen. alive must be monotone (once false for an id, false for the rest
 // of the run): refills drop dead ids in place instead of scoring them. All
-// streams of the Chunked index holding a Live share its block buffer, so
-// they must be advanced from one goroutine.
+// streams of the Chunked index holding a Live share its scratch — the
+// block of gathered similarities and the candidate buffer a refill selects
+// from — so they must be advanced from one goroutine. The Live also owns
+// the arenas PrimeChunked carves those streams and their first chunks
+// from, so a pooled Live serves run after run without allocating them.
 type Live struct {
 	ids   []int // ascending; may still hold ids that died since the last refill
 	alive func(id int) bool
 	sims  []float64 // one block of gathered similarities
+	cands []Pair    // a refill's candidates after its cursor
+
+	streams []chunkedStream // primed streams over this set, one per live query
+	chunks  []Pair          // their first chunks, one fixed-size slot each
 }
 
 // Reset makes l the live set over ids [0, n) that satisfy alive, reusing
@@ -43,6 +54,14 @@ func (l *Live) Reset(n int, alive func(id int) bool) {
 	if l.sims == nil {
 		l.sims = make([]float64, simBatchBlock)
 	}
+}
+
+// Release drops l's references into the finished run — the alive
+// predicate and the primed streams' indexes, queries and grown chunks — so
+// a pooled Live pins no kernel alive. The buffers stay for the next Reset.
+func (l *Live) Release() {
+	clear(l.streams)
+	l.streams, l.alive = l.streams[:0], nil
 }
 
 // DefaultChunkSize is the number of neighbors materialized by a stream's
@@ -80,6 +99,11 @@ func (ix *Chunked) Len() int { return ix.kernel.Len() }
 
 // Stream returns a lazily-refilled neighbor cursor for query.
 func (ix *Chunked) Stream(query sim.Vector) Stream {
+	return &chunkedStream{ix: ix, query: query, chunk: ix.firstChunk()}
+}
+
+// firstChunk is the size of a stream's first refill.
+func (ix *Chunked) firstChunk() int {
 	first := ix.firstSize
 	if ix.auto {
 		// n/16 makes the common stream (a node consuming a few dozen
@@ -89,7 +113,107 @@ func (ix *Chunked) Stream(query sim.Vector) Stream {
 			first = byN
 		}
 	}
-	return &chunkedStream{ix: ix, query: query, chunk: first}
+	return first
+}
+
+// primePollPairs is how many pairs PrimeChunked scores between
+// cancellation polls.
+const primePollPairs = 1 << 14
+
+// PrimeChunked gives every live node of one run its Chunked stream with the
+// first chunk already in place, scoring each live (event, user) pair once.
+// users and events are the run's two indexes (users is queried by events,
+// events by users), each over its own kernel and Live set; a stream's query
+// is the node's row in the other index's kernel. eventStreams[v] is set
+// for every live event and userStreams[u] for every live user; the other
+// entries are left alone.
+//
+// One pass over the live events gathers each event's similarities over
+// the live users through the users kernel, keeps the event's best first
+// chunk (bestFirst), and offers each (event, sim) to that user's bounded
+// first-chunk buffer. No stream has been read yet, so every primed chunk
+// is exactly what the stream's first lazy refill would return over the
+// same live sets. The user side reads the same value the event side
+// computed, so the similarity must be symmetric bit for bit (sim.Func).
+// Streams and chunks are carved from the Live sets' arenas.
+//
+// ctx is polled every primePollPairs scored pairs; on cancellation the
+// pass stops and returns ctx's error with the streams partly primed.
+func PrimeChunked(ctx context.Context, users, events *Chunked, eventStreams, userStreams []Stream) error {
+	liveU, liveV := users.live, events.live
+	kV, kU := users.firstChunk(), events.firstChunk()
+	vs := primeArena(liveU, len(liveV.ids), kV)
+	us := primeArena(liveV, len(liveU.ids), kU)
+	for i, u := range liveU.ids {
+		us[i].ix, us[i].query = events, users.kernel.Row(u)
+		userStreams[u] = &us[i]
+	}
+
+	polled := 0
+	for a, v := range liveV.ids {
+		if polled += len(liveU.ids); polled >= primePollPairs {
+			polled = 0
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		s := &vs[a]
+		s.ix, s.query = users, events.kernel.Row(v)
+		cands := liveU.cands[:0]
+		for lo := 0; lo < len(liveU.ids); lo += simBatchBlock {
+			block := liveU.ids[lo:min(lo+simBatchBlock, len(liveU.ids))]
+			users.kernel.SimGather(s.query, block, liveU.sims)
+			for j, sv := range liveU.sims[:len(block)] {
+				if sv <= 0 {
+					continue
+				}
+				cands = append(cands, Pair{ID: block[j], S: sv})
+				// User block[j]'s first chunk keeps its kU best events;
+				// the root of a full buffer is the worst one kept. Events
+				// arrive in ascending id order, so an equal similarity
+				// never displaces the kept, lower id.
+				b := us[lo+j].buf
+				if len(b) < kU {
+					b = append(b, Pair{ID: v, S: sv})
+					if len(b) == kU {
+						heapifyPairs(b)
+					}
+					us[lo+j].buf = b
+				} else if sv > b[0].S {
+					b[0] = Pair{ID: v, S: sv}
+					siftPairs(b, 0, kU)
+				}
+			}
+		}
+		liveU.cands = cands
+		s.fill(bestFirst(cands, kV), kV)
+		eventStreams[v] = s
+	}
+	for i := range us {
+		sortBestFirst(us[i].buf)
+		us[i].fill(us[i].buf, kU)
+	}
+	return nil
+}
+
+// primeArena returns n zeroed streams from l's arena, each with an empty
+// first-chunk slot of capacity k (a refill that outgrows it reallocates)
+// and its next refill sized 2k, as after a lazy first refill of k.
+func primeArena(l *Live, n, k int) []chunkedStream {
+	if cap(l.streams) < n {
+		l.streams = make([]chunkedStream, n)
+	} else {
+		l.streams = l.streams[:n]
+		clear(l.streams)
+	}
+	if cap(l.chunks) < n*k {
+		l.chunks = make([]Pair, n*k)
+	}
+	for i := range l.streams {
+		l.streams[i].chunk = 2 * k
+		l.streams[i].buf = l.chunks[i*k : i*k : (i+1)*k]
+	}
+	return l.streams
 }
 
 type chunkedStream struct {
@@ -125,16 +249,16 @@ func (s *chunkedStream) Next() (int, float64, bool) {
 	return p.ID, p.S, true
 }
 
-// refill keeps the best s.chunk live items strictly after the cursor in
-// the global order, using buf (fully consumed whenever refill runs) as a
-// bounded min-heap. It walks the live ids a block at a time, compacts each
-// block's survivors in place (so later refills on this side scan fewer
-// ids), and gathers only their similarities.
+// refill collects the live items strictly after the cursor in the global
+// order into the Live's shared candidate buffer and keeps the best
+// s.chunk of them (bestFirst). It walks the live ids a block at a time,
+// compacts each block's survivors in place (so later refills on this side
+// scan fewer ids), and gathers only their similarities.
 func (s *chunkedStream) refill() {
 	k := s.chunk
 	s.chunk *= 2
-	heap := s.buf[:0]
 	live := s.ix.live
+	cands := live.cands[:0]
 	ids, w := live.ids, 0
 	for lo := 0; lo < len(ids); lo += simBatchBlock {
 		start := w
@@ -154,32 +278,25 @@ func (s *chunkedStream) refill() {
 			if s.primed && !after(sv, id, s.lastS, s.lastID) {
 				continue // already yielded or currently buffered region
 			}
-			if len(heap) < k {
-				heap = append(heap, Pair{ID: id, S: sv})
-				if len(heap) == k {
-					heapifyPairs(heap)
-				}
-				continue
-			}
-			// heap[0] is the worst retained candidate; replace it if better.
-			if after(heap[0].S, heap[0].ID, sv, id) {
-				heap[0] = Pair{ID: id, S: sv}
-				siftPairs(heap, 0, k)
-			}
+			cands = append(cands, Pair{ID: id, S: sv})
 		}
 	}
 	live.ids = ids[:w]
-	if len(heap) < k {
-		s.done = true // the scan found fewer than k remaining items
-	}
-	sortBestFirst(heap)
-	s.buf = heap
+	live.cands = cands
+	s.fill(bestFirst(cands, k), k)
+}
+
+// fill installs best — the sorted result of a refill of size k — as the
+// stream's current chunk, and moves the cursor bound to its last pair so
+// the next refill resumes after everything buffered. Fewer than k pairs
+// means the scan found no more.
+func (s *chunkedStream) fill(best []Pair, k int) {
+	s.buf = append(s.buf[:0], best...)
 	s.pos = 0
-	if len(heap) > 0 {
+	s.done = len(best) < k
+	if len(best) > 0 {
 		s.primed = true
-		// Advance the cursor bound to the last buffered element so the next
-		// refill resumes after everything currently buffered.
-		lastBuffered := heap[len(heap)-1]
-		s.lastS, s.lastID = lastBuffered.S, lastBuffered.ID
+		last := best[len(best)-1]
+		s.lastS, s.lastID = last.S, last.ID
 	}
 }

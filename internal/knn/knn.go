@@ -11,7 +11,10 @@
 //   - Chunked: lazy top-k selection with geometric refill; near-linear total
 //     work when only a few neighbors are consumed (the common case), and the
 //     default for Greedy-GEACC. Each refill scans only the ids of its Live
-//     set still alive (for Greedy, nodes with capacity left).
+//     set still alive (for Greedy, nodes with capacity left), collects the
+//     candidates after its cursor and keeps the best k with a quickselect
+//     that sorts only those k. PrimeChunked fills the first chunk of every
+//     stream of a two-sided run in one pass that scores each pair once.
 //   - IDistance: an iDistance-style one-dimensional mapping (reference
 //     points + sorted projection; the paper's B+-tree is substituted by a
 //     binary-searched sorted array) with incremental radius expansion.

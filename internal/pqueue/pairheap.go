@@ -15,51 +15,56 @@ type Pair struct {
 // ascending so results are deterministic across runs.
 type PairHeap struct {
 	items []Pair
-	// seen records every pair ever pushed, keyed by V*width+U. Popped pairs
-	// stay in the set: a visited pair must never be pushed again.
-	seen  map[int64]struct{}
-	width int64
+	// seen has one bit per (V, U) pair, at V*width+U, set when the pair is
+	// pushed. Popped pairs keep their bit: a visited pair must never be
+	// pushed again.
+	seen  []uint64
+	width int
 }
 
-// NewPairHeap returns an empty heap for instances with the given number of
-// users (needed to form unique pair keys).
-func NewPairHeap(numUsers int) *PairHeap {
-	return &PairHeap{
-		seen:  make(map[int64]struct{}),
-		width: int64(numUsers),
-	}
+// NewPairHeap returns an empty heap for pairs of numEvents × numUsers
+// (the sizes fix the visited set and its pair keys).
+func NewPairHeap(numEvents, numUsers int) *PairHeap {
+	h := &PairHeap{}
+	h.Reset(numEvents, numUsers)
+	return h
 }
 
 // Len returns the number of pairs currently in the heap.
 func (h *PairHeap) Len() int { return len(h.items) }
 
 // Reset empties the heap — items and the visited set both — and re-targets
-// it at a new user count, keeping the allocated storage so one heap serves
-// many Greedy runs (core pools them per solve).
-func (h *PairHeap) Reset(numUsers int) {
-	if h.seen == nil {
-		h.seen = make(map[int64]struct{})
+// it at numEvents × numUsers pairs, keeping the allocated storage so one
+// heap serves many Greedy runs (core pools them per solve). It clears only
+// the |V|·|U| bits the new run reads.
+func (h *PairHeap) Reset(numEvents, numUsers int) {
+	words := (numEvents*numUsers + 63) / 64
+	if cap(h.seen) < words {
+		h.seen = make([]uint64, words)
+	} else {
+		h.seen = h.seen[:words]
+		clear(h.seen)
 	}
-	clear(h.seen)
 	h.items = h.items[:0]
-	h.width = int64(numUsers)
+	h.width = numUsers
 }
 
 // Contains reports whether the pair was ever pushed (it may have been popped
 // since). This is the "∈ H or visited" test of Algorithm 2.
 func (h *PairHeap) Contains(v, u int) bool {
-	_, ok := h.seen[h.key(v, u)]
-	return ok
+	k := uint(v*h.width + u)
+	return h.seen[k/64]&(1<<(k%64)) != 0
 }
 
 // Push inserts the pair unless it was ever pushed before. It returns true if
 // the pair was inserted.
 func (h *PairHeap) Push(p Pair) bool {
-	k := h.key(p.V, p.U)
-	if _, dup := h.seen[k]; dup {
+	k := uint(p.V*h.width + p.U)
+	w, bit := k/64, uint64(1)<<(k%64)
+	if h.seen[w]&bit != 0 {
 		return false
 	}
-	h.seen[k] = struct{}{}
+	h.seen[w] |= bit
 	h.items = append(h.items, p)
 	h.up(len(h.items) - 1)
 	return true
@@ -80,8 +85,6 @@ func (h *PairHeap) Pop() Pair {
 // Peek returns the most similar pair without removing it. It panics on an
 // empty heap.
 func (h *PairHeap) Peek() Pair { return h.items[0] }
-
-func (h *PairHeap) key(v, u int) int64 { return int64(v)*h.width + int64(u) }
 
 // less orders by similarity descending, then (V, U) ascending for
 // deterministic tie-breaks.

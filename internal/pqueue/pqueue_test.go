@@ -144,7 +144,7 @@ func TestIndexedMinHeapDijkstraPattern(t *testing.T) {
 }
 
 func TestPairHeapOrderAndTieBreak(t *testing.T) {
-	h := NewPairHeap(10)
+	h := NewPairHeap(3, 10)
 	h.Push(Pair{V: 1, U: 2, Sim: 0.5})
 	h.Push(Pair{V: 0, U: 3, Sim: 0.9})
 	h.Push(Pair{V: 2, U: 1, Sim: 0.5})
@@ -165,7 +165,7 @@ func TestPairHeapOrderAndTieBreak(t *testing.T) {
 }
 
 func TestPairHeapDeduplicates(t *testing.T) {
-	h := NewPairHeap(5)
+	h := NewPairHeap(2, 5)
 	if !h.Push(Pair{V: 1, U: 1, Sim: 0.7}) {
 		t.Fatal("first push rejected")
 	}
@@ -186,7 +186,7 @@ func TestPairHeapDeduplicates(t *testing.T) {
 }
 
 func TestPairHeapContains(t *testing.T) {
-	h := NewPairHeap(4)
+	h := NewPairHeap(4, 4)
 	h.Push(Pair{V: 2, U: 3, Sim: 0.1})
 	if !h.Contains(2, 3) {
 		t.Error("Contains missed pushed pair")
@@ -200,8 +200,38 @@ func TestPairHeapContains(t *testing.T) {
 	}
 }
 
+// TestPairHeapResetClearsVisited: a reused heap forgets every pair of the
+// previous run, including the corner pairs of the bitset's first and last
+// words, whether the next run is smaller, equal or larger.
+func TestPairHeapResetClearsVisited(t *testing.T) {
+	h := NewPairHeap(9, 13)
+	for _, shape := range [][2]int{{9, 13}, {3, 5}, {9, 13}, {20, 40}, {1, 1}} {
+		nv, nu := shape[0], shape[1]
+		h.Reset(nv, nu)
+		if h.Len() != 0 {
+			t.Fatalf("%dx%d: Reset left %d items", nv, nu, h.Len())
+		}
+		for v := 0; v < nv; v++ {
+			for u := 0; u < nu; u++ {
+				if h.Contains(v, u) {
+					t.Fatalf("%dx%d: (%d, %d) visited after Reset", nv, nu, v, u)
+				}
+			}
+		}
+		corners := []Pair{{V: 0, U: 0, Sim: 0.5}, {V: nv - 1, U: nu - 1, Sim: 0.25}, {V: nv - 1, U: 0, Sim: 0.75}}
+		for _, p := range corners {
+			h.Push(p)
+		}
+		for _, p := range corners {
+			if !h.Contains(p.V, p.U) {
+				t.Fatalf("%dx%d: pushed %+v not visited", nv, nu, p)
+			}
+		}
+	}
+}
+
 func TestPairHeapPeek(t *testing.T) {
-	h := NewPairHeap(4)
+	h := NewPairHeap(1, 4)
 	h.Push(Pair{V: 0, U: 0, Sim: 0.2})
 	h.Push(Pair{V: 0, U: 1, Sim: 0.8})
 	if got := h.Peek(); got.Sim != 0.8 {
@@ -216,7 +246,7 @@ func TestPairHeapSortedDrainProperty(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		nv, nu := 1+rng.Intn(20), 1+rng.Intn(20)
-		h := NewPairHeap(nu)
+		h := NewPairHeap(nv, nu)
 		pushed := 0
 		for i := 0; i < 100; i++ {
 			ok := h.Push(Pair{V: rng.Intn(nv), U: rng.Intn(nu), Sim: rng.Float64()})

@@ -631,7 +631,6 @@ func (s *service) handleRebalance(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer inst.mu.Unlock()
-	prev := inst.Arr.Matching()
 	dirtyE, dirtyU := inst.Dirty()
 	res, err := decomp.RebalanceScoped(r.Context(), inst.Arr, algo, dirtyE, dirtyU, scope == "full", opt)
 	if err != nil {
@@ -641,8 +640,8 @@ func (s *service) handleRebalance(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// RebalanceScoped already adopted the outcome; a failed append restores
-	// prev, so the instance and its log stay unchanged.
-	seq, err := inst.CommitRebalance(res.Adopted, prev)
+	// the matching it replaced, so the instance and its log stay unchanged.
+	seq, err := inst.CommitRebalance(res.Adopted, res.Replaced)
 	if err != nil {
 		writeError(w, r, http.StatusInternalServerError, err)
 		return

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -696,5 +697,67 @@ func TestDeltaRacingDeleteAnswers404(t *testing.T) {
 	<-done
 	if rr.Code != http.StatusNotFound {
 		t.Fatalf("delta racing delete: %d %s", rr.Code, rr.Body)
+	}
+}
+
+// TestRebalanceFailedAppendRestores: when the rebalance outcome cannot be
+// logged (here the instance's log file is closed), the handler answers
+// 500, the arranger is back on the pairs it had — same pairs, same order,
+// same sim bits, so GET /instances/{id} is byte-identical — and ops.jsonl
+// is unchanged. The fixture's incremental arrangement is improvable: the
+// first user takes the only seat before the better-matching second one
+// arrives, so the rebalance does adopt (and replace) a matching.
+func TestRebalanceFailedAppendRestores(t *testing.T) {
+	dir := t.TempDir()
+	h, svc, err := newHandler(Config{Logger: quietLogger(), DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	doPost(t, h, "/instances", `{"id":"wal","sim":"euclidean","dim":2,"max_t":10}`, http.StatusCreated)
+	doPost(t, h, "/instances/wal/events", `{"attrs":[1,1],"cap":1}`, http.StatusOK)
+	doPost(t, h, "/instances/wal/events", `{"attrs":[8,8],"cap":2}`, http.StatusOK)
+	for _, attrs := range []string{"[5,5]", "[1,1]", "[7,8]", "[2,1]"} {
+		doPost(t, h, "/instances/wal/users", `{"attrs":`+attrs+`,"cap":1}`, http.StatusOK)
+	}
+	before := doGet(t, h, "/instances/wal").Body.String()
+	opsPath := filepath.Join(dir, "wal", "ops.jsonl")
+	opsBefore, err := os.ReadFile(opsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.mu.RLock()
+	inst := svc.instances["wal"]
+	svc.mu.RUnlock()
+	pairsBefore := slices.Clone(inst.Arr.Pairs())
+	if err := inst.Log.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	rr := doPost(t, h, "/instances/wal/rebalance?scope=full", "", http.StatusInternalServerError)
+	if !strings.Contains(rr.Body.String(), "store:") {
+		t.Fatalf("rebalance error body %s does not name the failed append", rr.Body)
+	}
+	if got := inst.Arr.Pairs(); !slices.Equal(got, pairsBefore) {
+		t.Fatalf("pairs after the failed append: %v, want %v", got, pairsBefore)
+	}
+	if after := doGet(t, h, "/instances/wal").Body.String(); after != before {
+		t.Fatalf("GET /instances/wal changed:\nbefore %s\n after %s", before, after)
+	}
+	if opsAfter, err := os.ReadFile(opsPath); err != nil || !bytes.Equal(opsAfter, opsBefore) {
+		t.Fatalf("ops.jsonl changed (err %v)", err)
+	}
+
+	// The same rebalance on an open log adopts a better matching, so the
+	// failed one above really had something to restore.
+	h2, _, err := newHandler(Config{Logger: quietLogger(), DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res RebalanceResponse
+	if err := json.Unmarshal(doPost(t, h2, "/instances/wal/rebalance?scope=full", "", http.StatusOK).Body.Bytes(), &res); err != nil {
+		t.Fatal(err)
+	}
+	if !res.Adopted || res.Gain <= 0 {
+		t.Fatalf("rebalance on the reopened log: adopted %v gain %v, want an adopted gain", res.Adopted, res.Gain)
 	}
 }

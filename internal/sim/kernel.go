@@ -156,7 +156,10 @@ func (k *Kernel) Sim(query Vector, i int) float64 {
 }
 
 // SimGather fills out[j] = sim(query, row ids[j]) for sparse id sets (the
-// live candidates of a Chunked refill).
+// live candidates of a Chunked refill). The built-in kinds run the batch
+// loops' arithmetic inline, four rows at a time: each row keeps its own
+// single accumulator in index order, so every out[j] is bit-identical to
+// the closure, while the four independent chains overlap in the pipeline.
 func (k *Kernel) SimGather(query Vector, ids []int, out []float64) {
 	if len(ids) == 0 {
 		return
@@ -165,22 +168,152 @@ func (k *Kernel) SimGather(query Vector, ids []int, out []float64) {
 	kernelPairs.Add(int64(len(ids)))
 	switch k.spec.kind {
 	case kindEuclidean:
-		for j, id := range ids {
-			out[j] = euclideanRow(query, k.flat.Row(id), k.spec.norm)
-		}
+		k.euclideanGather(query, ids, out)
 	case kindCosine:
-		qn := sumSquares(query)
-		for j, id := range ids {
-			out[j] = cosineRow(query, qn, k.flat.Row(id), k.flat.Norm(id))
-		}
+		k.cosineGather(query, ids, out)
 	case kindManhattan:
-		for j, id := range ids {
-			out[j] = manhattanRow(query, k.flat.Row(id), k.spec.norm)
-		}
+		k.manhattanGather(query, ids, out)
 	default:
 		for j, id := range ids {
 			out[j] = k.f(query, k.flat.Row(id))
 		}
+	}
+}
+
+// gatherQuery checks the query's dimensionality against the store and
+// returns it resliced to exactly d, so the gather loops index it without
+// bounds checks.
+func (k *Kernel) gatherQuery(query Vector) Vector {
+	d := k.flat.d
+	if len(query) != d {
+		panic(fmt.Sprintf("sim: dimension mismatch: %d vs %d", len(query), d))
+	}
+	return query[:d:d]
+}
+
+// euclideanGather is euclideanBatch over ids: per row Σ (q−r)² with one
+// sequential accumulator, then the closure's 1 − √s/norm and clamp.
+func (k *Kernel) euclideanGather(query Vector, ids []int, out []float64) {
+	q := k.gatherQuery(query)
+	d, data, norm := len(q), k.flat.data, k.spec.norm
+	finish := func(s float64) float64 {
+		sv := 1 - math.Sqrt(s)/norm
+		if sv < 0 {
+			sv = 0
+		}
+		return sv
+	}
+	j := 0
+	for ; j+4 <= len(ids); j += 4 {
+		r0 := data[ids[j]*d:][:len(q)]
+		r1 := data[ids[j+1]*d:][:len(q)]
+		r2 := data[ids[j+2]*d:][:len(q)]
+		r3 := data[ids[j+3]*d:][:len(q)]
+		var s0, s1, s2, s3 float64
+		for i, x := range q {
+			d0 := x - r0[i]
+			s0 += d0 * d0
+			d1 := x - r1[i]
+			s1 += d1 * d1
+			d2 := x - r2[i]
+			s2 += d2 * d2
+			d3 := x - r3[i]
+			s3 += d3 * d3
+		}
+		out[j], out[j+1], out[j+2], out[j+3] = finish(s0), finish(s1), finish(s2), finish(s3)
+	}
+	for ; j < len(ids); j++ {
+		row := data[ids[j]*d:][:len(q)]
+		var s float64
+		for i, x := range q {
+			dd := x - row[i]
+			s += dd * dd
+		}
+		out[j] = finish(s)
+	}
+}
+
+// cosineGather is cosineBatch over ids: per row a sequential dot product,
+// then the closure's zero-norm rule, dot/√(na·nb) and clamp.
+func (k *Kernel) cosineGather(query Vector, ids []int, out []float64) {
+	q := k.gatherQuery(query)
+	d, data, norms := len(q), k.flat.data, k.flat.norms
+	qn := sumSquares(q)
+	finish := func(dot, rn float64) float64 {
+		if qn == 0 || rn == 0 {
+			return 0
+		}
+		s := dot / math.Sqrt(qn*rn)
+		switch {
+		case s < 0:
+			s = 0
+		case s > 1:
+			s = 1
+		}
+		return s
+	}
+	j := 0
+	for ; j+4 <= len(ids); j += 4 {
+		r0 := data[ids[j]*d:][:len(q)]
+		r1 := data[ids[j+1]*d:][:len(q)]
+		r2 := data[ids[j+2]*d:][:len(q)]
+		r3 := data[ids[j+3]*d:][:len(q)]
+		var s0, s1, s2, s3 float64
+		for i, x := range q {
+			s0 += x * r0[i]
+			s1 += x * r1[i]
+			s2 += x * r2[i]
+			s3 += x * r3[i]
+		}
+		out[j] = finish(s0, norms[ids[j]])
+		out[j+1] = finish(s1, norms[ids[j+1]])
+		out[j+2] = finish(s2, norms[ids[j+2]])
+		out[j+3] = finish(s3, norms[ids[j+3]])
+	}
+	for ; j < len(ids); j++ {
+		row := data[ids[j]*d:][:len(q)]
+		var s float64
+		for i, x := range q {
+			s += x * row[i]
+		}
+		out[j] = finish(s, norms[ids[j]])
+	}
+}
+
+// manhattanGather is manhattanBatch over ids: per row Σ |q−r| with one
+// sequential accumulator, then the closure's 1 − s/norm and clamp.
+func (k *Kernel) manhattanGather(query Vector, ids []int, out []float64) {
+	q := k.gatherQuery(query)
+	d, data, norm := len(q), k.flat.data, k.spec.norm
+	finish := func(s float64) float64 {
+		r := 1 - s/norm
+		if r < 0 {
+			r = 0
+		}
+		return r
+	}
+	j := 0
+	for ; j+4 <= len(ids); j += 4 {
+		r0 := data[ids[j]*d:][:len(q)]
+		r1 := data[ids[j+1]*d:][:len(q)]
+		r2 := data[ids[j+2]*d:][:len(q)]
+		r3 := data[ids[j+3]*d:][:len(q)]
+		var s0, s1, s2, s3 float64
+		for i, x := range q {
+			s0 += math.Abs(x - r0[i])
+			s1 += math.Abs(x - r1[i])
+			s2 += math.Abs(x - r2[i])
+			s3 += math.Abs(x - r3[i])
+		}
+		out[j], out[j+1], out[j+2], out[j+3] = finish(s0), finish(s1), finish(s2), finish(s3)
+	}
+	for ; j < len(ids); j++ {
+		row := data[ids[j]*d:][:len(q)]
+		var s float64
+		for i, x := range q {
+			s += math.Abs(x - row[i])
+		}
+		out[j] = finish(s)
 	}
 }
 

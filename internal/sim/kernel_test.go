@@ -69,6 +69,49 @@ func TestKernelMatchesClosures(t *testing.T) {
 	}
 }
 
+// TestSimGatherMatchesClosures pins the gather paths, which interleave four
+// rows per pass, against the per-pair closures bit for bit: every id-list
+// length from 0 to 9 (so the four-row body, the tail and both together
+// run), repeated and unordered ids, dimensions that are not a multiple of
+// 4, and zero vectors for cosine's zero-norm rule. The gather must also
+// leave out[len(ids):] untouched.
+func TestSimGatherMatchesClosures(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, d := range []int{1, 3, 5, 6, 7, 13, 22} {
+		for _, maxT := range []float64{1, 10000} {
+			data := randVecs(rng, 12, d, maxT)
+			data[3] = make(Vector, d) // zero row
+			queries := append(randVecs(rng, 3, d, maxT), make(Vector, d), data[5].Clone())
+			for name, f := range map[string]Func{
+				"euclidean": Euclidean(d, maxT),
+				"cosine":    Cosine(),
+				"manhattan": Manhattan(d, maxT),
+			} {
+				k := NewKernel(data, f)
+				for n := 0; n <= 9; n++ {
+					ids := make([]int, n)
+					for j := range ids {
+						ids[j] = rng.Intn(len(data))
+					}
+					for _, q := range queries {
+						out := make([]float64, n+1)
+						out[n] = -1
+						k.SimGather(q, ids, out)
+						for j, id := range ids {
+							if want := f(q, data[id]); math.Float64bits(out[j]) != math.Float64bits(want) {
+								t.Fatalf("d=%d maxT=%v %s n=%d: out[%d] (row %d) = %v, closure %v", d, maxT, name, n, j, id, out[j], want)
+							}
+						}
+						if out[n] != -1 {
+							t.Fatalf("d=%d %s n=%d: gather wrote past len(ids)", d, name, n)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestKernelClampCorners drives the negative-clamp branch: opposite corners
 // of [0, T]^d are at exactly the normalizing distance, where floating-point
 // error can push 1 − dist/norm a hair negative. Closure and kernel must

@@ -64,7 +64,12 @@ func Distance(a, b Vector) float64 {
 }
 
 // Func is a similarity function between two attribute vectors. Implementations
-// must be symmetric, pure, and return values in [0, 1].
+// must be pure, return values in [0, 1], and be symmetric bit for bit:
+// f(a, b) and f(b, a) must be the same float64. Greedy's default index
+// scores each (event, user) pair once as f(event, user) and hands that
+// value to both sides' neighbor streams, and core.Validate checks stored
+// similarities against f(event, user). The built-ins qualify: |a−b| equals
+// |b−a| exactly and products commute.
 type Func func(a, b Vector) float64
 
 // Euclidean returns the similarity function of Equation (1) in the paper:

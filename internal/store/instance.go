@@ -130,9 +130,9 @@ func (inst *Instance) markDirty(op Op) {
 
 // CommitRebalance logs a rebalance the arranger has already adopted (the
 // log records the outcome, not the solve, so replay never runs a solver).
-// prev is the matching before it: when the append fails, prev is restored
-// so memory and log still agree. On success the marks are cleared and the
-// op counted.
+// prev is the matching an adopted rebalance replaced (what SetMatching
+// handed back): when the append fails, prev is restored so memory and log
+// still agree. On success the marks are cleared and the op counted.
 func (inst *Instance) CommitRebalance(adopted bool, prev *core.Matching) (int64, error) {
 	op := Op{Kind: OpRebalance, Adopted: adopted}
 	if adopted {
@@ -142,7 +142,11 @@ func (inst *Instance) CommitRebalance(adopted bool, prev *core.Matching) (int64,
 	}
 	seq, err := inst.append(op)
 	if err != nil {
-		return 0, errors.Join(err, inst.Arr.SetMatching(prev))
+		if adopted {
+			_, rerr := inst.Arr.SetMatching(prev)
+			err = errors.Join(err, rerr)
+		}
+		return 0, err
 	}
 	inst.markDirty(op)
 	inst.opCounts[OpRebalance]++

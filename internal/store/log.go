@@ -74,7 +74,8 @@ func Apply(arr *core.Arranger, op Op) error {
 		if err != nil {
 			return err
 		}
-		return arr.SetMatching(m)
+		_, err = arr.SetMatching(m)
+		return err
 	}
 	return fmt.Errorf("store: unknown op kind %q (seq %d)", op.Kind, op.Seq)
 }
