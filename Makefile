@@ -12,7 +12,7 @@ BENCH_FLAGS := -benchmem -benchtime=1x
 WORKLOAD  ?=
 SEED      ?= 1
 
-.PHONY: build test test-service smoke-probes load-smoke race race-all vet loc bench bench-json bench-compare bench-e2e cover clean run-server help
+.PHONY: build test test-service smoke-probes load-smoke race race-all vet loc deadcode bench bench-json bench-compare bench-e2e cover clean run-server help
 
 ## build: compile every package and the command-line tools
 build:
@@ -51,6 +51,10 @@ vet:
 loc:
 	@find . -path './.*' -prune -o -path ./benchmark -prune -o -name '*.go' ! -name '*_test.go' -print | \
 		xargs cat | grep -cv '^[[:space:]]*$$'
+
+## deadcode: the reachability gate, verbose: every name no binary, example, benchmark or facade API reaches, with its allowlist reason
+deadcode:
+	$(GO) test -count=1 -run '^TestReachability$$' -v ./internal/deadcode
 
 ## bench: run benchmarks once through (BENCH=<regexp> to filter)
 bench:

@@ -23,7 +23,7 @@ func TestSolveDiagOut(t *testing.T) {
 	if err := run([]string{"-in", path, "-algo", "mincostflow", "-diag-out", diagPath, "-quiet"}, &out); err != nil {
 		t.Fatal(err)
 	}
-	m, err := encoding.DecodeMatching(&out)
+	m, err := decodeMatching(&out)
 	if err != nil {
 		t.Fatalf("stdout is not a matching: %v", err)
 	}

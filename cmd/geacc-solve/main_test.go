@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,6 +12,17 @@ import (
 	"github.com/ebsnlab/geacc/internal/core"
 	"github.com/ebsnlab/geacc/internal/encoding"
 )
+
+// decodeMatching reads a matching document as geacc-solve writes it.
+func decodeMatching(r io.Reader) (*core.Matching, error) {
+	var doc encoding.MatchingJSON
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&doc); err != nil {
+		return nil, err
+	}
+	return encoding.NewMatching(doc.Pairs)
+}
 
 func writeInstance(t *testing.T) string {
 	t.Helper()
@@ -40,7 +53,7 @@ func TestSolveJSONOutput(t *testing.T) {
 	if err := run([]string{"-in", path, "-algo", "greedy", "-quiet"}, &out); err != nil {
 		t.Fatal(err)
 	}
-	m, err := encoding.DecodeMatching(&out)
+	m, err := decodeMatching(&out)
 	if err != nil {
 		t.Fatalf("output is not a matching: %v", err)
 	}
@@ -75,7 +88,7 @@ func TestSolveToFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if _, err := encoding.DecodeMatching(f); err != nil {
+	if _, err := decodeMatching(f); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -105,7 +118,7 @@ func TestSolveReportFlag(t *testing.T) {
 	if err := run([]string{"-in", path, "-report", "-quiet"}, &out); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := encoding.DecodeMatching(&out); err != nil {
+	if _, err := decodeMatching(&out); err != nil {
 		t.Fatal(err)
 	}
 	out.Reset()
@@ -121,7 +134,7 @@ func TestSolvePortfolioAndSession(t *testing.T) {
 	if err := run([]string{"-in", path, "-algo", "portfolio", "-session", sessionPath, "-quiet"}, &out); err != nil {
 		t.Fatal(err)
 	}
-	m, err := encoding.DecodeMatching(&out)
+	m, err := decodeMatching(&out)
 	if err != nil {
 		t.Fatal(err)
 	}

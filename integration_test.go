@@ -88,7 +88,11 @@ func TestEndToEndPipeline(t *testing.T) {
 	}
 
 	// 5. Serve the restored instance over HTTP and re-solve remotely.
-	srv := httptest.NewServer(server.New())
+	h, err := server.NewWithConfig(server.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(h)
 	defer srv.Close()
 	var instDoc bytes.Buffer
 	if err := encoding.EncodeInstance(&instDoc, restoredIn,

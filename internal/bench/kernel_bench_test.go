@@ -87,6 +87,6 @@ func BenchmarkMinCostFlowKernelV20U100(b *testing.B) {
 	in := pinnedInstance(b, 20, 100)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.MinCostFlow(in)
+		core.MinCostFlowOpts(in, core.FlowOptions{})
 	}
 }

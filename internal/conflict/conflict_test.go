@@ -61,21 +61,6 @@ func TestGraphAddOutOfRangePanics(t *testing.T) {
 	}
 }
 
-func TestGraphDensity(t *testing.T) {
-	g := New(5) // 10 possible pairs
-	if g.Density() != 0 {
-		t.Error("empty graph density != 0")
-	}
-	g.Add(0, 1)
-	g.Add(2, 3)
-	if got := g.Density(); got != 0.2 {
-		t.Errorf("Density = %v, want 0.2", got)
-	}
-	if New(1).Density() != 0 || New(0).Density() != 0 {
-		t.Error("degenerate graphs must have density 0")
-	}
-}
-
 func TestGraphNeighborsAndConflictsWithAny(t *testing.T) {
 	g := New(5)
 	g.Add(0, 1)
@@ -109,19 +94,6 @@ func TestGraphPairsSortedAndComplete(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("Pairs = %v, want %v", got, want)
 		}
-	}
-}
-
-func TestGraphClone(t *testing.T) {
-	g := New(3)
-	g.Add(0, 1)
-	c := g.Clone()
-	c.Add(1, 2)
-	if g.Conflicting(1, 2) {
-		t.Error("Clone shares state with original")
-	}
-	if !c.Conflicting(0, 1) || c.Edges() != 2 {
-		t.Error("Clone lost edges")
 	}
 }
 

@@ -47,16 +47,6 @@ func (g *Graph) N() int { return g.n }
 // Edges returns the number of conflicting pairs |CF|.
 func (g *Graph) Edges() int { return g.edges }
 
-// Density returns |CF| / (n·(n−1)/2), the relative conflict-set size the
-// paper's experiments sweep. A graph over fewer than two events has density 0.
-func (g *Graph) Density() float64 {
-	total := g.n * (g.n - 1) / 2
-	if total == 0 {
-		return 0
-	}
-	return float64(g.edges) / float64(total)
-}
-
 func (g *Graph) bit(i, j int) int { return i*g.n + j }
 
 // Add marks events i and j as conflicting. Self-pairs and duplicates are
@@ -113,17 +103,6 @@ func (g *Graph) Pairs() [][2]int {
 		return out[a][1] < out[b][1]
 	})
 	return out
-}
-
-// Clone returns an independent copy of the graph.
-func (g *Graph) Clone() *Graph {
-	c := New(g.n)
-	c.edges = g.edges
-	copy(c.bits, g.bits)
-	for i, a := range g.adj {
-		c.adj[i] = append([]int(nil), a...)
-	}
-	return c
 }
 
 // FromPairs builds a graph over n events from explicit conflicting pairs.

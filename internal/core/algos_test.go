@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"context"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -98,7 +99,7 @@ func TestMinCostFlowEmptyAndZeroCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := MinCostFlow(empty)
+	res := MinCostFlowOpts(empty, FlowOptions{})
 	if res.Matching.Size() != 0 || res.Delta != 0 {
 		t.Error("mincostflow on empty instance")
 	}
@@ -107,7 +108,7 @@ func TestMinCostFlowEmptyAndZeroCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m := MinCostFlow(zeroCap).Matching; m.Size() != 0 {
+	if m := MinCostFlowOpts(zeroCap, FlowOptions{}).Matching; m.Size() != 0 {
 		t.Error("flow through zero-capacity event")
 	}
 }
@@ -116,12 +117,8 @@ func TestMinCostFlowDeltaWithinBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	for trial := 0; trial < 20; trial++ {
 		in := randMatrixInstance(rng, 1+rng.Intn(4), 1+rng.Intn(6), 3, 3, rng.Float64())
-		res := MinCostFlow(in)
-		sv, su := in.CapSums()
-		deltaMax := sv
-		if su < deltaMax {
-			deltaMax = su
-		}
+		res := MinCostFlowOpts(in, FlowOptions{})
+		deltaMax := maxDelta(in)
 		if res.Delta < 0 || res.Delta > deltaMax {
 			t.Fatalf("Delta = %d outside [0, %d]", res.Delta, deltaMax)
 		}
@@ -163,11 +160,7 @@ func TestMinCostFlowRelaxedMatchesFullSweep(t *testing.T) {
 // Δ in [1, Δmax], compute a fresh min-cost flow of amount Δ and take the best
 // Δ − cost(Δ). Used only as a test oracle.
 func sweepRelaxedMaxSum(in *Instance) float64 {
-	sv, su := in.CapSums()
-	deltaMax := sv
-	if su < deltaMax {
-		deltaMax = su
-	}
+	deltaMax := maxDelta(in)
 	best := 0.0
 	for delta := int64(1); delta <= deltaMax; delta++ {
 		maxSum, ok := relaxedAtDelta(in, delta)
@@ -187,7 +180,8 @@ func sweepRelaxedMaxSum(in *Instance) float64 {
 func relaxedAtDelta(in *Instance, delta int64) (float64, bool) {
 	nv, nu := in.NumEvents(), in.NumUsers()
 	s, t := 0, 1+nv+nu
-	g := mincostflow.NewGraph(nv + nu + 2)
+	g := mincostflow.AcquireGraph(nv + nu + 2)
+	defer mincostflow.ReleaseGraph(g)
 	for v, e := range in.Events {
 		g.AddArc(s, 1+v, int64(e.Cap), 0)
 	}
@@ -199,10 +193,15 @@ func relaxedAtDelta(in *Instance, delta int64) (float64, bool) {
 			g.AddArc(1+v, 1+nv+u, 1, 1-in.Similarity(v, u))
 		}
 	}
-	sv := mincostflow.NewSolver(g, s, t)
-	flow, cost := sv.MinCostFlow(delta)
-	if flow != delta {
-		return 0, false
+	sv := mincostflow.AcquireSolver(g, s, t)
+	defer mincostflow.ReleaseSolver(sv)
+	cost := 0.0
+	for sv.TotalFlow() < delta {
+		units, unitCost, ok := sv.AugmentBelow(delta-sv.TotalFlow(), math.Inf(1))
+		if !ok {
+			return 0, false
+		}
+		cost += float64(units) * unitCost
 	}
 	return float64(delta) - cost, true
 }

@@ -100,9 +100,10 @@ func (a *Arranger) recomputeRemaining() {
 // SetMatching replaces the current arrangement with m — the adoption hook
 // for externally computed re-solves (the service's component-scoped
 // rebalance). m is validated against the current snapshot before anything
-// changes; on success the arranger keeps a clone (preserving m's insertion
-// order), rederives the remaining capacities and hands back the matching
-// it replaced, which it no longer references: a ready restore point.
+// changes; on success the arranger takes ownership of m (the caller must
+// not use it afterwards), rederives the remaining capacities and hands back
+// the matching it replaced, which it no longer references: a ready restore
+// point.
 func (a *Arranger) SetMatching(m *Matching) (*Matching, error) {
 	in, _, err := a.Snapshot()
 	if err != nil {
@@ -112,7 +113,7 @@ func (a *Arranger) SetMatching(m *Matching) (*Matching, error) {
 		return nil, fmt.Errorf("core: refusing infeasible matching: %w", err)
 	}
 	prev := a.matching
-	a.matching = m.Clone()
+	a.matching = m
 	a.recomputeRemaining()
 	return prev, nil
 }

@@ -102,12 +102,3 @@ func BudgetedGreedyOpts(in *Instance, b *Budget, opt GreedyOptions) (*Matching, 
 	}
 	return m, nil
 }
-
-// FreeBudget returns a budget that never binds (zero prices), for treating
-// unpaid arrangements uniformly.
-func FreeBudget(in *Instance) *Budget {
-	return &Budget{
-		Prices:  make([]float64, in.NumEvents()),
-		Budgets: make([]float64, in.NumUsers()),
-	}
-}

@@ -29,7 +29,7 @@ func TestBudgetValidate(t *testing.T) {
 
 func TestBudgetedGreedyZeroPricesEqualsPlain(t *testing.T) {
 	in := table1Instance(t)
-	m, err := BudgetedGreedy(in, FreeBudget(in))
+	m, err := BudgetedGreedy(in, freeBudget(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestBudgetedGreedyComposesHooks(t *testing.T) {
 	in := table1Instance(t)
 	var steps int
 	banned := func(v, u int) bool { return !(v == 0 && u == 0) } // forbid (v1, u1)
-	m, err := BudgetedGreedyOpts(in, FreeBudget(in), GreedyOptions{
+	m, err := BudgetedGreedyOpts(in, freeBudget(in), GreedyOptions{
 		Feasible: banned,
 		Trace:    func(TraceStep) { steps++ },
 	})

@@ -40,7 +40,7 @@ func TestUnitCapacityNoConflictsEqualsHungarian(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		geaccOpt := MinCostFlow(in).Matching.MaxSum()
+		geaccOpt := MinCostFlowOpts(in, FlowOptions{}).Matching.MaxSum()
 		_, hungarianOpt, err := assignment.Solve(matrix)
 		if err != nil {
 			return false
@@ -95,14 +95,14 @@ func FuzzExactEqualsHungarian(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, _, err := Exact(in)
+		m, _, err := ExactOpts(in, ExactOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if abs(m.MaxSum()-want) > 1e-9 {
 			t.Fatalf("%v: exact %v != hungarian %v", matrix, m.MaxSum(), want)
 		}
-		if got := MinCostFlow(in).Matching.MaxSum(); abs(got-want) > 1e-9 {
+		if got := MinCostFlowOpts(in, FlowOptions{}).Matching.MaxSum(); abs(got-want) > 1e-9 {
 			t.Fatalf("%v: mincostflow %v != hungarian %v", matrix, got, want)
 		}
 	})

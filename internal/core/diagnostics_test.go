@@ -29,7 +29,7 @@ func TestSolveContextBoundReportsOnlyComputedBounds(t *testing.T) {
 
 func TestDiagnosticsJSONRoundTrip(t *testing.T) {
 	in := table1Instance(t)
-	m, _, err := Exact(in)
+	m, _, err := ExactOpts(in, ExactOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,16 +71,12 @@ type ExactOptions struct {
 // polls of ExactOptions.Ctx.
 const exactCtxStride = 4096
 
-// Exact runs Prune-GEACC (Algorithms 3 and 4 of the paper): branch-and-bound
-// over the match/unmatch state of every pair, in the order of events sorted
-// by s_v·c_v and, within an event, users by non-increasing similarity. The
-// bound of Lemma 6 prunes subtrees that cannot beat the best matching found
-// so far, which is seeded by Greedy-GEACC. The returned matching is optimal.
-func Exact(in *Instance) (*Matching, SearchStats, error) {
-	return ExactOpts(in, ExactOptions{})
-}
-
-// ExactOpts runs the exact search with explicit options.
+// ExactOpts runs Prune-GEACC (Algorithms 3 and 4 of the paper) with explicit
+// options: branch-and-bound over the match/unmatch state of every pair, in
+// the order of events sorted by s_v·c_v and, within an event, users by
+// non-increasing similarity. The bound of Lemma 6 prunes subtrees that
+// cannot beat the best matching found so far, which is seeded by
+// Greedy-GEACC. The returned matching is optimal.
 func ExactOpts(in *Instance, opt ExactOptions) (*Matching, SearchStats, error) {
 	exactRuns.Inc()
 	nv, nu := in.NumEvents(), in.NumUsers()

@@ -11,7 +11,7 @@ func TestExactEmptyInstance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, stats, err := Exact(in)
+	m, stats, err := ExactOpts(in, ExactOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func TestExactSinglePair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, stats, err := Exact(in)
+	m, stats, err := ExactOpts(in, ExactOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestExhaustiveEqualsPruned(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 40; trial++ {
 		in := randMatrixInstance(rng, 1+rng.Intn(3), 1+rng.Intn(4), 3, 3, rng.Float64())
-		pruned, pstats, err := Exact(in)
+		pruned, pstats, err := ExactOpts(in, ExactOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,7 +69,7 @@ func TestExhaustiveEqualsPruned(t *testing.T) {
 func TestPruningActuallyFires(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	in := randMatrixInstance(rng, 4, 6, 3, 2, 0.25)
-	_, stats, err := Exact(in)
+	_, stats, err := ExactOpts(in, ExactOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestWarmStartNeverWorseAndFewerNodes(t *testing.T) {
 	const trials = 20
 	for trial := 0; trial < trials; trial++ {
 		in := randMatrixInstance(rng, 3, 5, 3, 2, 0.5)
-		warm, wstats, err := Exact(in)
+		warm, wstats, err := ExactOpts(in, ExactOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,7 +135,7 @@ func TestExactRespectsConflictsDensely(t *testing.T) {
 	// Complete conflict graph: every user attends at most one event.
 	rng := rand.New(rand.NewSource(15))
 	in := randMatrixInstance(rng, 3, 4, 3, 3, 1.0)
-	m, _, err := Exact(in)
+	m, _, err := ExactOpts(in, ExactOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestExactRespectsConflictsDensely(t *testing.T) {
 func TestExactVectorInstance(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	in := randVectorInstance(rng, 3, 5, 2, 2, 2, 0.3)
-	m, _, err := Exact(in)
+	m, _, err := ExactOpts(in, ExactOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

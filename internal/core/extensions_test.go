@@ -13,7 +13,7 @@ func TestExactResolutionNeverWorse(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		in := randMatrixInstance(rng, 2+rng.Intn(4), 2+rng.Intn(6), 3, 4, rng.Float64())
-		greedyRes := MinCostFlow(in)
+		greedyRes := MinCostFlowOpts(in, FlowOptions{})
 		exactRes := MinCostFlowOpts(in, FlowOptions{ExactResolution: true})
 		if Validate(in, greedyRes.Matching) != nil || Validate(in, exactRes.Matching) != nil {
 			return false
@@ -88,7 +88,7 @@ func TestTightBoundSameOptimum(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		in := randMatrixInstance(rng, 1+rng.Intn(4), 1+rng.Intn(5), 3, 3, rng.Float64())
-		loose, _, err := Exact(in)
+		loose, _, err := ExactOpts(in, ExactOptions{})
 		if err != nil {
 			return false
 		}
@@ -113,7 +113,7 @@ func TestTightBoundReducesSearchMostly(t *testing.T) {
 	wins, trials := 0, 30
 	for trial := 0; trial < trials; trial++ {
 		in := randMatrixInstance(rng, 4, 7, 4, 3, 0.4)
-		_, loose, err := Exact(in)
+		_, loose, err := ExactOpts(in, ExactOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -36,10 +36,10 @@ func TestMinCostFlowGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		writeFlowResult(h, core.MinCostFlow(in))
+		writeFlowResult(h, core.MinCostFlowOpts(in, core.FlowOptions{}))
 	}
 	for seed := int64(1); seed <= 12; seed++ {
-		writeFlowResult(h, core.MinCostFlow(bridgedInstance(t, seed)))
+		writeFlowResult(h, core.MinCostFlowOpts(bridgedInstance(t, seed), core.FlowOptions{}))
 	}
 	writeWarmStream(t, h)
 	if got := hex.EncodeToString(h.Sum(nil)); got != mcflowGoldenDigest {
@@ -196,7 +196,7 @@ func TestGreedyGolden(t *testing.T) {
 	writeGreedyResult(h, core.Greedy(bridgedInstance(t, 3)))
 
 	in := synthetic(40, 400, 0, 5)
-	b := core.FreeBudget(in)
+	b := &core.Budget{Prices: make([]float64, in.NumEvents()), Budgets: make([]float64, in.NumUsers())}
 	for v := range b.Prices {
 		b.Prices[v] = float64(1 + v%7)
 	}

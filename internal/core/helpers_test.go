@@ -9,6 +9,32 @@ import (
 	"github.com/ebsnlab/geacc/internal/sim"
 )
 
+// maxUserCap returns max c_u, the α in both approximation ratios.
+func maxUserCap(in *Instance) int {
+	m := 0
+	for _, u := range in.Users {
+		m = max(m, u.Cap)
+	}
+	return m
+}
+
+// maxDelta returns Δmax of Algorithm 1: min(Σ c_v, Σ c_u).
+func maxDelta(in *Instance) int64 {
+	var sumV, sumU int64
+	for _, e := range in.Events {
+		sumV += int64(e.Cap)
+	}
+	for _, u := range in.Users {
+		sumU += int64(u.Cap)
+	}
+	return min(sumV, sumU)
+}
+
+// freeBudget returns a budget that never binds (zero prices).
+func freeBudget(in *Instance) *Budget {
+	return &Budget{Prices: make([]float64, in.NumEvents()), Budgets: make([]float64, in.NumUsers())}
+}
+
 // randVectorInstance builds a random vector-based instance.
 func randVectorInstance(rng *rand.Rand, nv, nu, d int, maxCapV, maxCapU int, cfRatio float64) *Instance {
 	const maxT = 100.0

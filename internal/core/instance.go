@@ -44,8 +44,9 @@ type Instance struct {
 	eventsKernel *sim.Kernel // evaluates sim(query, Events[v].Attrs)
 }
 
-// NewInstance builds a vector-based instance and validates its shape.
-// conflicts may be nil for a conflict-free instance.
+// NewInstance builds a vector-based instance and validates its shape and
+// that f can score every attribute vector (sim.CheckVectors). conflicts
+// may be nil for a conflict-free instance.
 func NewInstance(events []Event, users []User, conflicts *conflict.Graph, f sim.Func) (*Instance, error) {
 	in := &Instance{Events: events, Users: users, Conflicts: conflicts, SimFunc: f}
 	if f == nil {
@@ -71,8 +72,15 @@ func NewInstance(events []Event, users []User, conflicts *conflict.Graph, f sim.
 			return nil, fmt.Errorf("core: user %d has %d attributes, want %d", i, len(u.Attrs), d)
 		}
 	}
-	in.usersKernel = sim.NewKernel(in.UserAttrs(), f)
-	in.eventsKernel = sim.NewKernel(in.EventAttrs(), f)
+	eventAttrs, userAttrs := in.EventAttrs(), in.UserAttrs()
+	if i, err := sim.CheckVectors(f, eventAttrs); err != nil {
+		return nil, fmt.Errorf("core: event %d: %w", i, err)
+	}
+	if i, err := sim.CheckVectors(f, userAttrs); err != nil {
+		return nil, fmt.Errorf("core: user %d: %w", i, err)
+	}
+	in.usersKernel = sim.NewKernel(userAttrs, f)
+	in.eventsKernel = sim.NewKernel(eventAttrs, f)
 	return in, nil
 }
 
@@ -204,39 +212,6 @@ func (in *Instance) similarityColumn(u int, out []float64) {
 // means CF = ∅.
 func (in *Instance) Conflicting(i, j int) bool {
 	return in.Conflicts != nil && in.Conflicts.Conflicting(i, j)
-}
-
-// MaxUserCap returns max c_u, the α in both approximation ratios.
-func (in *Instance) MaxUserCap() int {
-	m := 0
-	for _, u := range in.Users {
-		if u.Cap > m {
-			m = u.Cap
-		}
-	}
-	return m
-}
-
-// MaxEventCap returns max c_v.
-func (in *Instance) MaxEventCap() int {
-	m := 0
-	for _, e := range in.Events {
-		if e.Cap > m {
-			m = e.Cap
-		}
-	}
-	return m
-}
-
-// CapSums returns (Σ c_v, Σ c_u). Δmax of Algorithm 1 is their minimum.
-func (in *Instance) CapSums() (sumV, sumU int64) {
-	for _, e := range in.Events {
-		sumV += int64(e.Cap)
-	}
-	for _, u := range in.Users {
-		sumU += int64(u.Cap)
-	}
-	return sumV, sumU
 }
 
 // EventAttrs returns the event attribute vectors (nil entries for matrix

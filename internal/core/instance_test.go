@@ -76,13 +76,6 @@ func TestInstanceAccessors(t *testing.T) {
 	if !in.Conflicting(0, 1) || in.Conflicting(1, 1) {
 		t.Error("Conflicting wrong")
 	}
-	if in.MaxUserCap() != 4 || in.MaxEventCap() != 5 {
-		t.Error("capacity maxima wrong")
-	}
-	sv, su := in.CapSums()
-	if sv != 7 || su != 8 {
-		t.Errorf("CapSums = %d, %d", sv, su)
-	}
 	if len(in.EventAttrs()) != 2 || len(in.UserAttrs()) != 3 {
 		t.Error("attribute views wrong")
 	}

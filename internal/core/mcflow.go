@@ -35,10 +35,12 @@ type FlowOptions struct {
 	ExactResolution bool
 }
 
-// MinCostFlow runs MinCostFlow-GEACC (Algorithm 1 of the paper): solve the
-// conflict-free relaxation exactly via minimum-cost flow over all flow
-// amounts Δ ∈ [Δmin, Δmax], keep the best arrangement M∅, then resolve each
-// user's conflicts greedily (a maximum-weight-independent-set heuristic).
+// MinCostFlowOpts runs MinCostFlow-GEACC (Algorithm 1 of the paper) with
+// explicit options: solve the conflict-free relaxation exactly via
+// minimum-cost flow over all flow amounts Δ ∈ [Δmin, Δmax], keep the best
+// arrangement M∅, then resolve each user's conflicts greedily (a
+// maximum-weight-independent-set heuristic, or exactly with
+// opt.ExactResolution).
 // The result is feasible and within 1/max c_u of the optimum (Theorem 2).
 //
 // The Δ-sweep is computed incrementally: the successive-shortest-path solver
@@ -46,11 +48,6 @@ type FlowOptions struct {
 // augmenting-path costs never decrease, so MaxSum(M∅^Δ) = Δ − cost(Δ) is
 // concave in Δ. Augmentation therefore stops at the first shortest path with
 // per-unit cost ≥ 1 — exactly the Δ maximizing the sweep of lines 3-7.
-func MinCostFlow(in *Instance) *FlowResult {
-	return MinCostFlowOpts(in, FlowOptions{})
-}
-
-// MinCostFlowOpts runs MinCostFlow-GEACC with explicit options.
 func MinCostFlowOpts(in *Instance, opt FlowOptions) *FlowResult {
 	res, _ := minCostFlowCtx(context.Background(), in, opt)
 	return res

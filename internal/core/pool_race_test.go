@@ -51,9 +51,9 @@ func TestPooledSolveRace(t *testing.T) {
 	}
 	solvers := []solver{
 		{"greedy", func(in *Instance) float64 { return Greedy(in).MaxSum() }},
-		{"mincostflow", func(in *Instance) float64 { return MinCostFlow(in).Matching.MaxSum() }},
+		{"mincostflow", func(in *Instance) float64 { return MinCostFlowOpts(in, FlowOptions{}).Matching.MaxSum() }},
 		{"exact", func(in *Instance) float64 {
-			m, _, err := Exact(in)
+			m, _, err := ExactOpts(in, ExactOptions{})
 			if err != nil {
 				t.Errorf("exact: %v", err)
 				return -1

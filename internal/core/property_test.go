@@ -14,8 +14,8 @@ func TestTheorem2MinCostFlowRatio(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		in := randMatrixInstance(rng, 1+rng.Intn(4), 1+rng.Intn(5), 3, 3, rng.Float64())
 		opt := bruteForceOpt(in)
-		got := MinCostFlow(in).Matching.MaxSum()
-		alpha := float64(in.MaxUserCap())
+		got := MinCostFlowOpts(in, FlowOptions{}).Matching.MaxSum()
+		alpha := float64(maxUserCap(in))
 		return got >= opt/alpha-1e-9
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 150}); err != nil {
@@ -30,7 +30,7 @@ func TestTheorem3GreedyRatio(t *testing.T) {
 		in := randMatrixInstance(rng, 1+rng.Intn(4), 1+rng.Intn(5), 3, 3, rng.Float64())
 		opt := bruteForceOpt(in)
 		got := Greedy(in).MaxSum()
-		alpha := float64(in.MaxUserCap())
+		alpha := float64(maxUserCap(in))
 		return got >= opt/(1+alpha)-1e-9
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 150}); err != nil {
@@ -56,7 +56,7 @@ func TestExactMatchesBruteForce(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		in := randMatrixInstance(rng, 1+rng.Intn(4), 1+rng.Intn(5), 3, 3, rng.Float64())
-		m, _, err := Exact(in)
+		m, _, err := ExactOpts(in, ExactOptions{})
 		if err != nil {
 			return false
 		}
@@ -101,7 +101,7 @@ func TestNoConflictsMinCostFlowIsOptimal(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		in := randMatrixInstance(rng, 1+rng.Intn(4), 1+rng.Intn(5), 3, 3, 0)
 		opt := bruteForceOpt(in)
-		res := MinCostFlow(in)
+		res := MinCostFlowOpts(in, FlowOptions{})
 		if abs(res.Matching.MaxSum()-opt) > 1e-9 {
 			return false
 		}

@@ -29,9 +29,9 @@ func TestSolveContextMatchesPlainSolvers(t *testing.T) {
 	in := ctxTestInstance(t)
 	plain := map[string]func(*Instance, *rand.Rand) *Matching{
 		"greedy":      func(in *Instance, _ *rand.Rand) *Matching { return Greedy(in) },
-		"mincostflow": func(in *Instance, _ *rand.Rand) *Matching { return MinCostFlow(in).Matching },
+		"mincostflow": func(in *Instance, _ *rand.Rand) *Matching { return MinCostFlowOpts(in, FlowOptions{}).Matching },
 		"exact": func(in *Instance, _ *rand.Rand) *Matching {
-			m, _, err := Exact(in)
+			m, _, err := ExactOpts(in, ExactOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -161,15 +161,15 @@ func TestSolveContextRecordsMetrics(t *testing.T) {
 	reg := obs.Default()
 	total := reg.Counter(obs.Label("geacc_solve_total", "algo", "greedy"))
 	hist := reg.Histogram(obs.Label("geacc_solve_seconds", "algo", "greedy"), obs.DefaultLatencyBuckets)
-	beforeTotal, beforeCount := total.Value(), hist.Count()
+	beforeTotal, beforeCount := total.Value(), hist.Snapshot().Count
 	if _, err := SolveContext(context.Background(), "greedy", ctxTestInstance(t), nil); err != nil {
 		t.Fatal(err)
 	}
 	if total.Value() != beforeTotal+1 {
 		t.Fatalf("solve_total did not increment: %d -> %d", beforeTotal, total.Value())
 	}
-	if hist.Count() != beforeCount+1 {
-		t.Fatalf("solve_seconds did not record: %d -> %d", beforeCount, hist.Count())
+	if hist.Snapshot().Count != beforeCount+1 {
+		t.Fatalf("solve_seconds did not record: %d -> %d", beforeCount, hist.Snapshot().Count)
 	}
 }
 
@@ -179,7 +179,7 @@ func TestMinCostFlowRecordsSearchWork(t *testing.T) {
 	pops := reg.Counter("geacc_mcflow_dijkstra_pops_total")
 	scans := reg.Counter("geacc_mcflow_arc_scans_total")
 	a0, p0, s0 := aug.Value(), pops.Value(), scans.Value()
-	res := MinCostFlow(ctxTestInstance(t))
+	res := MinCostFlowOpts(ctxTestInstance(t), FlowOptions{})
 	da, dp, ds := aug.Value()-a0, pops.Value()-p0, scans.Value()-s0
 	// Unit pair arcs: one augmentation per unit of Δ. Each of those
 	// searches pops at least source, event, user and sink, and one more

@@ -29,7 +29,7 @@ func table1Instance(t *testing.T) *Instance {
 
 func TestTable1OptimalIs439(t *testing.T) {
 	in := table1Instance(t)
-	m, stats, err := Exact(in)
+	m, stats, err := ExactOpts(in, ExactOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestTable1GreedyIs428(t *testing.T) {
 
 func TestTable1MinCostFlowIs413(t *testing.T) {
 	in := table1Instance(t)
-	res := MinCostFlow(in)
+	res := MinCostFlowOpts(in, FlowOptions{})
 	if err := Validate(in, res.Matching); err != nil {
 		t.Fatalf("mincostflow matching infeasible: %v", err)
 	}
@@ -105,11 +105,11 @@ func TestTable1MinCostFlowIs413(t *testing.T) {
 func TestTable1ApproximationRatiosHold(t *testing.T) {
 	in := table1Instance(t)
 	opt := 4.39
-	alpha := float64(in.MaxUserCap()) // 3
+	alpha := float64(maxUserCap(in)) // 3
 	if g := Greedy(in).MaxSum(); g < opt/(1+alpha)-1e-9 {
 		t.Errorf("Greedy %v below 1/(1+α) bound %v", g, opt/(1+alpha))
 	}
-	if f := MinCostFlow(in).Matching.MaxSum(); f < opt/alpha-1e-9 {
+	if f := MinCostFlowOpts(in, FlowOptions{}).Matching.MaxSum(); f < opt/alpha-1e-9 {
 		t.Errorf("MinCostFlow %v below 1/α bound %v", f, opt/alpha)
 	}
 }
@@ -118,12 +118,12 @@ func TestTable1AlgorithmOrdering(t *testing.T) {
 	// On the toy instance the paper's walkthroughs give
 	// exact (4.39) > greedy (4.28) > mincostflow (4.13).
 	in := table1Instance(t)
-	exact, _, err := Exact(in)
+	exact, _, err := ExactOpts(in, ExactOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	g := Greedy(in)
-	f := MinCostFlow(in).Matching
+	f := MinCostFlowOpts(in, FlowOptions{}).Matching
 	if !(exact.MaxSum() > g.MaxSum() && g.MaxSum() > f.MaxSum()) {
 		t.Errorf("ordering violated: exact=%v greedy=%v mcf=%v",
 			exact.MaxSum(), g.MaxSum(), f.MaxSum())

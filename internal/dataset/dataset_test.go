@@ -3,12 +3,32 @@ package dataset
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
+	"github.com/ebsnlab/geacc/internal/conflict"
 	"github.com/ebsnlab/geacc/internal/core"
+	"github.com/ebsnlab/geacc/internal/sim"
 )
+
+// inRange reports an error if any component of v lies outside [0, maxT] or
+// is not a finite number.
+func inRange(v sim.Vector, maxT float64) error {
+	for i, x := range v {
+		if !(x >= 0 && x <= maxT) {
+			return fmt.Errorf("component %d = %v outside [0, %v]", i, x, maxT)
+		}
+	}
+	return nil
+}
+
+// density returns |CF| / (n·(n−1)/2), the relative conflict-set size the
+// paper's experiments sweep.
+func density(g *conflict.Graph) float64 {
+	return float64(g.Edges()) / float64(g.N()*(g.N()-1)/2)
+}
 
 func TestSyntheticDefaults(t *testing.T) {
 	c := DefaultSynthetic()
@@ -26,7 +46,7 @@ func TestSyntheticDefaults(t *testing.T) {
 		if e.Cap < 1 || e.Cap > 50 {
 			t.Fatalf("event capacity %d outside [1, 50]", e.Cap)
 		}
-		if err := e.Attrs.Validate(10000); err != nil {
+		if err := inRange(e.Attrs, 10000); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -35,7 +55,7 @@ func TestSyntheticDefaults(t *testing.T) {
 			t.Fatalf("user capacity %d outside [1, 4]", u.Cap)
 		}
 	}
-	if got := in.Conflicts.Density(); math.Abs(got-0.25) > 0.01 {
+	if got := density(in.Conflicts); math.Abs(got-0.25) > 0.01 {
 		t.Fatalf("conflict density %v, want ~0.25", got)
 	}
 }
@@ -89,7 +109,7 @@ func TestSyntheticDistributions(t *testing.T) {
 			t.Fatalf("%s: %v", dist, err)
 		}
 		for _, e := range in.Events {
-			if err := e.Attrs.Validate(c.MaxT); err != nil {
+			if err := inRange(e.Attrs, c.MaxT); err != nil {
 				t.Fatalf("%s: %v", dist, err)
 			}
 		}
@@ -188,7 +208,7 @@ func TestMeetupCities(t *testing.T) {
 }
 
 func TestMeetupCapacitiesMatchTable2(t *testing.T) {
-	cfg := DefaultMeetup()
+	cfg := MeetupConfig{City: "auckland", CapDist: Uniform, CFRatio: 0.25, Seed: 1}
 	cfg.City = "vancouver"
 	in, err := cfg.Generate()
 	if err != nil {
@@ -226,7 +246,7 @@ func TestMeetupErrors(t *testing.T) {
 }
 
 func TestMeetupSimilaritiesNonTrivial(t *testing.T) {
-	cfg := DefaultMeetup()
+	cfg := MeetupConfig{City: "auckland", CapDist: Uniform, CFRatio: 0.25, Seed: 1}
 	in, err := cfg.Generate()
 	if err != nil {
 		t.Fatal(err)
@@ -311,7 +331,7 @@ func TestGeneratedInstancesSolvable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc := DefaultMeetup()
+	mc := MeetupConfig{City: "auckland", CapDist: Uniform, CFRatio: 0.25, Seed: 1}
 	meetup, err := mc.Generate()
 	if err != nil {
 		t.Fatal(err)

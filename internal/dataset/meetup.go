@@ -29,17 +29,12 @@ import (
 //
 // Similarity uses the paper's Equation 1 with d = 20, T = 1.
 
-// MeetupTagCount is the number of merged tags (attribute dimensionality).
+// MeetupTagCount is the number of merged tags (attribute dimensionality):
+// the 20 "most popular tags" the paper keeps after merging synonyms, in
+// attribute order outdoor, tech, social, sports, music, business,
+// language, food, arts, health, games, books, travel, photography, dance,
+// movies, parenting, spirituality, pets, education.
 const MeetupTagCount = 20
-
-// MeetupTags are the merged tag names, in attribute order. They are the 20
-// "most popular tags" the paper keeps after merging synonyms.
-var MeetupTags = []string{
-	"outdoor", "tech", "social", "sports", "music",
-	"business", "language", "food", "arts", "health",
-	"games", "books", "travel", "photography", "dance",
-	"movies", "parenting", "spirituality", "pets", "education",
-}
 
 // City describes one extracted city of TABLE II.
 type City struct {
@@ -76,12 +71,6 @@ type MeetupConfig struct {
 	// in the paper's real-data experiments.
 	CFRatio float64
 	Seed    int64
-}
-
-// DefaultMeetup returns the Auckland setting used in Fig. 4's real-data
-// column, with uniform capacities and the default conflict density.
-func DefaultMeetup() MeetupConfig {
-	return MeetupConfig{City: "auckland", CapDist: Uniform, CFRatio: 0.25, Seed: 1}
 }
 
 // Generate builds the simulated city instance.

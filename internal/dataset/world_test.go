@@ -65,7 +65,7 @@ func TestExtractCitiesRecoversTable2(t *testing.T) {
 		if len(c.EventIDs) != got[0] || len(c.UserIDs) != got[1] {
 			t.Fatalf("city %d id mapping sizes wrong", i)
 		}
-		if got := c.Instance.Conflicts.Density(); got < 0.2 || got > 0.3 {
+		if got := density(c.Instance.Conflicts); got < 0.2 || got > 0.3 {
 			t.Fatalf("city %d conflict density %v", i, got)
 		}
 	}

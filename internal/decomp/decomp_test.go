@@ -141,7 +141,7 @@ func TestClusteredInstanceDecomposesIntoCommunities(t *testing.T) {
 func TestDecomposedExactMatchesWholeExact(t *testing.T) {
 	check := func(name string, in *core.Instance) {
 		t.Helper()
-		whole, _, err := core.Exact(in)
+		whole, _, err := core.ExactOpts(in, core.ExactOptions{})
 		if err != nil {
 			t.Fatalf("%s: whole exact: %v", name, err)
 		}

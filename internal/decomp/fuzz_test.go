@@ -51,7 +51,7 @@ func FuzzDecomposedSolve(f *testing.F) {
 			t.Fatalf("%s %+v: MaxSum %v above the Corollary 1 bound %v", algo, cfg, res.M.MaxSum(), bound)
 		}
 		if algo == "exact" {
-			whole, _, err := core.Exact(in)
+			whole, _, err := core.ExactOpts(in, core.ExactOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}

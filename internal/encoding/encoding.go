@@ -235,17 +235,6 @@ func EncodeMatching(w io.Writer, m *core.Matching) error {
 	return enc.Encode(MatchingDoc(m))
 }
 
-// DecodeMatching parses a matching from JSON.
-func DecodeMatching(r io.Reader) (*core.Matching, error) {
-	var doc MatchingJSON
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&doc); err != nil {
-		return nil, fmt.Errorf("encoding: %w", err)
-	}
-	return NewMatching(doc.Pairs)
-}
-
 // WriteMatchingCSV writes "v,u,sim" rows (with header) sorted by (v, u).
 func WriteMatchingCSV(w io.Writer, m *core.Matching) error {
 	cw := csv.NewWriter(w)
@@ -264,36 +253,4 @@ func WriteMatchingCSV(w io.Writer, m *core.Matching) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// ReadMatchingCSV parses the WriteMatchingCSV format.
-func ReadMatchingCSV(r io.Reader) (*core.Matching, error) {
-	cr := csv.NewReader(r)
-	records, err := cr.ReadAll()
-	if err != nil {
-		return nil, fmt.Errorf("encoding: %w", err)
-	}
-	var pairs []PairJSON
-	for i, rec := range records {
-		if i == 0 {
-			continue // header
-		}
-		if len(rec) != 3 {
-			return nil, fmt.Errorf("encoding: row %d has %d fields, want 3", i, len(rec))
-		}
-		v, err := strconv.Atoi(rec[0])
-		if err != nil {
-			return nil, fmt.Errorf("encoding: row %d: %w", i, err)
-		}
-		u, err := strconv.Atoi(rec[1])
-		if err != nil {
-			return nil, fmt.Errorf("encoding: row %d: %w", i, err)
-		}
-		s, err := strconv.ParseFloat(rec[2], 64)
-		if err != nil {
-			return nil, fmt.Errorf("encoding: row %d: %w", i, err)
-		}
-		pairs = append(pairs, PairJSON{V: v, U: u, Sim: s})
-	}
-	return NewMatching(pairs)
 }

@@ -2,6 +2,7 @@ package encoding
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -41,15 +42,15 @@ func FuzzDecodeInstance(f *testing.F) {
 	})
 }
 
-// FuzzDecodeMatching asserts the matching decoder never panics and anything
-// accepted is well-formed.
+// FuzzDecodeMatching asserts that decoding a matching document the way
+// /validate does never panics and that anything accepted is well-formed.
 func FuzzDecodeMatching(f *testing.F) {
 	f.Add(`{"pairs":[{"v":0,"u":0,"sim":0.5}],"max_sum":0.5}`)
 	f.Add(`{"pairs":[],"max_sum":0}`)
 	f.Add(`{"pairs":[{"v":-1,"u":0,"sim":2}]}`)
 	f.Add(`{`)
 	f.Fuzz(func(t *testing.T, doc string) {
-		m, err := DecodeMatching(strings.NewReader(doc))
+		m, err := decodeMatching(strings.NewReader(doc))
 		if err != nil {
 			return
 		}
@@ -68,20 +69,37 @@ func FuzzDecodeMatching(f *testing.F) {
 	})
 }
 
-// FuzzReadMatchingCSV covers the CSV reader the same way.
+// FuzzReadMatchingCSV turns fuzzed CSV into matchings and checks that
+// WriteMatchingCSV writes each one losslessly: reading its output back
+// gives the same pairs with the same similarity bits.
 func FuzzReadMatchingCSV(f *testing.F) {
 	f.Add("v,u,sim\n0,1,0.5\n")
 	f.Add("v,u,sim\n")
 	f.Add("garbage")
 	f.Add("v,u,sim\n0,0,0.5\n0,0,0.5\n")
+	f.Add("v,u,sim\n3,1,0.123456789\n0,2,5e-324\n1,1,-0\n")
 	f.Fuzz(func(t *testing.T, doc string) {
-		m, err := ReadMatchingCSV(strings.NewReader(doc))
+		m, err := readMatchingCSV(strings.NewReader(doc))
 		if err != nil {
 			return
 		}
 		var buf bytes.Buffer
 		if err := WriteMatchingCSV(&buf, m); err != nil {
-			t.Fatalf("accepted CSV failed to re-write: %v", err)
+			t.Fatalf("matching failed to write: %v", err)
+		}
+		back, err := readMatchingCSV(&buf)
+		if err != nil {
+			t.Fatalf("written CSV failed to read back: %v\n%s", err, buf.String())
+		}
+		want, got := m.SortedPairs(), back.SortedPairs()
+		if len(got) != len(want) {
+			t.Fatalf("%d pairs read back, want %d", len(got), len(want))
+		}
+		for i := range want {
+			if got[i].V != want[i].V || got[i].U != want[i].U ||
+				math.Float64bits(got[i].Sim) != math.Float64bits(want[i].Sim) {
+				t.Fatalf("pair %d read back as %+v, want %+v", i, got[i], want[i])
+			}
 		}
 	})
 }

@@ -16,9 +16,9 @@ func TestChunkedBlockBoundary(t *testing.T) {
 	f := sim.Euclidean(testDim, testMaxT)
 	for _, n := range []int{simBatchBlock - 1, simBatchBlock, simBatchBlock + 1, 2*simBatchBlock + 37} {
 		data := testData(rng, n)
-		want := drain(NewSorted(data, f).Stream(data[0]), n)
+		want := drain(NewSortedKernel(sim.NewKernel(data, f)).Stream(data[0]), n)
 		for _, chunk := range []int{1, 3, DefaultChunkSize, 100} {
-			got := drain(NewChunked(data, f, chunk).Stream(data[0]), n)
+			got := drain(NewChunkedKernel(sim.NewKernel(data, f), chunk, nil).Stream(data[0]), n)
 			if len(got) != len(want) {
 				t.Fatalf("n=%d chunk=%d: %d pairs, oracle %d", n, chunk, len(got), len(want))
 			}
@@ -42,9 +42,9 @@ func TestChunkedChunkSizeInvariance(t *testing.T) {
 	data := testData(rng, n)
 	queries := testData(rng, 4)
 	for _, q := range queries {
-		want := drain(NewChunked(data, f, DefaultChunkSize).Stream(q), n)
+		want := drain(NewChunkedKernel(sim.NewKernel(data, f), DefaultChunkSize, nil).Stream(q), n)
 		for _, chunk := range []int{1, DefaultChunkSize, 50} {
-			got := drain(NewChunked(data, f, chunk).Stream(q), n)
+			got := drain(NewChunkedKernel(sim.NewKernel(data, f), chunk, nil).Stream(q), n)
 			if len(got) != len(want) {
 				t.Fatalf("chunk=%d changed stream length: %d vs %d", chunk, len(got), len(want))
 			}
@@ -66,7 +66,7 @@ func TestKernelConstructorsShareStore(t *testing.T) {
 	data := testData(rng, 120)
 	k := sim.NewKernel(data, f)
 	q := data[7]
-	want := drain(NewSorted(data, f).Stream(q), 120)
+	want := drain(NewSortedKernel(sim.NewKernel(data, f)).Stream(q), 120)
 	for name, ix := range map[string]Index{
 		"sorted":  NewSortedKernel(k),
 		"chunked": NewChunkedKernel(k, 0, nil),

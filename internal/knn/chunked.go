@@ -68,12 +68,6 @@ func (l *Live) Release() {
 // first scan. Subsequent refills double the chunk size.
 const DefaultChunkSize = 8
 
-// NewChunked builds a Chunked index over data using similarity f. chunkSize
-// controls the first refill; values < 1 select DefaultChunkSize.
-func NewChunked(data []sim.Vector, f sim.Func, chunkSize int) *Chunked {
-	return NewChunkedKernel(sim.NewKernel(data, f), chunkSize, nil)
-}
-
 // NewChunkedKernel builds a Chunked index over an existing kernel, sharing
 // its flat store instead of rebuilding one. chunkSize < 1 selects
 // DefaultChunkSize. live (over k's rows) restricts refills to its ids; nil

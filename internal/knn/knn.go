@@ -114,11 +114,6 @@ type Sorted struct {
 	kernel *sim.Kernel
 }
 
-// NewSorted builds a Sorted index over data using similarity f.
-func NewSorted(data []sim.Vector, f sim.Func) *Sorted {
-	return NewSortedKernel(sim.NewKernel(data, f))
-}
-
 // NewSortedKernel builds a Sorted index over an existing kernel, sharing its
 // flat store instead of rebuilding one.
 func NewSortedKernel(k *sim.Kernel) *Sorted {

@@ -69,10 +69,10 @@ func normalizeTies(ps []Pair) []Pair {
 
 func buildAll(data []sim.Vector, f sim.Func) map[string]Index {
 	return map[string]Index{
-		"sorted":    NewSorted(data, f),
-		"chunked":   NewChunked(data, f, 4),
+		"sorted":    NewSortedKernel(sim.NewKernel(data, f)),
+		"chunked":   NewChunkedKernel(sim.NewKernel(data, f), 4, nil),
 		"idistance": NewIDistance(data, f, 4),
-		"vafile":    NewVAFile(data, f, 4),
+		"vafile":    NewVAFileKernel(sim.NewKernel(data, f), 4),
 	}
 }
 
@@ -156,10 +156,10 @@ func TestZeroSimilarityOmitted(t *testing.T) {
 	f := sim.Euclidean(1, 10)
 	data := []sim.Vector{{10}, {5}, {0}}
 	for name, ix := range map[string]Index{
-		"sorted":    NewSorted(data, f),
-		"chunked":   NewChunked(data, f, 2),
+		"sorted":    NewSortedKernel(sim.NewKernel(data, f)),
+		"chunked":   NewChunkedKernel(sim.NewKernel(data, f), 2, nil),
 		"idistance": NewIDistance(data, f, 2),
-		"vafile":    NewVAFile(data, f, 2),
+		"vafile":    NewVAFileKernel(sim.NewKernel(data, f), 2),
 	} {
 		got := drain(ix.Stream(sim.Vector{0}), 10)
 		if len(got) != 2 {
@@ -175,10 +175,10 @@ func TestEmptyIndex(t *testing.T) {
 	f := sim.Euclidean(testDim, testMaxT)
 	var data []sim.Vector
 	for name, ix := range map[string]Index{
-		"sorted":    NewSorted(data, f),
-		"chunked":   NewChunked(data, f, 0),
+		"sorted":    NewSortedKernel(sim.NewKernel(data, f)),
+		"chunked":   NewChunkedKernel(sim.NewKernel(data, f), 0, nil),
 		"idistance": NewIDistance(data, f, 3),
-		"vafile":    NewVAFile(data, f, 3),
+		"vafile":    NewVAFileKernel(sim.NewKernel(data, f), 3),
 	} {
 		if ix.Len() != 0 {
 			t.Errorf("%s: Len = %d", name, ix.Len())
@@ -224,7 +224,7 @@ func TestChunkedRefillBoundary(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		data = append(data, sim.Vector{float64(i)})
 	}
-	ix := NewChunked(data, f, 4)
+	ix := NewChunkedKernel(sim.NewKernel(data, f), 4, nil)
 	got := drain(ix.Stream(sim.Vector{0}), 100)
 	if len(got) != 16 {
 		t.Fatalf("got %d, want 16", len(got))
@@ -242,11 +242,11 @@ func TestLargeRandomEquivalenceProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		data := testData(rng, 30+rng.Intn(50))
 		query := testData(rng, 1)[0]
-		oracle := normalizeTies(drain(NewSorted(data, f).Stream(query), len(data)))
+		oracle := normalizeTies(drain(NewSortedKernel(sim.NewKernel(data, f)).Stream(query), len(data)))
 		for _, ix := range []Index{
-			NewChunked(data, f, 1+rng.Intn(8)),
+			NewChunkedKernel(sim.NewKernel(data, f), 1+rng.Intn(8), nil),
 			NewIDistance(data, f, 1+rng.Intn(6)),
-			NewVAFile(data, f, uint(1+rng.Intn(8))),
+			NewVAFileKernel(sim.NewKernel(data, f), uint(1+rng.Intn(8))),
 		} {
 			got := normalizeTies(drain(ix.Stream(query), len(data)))
 			if len(got) != len(oracle) {
@@ -279,7 +279,7 @@ func BenchmarkChunkedFirstNeighbor(b *testing.B) {
 	f := sim.Euclidean(testDim, testMaxT)
 	rng := rand.New(rand.NewSource(9))
 	data := testData(rng, 10000)
-	ix := NewChunked(data, f, DefaultChunkSize)
+	ix := NewChunkedKernel(sim.NewKernel(data, f), DefaultChunkSize, nil)
 	query := testData(rng, 1)[0]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -37,15 +37,10 @@ type VAFile struct {
 // the extra work many times over.
 const vaVerifyBlock = 64
 
-// NewVAFile builds a VA-File with 2^bitsPerDim quantization cells per
-// dimension (bitsPerDim is clamped to [1, 8]). f must be a similarity that
-// strictly decreases with Euclidean distance.
-func NewVAFile(data []sim.Vector, f sim.Func, bitsPerDim uint) *VAFile {
-	return NewVAFileKernel(sim.NewKernel(data, f), bitsPerDim)
-}
-
 // NewVAFileKernel builds a VA-File over an existing kernel, sharing its flat
-// store instead of rebuilding one.
+// store instead of rebuilding one, with 2^bitsPerDim quantization cells per
+// dimension (bitsPerDim is clamped to [1, 8]). The kernel's similarity must
+// strictly decrease with Euclidean distance.
 func NewVAFileKernel(k *sim.Kernel, bitsPerDim uint) *VAFile {
 	if bitsPerDim < 1 {
 		bitsPerDim = 1

@@ -7,36 +7,36 @@ import (
 )
 
 func TestGraphAccessors(t *testing.T) {
-	g := NewGraph(3)
-	if g.NumNodes() != 3 || g.NumArcs() != 0 {
-		t.Fatalf("fresh graph: nodes=%d arcs=%d", g.NumNodes(), g.NumArcs())
+	g := AcquireGraph(3)
+	if g.numNodes != 3 || len(g.to)/2 != 0 {
+		t.Fatalf("fresh graph: nodes=%d arcs=%d", g.numNodes, len(g.to)/2)
 	}
 	g.Grow(10)
 	g.AddArc(0, 1, 2, 0.5)
 	g.AddArc(1, 2, 1, 0.25)
-	if g.NumArcs() != 2 {
-		t.Fatalf("NumArcs = %d", g.NumArcs())
+	if len(g.to)/2 != 2 {
+		t.Fatalf("arcs = %d", len(g.to)/2)
 	}
 	// Grow must preserve existing arcs.
-	sv := NewSolver(g, 0, 2)
-	flow, cost := sv.MinCostFlow(math.MaxInt64)
+	sv := AcquireSolver(g, 0, 2)
+	flow, cost := minCostFlow(sv, math.MaxInt64)
 	if flow != 1 || math.Abs(cost-0.75) > 1e-12 {
 		t.Fatalf("flow=%d cost=%v after Grow", flow, cost)
 	}
-	if sv.TotalFlow() != 1 || math.Abs(sv.TotalCost()-0.75) > 1e-12 {
-		t.Fatalf("totals = %d, %v", sv.TotalFlow(), sv.TotalCost())
+	if sv.TotalFlow() != 1 || math.Abs(flowCost(sv.g)-0.75) > 1e-12 {
+		t.Fatalf("totals = %d, %v", sv.TotalFlow(), flowCost(sv.g))
 	}
 }
 
 func TestAugmentBelowStopsAtBound(t *testing.T) {
 	// Two unit paths: costs 0.4 and 0.9. With bound 0.5 only the cheap one
 	// is taken; a second call reports the rejected cost.
-	g := NewGraph(4)
+	g := AcquireGraph(4)
 	g.AddArc(0, 1, 1, 0.4)
 	g.AddArc(1, 3, 1, 0)
 	g.AddArc(0, 2, 1, 0.9)
 	g.AddArc(2, 3, 1, 0)
-	sv := NewSolver(g, 0, 3)
+	sv := AcquireSolver(g, 0, 3)
 	units, cost, ok := sv.AugmentBelow(10, 0.5)
 	if !ok || units != 1 || math.Abs(cost-0.4) > 1e-12 {
 		t.Fatalf("first AugmentBelow = (%d, %v, %v)", units, cost, ok)
@@ -64,13 +64,13 @@ func TestAugmentBelowStopsAtBound(t *testing.T) {
 func TestSearchStopsAtTarget(t *testing.T) {
 	// 0 -> 1 -> 2 is the unit path to the sink; 0 -> 3 -> 4 is a dead
 	// branch the first search never needs to settle.
-	g := NewGraph(5)
+	g := AcquireGraph(5)
 	g.AddArc(0, 1, 1, 1)
 	g.AddArc(1, 2, 1, 1)
 	g.AddArc(0, 3, 1, 5)
 	g.AddArc(3, 4, 1, 0)
-	sv := NewSolver(g, 0, 2)
-	if units, cost, ok := sv.Augment(1); !ok || units != 1 || cost != 2 {
+	sv := AcquireSolver(g, 0, 2)
+	if units, cost, ok := sv.AugmentBelow(1, math.Inf(1)); !ok || units != 1 || cost != 2 {
 		t.Fatalf("Augment = (%d, %v, %v), want (1, 2, true)", units, cost, ok)
 	}
 	// Pops 0, 1 and the sink. Scans 0's arcs by cost: 0 -> 1 sets the
@@ -85,7 +85,7 @@ func TestSearchStopsAtTarget(t *testing.T) {
 		t.Fatalf("potentials = %v, want %v", got, want)
 	}
 	// The sink is cut off: the second search exhausts the dead branch.
-	if _, _, ok := sv.Augment(1); ok {
+	if _, _, ok := sv.AugmentBelow(1, math.Inf(1)); ok {
 		t.Fatal("augmented a saturated network")
 	}
 	if pops, scans := sv.SearchStats(); pops != 6 || scans != 9 {
@@ -97,13 +97,13 @@ func TestSearchSkipsArcsPastSinkBound(t *testing.T) {
 	// Node 1 reaches the sink 5 through 2, 3 or 4 at rising costs 1, 2, 3.
 	// Its arcs are scanned cheapest first, and once the bound on the
 	// sink's distance is known the costlier ones cannot beat it.
-	g := NewGraph(6)
+	g := AcquireGraph(6)
 	src := g.AddArc(0, 1, 3, 0)
 	mid := []ArcID{g.AddArc(1, 2, 1, 1), g.AddArc(1, 3, 1, 2), g.AddArc(1, 4, 1, 3)}
 	for w := 2; w <= 4; w++ {
 		g.AddArc(w, 5, 1, 0)
 	}
-	sv := NewSolver(g, 0, 5)
+	sv := AcquireSolver(g, 0, 5)
 	steps := []struct {
 		cost        float64
 		pops, scans int64
@@ -121,7 +121,7 @@ func TestSearchSkipsArcsPastSinkBound(t *testing.T) {
 		{2, 8, 13, []int64{1, 1, 0}, []float64{0, 0, 2, 2, 2, 2}},
 	}
 	for i, want := range steps {
-		units, cost, ok := sv.Augment(1)
+		units, cost, ok := sv.AugmentBelow(1, math.Inf(1))
 		if !ok || units != 1 || cost != want.cost {
 			t.Fatalf("step %d: Augment = (%d, %v, %v), want (1, %v, true)", i, units, cost, ok, want.cost)
 		}

@@ -97,7 +97,7 @@ func establishFlow(g *Graph, s, t int, target int64) int64 {
 }
 
 func TestCycleCancelingSimple(t *testing.T) {
-	g := NewGraph(4)
+	g := AcquireGraph(4)
 	g.AddArc(0, 1, 1, 5)
 	g.AddArc(1, 3, 1, 0)
 	g.AddArc(0, 2, 1, 1)
@@ -114,7 +114,7 @@ func TestCycleCancelingSimple(t *testing.T) {
 func TestCycleCancelingNeedsCanceling(t *testing.T) {
 	// BFS establishes flow on the expensive path first; a negative residual
 	// cycle then reroutes it.
-	g := NewGraph(4)
+	g := AcquireGraph(4)
 	g.AddArc(0, 1, 1, 10) // expensive
 	g.AddArc(1, 3, 1, 0)
 	g.AddArc(0, 2, 1, 1) // cheap
@@ -161,8 +161,8 @@ func TestCycleCancelingMatchesSSPAProperty(t *testing.T) {
 		target := 1 + rng.Int63n(maxFlow)
 
 		gA, s, tt := buildBipartite(nv, nu, capV, capU, cost)
-		sspa := NewSolver(gA, s, tt)
-		flowA, costA := sspa.MinCostFlow(target)
+		sspa := AcquireSolver(gA, s, tt)
+		flowA, costA := minCostFlow(sspa, target)
 
 		gB, _, _ := buildBipartite(nv, nu, capV, capU, cost)
 		flowB, costB, err := CycleCanceling(gB, s, tt, target)
@@ -178,7 +178,7 @@ func TestCycleCancelingMatchesSSPAProperty(t *testing.T) {
 
 func TestCycleCancelingPartialFlow(t *testing.T) {
 	// Target exceeds the max flow: solver delivers what is possible.
-	g := NewGraph(3)
+	g := AcquireGraph(3)
 	g.AddArc(0, 1, 2, 1)
 	g.AddArc(1, 2, 2, 1)
 	flow, cost, err := CycleCanceling(g, 0, 2, 10)
@@ -191,7 +191,7 @@ func TestCycleCancelingPartialFlow(t *testing.T) {
 }
 
 func TestCycleCancelingDisconnected(t *testing.T) {
-	g := NewGraph(3)
+	g := AcquireGraph(3)
 	g.AddArc(0, 1, 1, 1)
 	flow, cost, err := CycleCanceling(g, 0, 2, 1)
 	if err != nil {
@@ -203,7 +203,7 @@ func TestCycleCancelingDisconnected(t *testing.T) {
 }
 
 func TestCycleCancelingBadTerminals(t *testing.T) {
-	g := NewGraph(2)
+	g := AcquireGraph(2)
 	if _, _, err := CycleCanceling(g, 0, 0, 1); err == nil {
 		t.Error("s == t accepted")
 	}
@@ -237,8 +237,8 @@ func BenchmarkFlowSolvers(b *testing.B) {
 		var pops, scans int64
 		for i := 0; i < b.N; i++ {
 			g, s, t := buildBipartite(nv, nu, capV, capU, cost)
-			sv := NewSolver(g, s, t)
-			sv.MinCostFlow(50)
+			sv := AcquireSolver(g, s, t)
+			minCostFlow(sv, 50)
 			p, a := sv.SearchStats()
 			pops, scans = pops+p, scans+a
 		}

@@ -13,29 +13,26 @@
 //
 // # API
 //
-// Build a network with NewGraph and AddArc (arcs are stored as
+// Build a network with AcquireGraph and AddArc (arcs are stored as
 // forward/residual twins; AddArc returns an ArcID whose post-solve flow is
 // read back with Graph.Flow). Grow pre-allocates arc storage when the arc
-// count is known. A Solver is bound to one source/sink pair by NewSolver
-// and mutates the graph's residual capacities; build a fresh Graph (or
-// Solver) per solve. Binding indexes the arcs into one forward-star (CSR)
-// adjacency whose non-terminal arcs a search sorts by cost.
+// count is known. A Solver is bound to one source/sink pair by
+// AcquireSolver and mutates the graph's residual capacities; acquire a
+// fresh Graph (or Reset one) per solve. Binding indexes the arcs into one
+// forward-star (CSR) adjacency whose non-terminal arcs a search sorts by
+// cost.
 //
-// Three driving styles, all built on the same augmentation step:
-//
-//   - Solver.MinCostFlow(target): push up to target units at minimum cost
-//     (math.MaxInt64 for min-cost max-flow).
-//   - Solver.Augment(maxUnits): one shortest augmenting path at a time;
-//     successive calls yield non-decreasing per-unit costs, and after each
-//     call the current flow is a minimum-cost flow of amount TotalFlow().
-//   - Solver.AugmentBelow(maxUnits, bound): augment only while the next
-//     path's per-unit cost stays below bound — the primitive
-//     internal/core's Δ-sweep uses to stop at the MaxSum-optimal Δ, and
-//     the natural place callers poll for cancellation (internal/core does,
-//     between calls).
+// Solver.AugmentBelow(maxUnits, bound) pushes along one shortest
+// augmenting path while its per-unit cost stays below bound. Successive
+// calls yield non-decreasing per-unit costs, and after each call the
+// current flow is a minimum-cost flow of amount TotalFlow(); with bound
+// math.Inf(1) the loop computes a min-cost max-flow. It is the primitive
+// internal/core's Δ-sweep uses to stop at the MaxSum-optimal Δ, and the
+// natural place callers poll for cancellation (internal/core does, between
+// calls).
 //
 // Each shortest-path search stops as soon as it pops its target (the sink
-// for Augment and AugmentBelow, the source for RetreatAbove's reverse
+// for AugmentBelow, the source for RetreatAbove's reverse
 // search), since only that one path is used. Potentials then advance by
 // min(dist[v], dist[target]). Nodes the search settled move by their exact
 // distance and every other node by the target's, which keeps every
@@ -47,7 +44,7 @@
 // Solver.SearchStats reports the pops and the arcs scanned.
 //
 // Costs may be negative as long as the graph admits no negative cycle:
-// NewSolver runs one Bellman–Ford relaxation to compute valid initial
+// binding a Solver runs one Bellman–Ford relaxation to compute valid initial
 // potentials when a negative-cost arc is present (the GEACC reduction's
 // costs lie in [0, 1], so it skips this).
 //

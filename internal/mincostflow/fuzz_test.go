@@ -18,10 +18,10 @@ func FuzzSSPA(f *testing.F) {
 		if !ok {
 			return
 		}
-		sv := NewSolver(ns.build(), ns.s, ns.t)
+		sv := AcquireSolver(ns.build(), ns.s, ns.t)
 		checkStep(t, ns, sv, "bootstrap")
 		for {
-			if _, _, ok := sv.Augment(math.MaxInt64); !ok {
+			if _, _, ok := sv.AugmentBelow(math.MaxInt64, math.Inf(1)); !ok {
 				break
 			}
 			checkStep(t, ns, sv, "augment")
@@ -103,9 +103,9 @@ func FuzzNegativeCycle(f *testing.F) {
 		if len(data) < 1+n {
 			return
 		}
-		g := NewGraph(n)
+		g := AcquireGraph(n)
 		body := data[1+n:]
-		for i := 0; i+2 < len(body) && g.NumArcs() < 48; i += 3 {
+		for i := 0; i+2 < len(body) && len(g.to)/2 < 48; i += 3 {
 			from, to, c := int(body[i])%n, int(body[i+1])%n, body[i+2]
 			if from == to {
 				continue

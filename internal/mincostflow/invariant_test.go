@@ -29,7 +29,7 @@ type netSpec struct {
 }
 
 func (ns *netSpec) build() *Graph {
-	g := NewGraph(ns.n)
+	g := AcquireGraph(ns.n)
 	for _, a := range ns.arcs {
 		g.AddArc(a.from, a.to, a.cap, a.cost)
 	}
@@ -52,9 +52,9 @@ func checkStep(t testing.TB, ns *netSpec, sv *Solver, step string) {
 	t.Helper()
 	checkPotentials(t, sv, step)
 	flow, cost := ns.oracle(t, sv.TotalFlow())
-	if flow != sv.TotalFlow() || math.Abs(cost-sv.TotalCost()) > 1e-9 {
+	if flow != sv.TotalFlow() || math.Abs(cost-flowCost(sv.g)) > 1e-9 {
 		t.Fatalf("%s: flow %d cost %v, oracle flow %d cost %v",
-			step, sv.TotalFlow(), sv.TotalCost(), flow, cost)
+			step, sv.TotalFlow(), flowCost(sv.g), flow, cost)
 	}
 }
 
@@ -84,7 +84,7 @@ func checkRetreatDone(t testing.TB, ns *netSpec, sv *Solver, bound float64) {
 		return
 	}
 	_, prev := ns.oracle(t, k-1)
-	if last := sv.TotalCost() - prev; last >= bound+1e-9 {
+	if last := flowCost(sv.g) - prev; last >= bound+1e-9 {
 		t.Fatalf("retreat stopped at flow %d, whose last unit costs %v >= bound %v", k, last, bound)
 	}
 }
@@ -123,7 +123,7 @@ func driveCold(t *testing.T, rng *rand.Rand, ns *netSpec, sv *Solver) {
 	for step := 0; ; step++ {
 		var ok bool
 		if step%2 == 0 {
-			_, _, ok = sv.Augment(1 + int64(rng.Intn(2)))
+			_, _, ok = sv.AugmentBelow(1+int64(rng.Intn(2)), math.Inf(1))
 		} else {
 			_, _, ok = sv.AugmentBelow(1+int64(rng.Intn(2)), math.Inf(1))
 		}
@@ -141,7 +141,7 @@ func TestPotentialInvariantZeroCost(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 150; trial++ {
 		ns := randomNet(rng, 3+rng.Intn(8), false, 0.5)
-		sv := NewSolver(ns.build(), ns.s, ns.t)
+		sv := AcquireSolver(ns.build(), ns.s, ns.t)
 		driveCold(t, rng, ns, sv)
 	}
 }
@@ -150,7 +150,7 @@ func TestPotentialInvariantNegativeCost(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for trial := 0; trial < 150; trial++ {
 		ns := randomNet(rng, 3+rng.Intn(8), true, 0.2)
-		sv := NewSolver(ns.build(), ns.s, ns.t)
+		sv := AcquireSolver(ns.build(), ns.s, ns.t)
 		checkStep(t, ns, sv, "bellman-ford bootstrap")
 		driveCold(t, rng, ns, sv)
 	}
@@ -178,14 +178,14 @@ func TestPotentialInvariantBruteForce(t *testing.T) {
 			}
 		}
 		g, s, tt := buildBipartite(nv, nu, capV, capU, cost)
-		sv := NewSolver(g, s, tt)
+		sv := AcquireSolver(g, s, tt)
 		for {
-			if _, _, ok := sv.Augment(1); !ok {
+			if _, _, ok := sv.AugmentBelow(1, math.Inf(1)); !ok {
 				break
 			}
 			k := sv.TotalFlow()
-			if want := bruteMinCost(nv, nu, capV, capU, cost, int(k)); math.Abs(sv.TotalCost()-want) > 1e-9 {
-				t.Fatalf("trial %d k=%d: cost %v, brute force %v", trial, k, sv.TotalCost(), want)
+			if want := bruteMinCost(nv, nu, capV, capU, cost, int(k)); math.Abs(flowCost(sv.g)-want) > 1e-9 {
+				t.Fatalf("trial %d k=%d: cost %v, brute force %v", trial, k, flowCost(sv.g), want)
 			}
 			checkPotentials(t, sv, "bipartite augment")
 		}
@@ -200,8 +200,8 @@ func TestPotentialInvariantWarm(t *testing.T) {
 	for trial := 0; trial < 150; trial++ {
 		ns := randomNet(rng, 3+rng.Intn(8), trial%2 == 1, 0.3)
 		g0 := ns.build()
-		sv0 := NewSolver(g0, ns.s, ns.t)
-		sv0.MinCostFlow(1 + rng.Int63n(6))
+		sv0 := AcquireSolver(g0, ns.s, ns.t)
+		minCostFlow(sv0, 1+rng.Int63n(6))
 		prevPot := sv0.Potentials(nil)
 
 		// Delta: re-cost some arcs (keeping every cycle non-negative by
@@ -226,7 +226,7 @@ func TestPotentialInvariantWarm(t *testing.T) {
 				t.Fatalf("trial %d: restore of arc %d failed", trial, i)
 			}
 		}
-		sv := NewSolver(g, ns2.s, ns2.t)
+		sv := AcquireSolver(g, ns2.s, ns2.t)
 		if st := sv.WarmStart(g, ns2.s, ns2.t, prevPot); !st.OK {
 			t.Fatalf("trial %d: WarmStart did not converge", trial)
 		}
@@ -274,9 +274,9 @@ func TestPotentialInvariantQuantizedGEACC(t *testing.T) {
 				}
 			}
 		}
-		sv := NewSolver(ns.build(), ns.s, ns.t)
+		sv := AcquireSolver(ns.build(), ns.s, ns.t)
 		for {
-			if _, _, ok := sv.Augment(1); !ok {
+			if _, _, ok := sv.AugmentBelow(1, math.Inf(1)); !ok {
 				break
 			}
 			checkStep(t, ns, sv, "quantized augment")

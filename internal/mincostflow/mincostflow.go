@@ -39,20 +39,6 @@ type arcRec struct {
 // ArcID identifies an arc returned by AddArc.
 type ArcID int32
 
-// NewGraph returns an empty network with n nodes labeled 0..n-1.
-func NewGraph(n int) *Graph {
-	if n <= 0 {
-		panic(fmt.Sprintf("mincostflow: non-positive node count %d", n))
-	}
-	return &Graph{numNodes: n}
-}
-
-// NumNodes returns the number of nodes in the network.
-func (g *Graph) NumNodes() int { return g.numNodes }
-
-// NumArcs returns the number of forward arcs added so far.
-func (g *Graph) NumArcs() int { return len(g.to) / 2 }
-
 // Grow guarantees storage for n additional forward arcs, reallocating only
 // when the current (possibly pooled) capacity falls short.
 func (g *Graph) Grow(n int) {
@@ -178,20 +164,9 @@ type Solver struct {
 	fresh  bool
 
 	totalFlow int64
-	totalCost float64
 
 	// Search work since the last Reset/WarmStart; see SearchStats.
 	pops, arcScans int64
-}
-
-// NewSolver prepares an SSPA run from source s to sink t. If the graph
-// contains negative-cost arcs, initial potentials are computed with one
-// Bellman–Ford relaxation; otherwise zero potentials are already valid (the
-// GEACC reduction has only costs in [0, 1]).
-func NewSolver(g *Graph, s, t int) *Solver {
-	sv := &Solver{}
-	sv.Reset(g, s, t)
-	return sv
 }
 
 // relaxPotentials lowers pot until pot[w] <= pot[v] + cost(v,w) holds on
@@ -244,30 +219,6 @@ func (sv *Solver) relaxPotentials(known bool) bool {
 // TotalFlow returns the amount of flow pushed so far.
 func (sv *Solver) TotalFlow() int64 { return sv.totalFlow }
 
-// TotalCost returns the cost of the flow pushed so far.
-func (sv *Solver) TotalCost() float64 { return sv.totalCost }
-
-// Augment finds a shortest (minimum-cost) augmenting path in the residual
-// network and pushes along it up to maxUnits of flow (capped by the path's
-// bottleneck). It returns the units pushed and the per-unit path cost.
-// ok is false when the sink is no longer reachable; nothing is pushed then.
-//
-// Successive calls yield non-decreasing unitCost, and after each call the
-// current flow is a minimum-cost flow of amount TotalFlow().
-func (sv *Solver) Augment(maxUnits int64) (units int64, unitCost float64, ok bool) {
-	if maxUnits <= 0 {
-		return 0, 0, false
-	}
-	if !sv.dijkstra() {
-		return 0, 0, false
-	}
-	// True path cost: reduced distance plus potential difference (computed
-	// before the potential update inside pushAlongPath).
-	unitCost = sv.dist[sv.t] + sv.pot[sv.t] - sv.pot[sv.s]
-	units = sv.pushAlongPath(maxUnits, unitCost)
-	return units, unitCost, true
-}
-
 // pushAlongPath updates potentials from the last search and pushes up to
 // maxUnits along the recorded shortest path, returning the units pushed.
 func (sv *Solver) pushAlongPath(maxUnits int64, unitCost float64) int64 {
@@ -290,7 +241,6 @@ func (sv *Solver) pushAlongPath(maxUnits int64, unitCost float64) int64 {
 		v = int(g.to[int32(a)^1])
 	}
 	sv.totalFlow += bottleneck
-	sv.totalCost += float64(bottleneck) * unitCost
 	return bottleneck
 }
 
@@ -430,11 +380,15 @@ func (sv *Solver) advancePotentials(target int) {
 // WarmStart: heap pops and adjacency-arc scans summed over every search.
 func (sv *Solver) SearchStats() (pops, arcScans int64) { return sv.pops, sv.arcScans }
 
-// AugmentBelow is like Augment but pushes only when the shortest augmenting
-// path's per-unit cost is strictly below costBound; otherwise it pushes
-// nothing and returns ok = false with the cost that was rejected. Because
-// successive path costs never decrease, a false return means no further
-// augmentation can beat the bound either.
+// AugmentBelow finds a shortest (minimum-cost) augmenting path in the
+// residual network and, when its per-unit cost is strictly below
+// costBound, pushes along it up to maxUnits of flow (capped by the path's
+// bottleneck), returning the units pushed and the per-unit cost. Otherwise
+// it pushes nothing and returns ok = false with the cost that was rejected
+// (0 when the sink is unreachable). Successive path costs never decrease,
+// so a false return means no further augmentation can beat the bound
+// either, and after each call the current flow is a minimum-cost flow of
+// amount TotalFlow(). costBound = math.Inf(1) accepts every path.
 func (sv *Solver) AugmentBelow(maxUnits int64, costBound float64) (units int64, unitCost float64, ok bool) {
 	if maxUnits <= 0 {
 		return 0, 0, false
@@ -448,16 +402,4 @@ func (sv *Solver) AugmentBelow(maxUnits int64, costBound float64) (units int64, 
 	}
 	units = sv.pushAlongPath(maxUnits, unitCost)
 	return units, unitCost, true
-}
-
-// MinCostFlow pushes up to target units of flow at minimum cost, returning
-// the flow achieved and its cost. Use target = math.MaxInt64 for min-cost
-// max-flow.
-func (sv *Solver) MinCostFlow(target int64) (flow int64, cost float64) {
-	for sv.totalFlow < target {
-		if _, _, ok := sv.Augment(target - sv.totalFlow); !ok {
-			break
-		}
-	}
-	return sv.totalFlow, sv.totalCost
 }

@@ -7,13 +7,33 @@ import (
 	"testing/quick"
 )
 
+// minCostFlow pushes up to target units at minimum cost with no cost bound
+// and returns the solver's total flow and the cost of the flow on its arcs.
+func minCostFlow(sv *Solver, target int64) (int64, float64) {
+	for sv.TotalFlow() < target {
+		if _, _, ok := sv.AugmentBelow(target-sv.TotalFlow(), math.Inf(1)); !ok {
+			break
+		}
+	}
+	return sv.TotalFlow(), flowCost(sv.g)
+}
+
+// flowCost sums flow × cost over g's forward arcs.
+func flowCost(g *Graph) float64 {
+	c := 0.0
+	for a := 0; a < len(g.to); a += 2 {
+		c += float64(g.Flow(ArcID(a))) * g.cost[a]
+	}
+	return c
+}
+
 func TestSinglePath(t *testing.T) {
 	// s -> a -> t with capacity 3, cost 1 per hop.
-	g := NewGraph(3)
+	g := AcquireGraph(3)
 	g.AddArc(0, 1, 3, 1)
 	g.AddArc(1, 2, 3, 1)
-	sv := NewSolver(g, 0, 2)
-	flow, cost := sv.MinCostFlow(math.MaxInt64)
+	sv := AcquireSolver(g, 0, 2)
+	flow, cost := minCostFlow(sv, math.MaxInt64)
 	if flow != 3 || cost != 6 {
 		t.Fatalf("flow=%d cost=%v, want 3, 6", flow, cost)
 	}
@@ -21,21 +41,21 @@ func TestSinglePath(t *testing.T) {
 
 func TestChoosesCheaperPath(t *testing.T) {
 	// Two parallel 2-hop paths; cheaper one must fill first.
-	g := NewGraph(4)
+	g := AcquireGraph(4)
 	g.AddArc(0, 1, 1, 5) // expensive via node 1
 	g.AddArc(1, 3, 1, 0)
 	g.AddArc(0, 2, 1, 1) // cheap via node 2
 	g.AddArc(2, 3, 1, 0)
-	sv := NewSolver(g, 0, 3)
-	units, unitCost, ok := sv.Augment(1)
+	sv := AcquireSolver(g, 0, 3)
+	units, unitCost, ok := sv.AugmentBelow(1, math.Inf(1))
 	if !ok || units != 1 || unitCost != 1 {
 		t.Fatalf("first augment = (%d, %v, %v), want (1, 1, true)", units, unitCost, ok)
 	}
-	units, unitCost, ok = sv.Augment(1)
+	units, unitCost, ok = sv.AugmentBelow(1, math.Inf(1))
 	if !ok || units != 1 || unitCost != 5 {
 		t.Fatalf("second augment = (%d, %v, %v), want (1, 5, true)", units, unitCost, ok)
 	}
-	if _, _, ok = sv.Augment(1); ok {
+	if _, _, ok = sv.AugmentBelow(1, math.Inf(1)); ok {
 		t.Fatal("third augment should fail: network saturated")
 	}
 }
@@ -48,14 +68,14 @@ func TestResidualReroute(t *testing.T) {
 	//     a -> b cost 0   (tempting shortcut)
 	//     a -> t(3) cost 3
 	//     b -> t cost 1
-	g := NewGraph(4)
+	g := AcquireGraph(4)
 	g.AddArc(0, 1, 1, 1)
 	g.AddArc(0, 2, 1, 2)
 	ab := g.AddArc(1, 2, 1, 0)
 	g.AddArc(1, 3, 1, 3)
 	g.AddArc(2, 3, 1, 1)
-	sv := NewSolver(g, 0, 3)
-	flow, cost := sv.MinCostFlow(2)
+	sv := AcquireSolver(g, 0, 3)
+	flow, cost := minCostFlow(sv, 2)
 	if flow != 2 || cost != 7 {
 		t.Fatalf("flow=%d cost=%v, want 2, 7", flow, cost)
 	}
@@ -70,10 +90,10 @@ func TestUnitCostsNonDecreasing(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 30; trial++ {
 		g, s, tt := randomBipartite(rng, 4, 5)
-		sv := NewSolver(g, s, tt)
+		sv := AcquireSolver(g, s, tt)
 		prev := -1.0
 		for {
-			_, c, ok := sv.Augment(1)
+			_, c, ok := sv.AugmentBelow(1, math.Inf(1))
 			if !ok {
 				break
 			}
@@ -89,8 +109,8 @@ func TestFlowConservationProperty(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g, s, tt := randomBipartite(rng, 1+rng.Intn(4), 1+rng.Intn(5))
-		sv := NewSolver(g, s, tt)
-		sv.MinCostFlow(math.MaxInt64)
+		sv := AcquireSolver(g, s, tt)
+		minCostFlow(sv, math.MaxInt64)
 		// Net flow at every node except s, t must be zero. Reconstruct arc
 		// flows from residual twins.
 		net := make(map[int]int64)
@@ -185,8 +205,8 @@ func TestMatchesBruteForceEveryAmount(t *testing.T) {
 		}
 		for k := int64(1); k <= maxFlow; k++ {
 			g, s, tt := buildBipartite(nv, nu, capV, capU, cost)
-			sv := NewSolver(g, s, tt)
-			flow, got := sv.MinCostFlow(k)
+			sv := AcquireSolver(g, s, tt)
+			flow, got := minCostFlow(sv, k)
 			want := bruteMinCost(nv, nu, capV, capU, cost, int(k))
 			if math.IsInf(want, 1) {
 				if flow == k {
@@ -206,13 +226,13 @@ func TestMatchesBruteForceEveryAmount(t *testing.T) {
 
 func TestNegativeCostArcs(t *testing.T) {
 	// A negative arc forces the Bellman–Ford potential bootstrap.
-	g := NewGraph(4)
+	g := AcquireGraph(4)
 	g.AddArc(0, 1, 2, -3)
 	g.AddArc(1, 2, 2, 1)
 	g.AddArc(0, 2, 2, 5)
 	g.AddArc(2, 3, 3, 0)
-	sv := NewSolver(g, 0, 3)
-	flow, cost := sv.MinCostFlow(3)
+	sv := AcquireSolver(g, 0, 3)
+	flow, cost := minCostFlow(sv, 3)
 	if flow != 3 {
 		t.Fatalf("flow = %d, want 3", flow)
 	}
@@ -223,63 +243,63 @@ func TestNegativeCostArcs(t *testing.T) {
 }
 
 func TestUnreachableSink(t *testing.T) {
-	g := NewGraph(3)
+	g := AcquireGraph(3)
 	g.AddArc(0, 1, 1, 1) // node 2 disconnected
-	sv := NewSolver(g, 0, 2)
-	flow, cost := sv.MinCostFlow(5)
+	sv := AcquireSolver(g, 0, 2)
+	flow, cost := minCostFlow(sv, 5)
 	if flow != 0 || cost != 0 {
 		t.Fatalf("flow=%d cost=%v, want 0, 0", flow, cost)
 	}
-	if _, _, ok := sv.Augment(1); ok {
+	if _, _, ok := sv.AugmentBelow(1, math.Inf(1)); ok {
 		t.Fatal("Augment must fail on unreachable sink")
 	}
 }
 
 func TestZeroCapacityArcIgnored(t *testing.T) {
-	g := NewGraph(2)
+	g := AcquireGraph(2)
 	g.AddArc(0, 1, 0, 1)
-	sv := NewSolver(g, 0, 1)
-	if flow, _ := sv.MinCostFlow(1); flow != 0 {
+	sv := AcquireSolver(g, 0, 1)
+	if flow, _ := minCostFlow(sv, 1); flow != 0 {
 		t.Fatalf("flow through zero-capacity arc: %d", flow)
 	}
 }
 
 func TestArcFlowReadback(t *testing.T) {
-	g := NewGraph(3)
+	g := AcquireGraph(3)
 	a1 := g.AddArc(0, 1, 4, 1)
 	a2 := g.AddArc(1, 2, 2, 1)
-	sv := NewSolver(g, 0, 2)
-	sv.MinCostFlow(math.MaxInt64)
+	sv := AcquireSolver(g, 0, 2)
+	minCostFlow(sv, math.MaxInt64)
 	if g.Flow(a1) != 2 || g.Flow(a2) != 2 {
 		t.Fatalf("arc flows = %d, %d, want 2, 2", g.Flow(a1), g.Flow(a2))
 	}
 }
 
 func TestAugmentRespectsMaxUnits(t *testing.T) {
-	g := NewGraph(2)
+	g := AcquireGraph(2)
 	g.AddArc(0, 1, 10, 0.5)
-	sv := NewSolver(g, 0, 1)
-	units, _, ok := sv.Augment(3)
+	sv := AcquireSolver(g, 0, 1)
+	units, _, ok := sv.AugmentBelow(3, math.Inf(1))
 	if !ok || units != 3 {
 		t.Fatalf("units = %d, want 3", units)
 	}
 	if sv.TotalFlow() != 3 {
 		t.Fatalf("TotalFlow = %d", sv.TotalFlow())
 	}
-	if units, _, _ := sv.Augment(100); units != 7 {
+	if units, _, _ := sv.AugmentBelow(100, math.Inf(1)); units != 7 {
 		t.Fatalf("bottleneck cap not honored: %d", units)
 	}
 }
 
 func TestBadConstructionPanics(t *testing.T) {
-	assertPanics(t, func() { NewGraph(0) })
-	g := NewGraph(2)
+	assertPanics(t, func() { AcquireGraph(0) })
+	g := AcquireGraph(2)
 	assertPanics(t, func() { g.AddArc(-1, 0, 1, 0) })
 	assertPanics(t, func() { g.AddArc(0, 2, 1, 0) })
 	assertPanics(t, func() { g.AddArc(0, 1, -1, 0) })
 	assertPanics(t, func() { g.AddArc(0, 1, 1, math.NaN()) })
-	assertPanics(t, func() { NewSolver(g, 0, 0) })
-	assertPanics(t, func() { NewSolver(g, 0, 5) })
+	assertPanics(t, func() { AcquireSolver(g, 0, 0) })
+	assertPanics(t, func() { AcquireSolver(g, 0, 5) })
 }
 
 // randomBipartite builds a random transportation network: source 0,
@@ -307,7 +327,7 @@ func randomBipartite(rng *rand.Rand, nv, nu int) (g *Graph, s, t int) {
 func buildBipartite(nv, nu int, capV, capU []int64, cost [][]float64) (g *Graph, s, t int) {
 	n := nv + nu + 2
 	s, t = 0, n-1
-	g = NewGraph(n)
+	g = AcquireGraph(n)
 	for v := 0; v < nv; v++ {
 		g.AddArc(s, 1+v, capV[v], 0)
 	}

@@ -43,7 +43,7 @@ func ReleaseGraph(g *Graph) {
 }
 
 // Reset re-targets the Graph at an empty n-node network, keeping allocated
-// arc storage. Equivalent to NewGraph(n) with recycled memory.
+// arc storage.
 func (g *Graph) Reset(n int) {
 	if n <= 0 {
 		panic("mincostflow: non-positive node count in Reset")
@@ -59,7 +59,7 @@ var solverPool = sync.Pool{New: func() any { return new(Solver) }}
 
 // AcquireSolver returns a Solver prepared for an SSPA run on g, reusing
 // pooled array storage. Release with ReleaseSolver after the last
-// TotalFlow/TotalCost read; release the Solver before (or together with)
+// TotalFlow read; release the Solver before (or together with)
 // its Graph, never after the Graph has been re-acquired elsewhere.
 func AcquireSolver(g *Graph, s, t int) *Solver {
 	sv := solverPool.Get().(*Solver)
@@ -79,11 +79,10 @@ func ReleaseSolver(sv *Solver) {
 }
 
 // Reset prepares the Solver for a fresh SSPA run from s to t on g, keeping
-// allocated storage. Equivalent to NewSolver with recycled memory.
+// allocated storage.
 func (sv *Solver) Reset(g *Graph, s, t int) {
 	sv.bind(g, s, t, "Reset")
 	sv.totalFlow = 0
-	sv.totalCost = 0
 	sv.pot = resize(sv.pot, g.numNodes)
 	clear(sv.pot)
 	for i := 0; i < len(g.cost); i += 2 {

@@ -9,7 +9,7 @@ import "math"
 // and calls WarmStart: it repairs optimality (the delta may have created
 // negative-cost residual cycles through the restored flow), recovers valid
 // node potentials seeded from the previous solve, and leaves the Solver
-// ready for the usual Augment/AugmentBelow loop — which now only has the
+// ready for the usual AugmentBelow loop — which now only has the
 // delta's marginal units left to push instead of the whole flow.
 //
 // RetreatAbove is the reverse move: when a delta removed capacity or made
@@ -71,15 +71,15 @@ type WarmStats struct {
 //  1. cancels any negative-cost residual cycles the restored flow forms
 //     with the delta's new arcs, re-establishing that the current flow is a
 //     minimum-cost flow of its amount;
-//  2. recomputes TotalFlow/TotalCost from the arc flows; and
+//  2. recomputes TotalFlow from the arc flows; and
 //  3. recovers valid node potentials (all residual reduced costs
 //     non-negative) by Bellman-Ford relaxation seeded from prevPot — nodes
 //     beyond len(prevPot) start at zero. Seeding from the previous solve's
 //     potentials makes the relaxation converge in a pass or two on small
 //     deltas instead of the cold pass over the whole network.
 //
-// On success the Solver behaves exactly as if Augment had pushed the
-// restored flow itself: successive Augment/AugmentBelow calls yield
+// On success the Solver behaves exactly as if AugmentBelow had pushed the
+// restored flow itself: successive AugmentBelow calls yield
 // non-decreasing unit costs and bit-exact optima. OK=false means repair did
 // not converge (pathological float noise); the caller should ClearFlow,
 // Reset, and solve cold.
@@ -124,21 +124,15 @@ func (sv *Solver) WarmStart(g *Graph, s, t int, prevPot []float64) WarmStats {
 		return st // OK=false: cancelation did not converge
 	}
 
-	// Recompute totals from arc flows. Net flow out of s: forward arcs in
-	// s's adjacency carry flow out, residual twins in s's adjacency mean
+	// Recompute the total from arc flows. Net flow out of s: forward arcs
+	// in s's adjacency carry flow out, residual twins in s's adjacency mean
 	// their forward arc carries flow in.
 	sv.totalFlow = 0
-	sv.totalCost = 0
 	for _, r := range g.adj[g.start[s]:g.start[s+1]] {
 		if r.arc%2 == 0 {
 			sv.totalFlow += g.Flow(ArcID(r.arc))
 		} else {
 			sv.totalFlow -= g.cap[r.arc]
-		}
-	}
-	for a := 0; a+1 < len(g.cost); a += 2 {
-		if f := g.cap[a+1]; f > 0 {
-			sv.totalCost += float64(f) * g.cost[a]
 		}
 	}
 	st.RestoredFlow = sv.totalFlow
@@ -163,7 +157,7 @@ func (sv *Solver) WarmStart(g *Graph, s, t int, prevPot []float64) WarmStats {
 // is then at most the cheapest retreat's cost (0 when there is none).
 //
 // Requires valid potentials (after WarmStart or previous solver calls);
-// like Augment it updates potentials so future reduced costs stay
+// like AugmentBelow it updates potentials so future reduced costs stay
 // non-negative.
 func (sv *Solver) RetreatAbove(costBound float64) (unitCost float64, ok bool) {
 	if sv.totalFlow <= 0 {
@@ -193,7 +187,6 @@ func (sv *Solver) RetreatAbove(costBound float64) (unitCost float64, ok bool) {
 		v = int(g.to[int32(a)^1])
 	}
 	sv.totalFlow--
-	sv.totalCost += reverseCost
 	return reverseCost, true
 }
 

@@ -83,7 +83,7 @@ func TestHistogramConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if got := h.Count(); got != workers*per {
+	if got := h.Snapshot().Count; got != workers*per {
 		t.Fatalf("count = %d, want %d", got, workers*per)
 	}
 	// 16 workers: 4 observe each of 0, 0.001, 0.002, 0.003.
@@ -137,7 +137,7 @@ func TestRegistryConcurrentGetOrCreate(t *testing.T) {
 	if got := reg.Counter("shared").Value(); got != 16000 {
 		t.Fatalf("counter = %d, want 16000", got)
 	}
-	if got := reg.Histogram("lat", DefaultLatencyBuckets).Count(); got != 16000 {
+	if got := reg.Histogram("lat", DefaultLatencyBuckets).Snapshot().Count; got != 16000 {
 		t.Fatalf("histogram count = %d, want 16000", got)
 	}
 }

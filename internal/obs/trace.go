@@ -7,7 +7,7 @@ import (
 )
 
 // DefaultSpanLimit bounds the spans a Recorder retains; once reached,
-// further Start calls return nil spans and are counted as dropped.
+// further Start calls return nil spans.
 const DefaultSpanLimit = 4096
 
 // Attr is one span annotation.
@@ -30,10 +30,9 @@ type SpanData struct {
 // concurrent use and nil-safe: a nil *Recorder accepts Start calls and
 // returns nil spans, so instrumentation points never need a guard.
 type Recorder struct {
-	mu      sync.Mutex
-	spans   []SpanData
-	limit   int
-	dropped int64
+	mu    sync.Mutex
+	spans []SpanData
+	limit int
 }
 
 // NewRecorder returns an empty recorder retaining up to DefaultSpanLimit
@@ -58,9 +57,6 @@ func (r *Recorder) Start(name string) *Span {
 	}
 	r.mu.Lock()
 	full := len(r.spans) >= r.limit
-	if full {
-		r.dropped++
-	}
 	r.mu.Unlock()
 	if full {
 		return nil
@@ -76,27 +72,6 @@ func (r *Recorder) Spans() []SpanData {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return append([]SpanData(nil), r.spans...)
-}
-
-// Dropped returns how many spans were discarded at the limit.
-func (r *Recorder) Dropped() int64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.dropped
-}
-
-// Reset discards all recorded spans and the dropped count.
-func (r *Recorder) Reset() {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.spans = r.spans[:0]
-	r.dropped = 0
-	r.mu.Unlock()
 }
 
 // Span is an in-flight trace interval. A Span is owned by the goroutine
@@ -131,8 +106,6 @@ func (s *Span) End() time.Duration {
 	s.r.mu.Lock()
 	if len(s.r.spans) < s.r.limit {
 		s.r.spans = append(s.r.spans, s.data)
-	} else {
-		s.r.dropped++
 	}
 	s.r.mu.Unlock()
 	return s.data.Duration

@@ -56,9 +56,6 @@ type Options struct {
 	// MaxSum loss); exceeding it falls back to the monolithic solve.
 	// <= 0 means DefaultDriftBudget.
 	DriftBudget float64
-	// Workers bounds the shard solve pool; <= 0 means GOMAXPROCS(0). The
-	// merged matching is invariant to this value.
-	Workers int
 	// RepairRounds caps the boundary repair sweeps; <= 0 means
 	// DefaultRepairRounds.
 	RepairRounds int

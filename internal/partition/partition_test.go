@@ -2,6 +2,7 @@ package partition
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"github.com/ebsnlab/geacc/internal/conflict"
@@ -71,7 +72,7 @@ func TestNormalizedDefaults(t *testing.T) {
 		o.DriftBudget != DefaultDriftBudget || o.RepairRounds != DefaultRepairRounds {
 		t.Fatalf("unexpected defaults %+v", o)
 	}
-	set := Options{MaxArea: 7, Strategy: StrategyBFS, DriftBudget: 0.2, Workers: 3, RepairRounds: 5}
+	set := Options{MaxArea: 7, Strategy: StrategyBFS, DriftBudget: 0.2, RepairRounds: 5}
 	if got := set.Normalized(); got != set {
 		t.Fatalf("Normalized clobbered explicit options: %+v", got)
 	}
@@ -173,14 +174,16 @@ func TestSolveComponentFeasible(t *testing.T) {
 }
 
 // TestSolveComponentDeterministicAcrossWorkers: the merged matching is a
-// pure function of (instance, options) — identical pairs for any worker
-// count and across repeated runs.
+// pure function of (instance, options) — identical pairs for any shard
+// pool size (min(GOMAXPROCS, shards)) and across repeated runs.
 func TestSolveComponentDeterministicAcrossWorkers(t *testing.T) {
 	in := bridged(t, 24, 240, 6, 0.25, 0.15, 19)
 	solve, mono := mcfFuncs(in)
+	opt := Options{MaxArea: 500, DriftBudget: 0.9}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	var ref *core.Matching
 	for _, workers := range []int{1, 2, 4, 7, 1} {
-		opt := Options{MaxArea: 500, DriftBudget: 0.9, Workers: workers}
+		runtime.GOMAXPROCS(workers)
 		m, _, err := SolveComponent(context.Background(), in, opt, solve, mono)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)

@@ -100,7 +100,7 @@ func SolveComponent(ctx context.Context, in *core.Instance, opt Options, solve S
 		}
 	}
 
-	results, budgetErr, err := solveShards(ctx, rec, sl.shards, opt.Workers, solve)
+	results, budgetErr, err := solveShards(ctx, rec, sl.shards, solve)
 	if err != nil {
 		sp.Annotate("error", err.Error()).End()
 		return nil, nil, err
@@ -157,17 +157,9 @@ func SolveComponent(ctx context.Context, in *core.Instance, opt Options, solve S
 
 // solveShards is the bounded shard worker pool: same drain-on-failure and
 // ErrNodeLimit semantics as decomp's component pool.
-func solveShards(ctx context.Context, rec *obs.Recorder, shards []Shard, workers int, solve ShardSolveFunc) ([]*core.Matching, error, error) {
+func solveShards(ctx context.Context, rec *obs.Recorder, shards []Shard, solve ShardSolveFunc) ([]*core.Matching, error, error) {
 	n := len(shards)
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers := min(runtime.GOMAXPROCS(0), n)
 	results := make([]*core.Matching, n)
 	errs := make([]error, n)
 	var failed atomic.Bool

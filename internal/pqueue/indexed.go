@@ -5,10 +5,10 @@
 package pqueue
 
 // IndexedMinHeap is a binary min-heap over the integer keys [0, n) with
-// float64 priorities and O(log n) DecreaseKey. Keys not currently in the
-// heap occupy no slot. Each slot carries its key's priority inline, so a
-// comparison reads only the heap array, and the sifts move a hole rather
-// than swapping. The zero value is not usable; call NewIndexedMinHeap.
+// float64 priorities and an O(log n) decrease-key (Push of a present
+// key). Keys not currently in the heap occupy no slot. Each slot carries
+// its key's priority inline, so a comparison reads only the heap array,
+// and the sifts move a hole rather than swapping. The zero value is not usable; call NewIndexedMinHeap.
 type IndexedMinHeap struct {
 	entries []heapEntry // heap order: entries[0] has the smallest priority
 	pos     []int32     // pos[key] = index in entries, or -1 if absent
@@ -29,15 +29,9 @@ func NewIndexedMinHeap(n int) *IndexedMinHeap {
 // Len returns the number of keys currently in the heap.
 func (h *IndexedMinHeap) Len() int { return len(h.entries) }
 
-// Contains reports whether key is currently in the heap.
-func (h *IndexedMinHeap) Contains(key int) bool { return h.pos[key] >= 0 }
-
-// Priority returns the current priority of key, which must be in the heap.
-func (h *IndexedMinHeap) Priority(key int) float64 { return h.entries[h.pos[key]].prio }
-
 // Push inserts key with the given priority. If the key is already present,
-// Push behaves as DecreaseKey when the new priority is smaller and is a
-// no-op otherwise, which is exactly the relaxation step Dijkstra needs.
+// Push lowers its priority when the new one is smaller and is a no-op
+// otherwise, which is exactly the relaxation step Dijkstra needs.
 func (h *IndexedMinHeap) Push(key int, priority float64) {
 	if i := h.pos[key]; i >= 0 {
 		if priority < h.entries[i].prio {
@@ -47,14 +41,6 @@ func (h *IndexedMinHeap) Push(key int, priority float64) {
 	}
 	h.entries = append(h.entries, heapEntry{})
 	h.up(len(h.entries)-1, heapEntry{priority, int32(key)})
-}
-
-// DecreaseKey lowers the priority of an in-heap key. Attempts to raise the
-// priority, or to change an absent key, are ignored.
-func (h *IndexedMinHeap) DecreaseKey(key int, priority float64) {
-	if i := h.pos[key]; i >= 0 && priority < h.entries[i].prio {
-		h.up(int(i), heapEntry{priority, int32(key)})
-	}
 }
 
 // Pop removes and returns the key with the smallest priority. It panics on

@@ -82,10 +82,6 @@ func (h *PairHeap) Pop() Pair {
 	return top
 }
 
-// Peek returns the most similar pair without removing it. It panics on an
-// empty heap.
-func (h *PairHeap) Peek() Pair { return h.items[0] }
-
 // less orders by similarity descending, then (V, U) ascending for
 // deterministic tie-breaks.
 func (h *PairHeap) less(i, j int) bool {

@@ -25,17 +25,25 @@ func TestIndexedMinHeapBasicOrder(t *testing.T) {
 	}
 }
 
+// contains reports whether key is currently in the heap.
+func (h *IndexedMinHeap) contains(key int) bool { return h.pos[key] >= 0 }
+
+// priority returns the current priority of key, which must be in the heap.
+func (h *IndexedMinHeap) priority(key int) float64 { return h.entries[h.pos[key]].prio }
+
+// TestIndexedMinHeapDecreaseKey lowers a deep key's priority with Push and
+// checks that it rises past the others, and that a raise is ignored.
 func TestIndexedMinHeapDecreaseKey(t *testing.T) {
 	h := NewIndexedMinHeap(4)
 	h.Push(0, 10)
 	h.Push(1, 20)
 	h.Push(2, 30)
-	h.DecreaseKey(2, 5)
+	h.Push(2, 5)
 	if k, p := h.Pop(); k != 2 || p != 5 {
 		t.Fatalf("got (%d, %v), want (2, 5)", k, p)
 	}
 	// Raising a priority must be ignored.
-	h.DecreaseKey(1, 99)
+	h.Push(1, 99)
 	if k, _ := h.Pop(); k != 0 {
 		t.Fatalf("increase-key was not ignored: popped %d", k)
 	}
@@ -57,11 +65,11 @@ func TestIndexedMinHeapPushExistingRelaxes(t *testing.T) {
 func TestIndexedMinHeapContainsAndReset(t *testing.T) {
 	h := NewIndexedMinHeap(3)
 	h.Push(1, 1)
-	if !h.Contains(1) || h.Contains(0) {
+	if !h.contains(1) || h.contains(0) {
 		t.Fatal("Contains wrong")
 	}
 	h.Reset()
-	if h.Len() != 0 || h.Contains(1) {
+	if h.Len() != 0 || h.contains(1) {
 		t.Fatal("Reset did not clear heap")
 	}
 	// Heap must be reusable after Reset.
@@ -230,15 +238,17 @@ func TestPairHeapResetClearsVisited(t *testing.T) {
 	}
 }
 
+// TestPairHeapPeek checks that the root slot holds the most similar pair
+// after a push that must sift up, and that Len counts both pairs.
 func TestPairHeapPeek(t *testing.T) {
 	h := NewPairHeap(1, 4)
 	h.Push(Pair{V: 0, U: 0, Sim: 0.2})
 	h.Push(Pair{V: 0, U: 1, Sim: 0.8})
-	if got := h.Peek(); got.Sim != 0.8 {
-		t.Fatalf("Peek = %+v", got)
+	if got := h.items[0]; got.Sim != 0.8 {
+		t.Fatalf("root = %+v", got)
 	}
 	if h.Len() != 2 {
-		t.Fatal("Peek must not remove")
+		t.Fatal("Len must count both pairs")
 	}
 }
 
@@ -274,20 +284,20 @@ func TestPairHeapSortedDrainProperty(t *testing.T) {
 func TestIndexedMinHeapPriority(t *testing.T) {
 	h := NewIndexedMinHeap(3)
 	h.Push(1, 4.5)
-	if got := h.Priority(1); got != 4.5 {
+	if got := h.priority(1); got != 4.5 {
 		t.Fatalf("Priority = %v", got)
 	}
-	h.DecreaseKey(1, 2.5)
-	if got := h.Priority(1); got != 2.5 {
+	h.Push(1, 2.5)
+	if got := h.priority(1); got != 2.5 {
 		t.Fatalf("Priority after decrease = %v", got)
 	}
 }
 
 // TestIndexedMinHeapMatchesModel interleaves every operation at random
 // against a map from key to priority: Push of new keys and of present ones
-// (lower and higher), DecreaseKey down, up and on absent keys, Pop, Reset
-// and Resize. Every pop must return a minimum priority of the model, and
-// after every step Len, Contains, Priority and pos must agree with it.
+// (lower and higher), Pop, Reset and Resize. Every pop must return a
+// minimum priority of the model, and after every step Len, membership,
+// priorities and pos must agree with it.
 func TestIndexedMinHeapMatchesModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	n := 40
@@ -297,18 +307,12 @@ func TestIndexedMinHeapMatchesModel(t *testing.T) {
 	prio := func() float64 { return float64(rng.Intn(25)) / 4 }
 	for step := 0; step < 200000; step++ {
 		switch op := rng.Intn(100); {
-		case op < 40:
+		case op < 55:
 			k, p := rng.Intn(n), prio()
 			if old, ok := model[k]; !ok || p < old {
 				model[k] = p
 			}
 			h.Push(k, p)
-		case op < 55:
-			k, p := rng.Intn(n), prio()
-			if old, ok := model[k]; ok && p < old {
-				model[k] = p
-			}
-			h.DecreaseKey(k, p)
 		case op < 90:
 			if len(model) == 0 {
 				continue
@@ -337,11 +341,11 @@ func TestIndexedMinHeapMatchesModel(t *testing.T) {
 		}
 		for k := range n {
 			p, in := model[k]
-			if h.Contains(k) != in {
+			if h.contains(k) != in {
 				t.Fatalf("step %d: Contains(%d) = %v, model %v", step, k, !in, in)
 			}
-			if in && h.Priority(k) != p {
-				t.Fatalf("step %d: Priority(%d) = %v, model %v", step, k, h.Priority(k), p)
+			if in && h.priority(k) != p {
+				t.Fatalf("step %d: priority(%d) = %v, model %v", step, k, h.priority(k), p)
 			}
 		}
 		for i, e := range h.entries {

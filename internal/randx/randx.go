@@ -106,12 +106,6 @@ func (z *Zipf) Next() float64 {
 	return float64(rank) / float64(z.n-1) * z.maxV
 }
 
-// Shuffle permutes the integers [0, n) uniformly at random.
-func Shuffle(rng *rand.Rand, n int) []int {
-	p := rng.Perm(n)
-	return p
-}
-
 // SamplePairs draws k distinct unordered pairs {i, j}, i != j, from [0, n)
 // uniformly at random. It panics if k exceeds the n·(n-1)/2 available pairs.
 // Used to select random conflicting event pairs at a target |CF| density.

@@ -133,18 +133,6 @@ func TestZipfPanicsOnBadParams(t *testing.T) {
 	assertPanics(t, func() { Normal(rng, 0, 1, 2, 1) })
 }
 
-func TestShuffleIsPermutation(t *testing.T) {
-	rng := Source(10)
-	p := Shuffle(rng, 100)
-	seen := make([]bool, 100)
-	for _, v := range p {
-		if v < 0 || v >= 100 || seen[v] {
-			t.Fatalf("not a permutation: %v", p)
-		}
-		seen[v] = true
-	}
-}
-
 func TestSamplePairsDistinctAndValid(t *testing.T) {
 	rng := Source(11)
 	for _, k := range []int{0, 1, 10, 45} { // 45 = all pairs of n=10

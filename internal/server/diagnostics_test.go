@@ -170,7 +170,7 @@ func TestTraceChromeFormat(t *testing.T) {
 func TestRequestLoggingMiddleware(t *testing.T) {
 	var buf bytes.Buffer
 	log := slog.New(slog.NewJSONHandler(&buf, &slog.HandlerOptions{Level: slog.LevelDebug}))
-	srv := httptest.NewServer(NewWithLogger(log))
+	srv := httptest.NewServer(ephemeralHandler(t, log))
 	t.Cleanup(srv.Close)
 
 	resp, body := postJSON(t, srv.URL+"/solve?algo=greedy&diag=1", instanceJSON(t))

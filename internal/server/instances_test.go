@@ -198,6 +198,46 @@ func TestCosineInstanceRejectsMismatchedVectors(t *testing.T) {
 	}
 }
 
+// TestCosineOverflowAnswers400: cosine attributes whose squared norm
+// reaches √MaxFloat64 overflow the norm product. /solve refuses such an
+// instance with 400 (it used to answer 500 for greedy and silently drop the
+// pair for mincostflow), and an instance delta carrying one answers 400 and
+// is never logged (it used to store a similarity of 0 for a cosine of 1).
+func TestCosineOverflowAnswers400(t *testing.T) {
+	dir := t.TempDir()
+	srv := newInstanceServer(t, dir, 0)
+	body := `{"events":[{"attrs":[1e200,1e200],"cap":1}],"users":[{"attrs":[1,1],"cap":1}],"sim":"cosine","dim":2}`
+	for _, algo := range []string{"greedy", "mincostflow"} {
+		if resp, got := postStr(t, srv.URL+"/solve?algo="+algo, body); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("/solve?algo=%s: %d %s, want 400", algo, resp.StatusCode, got)
+		}
+	}
+	if resp, got := postStr(t, srv.URL+"/instances", `{"id":"cos","sim":"cosine","dim":2}`); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create: %d %s", resp.StatusCode, got)
+	}
+	if resp, got := postStr(t, srv.URL+"/instances/cos/users", `{"attrs":[1,1],"cap":1}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("user: %d %s", resp.StatusCode, got)
+	}
+	for _, path := range []string{"/events", "/users"} {
+		if resp, got := postStr(t, srv.URL+"/instances/cos"+path, `{"attrs":[1e200,1e200],"cap":1}`); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("overflowing %s delta: %d %s, want 400", path, resp.StatusCode, got)
+		}
+	}
+	srv.Close()
+	srv2 := newInstanceServer(t, dir, 0)
+	code, got := getBody(t, srv2.URL+"/instances/cos")
+	if code != http.StatusOK {
+		t.Fatalf("get after restart: %d %s", code, got)
+	}
+	var status InstanceStatus
+	if err := json.Unmarshal(got, &status); err != nil {
+		t.Fatal(err)
+	}
+	if status.Users != 1 || status.Events != 0 {
+		t.Fatalf("after restart: %+v", status.InstanceSummary)
+	}
+}
+
 // TestConcurrentDeltas hammers the instance API from many goroutines:
 // first many of them adding users to one instance, then one lane per
 // instance sending mixed deltas and dirty rebalances. Every op must be

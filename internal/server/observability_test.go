@@ -43,7 +43,7 @@ func TestSolveIncrementsSolveMetrics(t *testing.T) {
 	reg := obs.Default()
 	total := reg.Counter(obs.Label("geacc_solve_total", "algo", "greedy"))
 	hist := reg.Histogram(obs.Label("geacc_solve_seconds", "algo", "greedy"), obs.DefaultLatencyBuckets)
-	beforeTotal, beforeHist := total.Value(), hist.Count()
+	beforeTotal, beforeHist := total.Value(), hist.Snapshot().Count
 
 	srv := newServer(t)
 	resp, body := postJSON(t, srv.URL+"/solve?algo=greedy", instanceJSON(t))
@@ -54,7 +54,7 @@ func TestSolveIncrementsSolveMetrics(t *testing.T) {
 	if got := total.Value(); got != beforeTotal+1 {
 		t.Fatalf("geacc_solve_total{algo=greedy} = %d, want %d", got, beforeTotal+1)
 	}
-	if got := hist.Count(); got != beforeHist+1 {
+	if got := hist.Snapshot().Count; got != beforeHist+1 {
 		t.Fatalf("geacc_solve_seconds{algo=greedy} count = %d, want %d", got, beforeHist+1)
 	}
 }
@@ -63,7 +63,7 @@ func TestMiddlewareRecordsPerEndpointMetrics(t *testing.T) {
 	reg := obs.Default()
 	requests := reg.Counter(obs.Label("geacc_http_requests_total", "path", "/healthz", "code", "200"))
 	latency := reg.Histogram(obs.Label("geacc_http_request_seconds", "path", "/healthz"), obs.DefaultLatencyBuckets)
-	beforeReq, beforeLat := requests.Value(), latency.Count()
+	beforeReq, beforeLat := requests.Value(), latency.Snapshot().Count
 
 	srv := newServer(t)
 	for i := 0; i < 3; i++ {
@@ -77,7 +77,7 @@ func TestMiddlewareRecordsPerEndpointMetrics(t *testing.T) {
 	if got := requests.Value(); got != beforeReq+3 {
 		t.Fatalf("requests_total = %d, want %d", got, beforeReq+3)
 	}
-	if got := latency.Count(); got != beforeLat+3 {
+	if got := latency.Snapshot().Count; got != beforeLat+3 {
 		t.Fatalf("request_seconds count = %d, want %d", got, beforeLat+3)
 	}
 }
@@ -114,7 +114,7 @@ func TestSolveCanceledContextReturns499(t *testing.T) {
 	errs := obs.Default().Counter(obs.Label("geacc_solve_errors_total", "algo", "mincostflow"))
 	before := errs.Value()
 
-	h := New()
+	h := ephemeralHandler(t, nil)
 	req := httptest.NewRequest(http.MethodPost, "/solve?algo=mincostflow", bytes.NewReader(instanceJSON(t)))
 	ctx, cancel := context.WithCancel(req.Context())
 	cancel() // the client is already gone
@@ -131,7 +131,7 @@ func TestSolveCanceledContextReturns499(t *testing.T) {
 }
 
 func TestTraceCanceledContextReturns499(t *testing.T) {
-	h := New()
+	h := ephemeralHandler(t, nil)
 	req := httptest.NewRequest(http.MethodPost, "/trace", bytes.NewReader(instanceJSON(t)))
 	ctx, cancel := context.WithCancel(req.Context())
 	cancel()
@@ -146,7 +146,7 @@ func TestTraceCanceledContextReturns499(t *testing.T) {
 // TestReportCanceledSkipsRelaxation: a /report whose client is already gone
 // answers 499 without augmenting a single flow path of its bound.
 func TestReportCanceledSkipsRelaxation(t *testing.T) {
-	h := New()
+	h := ephemeralHandler(t, nil)
 	augs := obs.Default().Counter("geacc_mcflow_augmentations_total")
 	before := augs.Value()
 	body := pairBody(t, encoding.MatchingJSON{Pairs: []encoding.PairJSON{{V: 0, U: 0, Sim: 0.9}}})

@@ -89,33 +89,15 @@ type Config struct {
 	admitHold chan struct{}
 }
 
-// New returns the service's handler, wrapped in the metrics middleware.
-// Request logs go to slog's process default; geacc-server passes its
-// flag-configured logger through NewWithConfig. Besides the stateless
-// solver endpoints and the stateful /instances surface it serves the
+// NewWithConfig builds the full service handler, wrapped in the metrics
+// middleware: the stateless solver endpoints plus the long-lived
+// /instances registry, replaying any persisted instances found under
+// cfg.DataDir before it returns (or, with cfg.LazyReplay, in the
+// background while /readyz reports not-ready). It also serves the
 // Prometheus text exposition at GET /metrics and the expvar page (Go
-// runtime vars) at GET /debug/vars; the
-// heavier pprof surface is only on DebugHandler.
-func New() http.Handler {
-	return NewWithLogger(slog.Default())
-}
-
-// NewWithLogger is New with an explicit request logger. A nil logger
-// falls back to slog.Default(). Instances are ephemeral; use
-// NewWithConfig for persistence.
-func NewWithLogger(log *slog.Logger) http.Handler {
-	h, err := NewWithConfig(Config{Logger: log})
-	if err != nil {
-		// Unreachable: only a configured DataDir can fail to open.
-		panic(err)
-	}
-	return h
-}
-
-// NewWithConfig builds the full service handler: the stateless solver
-// endpoints plus the long-lived /instances registry, replaying any
-// persisted instances found under cfg.DataDir before it returns (or, with
-// cfg.LazyReplay, in the background while /readyz reports not-ready).
+// runtime vars) at GET /debug/vars; the heavier pprof surface is only on
+// DebugHandler. Without a DataDir instances are ephemeral and it cannot
+// fail.
 func NewWithConfig(cfg Config) (http.Handler, error) {
 	h, _, err := newHandler(cfg)
 	return h, err

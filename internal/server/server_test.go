@@ -32,11 +32,22 @@ func instanceJSON(t *testing.T) []byte {
 	return buf.Bytes()
 }
 
+// ephemeralHandler is NewWithConfig with only a logger (nil means
+// slog.Default()): instances live in memory.
+func ephemeralHandler(t *testing.T, log *slog.Logger) http.Handler {
+	t.Helper()
+	h, err := NewWithConfig(Config{Logger: log})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
 func newServer(t *testing.T) *httptest.Server {
 	t.Helper()
 	// Request logs are exercised by the dedicated logging tests; keep the
 	// rest of the suite's output clean.
-	srv := httptest.NewServer(NewWithLogger(slog.New(slog.NewTextHandler(io.Discard, nil))))
+	srv := httptest.NewServer(ephemeralHandler(t, slog.New(slog.NewTextHandler(io.Discard, nil))))
 	t.Cleanup(srv.Close)
 	return srv
 }

@@ -103,9 +103,6 @@ func (k *Kernel) Len() int { return k.flat.Len() }
 // Dim returns the stored vectors' dimensionality.
 func (k *Kernel) Dim() int { return k.flat.Dim() }
 
-// Func returns the similarity function the kernel evaluates.
-func (k *Kernel) Func() Func { return k.f }
-
 // Vectors returns the original vector slice the kernel was built from.
 // Callers must not modify it or its rows.
 func (k *Kernel) Vectors() []Vector { return k.vecs }
@@ -326,24 +323,11 @@ func (k *Kernel) manhattanGather(query Vector, ids []int, out []float64) {
 // distance at which the identity's error could matter.
 const sqDistGuard = 1e-6
 
-// SqDistBatch fills out[0:hi-lo] with the squared Euclidean distance from
-// query to each row in [lo, hi), using the dot-product identity with the
-// precomputed row norms — one dot product per pair instead of a full
-// difference pass. Results are clamped to be non-negative; pairs under the
-// cancellation guard are recomputed with the exact difference form.
-func (k *Kernel) SqDistBatch(query Vector, lo, hi int, out []float64) {
-	if hi <= lo {
-		return
-	}
-	kernelBatches.Inc()
-	kernelPairs.Add(int64(hi - lo))
-	qn := sumSquares(query)
-	for i := lo; i < hi; i++ {
-		out[i-lo] = k.sqDistRow(query, qn, i)
-	}
-}
-
-// SqDistGather is SqDistBatch over a sparse id set.
+// SqDistGather fills out[j] with the squared Euclidean distance from query
+// to row ids[j], using the dot-product identity with the precomputed row
+// norms — one dot product per pair instead of a full difference pass.
+// Results are clamped to be non-negative; pairs under the cancellation
+// guard are recomputed with the exact difference form.
 func (k *Kernel) SqDistGather(query Vector, ids []int, out []float64) {
 	if len(ids) == 0 {
 		return

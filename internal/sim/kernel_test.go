@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -81,7 +82,7 @@ func TestSimGatherMatchesClosures(t *testing.T) {
 		for _, maxT := range []float64{1, 10000} {
 			data := randVecs(rng, 12, d, maxT)
 			data[3] = make(Vector, d) // zero row
-			queries := append(randVecs(rng, 3, d, maxT), make(Vector, d), data[5].Clone())
+			queries := append(randVecs(rng, 3, d, maxT), make(Vector, d), slices.Clone(data[5]))
 			for name, f := range map[string]Func{
 				"euclidean": Euclidean(d, maxT),
 				"cosine":    Cosine(),
@@ -124,7 +125,7 @@ func TestKernelClampCorners(t *testing.T) {
 			for j := range far {
 				far[j] = maxT
 			}
-			almost := far.Clone()
+			almost := slices.Clone(far)
 			almost[0] = maxT * (1 - 1e-12)
 			data := []Vector{zero, far, almost}
 			for name, f := range map[string]Func{
@@ -200,26 +201,30 @@ func TestKernelProbeRobustness(t *testing.T) {
 	}
 }
 
-// TestSqDistBatchAccuracy bounds the dot-product identity's error against
+// TestSqDistGatherAccuracy bounds the dot-product identity's error against
 // the exact difference form: |Δ| ≤ 1e-12·(‖q‖²+‖r‖²+1), comfortably above
 // the d·ε·(‖q‖²+‖r‖²) analysis bound, and exact equality inside the
 // cancellation guard (near-duplicate vectors).
-func TestSqDistBatchAccuracy(t *testing.T) {
+func TestSqDistGatherAccuracy(t *testing.T) {
 	rng := rand.New(rand.NewSource(1234))
 	for _, d := range []int{1, 3, 8, 20, 64} {
 		data := randVecs(rng, 41, d, 10000)
 		// Rows 0..4 are near-duplicates of query 0: the guard must kick in.
 		q0 := randVecs(rng, 1, d, 10000)[0]
 		for i := 0; i < 5; i++ {
-			dup := q0.Clone()
+			dup := slices.Clone(q0)
 			dup[rng.Intn(d)] += 1e-9
 			data[i] = dup
 		}
 		k := NewKernel(data, Euclidean(d, 10000))
 		out := make([]float64, len(data))
+		ids := make([]int, len(data))
+		for i := range ids {
+			ids[i] = i
+		}
 		queries := append(randVecs(rng, 5, d, 10000), q0)
 		for _, q := range queries {
-			k.SqDistBatch(q, 0, len(data), out)
+			k.SqDistGather(q, ids, out)
 			qn := sumSquares(q)
 			for i, row := range data {
 				exact := SquaredDistance(q, row)

@@ -16,31 +16,30 @@ import (
 
 // Vector is a d-dimensional attribute vector. Components are expected to lie
 // in [0, T] for the T the enclosing instance was built with, but Vector
-// itself does not enforce that; use Validate when reading untrusted data.
+// itself does not enforce that; CheckVectors refuses the vectors a
+// similarity function cannot score.
 type Vector []float64
 
-// Clone returns an independent copy of v.
-func (v Vector) Clone() Vector {
-	if v == nil {
-		return nil
-	}
-	out := make(Vector, len(v))
-	copy(out, v)
-	return out
-}
+// maxCosineSqNorm bounds a cosine vector's squared norm: with both factors
+// below √MaxFloat64, the product of squared norms Cosine takes the square
+// root of stays finite.
+var maxCosineSqNorm = math.Sqrt(math.MaxFloat64)
 
-// Validate reports an error if any component of v lies outside [0, maxT] or
-// is not a finite number.
-func (v Vector) Validate(maxT float64) error {
-	for i, x := range v {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return fmt.Errorf("sim: component %d is not finite: %v", i, x)
-		}
-		if x < 0 || x > maxT {
-			return fmt.Errorf("sim: component %d = %v outside [0, %v]", i, x, maxT)
+// CheckVectors returns the index of the first vector in vs that f cannot
+// score, with the reason, or -1 and nil. Only Cosine refuses vectors: one
+// whose squared norm Σx² is not below √math.MaxFloat64 (NaN and infinite
+// components included) overflows the norm product, so its similarities
+// would come out NaN or silently wrong. Other functions accept any vector.
+func CheckVectors(f Func, vs []Vector) (int, error) {
+	if specOf(f).kind != kindCosine {
+		return -1, nil
+	}
+	for i, v := range vs {
+		if sq := sumSquares(v); !(sq < maxCosineSqNorm) {
+			return i, fmt.Errorf("sim: cosine attributes with squared norm %v overflow (the bound is √MaxFloat64 ≈ %.4g)", sq, maxCosineSqNorm)
 		}
 	}
-	return nil
+	return -1, nil
 }
 
 // SquaredDistance returns the squared Euclidean distance between a and b.

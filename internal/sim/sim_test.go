@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -143,30 +144,31 @@ func TestAllFuncsInUnitRangeProperty(t *testing.T) {
 	}
 }
 
-func TestVectorClone(t *testing.T) {
-	v := Vector{1, 2, 3}
-	c := v.Clone()
-	c[0] = 99
-	if v[0] != 1 {
-		t.Error("Clone shares backing array with original")
+// TestCheckVectors: cosine refuses a vector whose squared norm reaches
+// √MaxFloat64 (where the norm product overflows), or holds NaN or ±Inf;
+// the other functions accept any vector.
+func TestCheckVectors(t *testing.T) {
+	ok := []Vector{{0, 5, 10}, {-1e70, 1e70, 0}, {}}
+	bad := []Vector{{1e200, 1e200}, {1e78, 0}, {math.NaN()}, {math.Inf(-1)}}
+	if i, err := CheckVectors(Cosine(), ok); err != nil {
+		t.Errorf("cosine refused vector %d: %v", i, err)
 	}
-	if Vector(nil).Clone() != nil {
-		t.Error("Clone of nil should be nil")
+	for k, v := range bad {
+		if i, err := CheckVectors(Cosine(), append(slices.Clone(ok), v)); err == nil || i != len(ok) {
+			t.Errorf("cosine accepted bad vector %d %v (index %d, err %v)", k, v, i, err)
+		}
 	}
-}
-
-func TestVectorValidate(t *testing.T) {
-	if err := (Vector{0, 5, 10}).Validate(10); err != nil {
-		t.Errorf("valid vector rejected: %v", err)
+	// Just below the bound the norm product stays finite.
+	edge := Vector{math.Sqrt(maxCosineSqNorm) * 0.999}
+	if _, err := CheckVectors(Cosine(), []Vector{edge}); err != nil {
+		t.Errorf("cosine refused %v: %v", edge, err)
 	}
-	for _, bad := range []Vector{
-		{-1, 0},
-		{0, 11},
-		{math.NaN()},
-		{math.Inf(1)},
-	} {
-		if err := bad.Validate(10); err == nil {
-			t.Errorf("Validate accepted invalid vector %v", bad)
+	if s := Cosine()(edge, edge); !(math.Abs(s-1) < 1e-12) {
+		t.Errorf("cosine(edge, edge) = %v, want 1", s)
+	}
+	for name, f := range map[string]Func{"euclidean": Euclidean(2, 10), "manhattan": Manhattan(2, 10)} {
+		if i, err := CheckVectors(f, bad); err != nil {
+			t.Errorf("%s refused vector %d: %v", name, i, err)
 		}
 	}
 }

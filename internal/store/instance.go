@@ -9,6 +9,7 @@ import (
 
 	"github.com/ebsnlab/geacc/internal/core"
 	"github.com/ebsnlab/geacc/internal/encoding"
+	"github.com/ebsnlab/geacc/internal/sim"
 )
 
 // ErrNotFound marks a Check failure whose op names an event or user the
@@ -39,8 +40,9 @@ func NewInstance(meta Meta, arr *core.Arranger, log *Log) *Instance {
 // Check is the validation every delta op passes before it is logged, and
 // every logged op passes again on replay: an arrival's attribute vector
 // has Meta.Dim entries (Meta.Validate pins Dim > 0, so a mismatched vector
-// never reaches a similarity kernel, which panics on unequal lengths), its
-// capacity is not negative, an event's conflicts name existing events, and
+// never reaches a similarity kernel, which panics on unequal lengths), the
+// instance's similarity can score it (sim.CheckVectors), its capacity is
+// not negative, an event's conflicts name existing events, and
 // a cancellation names an existing node (else the error wraps ErrNotFound).
 // Rebalance outcomes are checked when applied, by core.Validate.
 func (inst *Instance) Check(op Op) error {
@@ -48,6 +50,9 @@ func (inst *Instance) Check(op Op) error {
 	case OpAddEvent, OpAddUser:
 		if len(op.Attrs) != inst.Meta.Dim {
 			return fmt.Errorf("store: instance %q wants %d attributes, got %d", inst.Meta.ID, inst.Meta.Dim, len(op.Attrs))
+		}
+		if _, err := sim.CheckVectors(inst.Arr.SimFunc(), []sim.Vector{op.Attrs}); err != nil {
+			return fmt.Errorf("store: %w", err)
 		}
 		if op.Cap < 0 {
 			return fmt.Errorf("store: negative capacity %d", op.Cap)

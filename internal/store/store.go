@@ -133,9 +133,6 @@ func Open(dir string) (*Store, error) {
 	return &Store{dir: dir}, nil
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // InstanceDir returns the directory holding the named instance's files.
 func (s *Store) InstanceDir(id string) string { return filepath.Join(s.dir, id) }
 
