@@ -207,6 +207,36 @@ func TestCosineSimilarityOption(t *testing.T) {
 	}
 }
 
+// TestArrangerRefusesOverflowingCosine: the dynamic arranger refuses
+// cosine attributes whose norm product overflows, as NewProblem and the
+// service's delta check do, instead of placing them with a NaN or zero
+// similarity; the refused arrival leaves no trace, and the same shape with
+// a scorable vector is arranged.
+func TestArrangerRefusesOverflowingCosine(t *testing.T) {
+	arr, err := NewArranger(CosineSimilarity())
+	if err != nil {
+		t.Fatal(err)
+	}
+	huge := []float64{1e200, 1e200}
+	if _, err := arr.AddEvent(Event{Attrs: huge, Cap: 1}, nil); err == nil {
+		t.Fatal("AddEvent accepted a cosine vector that overflows")
+	}
+	v, err := arr.AddEvent(Event{Attrs: []float64{1, 1}, Cap: 1}, nil)
+	if err != nil || v != 0 {
+		t.Fatalf("AddEvent after a refusal = %d, %v; want event 0", v, err)
+	}
+	if _, err := arr.AddUser(User{Attrs: huge, Cap: 1}); err == nil {
+		t.Fatal("AddUser accepted a cosine vector that overflows")
+	}
+	u, err := arr.AddUser(User{Attrs: []float64{2, 2}, Cap: 1})
+	if err != nil || u != 0 {
+		t.Fatalf("AddUser after a refusal = %d, %v; want user 0", u, err)
+	}
+	if got := arr.UserEvents(u); len(got) != 1 || got[0] != v || arr.MaxSum() != 1 {
+		t.Fatalf("user arranged to %v with max_sum %v; want [0] and 1", got, arr.MaxSum())
+	}
+}
+
 func TestExactNodeLimitSurfaced(t *testing.T) {
 	// A larger random-ish problem with a tiny budget must return
 	// ErrBudgetExceeded and still hand back a feasible matching.

@@ -177,11 +177,16 @@ func (a *Arranger) conflictsWithMatched(v, u int) bool {
 
 // AddEvent registers a new event, declares its conflicts with existing
 // events, and greedily recruits the most interested users with spare
-// capacity. It returns the event's id.
+// capacity. It returns the event's id. Attributes the similarity cannot
+// score (sim.CheckVectors) are refused, as are a negative capacity and a
+// conflict with an unknown event.
 func (a *Arranger) AddEvent(e Event, conflictsWith []int) (int, error) {
 	defer observeArrangerOp("add_event", time.Now())
 	if e.Cap < 0 {
 		return 0, fmt.Errorf("core: negative event capacity %d", e.Cap)
+	}
+	if _, err := sim.CheckVectors(a.simFn, []sim.Vector{e.Attrs}); err != nil {
+		return 0, fmt.Errorf("core: event: %w", err)
 	}
 	v := len(a.events)
 	for _, w := range conflictsWith {
@@ -206,11 +211,16 @@ func (a *Arranger) AddEvent(e Event, conflictsWith []int) (int, error) {
 }
 
 // AddUser registers a new user and greedily arranges them into their most
-// interesting feasible events. It returns the user's id.
+// interesting feasible events. It returns the user's id. Attributes the
+// similarity cannot score (sim.CheckVectors) and a negative capacity are
+// refused.
 func (a *Arranger) AddUser(u User) (int, error) {
 	defer observeArrangerOp("add_user", time.Now())
 	if u.Cap < 0 {
 		return 0, fmt.Errorf("core: negative user capacity %d", u.Cap)
+	}
+	if _, err := sim.CheckVectors(a.simFn, []sim.Vector{u.Attrs}); err != nil {
+		return 0, fmt.Errorf("core: user: %w", err)
 	}
 	id := len(a.users)
 	a.users = append(a.users, u)

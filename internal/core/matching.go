@@ -1,9 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 )
 
 // Assignment is one matched (event, user) pair together with its
@@ -68,14 +68,77 @@ func (m *Matching) Pairs() []Assignment { return m.pairs }
 // SortedPairs returns the assignments sorted by (V, U), independent of
 // insertion order — convenient for comparisons and stable output.
 func (m *Matching) SortedPairs() []Assignment {
-	out := append([]Assignment(nil), m.pairs...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].V != out[j].V {
-			return out[i].V < out[j].V
+	return m.AppendSortedPairs(nil)
+}
+
+// AppendSortedPairs appends the assignments to dst in (V, U) order and
+// returns the extended slice. A counting pass over V places each pair in
+// its event's run, keeping insertion order within the run, and a short
+// insertion sort orders each run by U; pairs are unique, so the order is
+// total. Event ids spread much wider than the pair count (never the case
+// for a matching of an instance's dense ids) fall back to a comparison
+// sort, so the count array stays O(pairs).
+func (m *Matching) AppendSortedPairs(dst []Assignment) []Assignment {
+	n := len(m.pairs)
+	base := len(dst)
+	dst = slices.Grow(dst, n)[:base+n]
+	out := dst[base:]
+	if n == 0 {
+		return dst
+	}
+	lo, hi := m.pairs[0].V, m.pairs[0].V
+	for _, p := range m.pairs[1:] {
+		lo, hi = min(lo, p.V), max(hi, p.V)
+	}
+	if uint(hi)-uint(lo) >= uint(4*n+64) {
+		copy(out, m.pairs)
+		slices.SortFunc(out, func(a, b Assignment) int {
+			if c := cmp.Compare(a.V, b.V); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.U, b.U)
+		})
+		return dst
+	}
+	// next[k] is the slot of event lo+k's next pair; once every pair is
+	// placed it is the end of that event's run.
+	next := make([]int, hi-lo+1)
+	for _, p := range m.pairs {
+		if k := p.V - lo; k+1 < len(next) {
+			next[k+1]++
 		}
-		return out[i].U < out[j].U
-	})
-	return out
+	}
+	for k := 1; k < len(next); k++ {
+		next[k] += next[k-1]
+	}
+	for _, p := range m.pairs {
+		k := p.V - lo
+		out[next[k]] = p
+		next[k]++
+	}
+	start := 0
+	for _, end := range next {
+		sortRunByU(out[start:end])
+		start = end
+	}
+	return dst
+}
+
+// sortRunByU orders one event's run by user id: insertion sort for the
+// short runs event capacities give, a comparison sort past that.
+func sortRunByU(run []Assignment) {
+	if len(run) > 64 {
+		slices.SortFunc(run, func(a, b Assignment) int { return cmp.Compare(a.U, b.U) })
+		return
+	}
+	for i := 1; i < len(run); i++ {
+		p := run[i]
+		j := i
+		for ; j > 0 && run[j-1].U > p.U; j-- {
+			run[j] = run[j-1]
+		}
+		run[j] = p
+	}
 }
 
 // UserEvents returns the events user u is arranged to, in insertion order.

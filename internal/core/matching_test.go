@@ -1,6 +1,10 @@
 package core
 
 import (
+	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"github.com/ebsnlab/geacc/internal/conflict"
@@ -60,6 +64,45 @@ func TestMatchingSortedPairs(t *testing.T) {
 	// Insertion order must be preserved by Pairs.
 	if m.Pairs()[0] != (Assignment{2, 0, 0.1}) {
 		t.Error("Pairs lost insertion order")
+	}
+}
+
+// TestAppendSortedPairsMatchesSort checks the counting pass against a
+// comparison sort on random matchings: dense event ids with short and long
+// (> 64 pair) runs, negative ids, and ids spread so wide that the count
+// array would outgrow the pairs. The pairs are appended after whatever dst
+// already holds.
+func TestAppendSortedPairsMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	spreads := []int{1, 3, 40, 1 << 20}
+	for trial := 0; trial < 400; trial++ {
+		spread := spreads[trial%len(spreads)]
+		lo := rng.Intn(5) - 2
+		if trial%7 == 0 {
+			lo = math.MinInt / 2
+		}
+		m := NewMatching()
+		for i, n := 0, rng.Intn(300); i < n; i++ {
+			v, u := lo+rng.Intn(spread), rng.Intn(200)-50
+			if !m.Contains(v, u) {
+				m.Add(v, u, rng.Float64())
+			}
+		}
+		want := slices.Clone(m.Pairs())
+		sort.Slice(want, func(i, j int) bool {
+			if want[i].V != want[j].V {
+				return want[i].V < want[j].V
+			}
+			return want[i].U < want[j].U
+		})
+		head := []Assignment{{V: -9, U: -9, Sim: 1}}
+		got := m.AppendSortedPairs(slices.Clone(head))
+		if !slices.Equal(got[:1], head) || !slices.Equal(got[1:], want) {
+			t.Fatalf("trial %d (spread %d, lo %d): AppendSortedPairs differs from sort.Slice", trial, spread, lo)
+		}
+		if !slices.Equal(m.SortedPairs(), want) {
+			t.Fatalf("trial %d: SortedPairs differs from sort.Slice", trial)
+		}
 	}
 }
 

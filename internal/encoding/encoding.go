@@ -12,6 +12,11 @@
 // body whose read fails, is decoded by encoding/json over the same bytes,
 // so what is accepted, and every error message, is encoding/json's. The
 // geacc_instance_decode_fallback_total counter counts those bodies.
+//
+// Responses encode in one pass the other way: AppendMatching writes a
+// matching's pairs, in (v, u) order from a counting pass, straight into a
+// []byte, with floats formatted by encoding/json's own rule, so the bytes
+// equal json.Encoder's indented output without reflection or re-indenting.
 package encoding
 
 import (
@@ -215,24 +220,16 @@ func NewMatching(pairs []PairJSON) (*core.Matching, error) {
 	return m, nil
 }
 
-// MatchingDoc is the serialized form of m: pairs sorted by (v, u), an empty
-// (never nil) pair list for an empty matching. Embedding it in a larger
-// response yields the same bytes as an EncodeMatching → json.Unmarshal
-// round trip, since float64 values survive encoding/json exactly.
-func MatchingDoc(m *core.Matching) MatchingJSON {
-	sorted := m.SortedPairs()
-	doc := MatchingJSON{MaxSum: m.MaxSum(), Pairs: make([]PairJSON, 0, len(sorted))}
-	for _, p := range sorted {
-		doc.Pairs = append(doc.Pairs, PairJSON{V: p.V, U: p.U, Sim: p.Sim})
-	}
-	return doc
-}
-
-// EncodeMatching serializes a matching to JSON (pairs sorted by (v, u)).
+// EncodeMatching serializes a matching to JSON (pairs sorted by (v, u)),
+// indented, with a trailing newline: the bytes json.Encoder with
+// SetIndent("", "  ") writes for its MatchingJSON, written with one Write.
 func EncodeMatching(w io.Writer, m *core.Matching) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(MatchingDoc(m))
+	b, err := AppendMatching(nil, m, 0)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(append(b, '\n'))
+	return err
 }
 
 // WriteMatchingCSV writes "v,u,sim" rows (with header) sorted by (v, u).

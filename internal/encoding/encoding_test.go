@@ -7,7 +7,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
+	"reflect"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -205,10 +208,42 @@ func TestEncodeCosineWithoutMaxT(t *testing.T) {
 	}
 }
 
-// TestMatchingDocMatchesRoundTrip: MatchingDoc must produce exactly what
-// decoding EncodeMatching's output used to — same pairs, same order, same
-// float bits, [] (not null) when empty — so responses built from it stay
-// byte-identical.
+// MatchingDoc is the reference form of a serialized matching: the pairs
+// sorted by (v, u) with sort.Slice, an empty (never nil) pair list for an
+// empty matching. Responses embedded it in their structs and json.Encoder
+// wrote them; the one-pass encoder must give the same bytes.
+func MatchingDoc(m *core.Matching) MatchingJSON {
+	pairs := append([]core.Assignment(nil), m.Pairs()...)
+	sort.Slice(pairs, func(i, j int) bool {
+		if pairs[i].V != pairs[j].V {
+			return pairs[i].V < pairs[j].V
+		}
+		return pairs[i].U < pairs[j].U
+	})
+	doc := MatchingJSON{MaxSum: m.MaxSum(), Pairs: make([]PairJSON, 0, len(pairs))}
+	for _, p := range pairs {
+		doc.Pairs = append(doc.Pairs, PairJSON{V: p.V, U: p.U, Sim: p.Sim})
+	}
+	return doc
+}
+
+// encodeIndented is json.Encoder with SetIndent("", "  "), as the service
+// wrote every response before the one-pass encoder.
+func encodeIndented(t *testing.T, v any) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestMatchingDocMatchesRoundTrip: EncodeMatching, and AppendMatching one
+// level deep in a response, must write exactly what json.Encoder writes for
+// MatchingDoc — same pairs, same order, same float bits, [] (not null) when
+// empty — and decoding it must give MatchingDoc back.
 func TestMatchingDocMatchesRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 50; trial++ {
@@ -227,23 +262,70 @@ func TestMatchingDocMatchesRoundTrip(t *testing.T) {
 		if err := EncodeMatching(&buf, m); err != nil {
 			t.Fatal(err)
 		}
-		var old MatchingJSON
-		if err := json.Unmarshal(buf.Bytes(), &old); err != nil {
+		if want := encodeIndented(t, MatchingDoc(m)); !bytes.Equal(buf.Bytes(), want) {
+			t.Fatalf("trial %d: EncodeMatching\n%s\nstdlib\n%s", trial, buf.Bytes(), want)
+		}
+		var back MatchingJSON
+		if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
 			t.Fatal(err)
 		}
-		want, err := json.Marshal(old)
+		if !reflect.DeepEqual(back, MatchingDoc(m)) {
+			t.Fatalf("trial %d: round trip gave %+v", trial, back)
+		}
+		nested, err := AppendMatching([]byte("{\n  \"matching\": "), m, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := json.Marshal(MatchingDoc(m))
+		nested = append(nested, "\n}\n"...)
+		want := encodeIndented(t, struct {
+			Matching MatchingJSON `json:"matching"`
+		}{MatchingDoc(m)})
+		if !bytes.Equal(nested, want) {
+			t.Fatalf("trial %d: AppendMatching at depth 1\n%s\nstdlib\n%s", trial, nested, want)
+		}
+		if n == 0 && !bytes.Contains(buf.Bytes(), []byte(`"pairs": []`)) {
+			t.Fatalf("empty matching serialized as %s", buf.Bytes())
+		}
+	}
+}
+
+// TestAppendFloatMatchesStdlib walks the values around encoding/json's
+// format switches (1e-6 and 1e21), signed zeros, subnormals, the largest
+// finite float and exponents that need the e-09 → e-9 clean-up; NaN and
+// ±Inf must fail as they do in json.Marshal.
+func TestAppendFloatMatchesStdlib(t *testing.T) {
+	vals := []float64{0, math.Copysign(0, -1), 1, -1, 0.1, 1e-6, 1e21, 1e20, 123456789,
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 2.2250738585072014e-308,
+		math.MaxFloat64, -math.MaxFloat64, 1e-9, 5e-324, 1.5e-7, 1e100, 0.30000000000000004}
+	for _, x := range []float64{1e-6, 1e21} {
+		vals = append(vals, math.Nextafter(x, 0), math.Nextafter(x, math.Inf(1)), -x)
+	}
+	for _, f := range vals {
+		want, err := json.Marshal(f)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("trial %d: MatchingDoc\n%s\nround trip\n%s", trial, got, want)
+		got, err := AppendFloat([]byte("x"), f)
+		if err != nil || string(got) != "x"+string(want) {
+			t.Errorf("AppendFloat(%v) = %q, %v; want x%s", f, got, err, want)
 		}
-		if n == 0 && !bytes.Contains(got, []byte(`"pairs":[]`)) {
-			t.Fatalf("empty matching serialized as %s", got)
+	}
+	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		_, want := json.Marshal(f)
+		if _, err := AppendFloat(nil, f); err == nil || want == nil || err.Error() != want.Error() {
+			t.Errorf("AppendFloat(%v) error %v; json.Marshal says %v", f, err, want)
+		}
+	}
+}
+
+// TestAppendStringMatchesStdlib: plain ASCII is copied as is; quotes,
+// backslashes, HTML characters, control bytes, non-ASCII and invalid UTF-8
+// come out as json.Marshal writes them.
+func TestAppendStringMatchesStdlib(t *testing.T) {
+	for _, s := range []string{"", "greedy", "random-u", `a"b`, `a\b`, "<&>", "tab\there", "é", "\xff", "\u2028", "\x7f"} {
+		want, _ := json.Marshal(s)
+		if got := AppendString(nil, s); !bytes.Equal(got, want) {
+			t.Errorf("AppendString(%q) = %s; want %s", s, got, want)
 		}
 	}
 }

@@ -281,7 +281,8 @@ type InstanceSummary struct {
 }
 
 // InstanceStatus is the GET /instances/{id} payload: the summary plus the
-// full current matching in arrival order.
+// full current matching in arrival order. appendInstanceStatus writes its
+// bytes.
 type InstanceStatus struct {
 	InstanceSummary
 	Matching encoding.MatchingJSON `json:"matching"`
@@ -307,18 +308,6 @@ func (inst *instance) summaryLocked() InstanceSummary {
 		DirtyEvents: dirtyE,
 		DirtyUsers:  dirtyU,
 	}
-}
-
-// statusLocked builds the full status; callers hold inst.mu. Pairs are
-// listed in the matching's insertion order (not sorted), so the response —
-// float bits of max_sum included — is reproducible across a crash/replay.
-func (inst *instance) statusLocked() InstanceStatus {
-	m := inst.Arr.Matching()
-	mj := encoding.MatchingJSON{MaxSum: m.MaxSum(), Pairs: []encoding.PairJSON{}}
-	for _, p := range m.Pairs() {
-		mj.Pairs = append(mj.Pairs, encoding.PairJSON{V: p.V, U: p.U, Sim: p.Sim})
-	}
-	return InstanceStatus{InstanceSummary: inst.summaryLocked(), Matching: mj}
 }
 
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
@@ -377,7 +366,7 @@ func (s *service) handleCreateInstance(w http.ResponseWriter, r *http.Request) {
 	requestLogger(r).Info("instance created", "id", meta.ID, "sim", meta.Sim)
 	inst.mu.Lock()
 	defer inst.mu.Unlock()
-	writeJSONStatus(w, http.StatusCreated, inst.summaryLocked())
+	writeJSONStatus(w, r, http.StatusCreated, inst.summaryLocked())
 }
 
 // handleListInstances answers GET /instances with every instance's summary,
@@ -399,7 +388,7 @@ func (s *service) handleListInstances(w http.ResponseWriter, r *http.Request) {
 		inst.mu.Unlock()
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	writeJSON(w, map[string]any{"instances": out})
+	writeJSON(w, r, map[string]any{"instances": out})
 }
 
 // handleGetInstance answers GET /instances/{id} with the full status.
@@ -412,7 +401,12 @@ func (s *service) handleGetInstance(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer inst.mu.Unlock()
-	writeJSON(w, inst.statusLocked())
+	// Pairs are listed in the matching's insertion order (not sorted), so
+	// the response — float bits of max_sum included — is reproducible
+	// across a crash/replay.
+	writeResponse(w, r, http.StatusOK, func(b []byte) ([]byte, error) {
+		return appendInstanceStatus(b, inst.summaryLocked(), inst.Arr.Matching())
+	})
 }
 
 // handleDeleteInstance removes an instance and, when persistent, its files:
@@ -446,7 +440,7 @@ func (s *service) handleDeleteInstance(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	requestLogger(r).Info("instance deleted", "id", id)
-	writeJSON(w, map[string]string{"deleted": id})
+	writeJSON(w, r, map[string]string{"deleted": id})
 }
 
 // AddEventRequest is the POST /instances/{id}/events body.
@@ -539,7 +533,7 @@ func (s *service) handleDelta(decode func(http.ResponseWriter, *http.Request) (s
 			u := inst.Arr.NumUsers() - 1
 			resp.ID, resp.Matched = &u, inst.Arr.UserEvents(u)
 		}
-		writeJSON(w, resp)
+		writeJSON(w, r, resp)
 	}
 }
 
@@ -666,7 +660,7 @@ func (s *service) handleRebalance(w http.ResponseWriter, r *http.Request) {
 		"id", inst.Meta.ID, "scope", scope, "algo", algo,
 		"components_solved", res.ComponentsSolved, "components_total", res.ComponentsTotal,
 		"gain", res.Gain, "adopted", res.Adopted, "seconds", elapsed)
-	writeJSON(w, RebalanceResponse{
+	writeJSON(w, r, RebalanceResponse{
 		RebalanceResult: res,
 		Scope:           scope,
 		Algo:            algo,

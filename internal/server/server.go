@@ -190,32 +190,18 @@ func solveErrorStatus(err error, fallback int) int {
 	return fallback
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
-	writeJSONStatus(w, http.StatusOK, v)
+func handleHealthz(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, r, map[string]string{"status": "ok"})
 }
 
-// writeJSONStatus writes v with an explicit status code. Content-Type must
-// be set before WriteHeader flushes the header block, so non-200 JSON
-// responses still carry it.
-func writeJSONStatus(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, map[string]string{"status": "ok"})
-}
-
-func handleAlgorithms(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, map[string]any{
+func handleAlgorithms(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, r, map[string]any{
 		"algorithms": append(core.SolverNames(), "portfolio"),
 	})
 }
 
-// SolveResponse is the /solve payload. Diagnostics is present only when
+// SolveResponse is the /solve payload, for clients to decode;
+// appendSolveResponse writes its bytes. Diagnostics is present only when
 // the request asked for it with ?diag=1.
 type SolveResponse struct {
 	Matching    encoding.MatchingJSON `json:"matching"`
@@ -258,7 +244,7 @@ func (s *service) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if err == nil && res.Cached { // nothing solved: no window observation
 		requestLogger(r).Info("solve cache hit",
 			"algo", spec.Algo, "events", in.NumEvents(), "users", in.NumUsers())
-		writeJSON(w, solveResponse(in, spec.Algo, res))
+		writeSolveResponse(w, r, in, spec.Algo, res)
 		return
 	}
 	// The solver window tracks wall-clock and failures (gate, solver
@@ -278,28 +264,18 @@ func (s *service) handleSolve(w http.ResponseWriter, r *http.Request) {
 		logAttrs = append(logAttrs, "gap", d.Gap, "relaxed_upper_bound", d.RelaxedUpperBound)
 	}
 	requestLogger(r).Info("solve", logAttrs...)
-	writeJSON(w, solveResponse(in, spec.Algo, res))
+	writeSolveResponse(w, r, in, spec.Algo, res)
 }
 
-func solveResponse(in *core.Instance, algo string, res *decomp.Result) SolveResponse {
-	return SolveResponse{
-		Matching:    encoding.MatchingDoc(res.M),
-		Algo:        algo,
-		Seconds:     res.Elapsed.Seconds(),
-		Events:      in.NumEvents(),
-		Users:       in.NumUsers(),
-		Diagnostics: res.Diag,
-	}
+func writeSolveResponse(w http.ResponseWriter, r *http.Request, in *core.Instance, algo string, res *decomp.Result) {
+	writeResponse(w, r, http.StatusOK, func(b []byte) ([]byte, error) {
+		return appendSolveResponse(b, in, algo, res)
+	})
 }
 
-// TraceResponse is the /trace payload: the greedy arrangement plus every
+// TraceStepJSON is one serialized greedy decision. The /trace payload is
+// {"matching": ..., "steps": [...]}: the greedy arrangement plus every
 // heap-pop decision in order (the paper's Example 3 narrative, as data).
-type TraceResponse struct {
-	Matching encoding.MatchingJSON `json:"matching"`
-	Steps    []TraceStepJSON       `json:"steps"`
-}
-
-// TraceStepJSON is one serialized greedy decision.
 type TraceStepJSON struct {
 	V        int     `json:"v"`
 	U        int     `json:"u"`
@@ -344,10 +320,9 @@ func (s *service) handleTrace(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusInternalServerError, err)
 		return
 	}
-	if steps == nil {
-		steps = []TraceStepJSON{}
-	}
-	writeJSON(w, TraceResponse{Matching: encoding.MatchingDoc(m), Steps: steps})
+	writeResponse(w, r, http.StatusOK, func(b []byte) ([]byte, error) {
+		return appendTraceResponse(b, m, steps)
+	})
 }
 
 // handleChromeTrace runs the requested registry solver (default greedy)
@@ -383,8 +358,8 @@ func handleChromeTrace(w http.ResponseWriter, r *http.Request, in *core.Instance
 }
 
 // handleVersion answers GET /version with the binary's build identity.
-func handleVersion(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, buildinfo.Get())
+func handleVersion(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, r, buildinfo.Get())
 }
 
 // pairDoc is the {"instance":..., "matching":...} request body shared by
@@ -431,7 +406,7 @@ func (s *service) handleReport(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, solveErrorStatus(err, http.StatusUnprocessableEntity), err)
 		return
 	}
-	writeJSON(w, rep)
+	writeJSON(w, r, rep)
 }
 
 // ValidateResponse is the /validate payload.
@@ -452,5 +427,5 @@ func handleValidate(w http.ResponseWriter, r *http.Request) {
 		resp.Feasible = false
 		resp.Reason = err.Error()
 	}
-	writeJSON(w, resp)
+	writeJSON(w, r, resp)
 }

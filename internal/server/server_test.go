@@ -232,6 +232,24 @@ func TestTraceEndpoint(t *testing.T) {
 	}
 }
 
+// TestValidateEncodeFailureAnswers500: a /validate matching whose two
+// pairs each claim "sim": 1.7e308 sums to a max_sum of +Inf, which
+// encoding/json refuses. The response used to be a 200 with an empty body
+// (the status went out before the encode); it must be a 500 error naming
+// the value.
+func TestValidateEncodeFailureAnswers500(t *testing.T) {
+	srv := newServer(t)
+	huge := encoding.MatchingJSON{Pairs: []encoding.PairJSON{{V: 0, U: 0, Sim: 1.7e308}, {V: 0, U: 1, Sim: 1.7e308}}}
+	resp, body := postJSON(t, srv.URL+"/validate", pairBody(t, huge))
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("status %d, body %q; want 500", resp.StatusCode, body)
+	}
+	var e errorJSON
+	if err := json.Unmarshal(body, &e); err != nil || !strings.Contains(e.Error, "unsupported value: +Inf") {
+		t.Fatalf("body %q (%v); want an error naming +Inf", body, err)
+	}
+}
+
 func TestValidateEndpoint(t *testing.T) {
 	srv := newServer(t)
 	good := encoding.MatchingJSON{Pairs: []encoding.PairJSON{{V: 0, U: 0, Sim: 0.9}}}

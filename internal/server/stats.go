@@ -141,5 +141,5 @@ func (s *service) handleInstanceStats(w http.ResponseWriter, r *http.Request) {
 		st.DirtyComponents = len(d.DirtyComponents(st.DirtyEvents, st.DirtyUsers))
 	}
 
-	writeJSON(w, st)
+	writeJSON(w, r, st)
 }

@@ -96,7 +96,7 @@ type StatuszResponse struct {
 }
 
 // handleStatusz answers GET /statusz.
-func (s *service) handleStatusz(w http.ResponseWriter, _ *http.Request) {
+func (s *service) handleStatusz(w http.ResponseWriter, r *http.Request) {
 	s.winMu.Lock()
 	httpW := make(map[string]*obs.Window, len(s.httpWindows))
 	for k, v := range s.httpWindows {
@@ -118,7 +118,7 @@ func (s *service) handleStatusz(w http.ResponseWriter, _ *http.Request) {
 		cs := s.solveCache.Stats()
 		cacheStats = &cs
 	}
-	writeJSON(w, StatuszResponse{
+	writeJSON(w, r, StatuszResponse{
 		Service:         "geacc-server",
 		Build:           buildinfo.Get(),
 		StartedAt:       buildinfo.StartTime().UTC(),
@@ -147,7 +147,7 @@ type readyzResponse struct {
 // running or failed, the store no longer writable, or the handler stack
 // saturated. Liveness stays on /healthz: an unready process is not a dead
 // process.
-func (s *service) handleReadyz(w http.ResponseWriter, _ *http.Request) {
+func (s *service) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	checks := make(map[string]string, 3)
 	ready := true
 
@@ -186,5 +186,5 @@ func (s *service) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 		status = http.StatusServiceUnavailable
 		w.Header().Set("Retry-After", "1")
 	}
-	writeJSONStatus(w, status, readyzResponse{Ready: ready, Checks: checks})
+	writeJSONStatus(w, r, status, readyzResponse{Ready: ready, Checks: checks})
 }
