@@ -13,7 +13,8 @@ import (
 	"github.com/ebsnlab/geacc/internal/encoding"
 )
 
-// decodeMatching reads a matching document as geacc-solve writes it.
+// decodeMatching reads a matching document as geacc-solve writes it, for
+// the small instances these tests solve (ids below 1024).
 func decodeMatching(r io.Reader) (*core.Matching, error) {
 	var doc encoding.MatchingJSON
 	dec := json.NewDecoder(r)
@@ -21,7 +22,7 @@ func decodeMatching(r io.Reader) (*core.Matching, error) {
 	if err := dec.Decode(&doc); err != nil {
 		return nil, err
 	}
-	return encoding.NewMatching(doc.Pairs)
+	return encoding.NewMatching(doc.Pairs, 1<<10, 1<<10)
 }
 
 func writeInstance(t *testing.T) string {

@@ -2,6 +2,7 @@ package conflict
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -282,4 +283,50 @@ func TestGraphN(t *testing.T) {
 		}
 	}()
 	New(-1)
+}
+
+// TestFromPairsMatchesAdd checks the two-pass FromPairs against the Add loop
+// it replaced on random pair lists with self-pairs, repeats and reversed
+// repeats: the same edge count, lookups and neighbor lists in the same
+// order. A later Add must extend a list without touching its neighbor's.
+func TestFromPairsMatchesAdd(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(30)
+		pairs := make([][2]int, rng.Intn(4*n))
+		for k := range pairs {
+			pairs[k] = [2]int{rng.Intn(n), rng.Intn(n)}
+			if k > 0 && rng.Intn(5) == 0 {
+				q := pairs[rng.Intn(k)]
+				pairs[k] = [2]int{q[1], q[0]}
+			}
+		}
+		want := New(n)
+		for _, p := range pairs {
+			want.Add(p[0], p[1])
+		}
+		got := FromPairs(n, pairs)
+		same := func(stage string) {
+			if got.Edges() != want.Edges() {
+				t.Fatalf("trial %d %s: %d edges, want %d", trial, stage, got.Edges(), want.Edges())
+			}
+			for i := 0; i < n; i++ {
+				if !slices.Equal(got.Neighbors(i), want.Neighbors(i)) {
+					t.Fatalf("trial %d %s: Neighbors(%d) = %v, want %v", trial, stage, i, got.Neighbors(i), want.Neighbors(i))
+				}
+				for j := 0; j < n; j++ {
+					if got.Conflicting(i, j) != want.Conflicting(i, j) {
+						t.Fatalf("trial %d %s: Conflicting(%d, %d) differs", trial, stage, i, j)
+					}
+				}
+			}
+		}
+		same("built")
+		for k := 0; k < 3; k++ {
+			i, j := rng.Intn(n), rng.Intn(n)
+			got.Add(i, j)
+			want.Add(i, j)
+		}
+		same("extended")
+	}
 }

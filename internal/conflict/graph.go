@@ -105,11 +105,44 @@ func (g *Graph) Pairs() [][2]int {
 	return out
 }
 
-// FromPairs builds a graph over n events from explicit conflicting pairs.
+// FromPairs builds a graph over n events from explicit conflicting pairs:
+// the graph Add would build from them in order (self-pairs and repeats
+// skipped, out-of-range indices panic), with every adjacency list carved
+// from one block. A first pass sets the bits and counts each event's
+// degree, marking the pairs it kept; a second fills the lists in pair
+// order.
 func FromPairs(n int, pairs [][2]int) *Graph {
 	g := New(n)
-	for _, p := range pairs {
-		g.Add(p[0], p[1])
+	kept := make([]uint64, (len(pairs)+63)/64)
+	deg := make([]int, n)
+	for k, p := range pairs {
+		i, j := p[0], p[1]
+		if i < 0 || j < 0 || i >= n || j >= n {
+			panic(fmt.Sprintf("conflict: pair (%d, %d) out of range [0, %d)", i, j, n))
+		}
+		if i == j || g.Conflicting(i, j) {
+			continue
+		}
+		g.bits[g.bit(i, j)/64] |= 1 << (g.bit(i, j) % 64)
+		g.bits[g.bit(j, i)/64] |= 1 << (g.bit(j, i) % 64)
+		kept[k/64] |= 1 << (k % 64)
+		deg[i]++
+		deg[j]++
+		g.edges++
+	}
+	block := make([]int, 2*g.edges)
+	start := 0
+	for i, d := range deg {
+		if d > 0 {
+			g.adj[i] = block[start : start : start+d]
+		}
+		start += d
+	}
+	for k, p := range pairs {
+		if kept[k/64]&(1<<(k%64)) != 0 {
+			g.adj[p[0]] = append(g.adj[p[0]], p[1])
+			g.adj[p[1]] = append(g.adj[p[1]], p[0])
+		}
 	}
 	return g
 }

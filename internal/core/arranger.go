@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -29,6 +31,10 @@ type Arranger struct {
 	conflicts map[int]map[int]bool // symmetric adjacency over event ids
 
 	matching *Matching
+	// simOff and simBuf are SetMatching's scratch: the current matching's
+	// similarities laid out by user (Matching.userSims).
+	simOff []int
+	simBuf []float64
 
 	union unionGraph // kept by UnionRoots (union.go)
 }
@@ -87,35 +93,53 @@ func RestoreArranger(in *Instance, m *Matching) (*Arranger, error) {
 // recomputeRemaining rederives the remaining capacities from the declared
 // caps minus the current matching's load.
 func (a *Arranger) recomputeRemaining() {
-	a.remCapV = make([]int, len(a.events))
+	a.remCapV = slices.Grow(a.remCapV[:0], len(a.events))[:len(a.events)]
 	for v := range a.events {
 		a.remCapV[v] = a.events[v].Cap - len(a.matching.EventUsers(v))
 	}
-	a.remCapU = make([]int, len(a.users))
+	a.remCapU = slices.Grow(a.remCapU[:0], len(a.users))[:len(a.users)]
 	for u := range a.users {
 		a.remCapU[u] = a.users[u].Cap - len(a.matching.UserEvents(u))
 	}
 }
 
-// SetMatching replaces the current arrangement with m — the adoption hook
-// for externally computed re-solves (the service's component-scoped
-// rebalance). m is validated against the current snapshot before anything
-// changes; on success the arranger takes ownership of m (the caller must
-// not use it afterwards), rederives the remaining capacities and hands back
-// the matching it replaced, which it no longer references: a ready restore
+// SetMatching replaces the current arrangement with m. It is the one
+// adoption path: the service's component-scoped rebalance, the restore
+// after a failed log append and WAL replay all take it. m is checked
+// against the arranger's own events, users, conflicts and similarity, with
+// no snapshot, before anything changes: every pair in range, sim > 0 and
+// equal to the similarity function's value, no node over capacity, no user
+// in two conflicting events. Attributes never change, so a pair the current
+// matching holds with the same bits was scored when it was adopted and is
+// not scored again; a rebalance re-scores only the components it replaced.
+// On success the arranger takes ownership of m (the caller must not use it
+// afterwards), rederives the remaining capacities and hands back the
+// matching it replaced, which it no longer references: a ready restore
 // point.
 func (a *Arranger) SetMatching(m *Matching) (*Matching, error) {
-	in, _, err := a.Snapshot()
+	cur := a.matching
+	a.simOff, a.simBuf = cur.userSims(a.simOff, a.simBuf)
+	err := m.check(feasibility{
+		events: len(a.events), users: len(a.users),
+		sim: func(p Assignment) float64 {
+			if p.U < len(cur.userEvents) {
+				if k := slices.Index(cur.userEvents[p.U], p.V); k >= 0 &&
+					math.Float64bits(a.simBuf[a.simOff[p.U]+k]) == math.Float64bits(p.Sim) {
+					return p.Sim
+				}
+			}
+			return a.sim(p.V, p.U)
+		},
+		eventCap:    func(v int) int { return a.events[v].Cap },
+		userCap:     func(u int) int { return a.users[u].Cap },
+		conflicting: a.conflicting,
+	})
 	if err != nil {
-		return nil, err
-	}
-	if err := Validate(in, m); err != nil {
 		return nil, fmt.Errorf("core: refusing infeasible matching: %w", err)
 	}
-	prev := a.matching
 	a.matching = m
 	a.recomputeRemaining()
-	return prev, nil
+	return cur, nil
 }
 
 // NumEvents returns the number of events ever added (including cancelled

@@ -302,10 +302,9 @@ func (st *searchState) conflicts(v, u int) bool {
 }
 
 func (st *searchState) snapshotBest() {
-	best := NewMatching()
+	st.best.Reset()
 	for _, p := range st.current {
-		best.Add(p.V, p.U, p.Sim)
+		st.best.Add(p.V, p.U, p.Sim)
 	}
-	st.best = best
-	st.bestSum = best.MaxSum()
+	st.bestSum = st.best.MaxSum()
 }

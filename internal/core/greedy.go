@@ -69,9 +69,8 @@ func GreedyCtx(ctx context.Context, in *Instance, opt GreedyOptions) (*Matching,
 func GreedyOpts(in *Instance, opt GreedyOptions) *Matching {
 	greedyRuns.Inc()
 	nv, nu := in.NumEvents(), in.NumUsers()
-	m := NewMatching()
 	if nv == 0 || nu == 0 {
-		return m
+		return NewMatching()
 	}
 	// Phase spans land in the recorder traveling on opt.Ctx, if any; the
 	// nil path costs one pointer check.
@@ -84,12 +83,17 @@ func GreedyOpts(in *Instance, opt GreedyOptions) *Matching {
 	scratch := acquireGreedyScratch(nv, nu)
 	defer releaseGreedyScratch(scratch)
 	capV, capU := scratch.capV, scratch.capU
+	var sumV, sumU int
 	for v, e := range in.Events {
 		capV[v] = e.Cap
+		sumV += e.Cap
 	}
 	for u, usr := range in.Users {
 		capU[u] = usr.Cap
+		sumU += usr.Cap
 	}
+	// No arrangement holds more pairs than either side has seats.
+	m := NewMatchingSized(nv, nu, min(sumV, sumU))
 	// Capacities only fall, so a full node stays full: the index drops it
 	// from refills, omitting only candidates the advance loops would skip.
 	scratch.liveV.Reset(nv, func(v int) bool { return capV[v] > 0 })

@@ -102,7 +102,7 @@ func LocalSearch(in *Instance, start *Matching, opt LocalSearchOptions) (*Matchi
 			}
 		}
 		// Phase 2: 1-exchange replacements. Work over a snapshot of the
-		// current pairs; the matching is rebuilt per applied move.
+		// current pairs; each applied move drops its pair in place.
 		for _, p := range append([]Assignment(nil), m.Pairs()...) {
 			if !m.Contains(p.V, p.U) {
 				continue // removed by an earlier move this round
@@ -135,7 +135,7 @@ func LocalSearch(in *Instance, start *Matching, opt LocalSearchOptions) (*Matchi
 				continue
 			}
 			// Apply the better of the two exchanges.
-			removePair(m, p)
+			m.dropPair(p.V, p.U)
 			if bestUS >= bestVS && bestU != -1 {
 				m.Add(p.V, bestU, bestUS)
 				capU[bestU]--
@@ -180,8 +180,8 @@ func LocalSearch(in *Instance, start *Matching, opt LocalSearchOptions) (*Matchi
 				if conflictsFor(p1.V, p2.U, p2.V) || conflictsFor(p2.V, p1.U, p1.V) {
 					continue
 				}
-				removePair(m, p1)
-				removePair(m, p2)
+				m.dropPair(p1.V, p1.U)
+				m.dropPair(p2.V, p2.U)
 				m.Add(p1.V, p2.U, s12)
 				m.Add(p2.V, p1.U, s21)
 				stats.Swaps++
@@ -200,19 +200,4 @@ func LocalSearch(in *Instance, start *Matching, opt LocalSearchOptions) (*Matchi
 		return nil, stats, fmt.Errorf("core: local search broke feasibility: %w", err)
 	}
 	return m, stats, nil
-}
-
-// removePair rebuilds m without the given pair (Matching has no delete by
-// design — algorithms in this package only add — so the local search pays
-// the rebuild; acceptable at the move rate it applies).
-func removePair(m *Matching, p Assignment) {
-	old := m.Pairs()
-	rebuilt := NewMatching()
-	for _, q := range old {
-		if q.V == p.V && q.U == p.U {
-			continue
-		}
-		rebuilt.Add(q.V, q.U, q.Sim)
-	}
-	*m = *rebuilt
 }

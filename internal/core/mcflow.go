@@ -112,9 +112,8 @@ func RelaxedUpperBoundCtx(ctx context.Context, in *Instance) (float64, error) {
 func relaxedOptimum(ctx context.Context, in *Instance, events, users []int, prev *FlowState, capture bool) (*FlowResult, *FlowState, error) {
 	mcflowRuns.Inc()
 	nv, nu := in.NumEvents(), in.NumUsers()
-	res := &FlowResult{Relaxed: NewMatching()}
 	if nv == 0 || nu == 0 {
-		return res, nil, nil
+		return &FlowResult{Relaxed: NewMatching()}, nil, nil
 	}
 
 	// rows[v*nu+u] = sim(v, u), computed (or, warm, gathered) once: the
@@ -191,8 +190,9 @@ func relaxedOptimum(ctx context.Context, in *Instance, events, users []int, prev
 		augmentations++
 	}
 	observeFlowWork(sv, augmentations)
-	res.Delta = sv.TotalFlow()
-	mcflowDeltaUnits.Add(res.Delta)
+	delta := sv.TotalFlow()
+	mcflowDeltaUnits.Add(delta)
+	res := &FlowResult{Relaxed: NewMatchingSized(nv, nu, int(delta)), Delta: delta}
 
 	var st *FlowState
 	if capture {
@@ -222,7 +222,7 @@ func relaxedOptimum(ctx context.Context, in *Instance, events, users []int, prev
 // of the user's M∅ events (at most c_u of them, so 2^c_u states). Falls
 // back to the greedy heuristic for pathological users with > 20 events.
 func resolveConflictsExact(in *Instance, relaxed *Matching) *Matching {
-	m := NewMatching()
+	m := NewMatchingSized(in.NumEvents(), in.NumUsers(), relaxed.Size())
 	var b resolveScratch
 	for u := 0; u < in.NumUsers(); u++ {
 		events := relaxed.UserEvents(u)
@@ -300,7 +300,7 @@ func (b *resolveScratch) greedyIndependent(m *Matching, in *Instance, u int, eve
 // greedily keep the most interesting pairwise-non-conflicting subset of the
 // events M∅ assigned to that user.
 func resolveConflicts(in *Instance, relaxed *Matching) *Matching {
-	m := NewMatching()
+	m := NewMatchingSized(in.NumEvents(), in.NumUsers(), relaxed.Size())
 	var b resolveScratch
 	// Process users in ascending order for deterministic output.
 	for u := 0; u < in.NumUsers(); u++ {

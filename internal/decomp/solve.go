@@ -339,7 +339,18 @@ func (d *Decomposition) solveStep(ctx context.Context, algo string, ids []int, o
 // in ascending component order, mapped to parent indices. Every matched
 // pair has sim > 0, so its event's component owns it.
 func (d *Decomposition) merge(base []core.Assignment, ms []*core.Matching) *core.Matching {
-	out := core.NewMatching()
+	n := 0
+	for _, p := range base {
+		if ms[d.eventComp[p.V]] == nil {
+			n++
+		}
+	}
+	for _, m := range ms {
+		if m != nil {
+			n += m.Size()
+		}
+	}
+	out := core.NewMatchingSized(len(d.eventComp), len(d.userComp), n)
 	for _, p := range base {
 		if ms[d.eventComp[p.V]] == nil {
 			out.Add(p.V, p.U, p.Sim)

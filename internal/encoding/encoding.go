@@ -207,10 +207,18 @@ type PairJSON struct {
 	Sim float64 `json:"sim"`
 }
 
-// NewMatching builds a matching from serialized pairs, in their order. A
-// pair listed twice is an error: core.Matching.Add would panic on it.
-func NewMatching(pairs []PairJSON) (*core.Matching, error) {
-	m := core.NewMatching()
+// NewMatching builds a matching of an instance with nv events and nu users
+// from serialized pairs, in their order. A pair outside [0, nv) × [0, nu)
+// is an error, found before any pair is added, so untrusted ids never size
+// the matching's views. A pair listed twice is an error too:
+// core.Matching.Add would panic on it.
+func NewMatching(pairs []PairJSON, nv, nu int) (*core.Matching, error) {
+	for _, p := range pairs {
+		if p.V < 0 || p.V >= nv || p.U < 0 || p.U >= nu {
+			return nil, fmt.Errorf("encoding: pair (%d, %d) out of range: %d events, %d users", p.V, p.U, nv, nu)
+		}
+	}
+	m := core.NewMatchingSized(nv, nu, len(pairs))
 	for _, p := range pairs {
 		if m.Contains(p.V, p.U) {
 			return nil, fmt.Errorf("encoding: duplicate pair (%d, %d)", p.V, p.U)

@@ -20,6 +20,10 @@ import (
 	"github.com/ebsnlab/geacc/internal/sim"
 )
 
+// testIDs bounds the event and user ids the test decoders accept, standing
+// in for the instance sizes /validate passes NewMatching.
+const testIDs = 1 << 10
+
 // decodeMatching parses a matching document the way /validate reads the
 // one it is sent: strict JSON, then NewMatching.
 func decodeMatching(r io.Reader) (*core.Matching, error) {
@@ -29,7 +33,7 @@ func decodeMatching(r io.Reader) (*core.Matching, error) {
 	if err := dec.Decode(&doc); err != nil {
 		return nil, fmt.Errorf("encoding: %w", err)
 	}
-	return NewMatching(doc.Pairs)
+	return NewMatching(doc.Pairs, testIDs, testIDs)
 }
 
 // readMatchingCSV parses the WriteMatchingCSV format: a header row, then
@@ -55,7 +59,7 @@ func readMatchingCSV(r io.Reader) (*core.Matching, error) {
 		}
 		pairs = append(pairs, PairJSON{V: v, U: u, Sim: s})
 	}
-	return NewMatching(pairs)
+	return NewMatching(pairs, testIDs, testIDs)
 }
 
 func vectorInstance(t *testing.T) *core.Instance {

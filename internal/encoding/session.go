@@ -99,7 +99,7 @@ func DecodeSession(r io.Reader) (*core.Instance, *core.Matching, SessionMeta, er
 	if err != nil {
 		return nil, nil, SessionMeta{}, err
 	}
-	m, err := NewMatching(doc.Matching.Pairs)
+	m, err := NewMatching(doc.Matching.Pairs, in.NumEvents(), in.NumUsers())
 	if err != nil {
 		return nil, nil, SessionMeta{}, err
 	}

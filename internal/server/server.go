@@ -382,7 +382,7 @@ func decodePair(w http.ResponseWriter, r *http.Request) (*core.Instance, *core.M
 		writeError(w, r, http.StatusBadRequest, err)
 		return nil, nil, false
 	}
-	m, err := encoding.NewMatching(doc.Matching.Pairs)
+	m, err := encoding.NewMatching(doc.Matching.Pairs, in.NumEvents(), in.NumUsers())
 	if err != nil {
 		writeError(w, r, http.StatusBadRequest, err)
 		return nil, nil, false

@@ -278,6 +278,22 @@ func TestValidateEndpoint(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsOutOfRangeIDs: a pair naming an id past the instance
+// answers 400 with the range error from /validate and /report, before the
+// id can size the matching's views.
+func TestValidateRejectsOutOfRangeIDs(t *testing.T) {
+	srv := newServer(t)
+	far := encoding.MatchingJSON{Pairs: []encoding.PairJSON{{V: 4000000000, U: 0, Sim: 0.9}}}
+	for _, path := range []string{"/validate", "/report"} {
+		resp, body := postJSON(t, srv.URL+path, pairBody(t, far))
+		var e errorJSON
+		if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(body, &e) != nil ||
+			!strings.Contains(e.Error, "pair (4000000000, 0) out of range") {
+			t.Fatalf("%s: status %d, body %s; want 400 naming the range", path, resp.StatusCode, body)
+		}
+	}
+}
+
 func TestReportEndpoint(t *testing.T) {
 	srv := newServer(t)
 	matching := encoding.MatchingJSON{Pairs: []encoding.PairJSON{{V: 0, U: 0, Sim: 0.9}}}

@@ -42,6 +42,13 @@ const repeatedPairOps = `{"seq":1,"op":"add_event","attrs":[0,0],"cap":2}
 {"seq":3,"op":"rebalance","adopted":true,"pairs":[{"v":0,"u":0,"sim":0.9},{"v":0,"u":0,"sim":0.9}]}
 `
 
+// hugeIDPairOps logs a rebalance whose adopted pair names a user id far past
+// the instance's: it must be refused before it can size a view.
+const hugeIDPairOps = `{"seq":1,"op":"add_event","attrs":[0,0],"cap":2}
+{"seq":2,"op":"add_user","attrs":[0,1],"cap":2}
+{"seq":3,"op":"rebalance","adopted":true,"pairs":[{"v":0,"u":4000000000000,"sim":0.9}]}
+`
+
 // FuzzReplayOps feeds arbitrary ops.jsonl bytes to replay: LoadDir must
 // return an error or a feasible arrangement, and never panic.
 func FuzzReplayOps(f *testing.F) {
@@ -54,6 +61,7 @@ func FuzzReplayOps(f *testing.F) {
 		`{"seq":1,"op":"add_event","attrs":[0,0],"cap":1,"conflicts":[3]}` + "\n", // conflict out of range
 		`{"seq":1,"op":"cancel_event","event":0}` + "\n",                          // cancel target out of range
 		repeatedPairOps,
+		hugeIDPairOps,
 	} {
 		f.Add([]byte(seed))
 	}

@@ -8,7 +8,6 @@ import (
 	"sort"
 
 	"github.com/ebsnlab/geacc/internal/core"
-	"github.com/ebsnlab/geacc/internal/encoding"
 	"github.com/ebsnlab/geacc/internal/sim"
 )
 
@@ -141,9 +140,7 @@ func (inst *Instance) markDirty(op Op) {
 func (inst *Instance) CommitRebalance(adopted bool, prev *core.Matching) (int64, error) {
 	op := Op{Kind: OpRebalance, Adopted: adopted}
 	if adopted {
-		for _, p := range inst.Arr.Pairs() {
-			op.Pairs = append(op.Pairs, encoding.PairJSON{V: p.V, U: p.U, Sim: p.Sim})
-		}
+		op.assignments = inst.Arr.Pairs()
 	}
 	seq, err := inst.append(op)
 	if err != nil {

@@ -2,10 +2,11 @@ package store
 
 import (
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"time"
 
 	"github.com/ebsnlab/geacc/internal/core"
@@ -33,7 +34,8 @@ const (
 // Op is one logged delta. Fields are populated per kind: add_event uses
 // Attrs/Cap/Conflicts, add_user uses Attrs/Cap, cancel_event and
 // remove_user use Event/User, rebalance uses Adopted plus — when Adopted —
-// Pairs, the full replacement matching in its insertion order.
+// Pairs, the full replacement matching in its insertion order. Its log line
+// is json.Marshal's encoding of it, written in one pass by appendOp.
 type Op struct {
 	Seq       int64               `json:"seq"`
 	Kind      string              `json:"op"`
@@ -44,6 +46,11 @@ type Op struct {
 	User      *int                `json:"user,omitempty"`
 	Adopted   bool                `json:"adopted,omitempty"`
 	Pairs     []encoding.PairJSON `json:"pairs,omitempty"`
+
+	// assignments stands in for Pairs on the way to the log: an adopted
+	// rebalance hands over the arranger's own pairs, which appendOp writes
+	// exactly as it writes Pairs, without a copy.
+	assignments []core.Assignment
 }
 
 // Apply replays one op onto arr. Ops were validated before being logged, so
@@ -70,7 +77,7 @@ func Apply(arr *core.Arranger, op Op) error {
 		if !op.Adopted {
 			return nil
 		}
-		m, err := encoding.NewMatching(op.Pairs)
+		m, err := encoding.NewMatching(op.Pairs, arr.NumEvents(), arr.NumUsers())
 		if err != nil {
 			return err
 		}
@@ -80,13 +87,26 @@ func Apply(arr *core.Arranger, op Op) error {
 	return fmt.Errorf("store: unknown op kind %q (seq %d)", op.Kind, op.Seq)
 }
 
+// logFile is what a Log needs of its ops.jsonl handle (an *os.File opened
+// for appending); tests substitute one whose calls fail.
+type logFile interface {
+	Write([]byte) (int, error)
+	Sync() error
+	Truncate(size int64) error
+	Close() error
+}
+
 // Log is one instance's open persistence handle: the append end of
 // ops.jsonl plus the snapshot bookkeeping. Methods are not safe for
 // concurrent use — the service serializes them under its per-instance lock.
 type Log struct {
 	dir  string
 	meta Meta
-	f    *os.File
+	f    logFile
+	size int64 // ops.jsonl's length: where the next line starts
+	// broken is set when a failed append could not be undone: ops.jsonl may
+	// end in a line no client was told succeeded, so no later op may follow.
+	broken error
 
 	seq        int64     // last appended (or replayed) op seq
 	snapSeq    int64     // op seq the on-disk snapshot covers
@@ -123,22 +143,124 @@ func (l *Log) SnapshotAt() time.Time { return l.snapAt }
 // crash, not just a killed process. Call it before applying the op in
 // memory: write-ahead order means a crash never leaves an
 // applied-but-unlogged op.
+//
+// A failed append leaves the log as it was: the file is truncated back to
+// its length before the line, so neither a partial line nor a whole line
+// the caller was told failed precedes the next op. If that truncate fails
+// too, the log refuses every later append.
 func (l *Log) Append(op Op) (int64, error) {
+	if l.broken != nil {
+		return 0, fmt.Errorf("store: log refuses appends after an append it could not undo: %w", l.broken)
+	}
+	if l.f == nil {
+		return 0, fmt.Errorf("store: append to a closed log")
+	}
 	op.Seq = l.seq + 1
-	b, err := json.Marshal(op)
+	b, err := appendOp(nil, op)
 	if err != nil {
 		return 0, fmt.Errorf("store: %w", err)
 	}
-	if _, err := l.f.Write(append(b, '\n')); err != nil {
-		return 0, fmt.Errorf("store: append op %d: %w", op.Seq, err)
+	b = append(b, '\n')
+	if _, err := l.f.Write(b); err != nil {
+		return 0, l.undo(fmt.Errorf("store: append op %d: %w", op.Seq, err))
 	}
 	if err := l.f.Sync(); err != nil {
-		return 0, fmt.Errorf("store: sync op %d: %w", op.Seq, err)
+		return 0, l.undo(fmt.Errorf("store: sync op %d: %w", op.Seq, err))
 	}
 	l.seq = op.Seq
+	l.size += int64(len(b))
 	l.opsSince++
-	l.bytesSince += int64(len(b)) + 1
+	l.bytesSince += int64(len(b))
 	return op.Seq, nil
+}
+
+// undo truncates ops.jsonl back to where the failed append started and
+// returns err; when the truncate fails the log is marked broken.
+func (l *Log) undo(err error) error {
+	if terr := l.f.Truncate(l.size); terr != nil {
+		l.broken = terr
+		return errors.Join(err, fmt.Errorf("store: undoing the append: %w", terr))
+	}
+	return err
+}
+
+// appendOp appends op's log line (without the newline) to b: the bytes
+// json.Marshal(op) gives, written in one pass. Floats follow
+// encoding.AppendFloat (encoding/json's rule), so NaN and ±Inf fail as they
+// do in json.Marshal.
+func appendOp(b []byte, op Op) ([]byte, error) {
+	var err error
+	b = append(b, `{"seq":`...)
+	b = strconv.AppendInt(b, op.Seq, 10)
+	b = append(b, `,"op":`...)
+	b = encoding.AppendString(b, op.Kind)
+	if len(op.Attrs) > 0 {
+		b = append(b, `,"attrs":[`...)
+		for i, x := range op.Attrs {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			if b, err = encoding.AppendFloat(b, x); err != nil {
+				return b, err
+			}
+		}
+		b = append(b, ']')
+	}
+	if op.Cap != 0 {
+		b = append(b, `,"cap":`...)
+		b = strconv.AppendInt(b, int64(op.Cap), 10)
+	}
+	if len(op.Conflicts) > 0 {
+		b = append(b, `,"conflicts":[`...)
+		for i, c := range op.Conflicts {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendInt(b, int64(c), 10)
+		}
+		b = append(b, ']')
+	}
+	if op.Event != nil {
+		b = append(b, `,"event":`...)
+		b = strconv.AppendInt(b, int64(*op.Event), 10)
+	}
+	if op.User != nil {
+		b = append(b, `,"user":`...)
+		b = strconv.AppendInt(b, int64(*op.User), 10)
+	}
+	if op.Adopted {
+		b = append(b, `,"adopted":true`...)
+	}
+	if len(op.Pairs) > 0 {
+		return appendPairs(b, op.Pairs)
+	}
+	if len(op.assignments) > 0 {
+		return appendPairs(b, op.assignments)
+	}
+	return append(b, '}'), nil
+}
+
+// appendPairs writes the "pairs" field and closes the op object; the
+// arranger's pairs and decoded ones share the encoding.PairJSON layout.
+func appendPairs[P encoding.PairJSON | core.Assignment](b []byte, pairs []P) ([]byte, error) {
+	var err error
+	b = append(b, `,"pairs":[`...)
+	for i, p := range pairs {
+		q := encoding.PairJSON(p)
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, `{"v":`...)
+		b = strconv.AppendInt(b, int64(q.V), 10)
+		b = append(b, `,"u":`...)
+		b = strconv.AppendInt(b, int64(q.U), 10)
+		b = append(b, `,"sim":`...)
+		if b, err = encoding.AppendFloat(b, q.Sim); err != nil {
+			return b, err
+		}
+		b = append(b, '}')
+	}
+	return append(b, "]}"...), nil
 }
 
 // WriteSnapshot archives arr's current state (which must reflect every op

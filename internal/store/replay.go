@@ -73,14 +73,15 @@ func (s *Store) Load(ctx context.Context, id string) (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	f, err := os.OpenFile(filepath.Join(dir, opsFile), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, size, err := openOps(dir)
 	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
+		return nil, err
 	}
 	inst.Log = &Log{
 		dir:        dir,
 		meta:       st.Meta,
 		f:          f,
+		size:       size,
 		seq:        st.Seq,
 		snapSeq:    st.SnapshotSeq,
 		opsSince:   st.ReplayedOps,

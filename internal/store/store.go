@@ -182,11 +182,26 @@ func (s *Store) Create(meta Meta) (*Log, error) {
 	if err := os.WriteFile(filepath.Join(dir, metaFile), append(b, '\n'), 0o644); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
+	f, size, err := openOps(dir)
+	if err != nil {
+		return nil, err
+	}
+	return &Log{dir: dir, meta: meta, f: f, size: size}, nil
+}
+
+// openOps opens dir's ops.jsonl for appending, creating it if needed, and
+// returns it with its length.
+func openOps(dir string) (*os.File, int64, error) {
 	f, err := os.OpenFile(filepath.Join(dir, opsFile), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
+		return nil, 0, fmt.Errorf("store: %w", err)
 	}
-	return &Log{dir: dir, meta: meta, f: f}, nil
+	fi, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, 0, fmt.Errorf("store: %w", err)
+	}
+	return f, fi.Size(), nil
 }
 
 // Probe verifies the store is still writable the same way an op append
