@@ -215,6 +215,8 @@ func BenchmarkPruneBounds(b *testing.B) {
 
 // BenchmarkGreedyIndexes is the index ablation DESIGN.md calls out: the
 // same greedy arrangement computed through each NN index implementation.
+// The chunked sub-benchmark is the default solve, so it times the sorted
+// sweep; the others time the heap loop over their index.
 func BenchmarkGreedyIndexes(b *testing.B) {
 	in := defaultInstance(b, 1)
 	for _, kind := range []core.IndexKind{

@@ -83,7 +83,9 @@ func runTable2(opt Options) ([]Point, error) {
 }
 
 // runAblationIndex compares Greedy-GEACC under every NN index on the
-// default synthetic instance — the σ(S) choice the paper leaves open.
+// default synthetic instance — the σ(S) choice the paper leaves open. The
+// chunked row is the default solve, which runs the sorted sweep rather
+// than the heap loop; the other rows time the heap loop over their index.
 func runAblationIndex(opt Options) ([]Point, error) {
 	opt = opt.withDefaults()
 	cfg := dataset.DefaultSynthetic()

@@ -14,7 +14,8 @@ type GreedyOptions struct {
 	// unvisited NN" queries.
 	Index IndexKind
 	// Trace, when non-nil, receives every heap pop in order — the decision
-	// log of the run, exactly the narrative of the paper's Example 3.
+	// log of the run, exactly the narrative of the paper's Example 3. A
+	// traced run keeps the heap loop, so its log is the paper's.
 	Trace func(TraceStep)
 	// Feasible, when non-nil, adds a side constraint: a pair is only
 	// assignable while Feasible(v, u) holds. The predicate MUST be monotone
@@ -22,16 +23,17 @@ type GreedyOptions struct {
 	// because the algorithm prunes failing pairs permanently. Budgeted
 	// arrangements (BudgetedGreedy) are built on this hook.
 	Feasible func(v, u int) bool
-	// Ctx, when non-nil, is polled every greedyCtxStride heap pops; on
+	// Ctx, when non-nil, is polled every greedyCtxStride decided pairs; on
 	// cancellation the run stops early and returns the partial matching
 	// built so far. Callers that need cancellation surfaced as an error
 	// should use GreedyCtx, which discards the partial result.
 	Ctx context.Context
 }
 
-// greedyCtxStride is how many heap pops Greedy processes between
-// cancellation polls — frequent enough to abandon a multi-second run
-// promptly, rare enough to keep the poll off the per-pop profile.
+// greedyCtxStride is how many pairs Greedy decides (heap pops, or pairs
+// the sweep examines) between cancellation polls — frequent enough to
+// abandon a multi-second run promptly, rare enough to keep the poll off
+// the per-pair profile.
 const greedyCtxStride = 1024
 
 // TraceStep records one popped pair and the algorithm's decision on it.
@@ -54,7 +56,7 @@ func Greedy(in *Instance) *Matching {
 }
 
 // GreedyCtx runs Greedy-GEACC under a context: on cancellation the run
-// aborts at the next poll (every greedyCtxStride heap pops) and returns
+// aborts at the next poll (every greedyCtxStride decided pairs) and returns
 // ctx's error with a nil matching.
 func GreedyCtx(ctx context.Context, in *Instance, opt GreedyOptions) (*Matching, error) {
 	opt.Ctx = ctx
@@ -65,7 +67,12 @@ func GreedyCtx(ctx context.Context, in *Instance, opt GreedyOptions) (*Matching,
 	return m, nil
 }
 
-// GreedyOpts runs Greedy-GEACC with explicit options.
+// GreedyOpts runs Greedy-GEACC with explicit options. The default solve
+// (no Trace hook, the default index, at most greedySweepMaxPairs live
+// pairs) runs Algorithm 2 as one sorted sweep (sweepGreedy); every other
+// run keeps the paper's heap loop (heapGreedy). Both accept the same pairs
+// in the same order with the same similarity bits (DESIGN.md, "One sorted
+// sweep").
 func GreedyOpts(in *Instance, opt GreedyOptions) *Matching {
 	greedyRuns.Inc()
 	nv, nu := in.NumEvents(), in.NumUsers()
@@ -77,16 +84,18 @@ func GreedyOpts(in *Instance, opt GreedyOptions) *Matching {
 	rec := obs.RecorderFrom(opt.Ctx)
 	sp := rec.Start("greedy/init")
 
-	// The capacity arrays, live sets, lazy stream tables, and candidate
-	// heap are pooled per solve; every entry is rewritten (or nil, for the
-	// lazily created streams) before use.
+	// The capacity arrays and each loop's working set are pooled per
+	// solve; every entry is rewritten before use.
 	scratch := acquireGreedyScratch(nv, nu)
 	defer releaseGreedyScratch(scratch)
 	capV, capU := scratch.capV, scratch.capU
-	var sumV, sumU int
+	var sumV, sumU, liveV int
 	for v, e := range in.Events {
 		capV[v] = e.Cap
 		sumV += e.Cap
+		if e.Cap > 0 {
+			liveV++
+		}
 	}
 	for u, usr := range in.Users {
 		capU[u] = usr.Cap
@@ -94,6 +103,34 @@ func GreedyOpts(in *Instance, opt GreedyOptions) *Matching {
 	}
 	// No arrangement holds more pairs than either side has seats.
 	m := NewMatchingSized(nv, nu, min(sumV, sumU))
+	var pops, accepted int64
+	if opt.Trace == nil && opt.Index == IndexChunked && liveV*nu <= greedySweepMaxPairs {
+		pops, accepted = sweepGreedy(in, opt, scratch, m, rec, sp)
+	} else {
+		pops, accepted = heapGreedy(in, opt, scratch, m, rec, sp)
+	}
+	greedyPops.Add(pops)
+	greedyAccepted.Add(accepted)
+	greedyRejected.Add(pops - accepted)
+	return m
+}
+
+// conflictsWithMatched reports whether assigning v to u would put u in two
+// conflicting events of m. Monotone: once true it stays true, so a pair
+// filtered here can be skipped permanently.
+func conflictsWithMatched(in *Instance, m *Matching, v, u int) bool {
+	return in.Conflicts != nil && in.Conflicts.ConflictsWithAny(v, m.UserEvents(u))
+}
+
+// heapGreedy is Algorithm 2 as the paper states it: a heap H of per-node
+// nearest-neighbor candidates, popped in (sim desc, v asc, u asc) order.
+// It ends the init span sp, runs its scan under a "greedy/scan" span and
+// returns the pops and accepted pairs. On cancellation it stops early and
+// leaves m partial.
+func heapGreedy(in *Instance, opt GreedyOptions, scratch *greedyScratch, m *Matching, rec *obs.Recorder, sp *obs.Span) (pops, accepted int64) {
+	nv, nu := in.NumEvents(), in.NumUsers()
+	capV, capU := scratch.capV, scratch.capU
+	scratch.prepareHeap(nv, nu)
 	// Capacities only fall, so a full node stays full: the index drops it
 	// from refills, omitting only candidates the advance loops would skip.
 	scratch.liveV.Reset(nv, func(v int) bool { return capV[v] > 0 })
@@ -112,21 +149,14 @@ func GreedyOpts(in *Instance, opt GreedyOptions) *Matching {
 		}
 		if err := vs.prime(ctx, vStreams, uStreams); err != nil {
 			sp.End()
-			return m
+			return 0, 0
 		}
 	}
 	h := scratch.heap
 
-	// conflictsWithMatched reports whether assigning v to u would put u in
-	// two conflicting events. Monotone: once true it stays true, so pairs
-	// filtered here can be skipped permanently.
-	conflictsWithMatched := func(v, u int) bool {
-		return in.Conflicts != nil && in.Conflicts.ConflictsWithAny(v, m.UserEvents(u))
-	}
-
 	// blocked folds in the optional monotone side constraint.
 	blocked := func(v, u int) bool {
-		if conflictsWithMatched(v, u) {
+		if conflictsWithMatched(in, m, v, u) {
 			return true
 		}
 		return opt.Feasible != nil && !opt.Feasible(v, u)
@@ -188,7 +218,6 @@ func GreedyOpts(in *Instance, opt GreedyOptions) *Matching {
 	// Iteration (lines 11-23): pop the most similar pair, add it when
 	// feasible, then let both endpoints contribute their next candidates.
 	sp = rec.Start("greedy/scan")
-	var pops, accepted int64
 	for h.Len() > 0 {
 		if opt.Ctx != nil && pops%greedyCtxStride == 0 && opt.Ctx.Err() != nil {
 			break
@@ -220,8 +249,5 @@ func GreedyOpts(in *Instance, opt GreedyOptions) *Matching {
 		advanceUser(p.U)
 	}
 	sp.Annotate("pops", pops).Annotate("accepted", accepted).End()
-	greedyPops.Add(pops)
-	greedyAccepted.Add(accepted)
-	greedyRejected.Add(pops - accepted)
-	return m
+	return pops, accepted
 }

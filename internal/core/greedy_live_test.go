@@ -76,18 +76,7 @@ func compareGreedyRuns(t *testing.T, name string, in *Instance, a, b IndexKind, 
 			t.Fatalf("%s: pop %d: %v %+v, %v %+v", name, i, a, la[i], b, lb[i])
 		}
 	}
-	pa, pb := ma.Pairs(), mb.Pairs()
-	if len(pa) != len(pb) {
-		t.Fatalf("%s: %v matched %d pairs, %v %d", name, a, len(pa), b, len(pb))
-	}
-	for i := range pa {
-		if pa[i].V != pb[i].V || pa[i].U != pb[i].U || math.Float64bits(pa[i].Sim) != math.Float64bits(pb[i].Sim) {
-			t.Fatalf("%s: pair %d: %v %+v, %v %+v", name, i, a, pa[i], b, pb[i])
-		}
-	}
-	if math.Float64bits(ma.MaxSum()) != math.Float64bits(mb.MaxSum()) {
-		t.Fatalf("%s: MaxSum %v under %v, %v under %v", name, ma.MaxSum(), a, mb.MaxSum(), b)
-	}
+	requireSameMatching(t, fmt.Sprintf("%s: %v against %v", name, a, b), ma, mb)
 }
 
 // FuzzGreedyStreams checks the primed default index against IndexSorted,

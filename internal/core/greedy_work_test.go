@@ -20,8 +20,9 @@ func greedyWorkInstance(tb testing.TB) *core.Instance {
 	return in
 }
 
-// greedyCounters reads the counters that attribute Greedy's work: heap
-// pops, accepted pairs and similarity kernel evaluations.
+// greedyCounters reads the counters that attribute Greedy's work: decided
+// pairs (heap pops, or pairs the sweep examined), accepted pairs and
+// similarity kernel evaluations.
 func greedyCounters() (pops, accepted, pairs int64) {
 	reg := obs.Default()
 	return reg.Counter("geacc_greedy_pops_total").Value(),
@@ -29,23 +30,37 @@ func greedyCounters() (pops, accepted, pairs int64) {
 		reg.Counter("geacc_sim_kernel_pairs_total").Value()
 }
 
-// TestGreedySearchWork pins the search work of one default Greedy solve on
-// greedyWorkInstance: heap pops, accepted pairs and kernel pairs. The
-// primed initialization scores each live (event, user) pair once for both
-// sides, so the kernel count is |V|·|U| below the lazy first refills' (the
-// parent of that change read 298,768); pops and accepted pairs must not
-// move with any speed-only change.
+// TestGreedySearchWork pins the search work of Greedy on
+// greedyWorkInstance, once per loop; neither may move with a speed-only
+// change to that loop.
+//
+// The heap loop (reached here through a Trace hook) primes its streams,
+// scoring each live (event, user) pair once for both sides, so its kernel
+// count is |V|·|U| below the lazy first refills' (298,768 before priming),
+// with 8,894 pops. The default sweep scores each live pair exactly once,
+// |V|·|U| = 100,000 kernel pairs, and examines 3,541 pairs: those left
+// after dropping the ones with a full endpoint, until one side is full.
+// Both accept the same 2,499 pairs.
 func TestGreedySearchWork(t *testing.T) {
 	in := greedyWorkInstance(t)
-	p0, a0, k0 := greedyCounters()
-	m := core.Greedy(in)
-	p1, a1, k1 := greedyCounters()
-	pops, accepted, pairs := p1-p0, a1-a0, k1-k0
-	if pops != 8894 || accepted != 2499 || pairs != 198768 {
-		t.Fatalf("greedy did %d pops, accepted %d pairs and scored %d kernel pairs; want 8894, 2499 and 198768",
-			pops, accepted, pairs)
-	}
-	if int64(m.Size()) != accepted {
-		t.Fatalf("matching holds %d pairs, the accepted counter moved by %d", m.Size(), accepted)
+	for _, tc := range []struct {
+		name                  string
+		opt                   core.GreedyOptions
+		pops, accepted, pairs int64
+	}{
+		{"heap", core.GreedyOptions{Trace: func(core.TraceStep) {}}, 8894, 2499, 198768},
+		{"sweep", core.GreedyOptions{}, 3541, 2499, int64(in.NumEvents() * in.NumUsers())},
+	} {
+		p0, a0, k0 := greedyCounters()
+		m := core.GreedyOpts(in, tc.opt)
+		p1, a1, k1 := greedyCounters()
+		pops, accepted, pairs := p1-p0, a1-a0, k1-k0
+		if pops != tc.pops || accepted != tc.accepted || pairs != tc.pairs {
+			t.Fatalf("%s: greedy decided %d pairs, accepted %d and scored %d kernel pairs; want %d, %d and %d",
+				tc.name, pops, accepted, pairs, tc.pops, tc.accepted, tc.pairs)
+		}
+		if int64(m.Size()) != accepted {
+			t.Fatalf("%s: matching holds %d pairs, the accepted counter moved by %d", tc.name, m.Size(), accepted)
+		}
 	}
 }

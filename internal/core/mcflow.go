@@ -69,7 +69,7 @@ func MinCostFlowCtx(ctx context.Context, in *Instance, opt FlowOptions) (*FlowRe
 
 func minCostFlowCtx(ctx context.Context, in *Instance, opt FlowOptions) (*FlowResult, error) {
 	sp := obs.RecorderFrom(ctx).Start("mincostflow/relax")
-	res, _, err := relaxedOptimum(ctx, in, nil, nil, nil, false)
+	res, _, err := relaxedOptimum(ctx, in, nil, nil, nil, nil)
 	sp.End()
 	if err != nil {
 		return nil, err
@@ -88,14 +88,14 @@ func minCostFlowCtx(ctx context.Context, in *Instance, opt FlowOptions) (*FlowRe
 // relaxation, which upper-bounds the conflict-constrained optimum
 // (Corollary 1). Tests use it to sandwich algorithm results.
 func RelaxedUpperBound(in *Instance) float64 {
-	res, _, _ := relaxedOptimum(context.Background(), in, nil, nil, nil, false)
+	res, _, _ := relaxedOptimum(context.Background(), in, nil, nil, nil, nil)
 	return res.RelaxedMaxSum
 }
 
 // RelaxedUpperBoundCtx is RelaxedUpperBound under a context, polled between
 // augmenting paths like MinCostFlowCtx; a canceled run returns ctx's error.
 func RelaxedUpperBoundCtx(ctx context.Context, in *Instance) (float64, error) {
-	res, _, err := relaxedOptimum(ctx, in, nil, nil, nil, false)
+	res, _, err := relaxedOptimum(ctx, in, nil, nil, nil, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -105,11 +105,11 @@ func RelaxedUpperBoundCtx(ctx context.Context, in *Instance) (float64, error) {
 // relaxedOptimum solves the GEACC instance with CF = ∅ exactly (Lemma 1)
 // via the minimum-cost-flow reduction of Section III.A, polling ctx between
 // augmentations. It is the one relaxation behind every flow solve. The cold
-// path passes no ids, no previous state, and capture = false. The warm path
+// path passes no ids, no previous state, and no cache. The warm path
 // (MinCostFlowWarmCtx) passes the component's parent ids, the FlowState of
-// its last solve (nil on a cache miss), and capture = true to get the
-// state for the next solve.
-func relaxedOptimum(ctx context.Context, in *Instance, events, users []int, prev *FlowState, capture bool) (*FlowResult, *FlowState, error) {
+// its last solve (nil on a cache miss), and its WarmCache, which supplies
+// the similarity table of the returned state for the next solve.
+func relaxedOptimum(ctx context.Context, in *Instance, events, users []int, prev *FlowState, wc *WarmCache) (*FlowResult, *FlowState, error) {
 	mcflowRuns.Inc()
 	nv, nu := in.NumEvents(), in.NumUsers()
 	if nv == 0 || nu == 0 {
@@ -124,8 +124,8 @@ func relaxedOptimum(ctx context.Context, in *Instance, events, users []int, prev
 	scratch := acquireMcflowScratch(nv, nu)
 	defer releaseMcflowScratch(scratch)
 	rows, pairArc := scratch.rows, scratch.pairArc
-	if capture {
-		rows = make([]float64, nv*nu)
+	if wc != nil {
+		rows = wc.table(nv * nu)
 	}
 	var warm *warmIndex
 	if prev != nil {
@@ -195,7 +195,7 @@ func relaxedOptimum(ctx context.Context, in *Instance, events, users []int, prev
 	res := &FlowResult{Relaxed: NewMatchingSized(nv, nu, int(delta)), Delta: delta}
 
 	var st *FlowState
-	if capture {
+	if wc != nil {
 		st = &FlowState{
 			events: append([]int(nil), events...),
 			users:  append([]int(nil), users...),

@@ -44,17 +44,27 @@ type FlowState struct {
 	rows   []float64 // rows[i*len(users)+j] = sim(events[i], users[j])
 	pot    []float64 // node potentials in the solve's node layout
 	pairs  [][2]int  // (event, user) parent-id pairs carrying flow, all sim > 0
+
+	readers int // solves that got this state and still read it; guarded by WarmCache.mu
 }
 
 // WarmCache holds FlowStates for a long-lived instance's components, keyed
 // by the component's anchor (its smallest parent event id — stable across
 // renumbering; after a merge the anchor component's state still restores
 // partially). Bounded, least-recently-used eviction.
+//
+// A state that put replaces or evicts hands its similarity table to the
+// next capture (spare), but only once no solve reads it: get counts the
+// solve as a reader until its put or done. A rebalance solves its
+// components in parallel, and they have distinct anchors, but an eviction
+// can still pick the anchor of a component being solved; the count keeps
+// that component's table out of the spare until it has finished reading.
 type WarmCache struct {
 	mu      sync.Mutex
 	max     int
 	entries map[int]*FlowState
-	order   []int // LRU order, least recent first
+	order   []int     // LRU order, least recent first
+	spare   []float64 // a recycled similarity table no solve reads, or nil
 }
 
 // DefaultWarmCacheEntries bounds a WarmCache when the caller passes <= 0.
@@ -69,30 +79,74 @@ func NewWarmCache(max int) *WarmCache {
 	return &WarmCache{max: max, entries: make(map[int]*FlowState)}
 }
 
+// get returns anchor's state, or nil, and counts the caller as its reader
+// until the caller's put or done.
 func (wc *WarmCache) get(anchor int) *FlowState {
 	wc.mu.Lock()
 	defer wc.mu.Unlock()
 	st := wc.entries[anchor]
 	if st != nil {
+		st.readers++
 		wc.touch(anchor)
 	}
 	return st
 }
 
-func (wc *WarmCache) put(anchor int, st *FlowState) {
+// put stores st as anchor's state and ends the caller's read of prev, the
+// state its get returned (nil on a miss).
+func (wc *WarmCache) put(anchor int, st, prev *FlowState) {
 	wc.mu.Lock()
 	defer wc.mu.Unlock()
-	if _, ok := wc.entries[anchor]; ok {
+	wc.release(prev)
+	if old, ok := wc.entries[anchor]; ok {
 		wc.entries[anchor] = st
 		wc.touch(anchor)
+		wc.recycle(old)
 		return
 	}
 	for len(wc.entries) >= wc.max && len(wc.order) > 0 {
+		wc.recycle(wc.entries[wc.order[0]])
 		delete(wc.entries, wc.order[0])
 		wc.order = wc.order[1:]
 	}
 	wc.entries[anchor] = st
 	wc.order = append(wc.order, anchor)
+}
+
+// done ends the caller's read of prev without storing a state.
+func (wc *WarmCache) done(prev *FlowState) {
+	wc.mu.Lock()
+	defer wc.mu.Unlock()
+	wc.release(prev)
+}
+
+// release ends one read of st (nil is a no-op); wc.mu must be held.
+func (wc *WarmCache) release(st *FlowState) {
+	if st != nil {
+		st.readers--
+	}
+}
+
+// recycle keeps the table of old, a state leaving the cache, as the spare
+// when no solve reads it and it is larger than the current spare; wc.mu
+// must be held.
+func (wc *WarmCache) recycle(old *FlowState) {
+	if old.readers == 0 && cap(old.rows) > cap(wc.spare) {
+		wc.spare, old.rows = old.rows, nil
+	}
+}
+
+// table returns an n-entry similarity table for a capture: the spare when
+// it is large enough, else a fresh one. The caller rewrites every entry.
+func (wc *WarmCache) table(n int) []float64 {
+	wc.mu.Lock()
+	defer wc.mu.Unlock()
+	if cap(wc.spare) < n {
+		return make([]float64, n)
+	}
+	t := wc.spare[:n]
+	wc.spare = nil
+	return t
 }
 
 // touch moves anchor to the most-recent end; wc.mu must be held.
@@ -133,19 +187,26 @@ func MinCostFlowWarmCtx(ctx context.Context, in *Instance, events, users []int, 
 
 func minCostFlowWarmCtx(ctx context.Context, in *Instance, events, users []int, wc *WarmCache) (*FlowResult, error) {
 	warmable := wc != nil && len(events) == in.NumEvents() && len(users) == in.NumUsers() && len(events) > 0
+	if !warmable {
+		wc = nil
+	}
 	var prev *FlowState
-	if warmable {
+	if wc != nil {
 		mcflowWarmAttempts.Inc()
 		prev = wc.get(componentAnchor(events))
 	}
 	sp := obs.RecorderFrom(ctx).Start("mincostflow/relax")
-	res, st, err := relaxedOptimum(ctx, in, events, users, prev, warmable)
+	res, st, err := relaxedOptimum(ctx, in, events, users, prev, wc)
 	sp.End()
+	if wc != nil {
+		if st != nil {
+			wc.put(componentAnchor(events), st, prev)
+		} else {
+			wc.done(prev) // canceled, or a side is empty
+		}
+	}
 	if err != nil {
 		return nil, err
-	}
-	if warmable && st != nil {
-		wc.put(componentAnchor(events), st)
 	}
 	sp = obs.RecorderFrom(ctx).Start("mincostflow/resolve")
 	res.Matching = resolveConflicts(in, res.Relaxed)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"github.com/ebsnlab/geacc/internal/conflict"
@@ -293,7 +294,7 @@ func TestWarmFlowSurvivesGarbageState(t *testing.T) {
 		pairs:  [][2]int{{0, 1}, {2, 3}, {99, 98}, {0, 5}, {2, 1}, {4, 0}, {1, 1}},
 	}
 	wc := NewWarmCache(4)
-	wc.put(componentAnchor(events), garbage)
+	wc.put(componentAnchor(events), garbage, nil)
 	warm, err := minCostFlowWarmCtx(context.Background(), in, events, users, wc)
 	if err != nil {
 		t.Fatal(err)
@@ -307,7 +308,7 @@ func TestWarmFlowSurvivesGarbageState(t *testing.T) {
 func TestWarmCacheEviction(t *testing.T) {
 	wc := NewWarmCache(3)
 	for i := 0; i < 10; i++ {
-		wc.put(i, &FlowState{})
+		wc.put(i, &FlowState{}, nil)
 	}
 	if wc.Len() != 3 {
 		t.Fatalf("cache holds %d states, want 3", wc.Len())
@@ -316,7 +317,7 @@ func TestWarmCacheEviction(t *testing.T) {
 	if wc.get(7) == nil {
 		t.Fatal("expected anchor 7 resident")
 	}
-	wc.put(10, &FlowState{})
+	wc.put(10, &FlowState{}, nil)
 	if wc.get(8) != nil {
 		t.Fatal("anchor 8 should have been evicted (LRU)")
 	}
@@ -369,4 +370,68 @@ func BenchmarkMcflowWarmDelta(b *testing.B) {
 			}
 		}
 	})
+}
+
+// TestWarmCacheRecyclesUnderConcurrency runs warm delta streams on four
+// components from four goroutines, two of them on the same anchor, through
+// one cache that holds only two states: every put evicts a state another
+// goroutine may still be reading. The recycled tables must never reach a
+// solve while their state is read (-race), and every warm result must equal
+// the cold one.
+func TestWarmCacheRecyclesUnderConcurrency(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	uni := newDeltaUniverse(rng, 12, 60, 3)
+	wc := NewWarmCache(2)
+	var wg sync.WaitGroup
+	for g, events := range [][]int{{0, 1, 2, 3}, {4, 5, 6, 7}, {8, 9, 10, 11}, {0, 1, 2, 3}} {
+		wg.Add(1)
+		go func(g int, events []int) {
+			defer wg.Done()
+			for step := 0; step < 40; step++ {
+				users := make([]int, 0, 20)
+				for u := g % 3; u < 60 && len(users) < 15+step%6; u += 1 + (step+u)%3 {
+					users = append(users, u)
+				}
+				in := uni.sub(events, users)
+				warm, err := minCostFlowWarmCtx(context.Background(), in, events, users, wc)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				cold, err := minCostFlowCtx(context.Background(), in, FlowOptions{})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if err := sameFlowResult(warm, cold); err != nil {
+					t.Errorf("goroutine %d step %d: %v", g, step, err)
+					return
+				}
+			}
+		}(g, events)
+	}
+	wg.Wait()
+}
+
+// TestWarmCacheReusesReplacedTable checks that a warm re-solve of one
+// component takes the table of the state its previous put replaced, not a
+// fresh one.
+func TestWarmCacheReusesReplacedTable(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	uni := newDeltaUniverse(rng, 6, 30, 3)
+	events, usersA := []int{0, 1, 2, 3, 4, 5}, []int{0, 2, 4, 6, 8, 10, 12}
+	usersB := append(append([]int(nil), usersA...), 14)
+	wc := NewWarmCache(4)
+	solve := func(users []int) *FlowState {
+		if _, err := minCostFlowWarmCtx(context.Background(), uni.sub(events, users), events, users, wc); err != nil {
+			t.Fatal(err)
+		}
+		return wc.entries[componentAnchor(events)]
+	}
+	first := solve(usersB)
+	firstTable := &first.rows[:1][0]
+	solve(usersA) // replaces first: its table becomes the spare
+	if third := solve(usersB); &third.rows[:1][0] != firstTable {
+		t.Fatal("the third solve allocated a table; want the one the second solve's put replaced")
+	}
 }

@@ -18,25 +18,44 @@ import (
 // the solver property tests pin that pooled and fresh runs are
 // bit-identical.
 
-// greedyScratch is the per-run working set of GreedyOpts.
+// greedyScratch is the per-run working set of GreedyOpts: the capacity
+// arrays, the heap loop's live sets, stream tables and candidate heap, and
+// the sweep's similarity table, bucketed keys and bucket records.
 type greedyScratch struct {
 	capV, capU   []int
-	liveV, liveU knn.Live // ids with capacity left; reset by GreedyOpts
+	liveV, liveU knn.Live // ids with capacity left; reset by heapGreedy
 	vStreams     []knn.Stream
 	uStreams     []knn.Stream
 	heap         *pqueue.PairHeap
+
+	sims    []float64  // sweep: sims[a*nu+u] for the a-th live event
+	events  []int      // sweep: the live events, ascending
+	keys    []uint64   // sweep: a<<32 | u, grouped by bucket
+	buckets []int32    // sweep: bucket bounds into keys
+	recs    []sweepRec // sweep: one bucket's live pairs
 }
 
 var greedyScratchPool = sync.Pool{New: func() any { return new(greedyScratch) }}
 
-// acquireGreedyScratch returns a scratch sized for an nv × nu instance.
-// Stream tables come back all-nil (GreedyOpts creates streams lazily and
-// tests entries against nil); capacity arrays are uninitialized — the
-// caller overwrites every entry.
+// maxPooledSweepBytes caps each sweep buffer a pooled scratch keeps: a
+// larger one is dropped on release, as the instance decoder's bodyPool
+// drops big bodies, so one huge solve does not pin its table forever.
+const maxPooledSweepBytes = 4 << 20
+
+// acquireGreedyScratch returns a scratch with capacity arrays sized for an
+// nv × nu instance, uninitialized — the caller overwrites every entry.
+// Each loop sizes its own buffers (prepareHeap; the sweep resizes its own).
 func acquireGreedyScratch(nv, nu int) *greedyScratch {
 	g := greedyScratchPool.Get().(*greedyScratch)
 	g.capV = resizeInts(g.capV, nv)
 	g.capU = resizeInts(g.capU, nu)
+	return g
+}
+
+// prepareHeap sizes the heap loop's stream tables (all nil: heapGreedy
+// creates streams lazily and tests entries against nil) and empties its
+// candidate heap.
+func (g *greedyScratch) prepareHeap(nv, nu int) {
 	g.vStreams = resizeStreams(g.vStreams, nv)
 	g.uStreams = resizeStreams(g.uStreams, nu)
 	if g.heap == nil {
@@ -44,16 +63,28 @@ func acquireGreedyScratch(nv, nu int) *greedyScratch {
 	} else {
 		g.heap.Reset(nv, nu)
 	}
-	return g
 }
 
 // releaseGreedyScratch clears the stream tables (so a pooled scratch never
-// pins a finished instance's kernels alive) and returns the scratch.
+// pins a finished instance's kernels alive), drops sweep buffers past
+// maxPooledSweepBytes and returns the scratch.
 func releaseGreedyScratch(g *greedyScratch) {
 	clear(g.vStreams)
 	clear(g.uStreams)
 	g.liveV.Release()
 	g.liveU.Release()
+	if cap(g.sims)*8 > maxPooledSweepBytes {
+		g.sims = nil
+	}
+	if cap(g.keys)*8 > maxPooledSweepBytes {
+		g.keys = nil
+	}
+	if cap(g.buckets)*4 > maxPooledSweepBytes {
+		g.buckets = nil
+	}
+	if cap(g.recs)*16 > maxPooledSweepBytes {
+		g.recs = nil
+	}
 	greedyScratchPool.Put(g)
 }
 
