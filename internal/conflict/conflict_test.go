@@ -98,6 +98,32 @@ func TestGraphPairsSortedAndComplete(t *testing.T) {
 	}
 }
 
+// TestGraphPairsMatchesScan compares Pairs on random graphs, built in
+// random insertion order, with a scan of every i < j through Conflicting.
+func TestGraphPairsMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for trial := 0; trial < 50; trial++ {
+		n := 1 + rng.Intn(40)
+		g := New(n)
+		for k := rng.Intn(n * n); k > 0; k-- {
+			if i, j := rng.Intn(n), rng.Intn(n); i != j {
+				g.Add(i, j)
+			}
+		}
+		var want [][2]int
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				if g.Conflicting(i, j) {
+					want = append(want, [2]int{i, j})
+				}
+			}
+		}
+		if got := g.Pairs(); !slices.Equal(got, want) {
+			t.Fatalf("n=%d: Pairs = %v, scan %v", n, got, want)
+		}
+	}
+}
+
 func TestFromPairsRoundTrip(t *testing.T) {
 	pairs := [][2]int{{0, 2}, {1, 3}, {2, 4}}
 	g := FromPairs(5, pairs)

@@ -13,7 +13,7 @@ package conflict
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"github.com/ebsnlab/geacc/internal/randx"
 )
@@ -87,21 +87,18 @@ func (g *Graph) ConflictsWithAny(v int, set []int) bool {
 }
 
 // Pairs returns all conflicting pairs with i < j, sorted lexicographically.
+// Rows come out in i order, so only each row's partners need sorting.
 func (g *Graph) Pairs() [][2]int {
 	out := make([][2]int, 0, g.edges)
 	for i := 0; i < g.n; i++ {
+		row := len(out)
 		for _, j := range g.adj[i] {
 			if i < j {
 				out = append(out, [2]int{i, j})
 			}
 		}
+		slices.SortFunc(out[row:], func(a, b [2]int) int { return a[1] - b[1] })
 	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a][0] != out[b][0] {
-			return out[a][0] < out[b][0]
-		}
-		return out[a][1] < out[b][1]
-	})
 	return out
 }
 

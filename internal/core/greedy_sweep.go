@@ -147,13 +147,7 @@ sweep:
 		if b > 0 {
 			lo = bounds[b-1]
 		}
-		recs = recs[:0]
-		for _, k := range keys[lo:bounds[b]] {
-			a, u := int(k>>32), int(uint32(k))
-			if v := events[a]; capV[v] > 0 && capU[u] > 0 {
-				recs = append(recs, sweepRec{s: sims[a*nu+u], v: int32(v), u: int32(u)})
-			}
-		}
+		recs = filterBucket(recs, keys[lo:bounds[b]], events, sims, nu, capV, capU)
 		sortSweepBucket(recs)
 		for _, r := range recs {
 			if ctx != nil && examined%greedyCtxStride == 0 && ctx.Err() != nil {
@@ -178,6 +172,32 @@ sweep:
 	g.recs = recs
 	sp.Annotate("pops", examined).Annotate("accepted", accepted).End()
 	return examined, accepted
+}
+
+// filterBucket returns, in recs' storage, the records of the bucket keys
+// whose endpoints both have capacity left, in key order. Most keys of a
+// late bucket have a full endpoint, in no pattern a branch predictor can
+// follow, so the pass over the keys has no branch on it: it writes each
+// key's (a, u) and advances only past live ones. A second pass over the
+// survivors alone loads their similarities and event ids.
+func filterBucket(recs []sweepRec, keys []uint64, events []int, sims []float64, nu int, capV, capU []int) []sweepRec {
+	if cap(recs) < len(keys) {
+		recs = make([]sweepRec, len(keys), 2*len(keys))
+	}
+	recs = recs[:len(keys)]
+	n := 0
+	for _, k := range keys {
+		a, u := int(k>>32), int(uint32(k))
+		recs[n] = sweepRec{v: int32(a), u: int32(u)}
+		n += max(min(capV[events[a]], capU[u], 1), 0) // 1 when both have room
+	}
+	recs = recs[:n]
+	for i := range recs {
+		a := int(recs[i].v)
+		recs[i].s = sims[a*nu+int(recs[i].u)]
+		recs[i].v = int32(events[a])
+	}
+	return recs
 }
 
 // sortSweepBucket orders one bucket's records by (sim desc, v asc, u asc).

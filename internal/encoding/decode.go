@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"strconv"
 	"sync"
 
 	"github.com/ebsnlab/geacc/internal/obs"
@@ -70,9 +69,11 @@ func (e errReader) Read([]byte) (int, error) { return 0, e.err }
 //   - no null anywhere, and strings carry only printable ASCII, no escapes;
 //   - cap, dim and conflict ids are integers without fraction or exponent,
 //     and each conflict is exactly two ids (json zero-fills or truncates);
-//   - every number matches JSON's number grammar and is converted with
-//     strconv.ParseFloat(s, 64) — the call encoding/json makes — so floats
-//     are bit-identical; an out-of-range one is left to the fallback;
+//   - every number matches JSON's number grammar and is read in one pass
+//     (readNumber) into the float64 strconv.ParseFloat(s, 64) — the call
+//     encoding/json makes — would return, by paths that each round
+//     correctly (number.float), so floats are bit-identical; an
+//     out-of-range one is left to the fallback;
 //   - nothing but whitespace follows the object (json.Decoder ignores it).
 //
 // Present-but-empty arrays decode to empty non-nil slices and absent ones
@@ -140,23 +141,35 @@ type arena struct {
 
 const arenaChunk = 4096
 
-// row parses one array of numbers into the arena.
+// row parses one array of numbers into the arena. Its loop reads the
+// numbers itself rather than through list, the one per-element call the
+// instance's attribute arrays would otherwise pay.
 func (a *arena) row(p *parser) ([]float64, bool) {
+	if !p.consume('[') {
+		return nil, false
+	}
+	if p.consume(']') {
+		return []float64{}, true // non-nil, as encoding/json decodes []
+	}
 	start := len(a.chunk)
-	ok := p.list(func() bool {
+	for {
 		v, ok := p.float()
+		if !ok {
+			return nil, false
+		}
 		if len(a.chunk) == cap(a.chunk) {
 			a.grow(start)
 			start = 0
 		}
 		a.chunk = append(a.chunk, v)
-		return ok
-	})
-	n := len(a.chunk)
-	if n == start {
-		return []float64{}, ok // non-nil, as encoding/json decodes []
+		if p.consume(']') {
+			n := len(a.chunk)
+			return a.chunk[start:n:n], true
+		}
+		if !p.consume(',') {
+			return nil, false
+		}
 	}
-	return a.chunk[start:n:n], ok
 }
 
 // grow starts a new chunk and moves the unfinished row a.chunk[start:]
@@ -312,70 +325,25 @@ func (p *parser) str() ([]byte, bool) {
 	return nil, false
 }
 
-// number scans a token of JSON's number grammar,
-// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, and reports whether it
-// has neither fraction nor exponent.
-func (p *parser) number() (tok []byte, integer, ok bool) {
-	p.ws()
-	b, i := p.b, p.i
-	if i < len(b) && b[i] == '-' {
-		i++
-	}
-	switch {
-	case i < len(b) && b[i] == '0':
-		i++
-	case i < len(b) && '1' <= b[i] && b[i] <= '9':
-		i = skipDigits(b, i)
-	default:
-		return nil, false, false
-	}
-	integer = true
-	if i < len(b) && b[i] == '.' {
-		integer = false
-		if i++; i == len(b) || !isDigit(b[i]) {
-			return nil, false, false
-		}
-		i = skipDigits(b, i)
-	}
-	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		integer = false
-		if i++; i < len(b) && (b[i] == '+' || b[i] == '-') {
-			i++
-		}
-		if i == len(b) || !isDigit(b[i]) {
-			return nil, false, false
-		}
-		i = skipDigits(b, i)
-	}
-	tok, p.i = b[p.i:i], i
-	return tok, integer, true
-}
-
-// float parses a number exactly as encoding/json does into a float64.
+// float reads a number into a float64 exactly as encoding/json does.
 func (p *parser) float() (float64, bool) {
-	tok, _, ok := p.number()
+	p.ws()
+	start := p.i
+	n, end, ok := readNumber(p.b, start)
 	if !ok {
 		return 0, false
 	}
-	f, err := strconv.ParseFloat(string(tok), 64)
-	return f, err == nil
+	p.i = end
+	return n.float(p.b[start:end])
 }
 
-// int parses an integer that fits an int.
+// int reads an integer that fits an int.
 func (p *parser) int() (int, bool) {
-	tok, integer, ok := p.number()
-	if !ok || !integer {
+	p.ws()
+	n, end, ok := readNumber(p.b, p.i)
+	if !ok {
 		return 0, false
 	}
-	n, err := strconv.Atoi(string(tok))
-	return n, err == nil
-}
-
-func isDigit(c byte) bool { return '0' <= c && c <= '9' }
-
-func skipDigits(b []byte, i int) int {
-	for i < len(b) && isDigit(b[i]) {
-		i++
-	}
-	return i
+	p.i = end
+	return n.int()
 }

@@ -15,6 +15,7 @@ import (
 	"container/list"
 	"crypto/sha256"
 	"encoding/binary"
+	"hash"
 	"math"
 	"sync"
 
@@ -48,25 +49,12 @@ func InstanceKey(in *core.Instance, spec KeySpec) (Key, bool) {
 	if in == nil || (in.Matrix == nil && spec.SimID == "") {
 		return Key{}, false
 	}
-	h := sha256.New()
-	var buf [8]byte
-	writeInt := func(x int64) {
-		binary.LittleEndian.PutUint64(buf[:], uint64(x))
-		h.Write(buf[:])
-	}
-	writeFloat := func(f float64) {
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(f))
-		h.Write(buf[:])
-	}
-	writeStr := func(s string) {
-		writeInt(int64(len(s)))
-		h.Write([]byte(s))
-	}
-	writeStr("geacc-solve-v2")
-	writeStr(spec.Algo)
-	writeStr(spec.SimID)
-	writeInt(spec.Seed)
-	writeInt(spec.NodeLimit)
+	w := &keyWriter{h: sha256.New()}
+	w.str("geacc-solve-v2")
+	w.str(spec.Algo)
+	w.str(spec.SimID)
+	w.int(spec.Seed)
+	w.int(spec.NodeLimit)
 	var flags int64
 	if spec.Decompose {
 		flags |= 1
@@ -77,51 +65,96 @@ func InstanceKey(in *core.Instance, spec KeySpec) (Key, bool) {
 	if spec.ApproxShard {
 		flags |= 4
 	}
-	writeInt(flags)
-	writeInt(spec.ShardMaxArea)
-	writeStr(spec.ShardStrategy)
-	writeFloat(spec.ShardDriftBudget)
+	w.int(flags)
+	w.int(spec.ShardMaxArea)
+	w.str(spec.ShardStrategy)
+	w.float(spec.ShardDriftBudget)
 
-	writeInt(int64(in.NumEvents()))
-	writeInt(int64(in.NumUsers()))
+	w.int(int64(in.NumEvents()))
+	w.int(int64(in.NumUsers()))
 	for _, e := range in.Events {
-		writeInt(int64(e.Cap))
-		writeInt(int64(len(e.Attrs)))
-		for _, a := range e.Attrs {
-			writeFloat(a)
-		}
+		w.int(int64(e.Cap))
+		w.floats(e.Attrs)
 	}
 	for _, u := range in.Users {
-		writeInt(int64(u.Cap))
-		writeInt(int64(len(u.Attrs)))
-		for _, a := range u.Attrs {
-			writeFloat(a)
-		}
+		w.int(int64(u.Cap))
+		w.floats(u.Attrs)
 	}
 	if in.Conflicts != nil {
 		pairs := in.Conflicts.Pairs() // sorted, deterministic
-		writeInt(int64(len(pairs)))
+		w.int(int64(len(pairs)))
 		for _, p := range pairs {
-			writeInt(int64(p[0]))
-			writeInt(int64(p[1]))
+			w.int(int64(p[0]))
+			w.int(int64(p[1]))
 		}
 	} else {
-		writeInt(-1)
+		w.int(-1)
 	}
 	if in.Matrix != nil {
-		writeInt(int64(len(in.Matrix)))
+		w.int(int64(len(in.Matrix)))
 		for _, row := range in.Matrix {
-			writeInt(int64(len(row)))
-			for _, s := range row {
-				writeFloat(s)
-			}
+			w.floats(row)
 		}
 	} else {
-		writeInt(-1)
+		w.int(-1)
 	}
+	w.flush()
 	var k Key
-	h.Sum(k[:0])
+	w.h.Sum(k[:0])
 	return k, true
+}
+
+// keyBlock is how many bytes InstanceKey gathers before it hands them to
+// SHA-256 in one Write: 64 of its blocks.
+const keyBlock = 4096
+
+// keyWriter puts each field little-endian into buf and writes buf to h a
+// block at a time: the bytes hashed are those of one 8-byte Write per
+// number, without a call into the digest per number.
+type keyWriter struct {
+	h   hash.Hash
+	n   int // bytes of buf in use
+	buf [keyBlock]byte
+}
+
+func (w *keyWriter) flush() {
+	w.h.Write(w.buf[:w.n])
+	w.n = 0
+}
+
+func (w *keyWriter) int(x int64) {
+	if w.n > keyBlock-8 {
+		w.flush()
+	}
+	binary.LittleEndian.PutUint64(w.buf[w.n:], uint64(x))
+	w.n += 8
+}
+
+func (w *keyWriter) float(f float64) { w.int(int64(math.Float64bits(f))) }
+
+// str writes the length of s, then its bytes.
+func (w *keyWriter) str(s string) {
+	w.int(int64(len(s)))
+	for len(s) > 0 {
+		if w.n == keyBlock {
+			w.flush()
+		}
+		c := copy(w.buf[w.n:], s)
+		w.n += c
+		s = s[c:]
+	}
+}
+
+// floats writes the length of fs, then the bits of each number.
+func (w *keyWriter) floats(fs []float64) {
+	w.int(int64(len(fs)))
+	for _, f := range fs {
+		if w.n > keyBlock-8 {
+			w.flush()
+		}
+		binary.LittleEndian.PutUint64(w.buf[w.n:], math.Float64bits(f))
+		w.n += 8
+	}
 }
 
 // Global reuse counters, aggregated across every cache in the process; the

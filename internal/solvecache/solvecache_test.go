@@ -2,7 +2,11 @@ package solvecache
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -45,18 +49,18 @@ func TestInstanceKeyContentSensitivity(t *testing.T) {
 	spec := KeySpec{Algo: "greedy", Seed: 1, SimID: "euclidean/4/100"}
 	a := randInstance(rand.New(rand.NewSource(5)), 6, 12, 4)
 	b := randInstance(rand.New(rand.NewSource(5)), 6, 12, 4) // separately built, same bytes
-	ka, ok := InstanceKey(a, spec)
+	ka, ok := checkedKey(t, a, spec)
 	if !ok {
 		t.Fatal("instance with SimID should be cacheable")
 	}
-	kb, _ := InstanceKey(b, spec)
+	kb, _ := checkedKey(t, b, spec)
 	if ka != kb {
 		t.Fatal("identical content must produce identical keys")
 	}
 
 	seen := map[Key]string{ka: "base"}
 	check := func(name string, in *core.Instance, sp KeySpec) {
-		k, ok := InstanceKey(in, sp)
+		k, ok := checkedKey(t, in, sp)
 		if !ok {
 			t.Fatalf("%s: unexpectedly uncacheable", name)
 		}
@@ -96,6 +100,136 @@ func TestInstanceKeyContentSensitivity(t *testing.T) {
 	budget := shard
 	budget.ShardDriftBudget = 0.05
 	check("shard-drift-budget", a, budget)
+}
+
+// perFieldKey is the reference for InstanceKey: the writer it replaced,
+// which hands SHA-256 one Write per field. InstanceKey hashes the same
+// bytes in blocks, so every key must be equal.
+func perFieldKey(in *core.Instance, spec KeySpec) (Key, bool) {
+	if in == nil || (in.Matrix == nil && spec.SimID == "") {
+		return Key{}, false
+	}
+	h := sha256.New()
+	var buf [8]byte
+	writeInt := func(x int64) {
+		binary.LittleEndian.PutUint64(buf[:], uint64(x))
+		h.Write(buf[:])
+	}
+	writeFloat := func(f float64) {
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(f))
+		h.Write(buf[:])
+	}
+	writeStr := func(s string) {
+		writeInt(int64(len(s)))
+		h.Write([]byte(s))
+	}
+	writeStr("geacc-solve-v2")
+	writeStr(spec.Algo)
+	writeStr(spec.SimID)
+	writeInt(spec.Seed)
+	writeInt(spec.NodeLimit)
+	var flags int64
+	if spec.Decompose {
+		flags |= 1
+	}
+	if spec.Diag {
+		flags |= 2
+	}
+	if spec.ApproxShard {
+		flags |= 4
+	}
+	writeInt(flags)
+	writeInt(spec.ShardMaxArea)
+	writeStr(spec.ShardStrategy)
+	writeFloat(spec.ShardDriftBudget)
+
+	writeInt(int64(in.NumEvents()))
+	writeInt(int64(in.NumUsers()))
+	for _, e := range in.Events {
+		writeInt(int64(e.Cap))
+		writeInt(int64(len(e.Attrs)))
+		for _, a := range e.Attrs {
+			writeFloat(a)
+		}
+	}
+	for _, u := range in.Users {
+		writeInt(int64(u.Cap))
+		writeInt(int64(len(u.Attrs)))
+		for _, a := range u.Attrs {
+			writeFloat(a)
+		}
+	}
+	if in.Conflicts != nil {
+		pairs := in.Conflicts.Pairs() // sorted, deterministic
+		writeInt(int64(len(pairs)))
+		for _, p := range pairs {
+			writeInt(int64(p[0]))
+			writeInt(int64(p[1]))
+		}
+	} else {
+		writeInt(-1)
+	}
+	if in.Matrix != nil {
+		writeInt(int64(len(in.Matrix)))
+		for _, row := range in.Matrix {
+			writeInt(int64(len(row)))
+			for _, s := range row {
+				writeFloat(s)
+			}
+		}
+	} else {
+		writeInt(-1)
+	}
+	var k Key
+	h.Sum(k[:0])
+	return k, true
+}
+
+// checkedKey returns InstanceKey(in, spec) and fails t unless perFieldKey
+// agrees with it.
+func checkedKey(t *testing.T, in *core.Instance, spec KeySpec) (Key, bool) {
+	t.Helper()
+	k, ok := InstanceKey(in, spec)
+	want, wantOK := perFieldKey(in, spec)
+	if k != want || ok != wantOK {
+		t.Fatalf("InstanceKey = %x (%v), per-field writer %x (%v)", k, ok, want, wantOK)
+	}
+	return k, ok
+}
+
+// TestInstanceKeyMatchesPerFieldWriter compares keys on instances whose
+// bytes span many blocks: a TABLE III-sized vector instance, a matrix
+// instance, and a spec whose strings are longer than a block.
+func TestInstanceKeyMatchesPerFieldWriter(t *testing.T) {
+	spec := KeySpec{Algo: "greedy", Seed: 1, SimID: "euclidean/20/100"}
+	checkedKey(t, randInstance(rand.New(rand.NewSource(9)), 100, 1000, 20), spec)
+	long := spec
+	long.SimID = strings.Repeat("x", 3*keyBlock+5)
+	long.ShardStrategy = strings.Repeat("y", keyBlock-3)
+	checkedKey(t, randInstance(rand.New(rand.NewSource(9)), 7, 40, 3), long)
+
+	rng := rand.New(rand.NewSource(3))
+	events, users := make([]core.Event, 60), make([]core.User, 700)
+	for i := range events {
+		events[i].Cap = 1 + rng.Intn(4)
+	}
+	for i := range users {
+		users[i].Cap = 1 + rng.Intn(2)
+	}
+	matrix := make([][]float64, len(events))
+	for v := range matrix {
+		matrix[v] = make([]float64, len(users))
+		for u := range matrix[v] {
+			matrix[v][u] = rng.Float64()
+		}
+	}
+	m, err := core.NewMatrixInstance(events, users, conflict.Random(rng, len(events), 0.2), matrix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkedKey(t, m, KeySpec{Algo: "mincostflow"})
+	checkedKey(t, m, KeySpec{Algo: "greedy", Decompose: true, Diag: true, ApproxShard: true,
+		ShardMaxArea: 500, ShardStrategy: "bfs", ShardDriftBudget: 0.1})
 }
 
 func TestInstanceKeyUncacheable(t *testing.T) {
@@ -254,4 +388,24 @@ func TestSolveCacheRace(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+var keySink Key
+
+// BenchmarkInstanceKey keys a 100×1000, d = 20 instance (TABLE III's
+// shape) with the block writer and with the per-field reference.
+func BenchmarkInstanceKey(b *testing.B) {
+	in := randInstance(rand.New(rand.NewSource(9)), 100, 1000, 20)
+	spec := KeySpec{Algo: "greedy", Seed: 1, SimID: "euclidean/20/100"}
+	for _, k := range []struct {
+		name string
+		key  func(*core.Instance, KeySpec) (Key, bool)
+	}{{"blocks", InstanceKey}, {"per-field", perFieldKey}} {
+		b.Run(k.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				keySink, _ = k.key(in, spec)
+			}
+		})
+	}
 }
