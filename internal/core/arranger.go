@@ -266,6 +266,9 @@ func (a *Arranger) RemoveUser(u int) error {
 		a.remCapV[v]++
 	}
 	a.matching.dropUser(u)
+	if a.users[u].Cap > 0 && u < a.union.nu {
+		a.union.loosen(a.union.userNode[u])
+	}
 	a.users[u].Cap = 0
 	a.remCapU[u] = 0
 	for _, v := range affected {
@@ -286,6 +289,9 @@ func (a *Arranger) CancelEvent(v int) error {
 		a.remCapU[u]++
 	}
 	a.matching.dropEvent(v)
+	if a.events[v].Cap > 0 && v < a.union.nv {
+		a.union.loosen(a.union.eventNode[v])
+	}
 	a.events[v].Cap = 0
 	a.remCapV[v] = 0
 	for _, u := range affected {

@@ -111,9 +111,16 @@ func (m *Matching) push(views [][]int, id, x, slot int) [][]int {
 	return views
 }
 
-// Contains reports whether m(v, u) = 1.
+// Contains reports whether m(v, u) = 1, scanning the shorter of u's and
+// v's views.
 func (m *Matching) Contains(v, u int) bool {
-	return u >= 0 && u < len(m.userEvents) && slices.Contains(m.userEvents[u], v)
+	if u < 0 || u >= len(m.userEvents) || v < 0 || v >= len(m.eventUsers) {
+		return false
+	}
+	if us := m.eventUsers[v]; len(us) < len(m.userEvents[u]) {
+		return slices.Contains(us, u)
+	}
+	return slices.Contains(m.userEvents[u], v)
 }
 
 // Reset empties m for reuse: its pair list, views and newest arena block

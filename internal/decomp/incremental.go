@@ -42,6 +42,19 @@ func (d *Decomposition) DirtyComponents(events, users []int) []int {
 	return ids
 }
 
+// KeptBound sums the kept Corollary 1 bounds of d's components in
+// component order (core.Arranger.KeptBound): an upper bound on the
+// conflict-free relaxed optimum of arr, exact up to rounding when updates
+// is 0. d must come from KeptComponents(arr), with no operation since.
+func (d *Decomposition) KeptBound(arr *core.Arranger) (bound float64, updates int) {
+	for _, c := range d.Components {
+		b, n := arr.KeptBound(c.Events[0])
+		bound += b
+		updates += n
+	}
+	return bound, updates
+}
+
 // RebalanceResult reports one scoped arranger rebalance.
 type RebalanceResult struct {
 	// Gain is the MaxSum improvement actually adopted (0 when every
@@ -82,6 +95,9 @@ type RebalanceResult struct {
 // components — are always seen without rescanning every similarity. Only
 // the components to solve are materialized, from the arranger's own
 // events, users and conflicts: no snapshot, no whole-instance kernels.
+// Every component whose solve computed its relaxed optimum (an unsharded
+// min-cost flow, warm or cold) stores it as the component's kept bound
+// (core.Arranger.SetKeptBound), adopted or not.
 func RebalanceScoped(ctx context.Context, arr *core.Arranger, algo string,
 	dirtyEvents, dirtyUsers []int, full bool, opt Options) (RebalanceResult, error) {
 	res := RebalanceResult{}
@@ -129,6 +145,11 @@ func RebalanceScoped(ctx context.Context, arr *core.Arranger, algo string,
 	}
 	res.ComponentsSolved = len(ids)
 	res.Partition = st.partition
+	// Each flow solve computed its component's exact relaxed optimum on
+	// the way: the kept bound the stats read.
+	for id, b := range st.bounds {
+		arr.SetKeptBound(d.Components[id].Events[0], b)
+	}
 
 	// Current per-component MaxSum: every matched pair has sim > 0, so its
 	// event and user share a component and the pair belongs to exactly one.

@@ -2,6 +2,7 @@ package decomp
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -14,10 +15,11 @@ import (
 // keptStream drives two arrangers through the same random op stream —
 // arrivals with conflicts, cancels, removals, restore round-trips and
 // adopted rebalances — and checks that their kept components equal a fresh
-// DecomposeContext over the snapshot: the eager one after every op (so
-// each read extends the graph by one node), the lazy one only now and then
-// (so one read extends it by several events and users at once). Every op
-// is deterministic, so the two stay identical.
+// DecomposeContext over the snapshot, and that their kept bound bounds the
+// snapshot's relaxation: the eager one after every op (so each read
+// extends the graph by one node), the lazy one only now and then (so one
+// read extends it by several events and users at once). Every op is
+// deterministic, so the two hold the same components and matching.
 type keptStream struct {
 	t              *testing.T
 	rng            *rand.Rand
@@ -83,7 +85,9 @@ func (s *keptStream) each(op func(a *core.Arranger) error) {
 	}
 }
 
-// apply runs op kind k (taken mod 8) on both arrangers.
+// apply runs op kind k (taken mod 8) on both arrangers. A rebalance (5)
+// is full when bit 4 of k is set and greedy when bit 5 is, else a dirty
+// min-cost flow.
 func (s *keptStream) apply(k byte) {
 	nv, nu := s.eager.NumEvents(), s.eager.NumUsers()
 	switch k % 8 {
@@ -114,7 +118,11 @@ func (s *keptStream) apply(k byte) {
 			s.dirtyU[u] = true
 		}
 	case 5:
-		s.rebalance()
+		algo := "mincostflow"
+		if k&32 != 0 {
+			algo = "greedy"
+		}
+		s.rebalance(algo, k&16 != 0)
 	case 6:
 		s.eager = restored(s.t, s.eager)
 		s.lazy = restored(s.t, s.lazy)
@@ -137,20 +145,33 @@ func restored(t *testing.T, a *core.Arranger) *core.Arranger {
 	return a
 }
 
-// rebalance runs the same dirty mincostflow RebalanceScoped on both
-// arrangers and on a twin restored from the eager one's snapshot, and
-// requires the same result and the same matching, pair order included.
-// An adopted rebalance must hand back the matching it replaced.
-func (s *keptStream) rebalance() {
+// rebalance runs the same RebalanceScoped on both arrangers and on a twin
+// restored from the eager one's snapshot, and requires the same result and
+// the same matching, pair order included. An adopted rebalance must hand
+// back the matching it replaced. On each arranger a greedy rebalance must
+// leave the kept bound as it was, a dirty flow rebalance must not raise
+// it, and a full flow rebalance must make it the snapshot's relaxed
+// optimum with no updates left.
+func (s *keptStream) rebalance(algo string, full bool) {
 	t, ctx := s.t, context.Background()
 	twin := restored(t, s.eager)
 	dirtyE, dirtyU := sortedKeys(s.dirtyE), sortedKeys(s.dirtyU)
 	var want RebalanceResult
 	for i, a := range []*core.Arranger{twin, s.eager, s.lazy} {
 		before := a.Matching().Pairs()
-		res, err := RebalanceScoped(ctx, a, "mincostflow", dirtyE, dirtyU, false, Options{Seed: 1})
+		b0, _, _ := keptBound(t, a)
+		res, err := RebalanceScoped(ctx, a, algo, dirtyE, dirtyU, full, Options{Seed: 1})
 		if err != nil {
 			t.Fatal(err)
+		}
+		b1, n1, relax := keptBound(t, a)
+		switch {
+		case algo == "greedy" && b1 != b0:
+			t.Fatalf("greedy rebalance moved the kept bound %v to %v", b0, b1)
+		case algo != "greedy" && full && (n1 != 0 || !closeRel(b1, relax)):
+			t.Fatalf("full flow rebalance left the kept bound at %v with %d updates, relaxation %v", b1, n1, relax)
+		case b1 > b0*(1+1e-9):
+			t.Fatalf("%s rebalance raised the kept bound %v to %v", algo, b0, b1)
 		}
 		if res.Adopted != (res.Replaced != nil) || res.Adopted && !reflect.DeepEqual(res.Replaced.Pairs(), before) {
 			t.Fatalf("rebalance adopted=%v handed back %v as the matching it replaced, want %v", res.Adopted, res.Replaced, before)
@@ -188,9 +209,27 @@ func sortedKeys(m map[int]bool) []int {
 	return out
 }
 
+// keptBound reads a's kept bound and update count, and the relaxed
+// optimum of a's snapshot.
+func keptBound(t *testing.T, a *core.Arranger) (bound float64, updates int, relax float64) {
+	t.Helper()
+	d, err := KeptComponents(context.Background(), a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, _, err := a.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound, updates = d.KeptBound(a)
+	return bound, updates, core.RelaxedUpperBound(in)
+}
+
 // check requires a's kept decomposition to equal DecomposeContext over its
-// snapshot: component count and members, eventComp, userComp, stranded
-// counts, and every component's materialized sub-instance.
+// snapshot — component count and members, eventComp, userComp, stranded
+// counts, and every component's materialized sub-instance — and its kept
+// bound to be at least the snapshot's relaxed optimum, and equal to it
+// when the bound took no update since the last flow solves.
 func check(t *testing.T, a *core.Arranger, step int) {
 	t.Helper()
 	ctx := context.Background()
@@ -212,6 +251,9 @@ func check(t *testing.T, a *core.Arranger, step int) {
 		t.Fatalf("step %d: kept %d components (stranded %d/%d, eventComp %v, userComp %v), scan %d (stranded %d/%d, eventComp %v, userComp %v)",
 			step, len(kept.Components), kept.StrandedEvents, kept.StrandedUsers, kept.eventComp, kept.userComp,
 			len(ref.Components), ref.StrandedEvents, ref.StrandedUsers, ref.eventComp, ref.userComp)
+	}
+	if b, n := kept.KeptBound(a); b < core.RelaxedUpperBound(in)*(1-1e-9) || n == 0 && !closeRel(b, core.RelaxedUpperBound(in)) {
+		t.Fatalf("step %d: kept bound %v with %d updates, relaxation %v", step, b, n, core.RelaxedUpperBound(in))
 	}
 	if err := kept.materialize(arrangerParent(a), kept.allIDs()); err != nil {
 		t.Fatal(err)
@@ -313,6 +355,68 @@ func TestKeptComponentsSeeNewUserBridges(t *testing.T) {
 	}
 }
 
+// TestKeptBoundBridgeCancelRestore walks the kept bound through its
+// rules on two cosine communities: a full flow rebalance makes it exact, a
+// bridge user merges the two components' bounds and adds its two best
+// pairs, a cancel and a remove leave it as it is but count as updates, and
+// a restored arranger prices every node on its first read.
+func TestKeptBoundBridgeCancelRestore(t *testing.T) {
+	arr, err := core.NewArranger(sim.Cosine())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, attrs := range []sim.Vector{{1, 0}, {0, 1}} {
+		if _, err := arr.AddEvent(core.Event{Attrs: attrs, Cap: 1}, nil); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := arr.AddUser(core.User{Attrs: attrs, Cap: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx := context.Background()
+	full := func(a *core.Arranger) {
+		t.Helper()
+		if _, err := RebalanceScoped(ctx, a, "mincostflow", nil, nil, true, Options{}); err != nil {
+			t.Fatal(err)
+		}
+		if b, n, relax := keptBound(t, a); n != 0 || !closeRel(b, relax) {
+			t.Fatalf("after a full flow rebalance: bound %v with %d updates, relaxation %v", b, n, relax)
+		}
+	}
+	want := func(a *core.Arranger, bound float64, updates int) {
+		t.Helper()
+		if b, n, relax := keptBound(t, a); !closeRel(b, bound) || n != updates || b < relax*(1-1e-9) {
+			t.Fatalf("bound %v with %d updates (relaxation %v), want %v with %d", b, n, relax, bound, updates)
+		}
+	}
+	full(arr)
+	want(arr, 2, 0)
+
+	// The bridge has sim 1/√2 to both events: its two pairs add √2.
+	if _, err := arr.AddUser(core.User{Attrs: sim.Vector{1, 1}, Cap: 2}); err != nil {
+		t.Fatal(err)
+	}
+	want(arr, 2+math.Sqrt2, 1)
+	if d, err := KeptComponents(ctx, arr); err != nil || len(d.Components) != 1 {
+		t.Fatalf("the bridge left %v components (err %v), want 1", d.Components, err)
+	}
+	if err := arr.CancelEvent(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := arr.RemoveUser(1); err != nil {
+		t.Fatal(err)
+	}
+	want(arr, 2+math.Sqrt2, 3)
+	full(arr)
+	want(arr, math.Sqrt2/2, 0)
+
+	// A restored arranger prices each event's best pairs: event 1 (cap 1)
+	// its bridge pair; event 0 is canceled.
+	arr = restored(t, arr)
+	want(arr, math.Sqrt2/2, 1)
+	full(arr)
+}
+
 // TestKeptComponentsCanceled requires a canceled read to fail and leave the
 // graph to be extended by the next one.
 func TestKeptComponentsCanceled(t *testing.T) {
@@ -341,6 +445,10 @@ func FuzzKeptComponents(f *testing.F) {
 	f.Add(int64(1), []byte{2, 2, 0, 1, 0, 2, 13, 0, 1, 3, 5, 4, 14, 0, 2, 5, 7, 1, 13}, false)
 	f.Add(int64(7), []byte{0, 0, 0, 2, 2, 2, 1, 1, 5, 6, 0, 5, 2, 0, 3, 4, 5}, false)
 	f.Add(int64(-3), []byte{2, 0, 2, 0, 1, 1, 5, 2, 0, 6, 5, 4, 4, 3, 0, 5}, true)
+	// Full flow (21) and greedy (53) rebalances around bridge users,
+	// cancels of both kinds (3, 4) and a restore (6).
+	f.Add(int64(48), []byte{2, 2, 2, 0, 0, 0, 0, 21, 0, 1, 0, 1, 8, 3, 4, 53, 21, 6, 0, 1, 21, 2, 8, 53, 4, 3, 21}, false)
+	f.Add(int64(34), []byte{2, 0, 2, 0, 0, 21, 1, 0, 1, 0, 2, 3, 21, 4, 6, 53, 0, 0, 21}, true)
 	f.Fuzz(func(t *testing.T, seed int64, ops []byte, euclid bool) {
 		if len(ops) > 200 {
 			ops = ops[:200]

@@ -27,11 +27,14 @@
 //
 // # Cancellation
 //
-// /solve, /trace, /report, rebalance and GET /instances/{id}/stats
-// propagate the request context into the solver or the relaxation bound
-// (core.SolveContext, core.PortfolioCtx, core.GreedyCtx,
-// core.RelaxedUpperBoundCtx): when the client disconnects mid-solve, long
-// MinCostFlow sweeps and exact searches abort at their next cancellation
-// poll instead of burning the worker, and the aborted request is recorded
-// with the non-standard status 499.
+// /solve, /trace, /report and rebalance propagate the request context
+// into the solver or the relaxation bound (core.SolveContext,
+// core.PortfolioCtx, core.GreedyCtx, core.RelaxedUpperBoundCtx): when the
+// client disconnects mid-solve, long MinCostFlow sweeps and exact searches
+// abort at their next cancellation poll instead of burning the worker, and
+// the aborted request is recorded with the non-standard status 499.
+// GET /instances/{id}/stats solves nothing: it reads the arranger's kept
+// relaxation bound, and only its extension of the kept union graph
+// (core.Arranger.UnionRoots) polls the context, so a client gone before or
+// during that scan gets 499 too.
 package server

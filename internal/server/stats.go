@@ -4,7 +4,6 @@ import (
 	"net/http"
 	"time"
 
-	"github.com/ebsnlab/geacc/internal/core"
 	"github.com/ebsnlab/geacc/internal/decomp"
 )
 
@@ -35,11 +34,16 @@ type InstanceStats struct {
 	Users  int     `json:"users"`
 	Pairs  int     `json:"pairs"`
 	MaxSum float64 `json:"max_sum"`
-	// RelaxedUpperBound is the Corollary 1 conflict-relaxed optimum; Gap is
-	// (bound - max_sum) / bound, 0 when the bound is 0. Each request still
-	// solves the relaxation once, monolithically (the arranger caches no
-	// bound), which is why the endpoint sits behind admission control.
+	// RelaxedUpperBound is the arranger's kept upper bound on the
+	// Corollary 1 conflict-relaxed optimum, summed over components: each
+	// component's exact relaxed optimum from its last min-cost-flow
+	// rebalance, plus what arrivals priced in since (DESIGN.md, "Kept
+	// relaxation bound"). No request solves a flow. BoundUpdates counts the
+	// arrivals, cancels and removes the components' bounds took since their
+	// last flow solve; at 0 the bound is the exact relaxed optimum, up to
+	// rounding. Gap is (bound - max_sum) / bound, 0 when the bound is 0.
 	RelaxedUpperBound float64 `json:"relaxed_upper_bound"`
+	BoundUpdates      int     `json:"bound_updates"`
 	Gap               float64 `json:"gap"`
 
 	// Persistence drift: how far the write-ahead log has grown past the
@@ -69,11 +73,13 @@ type InstanceStats struct {
 	WarmFlowEntries int `json:"warm_flow_entries,omitempty"`
 }
 
-// handleInstanceStats answers GET /instances/{id}/stats. It holds the
-// instance lock for a relaxation solve — solver-sized work, so it is
-// admitted like /solve and rebalance (before the id lookup, so overload
-// sheds cheaply) and sheds with 429 + Retry-After. The component counts
-// come from the arranger's kept union graph and materialize nothing.
+// handleInstanceStats answers GET /instances/{id}/stats. The bound and
+// the component counts come from the arranger's kept union graph: no
+// snapshot, no flow, nothing materialized. The read still extends that
+// graph by the nodes added since the last one, which after a restart is
+// one scan of every similarity, so it is admitted like /solve and
+// rebalance (before the id lookup, so overload sheds cheaply) and sheds
+// with 429 + Retry-After.
 func (s *service) handleInstanceStats(w http.ResponseWriter, r *http.Request) {
 	if !s.gateReady(w, r) {
 		return
@@ -114,24 +120,8 @@ func (s *service) handleInstanceStats(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	// The quality view needs a snapshot of the arranger; an empty instance
-	// has nothing to bound or decompose.
+	// An empty instance has nothing to bound or decompose.
 	if st.Events > 0 || st.Users > 0 {
-		in, _, err := inst.Arr.Snapshot()
-		if err != nil {
-			writeError(w, r, http.StatusInternalServerError, err)
-			return
-		}
-		if st.RelaxedUpperBound, err = core.RelaxedUpperBoundCtx(r.Context(), in); err != nil {
-			writeError(w, r, solveErrorStatus(err, http.StatusInternalServerError), err)
-			return
-		}
-		if st.RelaxedUpperBound > 0 {
-			st.Gap = (st.RelaxedUpperBound - st.MaxSum) / st.RelaxedUpperBound
-			if st.Gap < 0 {
-				st.Gap = 0
-			}
-		}
 		d, err := decomp.KeptComponents(r.Context(), inst.Arr)
 		if err != nil {
 			writeError(w, r, solveErrorStatus(err, http.StatusInternalServerError), err)
@@ -139,6 +129,10 @@ func (s *service) handleInstanceStats(w http.ResponseWriter, r *http.Request) {
 		}
 		st.ComponentsTotal = len(d.Components)
 		st.DirtyComponents = len(d.DirtyComponents(st.DirtyEvents, st.DirtyUsers))
+		st.RelaxedUpperBound, st.BoundUpdates = d.KeptBound(inst.Arr)
+		if st.RelaxedUpperBound > 0 {
+			st.Gap = max(0, (st.RelaxedUpperBound-st.MaxSum)/st.RelaxedUpperBound)
+		}
 	}
 
 	writeJSON(w, r, st)

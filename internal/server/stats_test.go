@@ -4,11 +4,13 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"github.com/ebsnlab/geacc/internal/core"
 	"github.com/ebsnlab/geacc/internal/obs"
 )
 
@@ -165,6 +167,70 @@ func TestInstanceStatsCanceledSkipsRelaxation(t *testing.T) {
 	}
 	if got := augs.Value(); got != before {
 		t.Fatalf("canceled stats augmented %d flow paths", got-before)
+	}
+}
+
+// snapshotRelaxation returns the relaxed optimum of instance id's snapshot.
+func snapshotRelaxation(t *testing.T, svc *service, id string) float64 {
+	t.Helper()
+	inst := svc.instances[id]
+	inst.mu.Lock()
+	defer inst.mu.Unlock()
+	in, _, err := inst.Arr.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return core.RelaxedUpperBound(in)
+}
+
+// TestInstanceStatsKeptBound: stats reads the kept relaxation bound and
+// never runs a flow. A repeated read evaluates no similarity; a full flow
+// rebalance makes the bound exact; after a restart the first read prices
+// every node, a valid bound that is marked as updated.
+func TestInstanceStatsKeptBound(t *testing.T) {
+	dir := t.TempDir()
+	h, svc, _ := newCorrelationHandler(t, Config{DataDir: dir})
+	seedStatsInstance(t, h)
+	doPost(t, h, "/instances/st/users", `{"attrs":[0,1],"cap":2}`, http.StatusOK)
+	runs := obs.Default().Counter("geacc_mcflow_runs_total")
+	kernel := obs.Default().Counter("geacc_sim_kernel_pairs_total")
+
+	// read returns one stats read and the kernel pairs it evaluated.
+	read := func(h http.Handler, svc *service) (InstanceStats, int64) {
+		t.Helper()
+		before, pairs := runs.Value(), kernel.Value()
+		st := getStats(t, h)
+		pairs = kernel.Value() - pairs
+		if got := runs.Value() - before; got != 0 {
+			t.Fatalf("stats ran %d min-cost flows", got)
+		}
+		if relax := snapshotRelaxation(t, svc, "st"); st.RelaxedUpperBound < relax*(1-1e-9) ||
+			st.BoundUpdates == 0 && math.Abs(st.RelaxedUpperBound-relax) > 1e-9*relax {
+			t.Fatalf("bound %v with %d updates, relaxation %v", st.RelaxedUpperBound, st.BoundUpdates, relax)
+		}
+		return st, pairs
+	}
+	first, _ := read(h, svc)
+	if first.BoundUpdates == 0 {
+		t.Fatalf("a greedy rebalance and an arrival left no bound update: %+v", first)
+	}
+	again, pairs := read(h, svc)
+	if again.RelaxedUpperBound != first.RelaxedUpperBound || again.BoundUpdates != first.BoundUpdates {
+		t.Fatalf("a second read moved the bound: %+v, then %+v", first, again)
+	}
+	if pairs != 0 {
+		t.Fatalf("a second read evaluated %d kernel pairs", pairs)
+	}
+
+	doPost(t, h, "/instances/st/rebalance?scope=full&algo=mincostflow", "", http.StatusOK)
+	if st, _ := read(h, svc); st.BoundUpdates != 0 || st.RelaxedUpperBound > first.RelaxedUpperBound {
+		t.Fatalf("after a full flow rebalance: bound %v with %d updates, was %v",
+			st.RelaxedUpperBound, st.BoundUpdates, first.RelaxedUpperBound)
+	}
+
+	h2, svc2, _ := newCorrelationHandler(t, Config{DataDir: dir})
+	if st, _ := read(h2, svc2); st.BoundUpdates == 0 {
+		t.Fatalf("a restarted instance reads an unpriced bound: %+v", st)
 	}
 }
 
