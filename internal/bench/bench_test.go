@@ -22,7 +22,7 @@ func TestRegistryCoversEveryFigure(t *testing.T) {
 		"fig3v", "fig3u", "fig3d", "fig3cf",
 		"fig4cv", "fig4cu", "fig4dist", "fig4real",
 		"fig5ab", "fig5cd", "fig6a", "fig6bcd",
-		"ablation-index", "ablation-resolution",
+		"ablation-resolution",
 		"decomp",
 	}
 	reg := Registry()
@@ -75,8 +75,9 @@ func TestMeasureRejectsCheatingSolver(t *testing.T) {
 		m.Add(0, 0, 0.9) // inconsistent similarity: Validate must catch it
 		return m
 	}
-	if _, _, _, err := Measure(in, cheat, 1); err == nil {
-		t.Error("Measure accepted an infeasible matching")
+	solve := func(in *core.Instance, rng *rand.Rand) (*core.Matching, error) { return cheat(in, rng), nil }
+	if _, _, _, err := measureErr(in, solve, 1); err == nil {
+		t.Error("measureErr accepted an infeasible matching")
 	}
 }
 
@@ -330,36 +331,18 @@ func TestTable2Experiment(t *testing.T) {
 }
 
 func TestAblationExperiments(t *testing.T) {
-	for _, id := range []string{"ablation-index", "ablation-resolution"} {
-		exp, err := Lookup(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		points, err := exp.Run(Options{Scale: 0.05, Seed: 3})
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		if len(points) == 0 {
-			t.Fatalf("%s: no points", id)
-		}
+	exp, err := Lookup("ablation-resolution")
+	if err != nil {
+		t.Fatal(err)
 	}
-	// All exact NN indexes must agree on MaxSum.
-	exp, _ := Lookup("ablation-index")
 	points, err := exp.Run(Options{Scale: 0.05, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range points {
-		if math.Abs(p.MaxSum-points[0].MaxSum) > 1e-9 {
-			t.Fatalf("index %s disagrees: %v vs %v", p.Algo, p.MaxSum, points[0].MaxSum)
-		}
+	if len(points) == 0 {
+		t.Fatal("ablation-resolution: no points")
 	}
 	// MWIS resolution never loses to greedy resolution.
-	exp, _ = Lookup("ablation-resolution")
-	points, err = exp.Run(Options{Scale: 0.05, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
 	byX := map[float64]map[string]float64{}
 	for _, p := range points {
 		if byX[p.X] == nil {

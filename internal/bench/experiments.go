@@ -148,12 +148,6 @@ func Registry() []Experiment {
 			Run:    runFig6VsExhaustive,
 		},
 		{
-			ID:     "ablation-index",
-			Title:  "Ablation: Greedy-GEACC under each NN index (σ(S) choice)",
-			XLabel: "index",
-			Run:    runAblationIndex,
-		},
-		{
 			ID:     "ablation-resolution",
 			Title:  "Ablation: MinCostFlow-GEACC conflict resolution (greedy vs exact MWIS)",
 			XLabel: "|CF| / (|V|(|V|-1)/2)",

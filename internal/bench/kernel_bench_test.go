@@ -60,13 +60,13 @@ func TestSolverBenchLargeShapesGated(t *testing.T) {
 }
 
 // The benchmarks below are the CI smoke surface for the batched kernel path
-// (run with -benchtime=10x): a greedy solve big enough that refills stream
-// through SimBatch blocks, and a flow solve whose cost matrix is built from
+// (run with -benchtime=10x): a greedy solve that scores every live pair
+// through SimBatch rows, and a flow solve whose cost matrix is built from
 // batched similarity rows.
 
 // BenchmarkGreedyKernelV50U500 also reports the search work per solve:
-// kernelpairs/op counts (query, row) similarity evaluations (refills over
-// live candidates only), pops/op counts Greedy's heap pops.
+// kernelpairs/op counts (query, row) similarity evaluations (each live pair
+// once), pops/op counts the pairs Greedy's sweep decided.
 func BenchmarkGreedyKernelV50U500(b *testing.B) {
 	in := pinnedInstance(b, 50, 500)
 	reg := obs.Default()

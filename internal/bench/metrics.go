@@ -81,17 +81,6 @@ func (o Options) scaleCard(n, min int) int {
 	return s
 }
 
-// Measure runs one solve function on one instance, returning the matching
-// together with its wall time and allocated bytes; solve gets a PRNG seeded
-// with seed. The matching is validated; an infeasible result is a bug worth
-// failing loudly over. The kNN-index ablation, whose solvers are not
-// registry entries, measures through it.
-func Measure(in *core.Instance, solve func(*core.Instance, *rand.Rand) *core.Matching, seed int64) (*core.Matching, float64, float64, error) {
-	return measureErr(in, func(in *core.Instance, rng *rand.Rand) (*core.Matching, error) {
-		return solve(in, rng), nil
-	}, seed)
-}
-
 // MeasureAlgo measures a registry solver by name through decomp.Run, the
 // service's solve pipeline, decomposed when opt.Decompose or opt.Shard is
 // set. The experiments call this so `geacc-bench -decompose` re-runs any
@@ -113,6 +102,10 @@ func MeasureAlgo(opt Options, in *core.Instance, algo string, seed int64) (*core
 	}, seed)
 }
 
+// measureErr runs solve on in, returning the matching together with its
+// wall time and allocated bytes; solve gets a PRNG seeded with seed. The
+// matching is validated; an infeasible result is a bug worth failing
+// loudly over.
 func measureErr(in *core.Instance, solve func(*core.Instance, *rand.Rand) (*core.Matching, error), seed int64) (*core.Matching, float64, float64, error) {
 	rng := rand.New(rand.NewSource(seed))
 	runtime.GC()

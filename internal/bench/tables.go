@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"github.com/ebsnlab/geacc/internal/conflict"
@@ -77,43 +76,6 @@ func runTable2(opt Options) ([]Point, error) {
 				"users":     float64(in.NumUsers()),
 				"conflicts": float64(in.Conflicts.Edges()),
 			},
-		})
-	}
-	return points, nil
-}
-
-// runAblationIndex compares Greedy-GEACC under every NN index on the
-// default synthetic instance — the σ(S) choice the paper leaves open. The
-// chunked row is the default solve, which runs the sorted sweep rather
-// than the heap loop; the other rows time the heap loop over their index.
-func runAblationIndex(opt Options) ([]Point, error) {
-	opt = opt.withDefaults()
-	cfg := dataset.DefaultSynthetic()
-	cfg.NumEvents = opt.scaleCard(cfg.NumEvents, 2)
-	cfg.NumUsers = opt.scaleCard(cfg.NumUsers, 2)
-	cfg.Seed = opt.Seed
-	in, err := cfg.Generate()
-	if err != nil {
-		return nil, err
-	}
-	// Every index is exact, so all produce the same matching; only the
-	// time and memory differ.
-	kinds := []core.IndexKind{
-		core.IndexChunked, core.IndexSorted, core.IndexIDistance, core.IndexVAFile,
-	}
-	var points []Point
-	for _, kind := range kinds {
-		kind := kind
-		solve := func(in *core.Instance, _ *rand.Rand) *core.Matching {
-			return core.GreedyOpts(in, core.GreedyOptions{Index: kind})
-		}
-		m, sec, bytes, err := Measure(in, solve, opt.Seed)
-		if err != nil {
-			return nil, err
-		}
-		points = append(points, Point{
-			Experiment: "ablation-index", X: 1, Algo: kind.String(),
-			MaxSum: m.MaxSum(), Seconds: sec, Bytes: bytes,
 		})
 	}
 	return points, nil

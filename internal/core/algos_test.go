@@ -285,21 +285,6 @@ func TestGreedyMatrixAndEquivalentVectorAgree(t *testing.T) {
 	}
 }
 
-func TestIndexKindString(t *testing.T) {
-	cases := map[IndexKind]string{
-		IndexChunked:   "chunked",
-		IndexSorted:    "sorted",
-		IndexIDistance: "idistance",
-		IndexVAFile:    "vafile",
-		IndexKind(99):  "unknown",
-	}
-	for k, want := range cases {
-		if k.String() != want {
-			t.Errorf("IndexKind(%d).String() = %q", int(k), k.String())
-		}
-	}
-}
-
 // TestResolveConflictsGreedyOrder checks the per-user greedy selection
 // against a reference that sorts each user's events with slices.SortFunc
 // (similarity descending, event id ascending) and keeps every event that

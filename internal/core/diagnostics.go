@@ -39,7 +39,7 @@ type Diagnostics struct {
 	Seconds float64       `json:"seconds"`
 	Phases  []PhaseTiming `json:"phases,omitempty"`
 
-	// MetricDeltas holds the obs counters the run moved (heap pops,
+	// MetricDeltas holds the obs counters the run moved (greedy pops,
 	// augmenting paths, search nodes, …), by encoded series name. Deltas
 	// are read from the process-global registry, so concurrent solves in
 	// other goroutines bleed into each other's counts; on a busy server

@@ -26,9 +26,10 @@
 //	Exact        Prune-GEACC, Algorithms 3-4: optimal, exponential
 //	RandomV/U    the evaluation's baselines
 //
-// Greedy maintains a heap of per-node nearest-neighbor candidate pairs and
-// repeatedly commits the most similar feasible one; its NN queries run
-// against a pluggable index (IndexKind). MinCostFlow solves the CF = ∅
+// Greedy repeatedly commits the most similar feasible pair. The paper
+// keeps a heap of per-node nearest-neighbor candidates for this; Greedy
+// instead scores every live pair once and sweeps them in the heap's pop
+// order, in bands over a pair budget, with the same result. MinCostFlow solves the CF = ∅
 // relaxation exactly as a minimum-cost flow (optimal by the paper's
 // Lemma 1; also exposed as RelaxedUpperBound, an upper bound on the
 // constrained optimum by Corollary 1) and then resolves each user's
@@ -50,11 +51,11 @@
 // SolveContext is the one entry point over the solver registry, a single
 // table of context-aware entries (registry.go): it honors cancellation in the solvers that can run long (mincostflow
 // between augmenting paths, exact between node expansions, greedy between
-// heap pops — see also GreedyCtx, MinCostFlowCtx, ExactOptions.Ctx, and
+// scored rows and decided pairs — see also GreedyCtx, MinCostFlowCtx, ExactOptions.Ctx, and
 // PortfolioCtx), records the per-algorithm solve metrics, and emits trace
 // spans into a recorder attached to the context with
 // obs.ContextWithRecorder. The algorithms additionally publish their
-// internal work counts (greedy heap pops, flow augmentations, search-node
+// internal work counts (greedy decided pairs, flow augmentations, search-node
 // expansions and prunes, local-search moves, arranger operation
 // latencies) into the global internal/obs registry regardless of entry
 // point; docs/OBSERVABILITY.md is the full metric catalog.

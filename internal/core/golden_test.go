@@ -165,11 +165,11 @@ func writeFlowResult(h hash.Hash, res *core.FlowResult) {
 // greedyGoldenDigest is the SHA-256 over every Greedy-GEACC output
 // TestGreedyGolden produces: insertion-order pairs with similarity bits,
 // the float bits of MaxSum, and one run's full Trace step log. Greedy's
-// matching depends on every NN stream yielding the exact same sequence, so
-// an index change that reorders, drops or re-rounds a single candidate
-// shows up here. Regenerate it only for a change that is meant to alter
-// results, and say so.
-const greedyGoldenDigest = "d7fa61d1cfa34388274e7bdfdd9a574dd3fea2d1c2c083656cf9f0fa1a5c826c"
+// matching depends on the sweep deciding the exact same pairs in the exact
+// same order, so a change that reorders, drops or re-rounds a single
+// candidate shows up here. Regenerate it only for a change that is meant
+// to alter results or the trace, and say so.
+const greedyGoldenDigest = "f259fb0bf8191f43ce3cbaf65b8a0826eac91aa3882b56ed30abafd45a2ead21"
 
 // TestGreedyGolden pins Greedy-GEACC bit for bit on TABLE III instances
 // (100×1000 and 20×200, seeds 1–3), a large-capacity 200×2000 run, a

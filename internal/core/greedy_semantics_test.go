@@ -86,23 +86,13 @@ func TestGreedyEqualsReferenceOnMatrices(t *testing.T) {
 }
 
 // TestGreedyEqualsReferenceOnVectors runs the same comparison on vector
-// instances with every index implementation. Vector similarities almost
-// never tie, so the pair-for-pair match must hold for all indexes.
+// instances. Vector similarities almost never tie, so the pair-for-pair
+// match must hold.
 func TestGreedyEqualsReferenceOnVectors(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		in := randVectorInstance(rng, 1+rng.Intn(6), 1+rng.Intn(12), 1+rng.Intn(4), 4, 3, rng.Float64())
-		want := referenceGreedy(in)
-		for _, kind := range []IndexKind{
-			IndexChunked, IndexSorted, IndexIDistance, IndexVAFile,
-		} {
-			got := GreedyOpts(in, GreedyOptions{Index: kind})
-			if !matchingsEqual(got, want) {
-				t.Logf("index %v diverged from the specification", kind)
-				return false
-			}
-		}
-		return true
+		return matchingsEqual(Greedy(in), referenceGreedy(in))
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)

@@ -112,28 +112,6 @@ func TestNoConflictsMinCostFlowIsOptimal(t *testing.T) {
 	}
 }
 
-// TestGreedyIndexAblation: every NN index yields the same greedy MaxSum on
-// vector instances (the matching is determined by the similarity order, not
-// by the index implementation).
-func TestGreedyIndexAblation(t *testing.T) {
-	check := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		in := randVectorInstance(rng, 2+rng.Intn(6), 2+rng.Intn(10), 1+rng.Intn(3), 4, 3, rng.Float64())
-		base := GreedyOpts(in, GreedyOptions{Index: IndexSorted}).MaxSum()
-		for _, kind := range []IndexKind{IndexChunked, IndexIDistance, IndexVAFile} {
-			got := GreedyOpts(in, GreedyOptions{Index: kind}).MaxSum()
-			if abs(got-base) > 1e-9 {
-				t.Logf("index %v: MaxSum %v, sorted %v", kind, got, base)
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
-
 func abs(x float64) float64 {
 	if x < 0 {
 		return -x

@@ -72,9 +72,9 @@ func LookupSolver(name string) error {
 //
 // Cancellation is honored by the solvers that can actually run long:
 // mincostflow aborts between augmenting paths, exact between search-node
-// expansions, and greedy between heap pops. The random baselines check ctx
-// only once, before starting (they are linear-time shuffles). A canceled
-// run returns ctx's error and a nil matching.
+// expansions, and greedy between scored rows and decided pairs. The random
+// baselines check ctx only once, before starting (they are linear-time
+// shuffles). A canceled run returns ctx's error and a nil matching.
 func SolveContext(ctx context.Context, name string, in *Instance, rng *rand.Rand) (*Matching, error) {
 	m, _, _, err := SolveContextBound(ctx, name, in, rng, 0)
 	return m, err

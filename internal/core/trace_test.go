@@ -50,7 +50,7 @@ func TestTable1TraceMatchesExample3(t *testing.T) {
 func TestTraceReasonsAreClassified(t *testing.T) {
 	rng := rand.New(rand.NewSource(111))
 	in := randMatrixInstance(rng, 5, 12, 3, 2, 0.5)
-	valid := map[string]bool{"": true, "event-full": true, "user-full": true, "conflict": true}
+	valid := map[string]bool{"": true, "conflict": true}
 	GreedyOpts(in, GreedyOptions{Trace: func(s TraceStep) {
 		if !valid[s.Reason] {
 			t.Fatalf("unknown reason %q", s.Reason)

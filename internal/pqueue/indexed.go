@@ -1,7 +1,5 @@
-// Package pqueue provides the priority-queue substrates used by the GEACC
-// algorithms: an indexed min-heap with decrease-key for Dijkstra's shortest
-// path search inside the min-cost-flow solver, and a de-duplicating max-heap
-// of candidate (event, user) pairs for Greedy-GEACC's heap H (Algorithm 2).
+// Package pqueue provides the indexed min-heap with decrease-key that
+// Dijkstra's shortest path search uses inside the min-cost-flow solver.
 package pqueue
 
 // IndexedMinHeap is a binary min-heap over the integer keys [0, n) with

@@ -151,136 +151,6 @@ func TestIndexedMinHeapDijkstraPattern(t *testing.T) {
 	}
 }
 
-func TestPairHeapOrderAndTieBreak(t *testing.T) {
-	h := NewPairHeap(3, 10)
-	h.Push(Pair{V: 1, U: 2, Sim: 0.5})
-	h.Push(Pair{V: 0, U: 3, Sim: 0.9})
-	h.Push(Pair{V: 2, U: 1, Sim: 0.5})
-	h.Push(Pair{V: 1, U: 0, Sim: 0.5})
-
-	want := []Pair{
-		{0, 3, 0.9},
-		{1, 0, 0.5},
-		{1, 2, 0.5},
-		{2, 1, 0.5},
-	}
-	for i, w := range want {
-		got := h.Pop()
-		if got != w {
-			t.Fatalf("pop %d = %+v, want %+v", i, got, w)
-		}
-	}
-}
-
-func TestPairHeapDeduplicates(t *testing.T) {
-	h := NewPairHeap(2, 5)
-	if !h.Push(Pair{V: 1, U: 1, Sim: 0.7}) {
-		t.Fatal("first push rejected")
-	}
-	if h.Push(Pair{V: 1, U: 1, Sim: 0.7}) {
-		t.Fatal("duplicate push accepted")
-	}
-	got := h.Pop()
-	if got.V != 1 || got.U != 1 {
-		t.Fatalf("unexpected pair %+v", got)
-	}
-	// A visited (popped) pair must not be pushable again.
-	if h.Push(Pair{V: 1, U: 1, Sim: 0.7}) {
-		t.Fatal("visited pair re-entered heap")
-	}
-	if h.Len() != 0 {
-		t.Fatal("heap should be empty")
-	}
-}
-
-func TestPairHeapContains(t *testing.T) {
-	h := NewPairHeap(4, 4)
-	h.Push(Pair{V: 2, U: 3, Sim: 0.1})
-	if !h.Contains(2, 3) {
-		t.Error("Contains missed pushed pair")
-	}
-	if h.Contains(3, 2) {
-		t.Error("Contains confused (v,u) with (u,v)")
-	}
-	h.Pop()
-	if !h.Contains(2, 3) {
-		t.Error("Contains must keep reporting visited pairs")
-	}
-}
-
-// TestPairHeapResetClearsVisited: a reused heap forgets every pair of the
-// previous run, including the corner pairs of the bitset's first and last
-// words, whether the next run is smaller, equal or larger.
-func TestPairHeapResetClearsVisited(t *testing.T) {
-	h := NewPairHeap(9, 13)
-	for _, shape := range [][2]int{{9, 13}, {3, 5}, {9, 13}, {20, 40}, {1, 1}} {
-		nv, nu := shape[0], shape[1]
-		h.Reset(nv, nu)
-		if h.Len() != 0 {
-			t.Fatalf("%dx%d: Reset left %d items", nv, nu, h.Len())
-		}
-		for v := 0; v < nv; v++ {
-			for u := 0; u < nu; u++ {
-				if h.Contains(v, u) {
-					t.Fatalf("%dx%d: (%d, %d) visited after Reset", nv, nu, v, u)
-				}
-			}
-		}
-		corners := []Pair{{V: 0, U: 0, Sim: 0.5}, {V: nv - 1, U: nu - 1, Sim: 0.25}, {V: nv - 1, U: 0, Sim: 0.75}}
-		for _, p := range corners {
-			h.Push(p)
-		}
-		for _, p := range corners {
-			if !h.Contains(p.V, p.U) {
-				t.Fatalf("%dx%d: pushed %+v not visited", nv, nu, p)
-			}
-		}
-	}
-}
-
-// TestPairHeapPeek checks that the root slot holds the most similar pair
-// after a push that must sift up, and that Len counts both pairs.
-func TestPairHeapPeek(t *testing.T) {
-	h := NewPairHeap(1, 4)
-	h.Push(Pair{V: 0, U: 0, Sim: 0.2})
-	h.Push(Pair{V: 0, U: 1, Sim: 0.8})
-	if got := h.items[0]; got.Sim != 0.8 {
-		t.Fatalf("root = %+v", got)
-	}
-	if h.Len() != 2 {
-		t.Fatal("Len must count both pairs")
-	}
-}
-
-func TestPairHeapSortedDrainProperty(t *testing.T) {
-	check := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		nv, nu := 1+rng.Intn(20), 1+rng.Intn(20)
-		h := NewPairHeap(nv, nu)
-		pushed := 0
-		for i := 0; i < 100; i++ {
-			ok := h.Push(Pair{V: rng.Intn(nv), U: rng.Intn(nu), Sim: rng.Float64()})
-			if ok {
-				pushed++
-			}
-		}
-		prev := 2.0
-		popped := 0
-		for h.Len() > 0 {
-			p := h.Pop()
-			if p.Sim > prev {
-				return false
-			}
-			prev = p.Sim
-			popped++
-		}
-		return popped == pushed
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestIndexedMinHeapPriority(t *testing.T) {
 	h := NewIndexedMinHeap(3)
 	h.Push(1, 4.5)

@@ -5,7 +5,7 @@
 //	GET  /healthz            liveness probe
 //	GET  /algorithms         available solver names
 //	POST /solve?algo=&seed=  instance JSON -> matching JSON (+ metrics)
-//	POST /trace              instance JSON -> greedy matching + decision log
+//	POST /trace              instance JSON -> greedy matching + its steps: every accept and conflict rejection
 //	POST /report             {"instance":..., "matching":...} -> quality report
 //	POST /validate           {"instance":..., "matching":...} -> feasibility verdict
 //	GET  /metrics            Prometheus text: the metrics registry + SLO windows

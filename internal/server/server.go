@@ -274,8 +274,10 @@ func writeSolveResponse(w http.ResponseWriter, r *http.Request, in *core.Instanc
 }
 
 // TraceStepJSON is one serialized greedy decision. The /trace payload is
-// {"matching": ..., "steps": [...]}: the greedy arrangement plus every
-// heap-pop decision in order (the paper's Example 3 narrative, as data).
+// {"matching": ..., "steps": [...]}: the greedy arrangement plus, in
+// order, every pair the sweep reached while both its endpoints had
+// capacity — each accept and each "conflict" rejection (the paper's
+// Example 3 narrative, as data).
 type TraceStepJSON struct {
 	V        int     `json:"v"`
 	U        int     `json:"u"`

@@ -5,10 +5,9 @@ import "fmt"
 // Flat is an immutable row-major store of n d-dimensional vectors with the
 // squared Euclidean norm of every row precomputed at build time. One
 // contiguous allocation replaces n pointer-chased slices, so linear scans —
-// the inner loop of every kNN refill and cost-matrix build — walk memory in
-// stride order and the hardware prefetcher keeps up. The norms feed the
-// cosine kernel (its per-row ‖b‖² term) and the dot-product identity used
-// by SqDistBatch.
+// the inner loop of every similarity row and cost-matrix build — walk
+// memory in stride order and the hardware prefetcher keeps up. The norms
+// feed the cosine kernel (its per-row ‖b‖² term).
 type Flat struct {
 	data  []float64 // n*d coordinates, row i at [i*d, (i+1)*d)
 	norms []float64 // norms[i] = Σ_j data[i*d+j]², accumulated in index order
@@ -44,9 +43,6 @@ func NewFlat(vs []Vector) *Flat {
 
 // Len returns the number of stored vectors.
 func (f *Flat) Len() int { return f.n }
-
-// Dim returns the shared dimensionality (0 for an empty store).
-func (f *Flat) Dim() int { return f.d }
 
 // Row returns a view of row i. The view aliases the store; callers must not
 // modify it.

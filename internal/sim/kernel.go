@@ -8,8 +8,7 @@ import (
 	"github.com/ebsnlab/geacc/internal/obs"
 )
 
-// Batch-kernel observability: one batch is one SimBatch/SqDistBatch/gather
-// call, pairs counts the (query, row) evaluations it covered. The ratio
+// Batch-kernel observability: one batch is one SimBatch call, pairs counts the (query, row) evaluations it covered. The ratio
 // pairs/batches is the effective block size reaching the kernels.
 var (
 	kernelBatches = obs.Default().Counter("geacc_sim_kernel_batches_total")
@@ -81,34 +80,22 @@ func specOf(f Func) funcSpec {
 // batches. For the built-in Euclidean/Cosine/Manhattan functions it runs
 // unrolled scans over the flat store that reproduce the closures'
 // floating-point arithmetic bit for bit — batched and per-pair paths are
-// interchangeable anywhere in the repo, including tests that compare streams
-// across index implementations. Any other Func runs through the generic
+// interchangeable anywhere in the repo. Any other Func runs through the generic
 // fallback, so plugging in a custom similarity keeps working unchanged.
 type Kernel struct {
 	flat *Flat
-	vecs []Vector
 	f    Func
 	spec funcSpec
 }
 
 // NewKernel builds a kernel over data for f. The vectors are copied into a
-// flat row-major store; data itself is retained only for Vectors().
+// flat row-major store; data itself is not retained.
 func NewKernel(data []Vector, f Func) *Kernel {
-	return &Kernel{flat: NewFlat(data), vecs: data, f: f, spec: specOf(f)}
+	return &Kernel{flat: NewFlat(data), f: f, spec: specOf(f)}
 }
 
 // Len returns the number of stored vectors.
 func (k *Kernel) Len() int { return k.flat.Len() }
-
-// Dim returns the stored vectors' dimensionality.
-func (k *Kernel) Dim() int { return k.flat.Dim() }
-
-// Vectors returns the original vector slice the kernel was built from.
-// Callers must not modify it or its rows.
-func (k *Kernel) Vectors() []Vector { return k.vecs }
-
-// Row returns a read-only view of stored vector i.
-func (k *Kernel) Row(i int) Vector { return k.flat.Row(i) }
 
 // Batched reports whether the kernel recognized its Func as a built-in and
 // will use the specialized batch scans (false means generic fallback).
@@ -150,205 +137,6 @@ func (k *Kernel) Sim(query Vector, i int) float64 {
 	default:
 		return k.f(query, k.flat.Row(i))
 	}
-}
-
-// SimGather fills out[j] = sim(query, row ids[j]) for sparse id sets (the
-// live candidates of a Chunked refill). The built-in kinds run the batch
-// loops' arithmetic inline, four rows at a time: each row keeps its own
-// single accumulator in index order, so every out[j] is bit-identical to
-// the closure, while the four independent chains overlap in the pipeline.
-func (k *Kernel) SimGather(query Vector, ids []int, out []float64) {
-	if len(ids) == 0 {
-		return
-	}
-	kernelBatches.Inc()
-	kernelPairs.Add(int64(len(ids)))
-	switch k.spec.kind {
-	case kindEuclidean:
-		k.euclideanGather(query, ids, out)
-	case kindCosine:
-		k.cosineGather(query, ids, out)
-	case kindManhattan:
-		k.manhattanGather(query, ids, out)
-	default:
-		for j, id := range ids {
-			out[j] = k.f(query, k.flat.Row(id))
-		}
-	}
-}
-
-// gatherQuery checks the query's dimensionality against the store and
-// returns it resliced to exactly d, so the gather loops index it without
-// bounds checks.
-func (k *Kernel) gatherQuery(query Vector) Vector {
-	d := k.flat.d
-	if len(query) != d {
-		panic(fmt.Sprintf("sim: dimension mismatch: %d vs %d", len(query), d))
-	}
-	return query[:d:d]
-}
-
-// euclideanGather is euclideanBatch over ids: per row Σ (q−r)² with one
-// sequential accumulator, then the closure's 1 − √s/norm and clamp.
-func (k *Kernel) euclideanGather(query Vector, ids []int, out []float64) {
-	q := k.gatherQuery(query)
-	d, data, norm := len(q), k.flat.data, k.spec.norm
-	finish := func(s float64) float64 {
-		sv := 1 - math.Sqrt(s)/norm
-		if sv < 0 {
-			sv = 0
-		}
-		return sv
-	}
-	j := 0
-	for ; j+4 <= len(ids); j += 4 {
-		r0 := data[ids[j]*d:][:len(q)]
-		r1 := data[ids[j+1]*d:][:len(q)]
-		r2 := data[ids[j+2]*d:][:len(q)]
-		r3 := data[ids[j+3]*d:][:len(q)]
-		var s0, s1, s2, s3 float64
-		for i, x := range q {
-			d0 := x - r0[i]
-			s0 += d0 * d0
-			d1 := x - r1[i]
-			s1 += d1 * d1
-			d2 := x - r2[i]
-			s2 += d2 * d2
-			d3 := x - r3[i]
-			s3 += d3 * d3
-		}
-		out[j], out[j+1], out[j+2], out[j+3] = finish(s0), finish(s1), finish(s2), finish(s3)
-	}
-	for ; j < len(ids); j++ {
-		row := data[ids[j]*d:][:len(q)]
-		var s float64
-		for i, x := range q {
-			dd := x - row[i]
-			s += dd * dd
-		}
-		out[j] = finish(s)
-	}
-}
-
-// cosineGather is cosineBatch over ids: per row a sequential dot product,
-// then the closure's zero-norm rule, dot/√(na·nb) and clamp.
-func (k *Kernel) cosineGather(query Vector, ids []int, out []float64) {
-	q := k.gatherQuery(query)
-	d, data, norms := len(q), k.flat.data, k.flat.norms
-	qn := sumSquares(q)
-	finish := func(dot, rn float64) float64 {
-		if qn == 0 || rn == 0 {
-			return 0
-		}
-		s := dot / math.Sqrt(qn*rn)
-		switch {
-		case s < 0:
-			s = 0
-		case s > 1:
-			s = 1
-		}
-		return s
-	}
-	j := 0
-	for ; j+4 <= len(ids); j += 4 {
-		r0 := data[ids[j]*d:][:len(q)]
-		r1 := data[ids[j+1]*d:][:len(q)]
-		r2 := data[ids[j+2]*d:][:len(q)]
-		r3 := data[ids[j+3]*d:][:len(q)]
-		var s0, s1, s2, s3 float64
-		for i, x := range q {
-			s0 += x * r0[i]
-			s1 += x * r1[i]
-			s2 += x * r2[i]
-			s3 += x * r3[i]
-		}
-		out[j] = finish(s0, norms[ids[j]])
-		out[j+1] = finish(s1, norms[ids[j+1]])
-		out[j+2] = finish(s2, norms[ids[j+2]])
-		out[j+3] = finish(s3, norms[ids[j+3]])
-	}
-	for ; j < len(ids); j++ {
-		row := data[ids[j]*d:][:len(q)]
-		var s float64
-		for i, x := range q {
-			s += x * row[i]
-		}
-		out[j] = finish(s, norms[ids[j]])
-	}
-}
-
-// manhattanGather is manhattanBatch over ids: per row Σ |q−r| with one
-// sequential accumulator, then the closure's 1 − s/norm and clamp.
-func (k *Kernel) manhattanGather(query Vector, ids []int, out []float64) {
-	q := k.gatherQuery(query)
-	d, data, norm := len(q), k.flat.data, k.spec.norm
-	finish := func(s float64) float64 {
-		r := 1 - s/norm
-		if r < 0 {
-			r = 0
-		}
-		return r
-	}
-	j := 0
-	for ; j+4 <= len(ids); j += 4 {
-		r0 := data[ids[j]*d:][:len(q)]
-		r1 := data[ids[j+1]*d:][:len(q)]
-		r2 := data[ids[j+2]*d:][:len(q)]
-		r3 := data[ids[j+3]*d:][:len(q)]
-		var s0, s1, s2, s3 float64
-		for i, x := range q {
-			s0 += math.Abs(x - r0[i])
-			s1 += math.Abs(x - r1[i])
-			s2 += math.Abs(x - r2[i])
-			s3 += math.Abs(x - r3[i])
-		}
-		out[j], out[j+1], out[j+2], out[j+3] = finish(s0), finish(s1), finish(s2), finish(s3)
-	}
-	for ; j < len(ids); j++ {
-		row := data[ids[j]*d:][:len(q)]
-		var s float64
-		for i, x := range q {
-			s += math.Abs(x - row[i])
-		}
-		out[j] = finish(s)
-	}
-}
-
-// sqDistGuard is the relative threshold below which the dot-product identity
-// result is discarded and the difference form recomputed. The identity
-// ‖q−r‖² = ‖q‖² + ‖r‖² − 2·q·r carries an absolute error of roughly
-// d·ε·(‖q‖²+‖r‖²); when the true squared distance is small relative to the
-// norms, that error dominates (catastrophic cancellation for near-duplicate
-// vectors). 1e-6 sits far above d·ε (~1e-14 at d=64) and far below any
-// distance at which the identity's error could matter.
-const sqDistGuard = 1e-6
-
-// SqDistGather fills out[j] with the squared Euclidean distance from query
-// to row ids[j], using the dot-product identity with the precomputed row
-// norms — one dot product per pair instead of a full difference pass.
-// Results are clamped to be non-negative; pairs under the cancellation
-// guard are recomputed with the exact difference form.
-func (k *Kernel) SqDistGather(query Vector, ids []int, out []float64) {
-	if len(ids) == 0 {
-		return
-	}
-	kernelBatches.Inc()
-	kernelPairs.Add(int64(len(ids)))
-	qn := sumSquares(query)
-	for j, id := range ids {
-		out[j] = k.sqDistRow(query, qn, id)
-	}
-}
-
-func (k *Kernel) sqDistRow(q Vector, qn float64, i int) float64 {
-	row := k.flat.Row(i)
-	rn := k.flat.Norm(i)
-	sq := qn + rn - 2*dotUnrolled(q, row)
-	if sq < sqDistGuard*(qn+rn) {
-		// Within cancellation range of the identity: recompute exactly.
-		return SquaredDistance(q, row)
-	}
-	return sq
 }
 
 // euclideanBatch is the Euclidean(d, maxT) closure over a block: per row it
@@ -466,7 +254,7 @@ func (k *Kernel) manhattanBatch(query Vector, lo, hi int, out []float64) {
 }
 
 // The per-row helpers below mirror the batch loops exactly (keep them in
-// lockstep): Sim and the gathers reuse them so single-pair and batched
+// lockstep): Sim reuses them so single-pair and batched
 // evaluation cannot drift apart.
 
 func euclideanRow(q, row Vector, norm float64) float64 {
@@ -519,27 +307,6 @@ func sumSquares(v Vector) float64 {
 	var s float64
 	for _, x := range v {
 		s += x * x
-	}
-	return s
-}
-
-// dotUnrolled is the 4-wide single-accumulator dot product shared by the
-// squared-distance identity.
-func dotUnrolled(a, b Vector) float64 {
-	d := len(a)
-	if len(b) != d {
-		panic(fmt.Sprintf("sim: dimension mismatch: %d vs %d", d, len(b)))
-	}
-	var s float64
-	j := 0
-	for ; j+4 <= d; j += 4 {
-		s += a[j] * b[j]
-		s += a[j+1] * b[j+1]
-		s += a[j+2] * b[j+2]
-		s += a[j+3] * b[j+3]
-	}
-	for ; j < d; j++ {
-		s += a[j] * b[j]
 	}
 	return s
 }

@@ -20,10 +20,10 @@ func randVecs(rng *rand.Rand, n, d int, maxT float64) []Vector {
 }
 
 // TestKernelMatchesClosures is the core equivalence property: for random
-// vectors over a sweep of dimensionalities and attribute bounds, SimBatch,
-// Sim, and SimGather agree with the closure-based built-ins within 1e-9 —
-// and in fact bit for bit, which is the stronger contract the kNN oracle
-// tests rely on.
+// vectors over a sweep of dimensionalities and attribute bounds, SimBatch
+// and Sim agree with the closure-based built-ins within 1e-9 — and in fact
+// bit for bit, which is the stronger contract the sweep's oracle tests
+// rely on.
 func TestKernelMatchesClosures(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for _, d := range []int{1, 2, 3, 4, 5, 8, 20, 33} {
@@ -41,14 +41,8 @@ func TestKernelMatchesClosures(t *testing.T) {
 					t.Fatalf("d=%d maxT=%v %s: kernel did not recognize built-in", d, maxT, name)
 				}
 				out := make([]float64, len(data))
-				ids := make([]int, 0, len(data))
-				for i := range data {
-					ids = append(ids, i)
-				}
-				gathered := make([]float64, len(data))
 				for _, q := range queries {
 					k.SimBatch(q, 0, len(data), out)
-					k.SimGather(q, ids, gathered)
 					for i, row := range data {
 						want := f(q, row)
 						if math.Abs(out[i]-want) > 1e-9 {
@@ -59,52 +53,6 @@ func TestKernelMatchesClosures(t *testing.T) {
 						}
 						if got := k.Sim(q, i); got != want {
 							t.Errorf("d=%d maxT=%v %s row %d: Sim %v != closure %v", d, maxT, name, i, got, want)
-						}
-						if gathered[i] != want {
-							t.Errorf("d=%d maxT=%v %s row %d: gather %v != closure %v", d, maxT, name, i, gathered[i], want)
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestSimGatherMatchesClosures pins the gather paths, which interleave four
-// rows per pass, against the per-pair closures bit for bit: every id-list
-// length from 0 to 9 (so the four-row body, the tail and both together
-// run), repeated and unordered ids, dimensions that are not a multiple of
-// 4, and zero vectors for cosine's zero-norm rule. The gather must also
-// leave out[len(ids):] untouched.
-func TestSimGatherMatchesClosures(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for _, d := range []int{1, 3, 5, 6, 7, 13, 22} {
-		for _, maxT := range []float64{1, 10000} {
-			data := randVecs(rng, 12, d, maxT)
-			data[3] = make(Vector, d) // zero row
-			queries := append(randVecs(rng, 3, d, maxT), make(Vector, d), slices.Clone(data[5]))
-			for name, f := range map[string]Func{
-				"euclidean": Euclidean(d, maxT),
-				"cosine":    Cosine(),
-				"manhattan": Manhattan(d, maxT),
-			} {
-				k := NewKernel(data, f)
-				for n := 0; n <= 9; n++ {
-					ids := make([]int, n)
-					for j := range ids {
-						ids[j] = rng.Intn(len(data))
-					}
-					for _, q := range queries {
-						out := make([]float64, n+1)
-						out[n] = -1
-						k.SimGather(q, ids, out)
-						for j, id := range ids {
-							if want := f(q, data[id]); math.Float64bits(out[j]) != math.Float64bits(want) {
-								t.Fatalf("d=%d maxT=%v %s n=%d: out[%d] (row %d) = %v, closure %v", d, maxT, name, n, j, id, out[j], want)
-							}
-						}
-						if out[n] != -1 {
-							t.Fatalf("d=%d %s n=%d: gather wrote past len(ids)", d, name, n)
 						}
 					}
 				}
@@ -152,7 +100,7 @@ func TestKernelClampCorners(t *testing.T) {
 }
 
 // TestKernelGenericFallback: an arbitrary user Func is not recognized, and
-// the kernel's batch/single/gather paths all reduce to calling it per pair.
+// the kernel's batch and single paths both reduce to calling it per pair.
 func TestKernelGenericFallback(t *testing.T) {
 	f := func(a, b Vector) float64 {
 		var s float64
@@ -201,62 +149,20 @@ func TestKernelProbeRobustness(t *testing.T) {
 	}
 }
 
-// TestSqDistGatherAccuracy bounds the dot-product identity's error against
-// the exact difference form: |Δ| ≤ 1e-12·(‖q‖²+‖r‖²+1), comfortably above
-// the d·ε·(‖q‖²+‖r‖²) analysis bound, and exact equality inside the
-// cancellation guard (near-duplicate vectors).
-func TestSqDistGatherAccuracy(t *testing.T) {
-	rng := rand.New(rand.NewSource(1234))
-	for _, d := range []int{1, 3, 8, 20, 64} {
-		data := randVecs(rng, 41, d, 10000)
-		// Rows 0..4 are near-duplicates of query 0: the guard must kick in.
-		q0 := randVecs(rng, 1, d, 10000)[0]
-		for i := 0; i < 5; i++ {
-			dup := slices.Clone(q0)
-			dup[rng.Intn(d)] += 1e-9
-			data[i] = dup
-		}
-		k := NewKernel(data, Euclidean(d, 10000))
-		out := make([]float64, len(data))
-		ids := make([]int, len(data))
-		for i := range ids {
-			ids[i] = i
-		}
-		queries := append(randVecs(rng, 5, d, 10000), q0)
-		for _, q := range queries {
-			k.SqDistGather(q, ids, out)
-			qn := sumSquares(q)
-			for i, row := range data {
-				exact := SquaredDistance(q, row)
-				if out[i] < 0 {
-					t.Fatalf("d=%d row %d: negative squared distance %v", d, i, out[i])
-				}
-				rn := sumSquares(row)
-				if exact < sqDistGuard*(qn+rn) {
-					if out[i] != exact {
-						t.Fatalf("d=%d row %d: guard path %v != exact %v", d, i, out[i], exact)
-					}
-					continue
-				}
-				if math.Abs(out[i]-exact) > 1e-12*(qn+rn+1) {
-					t.Fatalf("d=%d row %d: identity %v vs exact %v exceeds error bound", d, i, out[i], exact)
-				}
-			}
-		}
-	}
-}
-
 // TestFlatRowNorm: Row views alias the store faithfully and Norm matches a
 // direct index-order accumulation.
 func TestFlatRowNorm(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	data := randVecs(rng, 11, 7, 3)
 	f := NewFlat(data)
-	if f.Len() != 11 || f.Dim() != 7 {
-		t.Fatalf("Len/Dim = %d/%d", f.Len(), f.Dim())
+	if f.Len() != 11 {
+		t.Fatalf("Len = %d", f.Len())
 	}
 	for i, v := range data {
 		row := f.Row(i)
+		if len(row) != 7 {
+			t.Fatalf("row %d has %d components", i, len(row))
+		}
 		for j := range v {
 			if row[j] != v[j] {
 				t.Fatalf("row %d component %d: %v != %v", i, j, row[j], v[j])
@@ -267,7 +173,7 @@ func TestFlatRowNorm(t *testing.T) {
 		}
 	}
 	empty := NewFlat(nil)
-	if empty.Len() != 0 || empty.Dim() != 0 {
+	if empty.Len() != 0 {
 		t.Fatal("empty flat store not empty")
 	}
 }

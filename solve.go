@@ -31,9 +31,11 @@ func (p *Problem) SolveBudgeted(prices, budgets []float64) (*Matching, error) {
 	return core.BudgetedGreedy(p.in, b)
 }
 
-// Trace solves with Greedy-GEACC while recording every heap-pop decision —
-// the walkthrough narrative of the paper's Example 3. Useful for explaining
-// to an organizer why a particular user was (not) arranged.
+// Trace solves with Greedy-GEACC while recording its decisions — the
+// walkthrough narrative of the paper's Example 3: one step per pair the
+// sweep reaches, in descending similarity, while both its endpoints have
+// capacity. Useful for explaining to an organizer why a particular user
+// was (not) arranged. Tracing does not change the matching.
 func (p *Problem) Trace() (*Matching, []TraceStep) {
 	var steps []TraceStep
 	m := core.GreedyOpts(p.in, core.GreedyOptions{
@@ -42,7 +44,8 @@ func (p *Problem) Trace() (*Matching, []TraceStep) {
 	return m, steps
 }
 
-// TraceStep records one greedy decision: the popped pair, whether it was
-// accepted, and the rejection reason otherwise ("event-full", "user-full",
-// or "conflict").
+// TraceStep records one greedy decision: the pair, whether it was
+// accepted, and the rejection reason otherwise ("conflict": the pair
+// conflicts with one of the user's arranged events, or a budget refused
+// it).
 type TraceStep = core.TraceStep
