@@ -356,3 +356,79 @@ func TestFromPairsMatchesAdd(t *testing.T) {
 		same("extended")
 	}
 }
+
+// FuzzGraphGrow interleaves Grow and Add, from a graph of n0 events,
+// against a naive model: a set of pairs and insertion-ordered neighbor
+// lists. After every op Conflicting, Neighbors, Edges and Pairs must match
+// the model, and at the end the grown graph must hold the same relation as
+// FromPairs of its own pairs. An op byte b with b%4 == 0 grows the graph;
+// any other adds the pair (b/4, next byte), both taken mod N.
+//
+// Run it with: go test -run '^$' -fuzz FuzzGraphGrow -fuzztime 20s ./internal/conflict
+func FuzzGraphGrow(f *testing.F) {
+	f.Add(uint8(0), []byte{0, 0, 0, 5, 1, 0, 9, 2, 0, 0, 0, 13, 7, 6, 3})
+	f.Add(uint8(3), []byte{1, 2, 0, 5, 2, 9, 0, 0, 0, 0, 0, 17, 5, 2, 4})
+	f.Add(uint8(1), []byte{0, 0, 0, 0, 0, 0, 0, 0, 1, 7, 5, 3, 9, 1})
+	f.Fuzz(func(t *testing.T, n0 uint8, ops []byte) {
+		n := int(n0 % 8)
+		if len(ops) > 300 {
+			ops = ops[:300]
+		}
+		g := New(n)
+		adj := make([][]int, n)
+		set := map[[2]int]bool{}
+		for k := 0; k < len(ops); k++ {
+			if b := ops[k]; b%4 == 0 || n == 0 || k+1 == len(ops) {
+				g.Grow()
+				adj = append(adj, nil)
+				n++
+			} else {
+				k++
+				i, j := int(b/4)%n, int(ops[k])%n
+				g.Add(i, j)
+				if i != j && !set[[2]int{min(i, j), max(i, j)}] {
+					set[[2]int{min(i, j), max(i, j)}] = true
+					adj[i] = append(adj[i], j)
+					adj[j] = append(adj[j], i)
+				}
+			}
+			if g.N() != n || g.Edges() != len(set) {
+				t.Fatalf("op %d: N %d, Edges %d; model %d, %d", k, g.N(), g.Edges(), n, len(set))
+			}
+			for i := 0; i < n; i++ {
+				if !slices.Equal(g.Neighbors(i), adj[i]) {
+					t.Fatalf("op %d: Neighbors(%d) = %v, model %v", k, i, g.Neighbors(i), adj[i])
+				}
+				for j := 0; j < n; j++ {
+					if g.Conflicting(i, j) != set[[2]int{min(i, j), max(i, j)}] {
+						t.Fatalf("op %d: Conflicting(%d, %d) = %v", k, i, j, g.Conflicting(i, j))
+					}
+				}
+			}
+		}
+		pairs := make([][2]int, 0, len(set))
+		for p := range set {
+			pairs = append(pairs, p)
+		}
+		slices.SortFunc(pairs, func(a, b [2]int) int {
+			if a[0] != b[0] {
+				return a[0] - b[0]
+			}
+			return a[1] - b[1]
+		})
+		if got := g.Pairs(); !slices.Equal(got, pairs) {
+			t.Fatalf("Pairs = %v, model %v", got, pairs)
+		}
+		h := FromPairs(n, g.Pairs())
+		if h.N() != g.N() || h.Edges() != g.Edges() || !slices.Equal(h.Pairs(), g.Pairs()) {
+			t.Fatalf("FromPairs of the grown graph: N %d, Edges %d; grown %d, %d", h.N(), h.Edges(), g.N(), g.Edges())
+		}
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				if h.Conflicting(i, j) != g.Conflicting(i, j) {
+					t.Fatalf("FromPairs of the grown graph: Conflicting(%d, %d) differs", i, j)
+				}
+			}
+		}
+	})
+}

@@ -3,9 +3,10 @@
 // user can attend both, e.g. because their timetables overlap or their venues
 // are too far apart to travel between.
 //
-// The package provides an undirected conflict graph over event indices,
-// random conflict sampling at a target density (how the paper's evaluation
-// generates CF), and derivation of conflicts from event schedules
+// The package provides an undirected conflict graph over event indices
+// (which a live arrangement grows one event at a time), random conflict
+// sampling at a target density (how the paper's evaluation generates CF),
+// and derivation of conflicts from event schedules
 // (time intervals + locations + travel speed), which is the semantics the
 // paper's introduction motivates.
 package conflict
@@ -19,13 +20,15 @@ import (
 )
 
 // Graph is an undirected conflict graph over the event indices [0, n).
-// Lookups are O(1) via a bitset of size n²/2; neighbor enumeration is O(deg)
-// via adjacency lists. The zero value is unusable; call New.
+// Lookups are O(1) via a bitset of stride² bits, bit (i, j) at
+// i·stride + j; neighbor enumeration is O(deg) via adjacency lists. Grow
+// appends an event. The zero value is unusable; call New.
 type Graph struct {
-	n     int
-	adj   [][]int
-	bits  []uint64
-	edges int
+	n      int
+	stride int // n ≤ stride; bits holds stride² bits
+	adj    [][]int
+	bits   []uint64
+	edges  int
 }
 
 // New returns an empty conflict graph over n events.
@@ -33,11 +36,30 @@ func New(n int) *Graph {
 	if n < 0 {
 		panic(fmt.Sprintf("conflict: negative event count %d", n))
 	}
-	words := (n*n + 63) / 64
 	return &Graph{
-		n:    n,
-		adj:  make([][]int, n),
-		bits: make([]uint64, words),
+		n:      n,
+		stride: n,
+		adj:    make([][]int, n),
+		bits:   make([]uint64, (n*n+63)/64),
+	}
+}
+
+// Grow appends event n with no conflicts. The bitset is laid out again, at
+// double the stride, only when the new event does not fit, so growing to n
+// events costs O(n) amortized per event, and the grown graph holds fewer
+// than (2n)² bits.
+func (g *Graph) Grow() {
+	g.n++
+	g.adj = append(g.adj, nil)
+	if g.n <= g.stride {
+		return
+	}
+	g.stride = max(2*g.stride, g.n)
+	g.bits = make([]uint64, (g.stride*g.stride+63)/64)
+	for i, row := range g.adj {
+		for _, j := range row {
+			g.set(i, j)
+		}
 	}
 }
 
@@ -47,7 +69,13 @@ func (g *Graph) N() int { return g.n }
 // Edges returns the number of conflicting pairs |CF|.
 func (g *Graph) Edges() int { return g.edges }
 
-func (g *Graph) bit(i, j int) int { return i*g.n + j }
+func (g *Graph) bit(i, j int) int { return i*g.stride + j }
+
+// set sets bit (i, j) only; Add and FromPairs set both directions.
+func (g *Graph) set(i, j int) {
+	b := g.bit(i, j)
+	g.bits[b/64] |= 1 << (b % 64)
+}
 
 // Add marks events i and j as conflicting. Self-pairs and duplicates are
 // ignored; out-of-range indices panic.
@@ -58,8 +86,8 @@ func (g *Graph) Add(i, j int) {
 	if i == j || g.Conflicting(i, j) {
 		return
 	}
-	g.bits[g.bit(i, j)/64] |= 1 << (g.bit(i, j) % 64)
-	g.bits[g.bit(j, i)/64] |= 1 << (g.bit(j, i) % 64)
+	g.set(i, j)
+	g.set(j, i)
 	g.adj[i] = append(g.adj[i], j)
 	g.adj[j] = append(g.adj[j], i)
 	g.edges++
@@ -120,8 +148,8 @@ func FromPairs(n int, pairs [][2]int) *Graph {
 		if i == j || g.Conflicting(i, j) {
 			continue
 		}
-		g.bits[g.bit(i, j)/64] |= 1 << (g.bit(i, j) % 64)
-		g.bits[g.bit(j, i)/64] |= 1 << (g.bit(j, i) % 64)
+		g.set(i, j)
+		g.set(j, i)
 		kept[k/64] |= 1 << (k % 64)
 		deg[i]++
 		deg[j]++

@@ -19,16 +19,17 @@ import (
 // recomputes the arrangement with the batch Greedy-GEACC when drift
 // accumulates.
 //
+// Its state is one growing Instance: events and users are appended, a
+// cancel or remove zeroes a capacity, and the conflict graph grows with the
+// events, each event's adjacency ascending. The instance has no kernels,
+// so every similarity is the similarity function's own.
+//
 // All operations preserve feasibility (capacities, conflicts, positive
 // similarity), which is re-checkable at any time via Snapshot + Validate.
 type Arranger struct {
-	simFn sim.Func
-
-	events    []Event
-	users     []User
-	remCapV   []int
-	remCapU   []int
-	conflicts map[int]map[int]bool // symmetric adjacency over event ids
+	in      *Instance
+	remCapV []int
+	remCapU []int
 
 	matching *Matching
 	// simOff and simBuf are SetMatching's scratch: the current matching's
@@ -45,9 +46,8 @@ func NewArranger(f sim.Func) (*Arranger, error) {
 		return nil, fmt.Errorf("core: nil similarity function")
 	}
 	return &Arranger{
-		simFn:     f,
-		conflicts: make(map[int]map[int]bool),
-		matching:  NewMatching(),
+		in:       &Instance{Conflicts: conflict.New(0), SimFunc: f},
+		matching: NewMatching(),
 	}, nil
 }
 
@@ -58,7 +58,9 @@ func NewArranger(f sim.Func) (*Arranger, error) {
 // must be feasible for it. The restored arranger reproduces the donor's
 // behavior exactly: events, users, conflicts, the matching (in m's
 // insertion order, so MaxSum keeps its accumulation order), and the
-// remaining capacities derived from caps minus matched load.
+// remaining capacities derived from caps minus matched load. It copies in,
+// its conflicts rebuilt from their sorted pairs so every adjacency is
+// ascending.
 func RestoreArranger(in *Instance, m *Matching) (*Arranger, error) {
 	if in.SimFunc == nil {
 		return nil, fmt.Errorf("core: restore needs a vector instance (matrix instances cannot grow online)")
@@ -66,25 +68,18 @@ func RestoreArranger(in *Instance, m *Matching) (*Arranger, error) {
 	if err := Validate(in, m); err != nil {
 		return nil, fmt.Errorf("core: restore snapshot is infeasible: %w", err)
 	}
-	a := &Arranger{
-		simFn:     in.SimFunc,
-		events:    append([]Event(nil), in.Events...),
-		users:     append([]User(nil), in.Users...),
-		conflicts: make(map[int]map[int]bool),
-		matching:  m.Clone(),
-	}
+	var pairs [][2]int
 	if in.Conflicts != nil {
-		for _, p := range in.Conflicts.Pairs() {
-			i, j := p[0], p[1]
-			if a.conflicts[i] == nil {
-				a.conflicts[i] = make(map[int]bool)
-			}
-			if a.conflicts[j] == nil {
-				a.conflicts[j] = make(map[int]bool)
-			}
-			a.conflicts[i][j] = true
-			a.conflicts[j][i] = true
-		}
+		pairs = in.Conflicts.Pairs()
+	}
+	a := &Arranger{
+		in: &Instance{
+			Events:    append([]Event(nil), in.Events...),
+			Users:     append([]User(nil), in.Users...),
+			Conflicts: conflict.FromPairs(len(in.Events), pairs),
+			SimFunc:   in.SimFunc,
+		},
+		matching: m.Clone(),
 	}
 	a.recomputeRemaining()
 	return a, nil
@@ -93,46 +88,41 @@ func RestoreArranger(in *Instance, m *Matching) (*Arranger, error) {
 // recomputeRemaining rederives the remaining capacities from the declared
 // caps minus the current matching's load.
 func (a *Arranger) recomputeRemaining() {
-	a.remCapV = slices.Grow(a.remCapV[:0], len(a.events))[:len(a.events)]
-	for v := range a.events {
-		a.remCapV[v] = a.events[v].Cap - len(a.matching.EventUsers(v))
+	nv, nu := len(a.in.Events), len(a.in.Users)
+	a.remCapV = slices.Grow(a.remCapV[:0], nv)[:nv]
+	for v, e := range a.in.Events {
+		a.remCapV[v] = e.Cap - len(a.matching.EventUsers(v))
 	}
-	a.remCapU = slices.Grow(a.remCapU[:0], len(a.users))[:len(a.users)]
-	for u := range a.users {
-		a.remCapU[u] = a.users[u].Cap - len(a.matching.UserEvents(u))
+	a.remCapU = slices.Grow(a.remCapU[:0], nu)[:nu]
+	for u, x := range a.in.Users {
+		a.remCapU[u] = x.Cap - len(a.matching.UserEvents(u))
 	}
 }
 
 // SetMatching replaces the current arrangement with m. It is the one
 // adoption path: the service's component-scoped rebalance, the restore
 // after a failed log append and WAL replay all take it. m is checked
-// against the arranger's own events, users, conflicts and similarity, with
-// no snapshot, before anything changes: every pair in range, sim > 0 and
-// equal to the similarity function's value, no node over capacity, no user
-// in two conflicting events. Attributes never change, so a pair the current
-// matching holds with the same bits was scored when it was adopted and is
-// not scored again; a rebalance re-scores only the components it replaced.
-// On success the arranger takes ownership of m (the caller must not use it
+// against the arranger's own instance, with no snapshot, before anything
+// changes: every pair in range, sim > 0 and equal to the similarity
+// function's value, no node over capacity, no user in two conflicting
+// events. Attributes never change, so a pair the current matching holds
+// with the same bits was scored when it was adopted and is not scored
+// again; a rebalance re-scores only the components it replaced. On success
+// the arranger takes ownership of m (the caller must not use it
 // afterwards), rederives the remaining capacities and hands back the
 // matching it replaced, which it no longer references: a ready restore
 // point.
 func (a *Arranger) SetMatching(m *Matching) (*Matching, error) {
 	cur := a.matching
 	a.simOff, a.simBuf = cur.userSims(a.simOff, a.simBuf)
-	err := m.check(feasibility{
-		events: len(a.events), users: len(a.users),
-		sim: func(p Assignment) float64 {
-			if p.U < len(cur.userEvents) {
-				if k := slices.Index(cur.userEvents[p.U], p.V); k >= 0 &&
-					math.Float64bits(a.simBuf[a.simOff[p.U]+k]) == math.Float64bits(p.Sim) {
-					return p.Sim
-				}
+	err := m.check(a.in, func(p Assignment) float64 {
+		if p.U < len(cur.userEvents) {
+			if k := slices.Index(cur.userEvents[p.U], p.V); k >= 0 &&
+				math.Float64bits(a.simBuf[a.simOff[p.U]+k]) == math.Float64bits(p.Sim) {
+				return p.Sim
 			}
-			return a.sim(p.V, p.U)
-		},
-		eventCap:    func(v int) int { return a.events[v].Cap },
-		userCap:     func(u int) int { return a.users[u].Cap },
-		conflicting: a.conflicting,
+		}
+		return a.in.Similarity(p.V, p.U)
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: refusing infeasible matching: %w", err)
@@ -144,10 +134,10 @@ func (a *Arranger) SetMatching(m *Matching) (*Matching, error) {
 
 // NumEvents returns the number of events ever added (including cancelled
 // ones, whose capacity is zeroed).
-func (a *Arranger) NumEvents() int { return len(a.events) }
+func (a *Arranger) NumEvents() int { return len(a.in.Events) }
 
 // NumUsers returns the number of users added.
-func (a *Arranger) NumUsers() int { return len(a.users) }
+func (a *Arranger) NumUsers() int { return len(a.in.Users) }
 
 // NumPairs returns the number of pairs in the current arrangement.
 func (a *Arranger) NumPairs() int { return a.matching.Size() }
@@ -157,17 +147,28 @@ func (a *Arranger) NumPairs() int { return a.matching.Size() }
 // operation runs, and never write it.
 func (a *Arranger) Pairs() []Assignment { return a.matching.Pairs() }
 
-// Events returns the arranger's events, indexed by id (cancelled ones keep
-// capacity zero). The slice is the arranger's own: read it only while no
-// operation runs, and never write it.
-func (a *Arranger) Events() []Event { return a.events }
+// Instance returns the arranger's own instance: every event and user ever
+// added (cancelled and removed ones keep capacity zero), the conflict graph
+// with ascending adjacency, and the similarity function, with no kernels.
+// Read it only while no operation runs, and never write it.
+func (a *Arranger) Instance() *Instance { return a.in }
 
-// Users returns the arranger's users, indexed by id, under the same terms
-// as Events.
-func (a *Arranger) Users() []User { return a.users }
+// Events returns the arranger's events, indexed by id (cancelled ones keep
+// capacity zero), under the terms of Instance.
+func (a *Arranger) Events() []Event { return a.in.Events }
+
+// Users returns the arranger's users, indexed by id, under the same terms.
+func (a *Arranger) Users() []User { return a.in.Users }
 
 // SimFunc returns the similarity function the arranger was built with.
-func (a *Arranger) SimFunc() sim.Func { return a.simFn }
+func (a *Arranger) SimFunc() sim.Func { return a.in.SimFunc }
+
+// ConflictNeighbors returns the events conflicting with event v, ascending,
+// in a fresh slice.
+func (a *Arranger) ConflictNeighbors(v int) []int {
+	ns := a.in.Conflicts.Neighbors(v)
+	return append(make([]int, 0, len(ns)), ns...)
+}
 
 // MaxSum returns the current arrangement's objective.
 func (a *Arranger) MaxSum() float64 { return a.matching.MaxSum() }
@@ -181,56 +182,36 @@ func (a *Arranger) UserEvents(u int) []int { return a.matching.UserEvents(u) }
 // EventUsers returns the users currently arranged to event v.
 func (a *Arranger) EventUsers(v int) []int { return a.matching.EventUsers(v) }
 
-// sim returns the similarity between event v and user u.
-func (a *Arranger) sim(v, u int) float64 {
-	return a.simFn(a.events[v].Attrs, a.users[u].Attrs)
-}
-
-func (a *Arranger) conflicting(i, j int) bool {
-	return a.conflicts[i][j]
-}
-
-func (a *Arranger) conflictsWithMatched(v, u int) bool {
-	for _, w := range a.matching.UserEvents(u) {
-		if a.conflicting(v, w) {
-			return true
-		}
-	}
-	return false
-}
-
 // AddEvent registers a new event, declares its conflicts with existing
 // events, and greedily recruits the most interested users with spare
 // capacity. It returns the event's id. Attributes the similarity cannot
 // score (sim.CheckVectors) are refused, as are a negative capacity and a
-// conflict with an unknown event.
+// conflict with an unknown event. The conflicts are added in ascending
+// order, and the new id is above every other, so every adjacency list
+// stays ascending.
 func (a *Arranger) AddEvent(e Event, conflictsWith []int) (int, error) {
 	defer observeArrangerOp("add_event", time.Now())
 	if e.Cap < 0 {
 		return 0, fmt.Errorf("core: negative event capacity %d", e.Cap)
 	}
-	if _, err := sim.CheckVectors(a.simFn, []sim.Vector{e.Attrs}); err != nil {
+	if _, err := sim.CheckVectors(a.in.SimFunc, []sim.Vector{e.Attrs}); err != nil {
 		return 0, fmt.Errorf("core: event: %w", err)
 	}
-	v := len(a.events)
+	v := len(a.in.Events)
 	for _, w := range conflictsWith {
 		if w < 0 || w >= v {
 			return 0, fmt.Errorf("core: conflict with unknown event %d", w)
 		}
 	}
-	a.events = append(a.events, e)
+	a.in.Events = append(a.in.Events, e)
+	a.in.Conflicts.Grow()
 	a.remCapV = append(a.remCapV, e.Cap)
-	for _, w := range conflictsWith {
-		if a.conflicts[v] == nil {
-			a.conflicts[v] = make(map[int]bool)
-		}
-		if a.conflicts[w] == nil {
-			a.conflicts[w] = make(map[int]bool)
-		}
-		a.conflicts[v][w] = true
-		a.conflicts[w][v] = true
+	ws := slices.Clone(conflictsWith)
+	slices.Sort(ws)
+	for _, w := range ws {
+		a.in.Conflicts.Add(v, w)
 	}
-	a.recruitForEvent(v)
+	a.place(v, true)
 	return v, nil
 }
 
@@ -243,13 +224,13 @@ func (a *Arranger) AddUser(u User) (int, error) {
 	if u.Cap < 0 {
 		return 0, fmt.Errorf("core: negative user capacity %d", u.Cap)
 	}
-	if _, err := sim.CheckVectors(a.simFn, []sim.Vector{u.Attrs}); err != nil {
+	if _, err := sim.CheckVectors(a.in.SimFunc, []sim.Vector{u.Attrs}); err != nil {
 		return 0, fmt.Errorf("core: user: %w", err)
 	}
-	id := len(a.users)
-	a.users = append(a.users, u)
+	id := len(a.in.Users)
+	a.in.Users = append(a.in.Users, u)
 	a.remCapU = append(a.remCapU, u.Cap)
-	a.placeUser(id)
+	a.place(id, false)
 	return id, nil
 }
 
@@ -258,7 +239,7 @@ func (a *Arranger) AddUser(u User) (int, error) {
 // replacements. Removing twice is a no-op.
 func (a *Arranger) RemoveUser(u int) error {
 	defer observeArrangerOp("remove_user", time.Now())
-	if u < 0 || u >= len(a.users) {
+	if u < 0 || u >= len(a.in.Users) {
 		return fmt.Errorf("core: unknown user %d", u)
 	}
 	affected := append([]int(nil), a.matching.UserEvents(u)...)
@@ -266,13 +247,13 @@ func (a *Arranger) RemoveUser(u int) error {
 		a.remCapV[v]++
 	}
 	a.matching.dropUser(u)
-	if a.users[u].Cap > 0 && u < a.union.nu {
+	if a.in.Users[u].Cap > 0 && u < a.union.nu {
 		a.union.loosen(a.union.userNode[u])
 	}
-	a.users[u].Cap = 0
+	a.in.Users[u].Cap = 0
 	a.remCapU[u] = 0
 	for _, v := range affected {
-		a.recruitForEvent(v)
+		a.place(v, true)
 	}
 	return nil
 }
@@ -281,7 +262,7 @@ func (a *Arranger) RemoveUser(u int) error {
 // affected user is greedily re-placed. Cancelling twice is a no-op.
 func (a *Arranger) CancelEvent(v int) error {
 	defer observeArrangerOp("cancel_event", time.Now())
-	if v < 0 || v >= len(a.events) {
+	if v < 0 || v >= len(a.in.Events) {
 		return fmt.Errorf("core: unknown event %d", v)
 	}
 	affected := append([]int(nil), a.matching.EventUsers(v)...)
@@ -289,104 +270,78 @@ func (a *Arranger) CancelEvent(v int) error {
 		a.remCapU[u]++
 	}
 	a.matching.dropEvent(v)
-	if a.events[v].Cap > 0 && v < a.union.nv {
+	if a.in.Events[v].Cap > 0 && v < a.union.nv {
 		a.union.loosen(a.union.eventNode[v])
 	}
-	a.events[v].Cap = 0
+	a.in.Events[v].Cap = 0
 	a.remCapV[v] = 0
 	for _, u := range affected {
-		a.placeUser(u)
+		a.place(u, false)
 	}
 	return nil
 }
 
-// recruitForEvent fills event v with the most interested feasible users.
-func (a *Arranger) recruitForEvent(v int) {
+// place fills node x with its most interested feasible partners: event x
+// recruits users when event is set, user x joins events otherwise.
+// Candidates are the partners with spare capacity and sim > 0 not yet
+// paired with x, taken by similarity descending, then id ascending.
+func (a *Arranger) place(x int, event bool) {
+	self, other := a.remCapU, a.remCapV
+	if event {
+		self, other = a.remCapV, a.remCapU
+	}
+	pair := func(y int) (v, u int) {
+		if event {
+			return x, y
+		}
+		return y, x
+	}
 	type cand struct {
-		u int
+		y int
 		s float64
 	}
 	var cands []cand
-	for u := range a.users {
-		if a.remCapU[u] == 0 || a.matching.Contains(v, u) {
+	for y, c := range other {
+		v, u := pair(y)
+		if c == 0 || a.matching.Contains(v, u) {
 			continue
 		}
-		if s := a.sim(v, u); s > 0 {
-			cands = append(cands, cand{u, s})
+		if s := a.in.Similarity(v, u); s > 0 {
+			cands = append(cands, cand{y, s})
 		}
 	}
 	sort.Slice(cands, func(i, j int) bool {
 		if cands[i].s != cands[j].s {
 			return cands[i].s > cands[j].s
 		}
-		return cands[i].u < cands[j].u
+		return cands[i].y < cands[j].y
 	})
 	for _, c := range cands {
-		if a.remCapV[v] == 0 {
+		if self[x] == 0 {
 			return
 		}
-		if a.remCapU[c.u] == 0 || a.conflictsWithMatched(v, c.u) {
+		v, u := pair(c.y)
+		if other[c.y] == 0 || a.in.Conflicts.ConflictsWithAny(v, a.matching.UserEvents(u)) {
 			continue
 		}
-		a.matching.Add(v, c.u, c.s)
-		a.remCapV[v]--
-		a.remCapU[c.u]--
-	}
-}
-
-// placeUser arranges user u into their most interesting feasible events.
-func (a *Arranger) placeUser(u int) {
-	type cand struct {
-		v int
-		s float64
-	}
-	var cands []cand
-	for v := range a.events {
-		if a.remCapV[v] == 0 || a.matching.Contains(v, u) {
-			continue
-		}
-		if s := a.sim(v, u); s > 0 {
-			cands = append(cands, cand{v, s})
-		}
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].s != cands[j].s {
-			return cands[i].s > cands[j].s
-		}
-		return cands[i].v < cands[j].v
-	})
-	for _, c := range cands {
-		if a.remCapU[u] == 0 {
-			return
-		}
-		if a.remCapV[c.v] == 0 || a.conflictsWithMatched(c.v, u) {
-			continue
-		}
-		a.matching.Add(c.v, u, c.s)
-		a.remCapV[c.v]--
-		a.remCapU[u]--
+		a.matching.Add(v, u, c.s)
+		self[x]--
+		other[c.y]--
 	}
 }
 
 // Snapshot freezes the current state into a static Instance (cancelled
 // events keep capacity zero) paired with the current matching, so callers
-// can Validate, serialize, or solve it from scratch. The conflict graph is
-// built from pairs sorted by (i, j), so every event's adjacency is
-// ascending and equal snapshots are equal down to adjacency order.
+// can Validate, serialize, or solve it from scratch. It copies the
+// arranger's instance, with kernels; the conflict graph is built from its
+// pairs sorted by (i, j), so every event's adjacency is ascending and equal
+// snapshots are equal down to adjacency order.
 func (a *Arranger) Snapshot() (*Instance, *Matching, error) {
-	pairs := make([][2]int, 0)
-	for i := range a.events {
-		for _, j := range a.ConflictNeighbors(i) {
-			if i < j {
-				pairs = append(pairs, [2]int{i, j})
-			}
-		}
-	}
 	in, err := NewInstance(
-		append([]Event(nil), a.events...),
-		append([]User(nil), a.users...),
-		conflict.FromPairs(len(a.events), pairs),
-		a.simFn,
+		append([]Event(nil), a.in.Events...),
+		append([]User(nil), a.in.Users...),
+		conflict.FromPairs(len(a.in.Events), a.in.Conflicts.Pairs()),
+		a.in.SimFunc,
 	)
 	if err != nil {
 		return nil, nil, err

@@ -405,9 +405,9 @@ func TestArrangerDropMatchesRebuild(t *testing.T) {
 				affected := append([]int(nil), ref.matching.UserEvents(u)...)
 				ref.matching = rebuildWithout(ref.matching, func(p Assignment) bool { return p.U == u },
 					func(p Assignment) { ref.remCapV[p.V]++ })
-				ref.users[u].Cap, ref.remCapU[u] = 0, 0
+				ref.in.Users[u].Cap, ref.remCapU[u] = 0, 0
 				for _, v := range affected {
-					ref.recruitForEvent(v)
+					ref.place(v, true)
 				}
 			default:
 				if a.NumEvents() == 0 {
@@ -420,9 +420,9 @@ func TestArrangerDropMatchesRebuild(t *testing.T) {
 				affected := append([]int(nil), ref.matching.EventUsers(v)...)
 				ref.matching = rebuildWithout(ref.matching, func(p Assignment) bool { return p.V == v },
 					func(p Assignment) { ref.remCapU[p.U]++ })
-				ref.events[v].Cap, ref.remCapV[v] = 0, 0
+				ref.in.Events[v].Cap, ref.remCapV[v] = 0, 0
 				for _, u := range affected {
-					ref.placeUser(u)
+					ref.place(u, false)
 				}
 			}
 			if !slices.Equal(a.matching.Pairs(), ref.matching.Pairs()) ||

@@ -40,7 +40,9 @@
 //
 // The package also provides a concurrent solver Portfolio, a 1-exchange +
 // 2-swap LocalSearch post-optimizer, a dynamic Arranger for online
-// arrival/cancellation workloads, budget-constrained arrangements
+// arrival/cancellation workloads (its state is one growing Instance, and
+// Instance.Sub builds the sub-instances its rebalances and every
+// decomposition solve), budget-constrained arrangements
 // (BudgetedGreedy), per-decision Greedy traces, matching Diffs, an exact
 // per-user MWIS conflict resolution for MinCostFlow (FlowOptions), and a
 // tightened admissible pruning bound for Exact (ExactOptions). Every

@@ -125,6 +125,53 @@ func (in *Instance) check() error {
 	return nil
 }
 
+// Sub builds the sub-instance over the parent events and users listed, in
+// their order: sub event i is Events[events[i]], sub user j is
+// Users[users[j]]. Similarities are bit-identical to in's (the sub's
+// kernels reproduce the similarity function exactly, matrix entries are
+// copied), so a sub matching lifted to parent ids validates against in. A
+// conflict is kept when both its events are listed, in the order of the
+// parent's adjacency; a nil conflict graph stays nil. evSub is parent-to-sub
+// scratch of length NumEvents: only the listed entries are written, and
+// membership is read back through events, so it needs no reset between
+// calls.
+func (in *Instance) Sub(events, users, evSub []int) (*Instance, error) {
+	for i, v := range events {
+		evSub[v] = i
+	}
+	subEvents := make([]Event, len(events))
+	for i, v := range events {
+		subEvents[i] = in.Events[v]
+	}
+	subUsers := make([]User, len(users))
+	for i, u := range users {
+		subUsers[i] = in.Users[u]
+	}
+	var cf *conflict.Graph
+	if in.Conflicts != nil {
+		cf = conflict.New(len(events))
+		for i, v := range events {
+			for _, w := range in.Conflicts.Neighbors(v) {
+				if k := evSub[w]; v < w && k < len(events) && events[k] == w {
+					cf.Add(i, k)
+				}
+			}
+		}
+	}
+	if in.Matrix == nil {
+		return NewInstance(subEvents, subUsers, cf, in.SimFunc)
+	}
+	matrix := make([][]float64, len(events))
+	for i, v := range events {
+		row := make([]float64, len(users))
+		for j, u := range users {
+			row[j] = in.Matrix[v][u]
+		}
+		matrix[i] = row
+	}
+	return NewMatrixInstance(subEvents, subUsers, cf, matrix)
+}
+
 // NumEvents returns |V|.
 func (in *Instance) NumEvents() int { return len(in.Events) }
 

@@ -326,35 +326,22 @@ func (m *Matching) Clone() *Matching {
 // conflicting events. (Add refuses a repeated pair, so no matching holds
 // one.)
 func Validate(in *Instance, m *Matching) error {
-	return m.check(feasibility{
-		events: len(in.Events), users: len(in.Users),
-		sim:         func(p Assignment) float64 { return in.Similarity(p.V, p.U) },
-		eventCap:    func(v int) int { return in.Events[v].Cap },
-		userCap:     func(u int) int { return in.Users[u].Cap },
-		conflicting: in.Conflicting,
-	})
-}
-
-// feasibility is what check holds a matching to: events × users ids, the
-// similarity each pair must store, capacities and the conflict relation.
-type feasibility struct {
-	events, users     int
-	sim               func(Assignment) float64
-	eventCap, userCap func(int) int
-	conflicting       func(i, j int) bool
+	return m.check(in, func(p Assignment) float64 { return in.Similarity(p.V, p.U) })
 }
 
 // check is the one feasibility rule behind Validate and
-// Arranger.SetMatching, reporting the first violation in this order: a
-// pair out of range, storing another similarity than f.sim, or with
-// sim <= 0; an event, then a user, over capacity; a user in two
+// Arranger.SetMatching: m against in's ids, capacities and conflicts, each
+// pair's similarity against sim. It reports the first violation in this
+// order: a pair out of range, storing another similarity than sim, or
+// with sim <= 0; an event, then a user, over capacity; a user in two
 // conflicting events.
-func (m *Matching) check(f feasibility) error {
+func (m *Matching) check(in *Instance, sim func(Assignment) float64) error {
+	nv, nu := len(in.Events), len(in.Users)
 	for _, p := range m.pairs {
-		if p.V >= f.events || p.U >= f.users {
+		if p.V >= nv || p.U >= nu {
 			return fmt.Errorf("core: pair (%d, %d) out of range", p.V, p.U)
 		}
-		if want := f.sim(p); p.Sim != want {
+		if want := sim(p); p.Sim != want {
 			return fmt.Errorf("core: pair (%d, %d) stores sim %v, instance says %v", p.V, p.U, p.Sim, want)
 		}
 		if p.Sim <= 0 {
@@ -362,20 +349,20 @@ func (m *Matching) check(f feasibility) error {
 		}
 	}
 	// Every pair is in range, so the views past events/users are empty.
-	for v, users := range m.eventUsers[:min(len(m.eventUsers), f.events)] {
-		if load := len(users); load > f.eventCap(v) {
-			return fmt.Errorf("core: event %d over capacity: %d > %d", v, load, f.eventCap(v))
+	for v, users := range m.eventUsers[:min(len(m.eventUsers), nv)] {
+		if load := len(users); load > in.Events[v].Cap {
+			return fmt.Errorf("core: event %d over capacity: %d > %d", v, load, in.Events[v].Cap)
 		}
 	}
-	for u, events := range m.userEvents[:min(len(m.userEvents), f.users)] {
-		if load := len(events); load > f.userCap(u) {
-			return fmt.Errorf("core: user %d over capacity: %d > %d", u, load, f.userCap(u))
+	for u, events := range m.userEvents[:min(len(m.userEvents), nu)] {
+		if load := len(events); load > in.Users[u].Cap {
+			return fmt.Errorf("core: user %d over capacity: %d > %d", u, load, in.Users[u].Cap)
 		}
 	}
 	for u, events := range m.userEvents {
 		for i := 0; i < len(events); i++ {
 			for j := i + 1; j < len(events); j++ {
-				if f.conflicting(events[i], events[j]) {
+				if in.Conflicting(events[i], events[j]) {
 					return fmt.Errorf("core: user %d assigned to conflicting events %d and %d",
 						u, events[i], events[j])
 				}

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"slices"
-	"sort"
 )
 
 // UnionFind is a disjoint-set forest with union by size and path halving:
@@ -124,9 +123,11 @@ func (g *unionGraph) loosen(node int) {
 // The extension is paid here, not by the deltas: each user added since the
 // last call gets its column over the events below the watermark, then each
 // event added since then its similarity row over every user plus its
-// conflicts — every new pair once. The same scan prices each new node into
-// its component's kept bound: the sum of its Cap largest similarities to
-// nodes of positive capacity on the pairs it scanned. The watermark moves
+// conflicts, ascending — every new pair once, and every union in an order
+// fixed by the op stream, so the kept bounds' float sums are too. The same
+// scan prices each new node into its component's kept bound: the sum of
+// its Cap largest similarities to nodes of positive capacity on the pairs
+// it scanned. The watermark moves
 // node by node, after the node is done, so a canceled call leaves the rest
 // to the next one and no pair is scanned, or node priced, twice. The first
 // call after RestoreArranger scans the whole instance once.
@@ -135,7 +136,7 @@ func (a *Arranger) UnionRoots(ctx context.Context) (eventRoot, userRoot []int, e
 		return nil, nil, err
 	}
 	g := &a.union
-	nv, nu := len(a.events), len(a.users)
+	nv, nu := len(a.in.Events), len(a.in.Users)
 	for len(g.eventNode) < nv {
 		g.eventNode = append(g.eventNode, g.add())
 	}
@@ -148,12 +149,12 @@ func (a *Arranger) UnionRoots(ctx context.Context) (eventRoot, userRoot []int, e
 		if i%64 == 0 && ctx.Err() != nil {
 			return nil, nil, ctx.Err()
 		}
-		u, c := g.nu, a.users[g.nu].Cap
+		u, c := g.nu, a.in.Users[g.nu].Cap
 		top := g.top[:0]
 		for v := 0; v < g.nv; v++ {
-			if s := a.sim(v, u); s > 0 {
+			if s := a.in.Similarity(v, u); s > 0 {
 				g.union(g.eventNode[v], g.userNode[u])
-				if c > 0 && a.events[v].Cap > 0 {
+				if c > 0 && a.in.Events[v].Cap > 0 {
 					top = append(top, s)
 				}
 			}
@@ -167,18 +168,18 @@ func (a *Arranger) UnionRoots(ctx context.Context) (eventRoot, userRoot []int, e
 		if i%64 == 0 && ctx.Err() != nil {
 			return nil, nil, ctx.Err()
 		}
-		v, c := g.nv, a.events[g.nv].Cap
+		v, c := g.nv, a.in.Events[g.nv].Cap
 		top := g.top[:0]
 		for u := 0; u < nu; u++ {
-			if s := a.sim(v, u); s > 0 {
+			if s := a.in.Similarity(v, u); s > 0 {
 				g.union(g.eventNode[v], g.userNode[u])
-				if c > 0 && a.users[u].Cap > 0 {
+				if c > 0 && a.in.Users[u].Cap > 0 {
 					top = append(top, s)
 				}
 			}
 		}
 		pairs += nu
-		for w := range a.conflicts[v] {
+		for _, w := range a.in.Conflicts.Neighbors(v) {
 			g.union(g.eventNode[v], g.eventNode[w])
 		}
 		g.top = top
@@ -215,15 +216,4 @@ func (a *Arranger) KeptBound(v int) (bound float64, updates int) {
 func (a *Arranger) SetKeptBound(v int, bound float64) {
 	r := a.union.uf.Find(a.union.eventNode[v])
 	a.union.bound[r], a.union.updates[r] = bound, 0
-}
-
-// ConflictNeighbors returns the events conflicting with event v, ascending,
-// in a fresh slice.
-func (a *Arranger) ConflictNeighbors(v int) []int {
-	out := make([]int, 0, len(a.conflicts[v]))
-	for w := range a.conflicts[v] {
-		out = append(out, w)
-	}
-	sort.Ints(out)
-	return out
 }

@@ -22,7 +22,9 @@
 // scoped rebalance reads a live arranger's kept union graph instead of
 // scanning (KeptComponents), materializes only the components its deltas
 // touched, runs the same solve step over them and merges the winners into
-// the current matching.
+// the current matching. Both materialize from a core.Instance — the static
+// one, or the arranger's own (core.Arranger.Instance) — through
+// core.Instance.Sub, the one sub-instance builder.
 package decomp
 
 import (
@@ -30,10 +32,8 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/ebsnlab/geacc/internal/conflict"
 	"github.com/ebsnlab/geacc/internal/core"
 	"github.com/ebsnlab/geacc/internal/obs"
-	"github.com/ebsnlab/geacc/internal/sim"
 )
 
 // Component is one shard: a sub-instance over a connected component of the
@@ -123,7 +123,7 @@ func DecomposeContext(ctx context.Context, in *core.Instance) (*Decomposition, e
 
 	d := numbered(eventRoot, userRoot)
 	d.Parent = in
-	if err := d.materialize(instanceParent(in), d.allIDs()); err != nil {
+	if err := d.materialize(in, d.allIDs()); err != nil {
 		sp.Annotate("error", err.Error()).End()
 		return nil, err
 	}
@@ -200,91 +200,19 @@ func (d *Decomposition) observeBuild(sp *obs.Span, start time.Time) {
 	decompBuildSeconds.Observe(d.BuildSeconds)
 }
 
-// parent is what materialize reads of the instance being decomposed: a
-// static instance, or an arranger's live state, read without a snapshot
-// and so without whole-instance similarity kernels.
-type parent struct {
-	events    []core.Event
-	users     []core.User
-	neighbors func(v int) []int // event v's conflicts; nil when conflict-free
-	simFn     sim.Func
-	matrix    [][]float64 // explicit similarities (instances only)
-}
-
-func instanceParent(in *core.Instance) parent {
-	p := parent{events: in.Events, users: in.Users, simFn: in.SimFunc, matrix: in.Matrix}
-	if in.Conflicts != nil {
-		p.neighbors = in.Conflicts.Neighbors
-	}
-	return p
-}
-
-// arrangerParent reads arr like its Snapshot: a conflict graph always, its
-// adjacency ascending, so a component materializes bit-identically either
-// way.
-func arrangerParent(arr *core.Arranger) parent {
-	return parent{events: arr.Events(), users: arr.Users(),
-		neighbors: arr.ConflictNeighbors, simFn: arr.SimFunc()}
-}
-
-// materialize builds the sub-instances of the components named by ids.
-func (d *Decomposition) materialize(p parent, ids []int) error {
-	// Parent-to-sub index maps, reused across components: only a
-	// component's own entries are written and read.
-	evSub := make([]int, len(p.events))
-	usSub := make([]int, len(p.users))
+// materialize builds the sub-instances of the components named by ids
+// from the decomposed instance: a static one, or an arranger's own.
+func (d *Decomposition) materialize(in *core.Instance, ids []int) error {
+	evSub := make([]int, len(in.Events))
 	for _, id := range ids {
 		c := &d.Components[id]
-		sub, err := p.sub(c.Events, c.Users, evSub, usSub)
+		sub, err := in.Sub(c.Events, c.Users, evSub)
 		if err != nil {
 			return fmt.Errorf("decomp: materialize component: %w", err)
 		}
 		c.Sub = sub
 	}
 	return nil
-}
-
-// sub builds the sub-instance over one component's events and users.
-func (p parent) sub(events, users []int, evSub, usSub []int) (*core.Instance, error) {
-	for i, v := range events {
-		evSub[v] = i
-	}
-	for i, u := range users {
-		usSub[u] = i
-	}
-	subEvents := make([]core.Event, len(events))
-	for i, v := range events {
-		subEvents[i] = p.events[v]
-	}
-	subUsers := make([]core.User, len(users))
-	for i, u := range users {
-		subUsers[i] = p.users[u]
-	}
-	// Conflict edges always join events of the same component (they are
-	// union-graph edges), so remapping never leaves the sub index space.
-	var cf *conflict.Graph
-	if p.neighbors != nil {
-		cf = conflict.New(len(events))
-		for _, v := range events {
-			for _, w := range p.neighbors(v) {
-				if v < w {
-					cf.Add(evSub[v], evSub[w])
-				}
-			}
-		}
-	}
-	if p.matrix == nil {
-		return core.NewInstance(subEvents, subUsers, cf, p.simFn)
-	}
-	matrix := make([][]float64, len(events))
-	for i, v := range events {
-		mrow := make([]float64, len(users))
-		for j, u := range users {
-			mrow[j] = p.matrix[v][u]
-		}
-		matrix[i] = mrow
-	}
-	return core.NewMatrixInstance(subEvents, subUsers, cf, matrix)
 }
 
 // MaxComponentArea returns the largest |V|·|U| over the components named

@@ -94,7 +94,8 @@ type RebalanceResult struct {
 // structural changes — a new user bridging two previously independent
 // components — are always seen without rescanning every similarity. Only
 // the components to solve are materialized, from the arranger's own
-// events, users and conflicts: no snapshot, no whole-instance kernels.
+// instance (core.Arranger.Instance): no snapshot, no whole-instance
+// kernels.
 // Every component whose solve computed its relaxed optimum (an unsharded
 // min-cost flow, warm or cold) stores it as the component's kept bound
 // (core.Arranger.SetKeptBound), adopted or not.
@@ -116,7 +117,7 @@ func RebalanceScoped(ctx context.Context, arr *core.Arranger, algo string,
 	if !full {
 		ids = d.DirtyComponents(dirtyEvents, dirtyUsers)
 	}
-	if err := d.materialize(arrangerParent(arr), ids); err != nil {
+	if err := d.materialize(arr.Instance(), ids); err != nil {
 		bsp.Annotate("error", err.Error()).End()
 		return res, err
 	}

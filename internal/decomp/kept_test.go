@@ -19,15 +19,17 @@ import (
 // snapshot's relaxation: the eager one after every op (so each read
 // extends the graph by one node), the lazy one only now and then (so one
 // read extends it by several events and users at once). Every op is
-// deterministic, so the two hold the same components and matching.
+// deterministic, so the two hold the same components and matching. A twin
+// of the eager one takes the same ops and reads and must keep the same
+// bound bits in every component.
 type keptStream struct {
-	t              *testing.T
-	rng            *rand.Rand
-	eager, lazy    *core.Arranger
-	euclid         bool
-	dirtyE, dirtyU map[int]bool
-	blocks, blkDim int
-	adopted        int // rebalances that replaced the matching
+	t                 *testing.T
+	rng               *rand.Rand
+	eager, lazy, twin *core.Arranger
+	euclid            bool
+	dirtyE, dirtyU    map[int]bool
+	blocks, blkDim    int
+	adopted           int // rebalances that replaced the matching
 }
 
 func newKeptStream(t *testing.T, seed int64, euclid bool) *keptStream {
@@ -40,7 +42,7 @@ func newKeptStream(t *testing.T, seed int64, euclid bool) *keptStream {
 		s.blocks = 1
 		f = sim.Euclidean(2, 3)
 	}
-	for _, a := range []**core.Arranger{&s.eager, &s.lazy} {
+	for _, a := range []**core.Arranger{&s.eager, &s.lazy, &s.twin} {
 		var err error
 		if *a, err = core.NewArranger(f); err != nil {
 			t.Fatal(err)
@@ -76,16 +78,16 @@ func (s *keptStream) attrs() sim.Vector {
 	return v
 }
 
-// each applies op to both arrangers.
+// each applies op to every arranger.
 func (s *keptStream) each(op func(a *core.Arranger) error) {
-	for _, a := range []*core.Arranger{s.eager, s.lazy} {
+	for _, a := range []*core.Arranger{s.eager, s.lazy, s.twin} {
 		if err := op(a); err != nil {
 			s.t.Fatal(err)
 		}
 	}
 }
 
-// apply runs op kind k (taken mod 8) on both arrangers. A rebalance (5)
+// apply runs op kind k (taken mod 8) on every arranger. A rebalance (5)
 // is full when bit 4 of k is set and greedy when bit 5 is, else a dirty
 // min-cost flow.
 func (s *keptStream) apply(k byte) {
@@ -126,6 +128,7 @@ func (s *keptStream) apply(k byte) {
 	case 6:
 		s.eager = restored(s.t, s.eager)
 		s.lazy = restored(s.t, s.lazy)
+		s.twin = restored(s.t, s.twin)
 	case 7:
 		s.each(func(a *core.Arranger) error { _, err := a.Rebalance(); return err })
 	}
@@ -145,7 +148,7 @@ func restored(t *testing.T, a *core.Arranger) *core.Arranger {
 	return a
 }
 
-// rebalance runs the same RebalanceScoped on both arrangers and on a twin
+// rebalance runs the same RebalanceScoped on every arranger and on one
 // restored from the eager one's snapshot, and requires the same result and
 // the same matching, pair order included. An adopted rebalance must hand
 // back the matching it replaced. On each arranger a greedy rebalance must
@@ -154,10 +157,10 @@ func restored(t *testing.T, a *core.Arranger) *core.Arranger {
 // optimum with no updates left.
 func (s *keptStream) rebalance(algo string, full bool) {
 	t, ctx := s.t, context.Background()
-	twin := restored(t, s.eager)
+	fresh := restored(t, s.eager)
 	dirtyE, dirtyU := sortedKeys(s.dirtyE), sortedKeys(s.dirtyU)
 	var want RebalanceResult
-	for i, a := range []*core.Arranger{twin, s.eager, s.lazy} {
+	for i, a := range []*core.Arranger{fresh, s.eager, s.lazy, s.twin} {
 		before := a.Matching().Pairs()
 		b0, _, _ := keptBound(t, a)
 		res, err := RebalanceScoped(ctx, a, algo, dirtyE, dirtyU, full, Options{Seed: 1})
@@ -181,7 +184,7 @@ func (s *keptStream) rebalance(algo string, full bool) {
 			if res.Adopted {
 				s.adopted++
 			}
-		} else if !sameRebalance(res, want) || !reflect.DeepEqual(a.Matching().Pairs(), twin.Matching().Pairs()) {
+		} else if !sameRebalance(res, want) || !reflect.DeepEqual(a.Matching().Pairs(), fresh.Matching().Pairs()) {
 			t.Fatalf("kept rebalance %+v differs from a fresh scan's %+v", res, want)
 		}
 	}
@@ -255,7 +258,7 @@ func check(t *testing.T, a *core.Arranger, step int) {
 	if b, n := kept.KeptBound(a); b < core.RelaxedUpperBound(in)*(1-1e-9) || n == 0 && !closeRel(b, core.RelaxedUpperBound(in)) {
 		t.Fatalf("step %d: kept bound %v with %d updates, relaxation %v", step, b, n, core.RelaxedUpperBound(in))
 	}
-	if err := kept.materialize(arrangerParent(a), kept.allIDs()); err != nil {
+	if err := kept.materialize(a.Instance(), kept.allIDs()); err != nil {
 		t.Fatal(err)
 	}
 	for i, c := range kept.Components {
@@ -286,14 +289,42 @@ func requireSameSub(t *testing.T, a, b *core.Instance) {
 	}
 }
 
+// sameBounds reads a and b, which took the same ops and reads, and
+// requires every component to keep the same bound, bit for bit, and the
+// same update count.
+func sameBounds(t *testing.T, a, b *core.Arranger, step int) {
+	t.Helper()
+	ctx := context.Background()
+	da, err := KeptComponents(ctx, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := KeptComponents(ctx, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(da.Components) != len(db.Components) {
+		t.Fatalf("step %d: %d components, the twin's %d", step, len(da.Components), len(db.Components))
+	}
+	for i, c := range da.Components {
+		x, n := a.KeptBound(c.Events[0])
+		y, m := b.KeptBound(db.Components[i].Events[0])
+		if math.Float64bits(x) != math.Float64bits(y) || n != m {
+			t.Fatalf("step %d: component %d keeps %v with %d updates, the twin's %v with %d", step, i, x, n, y, m)
+		}
+	}
+}
+
 // runKeptStream applies ops one by one. The eager arranger is checked
-// after every op, the lazy one after ops whose bit 3 is set.
+// after every op, and compared with its twin; the lazy one is checked
+// after ops whose bit 3 is set.
 func runKeptStream(t *testing.T, seed int64, euclid bool, ops []byte) *keptStream {
 	s := newKeptStream(t, seed, euclid)
 	check(t, s.eager, -1)
 	for i, k := range ops {
 		s.apply(k)
 		check(t, s.eager, i)
+		sameBounds(t, s.eager, s.twin, i)
 		if k&8 != 0 {
 			check(t, s.lazy, i)
 		}
@@ -449,6 +480,10 @@ func FuzzKeptComponents(f *testing.F) {
 	// cancels of both kinds (3, 4) and a restore (6).
 	f.Add(int64(48), []byte{2, 2, 2, 0, 0, 0, 0, 21, 0, 1, 0, 1, 8, 3, 4, 53, 21, 6, 0, 1, 21, 2, 8, 53, 4, 3, 21}, false)
 	f.Add(int64(34), []byte{2, 0, 2, 0, 0, 21, 1, 0, 1, 0, 2, 3, 21, 4, 6, 53, 0, 0, 21}, true)
+	// Four events, eight users, then an event whose conflicts reach into
+	// three or more priced components: its read merges their bounds, which
+	// the twin must merge in the same order.
+	f.Add(int64(439), []byte{2, 2, 2, 2, 0, 0, 0, 0, 0, 0, 0, 0, 2, 2}, false)
 	f.Fuzz(func(t *testing.T, seed int64, ops []byte, euclid bool) {
 		if len(ops) > 200 {
 			ops = ops[:200]

@@ -79,8 +79,10 @@ func (o Options) Normalized() Options {
 }
 
 // Shard is one sub-shard of a component: index lists into the component's
-// space plus the materialized sub-instance (similarities bit-identical to
-// the component's, like decomp's materialization).
+// space plus the sub-instance core.Instance.Sub builds over them, as for
+// decomp's components (similarities bit-identical to the component's, only
+// intra-shard conflicts kept: users never span shards, so cross-shard
+// conflicts cannot bind).
 type Shard struct {
 	Events []int
 	Users  []int
@@ -187,14 +189,13 @@ func buildSplit(in *core.Instance, opt Options) (*split, error) {
 		shardUsers[s] = append(shardUsers[s], u)
 	}
 	evSub := make([]int, nv)
-	usSub := make([]int, nu)
 	for s := range shardEvents {
 		if len(shardEvents[s]) == 0 || len(shardUsers[s]) == 0 {
 			continue
 		}
-		sub, err := materializeShard(in, shardEvents[s], shardUsers[s], groupOf, evSub, usSub)
+		sub, err := in.Sub(shardEvents[s], shardUsers[s], evSub)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("partition: materialize shard: %w", err)
 		}
 		sl.shards = append(sl.shards, Shard{Events: shardEvents[s], Users: shardUsers[s], Sub: sub})
 	}
@@ -564,56 +565,4 @@ func topSum(sims []float64, c int) float64 {
 		total += s
 	}
 	return total
-}
-
-// materializeShard builds the sub-instance for one shard, mirroring
-// decomp's materialization (similarities bit-identical to the component's;
-// only intra-shard conflict edges are kept — cross-shard conflicts cannot
-// bind because users never span shards). evSub/usSub are scratch
-// component→shard index maps; only the shard's entries are written.
-func materializeShard(in *core.Instance, events, users []int, groupOf []int, evSub, usSub []int) (*core.Instance, error) {
-	for i, v := range events {
-		evSub[v] = i
-	}
-	for i, u := range users {
-		usSub[u] = i
-	}
-	subEvents := make([]core.Event, len(events))
-	for i, v := range events {
-		subEvents[i] = in.Events[v]
-	}
-	subUsers := make([]core.User, len(users))
-	for i, u := range users {
-		subUsers[i] = in.Users[u]
-	}
-	var cf *conflict.Graph
-	if in.Conflicts != nil {
-		cf = conflict.New(len(events))
-		for _, v := range events {
-			for _, nb := range in.Conflicts.Neighbors(v) {
-				if v < nb && groupOf[nb] == groupOf[v] {
-					cf.Add(evSub[v], evSub[nb])
-				}
-			}
-		}
-	}
-	var sub *core.Instance
-	var err error
-	if in.Matrix != nil {
-		matrix := make([][]float64, len(events))
-		for i, v := range events {
-			mrow := make([]float64, len(users))
-			for j, u := range users {
-				mrow[j] = in.Matrix[v][u]
-			}
-			matrix[i] = mrow
-		}
-		sub, err = core.NewMatrixInstance(subEvents, subUsers, cf, matrix)
-	} else {
-		sub, err = core.NewInstance(subEvents, subUsers, cf, in.SimFunc)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("partition: materialize shard: %w", err)
-	}
-	return sub, nil
 }
