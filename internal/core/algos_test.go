@@ -188,22 +188,25 @@ func relaxedAtDelta(in *Instance, delta int64) (float64, bool) {
 	for u, usr := range in.Users {
 		g.AddArc(1+nv+u, t, int64(usr.Cap), 0)
 	}
+	var pairs []mincostflow.ArcID
 	for v := 0; v < nv; v++ {
 		for u := 0; u < nu; u++ {
-			g.AddArc(1+v, 1+nv+u, 1, 1-in.Similarity(v, u))
+			pairs = append(pairs, g.AddArc(1+v, 1+nv+u, 1, 1-in.Similarity(v, u)))
 		}
 	}
 	sv := mincostflow.AcquireSolver(g, s, t)
 	defer mincostflow.ReleaseSolver(sv)
-	cost := 0.0
-	for sv.TotalFlow() < delta {
-		units, unitCost, ok := sv.AugmentBelow(delta-sv.TotalFlow(), math.Inf(1))
-		if !ok {
-			return 0, false
-		}
-		cost += float64(units) * unitCost
+	for more := true; more && sv.TotalFlow() < delta; {
+		_, more = sv.AugmentPaths(delta-sv.TotalFlow(), math.Inf(1))
 	}
-	return float64(delta) - cost, true
+	if sv.TotalFlow() < delta {
+		return 0, false
+	}
+	maxSum := 0.0
+	for i, a := range pairs {
+		maxSum += float64(g.Flow(a)) * in.Similarity(i/nu, i%nu)
+	}
+	return maxSum, true
 }
 
 func TestRandomBaselinesFeasibleAndSeeded(t *testing.T) {

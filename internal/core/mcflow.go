@@ -44,8 +44,8 @@ type FlowOptions struct {
 // The result is feasible and within 1/max c_u of the optimum (Theorem 2).
 //
 // The Δ-sweep is computed incrementally: the successive-shortest-path solver
-// yields, after the k-th augmentation, a minimum-cost flow of amount k, and
-// augmenting-path costs never decrease, so MaxSum(M∅^Δ) = Δ − cost(Δ) is
+// yields, after the k-th unit of augmentation, a minimum-cost flow of amount
+// k, and augmenting-path costs never decrease, so MaxSum(M∅^Δ) = Δ − cost(Δ) is
 // concave in Δ. Augmentation therefore stops at the first shortest path with
 // per-unit cost ≥ 1 — exactly the Δ maximizing the sweep of lines 3-7.
 func MinCostFlowOpts(in *Instance, opt FlowOptions) *FlowResult {
@@ -54,11 +54,11 @@ func MinCostFlowOpts(in *Instance, opt FlowOptions) *FlowResult {
 }
 
 // MinCostFlowCtx runs MinCostFlow-GEACC under a context. Cancellation is
-// polled between successive augmenting paths — the unit of work of the
-// Δ-sweep, and the only place the algorithm spends superlinear time — so a
-// disconnected client stops a long run within one Dijkstra pass, a search
-// that ends as soon as it settles the sink. A canceled run returns ctx's
-// error and a nil result.
+// polled between successive shortest-path searches — the unit of work of
+// the Δ-sweep, and the only place the algorithm spends superlinear time —
+// so a disconnected client stops a long run within one Dijkstra search,
+// however many augmenting paths that search pushes. A canceled run returns
+// ctx's error and a nil result.
 func MinCostFlowCtx(ctx context.Context, in *Instance, opt FlowOptions) (*FlowResult, error) {
 	res, err := minCostFlowCtx(ctx, in, opt)
 	if err != nil {
@@ -93,7 +93,8 @@ func RelaxedUpperBound(in *Instance) float64 {
 }
 
 // RelaxedUpperBoundCtx is RelaxedUpperBound under a context, polled between
-// augmenting paths like MinCostFlowCtx; a canceled run returns ctx's error.
+// shortest-path searches like MinCostFlowCtx; a canceled run returns ctx's
+// error.
 func RelaxedUpperBoundCtx(ctx context.Context, in *Instance) (float64, error) {
 	res, _, err := relaxedOptimum(ctx, in, nil, nil, nil, nil)
 	if err != nil {
@@ -104,7 +105,8 @@ func RelaxedUpperBoundCtx(ctx context.Context, in *Instance) (float64, error) {
 
 // relaxedOptimum solves the GEACC instance with CF = ∅ exactly (Lemma 1)
 // via the minimum-cost-flow reduction of Section III.A, polling ctx between
-// augmentations. It is the one relaxation behind every flow solve. The cold
+// searches, each of which pushes every successive shortest path it can
+// certify. It is the one relaxation behind every flow solve. The cold
 // path passes no ids, no previous state, and no cache. The warm path
 // (MinCostFlowWarmCtx) passes the component's parent ids, the FlowState of
 // its last solve (nil on a cache miss), and its WarmCache, which supplies
@@ -176,20 +178,16 @@ func relaxedOptimum(ctx context.Context, in *Instance, events, users []int, prev
 	}
 	// Augment while a unit of flow still increases MaxSum = Δ − cost, i.e.
 	// while the next path's per-unit cost is below 1. Each iteration is one
-	// Dijkstra pass that stops at the sink, so polling ctx here bounds the
-	// cancellation latency by a single shortest-path computation.
-	var augmentations int64
-	for {
+	// Dijkstra search that pushes every shortest path it can certify, so
+	// polling ctx here bounds the cancellation latency by a single search.
+	for more := true; more; {
 		if err := ctx.Err(); err != nil {
-			observeFlowWork(sv, augmentations)
+			observeFlowWork(sv)
 			return nil, nil, err
 		}
-		if _, _, ok := sv.AugmentBelow(math.MaxInt64, 1); !ok {
-			break
-		}
-		augmentations++
+		_, more = sv.AugmentPaths(math.MaxInt64, 1)
 	}
-	observeFlowWork(sv, augmentations)
+	observeFlowWork(sv)
 	delta := sv.TotalFlow()
 	mcflowDeltaUnits.Add(delta)
 	res := &FlowResult{Relaxed: NewMatchingSized(nv, nu, int(delta)), Delta: delta}

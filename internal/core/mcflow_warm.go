@@ -345,7 +345,7 @@ func (w *warmIndex) restore(ctx context.Context, g *mincostflow.Graph, sv *minco
 	mcflowWarmRestoredUnits.Add(ws.RestoredFlow)
 	for {
 		if err := ctx.Err(); err != nil {
-			observeFlowWork(sv, 0)
+			observeFlowWork(sv)
 			return err
 		}
 		if _, ok := sv.RetreatAbove(1); !ok {

@@ -21,6 +21,7 @@ var (
 	mcflowRuns          = obs.Default().Counter("geacc_mcflow_runs_total")
 	mcflowAugmentations = obs.Default().Counter("geacc_mcflow_augmentations_total")
 	mcflowDeltaUnits    = obs.Default().Counter("geacc_mcflow_delta_units_total")
+	mcflowSearches      = obs.Default().Counter("geacc_mcflow_searches_total")
 	mcflowDijkstraPops  = obs.Default().Counter("geacc_mcflow_dijkstra_pops_total")
 	mcflowArcScans      = obs.Default().Counter("geacc_mcflow_arc_scans_total")
 
@@ -70,13 +71,15 @@ func observeGap(algo string, gap float64) {
 	reg.FloatGauge(obs.Label("geacc_solve_last_gap", "algo", algo)).Set(gap)
 }
 
-// observeFlowWork flushes one relaxation's SSPA work: its augmentations and
-// the shortest-path pops and arc scans the solver tallied along the way.
-func observeFlowWork(sv *mincostflow.Solver, augmentations int64) {
-	mcflowAugmentations.Add(augmentations)
-	pops, arcScans := sv.SearchStats()
-	mcflowDijkstraPops.Add(pops)
-	mcflowArcScans.Add(arcScans)
+// observeFlowWork flushes one relaxation's SSPA work as the solver tallied
+// it: the augmenting paths pushed, and the shortest-path searches with
+// their heap pops and arc scans.
+func observeFlowWork(sv *mincostflow.Solver) {
+	st := sv.SearchStats()
+	mcflowAugmentations.Add(st.Paths)
+	mcflowSearches.Add(st.Searches)
+	mcflowDijkstraPops.Add(st.Pops)
+	mcflowArcScans.Add(st.ArcScans)
 }
 
 // observeSolve records one SolveContext outcome under the per-algorithm

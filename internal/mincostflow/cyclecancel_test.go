@@ -234,16 +234,21 @@ func BenchmarkFlowSolvers(b *testing.B) {
 		}
 	}
 	b.Run("sspa", func(b *testing.B) {
-		var pops, scans int64
+		var work SearchStats
 		for i := 0; i < b.N; i++ {
 			g, s, t := buildBipartite(nv, nu, capV, capU, cost)
 			sv := AcquireSolver(g, s, t)
-			minCostFlow(sv, 50)
-			p, a := sv.SearchStats()
-			pops, scans = pops+p, scans+a
+			for more := true; more && sv.TotalFlow() < 50; {
+				_, more = sv.AugmentPaths(50-sv.TotalFlow(), math.Inf(1))
+			}
+			st := sv.SearchStats()
+			work.Searches += st.Searches
+			work.Pops += st.Pops
+			work.ArcScans += st.ArcScans
 		}
-		b.ReportMetric(float64(pops)/float64(b.N), "pops/op")
-		b.ReportMetric(float64(scans)/float64(b.N), "arcscans/op")
+		b.ReportMetric(float64(work.Searches)/float64(b.N), "searches/op")
+		b.ReportMetric(float64(work.Pops)/float64(b.N), "pops/op")
+		b.ReportMetric(float64(work.ArcScans)/float64(b.N), "arcscans/op")
 	})
 	b.Run("cycle-canceling", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

@@ -7,9 +7,11 @@ import (
 
 // FuzzSSPA decodes bytes into a small network and checks every SSPA step
 // against CycleCanceling and the potential invariant: the cold sweep to
-// max flow one augmentation at a time, then a RetreatAbove phase, which
-// must stop at the first unit costing less than its bound. The seed
-// corpus in testdata/fuzz/FuzzSSPA replays under plain `go test`.
+// max flow one AugmentPaths batch at a time, then a RetreatAbove phase,
+// which must stop at the first unit costing less than its bound. The
+// sweep's flow and cost must match the one-path oracle's, and so must
+// those of a second sweep that stops at the bound. The seed corpus in
+// testdata/fuzz/FuzzSSPA replays under plain `go test`.
 func FuzzSSPA(f *testing.F) {
 	f.Add([]byte{4, 0, 0, 0, 0, 0, 1, 0x10, 1, 3, 0x12, 0, 2, 0x31, 2, 3, 0x05, 8})
 	f.Add([]byte{0x86, 3, 1, 7, 0, 2, 5, 0, 1, 0x2f, 1, 7, 0x03, 0, 2, 0x44, 2, 7, 0x18, 1, 2, 0x00, 3})
@@ -20,15 +22,11 @@ func FuzzSSPA(f *testing.F) {
 		}
 		sv := AcquireSolver(ns.build(), ns.s, ns.t)
 		checkStep(t, ns, sv, "bootstrap")
-		for {
-			if _, _, ok := sv.AugmentBelow(math.MaxInt64, math.Inf(1)); !ok {
-				break
-			}
-			checkStep(t, ns, sv, "augment")
-		}
+		sweepPaths(t, ns, sv, math.Inf(1))
 		if maxFlow, _ := ns.oracle(t, math.MaxInt64); sv.TotalFlow() != maxFlow {
 			t.Fatalf("stopped at flow %d, max flow is %d", sv.TotalFlow(), maxFlow)
 		}
+		checkOnePath(t, ns, sv, math.Inf(1))
 		for {
 			if _, ok := sv.RetreatAbove(bound); !ok {
 				break
@@ -36,6 +34,10 @@ func FuzzSSPA(f *testing.F) {
 			checkStep(t, ns, sv, "retreat")
 		}
 		checkRetreatDone(t, ns, sv, bound)
+
+		sv = AcquireSolver(ns.build(), ns.s, ns.t)
+		sweepPaths(t, ns, sv, bound)
+		checkOnePath(t, ns, sv, bound)
 	})
 }
 

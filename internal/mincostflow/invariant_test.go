@@ -7,7 +7,7 @@ import (
 )
 
 // The potential invariant behind SSPA: after every search-and-update step
-// (Augment, AugmentBelow, RetreatAbove) every arc with positive residual
+// (AugmentPaths, the one-path AugmentBelow, RetreatAbove) every arc with positive residual
 // capacity has reduced cost cost(a) + pot(from) - pot(to) >= 0. These
 // tests check it step by step, and check each step's flow against an
 // independent oracle, on zero-cost, negative-cost and warm-restored
@@ -117,17 +117,49 @@ func randomNet(rng *rand.Rand, n int, negative bool, zeroBias float64) *netSpec 
 	return ns
 }
 
-// driveCold pushes flow in small Augment / AugmentBelow steps until the sink
-// is cut off, checking every step.
+// sweepPaths pushes flow in AugmentPaths batches below bound until a
+// batch reports that none is left, checking the state after every batch.
+func sweepPaths(t testing.TB, ns *netSpec, sv *Solver, bound float64) {
+	t.Helper()
+	for more := true; more; {
+		var units int64
+		if units, more = sv.AugmentPaths(math.MaxInt64, bound); units > 0 {
+			checkStep(t, ns, sv, "batch")
+		} else if more {
+			t.Fatal("a batch that pushed nothing asked for another")
+		}
+	}
+}
+
+// checkOnePath asserts that sv's flow has the amount and cost of the
+// one-path oracle's sweep below bound on a fresh copy of the network.
+func checkOnePath(t testing.TB, ns *netSpec, sv *Solver, bound float64) {
+	t.Helper()
+	one := AcquireSolver(ns.build(), ns.s, ns.t)
+	for {
+		if _, _, ok := one.AugmentBelow(math.MaxInt64, bound); !ok {
+			break
+		}
+	}
+	if one.TotalFlow() != sv.TotalFlow() || math.Abs(flowCost(one.g)-flowCost(sv.g)) > 1e-9 {
+		t.Fatalf("bound %v: flow %d cost %v, one-path oracle flow %d cost %v",
+			bound, sv.TotalFlow(), flowCost(sv.g), one.TotalFlow(), flowCost(one.g))
+	}
+}
+
+// driveCold pushes flow until the sink is cut off, checking every step. It
+// alternates AugmentPaths batches of at most 1, 2 or unbounded units with
+// one-path steps of 1 or 2 units, so each hands its potentials to the
+// other.
 func driveCold(t *testing.T, rng *rand.Rand, ns *netSpec, sv *Solver) {
 	for step := 0; ; step++ {
-		var ok bool
+		var units int64
 		if step%2 == 0 {
-			_, _, ok = sv.AugmentBelow(1+int64(rng.Intn(2)), math.Inf(1))
+			units, _ = sv.AugmentPaths([]int64{1, 2, math.MaxInt64}[rng.Intn(3)], math.Inf(1))
 		} else {
-			_, _, ok = sv.AugmentBelow(1+int64(rng.Intn(2)), math.Inf(1))
+			units, _, _ = sv.AugmentBelow(1+int64(rng.Intn(2)), math.Inf(1))
 		}
-		if !ok {
+		if units == 0 {
 			break
 		}
 		checkStep(t, ns, sv, "augment")
@@ -157,8 +189,8 @@ func TestPotentialInvariantNegativeCost(t *testing.T) {
 }
 
 // TestPotentialInvariantBruteForce checks the GEACC shape — zero-cost
-// source and sink arcs, unit pair arcs — against exhaustive enumeration at
-// every amount, with many exactly tied pair costs.
+// source and sink arcs, unit pair arcs — against exhaustive enumeration
+// after every AugmentPaths batch, with many exactly tied pair costs.
 func TestPotentialInvariantBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 40; trial++ {
@@ -179,8 +211,9 @@ func TestPotentialInvariantBruteForce(t *testing.T) {
 		}
 		g, s, tt := buildBipartite(nv, nu, capV, capU, cost)
 		sv := AcquireSolver(g, s, tt)
-		for {
-			if _, _, ok := sv.AugmentBelow(1, math.Inf(1)); !ok {
+		for more := true; more; {
+			var units int64
+			if units, more = sv.AugmentPaths(math.MaxInt64, math.Inf(1)); units == 0 {
 				break
 			}
 			k := sv.TotalFlow()
@@ -239,11 +272,9 @@ func TestPotentialInvariantWarm(t *testing.T) {
 			checkStep(t, ns2, sv, "retreat")
 		}
 		checkRetreatDone(t, ns2, sv, bound)
-		for {
-			if _, _, ok := sv.AugmentBelow(1, bound); !ok {
-				break
-			}
-			checkStep(t, ns2, sv, "augment below")
+		sweepPaths(t, ns2, sv, bound)
+		if _, cost, ok := sv.AugmentBelow(1, bound); ok {
+			t.Fatalf("trial %d: the batches stopped, but a path of cost %v < %v is left", trial, cost, bound)
 		}
 	}
 }
@@ -275,12 +306,8 @@ func TestPotentialInvariantQuantizedGEACC(t *testing.T) {
 			}
 		}
 		sv := AcquireSolver(ns.build(), ns.s, ns.t)
-		for {
-			if _, _, ok := sv.AugmentBelow(1, math.Inf(1)); !ok {
-				break
-			}
-			checkStep(t, ns, sv, "quantized augment")
-		}
+		sweepPaths(t, ns, sv, math.Inf(1))
+		checkOnePath(t, ns, sv, math.Inf(1))
 		if maxFlow, _ := ns.oracle(t, math.MaxInt64); sv.TotalFlow() != maxFlow {
 			t.Fatalf("trial %d: stopped at flow %d, max flow is %d", trial, sv.TotalFlow(), maxFlow)
 		}

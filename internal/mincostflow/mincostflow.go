@@ -152,7 +152,16 @@ type Solver struct {
 	pot  []float64
 	dist []float64
 	prev []int32 // arc used to reach each node on the current shortest path
+	// scan is AugmentPaths' per-node cursor: -1 while the node is unsettled,
+	// then the adjacency index of its next unscanned arc.
+	scan []int32
 	heap *pqueue.IndexedMinHeap
+
+	// broken and brokenMin are AugmentPaths' certificate: the consumed
+	// candidates whose arc into t survives their tree path, and the bound
+	// they put on every path through them.
+	broken    []brokenSink
+	brokenMin float64
 
 	dirty []bool  // Bellman–Ford scratch: labels fallen since the node's last scan
 	stamp []int32 // negative-cycle search scratch: parent-walk stamps
@@ -165,8 +174,23 @@ type Solver struct {
 
 	totalFlow int64
 
-	// Search work since the last Reset/WarmStart; see SearchStats.
-	pops, arcScans int64
+	work SearchStats // since the last Reset/WarmStart
+}
+
+// SearchStats is a Solver's shortest-path work.
+type SearchStats struct {
+	Searches int64 // shortest-path searches, forward and reverse
+	Paths    int64 // augmenting paths pushed
+	Pops     int64 // heap pops: nodes, arc-list tails and sink candidates
+	ArcScans int64 // adjacency arcs read
+}
+
+// brokenSink is a candidate the search has consumed whose arc into t still
+// has residual capacity while its tree path does not: l is the length of
+// the path through that arc.
+type brokenSink struct {
+	node int32
+	l    float64
 }
 
 // relaxPotentials lowers pot until pot[w] <= pot[v] + cost(v,w) holds on
@@ -219,41 +243,240 @@ func (sv *Solver) relaxPotentials(known bool) bool {
 // TotalFlow returns the amount of flow pushed so far.
 func (sv *Solver) TotalFlow() int64 { return sv.totalFlow }
 
-// pushAlongPath updates potentials from the last search and pushes up to
-// maxUnits along the recorded shortest path, returning the units pushed.
-func (sv *Solver) pushAlongPath(maxUnits int64, unitCost float64) int64 {
-	g := sv.g
-	sv.advancePotentials(sv.t)
-	// Bottleneck along the recorded path.
-	bottleneck := maxUnits
-	for v := sv.t; v != sv.s; {
-		a := sv.prev[v]
-		if g.cap[a] < bottleneck {
-			bottleneck = g.cap[a]
+// AugmentPaths runs one shortest-path search from s and pushes every
+// successive shortest path it can certify, cheapest first, while the
+// per-unit cost stays below costBound and until maxUnits units are pushed.
+// It returns the units pushed and whether a later call may push more:
+// false means the search proved that no augmenting path below costBound
+// remains, or that maxUnits was not positive. After each call the flow is
+// a minimum-cost flow of amount TotalFlow(). Without exact ties the paths,
+// their order and their bottlenecks are those of a one-path-per-search
+// SSPA (DESIGN.md, "One search, many paths").
+//
+// The search is Dijkstra over reduced costs, with t left out of the heap.
+// A settled node u with a residual arc into t becomes a candidate, queued
+// under the key L(u) = d(u) + rc(u→t); candidates pop in key order between
+// the nodes. A candidate's tree path is pushed when every arc on it still
+// has residual capacity and L(u) < brokenMin, where brokenMin bounds every
+// path through a candidate consumed before (see addBroken). The batch ends
+// at the first key that reaches brokenMin, at the first certified
+// candidate whose cost reaches costBound, when maxUnits is reached, or
+// when the heap runs dry. Potentials then advance by min(d, H), with H the
+// key the batch ended at (brokenMin on a dry heap when it is finite), and
+// each consumed candidate whose sink arc survives is lifted so that arc
+// keeps a non-negative reduced cost.
+//
+// A popped node scans its cost-sorted arcs only while they can beat the
+// next queued key; the rest of the list goes back on the heap, under key
+// n+v, with the least label any of it could give.
+func (sv *Solver) AugmentPaths(maxUnits int64, costBound float64) (units int64, more bool) {
+	if maxUnits <= 0 {
+		return 0, false
+	}
+	if !sv.fresh {
+		sv.resetSearch()
+	}
+	sv.fresh = false
+	sv.work.Searches++
+	g, h := sv.g, sv.heap
+	n, s, t := g.numNodes, sv.s, sv.t
+	dist, prev, pot, capa, scan := sv.dist, sv.prev, sv.pot, g.cap, sv.scan
+	sv.broken, sv.brokenMin = sv.broken[:0], math.MaxFloat64
+	h.Reset()
+	dist[s] = 0
+	h.Push(s, 0)
+	end, last, done := 0.0, 0.0, false
+	for h.Len() > 0 {
+		key, k := h.Min()
+		if k >= sv.brokenMin {
+			break
 		}
-		v = int(g.to[int32(a)^1])
+		h.Pop()
+		sv.work.Pops++
+		last = k
+		if key >= n {
+			sv.scanArcs(key-n, int(scan[key-n]))
+			continue
+		}
+		u := key
+		if scan[u] < 0 {
+			sv.settle(u)
+			continue
+		}
+		// u's candidate: no s–t path is shorter than k.
+		if k+pot[t]-pot[s] >= costBound {
+			end, done = k, true
+			break
+		}
+		a, _ := sv.sinkArc(u)
+		bottleneck := min(sv.treeResidual(u, capa[a]), maxUnits-units)
+		if bottleneck <= 0 {
+			sv.addBroken(u, k, k)
+			continue
+		}
+		capa[a] -= bottleneck
+		capa[a^1] += bottleneck
+		for v := u; v != s; {
+			e := prev[v]
+			capa[e] -= bottleneck
+			capa[e^1] += bottleneck
+			v = int(g.to[e^1])
+		}
+		units += bottleneck
+		sv.totalFlow += bottleneck
+		sv.work.Paths++
+		if units == maxUnits {
+			end, done, more = k, true, true
+			break
+		}
+		if a, l := sv.sinkArc(u); a >= 0 {
+			if sv.treeResidual(u, capa[a]) > 0 {
+				h.Push(u, l)
+			} else {
+				sv.addBroken(u, l, k)
+			}
+		}
 	}
-	// Push.
-	for v := sv.t; v != sv.s; {
-		a := sv.prev[v]
-		g.cap[a] -= bottleneck
-		g.cap[int32(a)^1] += bottleneck
-		v = int(g.to[int32(a)^1])
+	if !done {
+		// The heap ran dry or its next key reached brokenMin: only paths
+		// through the broken candidates may be left.
+		end, more = sv.brokenMin, sv.brokenMin < math.MaxFloat64
+		if !more {
+			end = last
+		}
 	}
-	sv.totalFlow += bottleneck
-	return bottleneck
+	if units == 0 {
+		// Nothing was pushed, so nothing broke: the search found no path
+		// below costBound, and the potentials stay as they were.
+		return 0, false
+	}
+	for _, b := range sv.broken {
+		if lift := end - b.l; lift > 0 {
+			pot[b.node] += lift
+		}
+	}
+	sv.advancePotentials(end)
+	return units, more
 }
 
-// dijkstra computes reduced-cost shortest paths from s until t is settled.
-// It reports whether t is reachable.
-func (sv *Solver) dijkstra() bool { return sv.dijkstraFrom(sv.s, sv.t) }
+// settle scans the node v just popped at its final distance: its arcs
+// into t make it a candidate under the key of the cheapest, then its
+// cost-sorted arcs are scanned from the first.
+func (sv *Solver) settle(v int) {
+	g := sv.g
+	if !g.sorted[v] {
+		g.sortArcs(v)
+	}
+	sv.work.ArcScans += int64(g.rest[v] - g.start[v])
+	if a, l := sv.sinkArc(v); a >= 0 {
+		sv.heap.Push(v, l)
+	}
+	sv.scanArcs(v, int(g.rest[v]))
+}
+
+// scanArcs relaxes settled v's sorted arcs from adjacency index i while
+// one could still beat the next queued key: potMax bounds every head's
+// potential, so d(v) + ((c + π(v)) − potMax) is the least label the arc,
+// or any after it, can give. Once that passes the heap's minimum the rest
+// of the list goes back on the heap under key n+v at that label; a tail
+// popped at that key thus always scans its first arc. A label at or above
+// brokenMin is not recorded: the batch ends before it pops.
+func (sv *Solver) scanArcs(v, i int) {
+	g, h := sv.g, sv.heap
+	dist, prev, pot, capa, potMax := sv.dist, sv.prev, sv.pot, g.cap, sv.potMax
+	d, pv, end := dist[v], pot[v], int(g.start[v+1])
+	for ; i < end; i++ {
+		r := g.adj[i]
+		cpv := r.cost + pv
+		if lb := d + (cpv - potMax); h.Len() > 0 {
+			if _, top := h.Min(); lb > top {
+				sv.scan[v] = int32(i)
+				h.Push(g.numNodes+v, lb)
+				return
+			}
+		}
+		sv.work.ArcScans++
+		if capa[r.arc] <= 0 {
+			continue
+		}
+		w := int(r.to)
+		rc := cpv - pot[w]
+		if rc < 0 {
+			// Floating-point drift can push a reduced cost epsilon below
+			// zero; clamp so Dijkstra's invariant holds.
+			rc = 0
+		}
+		if nd := d + rc; nd < dist[w] && nd < sv.brokenMin {
+			dist[w] = nd
+			prev[w] = r.arc
+			h.Push(w, nd)
+		}
+	}
+	sv.scan[v] = int32(end)
+}
+
+// sinkArc returns settled v's cheapest residual arc into t and the length
+// l = d(v) + rc of the path it ends, or -1 when v has none. Arcs into s and
+// t lead v's adjacency; ties go to the first.
+func (sv *Solver) sinkArc(v int) (arc int32, l float64) {
+	g := sv.g
+	arc, l = -1, math.MaxFloat64
+	for _, r := range g.adj[g.start[v]:g.rest[v]] {
+		if int(r.to) != sv.t || g.cap[r.arc] <= 0 {
+			continue
+		}
+		rc := r.cost + sv.pot[v] - sv.pot[sv.t]
+		if c := sv.dist[v] + max(rc, 0); c < l {
+			arc, l = r.arc, c
+		}
+	}
+	return arc, l
+}
+
+// treeResidual returns the least residual capacity on settled u's tree
+// path and c: the bottleneck of the path that continues with an arc of
+// residual capacity c into t.
+func (sv *Solver) treeResidual(u int, c int64) int64 {
+	g := sv.g
+	for v := u; v != sv.s; {
+		e := sv.prev[v]
+		c = min(c, g.cap[e])
+		v = int(g.to[e^1])
+	}
+	return c
+}
+
+// addBroken records candidate w, consumed at key k, whose arc into t
+// survives its tree path and ends a path of length l. Every other s–w
+// path ends with a residual in-arc (y, w), so, measured under potentials
+// π + min(d, k), no path through w costs less than l plus the least such
+// arc's reduced cost. No later push reaches w, since its tree path is a
+// prefix of every path through it; and min(d(y), k) only grows with k, so
+// the bound still holds when the batch ends.
+func (sv *Solver) addBroken(w int, l, k float64) {
+	g := sv.g
+	dist, pot := sv.dist, sv.pot
+	slack := math.MaxFloat64
+	for _, r := range g.adj[g.start[w]:g.start[w+1]] {
+		y := int(r.to)
+		if y == sv.t || g.cap[r.arc^1] <= 0 {
+			continue
+		}
+		// The in-arc is r's twin, of cost -r.cost.
+		rc := pot[y] - r.cost - pot[w]
+		slack = min(slack, rc+min(dist[y], k)-dist[w])
+	}
+	sv.work.ArcScans += int64(g.start[w+1] - g.start[w])
+	sv.broken = append(sv.broken, brokenSink{int32(w), l})
+	sv.brokenMin = min(sv.brokenMin, l+max(slack, 0))
+}
 
 // dijkstraFrom computes reduced-cost shortest paths from src, filling dist
 // and prev, and stops as soon as it pops dst: dist is final for every node
 // popped so far (all at distance <= dist[dst]) and a tentative upper bound,
 // at least dist[dst], for the rest. It reports whether dst is reachable.
-// The warm-start retreat phase roots it at the sink; everything else roots
-// it at the source.
+// RetreatAbove roots it at the sink and the one-path test oracle at the
+// source.
 //
 // The search skips every relaxation that cannot beat the target. bound is
 // the length of some path to dst found so far (so bound >= dist[dst]), and
@@ -272,6 +495,7 @@ func (sv *Solver) dijkstraFrom(src, dst int) bool {
 		sv.resetSearch()
 	}
 	sv.fresh = false
+	sv.work.Searches++
 	g, h := sv.g, sv.heap
 	dist, prev, pot, capa, potMax := sv.dist, sv.prev, sv.pot, g.cap, sv.potMax
 	h.Reset()
@@ -317,17 +541,18 @@ func (sv *Solver) dijkstraFrom(src, dst int) bool {
 			}
 		}
 	}
-	sv.pops += pops
-	sv.arcScans += arcScans
+	sv.work.Pops += pops
+	sv.work.ArcScans += arcScans
 	return dist[dst] != math.MaxFloat64
 }
 
-// resetSearch sets every dist to MaxFloat64 and recomputes potMax, for a
-// search that no potential update has prepared.
+// resetSearch sets every dist to MaxFloat64, marks every node unsettled and
+// recomputes potMax, for a search that no potential update has prepared.
 func (sv *Solver) resetSearch() {
 	potMax := math.Inf(-1)
 	for v := range sv.dist {
 		sv.dist[v] = math.MaxFloat64
+		sv.scan[v] = -1
 		if p := sv.pot[v]; p > potMax && v != sv.s && v != sv.t {
 			potMax = p
 		}
@@ -355,20 +580,20 @@ func (sv *Solver) pathBound(w int, nd float64, dst int) float64 {
 }
 
 // advancePotentials applies the truncated potential update after a search
-// that stopped at target: pot[v] += min(dist[v], dist[target]). Nodes the
-// search settled advance by their exact distance, every other node by the
-// target's, which keeps every residual reduced cost non-negative (DESIGN.md
-// gives the proof) including on the arcs the next push reverses. The same
-// pass prepares the next search: it resets dist and computes potMax from
-// the new potentials.
-func (sv *Solver) advancePotentials(target int) {
-	dt := sv.dist[target]
+// that stopped at key h: pot[v] += min(dist[v], h). Nodes the search
+// settled advance by their exact distance, every other node by h, which
+// keeps every residual reduced cost non-negative (DESIGN.md gives the
+// proof) including on the arcs the pushes reverse. The same pass prepares
+// the next search: it resets dist and scan and computes potMax from the
+// new potentials.
+func (sv *Solver) advancePotentials(h float64) {
 	pot := sv.pot[:len(sv.dist)]
 	potMax := math.Inf(-1)
 	for v, d := range sv.dist {
-		p := pot[v] + min(d, dt)
+		p := pot[v] + min(d, h)
 		pot[v] = p
 		sv.dist[v] = math.MaxFloat64
+		sv.scan[v] = -1
 		if p > potMax && v != sv.s && v != sv.t {
 			potMax = p
 		}
@@ -377,29 +602,5 @@ func (sv *Solver) advancePotentials(target int) {
 }
 
 // SearchStats returns the shortest-path work done since the last Reset or
-// WarmStart: heap pops and adjacency-arc scans summed over every search.
-func (sv *Solver) SearchStats() (pops, arcScans int64) { return sv.pops, sv.arcScans }
-
-// AugmentBelow finds a shortest (minimum-cost) augmenting path in the
-// residual network and, when its per-unit cost is strictly below
-// costBound, pushes along it up to maxUnits of flow (capped by the path's
-// bottleneck), returning the units pushed and the per-unit cost. Otherwise
-// it pushes nothing and returns ok = false with the cost that was rejected
-// (0 when the sink is unreachable). Successive path costs never decrease,
-// so a false return means no further augmentation can beat the bound
-// either, and after each call the current flow is a minimum-cost flow of
-// amount TotalFlow(). costBound = math.Inf(1) accepts every path.
-func (sv *Solver) AugmentBelow(maxUnits int64, costBound float64) (units int64, unitCost float64, ok bool) {
-	if maxUnits <= 0 {
-		return 0, 0, false
-	}
-	if !sv.dijkstra() {
-		return 0, 0, false
-	}
-	unitCost = sv.dist[sv.t] + sv.pot[sv.t] - sv.pot[sv.s]
-	if unitCost >= costBound {
-		return 0, unitCost, false
-	}
-	units = sv.pushAlongPath(maxUnits, unitCost)
-	return units, unitCost, true
-}
+// WarmStart.
+func (sv *Solver) SearchStats() SearchStats { return sv.work }

@@ -103,14 +103,17 @@ func (sv *Solver) bind(g *Graph, s, t int, op string) {
 	n := g.numNodes
 	g.index(s, t)
 	sv.g, sv.s, sv.t = g, s, t
-	sv.pops, sv.arcScans = 0, 0
+	sv.work = SearchStats{}
 	sv.fresh = false
 	sv.dist = resize(sv.dist, n)
 	sv.prev = resize(sv.prev, n)
+	sv.scan = resize(sv.scan, n)
+	// AugmentPaths queues nodes and candidates under keys [0, n) and the
+	// tails of partly scanned arc lists under [n, 2n).
 	if sv.heap == nil {
-		sv.heap = pqueue.NewIndexedMinHeap(n)
+		sv.heap = pqueue.NewIndexedMinHeap(2 * n)
 	} else {
-		sv.heap.Resize(n)
+		sv.heap.Resize(2 * n)
 	}
 }
 

@@ -9,7 +9,7 @@ import "math"
 // and calls WarmStart: it repairs optimality (the delta may have created
 // negative-cost residual cycles through the restored flow), recovers valid
 // node potentials seeded from the previous solve, and leaves the Solver
-// ready for the usual AugmentBelow loop — which now only has the
+// ready for the usual AugmentPaths loop — which now only has the
 // delta's marginal units left to push instead of the whole flow.
 //
 // RetreatAbove is the reverse move: when a delta removed capacity or made
@@ -78,9 +78,9 @@ type WarmStats struct {
 //     potentials makes the relaxation converge in a pass or two on small
 //     deltas instead of the cold pass over the whole network.
 //
-// On success the Solver behaves exactly as if AugmentBelow had pushed the
-// restored flow itself: successive AugmentBelow calls yield
-// non-decreasing unit costs and bit-exact optima. OK=false means repair did
+// On success the Solver behaves exactly as if AugmentPaths had pushed the
+// restored flow itself: later AugmentPaths calls push non-decreasing unit
+// costs and reach bit-exact optima. OK=false means repair did
 // not converge (pathological float noise); the caller should ClearFlow,
 // Reset, and solve cold.
 func (sv *Solver) WarmStart(g *Graph, s, t int, prevPot []float64) WarmStats {
@@ -152,12 +152,12 @@ func (sv *Solver) WarmStart(g *Graph, s, t int, prevPot []float64) WarmStats {
 // cheapest residual t->s path when undoing that unit recovers at least
 // costBound — i.e. the marginal unit currently in the flow costs >= the
 // caller's stopping bound and would never have been pushed by
-// AugmentBelow(..., costBound) on a cold run. ok=false means no unit
+// AugmentPaths(..., costBound) on a cold run. ok=false means no unit
 // qualifies (or no flow remains) and the retreat phase is done; unitCost
 // is then at most the cheapest retreat's cost (0 when there is none).
 //
 // Requires valid potentials (after WarmStart or previous solver calls);
-// like AugmentBelow it updates potentials so future reduced costs stay
+// like AugmentPaths it updates potentials so future reduced costs stay
 // non-negative.
 func (sv *Solver) RetreatAbove(costBound float64) (unitCost float64, ok bool) {
 	if sv.totalFlow <= 0 {
@@ -179,7 +179,7 @@ func (sv *Solver) RetreatAbove(costBound float64) (unitCost float64, ok bool) {
 		return reverseCost, false
 	}
 	g := sv.g
-	sv.advancePotentials(sv.s)
+	sv.advancePotentials(sv.dist[sv.s])
 	for v := sv.s; v != sv.t; {
 		a := sv.prev[v]
 		g.cap[a] -= 1

@@ -41,6 +41,12 @@ func (h *IndexedMinHeap) Push(key int, priority float64) {
 	h.up(len(h.entries)-1, heapEntry{priority, int32(key)})
 }
 
+// Min returns the key with the smallest priority without removing it. It
+// panics on an empty heap.
+func (h *IndexedMinHeap) Min() (key int, priority float64) {
+	return int(h.entries[0].key), h.entries[0].prio
+}
+
 // Pop removes and returns the key with the smallest priority. It panics on
 // an empty heap.
 func (h *IndexedMinHeap) Pop() (key int, priority float64) {

@@ -15,6 +15,9 @@ func TestIndexedMinHeapBasicOrder(t *testing.T) {
 	wantKeys := []int{1, 2, 0}
 	wantPrio := []float64{1, 2, 3}
 	for i := range wantKeys {
+		if k, p := h.Min(); k != wantKeys[i] || p != wantPrio[i] {
+			t.Fatalf("min %d = (%d, %v), want (%d, %v)", i, k, p, wantKeys[i], wantPrio[i])
+		}
 		k, p := h.Pop()
 		if k != wantKeys[i] || p != wantPrio[i] {
 			t.Fatalf("pop %d = (%d, %v), want (%d, %v)", i, k, p, wantKeys[i], wantPrio[i])
