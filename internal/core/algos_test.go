@@ -180,8 +180,7 @@ func sweepRelaxedMaxSum(in *Instance) float64 {
 func relaxedAtDelta(in *Instance, delta int64) (float64, bool) {
 	nv, nu := in.NumEvents(), in.NumUsers()
 	s, t := 0, 1+nv+nu
-	g := mincostflow.AcquireGraph(nv + nu + 2)
-	defer mincostflow.ReleaseGraph(g)
+	g := mincostflow.NewGraph(nv + nu + 2)
 	for v, e := range in.Events {
 		g.AddArc(s, 1+v, int64(e.Cap), 0)
 	}
@@ -194,8 +193,7 @@ func relaxedAtDelta(in *Instance, delta int64) (float64, bool) {
 			pairs = append(pairs, g.AddArc(1+v, 1+nv+u, 1, 1-in.Similarity(v, u)))
 		}
 	}
-	sv := mincostflow.AcquireSolver(g, s, t)
-	defer mincostflow.ReleaseSolver(sv)
+	sv := mincostflow.NewSolver(g, s, t)
 	for more := true; more && sv.TotalFlow() < delta; {
 		_, more = sv.AugmentPaths(delta-sv.TotalFlow(), math.Inf(1))
 	}

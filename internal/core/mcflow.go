@@ -2,9 +2,6 @@ package core
 
 import (
 	"context"
-	"math"
-
-	"github.com/ebsnlab/geacc/internal/mincostflow"
 	"github.com/ebsnlab/geacc/internal/obs"
 )
 
@@ -56,8 +53,8 @@ func MinCostFlowOpts(in *Instance, opt FlowOptions) *FlowResult {
 // MinCostFlowCtx runs MinCostFlow-GEACC under a context. Cancellation is
 // polled between successive shortest-path searches — the unit of work of
 // the Δ-sweep, and the only place the algorithm spends superlinear time —
-// so a disconnected client stops a long run within one Dijkstra search,
-// however many augmenting paths that search pushes. A canceled run returns
+// so a disconnected client stops a long run within one O(|V|²)
+// event-space search, which pushes one unit. A canceled run returns
 // ctx's error and a nil result.
 func MinCostFlowCtx(ctx context.Context, in *Instance, opt FlowOptions) (*FlowResult, error) {
 	res, err := minCostFlowCtx(ctx, in, opt)
@@ -104,10 +101,10 @@ func RelaxedUpperBoundCtx(ctx context.Context, in *Instance) (float64, error) {
 }
 
 // relaxedOptimum solves the GEACC instance with CF = ∅ exactly (Lemma 1)
-// via the minimum-cost-flow reduction of Section III.A, polling ctx between
-// searches, each of which pushes every successive shortest path it can
-// certify. It is the one relaxation behind every flow solve. The cold
-// path passes no ids, no previous state, and no cache. The warm path
+// via the minimum-cost-flow reduction of Section III.A, searched in event
+// space (eventFlow) one unit per search and polling ctx between searches.
+// It is the one relaxation behind every flow solve. The cold path passes
+// no ids, no previous state, and no cache. The warm path
 // (MinCostFlowWarmCtx) passes the component's parent ids, the FlowState of
 // its last solve (nil on a cache miss), and its WarmCache, which supplies
 // the similarity table of the returned state for the next solve.
@@ -119,13 +116,13 @@ func relaxedOptimum(ctx context.Context, in *Instance, events, users []int, prev
 	}
 
 	// rows[v*nu+u] = sim(v, u), computed (or, warm, gathered) once: the
-	// build pass prices the arcs from it and the readback reads it again.
-	// The network, solver, pair-arc index and — unless a FlowState will own
-	// them — the rows are pooled; every byte read by this solve is
-	// rewritten below, and nothing pooled escapes into the returned result.
+	// search prices its arcs from it and the readback reads it again. The
+	// flow and — unless a FlowState will own them — the rows are pooled;
+	// every byte read by this solve is rewritten below, and nothing pooled
+	// escapes into the returned result.
 	scratch := acquireMcflowScratch(nv, nu)
 	defer releaseMcflowScratch(scratch)
-	rows, pairArc := scratch.rows, scratch.pairArc
+	rows := scratch.rows
 	if wc != nil {
 		rows = wc.table(nv * nu)
 	}
@@ -139,56 +136,41 @@ func relaxedOptimum(ctx context.Context, in *Instance, events, users []int, prev
 			in.similarityRow(v, row)
 		}
 	}
-	positive := 0
-	for _, sim := range rows {
-		if sim > 0 {
-			positive++
-		}
-	}
 
-	// Node layout: source, events, users, sink. Event v's source arc has id
-	// 2v and user u's sink arc 2(nv+u); the warm restore relies on that.
-	s, t := 0, 1+nv+nu
-	g := mincostflow.AcquireGraph(nv + nu + 2)
-	defer mincostflow.ReleaseGraph(g)
-	g.Grow(nv + nu + positive)
-	for v, e := range in.Events {
-		g.AddArc(s, 1+v, int64(e.Cap), 0)
-	}
-	for u, usr := range in.Users {
-		g.AddArc(1+nv+u, t, int64(usr.Cap), 0)
-	}
-	// Pair arcs exist for sim > 0 pairs only; pairArc marks the rest -1. A
-	// unit on a zero-sim pair would add nothing to MaxSum = Δ − cost, so
-	// the relaxed optimum is the same without those arcs (DESIGN.md), and
-	// every unit of Δ lands on a positive pair.
-	for i, sim := range rows {
-		pairArc[i] = -1
-		if sim > 0 {
-			pairArc[i] = g.AddArc(1+i/nu, 1+nv+i%nu, 1, 1-sim)
+	// Pairs of similarity 0 get no arc: a unit on one would add nothing
+	// to MaxSum = Δ − cost, so the relaxed optimum is the same without
+	// them (DESIGN.md), and every unit of Δ lands on a positive pair.
+	f := &scratch.flow
+	if flip := nv > nu; flip {
+		t := scratch.trows
+		for i, sim := range rows {
+			t[(i%nu)*nv+i/nu] = sim
 		}
+		f.reset(in, t, true)
+	} else {
+		f.reset(in, rows, false)
 	}
-
-	sv := mincostflow.AcquireSolver(g, s, t)
-	defer mincostflow.ReleaseSolver(sv)
+	defer func() { observeFlowWork(f.work) }()
 	if warm != nil {
-		if err := warm.restore(ctx, g, sv, pairArc, events, users); err != nil {
+		if err := warm.restore(ctx, f, events); err != nil {
 			return nil, nil, err
 		}
+	} else {
+		f.buildTables()
 	}
 	// Augment while a unit of flow still increases MaxSum = Δ − cost, i.e.
 	// while the next path's per-unit cost is below 1. Each iteration is one
-	// Dijkstra search that pushes every shortest path it can certify, so
-	// polling ctx here bounds the cancellation latency by a single search.
-	for more := true; more; {
+	// search that pushes one unit, so polling ctx here bounds the
+	// cancellation latency by a single O(|V|²) search.
+	for {
 		if err := ctx.Err(); err != nil {
-			observeFlowWork(sv)
 			return nil, nil, err
 		}
-		_, more = sv.AugmentPaths(math.MaxInt64, 1)
+		if !f.augment() {
+			break
+		}
 	}
-	observeFlowWork(sv)
-	delta := sv.TotalFlow()
+	delta := f.total()
 	mcflowDeltaUnits.Add(delta)
 	res := &FlowResult{Relaxed: NewMatchingSized(nv, nu, int(delta)), Delta: delta}
 
@@ -198,15 +180,16 @@ func relaxedOptimum(ctx context.Context, in *Instance, events, users []int, prev
 			events: append([]int(nil), events...),
 			users:  append([]int(nil), users...),
 			rows:   rows,
-			pot:    sv.Potentials(nil),
+			pot:    append([]float64(nil), f.pot...),
+			flip:   f.flip,
 		}
 	}
-	for i, a := range pairArc {
-		if a < 0 || g.Flow(a) != 1 {
+	for i, sim := range rows {
+		v, u := i/nu, i%nu
+		if j, _, _ := f.pair(v, u); !f.on[j] {
 			continue
 		}
-		v, u := i/nu, i%nu
-		res.Relaxed.Add(v, u, rows[i])
+		res.Relaxed.Add(v, u, sim)
 		if st != nil {
 			st.pairs = append(st.pairs, [2]int{events[v], users[u]})
 		}

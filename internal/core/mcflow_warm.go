@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/ebsnlab/geacc/internal/mincostflow"
 	"github.com/ebsnlab/geacc/internal/obs"
 )
 
@@ -14,20 +13,20 @@ import (
 // handful of entities. Both paths run the one relaxation, relaxedOptimum
 // (mcflow.go). Cold, it computes every similarity row and pushes the whole
 // flow from zero; warm, it keeps a FlowState per component — similarity
-// rows, node potentials, and the flow support, all in parent-id space — and
-// on the next solve
+// rows, event-space potentials, and the flow support, all in parent-id
+// space — and on the next solve
 //
-//   - reuses rows for surviving events (only arcs whose endpoints the delta
-//     touched are re-derived; attrs are immutable and the kernels are
+//   - reuses rows for surviving events (only pairs whose endpoints the
+//     delta touched are re-derived; attrs are immutable and the kernels are
 //     deterministic, so reused entries are bit-identical to recomputation),
-//   - force-restores the surviving flow units onto the new network, and
-//   - repairs optimality with mincostflow.WarmStart + RetreatAbove instead
-//     of re-running the full augmentation sweep.
+//   - restores the surviving flow units onto the new flow, and
+//   - repairs optimality in event space (eventFlow.repair, then retreats)
+//     instead of re-running the full augmentation sweep.
 //
-// Every reuse step is guarded by id-membership and residual-capacity
-// checks, so a stale or partial state degrades performance, never
-// correctness; anything the warm repair cannot handle falls back cold
-// (ClearFlow + Reset) on the same network. Row reuse additionally relies on
+// Every reuse step is guarded by id-membership and capacity checks, so a
+// stale or partial state degrades performance, never correctness;
+// anything the warm repair cannot handle falls back cold on the same
+// tables. Row reuse additionally relies on
 // one system invariant: an entity id is never rebound to different attrs
 // (the arranger tombstones on remove/cancel and appends on add), so a
 // stored (event id, user id) similarity is a permanent fact. The network
@@ -42,7 +41,8 @@ type FlowState struct {
 	events []int     // parent event ids, in sub-instance order
 	users  []int     // parent user ids, in sub-instance order
 	rows   []float64 // rows[i*len(users)+j] = sim(events[i], users[j])
-	pot    []float64 // node potentials in the solve's node layout
+	pot    []float64 // potentials: the search side's nodes, then s and t
+	flip   bool      // the search side was the users (eventFlow.reset)
 	pairs  [][2]int  // (event, user) parent-id pairs carrying flow, all sim > 0
 
 	readers int // solves that got this state and still read it; guarded by WarmCache.mu
@@ -281,18 +281,16 @@ func (w *warmIndex) gatherRow(in *Instance, v, event int, row []float64) bool {
 	return true
 }
 
-// restore force-pushes the previous flow support onto the freshly built
-// network g wherever both endpoints survived, the pair still has an arc,
-// and residual capacity allows (a delta may have shrunk caps). It then
-// repairs optimality with WarmStart, seeded from the previous potentials,
-// and retreats the restored units whose marginal cost reached 1 — units
-// the cold sweep would never have pushed. A repair that does not converge
-// falls back cold (ClearFlow + Reset) on the same network. sv must already
-// be acquired on g, so its Reset saw a flow-free network.
-func (w *warmIndex) restore(ctx context.Context, g *mincostflow.Graph, sv *mincostflow.Solver, pairArc []mincostflow.ArcID, events, users []int) error {
-	nv, nu := len(events), len(users)
-	s, t := 0, 1+nv+nu
-	newEventIdx := make(map[int]int, nv)
+// restore puts the previous flow back on f wherever both endpoints
+// survived, the pair is still positive, and both capacities allow (a
+// delta may have shrunk them), with the previous potentials of the
+// surviving events, s and t. It then repairs optimality in event space
+// (eventFlow.repair: Bellman–Ford, cancelling the negative cycles the
+// delta closed) and retreats the restored units whose marginal cost
+// reached 1 — units the cold sweep would never have pushed. A repair that
+// does not converge falls back cold on the same tables.
+func (w *warmIndex) restore(ctx context.Context, f *eventFlow, events []int) error {
+	newEventIdx := make(map[int]int, len(events))
 	for v, e := range events {
 		newEventIdx[e] = v
 	}
@@ -303,52 +301,54 @@ func (w *warmIndex) restore(ctx context.Context, g *mincostflow.Graph, sv *minco
 		if !okv || !oku {
 			continue
 		}
-		pa := pairArc[v*nu+u]
-		srcA := mincostflow.ArcID(2 * v)
-		sinkA := mincostflow.ArcID(2 * (nv + u))
-		if pa >= 0 && g.Residual(srcA) > 0 && g.Residual(pa) > 0 && g.Residual(sinkA) > 0 {
-			g.PushFlow(srcA, 1)
-			g.PushFlow(pa, 1)
-			g.PushFlow(sinkA, 1)
+		if i, x, y := f.pair(v, u); f.rows[i] > 0 && !f.on[i] && int(f.lenV[x]) < f.capV[x] && f.free(y) {
+			f.add(x, y)
 			restored++
 		}
 	}
+	f.buildTables()
 	if restored == 0 {
 		return nil
 	}
 
-	prev := w.prev
-	pot := make([]float64, nv+nu+2)
-	onv, onu := len(prev.events), len(prev.users)
-	pot[s] = prev.pot[0]
-	pot[t] = prev.pot[onv+onu+1]
-	for v, e := range events {
-		if ov, ok := w.eventRow[e]; ok {
-			pot[1+v] = prev.pot[1+ov]
+	// The previous potentials of the surviving search-side nodes, s and
+	// t, when the previous solve searched the same side.
+	prev, nv := w.prev, f.nv
+	side := len(prev.events)
+	if f.flip {
+		side = len(prev.users)
+	}
+	if n := len(prev.pot); prev.flip == f.flip && n == side+2 {
+		f.pot[nv], f.pot[nv+1] = prev.pot[n-2], prev.pot[n-1]
+		if f.flip {
+			for u, oc := range w.userCol {
+				if oc >= 0 {
+					f.pot[u] = prev.pot[oc]
+				}
+			}
+		} else {
+			for v, e := range events {
+				if ov, ok := w.eventRow[e]; ok {
+					f.pot[v] = prev.pot[ov]
+				}
+			}
 		}
 	}
-	for u, oc := range w.userCol {
-		if oc >= 0 {
-			pot[1+nv+u] = prev.pot[1+onv+oc]
-		}
-	}
-	ws := sv.WarmStart(g, s, t, pot)
-	mcflowWarmCycles.Add(int64(ws.CyclesCanceled))
-	mcflowWarmBFPasses.Add(int64(ws.Passes))
-	if !ws.OK {
+	ok := f.repair()
+	mcflowWarmCycles.Add(int64(f.cyclesCanceled))
+	mcflowWarmBFPasses.Add(int64(f.passes))
+	if !ok {
 		mcflowWarmColdFallbacks.Inc()
-		g.ClearFlow()
-		sv.Reset(g, s, t)
+		f.clearFlow()
 		return nil
 	}
 	mcflowWarmHits.Inc()
-	mcflowWarmRestoredUnits.Add(ws.RestoredFlow)
+	mcflowWarmRestoredUnits.Add(f.total())
 	for {
 		if err := ctx.Err(); err != nil {
-			observeFlowWork(sv)
 			return err
 		}
-		if _, ok := sv.RetreatAbove(1); !ok {
+		if !f.retreat() {
 			return nil
 		}
 	}

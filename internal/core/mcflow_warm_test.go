@@ -224,7 +224,7 @@ func removeAt(s []int, i int) []int { return append(s[:i:i], s[i+1:]...) }
 
 // TestWarmRepairCounters re-solves warm after a user joins who is more
 // similar to the only event than the user it holds: the restored flow then
-// closes a negative residual cycle, and WarmStart's cancelation must move
+// closes a negative residual cycle, and the repair's cancelation must move
 // geacc_mcflow_warm_cycles_canceled_total and
 // geacc_mcflow_warm_bf_passes_total.
 func TestWarmRepairCounters(t *testing.T) {

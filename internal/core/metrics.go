@@ -3,7 +3,6 @@ package core
 import (
 	"time"
 
-	"github.com/ebsnlab/geacc/internal/mincostflow"
 	"github.com/ebsnlab/geacc/internal/obs"
 )
 
@@ -71,15 +70,14 @@ func observeGap(algo string, gap float64) {
 	reg.FloatGauge(obs.Label("geacc_solve_last_gap", "algo", algo)).Set(gap)
 }
 
-// observeFlowWork flushes one relaxation's SSPA work as the solver tallied
-// it: the augmenting paths pushed, and the shortest-path searches with
-// their heap pops and arc scans.
-func observeFlowWork(sv *mincostflow.Solver) {
-	st := sv.SearchStats()
-	mcflowAugmentations.Add(st.Paths)
-	mcflowSearches.Add(st.Searches)
-	mcflowDijkstraPops.Add(st.Pops)
-	mcflowArcScans.Add(st.ArcScans)
+// observeFlowWork flushes one relaxation's search work: the units pushed
+// and retreated, and the dense event-space searches with the events they
+// settled and the compound arcs they relaxed.
+func observeFlowWork(w flowWork) {
+	mcflowAugmentations.Add(w.paths)
+	mcflowSearches.Add(w.searches)
+	mcflowDijkstraPops.Add(w.pops)
+	mcflowArcScans.Add(w.scans)
 }
 
 // observeSolve records one SolveContext outcome under the per-algorithm

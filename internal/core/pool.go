@@ -1,10 +1,6 @@
 package core
 
-import (
-	"sync"
-
-	"github.com/ebsnlab/geacc/internal/mincostflow"
-)
+import "sync"
 
 // Per-solve scratch pooling. A server solving per request allocates the
 // same transient buffers on every call: Greedy's capacity arrays and sweep
@@ -42,8 +38,8 @@ const maxPooledSweepBytes = 4 << 20
 // The sweep sizes its own buffers.
 func acquireGreedyScratch(nv, nu int) *greedyScratch {
 	g := greedyScratchPool.Get().(*greedyScratch)
-	g.capV = resizeInts(g.capV, nv)
-	g.capU = resizeInts(g.capU, nu)
+	g.capV = resizeSlice(g.capV, nv)
+	g.capU = resizeSlice(g.capU, nu)
 	return g
 }
 
@@ -69,38 +65,39 @@ func releaseGreedyScratch(g *greedyScratch) {
 }
 
 // mcflowScratch is the per-run working set of relaxedOptimum: the flat
-// similarity rows (when no FlowState takes ownership of them), the
-// pair-arc index mapping (v, u) to its arc, and a warm solve's user
-// columns (warmIndex.userCol).
+// similarity rows (when no FlowState takes ownership of them) and their
+// transpose for a flipped search, the event-space flow with its tables,
+// and a warm solve's user columns (warmIndex.userCol).
 type mcflowScratch struct {
-	rows    []float64
-	pairArc []mincostflow.ArcID
-	userCol []int
+	rows, trows []float64
+	flow        eventFlow
+	userCol     []int
 }
 
 var mcflowScratchPool = sync.Pool{New: func() any { return new(mcflowScratch) }}
 
 func acquireMcflowScratch(nv, nu int) *mcflowScratch {
 	m := mcflowScratchPool.Get().(*mcflowScratch)
-	if cap(m.rows) < nv*nu {
-		m.rows = make([]float64, nv*nu)
-	} else {
-		m.rows = m.rows[:nv*nu]
+	m.rows = resizeSlice(m.rows, nv*nu)
+	if nv > nu {
+		m.trows = resizeSlice(m.trows, nv*nu)
 	}
-	if cap(m.pairArc) < nv*nu {
-		m.pairArc = make([]mincostflow.ArcID, nv*nu)
-	} else {
-		m.pairArc = m.pairArc[:nv*nu]
-	}
-	m.userCol = resizeInts(m.userCol, nu)
+	m.userCol = resizeSlice(m.userCol, nu)
 	return m
 }
 
-func releaseMcflowScratch(m *mcflowScratch) { mcflowScratchPool.Put(m) }
+// releaseMcflowScratch drops the flow's reference to the rows, which a
+// FlowState may own, and returns the scratch.
+func releaseMcflowScratch(m *mcflowScratch) {
+	m.flow.rows = nil
+	mcflowScratchPool.Put(m)
+}
 
-func resizeInts(s []int, n int) []int {
+// resizeSlice returns s with length n, reallocating only when its
+// capacity falls short; the contents are the caller's to rewrite.
+func resizeSlice[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }

@@ -182,17 +182,19 @@ func TestMinCostFlowRecordsSearchWork(t *testing.T) {
 	a0, n0, p0, s0 := aug.Value(), searches.Value(), pops.Value(), scans.Value()
 	res := MinCostFlowOpts(ctxTestInstance(t), FlowOptions{})
 	da, dn, dp, ds := aug.Value()-a0, searches.Value()-n0, pops.Value()-p0, scans.Value()-s0
-	// Unit pair arcs: one augmenting path per unit of Δ, however many
-	// paths a search pushes, and at most one search more than paths.
+	// Unit pair arcs: one augmenting path per unit of Δ, and one
+	// event-space search per unit plus the one that finds no path below 1.
 	if da != res.Delta || da == 0 {
 		t.Fatalf("augmentations moved by %d, Delta is %d", da, res.Delta)
 	}
-	if dn < 1 || dn > da+1 {
-		t.Fatalf("searches moved by %d over %d augmentations", dn, da)
+	if dn != da+1 {
+		t.Fatalf("searches moved by %d over %d augmentations, want one more", dn, da)
 	}
-	// Every search pops the source. One that pushes also pops an event, a
-	// user and that user's sink candidate; only the last may push nothing.
-	if dp < 4*dn-3 || ds == 0 {
+	// A search that pushes settles the path's events, at least one; no
+	// search settles an event twice or relaxes more than one compound arc
+	// per settled event and unsettled one.
+	const nv = 2
+	if dp < da || dp > dn*nv || ds > dp*nv {
 		t.Fatalf("pops moved by %d and arc scans by %d over %d searches", dp, ds, dn)
 	}
 }

@@ -7,21 +7,19 @@ import (
 )
 
 func TestGraphAccessors(t *testing.T) {
-	g := AcquireGraph(3)
+	g := NewGraph(3)
 	if g.numNodes != 3 || len(g.to)/2 != 0 {
 		t.Fatalf("fresh graph: nodes=%d arcs=%d", g.numNodes, len(g.to)/2)
 	}
-	g.Grow(10)
 	g.AddArc(0, 1, 2, 0.5)
 	g.AddArc(1, 2, 1, 0.25)
 	if len(g.to)/2 != 2 {
 		t.Fatalf("arcs = %d", len(g.to)/2)
 	}
-	// Grow must preserve existing arcs.
-	sv := AcquireSolver(g, 0, 2)
+	sv := NewSolver(g, 0, 2)
 	flow, cost := minCostFlow(sv, math.MaxInt64)
 	if flow != 1 || math.Abs(cost-0.75) > 1e-12 {
-		t.Fatalf("flow=%d cost=%v after Grow", flow, cost)
+		t.Fatalf("flow=%d cost=%v", flow, cost)
 	}
 	if sv.TotalFlow() != 1 || math.Abs(flowCost(sv.g)-0.75) > 1e-12 {
 		t.Fatalf("totals = %d, %v", sv.TotalFlow(), flowCost(sv.g))
@@ -31,12 +29,12 @@ func TestGraphAccessors(t *testing.T) {
 func TestAugmentBelowStopsAtBound(t *testing.T) {
 	// Two unit paths: costs 0.4 and 0.9. With bound 0.5 only the cheap one
 	// is taken; a second call reports the rejected cost.
-	g := AcquireGraph(4)
+	g := NewGraph(4)
 	g.AddArc(0, 1, 1, 0.4)
 	g.AddArc(1, 3, 1, 0)
 	g.AddArc(0, 2, 1, 0.9)
 	g.AddArc(2, 3, 1, 0)
-	sv := AcquireSolver(g, 0, 3)
+	sv := NewSolver(g, 0, 3)
 	units, cost, ok := sv.AugmentBelow(10, 0.5)
 	if !ok || units != 1 || math.Abs(cost-0.4) > 1e-12 {
 		t.Fatalf("first AugmentBelow = (%d, %v, %v)", units, cost, ok)
@@ -64,12 +62,12 @@ func TestAugmentBelowStopsAtBound(t *testing.T) {
 func TestSearchStopsAtTarget(t *testing.T) {
 	// 0 -> 1 -> 2 is the unit path to the sink; 0 -> 3 -> 4 is a dead
 	// branch the first search never needs to settle.
-	g := AcquireGraph(5)
+	g := NewGraph(5)
 	g.AddArc(0, 1, 1, 1)
 	g.AddArc(1, 2, 1, 1)
 	g.AddArc(0, 3, 1, 5)
 	g.AddArc(3, 4, 1, 0)
-	sv := AcquireSolver(g, 0, 2)
+	sv := NewSolver(g, 0, 2)
 	if units, cost, ok := sv.AugmentBelow(1, math.Inf(1)); !ok || units != 1 || cost != 2 {
 		t.Fatalf("Augment = (%d, %v, %v), want (1, 2, true)", units, cost, ok)
 	}
@@ -81,7 +79,7 @@ func TestSearchStopsAtTarget(t *testing.T) {
 	// Settled nodes advance by their distance; node 3 (tentative 5) and
 	// node 4 (never reached) by the sink's distance 2.
 	want := []float64{0, 1, 2, 2, 2}
-	if got := sv.Potentials(nil); !slices.Equal(got, want) {
+	if got := sv.Potentials(); !slices.Equal(got, want) {
 		t.Fatalf("potentials = %v, want %v", got, want)
 	}
 	// The sink is cut off: the second search exhausts the dead branch.
@@ -97,13 +95,13 @@ func TestSearchSkipsArcsPastSinkBound(t *testing.T) {
 	// Node 1 reaches the sink 5 through 2, 3 or 4 at rising costs 1, 2, 3.
 	// Its arcs are scanned cheapest first, and once the bound on the
 	// sink's distance is known the costlier ones cannot beat it.
-	g := AcquireGraph(6)
+	g := NewGraph(6)
 	src := g.AddArc(0, 1, 3, 0)
 	mid := []ArcID{g.AddArc(1, 2, 1, 1), g.AddArc(1, 3, 1, 2), g.AddArc(1, 4, 1, 3)}
 	for w := 2; w <= 4; w++ {
 		g.AddArc(w, 5, 1, 0)
 	}
-	sv := AcquireSolver(g, 0, 5)
+	sv := NewSolver(g, 0, 5)
 	steps := []struct {
 		cost        float64
 		pops, scans int64
@@ -136,7 +134,7 @@ func TestSearchSkipsArcsPastSinkBound(t *testing.T) {
 		if f := g.Flow(src); f != int64(i+1) {
 			t.Fatalf("step %d: source arc carries %d", i, f)
 		}
-		if got := sv.Potentials(nil); !slices.Equal(got, want.pot) {
+		if got := sv.Potentials(); !slices.Equal(got, want.pot) {
 			t.Fatalf("step %d: potentials = %v, want %v", i, got, want.pot)
 		}
 	}
@@ -147,13 +145,13 @@ func TestAugmentPathsCertifiesSeveral(t *testing.T) {
 	// through 2, 3 or 4 at rising costs 1, 2, 3, and the source arc carries
 	// 3. One search pushes all three paths, cheapest first: each candidate's
 	// tree path is intact when it pops, and nothing broke before it.
-	g := AcquireGraph(6)
+	g := NewGraph(6)
 	g.AddArc(0, 1, 3, 0)
 	mid := []ArcID{g.AddArc(1, 2, 1, 1), g.AddArc(1, 3, 1, 2), g.AddArc(1, 4, 1, 3)}
 	for w := 2; w <= 4; w++ {
 		g.AddArc(w, 5, 1, 0)
 	}
-	sv := AcquireSolver(g, 0, 5)
+	sv := NewSolver(g, 0, 5)
 	units, more := sv.AugmentPaths(math.MaxInt64, math.Inf(1))
 	if units != 3 || more {
 		t.Fatalf("AugmentPaths = (%d, %v), want (3, false)", units, more)
@@ -168,7 +166,7 @@ func TestAugmentPathsCertifiesSeveral(t *testing.T) {
 	}
 	// The heap ran dry at key 3: every node advances by its distance and
 	// the sink by 3.
-	if got, want := sv.Potentials(nil), []float64{0, 0, 1, 2, 3, 3}; !slices.Equal(got, want) {
+	if got, want := sv.Potentials(), []float64{0, 0, 1, 2, 3, 3}; !slices.Equal(got, want) {
 		t.Fatalf("potentials = %v, want %v", got, want)
 	}
 }
@@ -180,7 +178,7 @@ func TestAugmentPathsStopsAtBrokenCandidate(t *testing.T) {
 	// arc keeps a unit, so u is broken: its cheapest residual in-arc b -> u
 	// bounds every later path through u by 0 + 0.1, and w, at 0.5, is not
 	// certified. The batch ends at H = 0.1 and lifts u by H - L(u) = 0.1.
-	g := AcquireGraph(6)
+	g := NewGraph(6)
 	g.AddArc(0, 1, 1, 0)
 	g.AddArc(0, 2, 1, 0)
 	au := g.AddArc(1, 3, 1, 0)
@@ -188,11 +186,11 @@ func TestAugmentPathsStopsAtBrokenCandidate(t *testing.T) {
 	aw := g.AddArc(1, 4, 1, 0.5)
 	g.AddArc(3, 5, 2, 0)
 	g.AddArc(4, 5, 1, 0)
-	sv := AcquireSolver(g, 0, 5)
+	sv := NewSolver(g, 0, 5)
 	if units, more := sv.AugmentPaths(math.MaxInt64, math.Inf(1)); units != 1 || !more {
 		t.Fatalf("first AugmentPaths = (%d, %v), want (1, true)", units, more)
 	}
-	if got, want := sv.Potentials(nil), []float64{0, 0, 0, 0.1, 0.1, 0.1}; !slices.Equal(got, want) {
+	if got, want := sv.Potentials(), []float64{0, 0, 0, 0.1, 0.1, 0.1}; !slices.Equal(got, want) {
 		t.Fatalf("potentials = %v, want %v", got, want)
 	}
 	// The second search finds s-b-u-t at reduced cost 0 (true cost 0.1),
@@ -215,12 +213,12 @@ func TestAugmentPathsStopsAtBrokenCandidate(t *testing.T) {
 
 func TestAugmentPathsBounds(t *testing.T) {
 	// TestAugmentBelowStopsAtBound's two unit paths, costs 0.4 and 0.9.
-	g := AcquireGraph(4)
+	g := NewGraph(4)
 	g.AddArc(0, 1, 1, 0.4)
 	g.AddArc(1, 3, 1, 0)
 	g.AddArc(0, 2, 1, 0.9)
 	g.AddArc(2, 3, 1, 0)
-	sv := AcquireSolver(g, 0, 3)
+	sv := NewSolver(g, 0, 3)
 	// The cost bound stops the batch at the certified 0.9 path, and proves
 	// that nothing below it is left.
 	if units, more := sv.AugmentPaths(10, 0.5); units != 1 || more {
@@ -236,12 +234,12 @@ func TestAugmentPathsBounds(t *testing.T) {
 		t.Fatalf("bound 1: (%d, %v), want (1, false)", units, more)
 	}
 	// maxUnits ends a batch that could go on.
-	g = AcquireGraph(4)
+	g = NewGraph(4)
 	g.AddArc(0, 1, 1, 0.4)
 	g.AddArc(1, 3, 1, 0)
 	g.AddArc(0, 2, 1, 0.9)
 	g.AddArc(2, 3, 1, 0)
-	sv = AcquireSolver(g, 0, 3)
+	sv = NewSolver(g, 0, 3)
 	if units, more := sv.AugmentPaths(1, math.Inf(1)); units != 1 || !more {
 		t.Fatalf("maxUnits 1: (%d, %v), want (1, true)", units, more)
 	}

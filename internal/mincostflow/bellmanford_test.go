@@ -145,7 +145,7 @@ func TestBellmanFordSkipsMatchFullPasses(t *testing.T) {
 	onePasses, marked, cycles := 0, 0, 0
 	for trial := range 400 {
 		n := 2 + rng.Intn(12)
-		g := AcquireGraph(n)
+		g := NewGraph(n)
 		for range rng.Intn(4 * n) {
 			from, to := rng.Intn(n), rng.Intn(n)
 			if from != to {
@@ -212,7 +212,7 @@ func TestBellmanFordSkipsMatchFullPasses(t *testing.T) {
 func TestNegativeCycleFoundEarly(t *testing.T) {
 	const n = 200
 	rng := rand.New(rand.NewSource(3))
-	g := AcquireGraph(n)
+	g := NewGraph(n)
 	for range 4 * n {
 		if from, to := rng.Intn(n), rng.Intn(n); from != to {
 			g.AddArc(from, to, 1, 3+float64(rng.Intn(5))/4)

@@ -97,7 +97,7 @@ func establishFlow(g *Graph, s, t int, target int64) int64 {
 }
 
 func TestCycleCancelingSimple(t *testing.T) {
-	g := AcquireGraph(4)
+	g := NewGraph(4)
 	g.AddArc(0, 1, 1, 5)
 	g.AddArc(1, 3, 1, 0)
 	g.AddArc(0, 2, 1, 1)
@@ -114,7 +114,7 @@ func TestCycleCancelingSimple(t *testing.T) {
 func TestCycleCancelingNeedsCanceling(t *testing.T) {
 	// BFS establishes flow on the expensive path first; a negative residual
 	// cycle then reroutes it.
-	g := AcquireGraph(4)
+	g := NewGraph(4)
 	g.AddArc(0, 1, 1, 10) // expensive
 	g.AddArc(1, 3, 1, 0)
 	g.AddArc(0, 2, 1, 1) // cheap
@@ -161,7 +161,7 @@ func TestCycleCancelingMatchesSSPAProperty(t *testing.T) {
 		target := 1 + rng.Int63n(maxFlow)
 
 		gA, s, tt := buildBipartite(nv, nu, capV, capU, cost)
-		sspa := AcquireSolver(gA, s, tt)
+		sspa := NewSolver(gA, s, tt)
 		flowA, costA := minCostFlow(sspa, target)
 
 		gB, _, _ := buildBipartite(nv, nu, capV, capU, cost)
@@ -178,7 +178,7 @@ func TestCycleCancelingMatchesSSPAProperty(t *testing.T) {
 
 func TestCycleCancelingPartialFlow(t *testing.T) {
 	// Target exceeds the max flow: solver delivers what is possible.
-	g := AcquireGraph(3)
+	g := NewGraph(3)
 	g.AddArc(0, 1, 2, 1)
 	g.AddArc(1, 2, 2, 1)
 	flow, cost, err := CycleCanceling(g, 0, 2, 10)
@@ -191,7 +191,7 @@ func TestCycleCancelingPartialFlow(t *testing.T) {
 }
 
 func TestCycleCancelingDisconnected(t *testing.T) {
-	g := AcquireGraph(3)
+	g := NewGraph(3)
 	g.AddArc(0, 1, 1, 1)
 	flow, cost, err := CycleCanceling(g, 0, 2, 1)
 	if err != nil {
@@ -203,7 +203,7 @@ func TestCycleCancelingDisconnected(t *testing.T) {
 }
 
 func TestCycleCancelingBadTerminals(t *testing.T) {
-	g := AcquireGraph(2)
+	g := NewGraph(2)
 	if _, _, err := CycleCanceling(g, 0, 0, 1); err == nil {
 		t.Error("s == t accepted")
 	}
@@ -237,7 +237,7 @@ func BenchmarkFlowSolvers(b *testing.B) {
 		var work SearchStats
 		for i := 0; i < b.N; i++ {
 			g, s, t := buildBipartite(nv, nu, capV, capU, cost)
-			sv := AcquireSolver(g, s, t)
+			sv := NewSolver(g, s, t)
 			for more := true; more && sv.TotalFlow() < 50; {
 				_, more = sv.AugmentPaths(50-sv.TotalFlow(), math.Inf(1))
 			}
@@ -258,4 +258,101 @@ func BenchmarkFlowSolvers(b *testing.B) {
 			}
 		}
 	})
+}
+
+// findNegativeCycle runs Bellman-Ford over the residual graph from a
+// virtual source joined to each node v at distance dist[v], returning the
+// arcs of one negative-cost cycle, or nil if none exists, and the passes it
+// made; a seed near valid potentials proves there is none in a pass or
+// two. A tiny epsilon guards against floating-point noise canceling
+// "cycles" of cost ~0 forever. dist, prevArc, dirty and stamp (all of
+// length n) are its scratch. Like relaxPotentials, a pass skips the nodes
+// whose label has not fallen since their last scan. It is
+// CycleCanceling's cycle search.
+//
+// After each pass that relaxed something, one walk over the parent
+// pointers looks for a cycle in the parent graph and returns the first it
+// closes: a parent arc is set only when it lowers its head's label by more
+// than eps, so every such cycle costs less than -eps (up to the rounding
+// of the stored labels). A cycle thus shows up a few passes after the
+// relaxations reach it, not on the n-th pass. A search still relaxing
+// after n passes without closing a parent cycle returns nil. A nil
+// return otherwise comes from a search that never closed a parent
+// cycle, so it made the same passes, in the same order, as one without
+// the walks.
+//
+// A nil return after one pass means the first pass relaxed nothing: dist
+// is then still the seed, and dirty marks exactly the nodes with a
+// residual arc whose label undercuts its head's by at most eps.
+func findNegativeCycle(g *Graph, dist []float64, prevArc []int32, dirty []bool, stamp []int32) (cycle []int32, passes int) {
+	const eps = 1e-12
+	n, start, adj, capa := g.numNodes, g.start, g.adj, g.cap
+	for i := range prevArc {
+		prevArc[i] = -1
+		dirty[i] = true
+	}
+	for passes = 1; passes <= n; passes++ {
+		relaxed := false
+		for v := 0; v < n; v++ {
+			if !dirty[v] {
+				continue
+			}
+			dirty[v] = false
+			for _, r := range adj[start[v]:start[v+1]] {
+				if capa[r.arc] <= 0 {
+					continue
+				}
+				w := int(r.to)
+				if nd := dist[v] + r.cost; nd < dist[w]-eps {
+					dist[w] = nd
+					prevArc[w] = r.arc
+					dirty[w] = true
+					relaxed = true
+				} else if nd < dist[w] {
+					// Within eps: no relaxation here, but v is marked for
+					// the caller (a rescan of v relaxes nothing).
+					dirty[v] = true
+				}
+			}
+		}
+		if !relaxed {
+			return nil, passes
+		}
+		if w := parentCycle(g, prevArc, stamp); w >= 0 {
+			return collectCycle(g, prevArc, w), passes
+		}
+	}
+	return nil, n
+}
+
+// parentCycle returns a node on a cycle of the parent graph prevArc, or -1
+// when it has none. Each walk climbs the parent pointers from one node,
+// stamping what it passes, until it reaches a root or a stamped node; it
+// has closed a cycle when that stamp is its own. Every node is stamped at
+// most once, so the search costs O(n).
+func parentCycle(g *Graph, prevArc, stamp []int32) int {
+	clear(stamp)
+	for v := range prevArc {
+		id, w := int32(v+1), v
+		for stamp[w] == 0 && prevArc[w] >= 0 {
+			stamp[w] = id
+			w = int(g.to[prevArc[w]^1])
+		}
+		if stamp[w] == id {
+			return w
+		}
+	}
+	return -1
+}
+
+// collectCycle returns the parent arcs of the cycle through v, walked
+// backwards from v.
+func collectCycle(g *Graph, prevArc []int32, v int) (cycle []int32) {
+	for w := v; ; {
+		a := prevArc[w]
+		cycle = append(cycle, a)
+		if w = int(g.to[a^1]); w == v {
+			return cycle
+		}
+	}
 }

@@ -7,10 +7,9 @@ import (
 
 // FuzzSSPA decodes bytes into a small network and checks every SSPA step
 // against CycleCanceling and the potential invariant: the cold sweep to
-// max flow one AugmentPaths batch at a time, then a RetreatAbove phase,
-// which must stop at the first unit costing less than its bound. The
-// sweep's flow and cost must match the one-path oracle's, and so must
-// those of a second sweep that stops at the bound. The seed corpus in
+// max flow one AugmentPaths batch at a time. The sweep's flow and cost
+// must match the one-path oracle's, and so must those of a second sweep
+// that stops at the bound. The seed corpus in
 // testdata/fuzz/FuzzSSPA replays under plain `go test`.
 func FuzzSSPA(f *testing.F) {
 	f.Add([]byte{4, 0, 0, 0, 0, 0, 1, 0x10, 1, 3, 0x12, 0, 2, 0x31, 2, 3, 0x05, 8})
@@ -20,22 +19,15 @@ func FuzzSSPA(f *testing.F) {
 		if !ok {
 			return
 		}
-		sv := AcquireSolver(ns.build(), ns.s, ns.t)
+		sv := NewSolver(ns.build(), ns.s, ns.t)
 		checkStep(t, ns, sv, "bootstrap")
 		sweepPaths(t, ns, sv, math.Inf(1))
 		if maxFlow, _ := ns.oracle(t, math.MaxInt64); sv.TotalFlow() != maxFlow {
 			t.Fatalf("stopped at flow %d, max flow is %d", sv.TotalFlow(), maxFlow)
 		}
 		checkOnePath(t, ns, sv, math.Inf(1))
-		for {
-			if _, ok := sv.RetreatAbove(bound); !ok {
-				break
-			}
-			checkStep(t, ns, sv, "retreat")
-		}
-		checkRetreatDone(t, ns, sv, bound)
 
-		sv = AcquireSolver(ns.build(), ns.s, ns.t)
+		sv = NewSolver(ns.build(), ns.s, ns.t)
 		sweepPaths(t, ns, sv, bound)
 		checkOnePath(t, ns, sv, bound)
 	})
@@ -47,7 +39,7 @@ func FuzzSSPA(f *testing.F) {
 //	bytes 1..n   per-node cost offsets phi (used when negative costs are on)
 //	then triples from, to, c: an arc with capacity 1 + c>>4 % 4 and cost
 //	             (c%16 + phi[from] - phi[to]) / 4, so no cycle is negative
-//	last byte    the RetreatAbove cost bound, b%16 / 4
+//	last byte    the second sweep's cost bound, b%16 / 4
 //
 // Self-loops are dropped. ok is false when data is too short.
 func decodeNet(data []byte) (ns *netSpec, bound float64, ok bool) {
@@ -105,7 +97,7 @@ func FuzzNegativeCycle(f *testing.F) {
 		if len(data) < 1+n {
 			return
 		}
-		g := AcquireGraph(n)
+		g := NewGraph(n)
 		body := data[1+n:]
 		for i := 0; i+2 < len(body) && len(g.to)/2 < 48; i += 3 {
 			from, to, c := int(body[i])%n, int(body[i+1])%n, body[i+2]

@@ -7,11 +7,10 @@ import (
 )
 
 // The potential invariant behind SSPA: after every search-and-update step
-// (AugmentPaths, the one-path AugmentBelow, RetreatAbove) every arc with positive residual
-// capacity has reduced cost cost(a) + pot(from) - pot(to) >= 0. These
-// tests check it step by step, and check each step's flow against an
-// independent oracle, on zero-cost, negative-cost and warm-restored
-// networks. Costs are multiples of 1/1024 so flow costs are exact sums and
+// (AugmentPaths, the one-path AugmentBelow) every arc with positive
+// residual capacity has reduced cost cost(a) + pot(from) - pot(to) >= 0.
+// These tests check it step by step, and check each step's flow against
+// an independent oracle, on zero-cost and negative-cost networks. Costs are multiples of 1/1024 so flow costs are exact sums and
 // ties between paths are real ties.
 
 // arcSpec and netSpec describe a network so it can be rebuilt fresh for
@@ -29,7 +28,7 @@ type netSpec struct {
 }
 
 func (ns *netSpec) build() *Graph {
-	g := AcquireGraph(ns.n)
+	g := NewGraph(ns.n)
 	for _, a := range ns.arcs {
 		g.AddArc(a.from, a.to, a.cap, a.cost)
 	}
@@ -71,21 +70,6 @@ func checkPotentials(t testing.TB, sv *Solver, step string) {
 		if rc := g.cost[a] + sv.pot[v] - sv.pot[g.to[a]]; rc < -1e-9 {
 			t.Fatalf("%s: arc %d->%d has reduced cost %v", step, v, g.to[a], rc)
 		}
-	}
-}
-
-// checkRetreatDone asserts that a RetreatAbove phase stopped where it
-// should: the last unit still in the flow costs less than bound, so
-// retreating it would refund less than bound.
-func checkRetreatDone(t testing.TB, ns *netSpec, sv *Solver, bound float64) {
-	t.Helper()
-	k := sv.TotalFlow()
-	if k == 0 {
-		return
-	}
-	_, prev := ns.oracle(t, k-1)
-	if last := flowCost(sv.g) - prev; last >= bound+1e-9 {
-		t.Fatalf("retreat stopped at flow %d, whose last unit costs %v >= bound %v", k, last, bound)
 	}
 }
 
@@ -135,7 +119,7 @@ func sweepPaths(t testing.TB, ns *netSpec, sv *Solver, bound float64) {
 // one-path oracle's sweep below bound on a fresh copy of the network.
 func checkOnePath(t testing.TB, ns *netSpec, sv *Solver, bound float64) {
 	t.Helper()
-	one := AcquireSolver(ns.build(), ns.s, ns.t)
+	one := NewSolver(ns.build(), ns.s, ns.t)
 	for {
 		if _, _, ok := one.AugmentBelow(math.MaxInt64, bound); !ok {
 			break
@@ -173,7 +157,7 @@ func TestPotentialInvariantZeroCost(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 150; trial++ {
 		ns := randomNet(rng, 3+rng.Intn(8), false, 0.5)
-		sv := AcquireSolver(ns.build(), ns.s, ns.t)
+		sv := NewSolver(ns.build(), ns.s, ns.t)
 		driveCold(t, rng, ns, sv)
 	}
 }
@@ -182,7 +166,7 @@ func TestPotentialInvariantNegativeCost(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for trial := 0; trial < 150; trial++ {
 		ns := randomNet(rng, 3+rng.Intn(8), true, 0.2)
-		sv := AcquireSolver(ns.build(), ns.s, ns.t)
+		sv := NewSolver(ns.build(), ns.s, ns.t)
 		checkStep(t, ns, sv, "bellman-ford bootstrap")
 		driveCold(t, rng, ns, sv)
 	}
@@ -210,7 +194,7 @@ func TestPotentialInvariantBruteForce(t *testing.T) {
 			}
 		}
 		g, s, tt := buildBipartite(nv, nu, capV, capU, cost)
-		sv := AcquireSolver(g, s, tt)
+		sv := NewSolver(g, s, tt)
 		for more := true; more; {
 			var units int64
 			if units, more = sv.AugmentPaths(math.MaxInt64, math.Inf(1)); units == 0 {
@@ -221,60 +205,6 @@ func TestPotentialInvariantBruteForce(t *testing.T) {
 				t.Fatalf("trial %d k=%d: cost %v, brute force %v", trial, k, flowCost(sv.g), want)
 			}
 			checkPotentials(t, sv, "bipartite augment")
-		}
-	}
-}
-
-// TestPotentialInvariantWarm restores a previous solve's flow onto a
-// network with perturbed costs and extra arcs (PushFlow + WarmStart), then
-// retreats and augments under a cost bound, checking every step.
-func TestPotentialInvariantWarm(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	for trial := 0; trial < 150; trial++ {
-		ns := randomNet(rng, 3+rng.Intn(8), trial%2 == 1, 0.3)
-		g0 := ns.build()
-		sv0 := AcquireSolver(g0, ns.s, ns.t)
-		minCostFlow(sv0, 1+rng.Int63n(6))
-		prevPot := sv0.Potentials(nil)
-
-		// Delta: re-cost some arcs (keeping every cycle non-negative by
-		// only raising costs) and append a few new ones. Arc ids of the
-		// surviving arcs are unchanged, so the old flow restores exactly.
-		ns2 := &netSpec{n: ns.n, s: ns.s, t: ns.t, phi: ns.phi, arcs: append([]arcSpec(nil), ns.arcs...)}
-		for i := range ns2.arcs {
-			if rng.Intn(4) == 0 {
-				ns2.arcs[i].cost += float64(rng.Intn(1024)) / 1024
-			}
-		}
-		for k := rng.Intn(4); k > 0; k-- {
-			from, to := rng.Intn(ns.n), rng.Intn(ns.n)
-			if from != to {
-				base := float64(rng.Intn(1024)) / 1024
-				ns2.arcs = append(ns2.arcs, arcSpec{from, to, 1 + int64(rng.Intn(2)), base + ns.phi[from] - ns.phi[to]})
-			}
-		}
-		g := ns2.build()
-		for i := range ns.arcs {
-			if f := g0.Flow(ArcID(2 * i)); f > 0 && !g.PushFlow(ArcID(2*i), f) {
-				t.Fatalf("trial %d: restore of arc %d failed", trial, i)
-			}
-		}
-		sv := AcquireSolver(g, ns2.s, ns2.t)
-		if st := sv.WarmStart(g, ns2.s, ns2.t, prevPot); !st.OK {
-			t.Fatalf("trial %d: WarmStart did not converge", trial)
-		}
-		checkStep(t, ns2, sv, "warm start")
-		bound := float64(rng.Intn(2048)) / 1024
-		for {
-			if _, ok := sv.RetreatAbove(bound); !ok {
-				break
-			}
-			checkStep(t, ns2, sv, "retreat")
-		}
-		checkRetreatDone(t, ns2, sv, bound)
-		sweepPaths(t, ns2, sv, bound)
-		if _, cost, ok := sv.AugmentBelow(1, bound); ok {
-			t.Fatalf("trial %d: the batches stopped, but a path of cost %v < %v is left", trial, cost, bound)
 		}
 	}
 }
@@ -305,7 +235,7 @@ func TestPotentialInvariantQuantizedGEACC(t *testing.T) {
 				}
 			}
 		}
-		sv := AcquireSolver(ns.build(), ns.s, ns.t)
+		sv := NewSolver(ns.build(), ns.s, ns.t)
 		sweepPaths(t, ns, sv, math.Inf(1))
 		checkOnePath(t, ns, sv, math.Inf(1))
 		if maxFlow, _ := ns.oracle(t, math.MaxInt64); sv.TotalFlow() != maxFlow {

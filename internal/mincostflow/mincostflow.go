@@ -3,7 +3,6 @@ package mincostflow
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"github.com/ebsnlab/geacc/internal/pqueue"
 )
@@ -38,14 +37,6 @@ type arcRec struct {
 
 // ArcID identifies an arc returned by AddArc.
 type ArcID int32
-
-// Grow guarantees storage for n additional forward arcs, reallocating only
-// when the current (possibly pooled) capacity falls short.
-func (g *Graph) Grow(n int) {
-	g.to = slices.Grow(g.to, 2*n)
-	g.cap = slices.Grow(g.cap, 2*n)
-	g.cost = slices.Grow(g.cost, 2*n)
-}
 
 // AddArc adds a directed arc from -> to with the given capacity and per-unit
 // cost, returning its id. Capacities must be non-negative and costs finite.
@@ -163,8 +154,7 @@ type Solver struct {
 	broken    []brokenSink
 	brokenMin float64
 
-	dirty []bool  // Bellman–Ford scratch: labels fallen since the node's last scan
-	stamp []int32 // negative-cycle search scratch: parent-walk stamps
+	dirty []bool // Bellman–Ford scratch: labels fallen since the node's last scan
 
 	// potMax is the largest potential of a node other than s and t. fresh
 	// reports that advancePotentials has set it and reset dist since the
@@ -174,7 +164,7 @@ type Solver struct {
 
 	totalFlow int64
 
-	work SearchStats // since the last Reset/WarmStart
+	work SearchStats // since NewSolver
 }
 
 // SearchStats is a Solver's shortest-path work.
@@ -251,7 +241,7 @@ func (sv *Solver) TotalFlow() int64 { return sv.totalFlow }
 // remains, or that maxUnits was not positive. After each call the flow is
 // a minimum-cost flow of amount TotalFlow(). Without exact ties the paths,
 // their order and their bottlenecks are those of a one-path-per-search
-// SSPA (DESIGN.md, "One search, many paths").
+// SSPA.
 //
 // The search is Dijkstra over reduced costs, with t left out of the heap.
 // A settled node u with a residual arc into t becomes a candidate, queued
@@ -471,81 +461,6 @@ func (sv *Solver) addBroken(w int, l, k float64) {
 	sv.brokenMin = min(sv.brokenMin, l+max(slack, 0))
 }
 
-// dijkstraFrom computes reduced-cost shortest paths from src, filling dist
-// and prev, and stops as soon as it pops dst: dist is final for every node
-// popped so far (all at distance <= dist[dst]) and a tentative upper bound,
-// at least dist[dst], for the rest. It reports whether dst is reachable.
-// RetreatAbove roots it at the sink and the one-path test oracle at the
-// source.
-//
-// The search skips every relaxation that cannot beat the target. bound is
-// the length of some path to dst found so far (so bound >= dist[dst]), and
-// no node but dst is labeled at or above it. A node's non-terminal arcs
-// are sorted by cost and none of their heads has a potential above potMax,
-// so once d + ((cost + pot[v]) - potMax) reaches bound, every later arc
-// would give a label >= bound too: the scan stops. DESIGN.md, "Bounded
-// scan", shows that labels, path and potentials are the full scan's.
-//
-// dist must read MaxFloat64 everywhere and potMax be current on entry;
-// advancePotentials leaves them so, and otherwise resetSearch does it here.
-// prev is never cleared: it is read only along the path found, and every
-// node on that path was labeled by this search.
-func (sv *Solver) dijkstraFrom(src, dst int) bool {
-	if !sv.fresh {
-		sv.resetSearch()
-	}
-	sv.fresh = false
-	sv.work.Searches++
-	g, h := sv.g, sv.heap
-	dist, prev, pot, capa, potMax := sv.dist, sv.prev, sv.pot, g.cap, sv.potMax
-	h.Reset()
-	dist[src] = 0
-	h.Push(src, 0)
-	bound := math.MaxFloat64
-	var pops, arcScans int64
-	for h.Len() > 0 {
-		// The heap is indexed (Push relaxes an existing key), so every pop
-		// carries its node's current distance.
-		v, d := h.Pop()
-		pops++
-		if v == dst {
-			break
-		}
-		if !g.sorted[v] {
-			g.sortArcs(v)
-		}
-		lo := g.start[v]
-		recs, nTerm := g.adj[lo:g.start[v+1]], int(g.rest[v]-lo)
-		pv := pot[v]
-		for i, r := range recs {
-			arcScans++
-			cpv := r.cost + pv
-			if i >= nTerm && d+(cpv-potMax) >= bound {
-				break
-			}
-			if capa[r.arc] <= 0 {
-				continue
-			}
-			w := int(r.to)
-			rc := cpv - pot[w]
-			if rc < 0 {
-				// Floating-point drift can push a reduced cost epsilon
-				// below zero; clamp so Dijkstra's invariant holds.
-				rc = 0
-			}
-			if nd := d + rc; nd < dist[w] && (nd < bound || w == dst) {
-				dist[w] = nd
-				prev[w] = r.arc
-				h.Push(w, nd)
-				bound = min(bound, sv.pathBound(w, nd, dst))
-			}
-		}
-	}
-	sv.work.Pops += pops
-	sv.work.ArcScans += arcScans
-	return dist[dst] != math.MaxFloat64
-}
-
 // resetSearch sets every dist to MaxFloat64, marks every node unsettled and
 // recomputes potMax, for a search that no potential update has prepared.
 func (sv *Solver) resetSearch() {
@@ -558,25 +473,6 @@ func (sv *Solver) resetSearch() {
 		}
 	}
 	sv.potMax = potMax
-}
-
-// pathBound returns the length of the cheapest path to dst that ends with
-// w (just labeled nd) and at most one residual arc into dst, or MaxFloat64
-// when w has no such arc. Arcs into dst lead w's adjacency.
-func (sv *Solver) pathBound(w int, nd float64, dst int) float64 {
-	if w == dst {
-		return nd
-	}
-	g := sv.g
-	best := math.MaxFloat64
-	for _, r := range g.adj[g.start[w]:g.rest[w]] {
-		if int(r.to) != dst || g.cap[r.arc] <= 0 {
-			continue
-		}
-		rc := r.cost + sv.pot[w] - sv.pot[dst]
-		best = min(best, nd+max(rc, 0))
-	}
-	return best
 }
 
 // advancePotentials applies the truncated potential update after a search
@@ -601,6 +497,50 @@ func (sv *Solver) advancePotentials(h float64) {
 	sv.potMax, sv.fresh = potMax, true
 }
 
-// SearchStats returns the shortest-path work done since the last Reset or
-// WarmStart.
+// SearchStats returns the shortest-path work done since NewSolver.
 func (sv *Solver) SearchStats() SearchStats { return sv.work }
+
+// NewGraph returns an empty n-node Graph.
+func NewGraph(n int) *Graph {
+	if n <= 0 {
+		panic("mincostflow: non-positive node count")
+	}
+	return &Graph{numNodes: n}
+}
+
+// NewSolver returns a Solver prepared for an SSPA run from s to t on g.
+// When g has a negative-cost arc it runs one Bellman–Ford relaxation for
+// valid initial potentials.
+func NewSolver(g *Graph, s, t int) *Solver {
+	if s < 0 || s >= g.numNodes || t < 0 || t >= g.numNodes || s == t {
+		panic(fmt.Sprintf("mincostflow: invalid terminals s=%d t=%d (n=%d)", s, t, g.numNodes))
+	}
+	n := g.numNodes
+	g.index(s, t)
+	// AugmentPaths queues nodes and candidates under keys [0, n) and the
+	// tails of partly scanned arc lists under [n, 2n).
+	sv := &Solver{
+		g: g, s: s, t: t,
+		pot:  make([]float64, n),
+		dist: make([]float64, n),
+		prev: make([]int32, n),
+		scan: make([]int32, n),
+		heap: pqueue.NewIndexedMinHeap(2 * n),
+	}
+	for i := 0; i < len(g.cost); i += 2 {
+		if g.cap[i] > 0 && g.cost[i] < 0 {
+			sv.relaxPotentials(false)
+			break
+		}
+	}
+	return sv
+}
+
+// resize returns s with length n, reallocating only when its capacity
+// falls short; the contents are the caller's to rewrite.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}

@@ -29,10 +29,10 @@ func flowCost(g *Graph) float64 {
 
 func TestSinglePath(t *testing.T) {
 	// s -> a -> t with capacity 3, cost 1 per hop.
-	g := AcquireGraph(3)
+	g := NewGraph(3)
 	g.AddArc(0, 1, 3, 1)
 	g.AddArc(1, 2, 3, 1)
-	sv := AcquireSolver(g, 0, 2)
+	sv := NewSolver(g, 0, 2)
 	flow, cost := minCostFlow(sv, math.MaxInt64)
 	if flow != 3 || cost != 6 {
 		t.Fatalf("flow=%d cost=%v, want 3, 6", flow, cost)
@@ -41,12 +41,12 @@ func TestSinglePath(t *testing.T) {
 
 func TestChoosesCheaperPath(t *testing.T) {
 	// Two parallel 2-hop paths; cheaper one must fill first.
-	g := AcquireGraph(4)
+	g := NewGraph(4)
 	g.AddArc(0, 1, 1, 5) // expensive via node 1
 	g.AddArc(1, 3, 1, 0)
 	g.AddArc(0, 2, 1, 1) // cheap via node 2
 	g.AddArc(2, 3, 1, 0)
-	sv := AcquireSolver(g, 0, 3)
+	sv := NewSolver(g, 0, 3)
 	units, unitCost, ok := sv.AugmentBelow(1, math.Inf(1))
 	if !ok || units != 1 || unitCost != 1 {
 		t.Fatalf("first augment = (%d, %v, %v), want (1, 1, true)", units, unitCost, ok)
@@ -68,13 +68,13 @@ func TestResidualReroute(t *testing.T) {
 	//     a -> b cost 0   (tempting shortcut)
 	//     a -> t(3) cost 3
 	//     b -> t cost 1
-	g := AcquireGraph(4)
+	g := NewGraph(4)
 	g.AddArc(0, 1, 1, 1)
 	g.AddArc(0, 2, 1, 2)
 	ab := g.AddArc(1, 2, 1, 0)
 	g.AddArc(1, 3, 1, 3)
 	g.AddArc(2, 3, 1, 1)
-	sv := AcquireSolver(g, 0, 3)
+	sv := NewSolver(g, 0, 3)
 	flow, cost := minCostFlow(sv, 2)
 	if flow != 2 || cost != 7 {
 		t.Fatalf("flow=%d cost=%v, want 2, 7", flow, cost)
@@ -90,7 +90,7 @@ func TestUnitCostsNonDecreasing(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 30; trial++ {
 		g, s, tt := randomBipartite(rng, 4, 5)
-		sv := AcquireSolver(g, s, tt)
+		sv := NewSolver(g, s, tt)
 		prev := -1.0
 		for {
 			_, c, ok := sv.AugmentBelow(1, math.Inf(1))
@@ -109,7 +109,7 @@ func TestFlowConservationProperty(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g, s, tt := randomBipartite(rng, 1+rng.Intn(4), 1+rng.Intn(5))
-		sv := AcquireSolver(g, s, tt)
+		sv := NewSolver(g, s, tt)
 		minCostFlow(sv, math.MaxInt64)
 		// Net flow at every node except s, t must be zero. Reconstruct arc
 		// flows from residual twins.
@@ -205,7 +205,7 @@ func TestMatchesBruteForceEveryAmount(t *testing.T) {
 		}
 		for k := int64(1); k <= maxFlow; k++ {
 			g, s, tt := buildBipartite(nv, nu, capV, capU, cost)
-			sv := AcquireSolver(g, s, tt)
+			sv := NewSolver(g, s, tt)
 			flow, got := minCostFlow(sv, k)
 			want := bruteMinCost(nv, nu, capV, capU, cost, int(k))
 			if math.IsInf(want, 1) {
@@ -226,12 +226,12 @@ func TestMatchesBruteForceEveryAmount(t *testing.T) {
 
 func TestNegativeCostArcs(t *testing.T) {
 	// A negative arc forces the Bellman–Ford potential bootstrap.
-	g := AcquireGraph(4)
+	g := NewGraph(4)
 	g.AddArc(0, 1, 2, -3)
 	g.AddArc(1, 2, 2, 1)
 	g.AddArc(0, 2, 2, 5)
 	g.AddArc(2, 3, 3, 0)
-	sv := AcquireSolver(g, 0, 3)
+	sv := NewSolver(g, 0, 3)
 	flow, cost := minCostFlow(sv, 3)
 	if flow != 3 {
 		t.Fatalf("flow = %d, want 3", flow)
@@ -243,9 +243,9 @@ func TestNegativeCostArcs(t *testing.T) {
 }
 
 func TestUnreachableSink(t *testing.T) {
-	g := AcquireGraph(3)
+	g := NewGraph(3)
 	g.AddArc(0, 1, 1, 1) // node 2 disconnected
-	sv := AcquireSolver(g, 0, 2)
+	sv := NewSolver(g, 0, 2)
 	flow, cost := minCostFlow(sv, 5)
 	if flow != 0 || cost != 0 {
 		t.Fatalf("flow=%d cost=%v, want 0, 0", flow, cost)
@@ -256,19 +256,19 @@ func TestUnreachableSink(t *testing.T) {
 }
 
 func TestZeroCapacityArcIgnored(t *testing.T) {
-	g := AcquireGraph(2)
+	g := NewGraph(2)
 	g.AddArc(0, 1, 0, 1)
-	sv := AcquireSolver(g, 0, 1)
+	sv := NewSolver(g, 0, 1)
 	if flow, _ := minCostFlow(sv, 1); flow != 0 {
 		t.Fatalf("flow through zero-capacity arc: %d", flow)
 	}
 }
 
 func TestArcFlowReadback(t *testing.T) {
-	g := AcquireGraph(3)
+	g := NewGraph(3)
 	a1 := g.AddArc(0, 1, 4, 1)
 	a2 := g.AddArc(1, 2, 2, 1)
-	sv := AcquireSolver(g, 0, 2)
+	sv := NewSolver(g, 0, 2)
 	minCostFlow(sv, math.MaxInt64)
 	if g.Flow(a1) != 2 || g.Flow(a2) != 2 {
 		t.Fatalf("arc flows = %d, %d, want 2, 2", g.Flow(a1), g.Flow(a2))
@@ -276,9 +276,9 @@ func TestArcFlowReadback(t *testing.T) {
 }
 
 func TestAugmentRespectsMaxUnits(t *testing.T) {
-	g := AcquireGraph(2)
+	g := NewGraph(2)
 	g.AddArc(0, 1, 10, 0.5)
-	sv := AcquireSolver(g, 0, 1)
+	sv := NewSolver(g, 0, 1)
 	units, _, ok := sv.AugmentBelow(3, math.Inf(1))
 	if !ok || units != 3 {
 		t.Fatalf("units = %d, want 3", units)
@@ -292,14 +292,14 @@ func TestAugmentRespectsMaxUnits(t *testing.T) {
 }
 
 func TestBadConstructionPanics(t *testing.T) {
-	assertPanics(t, func() { AcquireGraph(0) })
-	g := AcquireGraph(2)
+	assertPanics(t, func() { NewGraph(0) })
+	g := NewGraph(2)
 	assertPanics(t, func() { g.AddArc(-1, 0, 1, 0) })
 	assertPanics(t, func() { g.AddArc(0, 2, 1, 0) })
 	assertPanics(t, func() { g.AddArc(0, 1, -1, 0) })
 	assertPanics(t, func() { g.AddArc(0, 1, 1, math.NaN()) })
-	assertPanics(t, func() { AcquireSolver(g, 0, 0) })
-	assertPanics(t, func() { AcquireSolver(g, 0, 5) })
+	assertPanics(t, func() { NewSolver(g, 0, 0) })
+	assertPanics(t, func() { NewSolver(g, 0, 5) })
 }
 
 // randomBipartite builds a random transportation network: source 0,
@@ -327,7 +327,7 @@ func randomBipartite(rng *rand.Rand, nv, nu int) (g *Graph, s, t int) {
 func buildBipartite(nv, nu int, capV, capU []int64, cost [][]float64) (g *Graph, s, t int) {
 	n := nv + nu + 2
 	s, t = 0, n-1
-	g = AcquireGraph(n)
+	g = NewGraph(n)
 	for v := 0; v < nv; v++ {
 		g.AddArc(s, 1+v, capV[v], 0)
 	}

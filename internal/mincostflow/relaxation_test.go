@@ -26,7 +26,7 @@ import (
 func onePathRelaxation(in *core.Instance) (int64, *core.Matching) {
 	nv, nu := in.NumEvents(), in.NumUsers()
 	s, t := 0, 1+nv+nu
-	g := mincostflow.AcquireGraph(nv + nu + 2)
+	g := mincostflow.NewGraph(nv + nu + 2)
 	for v, e := range in.Events {
 		g.AddArc(s, 1+v, int64(e.Cap), 0)
 	}
@@ -40,7 +40,7 @@ func onePathRelaxation(in *core.Instance) (int64, *core.Matching) {
 			pairArc[i] = g.AddArc(1+i/nu, 1+nv+i%nu, 1, 1-sim)
 		}
 	}
-	sv := mincostflow.AcquireSolver(g, s, t)
+	sv := mincostflow.NewSolver(g, s, t)
 	for {
 		if _, _, ok := sv.AugmentBelow(math.MaxInt64, 1); !ok {
 			break
